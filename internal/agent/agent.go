@@ -51,6 +51,14 @@ var (
 	ErrNotFound  = errors.New("agent: name not found")
 )
 
+// auditKeep is how many private-key operations the in-memory audit
+// trail retains. An agent lives as long as its user's session and signs
+// once per login on every connection, so an unbounded trail is a leak
+// (the raw-loopback login workload grew it by ~100 B per operation,
+// the largest live-heap item in the process); the newest entries are
+// the ones an intrusion review needs.
+const auditKeep = 4096
+
 // AuditEntry records one private-key operation (paper §2.5.1: "an SFS
 // agent can keep a full audit trail of every private key operation it
 // performs").
@@ -85,7 +93,10 @@ type Agent struct {
 	// remote, when set, forwards signing to a home agent (proxy
 	// mode, paper §2.5.1).
 	remote *remoteSigner
-	audit  []AuditEntry
+	// audit is a ring of the newest auditKeep entries; once full,
+	// auditNext is the oldest entry and the next one overwritten.
+	audit     []AuditEntry
+	auditNext int
 	// maxTries bounds authentication attempts per server before the
 	// agent declines and the user proceeds anonymously.
 	maxTries int
@@ -163,19 +174,28 @@ func (a *Agent) Authenticate(ai sfsrpc.AuthInfo, seqNo uint32, authPath string, 
 	}
 	var hostID core.HostID
 	copy(hostID[:], ai.HostID[:])
-	a.audit = append(a.audit, AuditEntry{
+	entry := AuditEntry{
 		Time: time.Now(), Location: ai.Location, HostID: hostID,
 		SeqNo: seqNo, AuthPath: authPath, KeyIndex: attempt,
-	})
+	}
+	if len(a.audit) < auditKeep {
+		a.audit = append(a.audit, entry)
+	} else {
+		a.audit[a.auditNext] = entry
+		a.auditNext = (a.auditNext + 1) % auditKeep
+	}
 	m := sfsrpc.AuthMsg{UserKey: k.PublicKey.Bytes(), Req: req, Sig: *sig}
 	return m.Marshal(), true
 }
 
-// Audit returns a copy of the audit trail.
+// Audit returns a copy of the audit trail, oldest entry first: the
+// most recent auditKeep private-key operations.
 func (a *Agent) Audit() []AuditEntry {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return append([]AuditEntry(nil), a.audit...)
+	out := make([]AuditEntry, 0, len(a.audit))
+	out = append(out, a.audit[a.auditNext:]...)
+	return append(out, a.audit[:a.auditNext]...)
 }
 
 // Symlink creates (or replaces) a dynamic symbolic link in the

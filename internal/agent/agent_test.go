@@ -123,6 +123,30 @@ func TestAuditTrail(t *testing.T) {
 	}
 }
 
+// The trail is a ring of the newest auditKeep operations: a long-lived
+// agent's memory must not grow with every login.
+func TestAuditTrailBounded(t *testing.T) {
+	uk, _, _ := agKeys(t)
+	a := New("dm", prng.NewSeeded([]byte("a5")))
+	a.AddKey(uk)
+	ai := testAI()
+	const extra = 37
+	for i := 0; i < auditKeep+extra; i++ {
+		if _, ok := a.Authenticate(ai, uint32(i), "", 0); !ok {
+			t.Fatal("agent declined")
+		}
+	}
+	audit := a.Audit()
+	if len(audit) != auditKeep {
+		t.Fatalf("audit has %d entries, want %d", len(audit), auditKeep)
+	}
+	for i, e := range audit {
+		if want := uint32(extra + i); e.SeqNo != want {
+			t.Fatalf("audit[%d].SeqNo = %d, want %d (oldest first)", i, e.SeqNo, want)
+		}
+	}
+}
+
 type fakeResolver struct {
 	links map[string]string
 	files map[string][]byte

@@ -16,6 +16,7 @@ package bench
 import (
 	"fmt"
 	"os"
+	"time"
 
 	"repro/internal/netsim"
 	"repro/internal/stats"
@@ -125,8 +126,16 @@ func latencyMode(fig *Figure, mode string, iters int) error {
 			lm.Client = *m.Stages
 		}
 	}
-	if ss, ok := st.ServerStats(); ok {
-		lm.Server = ss.RPC.Stages
+	// The server records a span once its reply is on the wire, so the
+	// client can return from the last READ and get here first: wait for
+	// that last span to land rather than snapshot one short.
+	for deadline := time.Now().Add(time.Second); ; time.Sleep(time.Millisecond) {
+		if ss, ok := st.ServerStats(); ok {
+			lm.Server = ss.RPC.Stages
+		}
+		if lm.Server.Total.Count >= lm.Client.Total.Count || time.Now().After(deadline) {
+			break
+		}
 	}
 	if fig.Latency == nil {
 		fig.Latency = make(map[string]LatencyMode)

@@ -19,6 +19,11 @@
 // −1. Multiplying by the tweaks e ∈ {1, −1} and f ∈ {1, 2} therefore
 // maps any h with gcd(h, n) = 1 to a quadratic residue, giving every
 // value a square root.
+//
+// Signing costs two half-size exponentiations and one CRT: the roots
+// of h mod p and mod q reveal both Legendre symbols, and the tweaks
+// are applied to the roots rather than to h (see Sign; derivation in
+// DESIGN.md §7).
 package rabin
 
 import (
@@ -59,9 +64,9 @@ type PrivateKey struct {
 	PublicKey
 	P, Q *big.Int
 
-	expP, expQ *big.Int // (p+1)/4, (q+1)/4 for square roots
-	qInvP      *big.Int // q^{-1} mod p
-	halfExpP   *big.Int // (p-1)/2 for residuosity tests
+	expP, expQ       *big.Int // (p+1)/4, (q+1)/4 for square roots
+	qInvP            *big.Int // q^{-1} mod p
+	twoExpP, twoExpQ *big.Int // 2^expP mod p, 2^expQ mod q: the f=2 tweak applied to a root
 }
 
 // wireKey is the canonical XDR form of a public key. HostIDs and all
@@ -177,8 +182,9 @@ func newPrivateKey(p, q *big.Int) *PrivateKey {
 	k.expQ = new(big.Int).Add(q, one)
 	k.expQ.Rsh(k.expQ, 2)
 	k.qInvP = new(big.Int).ModInverse(q, p)
-	k.halfExpP = new(big.Int).Sub(p, one)
-	k.halfExpP.Rsh(k.halfExpP, 1)
+	two := big.NewInt(2)
+	k.twoExpP = new(big.Int).Exp(two, k.expP, p)
+	k.twoExpQ = new(big.Int).Exp(two, k.expQ, q)
 	return k
 }
 
@@ -320,24 +326,6 @@ func oaepDecode(em []byte) ([]byte, error) {
 	return nil, ErrDecrypt
 }
 
-// sqrtModN returns the four square roots of a quadratic residue c
-// modulo n via the CRT. If c is not a residue mod both primes, the
-// returned values simply won't square to c; callers check redundancy.
-func (k *PrivateKey) sqrtModN(c *big.Int) [4]*big.Int {
-	cp := new(big.Int).Mod(c, k.P)
-	cq := new(big.Int).Mod(c, k.Q)
-	rp := new(big.Int).Exp(cp, k.expP, k.P)
-	rq := new(big.Int).Exp(cq, k.expQ, k.Q)
-	var roots [4]*big.Int
-	negRP := new(big.Int).Sub(k.P, rp)
-	negRQ := new(big.Int).Sub(k.Q, rq)
-	roots[0] = k.crt(rp, rq)
-	roots[1] = k.crt(rp, negRQ)
-	roots[2] = k.crt(negRP, rq)
-	roots[3] = k.crt(negRP, negRQ)
-	return roots
-}
-
 // crt combines residues mod p and q into a residue mod n.
 func (k *PrivateKey) crt(rp, rq *big.Int) *big.Int {
 	// x = rq + q * ((rp - rq) * qInvP mod p)
@@ -349,8 +337,11 @@ func (k *PrivateKey) crt(rp, rq *big.Int) *big.Int {
 	return t.Mod(t, k.N)
 }
 
-// Decrypt decrypts an OAEP ciphertext. All four square roots are
-// tried; the OAEP redundancy identifies the correct one.
+// Decrypt decrypts an OAEP ciphertext. The four square roots are
+// ±crt(rp, rq) and ±crt(rp, −rq); they are tried lazily and the OAEP
+// redundancy identifies the correct one, so a valid ciphertext costs
+// at most two CRTs. If c is not a residue mod both primes the CRT
+// values won't square to c and are skipped.
 func (k *PrivateKey) Decrypt(ct []byte) ([]byte, error) {
 	kLen := k.size()
 	if len(ct) != kLen {
@@ -360,16 +351,29 @@ func (k *PrivateKey) Decrypt(ct []byte) ([]byte, error) {
 	if c.Cmp(k.N) >= 0 {
 		return nil, ErrDecrypt
 	}
+	rp := new(big.Int).Mod(c, k.P)
+	rp.Exp(rp, k.expP, k.P)
+	rq := new(big.Int).Mod(c, k.Q)
+	rq.Exp(rq, k.expQ, k.Q)
 	sq := new(big.Int)
-	for _, r := range k.sqrtModN(c) {
+	em := make([]byte, kLen)
+	for half := 0; half < 2; half++ {
+		if half == 1 {
+			rq.Sub(k.Q, rq)
+		}
+		r := k.crt(rp, rq)
 		sq.Mul(r, r)
 		sq.Mod(sq, k.N)
 		if sq.Cmp(c) != 0 {
 			continue
 		}
-		em := r.FillBytes(make([]byte, kLen))
-		if msg, err := oaepDecode(em); err == nil {
-			return msg, nil
+		for neg := 0; neg < 2; neg++ {
+			if neg == 1 {
+				r.Sub(k.N, r)
+			}
+			if msg, err := oaepDecode(r.FillBytes(em)); err == nil {
+				return msg, nil
+			}
 		}
 	}
 	return nil, ErrDecrypt
@@ -392,46 +396,66 @@ type Signature struct {
 
 // Sign produces a signature over digest (any byte string; callers
 // conventionally pass a SHA-1 hash of an XDR structure).
+//
+// With h the padded representative, rp = h^((p+1)/4) mod p squares to
+// (h/p)·h, so comparing rp² with h reads the Legendre symbol off the
+// root computation itself; likewise mod q. The Williams tweaks follow:
+// f = 2 iff the two symbols differ (Jacobi(h, n) = −1), and e = −1 iff
+// f·h is then a non-residue mod p (and so mod q too). The root of
+// v = e·f·h is (e·f)^((p+1)/4)·rp mod p and (e·f)^((q+1)/4)·rq mod q:
+// (p+1)/4 is odd for p ≡ 3 (mod 8), so e carries over to the p-side
+// root; (q+1)/4 is even for q ≡ 7 (mod 8), so it vanishes on the
+// q-side. One CRT joins them.
 func (k *PrivateKey) Sign(rand io.Reader, digest []byte) (*Signature, error) {
 	kLen := k.size()
 	var sig Signature
+	hp, hq, sq := new(big.Int), new(big.Int), new(big.Int)
 	for attempt := 0; attempt < 32; attempt++ {
 		if _, err := io.ReadFull(rand, sig.Salt[:]); err != nil {
 			return nil, err
 		}
 		h := signPad(kLen, sig.Salt[:], digest)
-		if h.Sign() == 0 || new(big.Int).GCD(nil, nil, h, k.N).Cmp(big.NewInt(1)) != 0 {
-			continue // negligible probability; re-salt
+		hp.Mod(h, k.P)
+		hq.Mod(h, k.Q)
+		if hp.Sign() == 0 || hq.Sign() == 0 {
+			continue // gcd(h, n) ≠ 1: negligible probability; re-salt
 		}
-		// Williams tweaks: f=2 if Jacobi(h,n) = -1, else 1.
-		v := new(big.Int).Set(h)
-		if big.Jacobi(h, k.N) == -1 {
+		rp := new(big.Int).Exp(hp, k.expP, k.P)
+		rq := new(big.Int).Exp(hq, k.expQ, k.Q)
+		resP := sq.Mul(rp, rp).Mod(sq, k.P).Cmp(hp) == 0
+		resQ := sq.Mul(rq, rq).Mod(sq, k.Q).Cmp(hq) == 0
+
+		// v = e·f·h, built in place: past this point only hp and hq
+		// stand for the untweaked h.
+		v := h
+		if resP != resQ { // f = 2; (2/p) = −1 flips the p-side symbol
 			v.Lsh(v, 1)
-			v.Mod(v, k.N)
-		}
-		// e=-1 if v is a non-residue mod p (then also mod q).
-		vp := new(big.Int).Mod(v, k.P)
-		euler := new(big.Int).Exp(vp, k.halfExpP, k.P)
-		if euler.Cmp(big.NewInt(1)) != 0 {
-			v.Neg(v)
-			v.Mod(v, k.N)
-		}
-		roots := k.sqrtModN(v)
-		sq := new(big.Int)
-		for _, r := range roots {
-			sq.Mul(r, r)
-			sq.Mod(sq, k.N)
-			if sq.Cmp(v) == 0 {
-				sig.Root = r.FillBytes(make([]byte, kLen))
-				return &sig, nil
+			if v.Cmp(k.N) >= 0 {
+				v.Sub(v, k.N)
 			}
+			rp.Mul(rp, k.twoExpP).Mod(rp, k.P)
+			rq.Mul(rq, k.twoExpQ).Mod(rq, k.Q)
 		}
+		if !resQ { // e = −1; after f both symbols equal (h/q)
+			v.Sub(k.N, v)
+			rp.Sub(k.P, rp)
+		}
+		r := k.crt(rp, rq)
+		// A fault anywhere above (a bad CRT constant, a flipped bit in
+		// an exponentiation) yields an r that is right mod one prime
+		// only, and gcd(r² − v, n) would factor n. Never release a root
+		// that does not square to v.
+		if sq.Mul(r, r).Mod(sq, k.N).Cmp(v) != 0 {
+			return nil, errors.New("rabin: computed root does not square to its representative")
+		}
+		sig.Root = r.FillBytes(make([]byte, kLen))
+		return &sig, nil
 	}
-	return nil, errors.New("rabin: signing failed")
+	return nil, errors.New("rabin: no salt gave a representative coprime to the modulus")
 }
 
 // Verify checks sig over digest. Verification is a single modular
-// squaring plus the four tweak candidates.
+// squaring compared against the four tweak candidates.
 func (k *PublicKey) Verify(digest []byte, sig *Signature) error {
 	kLen := k.size()
 	if sig == nil || len(sig.Root) != kLen {
@@ -445,22 +469,17 @@ func (k *PublicKey) Verify(digest []byte, sig *Signature) error {
 	if h.Cmp(k.N) >= 0 {
 		return ErrVerify
 	}
+	// s² = e·f·h mod n for e ∈ {1, −1}, f ∈ {1, 2}: one of ±s² must
+	// equal h or 2h.
 	sq := new(big.Int).Mul(s, s)
 	sq.Mod(sq, k.N)
-	// s^2 = e*f*h mod n for e in {1,-1}, f in {1,2}:
-	// candidates for h: s^2, -s^2, s^2/2, -s^2/2.
-	inv2 := new(big.Int).ModInverse(big.NewInt(2), k.N)
-	cands := make([]*big.Int, 0, 4)
-	cands = append(cands, new(big.Int).Set(sq))
-	cands = append(cands, new(big.Int).Sub(k.N, sq))
-	half := new(big.Int).Mul(sq, inv2)
-	half.Mod(half, k.N)
-	cands = append(cands, half)
-	cands = append(cands, new(big.Int).Sub(k.N, half))
-	for _, c := range cands {
-		if c.Cmp(h) == 0 {
-			return nil
-		}
+	neg := new(big.Int).Sub(k.N, sq)
+	h2 := new(big.Int).Lsh(h, 1)
+	if h2.Cmp(k.N) >= 0 {
+		h2.Sub(h2, k.N)
+	}
+	if sq.Cmp(h) == 0 || neg.Cmp(h) == 0 || sq.Cmp(h2) == 0 || neg.Cmp(h2) == 0 {
+		return nil
 	}
 	return ErrVerify
 }

@@ -195,6 +195,11 @@ func TestTraceRingDisabledIsNoop(t *testing.T) {
 	if s := ring.Snapshot(); s.Recorded != 0 || len(s.Spans) != 0 {
 		t.Fatalf("disabled ring recorded %+v", s)
 	}
+	// A ring nobody enabled holds no span storage: every connection
+	// builds one, so construction must stay a few words.
+	if ring.spans != nil {
+		t.Fatalf("never-enabled ring allocated %d spans", len(ring.spans))
+	}
 	ring.SetEnabled(true)
 	for i := 0; i < 6; i++ {
 		ring.Record(Span{XID: uint32(i)})

@@ -33,15 +33,19 @@ type Span struct {
 }
 
 // TraceRing keeps the last N spans in a fixed ring. Recording is
-// allocation-free and a no-op while disabled (a single atomic load),
-// so the ring can stay wired into the dispatch path permanently and
-// be switched on by the -stats listener. When enabled, Record takes a
-// short mutex — spans are for introspection, not the fast path's
-// steady state.
+// a no-op while disabled (a single atomic load), so the ring can stay
+// wired into the dispatch path permanently and be switched on by the
+// -stats listener. When enabled, Record takes a short mutex — spans
+// are for introspection, not the fast path's steady state.
+//
+// The span storage (N × ~170 bytes) is allocated by the first Record
+// that finds the ring enabled, and never again: every connection
+// builds an RPC server with a ring, and almost none is ever traced.
 type TraceRing struct {
 	enabled atomic.Bool
 	mu      sync.Mutex
-	spans   []Span
+	size    int
+	spans   []Span // nil until the first enabled Record, then len size
 	next    int
 	total   uint64
 
@@ -57,7 +61,7 @@ func NewTraceRing(n int) *TraceRing {
 	if n <= 0 {
 		n = 1
 	}
-	return &TraceRing{spans: make([]Span, n)}
+	return &TraceRing{size: n}
 }
 
 // SetEnabled switches recording on or off. Enabled rings are counted
@@ -96,8 +100,11 @@ func (t *TraceRing) Record(s Span) {
 		return
 	}
 	t.mu.Lock()
+	if t.spans == nil {
+		t.spans = make([]Span, t.size)
+	}
 	t.spans[t.next] = s
-	t.next = (t.next + 1) % len(t.spans)
+	t.next = (t.next + 1) % t.size
 	t.total++
 	t.mu.Unlock()
 	if slow := t.slowUS.Load(); slow > 0 && s.DurUS >= slow {
@@ -122,8 +129,7 @@ func (t *TraceRing) Snapshot() TraceSnapshot {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	out := TraceSnapshot{Recorded: t.total}
-	n := len(t.spans)
-	if t.total < uint64(n) {
+	if t.total < uint64(t.size) {
 		out.Spans = append(out.Spans, t.spans[:t.next]...)
 		return out
 	}

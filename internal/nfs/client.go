@@ -124,6 +124,15 @@ type clientCore struct {
 	// under is still current — otherwise an invalidation that raced
 	// the RPC would be undone by a stale reply.
 	invalEpoch atomic.Uint64
+	// writeEpoch advances whenever an acknowledged WRITE is folded into
+	// the cache. A READ issued before that — by another goroutine, for
+	// the same block — may carry the bytes the write replaced, and its
+	// reply may be processed after the write's: it must not populate
+	// either, or the writer would read stale data back out of the
+	// cache. READ paths therefore capture readEpoch, which moves with
+	// both counters; writes keep checking invalEpoch alone, so
+	// pipelined writes do not disqualify each other.
+	writeEpoch atomic.Uint64
 
 	calls      atomic.Uint64
 	attrHits   atomic.Uint64
@@ -291,6 +300,25 @@ func (core *clientCore) forget(fh FH) {
 		}
 	}
 	core.mu.Unlock()
+}
+
+// endFlight publishes a finished flight to its joiners and retires it
+// from the table — unless a write to the block already detached it
+// (noteWrite), in which case the entry there is a newer flight's.
+func (core *clientCore) endFlight(key string, fl *readFlight) {
+	core.lock()
+	if core.flights[key] == fl {
+		delete(core.flights, key)
+	}
+	core.mu.Unlock()
+	close(fl.done)
+}
+
+// readEpoch is what a READ captures at issue and populate re-checks:
+// both counters only grow, so their sum is unchanged exactly when
+// neither moved.
+func (core *clientCore) readEpoch() uint64 {
+	return core.invalEpoch.Load() + core.writeEpoch.Load()
 }
 
 func nameKey(dir FH, name string) string { return string(dir) + "\x00" + name }
@@ -499,7 +527,7 @@ func (c *Client) Read(fh FH, offset uint64, count uint32) ([]byte, bool, error) 
 			return c.readShared(fh, offset)
 		}
 	}
-	epoch := core.invalEpoch.Load()
+	epoch := core.readEpoch()
 	data, eof, err := c.readWire(fh, offset, count)
 	if err == nil {
 		c.populate(fh, offset, data, eof, epoch)
@@ -535,17 +563,14 @@ func (c *Client) readShared(fh FH, offset uint64) ([]byte, bool, error) {
 	}
 	fl := &readFlight{done: make(chan struct{})}
 	core.flights[key] = fl
-	epoch := core.invalEpoch.Load()
+	epoch := core.readEpoch()
 	core.mu.Unlock()
 	data, eof, err := c.readWire(fh, offset, DataBlockSize)
 	if err == nil {
 		c.populate(fh, offset, data, eof, epoch)
 	}
 	fl.data, fl.eof, fl.err = data, eof, err
-	core.lock()
-	delete(core.flights, key)
-	core.mu.Unlock()
-	close(fl.done)
+	core.endFlight(key, fl)
 	return data, eof, err
 }
 
@@ -584,7 +609,7 @@ func (c *Client) ReadStart(fh FH, offset uint64, count uint32) (func() ([]byte, 
 			return c.readStartShared(fh, offset)
 		}
 	}
-	epoch := core.invalEpoch.Load()
+	epoch := core.readEpoch()
 	fin, err := c.readStartWire(fh, offset, count)
 	if err != nil || core.dc == nil {
 		return fin, err
@@ -637,14 +662,11 @@ func (c *Client) readStartShared(fh FH, offset uint64) (func() ([]byte, bool, er
 	}
 	fl := &readFlight{done: make(chan struct{})}
 	core.flights[key] = fl
-	epoch := core.invalEpoch.Load()
+	epoch := core.readEpoch()
 	core.mu.Unlock()
 	resolve := func(data []byte, eof bool, err error) {
 		fl.data, fl.eof, fl.err = data, eof, err
-		core.lock()
-		delete(core.flights, key)
-		core.mu.Unlock()
-		close(fl.done)
+		core.endFlight(key, fl)
 	}
 	fin, err := c.readStartWire(fh, offset, DataBlockSize)
 	if err != nil {

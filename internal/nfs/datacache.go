@@ -247,7 +247,7 @@ func (c *Client) populate(fh FH, offset uint64, data []byte, eof bool, epoch uin
 	}
 	core.lock()
 	defer core.mu.Unlock()
-	if core.invalEpoch.Load() != epoch {
+	if core.readEpoch() != epoch {
 		return
 	}
 	a, ok := core.attrs[string(fh)]
@@ -275,6 +275,12 @@ func (c *Client) noteWrite(fh FH, offset uint64, data []byte, epoch uint64, owne
 	endBlk := (offset + uint64(len(data)) - 1) / DataBlockSize
 	core.lock()
 	defer core.mu.Unlock()
+	core.writeEpoch.Add(1) // in-flight READs may predate this write
+	for b := blk; b <= endBlk && len(core.flights) > 0; b++ {
+		// ... so a reader arriving from here on must not join one: it
+		// starts a flight of its own, behind the write.
+		delete(core.flights, flightKey(c.principal, fh, b))
+	}
 	a, live := core.attrs[string(fh)]
 	if offset%DataBlockSize != 0 || blk != endBlk ||
 		core.invalEpoch.Load() != epoch || !live || !time.Now().Before(a.expires) {

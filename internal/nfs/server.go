@@ -529,6 +529,16 @@ func (s *Server) dispatchProc(sess *Session, proc uint32, auth sunrpc.OpaqueAuth
 			return StatusRes{Status: statusFromErr(err)}, nil
 		}
 		s.invalidate(sess, dir, victim)
+		if _, err := s.fs.GetAttr(victim); err != nil {
+			// That was the last link. Nothing can change the file again,
+			// so nobody will ever need calling back about it — and the
+			// remover's own lease, which invalidate leaves alone, would
+			// otherwise stay in the table as long as its session does.
+			ls := s.leaseStripeOf(victim)
+			s.lockStripe(ls)
+			delete(ls.m, victim)
+			ls.mu.Unlock()
+		}
 		return StatusRes{Status: OK, DirAttr: s.attrFor(sess, dir)}, nil
 	case ProcRmdir:
 		var a DirOpArgs

@@ -208,3 +208,50 @@ func TestConcurrentLeaseAttachDetachInvalidate(t *testing.T) {
 		t.Fatal("stripe lock counter never moved")
 	}
 }
+
+// TestRemoveDropsLeases: a file's lease entry goes with its last link.
+// The remover's own lease is the one invalidate never touches; left
+// behind, the table grows by an entry per file a long-lived session
+// ever created and deleted.
+func TestRemoveDropsLeases(t *testing.T) {
+	srv, cl := dataCachePair(t, 0)
+	root, _, err := cl.MountRoot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := func() (n int) {
+		for i := range srv.leases {
+			ls := &srv.leases[i]
+			ls.mu.Lock()
+			n += len(ls.m)
+			ls.mu.Unlock()
+		}
+		return n
+	}
+	fh, _, err := cl.Create(root, "kept", 0o644, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Link(fh, root, "second-name"); err != nil {
+		t.Fatal(err)
+	}
+	base := entries()
+	for i := 0; i < 50; i++ {
+		if _, _, err := cl.Create(root, "tmp", 0o644, true); err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.Remove(root, "tmp"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := entries(); n != base {
+		t.Fatalf("%d lease entries after 50 create/remove cycles, %d before", n, base)
+	}
+	// A file that still has a link keeps its leases.
+	if err := cl.Remove(root, "second-name"); err != nil {
+		t.Fatal(err)
+	}
+	if n := entries(); n != base {
+		t.Fatalf("removing one of two links changed the table: %d entries, want %d", n, base)
+	}
+}

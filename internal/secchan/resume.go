@@ -398,6 +398,10 @@ func AcceptResume(conn io.ReadWriteCloser, req *ResumeRequest, cache *ResumeCach
 	resp.Status = resumeOK
 	copy(resp.NonceS[:], rng.Bytes(keyHalf))
 	cs, sc, sid := resumeKeys(rms, req.NonceC, resp.NonceS)
+	// The next ticket is cached before the response that lets the
+	// client compute it leaves: a client that reconnects the instant
+	// the handshake completes must find it.
+	cache.put(sid, resumeMaster(cs[:], sc[:]), binding)
 	if err := writeMsg(conn, resp); err != nil {
 		chanStats.handshakeF.Inc()
 		return nil, nil, false, err
@@ -407,7 +411,6 @@ func AcceptResume(conn io.ReadWriteCloser, req *ResumeRequest, cache *ResumeCach
 		chanStats.handshakeF.Inc()
 		return nil, nil, false, err
 	}
-	cache.put(sid, resumeMaster(cs[:], sc[:]), binding)
 	var hostID core.HostID
 	copy(hostID[:], req.HostID[:])
 	info := &Info{

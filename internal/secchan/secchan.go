@@ -489,16 +489,17 @@ func serverHandshake(conn io.ReadWriteCloser, req *ConnectRequest, priv *rabin.P
 	if err != nil {
 		return nil, nil, err
 	}
+	// Cached before the response leaves, as in AcceptResume.
+	cs, sc, sid := sessionKeys(pub, neg.TempKey, cHalves, sHalves)
+	cache.put(sid, resumeMaster(cs[:], sc[:]),
+		resumeBinding{hostID: req.HostID, location: req.Location, service: req.Service})
 	if err := writeMsg(conn, keyNegResponse{KeyHalves: encS}); err != nil {
 		return nil, nil, err
 	}
-	cs, sc, sid := sessionKeys(pub, neg.TempKey, cHalves, sHalves)
 	sec, err := newConn(conn, cs[:], sc[:], false)
 	if err != nil {
 		return nil, nil, err
 	}
-	cache.put(sid, resumeMaster(cs[:], sc[:]),
-		resumeBinding{hostID: req.HostID, location: req.Location, service: req.Service})
 	var hostID core.HostID
 	copy(hostID[:], req.HostID[:])
 	info := &Info{
@@ -526,9 +527,15 @@ type Conn struct {
 
 	rmu        sync.Mutex
 	recv       *arc4.Cipher
-	openBuf    []byte // opened-record scratch, guarded by rmu
 	recvMacKey [sha1mac.KeySize]byte
-	readBuf    []byte // unread tail of the current record (aliases openBuf)
+	// rbuf holds ciphertext as it came off the transport; the bytes not
+	// yet parsed into records are rbuf[rpos:rend]. One transport Read
+	// takes whatever the socket holds — all of a small record, or
+	// several pipelined ones — and records are opened out of it.
+	rbuf       []byte
+	rpos, rend int
+	rbufFull   bool   // the last transport read filled rbuf: the socket held more
+	readBuf    []byte // plaintext of the current record Read has yet to deliver
 	readErr    error
 
 	// Stage-tracing work ledgers (DESIGN.md §13): cumulative
@@ -549,9 +556,19 @@ func (c *Conn) SealWorkNS() int64 { return c.sealNS.Load() }
 // nanoseconds (sunrpc.OpenTimer).
 func (c *Conn) OpenWorkNS() int64 { return c.openNS.Load() }
 
-// maxRetainedBuf caps the scratch a Conn keeps between records, so one
-// oversized record cannot pin its buffer for the channel's lifetime.
+// maxRetainedBuf caps the seal scratch a Conn keeps between records,
+// so one oversized record cannot pin its buffer for the channel's
+// lifetime.
 const maxRetainedBuf = 1 << 20
+
+// The receive buffer starts at recvBufMin — a login's channel carries
+// four small records and must not pay for more — and doubles, up to
+// recvBufMax, when a record does not fit or a transport read fills it.
+// A record that cannot fit in recvBufMax bypasses the buffer.
+const (
+	recvBufMin = 512
+	recvBufMax = 64 << 10
+)
 
 // mode toggles payload encryption for subsequently created channels —
 // captured per Conn at construction, so flipping it never races with
@@ -757,8 +774,9 @@ func (c *Conn) WriteSegments(segs [][]byte) (int, int, error) {
 // MaxRecord bounds a sealed record's plaintext.
 const MaxRecord = 64 << 20
 
-// Read returns decrypted bytes, unsealing the next record when the
-// buffer is empty.
+// Read returns decrypted bytes, opening the next record when the
+// current one is used up. A record that fits in p is decrypted
+// straight into it.
 func (c *Conn) Read(p []byte) (int, error) {
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
@@ -766,9 +784,15 @@ func (c *Conn) Read(p []byte) (int, error) {
 		return 0, c.readErr
 	}
 	for len(c.readBuf) == 0 {
-		if err := c.readRecord(); err != nil {
+		rec, direct, err := c.open(p, false)
+		if err != nil {
 			c.readErr = err
 			return 0, err
+		}
+		if !direct {
+			c.readBuf = rec
+		} else if len(rec) > 0 {
+			return len(rec), nil
 		}
 	}
 	n := copy(p, c.readBuf)
@@ -776,57 +800,167 @@ func (c *Conn) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// readRecord opens the next record into the per-channel scratch
-// buffer. It only runs once the previous record is fully consumed
-// (readBuf empty), so reusing openBuf is safe: Read hands callers
-// copies, never the scratch itself.
-func (c *Conn) readRecord() error {
+// ReadRecord returns the next channel record as one RPC message
+// (sunrpc.RecordReader): a channel record that is exactly one
+// single-fragment record-marked message — all WriteSegments and
+// sunrpc.WriteRecord ever seal — is decrypted into a slice made for
+// the caller and handed over without its mark. Anything else is left
+// to Read.
+func (c *Conn) ReadRecord() ([]byte, bool, error) {
+	c.rmu.Lock()
+	defer c.rmu.Unlock()
+	if c.readErr != nil {
+		return nil, false, c.readErr
+	}
+	if len(c.readBuf) > 0 {
+		return nil, false, nil // a Read stopped inside a record
+	}
+	rec, _, err := c.open(nil, true)
+	if err != nil {
+		c.readErr = err
+		return nil, false, err
+	}
+	if len(rec) >= 4 {
+		mark := uint32(rec[0])<<24 | uint32(rec[1])<<16 | uint32(rec[2])<<8 | uint32(rec[3])
+		if mark == 0x80000000|uint32(len(rec)-4) {
+			return rec[4:], true, nil
+		}
+	}
+	c.readBuf = rec
+	return nil, false, nil
+}
+
+// open opens the next record and returns its plaintext, MAC verified.
+// The one pass over the payload is the decrypt, and it is also the
+// move to wherever the plaintext is wanted: into p when the record
+// fits there (direct is then true), into a slice of its own when owned
+// is set or the record bypasses the buffer, and otherwise in place in
+// the receive buffer, where it stays valid until the next call.
+//
+// Keystream order per record, as the sealer's: 32 bytes of MAC key,
+// the 4-byte length, body and MAC.
+func (c *Conn) open(p []byte, owned bool) (rec []byte, direct bool, err error) {
+	if err := c.fill(4, false); err != nil {
+		return nil, false, err
+	}
 	c.recv.KeyStreamInto(c.recvMacKey[:])
 	var hdr [4]byte
-	if _, err := io.ReadFull(c.raw, hdr[:]); err != nil {
-		return err
-	}
 	if c.encrypt {
-		c.recv.XORKeyStream(hdr[:], hdr[:])
+		c.recv.XORKeyStream(hdr[:], c.rbuf[c.rpos:c.rpos+4])
 	} else {
+		copy(hdr[:], c.rbuf[c.rpos:])
 		c.recv.Skip(4)
 	}
+	c.rpos += 4
 	n := int(hdr[0])<<24 | int(hdr[1])<<16 | int(hdr[2])<<8 | int(hdr[3])
 	if n < 0 || n > MaxRecord {
 		chanStats.macDrops.Inc()
-		return ErrBadMAC // garbled length ≈ tampering
+		return nil, false, ErrBadMAC // garbled length ≈ tampering
 	}
-	body, ret := sized(c.openBuf, n+sha1mac.Size)
-	c.openBuf = ret
-	if _, err := io.ReadFull(c.raw, body); err != nil {
-		return err
+	total := n + sha1mac.Size
+	var src, mac []byte
+	if total > recvBufMax {
+		// Too big to buffer: the rest is read straight into a slice of
+		// its own, grown as bytes arrive — n is only a claim until the
+		// MAC says otherwise — and decrypted where it lies.
+		big := append([]byte(nil), c.rbuf[c.rpos:c.rend]...)
+		c.rpos, c.rend = 0, 0
+		if big, err = sunrpc.ReadFullGrow(c.raw, big, total-len(big)); err != nil {
+			return nil, false, err
+		}
+		src, mac, rec = big[:n], big[n:], big[:n]
+	} else {
+		if err := c.fill(total, true); err != nil {
+			return nil, false, err
+		}
+		src, mac = c.rbuf[c.rpos:c.rpos+n], c.rbuf[c.rpos+n:c.rpos+total]
+		c.rpos += total
+		switch {
+		case owned:
+			// The record mark keeps its four bytes at the front (ReadRecord
+			// slices past it): a READ reply's payload then starts 112
+			// bytes into the allocation, 16-byte aligned, and the client
+			// cache that borrows it is copied out of twice as fast as at
+			// 108 (EXPERIMENTS.md, PR 14, warm_read).
+			rec = make([]byte, n)
+		case len(p) >= n:
+			rec, direct = p[:n], true
+		default:
+			rec = src
+		}
 	}
 	// The open work proper — decrypt + MAC verify — is timed for the
-	// stage-tracing ledger; the transport reads above are wire wait,
-	// not open work.
+	// stage-tracing ledger; the transport reads above are wire wait.
 	var openT0 time.Time
 	if stats.StageTimingOn() {
 		openT0 = time.Now()
 	}
 	if c.encrypt {
-		c.recv.XORKeyStream(body, body)
+		c.recv.XORKeyStream(rec, src)
+		c.recv.XORKeyStream(mac, mac)
 	} else {
-		c.recv.Skip(len(body))
+		copy(rec, src) // a no-op where rec is src
+		c.recv.Skip(total)
 	}
-	payload, mac := body[:n], body[n:]
-	ok := sha1mac.Verify(c.recvMacKey[:], payload, mac)
+	ok := sha1mac.Verify(c.recvMacKey[:], rec, mac)
 	if !openT0.IsZero() {
 		c.openNS.Add(int64(time.Since(openT0)))
 	}
 	if !ok {
+		if direct {
+			clear(rec) // no byte of a forged record stays in the caller's buffer
+		}
 		chanStats.macDrops.Inc()
-		return ErrBadMAC
+		return nil, false, ErrBadMAC
 	}
 	chanStats.opens.Inc()
 	chanStats.openPlain.Add(uint64(n))
-	chanStats.openCipher.Add(uint64(len(body) + 4))
-	c.readBuf = payload
+	chanStats.openCipher.Add(uint64(total + 4))
+	return rec, direct, nil
+}
+
+// fill reads from the transport until need unparsed bytes are
+// buffered; need is at most recvBufMax. mid says a record is partly
+// read already, so the end of input is unexpected whatever is buffered.
+func (c *Conn) fill(need int, mid bool) error {
+	for c.rend-c.rpos < need {
+		if c.rpos == c.rend {
+			c.rpos, c.rend = 0, 0
+		}
+		if len(c.rbuf)-c.rpos < need || c.rbufFull && len(c.rbuf) < recvBufMax {
+			c.makeRoom(need)
+		}
+		m, err := c.raw.Read(c.rbuf[c.rend:])
+		c.rend += m
+		c.rbufFull = c.rend == len(c.rbuf)
+		if err != nil && c.rend-c.rpos < need {
+			if err == io.EOF && (mid || c.rend > c.rpos) {
+				err = io.ErrUnexpectedEOF
+			}
+			return err
+		}
+	}
 	return nil
+}
+
+// makeRoom moves the unparsed bytes to the front of a receive buffer
+// that can hold need of them, doubling it first if it is too small or
+// the last transport read filled it.
+func (c *Conn) makeRoom(need int) {
+	size := max(len(c.rbuf), recvBufMin)
+	if c.rbufFull {
+		size *= 2
+	}
+	for size < need {
+		size *= 2
+	}
+	size = min(size, recvBufMax)
+	buf := c.rbuf
+	if size != len(buf) {
+		buf = make([]byte, size)
+	}
+	c.rend = copy(buf, c.rbuf[c.rpos:c.rend])
+	c.rpos, c.rbuf, c.rbufFull = 0, buf, false
 }
 
 // Close closes the underlying transport.

@@ -145,6 +145,49 @@ type callHeader struct {
 	Verf    OpaqueAuth
 }
 
+// put and get are the header's codec, written out by hand: every RPC
+// pays for two of each, and the shape never changes. The bytes are the
+// ones xdr's plan for the struct produces.
+func (h *callHeader) put(e *xdr.Encoder) {
+	e.PutUint32(h.RPCVers)
+	e.PutUint32(h.Prog)
+	e.PutUint32(h.Vers)
+	e.PutUint32(h.Proc)
+	h.Cred.put(e)
+	h.Verf.put(e)
+}
+
+func (h *callHeader) get(d *xdr.Decoder) (err error) {
+	for _, f := range []*uint32{&h.RPCVers, &h.Prog, &h.Vers, &h.Proc} {
+		if *f, err = d.Uint32(); err != nil {
+			return err
+		}
+	}
+	if err = h.Cred.get(d); err != nil {
+		return err
+	}
+	return h.Verf.get(d)
+}
+
+func (a OpaqueAuth) put(e *xdr.Encoder) {
+	e.PutUint32(a.Flavor)
+	e.PutOpaque(a.Body)
+}
+
+// get copies the body out of the record, so a handler may keep its
+// credentials past the call on transports that reuse packet buffers.
+func (a *OpaqueAuth) get(d *xdr.Decoder) (err error) {
+	if a.Flavor, err = d.Uint32(); err != nil {
+		return err
+	}
+	b, err := d.Opaque()
+	if err != nil {
+		return err
+	}
+	a.Body = append(make([]byte, 0, len(b)), b...)
+	return nil
+}
+
 // A Record is one framed RPC message.
 type record []byte
 
@@ -213,45 +256,6 @@ func principalOf(a OpaqueAuth) uint32 {
 		return uid
 	}
 	return 0
-}
-
-// writeReplyTraced writes the reply record, splitting the cost between
-// the reply_seal stage (the secure channel's MAC+encrypt work, read
-// from the transport's SealTimer) and reply_write (framing plus the
-// transport write itself). Must run under the connection's write lock
-// so the seal-work delta belongs to this record alone. With a nil
-// clock it is exactly WriteRecordEncoder.
-func writeReplyTraced(w io.Writer, e *xdr.Encoder, clk *stats.StageClock) error {
-	if clk == nil {
-		return WriteRecordEncoder(w, e)
-	}
-	st, _ := w.(SealTimer)
-	var seal0 int64
-	if st != nil {
-		seal0 = st.SealWorkNS()
-	}
-	t0 := time.Now()
-	err := WriteRecordEncoder(w, e)
-	writeNS := int64(time.Since(t0))
-	var sealNS int64
-	if st != nil {
-		sealNS = st.SealWorkNS() - seal0
-	}
-	clk.Add(stats.StageReplySeal, sealNS)
-	clk.Add(stats.StageReplyWrite, writeNS-sealNS)
-	clk.Span.Bytes += uint64(e.Len()) + 4
-	return err
-}
-
-// serverClock builds the stage clock for one incoming call: anchored
-// at the moment the record finished reading (tRead), with the record's
-// open work credited to srv_open. The queue stage starts accumulating
-// immediately; the caller ends it when a worker picks the call up.
-func serverClock(tRead time.Time, openNS int64) *stats.StageClock {
-	clk := stats.NewStageClock()
-	clk.RestartAt(tRead)
-	clk.Add(stats.StageSrvOpen, openNS)
-	return clk
 }
 
 // SegmentWriter is implemented by transports that can consume a
@@ -368,6 +372,39 @@ func WriteRecord(w io.Writer, payload []byte) error {
 // MaxRecord bounds the size of a reassembled record.
 const MaxRecord = 64 << 20
 
+// growStep bounds how far ahead of the bytes actually received a
+// record buffer is sized. A length prefix is a claim by the peer —
+// unauthenticated on a plain transport, malleable under ARC4 until the
+// MAC has been checked — so a buffer grows as the body arrives, never
+// to the claimed size up front.
+const growStep = 256 << 10
+
+// ReadFullGrow appends the next n bytes of r to buf. It allocates at
+// most growStep, or as much again as buf already holds, beyond what has
+// been read — a record up to growStep costs one exact allocation — and
+// reports an end of input before n bytes as io.ErrUnexpectedEOF.
+func ReadFullGrow(r io.Reader, buf []byte, n int) ([]byte, error) {
+	for n > 0 {
+		have := len(buf)
+		step := min(n, max(have, growStep))
+		if cap(buf)-have < step {
+			grown := make([]byte, have, have+step)
+			copy(grown, buf)
+			buf = grown
+		}
+		m, err := io.ReadFull(r, buf[have:have+step])
+		buf = buf[:have+m]
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return buf, err
+		}
+		n -= step
+	}
+	return buf, nil
+}
+
 // ReadRecord reads one record-marked message, reassembling fragments.
 // The returned slice is caller-owned: exactly one allocation on the
 // common single-fragment path, sized to the record. (The 4-byte header
@@ -377,46 +414,21 @@ func ReadRecord(r io.Reader) ([]byte, error) {
 	bp := getBuf()
 	defer putBuf(bp)
 	hdr := (*bp)[:4]
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, err
-	}
-	h := binary.BigEndian.Uint32(hdr)
-	n := int(h & 0x7fffffff)
-	if n > MaxRecord {
-		return nil, errors.New("sunrpc: record exceeds maximum size")
-	}
-	out := make([]byte, n)
-	if _, err := io.ReadFull(r, out); err != nil {
-		return nil, err
-	}
-	if h&0x80000000 != 0 { // last fragment: the common case
-		wire.recordsIn.Inc()
-		wire.bytesIn.Add(uint64(n + 4))
-		return out, nil
-	}
-	frags := uint64(1)
-	for {
+	var out []byte
+	for frags := uint64(1); ; frags++ {
 		if _, err := io.ReadFull(r, hdr); err != nil {
 			return nil, err
 		}
 		h := binary.BigEndian.Uint32(hdr)
 		n := int(h & 0x7fffffff)
-		m := len(out)
-		if n+m > MaxRecord {
+		if n > MaxRecord-len(out) {
 			return nil, errors.New("sunrpc: record exceeds maximum size")
 		}
-		if cap(out)-m < n {
-			grown := make([]byte, m+n)
-			copy(grown, out)
-			out = grown
-		} else {
-			out = out[:m+n]
-		}
-		if _, err := io.ReadFull(r, out[m:]); err != nil {
+		var err error
+		if out, err = ReadFullGrow(r, out, n); err != nil {
 			return nil, err
 		}
-		frags++
-		if h&0x80000000 != 0 {
+		if h&0x80000000 != 0 { // last fragment: the first one, commonly
 			wire.recordsIn.Inc()
 			wire.bytesIn.Add(uint64(len(out)) + 4*frags)
 			return out, nil
@@ -444,9 +456,8 @@ type Client struct {
 	tracer atomic.Pointer[clientTracer]
 	err    error
 	closed bool
-	wmu    sync.Mutex    // serializes writes
-	srv    *Server       // nil for a pure client
-	sem    chan struct{} // bounds concurrent incoming-call dispatch
+	wmu    sync.Mutex  // serializes writes
+	disp   *dispatcher // serves incoming calls; nil for a pure client
 	done   chan struct{}
 }
 
@@ -480,11 +491,10 @@ func NewPeer(conn io.ReadWriteCloser, srv *Server) *Client {
 		conn:    conn,
 		nextXID: 1,
 		pending: make(map[uint32]chan record),
-		srv:     srv,
 		done:    make(chan struct{}),
 	}
 	if srv != nil {
-		c.sem = make(chan struct{}, srv.maxWorkers())
+		c.disp = newDispatcher(srv, conn, &c.wmu, c.fail)
 	}
 	go c.readLoop()
 	return c
@@ -494,38 +504,25 @@ func NewPeer(conn io.ReadWriteCloser, srv *Server) *Client {
 func (c *Client) Done() <-chan struct{} { return c.done }
 
 func (c *Client) readLoop() {
-	ot, _ := c.conn.(OpenTimer)
+	in := newRecordIn(c.conn)
+	if c.disp != nil {
+		defer c.disp.close()
+	}
 	for {
-		// When any trace ring in the process is on, bracket the record
-		// read with the channel's open-work accumulator: the delta is
-		// this record's decrypt+verify cost, with the idle wait for
-		// bytes excluded. Off, this is one atomic load per record.
-		var open0 int64
-		traced := stats.StageTimingOn()
-		if traced && ot != nil {
-			open0 = ot.OpenWorkNS()
-		}
-		rec, err := ReadRecord(c.conn)
+		// Any trace ring in the process being on is reason to time the
+		// record: a reply's open work belongs to the client-side span.
+		// Off, this is one atomic load per record.
+		rec, tRead, openNS, err := in.next(stats.StageTimingOn())
 		if err != nil {
 			c.fail(err)
 			return
-		}
-		var tRead time.Time
-		var openNS int64
-		if traced {
-			tRead = time.Now()
-			if ot != nil {
-				openNS = ot.OpenWorkNS() - open0
-			}
 		}
 		if len(rec) < 8 {
 			continue
 		}
 		if binary.BigEndian.Uint32(rec[4:]) == msgCall {
-			if c.srv != nil {
-				c.srv.met.Load().InFlight.Inc()
-				c.sem <- struct{}{} // bound outstanding dispatches
-				go c.serveCall(rec, tRead, openNS)
+			if c.disp != nil {
+				c.disp.submit(call{rec: rec, tRead: tRead, openNS: openNS})
 			}
 			continue
 		}
@@ -542,35 +539,6 @@ func (c *Client) readLoop() {
 		if ok {
 			ch <- rec
 		}
-	}
-}
-
-func (c *Client) serveCall(rec record, tRead time.Time, openNS int64) {
-	met := c.srv.met.Load()
-	met.Workers.Inc()
-	defer func() { met.Workers.Dec(); met.InFlight.Dec(); <-c.sem }()
-	var clk *stats.StageClock
-	if !tRead.IsZero() && met.Trace.Enabled() {
-		clk = serverClock(tRead, openNS)
-		clk.End(stats.StageQueue, tRead) // worker picked the call up now
-	}
-	e := xdr.GetEncoder()
-	defer xdr.PutEncoder(e)
-	ok, err := c.srv.dispatch(rec, e, clk)
-	if err != nil || !ok {
-		return
-	}
-	c.wmu.Lock()
-	err = writeReplyTraced(c.conn, e, clk)
-	c.wmu.Unlock()
-	if err != nil {
-		c.fail(err)
-		return
-	}
-	if clk != nil {
-		sp := clk.FinishServer()
-		met.Stages.Record(sp)
-		met.Trace.Record(*sp)
 	}
 }
 
@@ -647,17 +615,8 @@ func (c *Client) Start(prog, vers, proc uint32, cred OpaqueAuth, args interface{
 	tEnc := clk.Now()
 	e.PutUint32(xid)
 	e.PutUint32(msgCall)
-	if err := e.Encode(callHeader{
-		RPCVers: RPCVersion,
-		Prog:    prog,
-		Vers:    vers,
-		Proc:    proc,
-		Cred:    cred,
-		Verf:    NoAuth(),
-	}); err != nil {
-		c.cancel(xid)
-		return nil, err
-	}
+	hdr := callHeader{RPCVers: RPCVersion, Prog: prog, Vers: vers, Proc: proc, Cred: cred}
+	hdr.put(e)
 	if args != nil {
 		if err := e.Encode(args); err != nil {
 			c.cancel(xid)
@@ -785,7 +744,7 @@ func decodeReply(rec record, res interface{}) error {
 		return fmt.Errorf("sunrpc: bad reply status %d", stat)
 	}
 	var verf OpaqueAuth
-	if err := d.Decode(&verf); err != nil {
+	if err := verf.get(d); err != nil {
 		return err
 	}
 	astat, err := d.Uint32()
@@ -882,7 +841,9 @@ func (s *Server) SetWorkers(n int) {
 // SetInOrder selects reply ordering for concurrent connections. By
 // default replies leave in completion order — XIDs disambiguate, and
 // RFC 1831 imposes no ordering. In-order mode restores call-order
-// replies for peers that cannot match XIDs.
+// replies for peers that cannot match XIDs: calls still run
+// concurrently, but each reply waits its turn, so a slow early call
+// holds back later ones. Affects connections served after the call.
 func (s *Server) SetInOrder(on bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -905,197 +866,46 @@ func (s *Server) replyInOrder() bool {
 }
 
 // ServeConn handles calls on conn until it fails, then closes it.
-// Up to SetWorkers calls are dispatched concurrently; one serialized
-// writer emits replies, out of order by default (see SetInOrder).
+// Up to SetWorkers calls are dispatched concurrently by the
+// connection's resident workers (one worker, and so one call at a
+// time, after SetWorkers(1)); replies leave under one write lock, in
+// completion order by default (see SetInOrder).
 func (s *Server) ServeConn(conn io.ReadWriteCloser) error {
 	defer conn.Close()
-	n := s.maxWorkers()
-	if n <= 1 {
-		return s.serveSerial(conn)
-	}
-
 	var (
-		wmu     sync.Mutex // serializes reply writes
-		wg      sync.WaitGroup
-		failMu  sync.Mutex
-		srvErr  error
-		inOrder = s.replyInOrder()
+		wmu    sync.Mutex
+		failMu sync.Mutex
+		srvErr error
 	)
-	fail := func(err error) {
+	d := newDispatcher(s, conn, &wmu, func(err error) {
 		failMu.Lock()
 		if srvErr == nil {
 			srvErr = err
 			conn.Close() // unblock the reader and any in-flight writes
 		}
 		failMu.Unlock()
-	}
-	failed := func() error {
-		failMu.Lock()
-		defer failMu.Unlock()
-		return srvErr
-	}
-
-	// In-order mode: the reader enqueues one slot per call; a single
-	// writer goroutine drains slots in call order, so a slow early
-	// call holds back later replies (the pre-refactor semantics).
-	var slots chan chan *xdr.Encoder
-	writerDone := make(chan struct{})
-	if inOrder {
-		slots = make(chan chan *xdr.Encoder, 4*n)
-		go func() {
-			defer close(writerDone)
-			for slot := range slots {
-				e := <-slot
-				if e == nil {
-					continue
-				}
-				if err := WriteRecordEncoder(conn, e); err != nil {
-					fail(err)
-				}
-				xdr.PutEncoder(e)
-			}
-		}()
-	} else {
-		close(writerDone)
-	}
-
-	sem := make(chan struct{}, n)
+	})
+	in := newRecordIn(conn)
 	met := s.met.Load()
-	ot, _ := conn.(OpenTimer)
 	var readErr error
 	for {
-		// Stage tracing (out-of-order mode only — the in-order writer
-		// goroutine cannot attribute reply writes to a call): bracket
-		// the record read with the channel's open-work accumulator.
-		var open0 int64
-		traced := !inOrder && met.Trace.Enabled()
-		if traced && ot != nil {
-			open0 = ot.OpenWorkNS()
-		}
-		rec, err := ReadRecord(conn)
-		if err != nil {
-			readErr = err
+		var c call
+		if c.rec, c.tRead, c.openNS, readErr = in.next(met.Trace.Enabled()); readErr != nil {
 			break
 		}
-		var tRead time.Time
-		var openNS int64
-		if traced {
-			tRead = time.Now()
-			if ot != nil {
-				openNS = ot.OpenWorkNS() - open0
-			}
-		}
-		var slot chan *xdr.Encoder
-		if inOrder {
-			slot = make(chan *xdr.Encoder, 1)
-			slots <- slot
-		}
-		met.InFlight.Inc() // read off the wire, not yet replied
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(rec []byte, slot chan *xdr.Encoder, tRead time.Time, openNS int64) {
-			met.Workers.Inc()
-			defer func() { met.Workers.Dec(); met.InFlight.Dec(); <-sem; wg.Done() }()
-			var clk *stats.StageClock
-			if !tRead.IsZero() {
-				clk = serverClock(tRead, openNS)
-				clk.End(stats.StageQueue, tRead) // queue wait ends here
-			}
-			e := xdr.GetEncoder()
-			ok, err := s.dispatch(rec, e, clk)
-			if err != nil {
-				fail(err)
-				ok = false
-			}
-			if !ok {
-				xdr.PutEncoder(e)
-				if slot != nil {
-					slot <- nil
-				}
-				return
-			}
-			if slot != nil {
-				slot <- e // writer goroutine returns e to the pool
-				return
-			}
-			wmu.Lock()
-			werr := writeReplyTraced(conn, e, clk)
-			wmu.Unlock()
-			xdr.PutEncoder(e)
-			if werr != nil {
-				fail(werr)
-				return
-			}
-			if clk != nil {
-				sp := clk.FinishServer()
-				met.Stages.Record(sp)
-				met.Trace.Record(*sp)
-			}
-		}(rec, slot, tRead, openNS)
+		d.submit(c)
 	}
-	wg.Wait()
-	if inOrder {
-		close(slots)
-	}
-	<-writerDone
-	if err := failed(); err != nil {
-		return err
+	d.close()
+	d.wg.Wait()
+	failMu.Lock()
+	defer failMu.Unlock()
+	if srvErr != nil {
+		return srvErr
 	}
 	if errors.Is(readErr, io.EOF) {
 		return nil
 	}
 	return readErr
-}
-
-// serveSerial is the single-worker path: one call at a time, one
-// reusable encoder for the whole connection.
-func (s *Server) serveSerial(conn io.ReadWriteCloser) error {
-	e := xdr.GetEncoder()
-	defer xdr.PutEncoder(e)
-	met := s.met.Load()
-	ot, _ := conn.(OpenTimer)
-	for {
-		var open0 int64
-		traced := met.Trace.Enabled()
-		if traced && ot != nil {
-			open0 = ot.OpenWorkNS()
-		}
-		rec, err := ReadRecord(conn)
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil
-			}
-			return err
-		}
-		var clk *stats.StageClock
-		if traced {
-			var openNS int64
-			if ot != nil {
-				openNS = ot.OpenWorkNS() - open0
-			}
-			clk = serverClock(time.Now(), openNS) // serial: no queue wait
-		}
-		met.InFlight.Inc()
-		met.Workers.Inc()
-		ok, err := s.dispatch(rec, e, clk)
-		met.Workers.Dec()
-		if err != nil {
-			met.InFlight.Dec()
-			return err
-		}
-		if ok {
-			err = writeReplyTraced(conn, e, clk)
-		}
-		met.InFlight.Dec()
-		if err != nil {
-			return err
-		}
-		if ok && clk != nil {
-			sp := clk.FinishServer()
-			met.Stages.Record(sp)
-			met.Trace.Record(*sp)
-		}
-	}
 }
 
 // dispatch decodes one call record and encodes the reply into e
@@ -1125,7 +935,7 @@ func (s *Server) dispatch(rec []byte, e *xdr.Encoder, clk *stats.StageClock) (bo
 		return false, nil
 	}
 	var hdr callHeader
-	if err := d.Decode(&hdr); err != nil {
+	if err := hdr.get(d); err != nil {
 		m.Dropped.Inc()
 		return false, nil //nolint:nilerr
 	}
@@ -1212,9 +1022,7 @@ func replyInto(e *xdr.Encoder, xid, astat uint32, res interface{}) (bool, error)
 	e.PutUint32(xid)
 	e.PutUint32(msgReply)
 	e.PutUint32(replyAccepted)
-	if err := e.Encode(NoAuth()); err != nil {
-		return false, err
-	}
+	OpaqueAuth{}.put(e)
 	e.PutUint32(astat)
 	if astat == acceptSuccess && res != nil {
 		if err := e.Encode(res); err != nil {

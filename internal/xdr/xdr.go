@@ -4,7 +4,8 @@
 // SFS defines all of its cryptographic and file-system messages as XDR
 // data structures and computes hashes and public-key functions over the
 // raw marshaled bytes (paper §3.2). This package therefore provides a
-// deterministic, reflection-based encoder and decoder for Go values:
+// deterministic encoder and decoder for Go values, driven by a plan
+// compiled from each type once (plan.go):
 //
 //	bool              -> XDR bool (4 bytes)
 //	int32/uint32      -> 4-byte big endian
@@ -26,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"reflect"
 	"sync"
@@ -319,88 +319,11 @@ func (e *Encoder) Encode(v interface{}) error {
 	if m, ok := v.(Marshaler); ok {
 		return m.MarshalXDR(e)
 	}
-	return e.encodeValue(reflect.ValueOf(v))
-}
-
-func (e *Encoder) encodeValue(rv reflect.Value) error {
+	rv := reflect.ValueOf(v)
 	if !rv.IsValid() {
 		return errors.New("xdr: cannot encode invalid value")
 	}
-	if rv.CanInterface() {
-		if m, ok := rv.Interface().(Marshaler); ok {
-			return m.MarshalXDR(e)
-		}
-		if rv.CanAddr() {
-			if m, ok := rv.Addr().Interface().(Marshaler); ok {
-				return m.MarshalXDR(e)
-			}
-		}
-	}
-	switch rv.Kind() {
-	case reflect.Bool:
-		e.PutBool(rv.Bool())
-	case reflect.Int8, reflect.Int16, reflect.Int32:
-		e.PutUint32(uint32(int32(rv.Int())))
-	case reflect.Uint8, reflect.Uint16, reflect.Uint32:
-		e.PutUint32(uint32(rv.Uint()))
-	case reflect.Int, reflect.Int64:
-		e.PutUint64(uint64(rv.Int()))
-	case reflect.Uint, reflect.Uint64:
-		e.PutUint64(rv.Uint())
-	case reflect.Float64:
-		e.PutUint64(math.Float64bits(rv.Float()))
-	case reflect.String:
-		if rv.Len() > MaxElements {
-			return ErrTooLong
-		}
-		e.PutString(rv.String())
-	case reflect.Slice:
-		if rv.Len() > MaxElements {
-			return ErrTooLong
-		}
-		if rv.Type().Elem().Kind() == reflect.Uint8 {
-			e.PutOpaque(rv.Bytes())
-			return nil
-		}
-		e.PutUint32(uint32(rv.Len()))
-		for i := 0; i < rv.Len(); i++ {
-			if err := e.encodeValue(rv.Index(i)); err != nil {
-				return err
-			}
-		}
-	case reflect.Array:
-		if rv.Type().Elem().Kind() == reflect.Uint8 {
-			b := make([]byte, rv.Len())
-			reflect.Copy(reflect.ValueOf(b), rv)
-			e.PutFixedOpaque(b)
-			return nil
-		}
-		for i := 0; i < rv.Len(); i++ {
-			if err := e.encodeValue(rv.Index(i)); err != nil {
-				return err
-			}
-		}
-	case reflect.Ptr:
-		if rv.IsNil() {
-			e.PutBool(false)
-			return nil
-		}
-		e.PutBool(true)
-		return e.encodeValue(rv.Elem())
-	case reflect.Struct:
-		t := rv.Type()
-		for i := 0; i < rv.NumField(); i++ {
-			if t.Field(i).PkgPath != "" {
-				continue // unexported
-			}
-			if err := e.encodeValue(rv.Field(i)); err != nil {
-				return fmt.Errorf("xdr: field %s.%s: %w", t.Name(), t.Field(i).Name, err)
-			}
-		}
-	default:
-		return fmt.Errorf("xdr: unsupported type %s", rv.Type())
-	}
-	return nil
+	return planFor(rv.Type()).encode(e, rv)
 }
 
 // A Decoder reads XDR values from a byte slice.
@@ -534,131 +457,5 @@ func (d *Decoder) Decode(v interface{}) error {
 	if rv.Kind() != reflect.Ptr || rv.IsNil() {
 		return errors.New("xdr: Decode target must be a non-nil pointer")
 	}
-	return d.decodeValue(rv.Elem())
-}
-
-func (d *Decoder) decodeValue(rv reflect.Value) error {
-	if rv.CanAddr() {
-		if u, ok := rv.Addr().Interface().(Unmarshaler); ok {
-			return u.UnmarshalXDR(d)
-		}
-	}
-	switch rv.Kind() {
-	case reflect.Bool:
-		v, err := d.Bool()
-		if err != nil {
-			return err
-		}
-		rv.SetBool(v)
-	case reflect.Int8, reflect.Int16, reflect.Int32:
-		v, err := d.Uint32()
-		if err != nil {
-			return err
-		}
-		rv.SetInt(int64(int32(v)))
-	case reflect.Uint8, reflect.Uint16, reflect.Uint32:
-		v, err := d.Uint32()
-		if err != nil {
-			return err
-		}
-		rv.SetUint(uint64(v))
-	case reflect.Int, reflect.Int64:
-		v, err := d.Uint64()
-		if err != nil {
-			return err
-		}
-		rv.SetInt(int64(v))
-	case reflect.Uint, reflect.Uint64:
-		v, err := d.Uint64()
-		if err != nil {
-			return err
-		}
-		rv.SetUint(v)
-	case reflect.Float64:
-		v, err := d.Uint64()
-		if err != nil {
-			return err
-		}
-		rv.SetFloat(math.Float64frombits(v))
-	case reflect.String:
-		s, err := d.String()
-		if err != nil {
-			return err
-		}
-		rv.SetString(s)
-	case reflect.Slice:
-		if rv.Type().Elem().Kind() == reflect.Uint8 {
-			b, err := d.Opaque()
-			if err != nil {
-				return err
-			}
-			if len(b) >= BorrowThreshold {
-				if d.borrow {
-					d.borrowed += uint64(len(b))
-					rv.SetBytes(b)
-					return nil
-				}
-				d.copied += uint64(len(b))
-			}
-			c := make([]byte, len(b))
-			copy(c, b)
-			rv.SetBytes(c)
-			return nil
-		}
-		n, err := d.Uint32()
-		if err != nil {
-			return err
-		}
-		if n > MaxElements {
-			return ErrTooLong
-		}
-		s := reflect.MakeSlice(rv.Type(), int(n), int(n))
-		for i := 0; i < int(n); i++ {
-			if err := d.decodeValue(s.Index(i)); err != nil {
-				return err
-			}
-		}
-		rv.Set(s)
-	case reflect.Array:
-		if rv.Type().Elem().Kind() == reflect.Uint8 {
-			b, err := d.FixedOpaque(rv.Len())
-			if err != nil {
-				return err
-			}
-			reflect.Copy(rv, reflect.ValueOf(b))
-			return nil
-		}
-		for i := 0; i < rv.Len(); i++ {
-			if err := d.decodeValue(rv.Index(i)); err != nil {
-				return err
-			}
-		}
-	case reflect.Ptr:
-		present, err := d.Bool()
-		if err != nil {
-			return err
-		}
-		if !present {
-			rv.Set(reflect.Zero(rv.Type()))
-			return nil
-		}
-		nv := reflect.New(rv.Type().Elem())
-		if err := d.decodeValue(nv.Elem()); err != nil {
-			return err
-		}
-		rv.Set(nv)
-	case reflect.Struct:
-		t := rv.Type()
-		for i := 0; i < rv.NumField(); i++ {
-			if t.Field(i).PkgPath != "" {
-				continue
-			}
-			if err := d.decodeValue(rv.Field(i)); err != nil {
-				return fmt.Errorf("xdr: field %s.%s: %w", t.Name(), t.Field(i).Name, err)
-			}
-		}
-	default:
-		return fmt.Errorf("xdr: unsupported type %s", rv.Type())
-	}
-	return nil
+	return planFor(rv.Type().Elem()).decode(d, rv.Elem())
 }

@@ -15,6 +15,7 @@ import (
 	"net"
 	"time"
 
+	"repro/internal/client"
 	"repro/internal/lab"
 	"repro/internal/sfsro"
 	"repro/internal/vfs"
@@ -53,7 +54,7 @@ func main() {
 
 	// A user configures the CA as a certification path: names under
 	// /sfs that are not self-certifying are resolved through it.
-	cl, err := world.NewClient(lab.ClientOptions{EnhancedCaching: true, Seed: "certauth"})
+	cl, err := world.NewClient(client.Config{EnhancedCaching: true})
 	if err != nil {
 		log.Fatal(err)
 	}

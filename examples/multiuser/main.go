@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/client"
 	"repro/internal/lab"
 	"repro/internal/vfs"
 )
@@ -41,7 +42,7 @@ func main() {
 	// same self-certifying pathname (say, each with their own
 	// password via SRP): same HostID, same mount, shared attribute
 	// cache.
-	cl, err := world.NewClient(lab.ClientOptions{EnhancedCaching: true, Seed: "multiuser"})
+	cl, err := world.NewClient(client.Config{EnhancedCaching: true})
 	if err != nil {
 		log.Fatal(err)
 	}

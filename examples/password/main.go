@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/agent"
 	"repro/internal/authserv"
+	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/crypto/prng"
 	"repro/internal/crypto/rabin"
@@ -89,7 +90,7 @@ func main() {
 
 	// The agent gets the key and a symlink; transparently, the user
 	// is authenticated on first access.
-	cl, err := world.NewClient(lab.ClientOptions{EnhancedCaching: true, Seed: "lab-client"})
+	cl, err := world.NewClient(client.Config{EnhancedCaching: true})
 	if err != nil {
 		log.Fatal(err)
 	}

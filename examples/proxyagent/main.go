@@ -21,6 +21,7 @@ import (
 	"net"
 
 	"repro/internal/agent"
+	"repro/internal/client"
 	"repro/internal/lab"
 	"repro/internal/vfs"
 )
@@ -47,7 +48,7 @@ func main() {
 
 	// HOME MACHINE: client + real agent with the key, registered at
 	// the server's authserver.
-	homeClient, err := world.NewClient(lab.ClientOptions{EnhancedCaching: true, Seed: "home"})
+	homeClient, err := world.NewClient(client.Config{EnhancedCaching: true})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func main() {
 	sshChannel1, sshChannel2 := net.Pipe()
 	go homeAgent.ServeSigner(sshChannel2) //nolint:errcheck
 
-	labClient, err := world.NewClient(lab.ClientOptions{EnhancedCaching: true, Seed: "lab"})
+	labClient, err := world.NewClient(client.Config{EnhancedCaching: true})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func main() {
 	// machine can no longer authenticate as her.
 	labAgent.ClearRemoteSigner()
 	sshChannel1.Close()
-	labClient2, err := world.NewClient(lab.ClientOptions{EnhancedCaching: true, Seed: "lab2"})
+	labClient2, err := world.NewClient(client.Config{EnhancedCaching: true})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/client"
 	"repro/internal/lab"
 	"repro/internal/vfs"
 )
@@ -53,7 +54,7 @@ func main() {
 
 	// A client daemon plus a user with a key pair registered at the
 	// server's authserver.
-	cl, err := world.NewClient(lab.ClientOptions{EnhancedCaching: true, Seed: "quickstart"})
+	cl, err := world.NewClient(client.Config{EnhancedCaching: true})
 	if err != nil {
 		log.Fatal(err)
 	}

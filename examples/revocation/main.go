@@ -15,6 +15,7 @@ import (
 	"log"
 
 	"repro/internal/agent"
+	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/lab"
 	"repro/internal/vfs"
@@ -53,7 +54,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	cl, err := world.NewClient(lab.ClientOptions{EnhancedCaching: true, Seed: "revocation"})
+	cl, err := world.NewClient(client.Config{EnhancedCaching: true})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -16,7 +16,6 @@ import (
 	"repro/internal/client"
 	"repro/internal/netsim"
 	"repro/internal/nfs"
-	"repro/internal/secchan"
 	"repro/internal/vfs"
 )
 
@@ -63,8 +62,10 @@ func (c *SFSCluster) ServerStats() (nfs.ServerStats, bool) {
 
 // Close tears the cluster down.
 func (c *SFSCluster) Close() {
-	secchan.SetEncryption(true)
 	c.sv.ln.Close()
+	for _, cl := range c.Clients {
+		cl.Close()
+	}
 }
 
 // ScalPoint is one measured point of the scalability curve.

@@ -22,7 +22,6 @@ import (
 	"repro/internal/crypto/rabin"
 	"repro/internal/netsim"
 	"repro/internal/nfs"
-	"repro/internal/secchan"
 	"repro/internal/server"
 	"repro/internal/sunrpc"
 	"repro/internal/vfs"
@@ -585,7 +584,6 @@ type sfsServer struct {
 
 // startSFSServer boots the SFS server side over fs.
 func startSFSServer(fs *vfs.FS, opts SFSOptions) (*sfsServer, error) {
-	secchan.SetEncryption(opts.Encrypt)
 	profile := netsim.SFS(opts.Encrypt)
 	rng := prng.NewSeeded([]byte("bench-sfs"))
 	key, err := rabin.GenerateKey(rng, 768)
@@ -611,6 +609,7 @@ func startSFSServer(fs *vfs.FS, opts SFSOptions) (*sfsServer, error) {
 	if _, err := master.Serve(server.ServedConfig{
 		Location: "bench.example.com", Key: key, FS: fs,
 		Auth: auth, LeaseMS: leaseMS, TraceSpans: opts.TraceSpans,
+		NoEncryption: !opts.Encrypt,
 	}); err != nil {
 		return nil, err
 	}
@@ -640,6 +639,7 @@ func (sv *sfsServer) newClient(seed string, opts SFSOptions) (*client.Client, er
 		RNG:             prng.NewSeeded([]byte(seed)),
 		TempKeyBits:     768,
 		EnhancedCaching: opts.EnhancedCaching,
+		NoEncryption:    !opts.Encrypt,
 		ReadAhead:       readAheadDepth(opts.NoReadAhead),
 		WriteBehind:     opts.WriteBehind,
 		DataCacheBytes:  dataCacheBytes(opts.DataCacheBytes),
@@ -785,6 +785,6 @@ func (s *sfsStack) ServerStats() (nfs.ServerStats, bool) {
 }
 
 func (s *sfsStack) Close() {
-	secchan.SetEncryption(true)
 	s.ln.Close()
+	s.cl.Close()
 }

@@ -4,17 +4,15 @@ import (
 	"testing"
 
 	"repro/internal/stats"
-	"repro/internal/sunrpc"
 )
 
 // TestFig5WireCopyInvariant asserts the zero-copy wire path's headline
 // claim (DESIGN.md §12) from the process-wide wire-copy counters over
 // the Figure 5 throughput workload on the full SFS stack (encryption
-// on): with gather enabled each 8KB payload byte is memcpy'd at most
-// once end to end — the single fused copy+encrypt in the seal — and
-// with gather disabled the legacy funnel pays at least 3 copies per
-// byte (flat XDR append, record flatten, channel staging, decoder
-// copy-out). CI's bench-smoke step runs exactly this test.
+// on): each 8KB payload byte is memcpy'd at most once end to end — the
+// single fused copy+encrypt in the seal. (The flat funnel this replaced
+// paid at least 3 copies per byte; that row is historical, EXPERIMENTS.md
+// Figure 5.) CI's bench-smoke step runs exactly this test.
 func TestFig5WireCopyInvariant(t *testing.T) {
 	measure := func(t *testing.T) stats.WireCopyStats {
 		st := buildOrSkip(t, KindSFS)
@@ -32,7 +30,7 @@ func TestFig5WireCopyInvariant(t *testing.T) {
 			t.Fatal("workload moved no payload-class bytes; counters are not wired up")
 		}
 		if s.CopyRatio > 1.01 {
-			t.Errorf("gather on: copy ratio %.3f (copied %d / payload %d), want <= 1.01",
+			t.Errorf("copy ratio %.3f (copied %d / payload %d), want <= 1.01",
 				s.CopyRatio, s.BytesCopied, s.PayloadBytes)
 		}
 		// Per-record view: every payload-bearing record must land in
@@ -42,18 +40,6 @@ func TestFig5WireCopyInvariant(t *testing.T) {
 				t.Errorf("%d records observed %d..%d copies per payload byte, want <= 1",
 					b.Count, b.Lo, b.Hi)
 			}
-		}
-	})
-	t.Run("ablation", func(t *testing.T) {
-		sunrpc.SetGather(false)
-		defer sunrpc.SetGather(true)
-		s := measure(t)
-		if s.PayloadBytes == 0 {
-			t.Fatal("workload moved no payload-class bytes; counters are not wired up")
-		}
-		if s.CopyRatio < 3 {
-			t.Errorf("gather off: copy ratio %.3f (copied %d / payload %d), want >= 3 (legacy funnel)",
-				s.CopyRatio, s.BytesCopied, s.PayloadBytes)
 		}
 	})
 }

@@ -44,6 +44,7 @@ var (
 	ErrNotSFS    = errors.New("client: path is not under /sfs")
 	ErrNotFound  = errors.New("client: file not found")
 	ErrLoopLimit = errors.New("client: too many levels of symbolic links")
+	ErrClosed    = errors.New("client: closed")
 )
 
 // Config tunes a client.
@@ -79,6 +80,11 @@ type Config struct {
 	// Zero selects nfs.DefaultDataCacheBytes; negative disables data
 	// caching.
 	DataCacheBytes int64
+	// NoEncryption mounts in the paper's "SFS w/o encryption"
+	// configuration (Figure 5): records are MACed but travel in the
+	// clear. The server must be serving with ServedConfig.NoEncryption; a
+	// mismatch fails the channel's first record.
+	NoEncryption bool
 	// ReadDirPage is the number of directory entries requested per
 	// READDIR page. Zero selects 256.
 	ReadDirPage int
@@ -137,6 +143,7 @@ type Client struct {
 	// reconnect (the mount was dropped when its connection died) skips
 	// the Rabin handshake when the server still remembers the session.
 	tickets map[core.HostID]*secchan.ResumeTicket
+	closed  bool
 }
 
 // New creates a client.
@@ -242,9 +249,13 @@ func (c *Client) getMount(p core.Path) (*mount, error) {
 	c.mu.Lock()
 	m, ok := c.mounts[p.HostID]
 	ticket := c.tickets[p.HostID]
+	closed := c.closed
 	c.mu.Unlock()
 	if ok {
 		return m, nil
+	}
+	if closed {
+		return nil, ErrClosed
 	}
 	tempKey, err := c.currentTempKey()
 	if err != nil {
@@ -275,6 +286,9 @@ func (c *Client) getMount(p core.Path) (*mount, error) {
 	if err != nil {
 		raw.Close()
 		return nil, err
+	}
+	if c.cfg.NoEncryption {
+		sec.DisableEncryption()
 	}
 	clCfg := nfs.ClientConfig{
 		UseLeases:      c.cfg.EnhancedCaching,
@@ -307,6 +321,11 @@ func (c *Client) getMount(p core.Path) (*mount, error) {
 	if info.Ticket != nil {
 		c.tickets[p.HostID] = info.Ticket
 	}
+	if c.closed {
+		c.mu.Unlock()
+		base.Close()
+		return nil, ErrClosed
+	}
 	if exist, ok := c.mounts[p.HostID]; ok {
 		c.mu.Unlock()
 		base.Close()
@@ -327,6 +346,23 @@ func (c *Client) getMount(p core.Path) (*mount, error) {
 	return m, nil
 }
 
+// Close closes every mount's connection; the client then refuses to
+// mount again. Calling it more than once is harmless.
+func (c *Client) Close() {
+	c.mu.Lock()
+	c.closed = true
+	mounts := c.mounts
+	c.mounts = make(map[core.HostID]*mount)
+	c.mu.Unlock()
+	for _, m := range mounts {
+		if m.ro != nil {
+			m.ro.cl.Close() //nolint:errcheck // tearing down
+		} else {
+			m.base.Close() //nolint:errcheck // tearing down
+		}
+	}
+}
+
 // getROMount connects with the read-only dialect: a plain transport,
 // a verified signed root, per-blob hash verification.
 func (c *Client) getROMount(p core.Path) (*mount, error) {
@@ -341,6 +377,11 @@ func (c *Client) getROMount(p core.Path) (*mount, error) {
 	view := newROView(rocl)
 	m := &mount{path: p.Root(), ro: view, root: view.rootFH(), io: &c.io, users: make(map[string]*nfs.Client)}
 	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		rocl.Close()
+		return nil, ErrClosed
+	}
 	if exist, ok := c.mounts[p.HostID]; ok {
 		c.mu.Unlock()
 		rocl.Close()

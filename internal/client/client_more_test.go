@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/agent"
 	"repro/internal/client"
-	"repro/internal/crypto/prng"
 	"repro/internal/lab"
 	"repro/internal/nfs"
 	"repro/internal/vfs"
@@ -126,10 +125,7 @@ func TestTempKeyRotation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := client.New(client.Config{
-		Dial:            w.Dial,
-		RNG:             prng.NewSeeded([]byte("rotate-client")),
-		TempKeyBits:     lab.KeyBits,
+	cl, err := w.NewClient(client.Config{
 		TempKeyLife:     time.Millisecond, // rotate on every connect
 		EnhancedCaching: true,
 	})

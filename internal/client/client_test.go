@@ -27,7 +27,7 @@ func newWorld(t *testing.T, seed string) (*lab.World, *lab.Served, *client.Clien
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := w.NewClient(lab.ClientOptions{EnhancedCaching: true, Seed: seed})
+	cl, err := w.NewClient(client.Config{EnhancedCaching: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/client"
-	"repro/internal/crypto/prng"
 	"repro/internal/lab"
 	"repro/internal/vfs"
 )
@@ -24,7 +23,7 @@ func TestUserNameMapping(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Client A: no local idea of uid 1000 → "%dm".
-	clA, err := w.NewClient(lab.ClientOptions{EnhancedCaching: true, Seed: "idmap-a"})
+	clA, err := w.NewClient(client.Config{EnhancedCaching: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,13 +56,7 @@ func TestUserNameMapping(t *testing.T) {
 	}
 
 	// Client B: same LAN convention — local table agrees → "dm".
-	clB, err := client.New(client.Config{
-		Dial:            w.Dial,
-		RNG:             prng.NewSeeded([]byte("idmap-b")),
-		TempKeyBits:     lab.KeyBits,
-		EnhancedCaching: true,
-		LocalUsers:      map[uint32]string{1000: "dm"},
-	})
+	clB, err := w.NewClient(client.Config{EnhancedCaching: true, LocalUsers: map[uint32]string{1000: "dm"}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,10 @@
 package client_test
 
 import (
-	"net"
 	"sort"
 	"testing"
 
 	"repro/internal/client"
-	"repro/internal/crypto/prng"
 	"repro/internal/lab"
 )
 
@@ -33,14 +31,8 @@ func TestReadDirPageBoundaries(t *testing.T) {
 	}
 	dir := s.Path.String()
 
-	newPagedClient := func(seed string, page int) *client.Client {
-		cl, err := client.New(client.Config{
-			Dial:            func(string) (net.Conn, error) { return w.Dial("server.example.com") },
-			RNG:             prng.NewSeeded([]byte("readdirpage-" + seed)),
-			TempKeyBits:     lab.KeyBits,
-			EnhancedCaching: true,
-			ReadDirPage:     page,
-		})
+	newPagedClient := func(page int) *client.Client {
+		cl, err := w.NewClient(client.Config{EnhancedCaching: true, ReadDirPage: page})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,7 +51,7 @@ func TestReadDirPageBoundaries(t *testing.T) {
 		{"negative-default", -7}, // ≤0 selects 256 too
 	} {
 		t.Run(tc.label, func(t *testing.T) {
-			cl := newPagedClient(tc.label, tc.page)
+			cl := newPagedClient(tc.page)
 			ents, err := cl.ReadDir("anon", dir)
 			if err != nil {
 				t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/client"
 	"repro/internal/crypto/rabin"
 	"repro/internal/lab"
 	"repro/internal/nfs"
@@ -49,7 +50,7 @@ func buildROWorld(t *testing.T, seed string) (*lab.World, *sfsro.DB, string) {
 
 func TestReadOnlyMountThroughClient(t *testing.T) {
 	w, _, base := buildROWorld(t, "romount")
-	cl, err := w.NewClient(lab.ClientOptions{EnhancedCaching: true, Seed: "romount"})
+	cl, err := w.NewClient(client.Config{EnhancedCaching: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestReadOnlyMountThroughClient(t *testing.T) {
 
 func TestReadOnlyMountRefusesWrites(t *testing.T) {
 	w, _, base := buildROWorld(t, "rowrite")
-	cl, err := w.NewClient(lab.ClientOptions{EnhancedCaching: true, Seed: "rowrite"})
+	cl, err := w.NewClient(client.Config{EnhancedCaching: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestCertificationPathOnReadOnlyCA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := w.NewClient(lab.ClientOptions{EnhancedCaching: true, Seed: "roca"})
+	cl, err := w.NewClient(client.Config{EnhancedCaching: true})
 	if err != nil {
 		t.Fatal(err)
 	}

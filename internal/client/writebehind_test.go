@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/lab"
+	"repro/internal/server"
 	"repro/internal/storage/diskstore"
 	"repro/internal/vfs"
 )
@@ -78,18 +79,20 @@ func TestDeferredWriteErrorSurfaces(t *testing.T) {
 }
 
 // TestWriteRetransmitAcrossServerRestart acknowledges a batch of
-// unstable WRITEs, reboots the server (discarding them and changing
-// the write verifier), then Syncs: the client must notice the verifier
-// change at COMMIT and retransmit every dirty range, ending with the
-// data stable — the scenario RFC 1813 §4.8 verifiers exist for.
+// unstable WRITEs, reboots the server (changing the write verifier),
+// then Syncs: the client must notice the verifier change at COMMIT and
+// retransmit every dirty range, ending with the data stable — the
+// scenario RFC 1813 §4.8 verifiers exist for.
 //
-// The scenario runs against both storage backends: on the default
-// in-memory store Restart is the test-only shadow-revert hook; on the
-// disk store it is a real crash — the WAL tears off its user-space
-// buffer (auto-flush disabled so the unstable batch is actually
-// lost), reopens with a bumped epoch, and replays.
+// The scenario runs against both storage backends. On the disk store
+// Restart is a real crash — the WAL tears off its user-space buffer
+// (auto-flush disabled so the unstable batch is actually lost), reopens
+// with a bumped epoch, and replays — and the test asserts the bytes
+// were gone before the retransmission. The in-memory store cannot lose
+// them: there Restart only rolls the verifier, and the test asserts the
+// retransmission of data that survived is harmless.
 func TestWriteRetransmitAcrossServerRestart(t *testing.T) {
-	t.Run("mem", func(t *testing.T) { testWriteRetransmit(t, vfs.New()) })
+	t.Run("mem", func(t *testing.T) { testWriteRetransmit(t, vfs.New(), false) })
 	t.Run("disk", func(t *testing.T) {
 		ds, err := diskstore.Open(t.TempDir(), diskstore.Options{AutoFlushBytes: -1})
 		if err != nil {
@@ -100,21 +103,21 @@ func TestWriteRetransmitAcrossServerRestart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		testWriteRetransmit(t, fs)
+		testWriteRetransmit(t, fs, true)
 	})
 }
 
-func testWriteRetransmit(t *testing.T, fs *vfs.FS) {
+func testWriteRetransmit(t *testing.T, fs *vfs.FS, crashLoses bool) {
 	w, err := lab.NewWorld("wbverf")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(w.Close)
-	s, err := w.ServeFSOn("server.example.com", 30000, fs)
+	s, err := w.ServeFSOn(server.ServedConfig{Location: "server.example.com", LeaseMS: 30000, FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := w.NewClient(lab.ClientOptions{EnhancedCaching: true, Seed: "wbverf"})
+	cl, err := w.NewClient(client.Config{EnhancedCaching: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,11 +136,21 @@ func testWriteRetransmit(t *testing.T, fs *vfs.FS) {
 	if err := f.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	// Simulated server crash+reboot: uncommitted data reverts, the
-	// boot verifier changes.
+	// Server crash+reboot: the boot verifier changes, and on a store
+	// that can crash the uncommitted data is gone.
 	s.FS.Restart()
+	onServer, err := s.FS.ReadFile(rootCred(), "home/wbverf/big.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lost := !bytes.Equal(onServer, data); lost != crashLoses {
+		t.Fatalf("after the crash the server holds %d of %d bytes: lost=%v, want %v", len(onServer), len(data), lost, crashLoses)
+	}
 	if err := f.Sync(); err != nil {
 		t.Fatal(err)
+	}
+	if st := cl.IOStats(); st.RetransmittedBytes != uint64(len(data)) {
+		t.Fatalf("retransmitted %d bytes after the verifier changed, want %d", st.RetransmittedBytes, len(data))
 	}
 	// The retransmitted data must now be stable: it survives another
 	// reboot.

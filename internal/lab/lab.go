@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"time"
 
 	"repro/internal/agent"
 	"repro/internal/authserv"
@@ -32,8 +31,11 @@ type World struct {
 	RNG    *prng.Generator
 	Server *server.Server
 
+	seed       string
 	mu         sync.Mutex
 	listeners  []net.Listener
+	clients    []*client.Client
+	nclients   int               // ordinals handed out by NewClient
 	locs       map[string]string // Location -> TCP address
 	served     map[string]*Served
 	roRegistry *sfsro.Registry
@@ -55,6 +57,7 @@ func NewWorld(seed string) (*World, error) {
 	w := &World{
 		RNG:    rng,
 		Server: server.New(rng),
+		seed:   seed,
 		locs:   make(map[string]string),
 		served: make(map[string]*Served),
 	}
@@ -67,12 +70,16 @@ func NewWorld(seed string) (*World, error) {
 	return w, nil
 }
 
-// Close shuts the world's listeners down.
+// Close shuts the world's listeners down and closes the clients it
+// made, which ends their server sessions too.
 func (w *World) Close() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	for _, l := range w.listeners {
 		l.Close()
+	}
+	for _, cl := range w.clients {
+		cl.Close()
 	}
 }
 
@@ -87,30 +94,40 @@ func (w *World) addr() string {
 // for location and registers them with the server master. leaseMS
 // enables the SFS caching extensions.
 func (w *World) ServeFS(location string, leaseMS uint32) (*Served, error) {
-	return w.ServeFSOn(location, leaseMS, vfs.New())
+	return w.ServeFSOn(server.ServedConfig{Location: location, LeaseMS: leaseMS})
 }
 
-// ServeFSOn is ServeFS with a caller-built substrate file system —
-// the hook tests use to serve a disk-backed (storage/diskstore) FS
-// whose Restart crashes and replays for real.
-func (w *World) ServeFSOn(location string, leaseMS uint32, fs *vfs.FS) (*Served, error) {
-	key, err := rabin.GenerateKey(w.RNG, KeyBits)
-	if err != nil {
+// ServeFSOn registers cfg with the server master. The world supplies
+// what cfg leaves zero: a fresh key pair, an in-memory substrate file
+// system, and an authserver with one local database (Served.DB is nil
+// when the caller brought its own Auth). Tests pass FS to serve a
+// disk-backed (storage/diskstore) file system whose Restart crashes
+// and replays for real.
+func (w *World) ServeFSOn(cfg server.ServedConfig) (*Served, error) {
+	if cfg.Key == nil {
+		key, err := rabin.GenerateKey(w.RNG, KeyBits)
+		if err != nil {
+			return nil, err
+		}
+		cfg.Key = key
+	}
+	if cfg.FS == nil {
+		cfg.FS = vfs.New()
+	}
+	path := core.MakePath(cfg.Location, cfg.Key.PublicKey.Bytes())
+	var db *authserv.DB
+	if cfg.Auth == nil {
+		cfg.Auth = authserv.New(path.String(), w.RNG)
+		db = authserv.NewDB("local", true)
+		cfg.Auth.AddDB(db)
+	}
+	if _, err := w.Server.Serve(cfg); err != nil {
 		return nil, err
 	}
-	path := core.MakePath(location, key.PublicKey.Bytes())
-	auth := authserv.New(path.String(), w.RNG)
-	db := authserv.NewDB("local", true)
-	auth.AddDB(db)
-	if _, err := w.Server.Serve(server.ServedConfig{
-		Location: location, Key: key, FS: fs, Auth: auth, LeaseMS: leaseMS,
-	}); err != nil {
-		return nil, err
-	}
-	s := &Served{Location: location, Path: path, Key: key, FS: fs, Auth: auth, DB: db}
+	s := &Served{Location: cfg.Location, Path: path, Key: cfg.Key, FS: cfg.FS, Auth: cfg.Auth, DB: db}
 	w.mu.Lock()
-	w.locs[location] = w.listeners[0].Addr().String()
-	w.served[location] = s
+	w.locs[cfg.Location] = w.listeners[0].Addr().String()
+	w.served[cfg.Location] = s
 	w.mu.Unlock()
 	return s, nil
 }
@@ -150,27 +167,32 @@ func (w *World) Dial(location string) (net.Conn, error) {
 	return net.Dial("tcp", addr)
 }
 
-// ClientOptions tune NewClient.
-type ClientOptions struct {
-	// EnhancedCaching enables the SFS attribute/access caching
-	// extensions (the default client configuration).
-	EnhancedCaching bool
-	// AttrTimeout is the fallback cache TTL when enhanced caching
-	// is off.
-	AttrTimeout time.Duration
-	// Seed differentiates RNGs of multiple clients.
-	Seed string
-}
-
-// NewClient starts a client daemon wired to this world.
-func (w *World) NewClient(opts ClientOptions) (*client.Client, error) {
-	return client.New(client.Config{
-		Dial:            w.Dial,
-		RNG:             prng.NewSeeded([]byte("lab-client-" + opts.Seed)),
-		TempKeyBits:     KeyBits,
-		EnhancedCaching: opts.EnhancedCaching,
-		AttrTimeout:     opts.AttrTimeout,
-	})
+// NewClient starts a client daemon from cfg. The world supplies what
+// cfg leaves zero: its own dialer, an RNG seeded from the world's seed
+// and the client's ordinal, and lab-sized temporary keys. World.Close
+// closes the client.
+func (w *World) NewClient(cfg client.Config) (*client.Client, error) {
+	w.mu.Lock()
+	n := w.nclients
+	w.nclients++
+	w.mu.Unlock()
+	if cfg.Dial == nil {
+		cfg.Dial = w.Dial
+	}
+	if cfg.RNG == nil {
+		cfg.RNG = prng.NewSeeded([]byte(fmt.Sprintf("lab-client-%s-%d", w.seed, n)))
+	}
+	if cfg.TempKeyBits == 0 {
+		cfg.TempKeyBits = KeyBits
+	}
+	cl, err := client.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	w.mu.Lock()
+	w.clients = append(w.clients, cl)
+	w.mu.Unlock()
+	return cl, nil
 }
 
 // NewUser creates a key pair and agent for a user, registers the user

@@ -3,6 +3,7 @@ package lab
 import (
 	"testing"
 
+	"repro/internal/client"
 	"repro/internal/vfs"
 )
 
@@ -29,7 +30,7 @@ func TestWorldAssembly(t *testing.T) {
 		t.Fatal("unknown location dialed")
 	}
 
-	cl, err := w.NewClient(ClientOptions{EnhancedCaching: true, Seed: "t"})
+	cl, err := w.NewClient(client.Config{EnhancedCaching: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/storage/diskstore"
 	"repro/internal/sunrpc"
 	"repro/internal/vfs"
 )
@@ -15,7 +16,11 @@ func rootAuth() sunrpc.OpaqueAuth { return sunrpc.UnixAuth(0, []uint32{0}) }
 
 func newPair(t *testing.T, srvCfg ServerConfig, clCfg ClientConfig) (*vfs.FS, *Server, *Client) {
 	t.Helper()
-	fs := vfs.New()
+	return newPairOn(t, vfs.New(), srvCfg, clCfg)
+}
+
+func newPairOn(t *testing.T, fs *vfs.FS, srvCfg ServerConfig, clCfg ClientConfig) (*vfs.FS, *Server, *Client) {
+	t.Helper()
 	srv := NewServer(fs, srvCfg)
 	c1, c2 := net.Pipe()
 	sess := srv.ServeConn(c2)
@@ -473,8 +478,29 @@ func TestWriteStartPipelined(t *testing.T) {
 	}
 }
 
+// TestWriteVerifierChangesAcrossRestart: a server reboot bumps the boot
+// verifier, and both WRITE and COMMIT expose the new one so the client
+// knows to retransmit. On the disk store the reboot is a real crash and
+// the uncommitted write is gone; the in-memory store cannot lose it,
+// and the retransmission the verifier provokes is merely redundant.
 func TestWriteVerifierChangesAcrossRestart(t *testing.T) {
-	fsys, _, cl := newPair(t, ServerConfig{}, ClientConfig{})
+	t.Run("mem", func(t *testing.T) { testWriteVerifier(t, vfs.New(), "before") })
+	t.Run("disk", func(t *testing.T) {
+		ds, err := diskstore.Open(t.TempDir(), diskstore.Options{AutoFlushBytes: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ds.Close() })
+		fs, err := vfs.NewWithStores(ds, ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		testWriteVerifier(t, fs, "")
+	})
+}
+
+func testWriteVerifier(t *testing.T, fs *vfs.FS, afterCrash string) {
+	fsys, _, cl := newPairOn(t, fs, ServerConfig{}, ClientConfig{})
 	root, _, _ := cl.MountRoot()
 	fh, _, _ := cl.Create(root, "f", 0o644, true)
 	fin, err := cl.WriteStart(fh, 0, []byte("before"), Unstable)
@@ -485,10 +511,10 @@ func TestWriteVerifierChangesAcrossRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A simulated server reboot discards the uncommitted write and
-	// bumps the boot verifier; both WRITE and COMMIT must expose the
-	// new one so the client knows to retransmit.
 	fsys.Restart()
+	if got, _, err := cl.Read(fh, 0, 100); err != nil || string(got) != afterCrash {
+		t.Fatalf("after the restart the file holds %q (err=%v), want %q", got, err, afterCrash)
+	}
 	fin, err = cl.WriteStart(fh, 0, []byte("after!"), Unstable)
 	if err != nil {
 		t.Fatal(err)
@@ -506,5 +532,9 @@ func TestWriteVerifierChangesAcrossRestart(t *testing.T) {
 	}
 	if cverf != verf2 {
 		t.Fatalf("commit verifier %x != post-restart write verifier %x", cverf, verf2)
+	}
+	fsys.Restart()
+	if got, _, err := cl.Read(fh, 0, 100); err != nil || string(got) != "after!" {
+		t.Fatalf("committed data after a second restart: %q (err=%v)", got, err)
 	}
 }

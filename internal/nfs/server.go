@@ -161,8 +161,13 @@ func (s *Server) Handler() sunrpc.Handler {
 
 // Session is one client connection.
 type Session struct {
-	srv   *Server
-	peer  *sunrpc.Client
+	srv  *Server
+	peer *sunrpc.Client
+	// ready is closed once peer is set. NewPeer starts reading at once,
+	// so the session's first call can be granted a lease, and another
+	// session can break it, before ServeConnWith has stored the peer
+	// the callback goes through; invalidate waits here first.
+	ready chan struct{}
 	creds CredFunc // per-session override; nil uses the server's
 }
 
@@ -181,7 +186,7 @@ func (s *Server) ServeConn(conn io.ReadWriteCloser) *Session {
 // RPC programs (e.g. the SFS user-authentication service) on the same
 // connection before traffic starts.
 func (s *Server) ServeConnWith(conn io.ReadWriteCloser, setup func(rpc *sunrpc.Server, sess *Session)) *Session {
-	sess := &Session{srv: s}
+	sess := &Session{srv: s, ready: make(chan struct{})}
 	rpc := sunrpc.NewServer()
 	rpc.SetMetrics(s.met.rpc) // one transport counter block across sessions
 	rpc.Register(Program, Version, func(proc uint32, cred sunrpc.OpaqueAuth, args *xdr.Decoder) (interface{}, error) {
@@ -191,6 +196,7 @@ func (s *Server) ServeConnWith(conn io.ReadWriteCloser, setup func(rpc *sunrpc.S
 		setup(rpc, sess)
 	}
 	sess.peer = sunrpc.NewPeer(conn, rpc)
+	close(sess.ready)
 	s.mu.Lock()
 	s.sessions[sess] = struct{}{}
 	s.mu.Unlock()
@@ -286,6 +292,7 @@ func (s *Server) invalidate(actor *Session, ids ...vfs.FileID) {
 	for _, t := range targets {
 		t := t
 		go func() {
+			<-t.sess.ready
 			//nolint:errcheck // fire and forget by design
 			t.sess.peer.Call(Program, Version, ProcInvalidate, sunrpc.NoAuth(),
 				InvalidateArgs{FH: t.fh}, &StatusRes{})
@@ -425,7 +432,7 @@ func (s *Server) dispatchProc(sess *Session, proc uint32, auth sunrpc.OpaqueAuth
 		// recycled only after dispatch returns) outlive this handler,
 		// and fs.Write consumes the bytes synchronously — the store
 		// copies them under the node lock before returning.
-		d.SetBorrow(sunrpc.GatherEnabled())
+		d.SetBorrow(true)
 		var a WriteArgs
 		if err := d.Decode(&a); err != nil {
 			return nil, sunrpc.ErrGarbageArgs

@@ -50,6 +50,14 @@ func gatherPair(t testing.TB) (cw, sr *Conn, wire *segRWC) {
 	return cw, sr, wire
 }
 
+// plainPair is gatherPair with both ends in MAC-only mode.
+func plainPair(t testing.TB) (cw, sr *Conn, wire *segRWC) {
+	cw, sr, wire = gatherPair(t)
+	cw.DisableEncryption()
+	sr.DisableEncryption()
+	return cw, sr, wire
+}
+
 // split chops p into segments at the given cut points.
 func split(p []byte, cuts ...int) [][]byte {
 	var segs [][]byte
@@ -62,8 +70,8 @@ func split(p []byte, cuts ...int) [][]byte {
 }
 
 // A record sealed from segments must be byte-identical on the wire to
-// the same plaintext sealed through the legacy Write funnel — the
-// receiver cannot tell which path the sender used.
+// the same plaintext sealed through Write — the receiver cannot tell
+// which entry point the sender used.
 func TestWriteSegmentsMatchesWrite(t *testing.T) {
 	plain := make([]byte, 8192+100)
 	for i := range plain {
@@ -85,7 +93,7 @@ func TestWriteSegmentsMatchesWrite(t *testing.T) {
 		t.Fatalf("enc-on copied = %d, want sealed record length %d", copied, 4+len(plain)+20)
 	}
 	if !bytes.Equal(flatWire.Bytes(), gatherWire.Bytes()) {
-		t.Fatal("gathered seal produced different ciphertext than legacy Write")
+		t.Fatal("gathered seal produced different ciphertext than Write")
 	}
 	got := make([]byte, len(plain))
 	if _, err := io.ReadFull(sr, got); err != nil {
@@ -99,9 +107,7 @@ func TestWriteSegmentsMatchesWrite(t *testing.T) {
 // With encryption off and a vectored transport, sealing stages zero
 // bytes: header, borrowed segments, and MAC go down as segments.
 func TestWriteSegmentsPlaintextVectored(t *testing.T) {
-	SetEncryption(false)
-	defer SetEncryption(true)
-	cw, sr, wire := gatherPair(t)
+	cw, sr, wire := plainPair(t)
 	plain := bytes.Repeat([]byte{0x5c}, 8192)
 	n, copied, err := cw.WriteSegments(split(plain, 1024, 5000))
 	if err != nil {
@@ -122,12 +128,15 @@ func TestWriteSegmentsPlaintextVectored(t *testing.T) {
 	}
 }
 
-// Interleaving gathered and legacy writes on one channel must keep
-// the key stream aligned in every mode combination.
+// Interleaving WriteSegments and Write on one channel must keep the
+// key stream aligned in both modes.
 func TestWriteSegmentsInterleavesWithWrite(t *testing.T) {
 	for _, enc := range []bool{true, false} {
-		SetEncryption(enc)
-		cw, sr, _ := gatherPair(t)
+		pair := gatherPair
+		if !enc {
+			pair = plainPair
+		}
+		cw, sr, _ := pair(t)
 		var want []byte
 		for i := 0; i < 6; i++ {
 			p := bytes.Repeat([]byte{byte(0x40 + i)}, 600*(i+1))
@@ -150,7 +159,6 @@ func TestWriteSegmentsInterleavesWithWrite(t *testing.T) {
 			t.Fatalf("enc=%v: interleaved records decoded wrong", enc)
 		}
 	}
-	SetEncryption(true)
 }
 
 // The gathered seal path must stay allocation-free: it is the per-RPC

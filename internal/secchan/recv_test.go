@@ -59,6 +59,9 @@ func sealer(t testing.TB, wire *bytes.Buffer) *Conn {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if testPlain {
+		c.DisableEncryption()
+	}
 	return c
 }
 
@@ -68,6 +71,9 @@ func opener(t testing.TB, raw io.ReadWriteCloser) *Conn {
 	c, err := newConn(raw, testKeyCS, testKeySC, false)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if testPlain {
+		c.DisableEncryption()
 	}
 	return c
 }
@@ -87,6 +93,10 @@ func pattern(n int, salt byte) []byte {
 var recordSizes = []int{0, 1, 100, recvBufMin - 24, recvBufMin, 8192 + 96, 3, 0, 40,
 	recvBufMax - 24, recvBufMax - 23, 70000, 5, 600, 600, 600, 600, 600, 600, 2}
 
+// testPlain puts the Conns sealer and opener make in MAC-only mode;
+// bothModes sets it around each (sequential) sub-test.
+var testPlain bool
+
 func bothModes(t *testing.T, f func(t *testing.T)) {
 	for _, enc := range []bool{true, false} {
 		name := "encrypted"
@@ -94,8 +104,8 @@ func bothModes(t *testing.T, f func(t *testing.T)) {
 			name = "mac-only"
 		}
 		t.Run(name, func(t *testing.T) {
-			SetEncryption(enc)
-			defer SetEncryption(true)
+			testPlain = !enc
+			defer func() { testPlain = false }()
 			f(t)
 		})
 	}
@@ -360,6 +370,44 @@ func TestBadMACReleasesNothing(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestModeMismatchFailsClosed: when one end skipped encryption and the
+// other did not, the first record already fails — its length reads as
+// keystream noise, or its MAC does not verify — no plaintext reaches
+// the caller, the drop is counted, and the channel stays dead.
+func TestModeMismatchFailsClosed(t *testing.T) {
+	for _, plainSender := range []bool{true, false} {
+		for _, bufLen := range []int{16, 16384} {
+			var wire bytes.Buffer
+			cw := sealer(t, &wire)
+			sr := opener(t, benchRWC{&wire})
+			if plainSender {
+				cw.DisableEncryption()
+			} else {
+				sr.DisableEncryption()
+			}
+			secret := pattern(8192, 0x5a)
+			if _, err := cw.Write(secret); err != nil {
+				t.Fatal(err)
+			}
+			drops := StatsSnapshot().MACDrops
+			p := make([]byte, bufLen)
+			n, err := sr.Read(p)
+			if n != 0 || !errors.Is(err, ErrBadMAC) {
+				t.Fatalf("plain sender %v, buf %d: Read = %d, %v; want 0, ErrBadMAC", plainSender, bufLen, n, err)
+			}
+			if !bytes.Equal(p, make([]byte, bufLen)) {
+				t.Fatalf("plain sender %v, buf %d: bytes of a mismatched record left in the caller's buffer", plainSender, bufLen)
+			}
+			if got := StatsSnapshot().MACDrops; got != drops+1 {
+				t.Fatalf("plain sender %v: mac drops %d -> %d, want one more", plainSender, drops, got)
+			}
+			if _, _, err := sr.ReadRecord(); !errors.Is(err, ErrBadMAC) {
+				t.Fatalf("plain sender %v: ReadRecord after the mismatch: %v", plainSender, err)
+			}
+		}
+	}
 }
 
 // fuzzRecords is the plaintext sequence FuzzConnRead seals: whole RPC

@@ -514,8 +514,10 @@ func serverHandshake(conn io.ReadWriteCloser, req *ConnectRequest, priv *rabin.P
 // layer's record marking: each Write seals one record; Read serves
 // decrypted bytes in order.
 type Conn struct {
-	raw     io.ReadWriteCloser
-	encrypt bool // captured from the package mode at construction
+	raw io.ReadWriteCloser
+	// encrypt is true unless DisableEncryption ran before the first
+	// record; never written afterwards.
+	encrypt bool
 
 	wmu        sync.Mutex
 	send       *arc4.Cipher
@@ -570,22 +572,14 @@ const (
 	recvBufMax = 64 << 10
 )
 
-// mode toggles payload encryption for subsequently created channels —
-// captured per Conn at construction, so flipping it never races with
-// live channels. It reproduces the "SFS w/o encryption" configuration
-// of the paper's Figure 5: a package-level benchmark knob, not a
-// production mode.
-var mode atomic.Bool
-
-func init() { mode.Store(true) }
-
-// SetEncryption toggles payload encryption for subsequently created
-// channels (integrity MACs always remain). Benchmarks use this to
-// reproduce the paper's "SFS w/o encryption" rows.
-func SetEncryption(on bool) { mode.Store(on) }
-
-// EncryptionEnabled reports the current mode.
-func EncryptionEnabled() bool { return mode.Load() }
+// DisableEncryption puts the channel in the paper's "SFS w/o
+// encryption" configuration (Figure 5): records travel in the clear,
+// still MACed, and the keystream still advances so both ends stay
+// aligned. Both ends must agree — a mismatch fails the first record's
+// length bound or MAC. It must be called after the handshake returns
+// and before the first record is written or read; no handshake seals
+// anything, so the owner of a fresh Conn can always do so.
+func (c *Conn) DisableEncryption() { c.encrypt = false }
 
 func newConn(raw io.ReadWriteCloser, keyCS, keySC []byte, isClient bool) (*Conn, error) {
 	csCipher, err := arc4.New(keyCS)
@@ -596,7 +590,7 @@ func newConn(raw io.ReadWriteCloser, keyCS, keySC []byte, isClient bool) (*Conn,
 	if err != nil {
 		return nil, err
 	}
-	c := &Conn{raw: raw, encrypt: mode.Load()}
+	c := &Conn{raw: raw, encrypt: true}
 	if isClient {
 		c.send, c.recv = csCipher, scCipher
 	} else {
@@ -619,61 +613,17 @@ func sized(buf []byte, n int) (rec, ret []byte) {
 	return rec, rec
 }
 
-// Write seals p as one record: MAC keyed from the stream, over the
-// length and plaintext; then length, payload, and MAC encrypted. The
-// sealed record is staged in a per-channel scratch buffer, so the
-// underlying transport must not retain the slice it is handed.
+// Write seals p as one record: the one-segment case of WriteSegments.
 func (c *Conn) Write(p []byte) (int, error) {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	var sealT0 time.Time
-	if stats.StageTimingOn() {
-		sealT0 = time.Now()
-	}
-	c.send.KeyStreamInto(c.sendMacKey[:])
-	mac := sha1mac.Sum(c.sendMacKey[:], p)
-	rec, ret := sized(c.sealBuf, 4+len(p)+sha1mac.Size)
-	c.sealBuf = ret
-	rec[0] = byte(len(p) >> 24)
-	rec[1] = byte(len(p) >> 16)
-	rec[2] = byte(len(p) >> 8)
-	rec[3] = byte(len(p))
-	copy(rec[4:], p)
-	copy(rec[4+len(p):], mac[:])
-	if c.encrypt {
-		c.send.XORKeyStream(rec, rec)
-	} else {
-		// Keep the stream position aligned with the peer.
-		c.send.Skip(len(rec))
-	}
-	if !sealT0.IsZero() {
-		c.sealNS.Add(int64(time.Since(sealT0)))
-	}
-	if _, err := c.raw.Write(rec); err != nil {
-		return 0, err
-	}
-	// Wire-copy accounting for the legacy funnel: staging p into the
-	// record buffer is one full pass over the payload. Only records big
-	// enough to contain payload-class opaques count, so handshake and
-	// header-only traffic does not dilute the copies-per-payload ratio.
-	if len(p) >= legacyCopyMin {
-		stats.NoteWireCopied(uint64(len(p)))
-	}
-	chanStats.seals.Inc()
-	chanStats.sealPlain.Add(uint64(len(p)))
-	chanStats.sealCipher.Add(uint64(len(rec)))
-	return len(p), nil
+	one := [1][]byte{p}
+	n, _, err := c.WriteSegments(one[:])
+	return n, err
 }
 
-// legacyCopyMin is the record size from which the legacy Write path
-// charges its staging copy to the wire-copy accounting: large enough
-// to exclude handshake and header-only records, well below one
-// payload-carrying 8KB READ/WRITE record.
-const legacyCopyMin = 4096
-
 // WriteSegments seals the concatenation of segs as one record without
-// requiring a contiguous plaintext (sunrpc.SegmentWriter). The MAC
-// streams over the segments; then:
+// requiring a contiguous plaintext (sunrpc.SegmentWriter): a MAC keyed
+// from the stream, over the length and plaintext; then length, payload
+// and MAC encrypted. The MAC streams over the segments; then:
 //
 //   - encryption on: the record is sealed in place — each plaintext
 //     byte is staged into the framing buffer by the same XOR pass that

@@ -329,9 +329,9 @@ func TestRPCOverSecureChannel(t *testing.T) {
 }
 
 func TestNoEncryptionModeInteroperates(t *testing.T) {
-	SetEncryption(false)
-	defer SetEncryption(true)
 	cc, sc, _, _ := handshakePair(t, "noenc")
+	cc.DisableEncryption()
+	sc.DisableEncryption()
 	go func() {
 		buf := make([]byte, 64)
 		n, err := sc.Read(buf)

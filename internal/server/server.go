@@ -105,6 +105,11 @@ type ServedConfig struct {
 	// LeaseMS is the attribute lease granted to clients
 	// (0 disables the SFS caching extensions).
 	LeaseMS uint32
+	// NoEncryption serves the file service in the paper's "SFS w/o
+	// encryption" configuration (Figure 5): records are MACed but travel
+	// in the clear. Clients must mount with client.Config.NoEncryption;
+	// a mismatch fails the channel's first record.
+	NoEncryption bool
 	// AnonUID/AnonGID map anonymous access; zero values use
 	// the substrate's nobody IDs.
 	AnonCred *vfs.Cred
@@ -465,6 +470,9 @@ func (s *Server) HandleConn(rawConn net.Conn) {
 	}
 	switch service {
 	case secchan.ServiceFile:
+		if sfs.cfg.NoEncryption {
+			sec.DisableEncryption()
+		}
 		s.serveFile(sec, info, sfs)
 	case secchan.ServiceAuth:
 		s.serveAuth(sec, sfs)

@@ -291,9 +291,9 @@ func (s *Store) WriteAt(id, off uint64, data []byte, stable bool, t int64) error
 // group-commit wait of a stable write charged to clk's fsync stage.
 func (s *Store) WriteAtClocked(id, off uint64, data []byte, stable bool, t int64, clk *stats.StageClock) error {
 	w, pg := s.state()
-	// The serving copy needs no shadow bookkeeping: recovery rebuilds
-	// it from image + journal, so "the last stable image" is whatever
-	// the surviving prefix says.
+	// The serving copy keeps no last-stable image: recovery rebuilds it
+	// from image + journal, so that image is whatever the surviving
+	// prefix says.
 	if err := pg.WriteAt(id, off, data); err != nil {
 		return err
 	}

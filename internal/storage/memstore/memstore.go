@@ -1,11 +1,10 @@
 // Package memstore is the default storage backend: the original
 // in-memory content store extracted from internal/vfs behind the
 // storage.MetadataStore and storage.BlockStore interfaces. Metadata
-// journaling is a no-op (the node tree is the only copy), content
-// lives in per-file byte slices, and the RFC 1813 unstable-write
-// shadow machinery (keep the last stable image until Commit) moves
-// here with it, so the vfs's test-only Restart hook keeps its exact
-// pre-refactor semantics and every figure stays byte-comparable.
+// journaling is a no-op (the node tree is the only copy) and content
+// lives in per-file byte slices. The store is volatile and cannot crash
+// apart from its process, so stable and unstable writes are the same
+// write and Commit has nothing to do (DESIGN.md §11 "Crash model").
 package memstore
 
 import (
@@ -19,11 +18,6 @@ const numShards = 64
 
 type file struct {
 	data []byte
-	// shadow holds the last stable image while unstable writes are
-	// outstanding (RFC 1813 §4.8). Revert restores it; Commit,
-	// Truncate, and stable writes drop it.
-	shadow    []byte
-	hasShadow bool
 }
 
 type shard struct {
@@ -101,27 +95,18 @@ func (s *Store) ReadAt(id, off uint64, p []byte) error {
 	return nil
 }
 
-// WriteAt stores data at off, zero-filling any gap. An unstable write
-// snapshots the stable image first so Revert can discard it.
-func (s *Store) WriteAt(id, off uint64, data []byte, stable bool, _ int64) error {
+// WriteAt stores data at off, zero-filling any gap.
+func (s *Store) WriteAt(id, off uint64, data []byte, _ bool, _ int64) error {
 	f := s.fetch(id)
-	if !stable && !f.hasShadow {
-		f.shadow = append([]byte(nil), f.data...)
-		f.hasShadow = true
-	}
 	end := off + uint64(len(data))
 	if end > uint64(len(f.data)) {
 		f.data = append(f.data, make([]byte, end-uint64(len(f.data)))...)
 	}
 	copy(f.data[off:end], data)
-	if stable {
-		f.shadow, f.hasShadow = nil, false
-	}
 	return nil
 }
 
-// Truncate sets the size of id. Truncation is stable: it drops any
-// unstable-write shadow.
+// Truncate sets the size of id.
 func (s *Store) Truncate(id, size uint64) error {
 	f := s.fetch(id)
 	if uint64(len(f.data)) > size {
@@ -129,18 +114,12 @@ func (s *Store) Truncate(id, size uint64) error {
 	} else {
 		f.data = append(f.data, make([]byte, size-uint64(len(f.data)))...)
 	}
-	f.shadow, f.hasShadow = nil, false
 	return nil
 }
 
-// Commit drops the unstable-write shadow: the current image is now
-// the stable one.
-func (s *Store) Commit(id uint64) error {
-	if f := s.lookup(id); f != nil {
-		f.shadow, f.hasShadow = nil, false
-	}
-	return nil
-}
+// Commit is a no-op: every write is already as stable as this store
+// gets.
+func (s *Store) Commit(uint64) error { return nil }
 
 // Remove drops all content of id.
 func (s *Store) Remove(id uint64) error {
@@ -149,17 +128,4 @@ func (s *Store) Remove(id uint64) error {
 	delete(sh.files, id)
 	sh.mu.Unlock()
 	return nil
-}
-
-// Revert implements storage.Restarter: it restores id's last stable
-// image, simulating the loss of uncommitted unstable writes at a
-// server crash. The vfs calls it under the node's lock.
-func (s *Store) Revert(id uint64) (size uint64, ok bool) {
-	f := s.lookup(id)
-	if f == nil || !f.hasShadow {
-		return 0, false
-	}
-	f.data = f.shadow
-	f.shadow, f.hasShadow = nil, false
-	return uint64(len(f.data)), true
 }

@@ -121,15 +121,6 @@ type Epocher interface {
 	Epoch() uint64
 }
 
-// Restarter is the crash-simulation hook of the in-memory store.
-// Revert restores id's last stable image (discarding unstable writes)
-// and reports the reverted size; ok is false when the file had no
-// unstable data outstanding. The vfs calls it per node, under that
-// node's lock, from the test-only FS.Restart path.
-type Restarter interface {
-	Revert(id uint64) (size uint64, ok bool)
-}
-
 // CrashRestarter is implemented by durable stores that can crash for
 // real: CrashRestart drops all user-space buffered journal records and
 // closes the journal without a final flush or sync — the kill -9

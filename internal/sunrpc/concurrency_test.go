@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"net"
 	"testing"
-	"time"
 
 	"repro/internal/xdr"
 )
@@ -79,34 +78,11 @@ func TestOutOfOrderReplies(t *testing.T) {
 	}
 }
 
-// TestInOrderReplies: the opt-in mode restores call-order replies even
-// when a later call finishes first.
-func TestInOrderReplies(t *testing.T) {
-	srv, gate := gateServer(t)
-	srv.SetInOrder(true)
-	c1, c2 := net.Pipe()
-	defer c1.Close()
-	go srv.ServeConn(c2) //nolint:errcheck
-	if err := WriteRecord(c1, callRecord(t, 1, 10)); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteRecord(c1, callRecord(t, 2, 11)); err != nil {
-		t.Fatal(err)
-	}
-	time.AfterFunc(20*time.Millisecond, func() { close(gate) })
-	if xid := replyXID(t, c1); xid != 1 {
-		t.Fatalf("first reply xid = %d, want 1 (call order)", xid)
-	}
-	if xid := replyXID(t, c1); xid != 2 {
-		t.Fatalf("second reply xid = %d, want 2", xid)
-	}
-}
-
-// TestSerialWorkers: SetWorkers(1) selects the strictly serial path.
+// TestSerialWorkers: a bound of one serves strictly serially.
 func TestSerialWorkers(t *testing.T) {
 	srv := NewServer()
 	srv.Register(testProg, testVers, echoHandler)
-	srv.SetWorkers(1)
+	srv.workers = 1
 	c1, c2 := net.Pipe()
 	go srv.ServeConn(c2) //nolint:errcheck
 	cl := NewClient(c1)

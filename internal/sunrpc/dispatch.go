@@ -76,7 +76,6 @@ type call struct {
 	met    *Metrics
 	tRead  time.Time // zero: untraced
 	openNS int64
-	seq    uint64 // position in the connection's call order
 }
 
 // dispatcher is the resident worker set of one served connection,
@@ -89,18 +88,14 @@ type call struct {
 // lease waits for a callback reply that another connection's read loop
 // delivers, and two such handlers could wait on each other.
 type dispatcher struct {
-	srv     *Server
-	w       io.Writer
-	wmu     *sync.Mutex // serializes writes on w
-	fail    func(error) // ends the connection
-	max     int         // bound on calls read but not yet answered
-	inOrder bool
-	turn    uint64    // in-order mode: seq of the next reply to leave; under wmu
-	myTurn  sync.Cond // on wmu
+	srv  *Server
+	w    io.Writer
+	wmu  *sync.Mutex // serializes writes on w
+	fail func(error) // ends the connection
+	max  int         // bound on calls read but not yet answered
 
 	mu       sync.Mutex
 	room     sync.Cond   // on mu: inflight dropped below max
-	seq      uint64      // calls submitted so far
 	inflight int         // calls submitted and not yet answered
 	idle     []chan call // parked workers, most recently parked last
 	// finishing counts workers past their handler, sending the reply.
@@ -116,8 +111,8 @@ type dispatcher struct {
 }
 
 func newDispatcher(srv *Server, w io.Writer, wmu *sync.Mutex, fail func(error)) *dispatcher {
-	d := &dispatcher{srv: srv, w: w, wmu: wmu, fail: fail, max: srv.maxWorkers(), inOrder: srv.replyInOrder()}
-	d.room.L, d.myTurn.L = &d.mu, wmu
+	d := &dispatcher{srv: srv, w: w, wmu: wmu, fail: fail, max: srv.workers}
+	d.room.L = &d.mu
 	return d
 }
 
@@ -131,8 +126,6 @@ func (d *dispatcher) submit(c call) {
 		d.room.Wait()
 	}
 	d.inflight++
-	c.seq = d.seq
-	d.seq++
 	switch {
 	case len(d.idle) > 0:
 		w := d.idle[len(d.idle)-1]
@@ -206,9 +199,6 @@ func (d *dispatcher) serve(c call) {
 		ok = false
 	}
 	d.wmu.Lock()
-	for d.inOrder && d.turn != c.seq {
-		d.myTurn.Wait()
-	}
 	if ok {
 		var st SealTimer
 		var seal0 int64
@@ -228,10 +218,6 @@ func (d *dispatcher) serve(c call) {
 			clk.Add(stats.StageReplyWrite, int64(time.Since(t0))-sealNS)
 			clk.Span.Bytes += uint64(e.Len()) + 4
 		}
-	}
-	if d.inOrder {
-		d.turn++
-		d.myTurn.Broadcast()
 	}
 	d.wmu.Unlock()
 	xdr.PutEncoder(e)

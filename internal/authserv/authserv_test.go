@@ -10,6 +10,7 @@ import (
 	"repro/internal/crypto/rabin"
 	"repro/internal/sfsrpc"
 	"repro/internal/sunrpc"
+	"repro/internal/xdr"
 )
 
 const testCost = 4 // keep eksblowfish fast in tests
@@ -287,5 +288,20 @@ func TestValidateHandlerOverRPC(t *testing.T) {
 	}
 	if !res.OK || res.Creds.User != "dm" {
 		t.Fatalf("RPC validate: %+v", res)
+	}
+}
+
+// ValidateHandler returns the RPC handler the file server calls to
+// validate login requests (server↔authserver RPC, Figure 4 steps 4-5).
+func (s *Server) ValidateHandler() sunrpc.Handler {
+	return func(proc uint32, _ sunrpc.OpaqueAuth, args *xdr.Decoder) (interface{}, error) {
+		if proc != sfsrpc.ProcLogin {
+			return nil, sunrpc.ErrProcUnavail
+		}
+		var a sfsrpc.ValidateArgs
+		if err := args.Decode(&a); err != nil {
+			return nil, sunrpc.ErrGarbageArgs
+		}
+		return s.Validate(a), nil
 	}
 }

@@ -126,21 +126,6 @@ func (s *Server) KeyServiceHandler() sunrpc.Handler {
 	}
 }
 
-// ValidateHandler returns the RPC handler the file server calls to
-// validate login requests (server↔authserver RPC, Figure 4 steps 4-5).
-func (s *Server) ValidateHandler() sunrpc.Handler {
-	return func(proc uint32, _ sunrpc.OpaqueAuth, args *xdr.Decoder) (interface{}, error) {
-		if proc != sfsrpc.ProcLogin {
-			return nil, sunrpc.ErrProcUnavail
-		}
-		var a sfsrpc.ValidateArgs
-		if err := args.Decode(&a); err != nil {
-			return nil, sunrpc.ErrGarbageArgs
-		}
-		return s.Validate(a), nil
-	}
-}
-
 // FetchResult is what FetchWithPassword returns: everything a user
 // needs to reach their files from anywhere given only a password.
 type FetchResult struct {

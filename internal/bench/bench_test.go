@@ -6,9 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/netsim"
 	nfspkg "repro/internal/nfs"
-	"repro/internal/vfs"
 )
 
 // These tests assert the qualitative claims of the paper's evaluation
@@ -18,7 +16,7 @@ import (
 
 func buildOrSkip(t *testing.T, kind StackKind) Stack {
 	t.Helper()
-	st, err := Build(kind)
+	st, _, err := Build(kind)
 	if err != nil {
 		t.Fatalf("Build(%s): %v", kind, err)
 	}
@@ -125,10 +123,11 @@ func TestFig5ReadAheadAblation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	measure := func(noRA bool) float64 {
-		fs := vfs.New()
-		fs.SetDisk(netsim.NewDisk())
-		st, err := NewSFS(fs, SFSOptions{Encrypt: true, EnhancedCaching: true, NoReadAhead: noRA})
+	measure := func(readAhead int) float64 {
+		fs, _ := newEraFS()
+		ccfg := paperClient
+		ccfg.ReadAhead = readAhead
+		st, err := NewSFS(fs, ccfg, paperServed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,8 +138,8 @@ func TestFig5ReadAheadAblation(t *testing.T) {
 		}
 		return r.MBps()
 	}
-	serial := measure(true)
-	pipelined := measure(false)
+	serial := measure(-1)   // one READ at a time
+	pipelined := measure(0) // default depth
 	t.Logf("sequential 8KB reads: %.2f MB/s serial, %.2f MB/s with readahead", serial, pipelined)
 	// Pipelining overlaps per-RPC latency; it must not be slower, and
 	// on the shaped link it should win clearly.
@@ -250,9 +249,10 @@ func TestFig9WriteBehindAblation(t *testing.T) {
 		t.Skip("short mode")
 	}
 	measure := func(window int) time.Duration {
-		fs := vfs.New()
-		fs.SetDisk(netsim.NewDisk())
-		st, err := NewSFS(fs, SFSOptions{Encrypt: true, EnhancedCaching: true, WriteBehind: window})
+		fs, _ := newEraFS()
+		ccfg := paperClient
+		ccfg.WriteBehind = window
+		st, err := NewSFS(fs, ccfg, paperServed)
 		if err != nil {
 			t.Fatal(err)
 		}

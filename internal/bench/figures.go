@@ -5,10 +5,11 @@ import (
 	"io"
 	"time"
 
+	"repro/internal/client"
 	"repro/internal/netsim"
 	"repro/internal/nfs"
+	"repro/internal/server"
 	"repro/internal/stats"
-	"repro/internal/vfs"
 )
 
 // StackKind names one benchmarkable configuration.
@@ -25,29 +26,32 @@ const (
 )
 
 // Build constructs a fresh stack of the given kind over its own
-// substrate file system with the calibrated disk model. The
-// process-wide wire-copy ledger (DESIGN.md §12) is reset here so each
-// stack's counter snapshot covers exactly its own traffic.
-func Build(kind StackKind) (Stack, error) {
+// substrate file system on the era disk, and returns that disk too, for
+// its charge counters. The process-wide wire-copy ledger (DESIGN.md
+// §12) is reset here so each stack's counter snapshot covers exactly
+// its own traffic.
+func Build(kind StackKind) (st Stack, disk *netsim.DiskStore, err error) {
 	stats.ResetWireCopy()
-	fs := vfs.New()
-	fs.SetDisk(netsim.NewDisk())
+	fs, disk := newEraFS()
 	switch kind {
 	case KindLocal:
-		return NewLocal(fs), nil
+		st = NewLocal(fs)
 	case KindNFSUDP:
-		return NewNFS(fs, "udp", netsim.NFSUDP())
+		st, err = NewNFS(fs, "udp", netsim.NFSUDP())
 	case KindNFSTCP:
-		return NewNFS(fs, "tcp", netsim.NFSTCP())
+		st, err = NewNFS(fs, "tcp", netsim.NFSTCP())
 	case KindSFS:
-		return NewSFS(fs, SFSOptions{Encrypt: true, EnhancedCaching: true})
+		st, err = NewSFS(fs, paperClient, paperServed)
 	case KindSFSNoEnc:
-		return NewSFS(fs, SFSOptions{Encrypt: false, EnhancedCaching: true})
+		ccfg, scfg := paperClient, paperServed
+		ccfg.NoEncryption, scfg.NoEncryption = true, true
+		st, err = NewSFS(fs, ccfg, scfg)
 	case KindSFSNoCache:
-		return NewSFS(fs, SFSOptions{Encrypt: true, EnhancedCaching: false})
+		st, err = NewSFS(fs, client.Config{DataCacheBytes: -1}, server.ServedConfig{})
 	default:
-		return nil, fmt.Errorf("bench: unknown stack kind %q", kind)
+		err = fmt.Errorf("bench: unknown stack kind %q", kind)
 	}
+	return st, disk, err
 }
 
 // Options scales the experiments.
@@ -89,6 +93,9 @@ type Figure struct {
 	// snapshot, taken after its workloads ran — the raw per-procedure
 	// and write-stability numbers behind the Rows.
 	Counters map[string]nfs.ServerStats
+	// Disk holds what the era disk model charged under each stack of
+	// Figures 5–9, synchronous updates by cause, keyed like Counters.
+	Disk map[string]netsim.DiskCharges
 	// Latency holds the latency-attribution figure's per-stage
 	// client/server distributions, keyed by storage mode ("mem",
 	// "disk"). Nil for every other figure.
@@ -125,6 +132,40 @@ func (f *Figure) render(w io.Writer) {
 	}
 }
 
+// eachStack builds each kind in turn, runs work on it, records its
+// server counters and what its disk charged under the stack's name,
+// and closes it.
+func (f *Figure) eachStack(kinds []StackKind, work func(StackKind, Stack) error) error {
+	f.Disk = make(map[string]netsim.DiskCharges)
+	for _, kind := range kinds {
+		st, disk, err := Build(kind)
+		if err != nil {
+			return err
+		}
+		if err = work(kind, st); err == nil {
+			f.noteCounters(st.Name(), st)
+			f.Disk[st.Name()] = disk.Charges()
+		}
+		st.Close()
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// phaseRows appends one row of wall seconds per phase result; paper
+// holds the paper's seconds for the phases it states.
+func (f *Figure) phaseRows(st Stack, results []Result, paper map[string]float64) {
+	for _, r := range results {
+		f.Rows = append(f.Rows, FigureRow{
+			Stack: st.Name(), Phase: r.Phase,
+			Value: r.Elapsed.Seconds(), Unit: "s",
+			Paper: paper[r.Phase], RPCs: r.RPCs,
+		})
+	}
+}
+
 // Fig5 reproduces Figure 5: micro-benchmarks for basic operations —
 // the latency of an unauthorized chown and the throughput of a sparse
 // sequential read, for NFS/UDP, NFS/TCP, SFS, and SFS w/o encryption.
@@ -137,33 +178,28 @@ func Fig5(opts Options) (*Figure, error) {
 	fig := &Figure{ID: "Figure 5", Title: "micro-benchmarks for basic operations"}
 	paperLat := map[StackKind]float64{KindNFSUDP: 200, KindNFSTCP: 220, KindSFS: 790, KindSFSNoEnc: 770}
 	paperTput := map[StackKind]float64{KindNFSUDP: 9.3, KindNFSTCP: 7.6, KindSFS: 4.1, KindSFSNoEnc: 7.1}
-	for _, kind := range []StackKind{KindNFSUDP, KindNFSTCP, KindSFS, KindSFSNoEnc} {
-		st, err := Build(kind)
-		if err != nil {
-			return nil, err
-		}
+	err := fig.eachStack([]StackKind{KindNFSUDP, KindNFSTCP, KindSFS, KindSFSNoEnc}, func(kind StackKind, st Stack) error {
 		lat, err := LatencyMicro(st, iters)
 		if err != nil {
-			st.Close()
-			return nil, err
+			return err
+		}
+		tput, err := ThroughputMicro(st, size)
+		if err != nil {
+			return err
 		}
 		fig.Rows = append(fig.Rows, FigureRow{
 			Stack: st.Name(), Phase: "latency",
 			Value: float64(lat.Elapsed.Microseconds()), Unit: "us",
 			Paper: paperLat[kind], RPCs: lat.RPCs,
-		})
-		tput, err := ThroughputMicro(st, size)
-		if err != nil {
-			st.Close()
-			return nil, err
-		}
-		fig.Rows = append(fig.Rows, FigureRow{
+		}, FigureRow{
 			Stack: st.Name(), Phase: "throughput",
 			Value: tput.MBps(), Unit: "MB/s",
 			Paper: paperTput[kind], RPCs: tput.RPCs,
 		})
-		fig.noteCounters(st.Name(), st)
-		st.Close()
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	fig.render(opts.out())
 	return fig, nil
@@ -181,28 +217,13 @@ func Fig6(opts Options) (*Figure, error) {
 	if opts.Quick {
 		kinds = []StackKind{KindLocal, KindNFSUDP, KindSFS}
 	}
-	for _, kind := range kinds {
-		st, err := Build(kind)
-		if err != nil {
-			return nil, err
-		}
+	err := fig.eachStack(kinds, func(kind StackKind, st Stack) error {
 		results, err := MABPhases(st)
-		if err != nil {
-			st.Close()
-			return nil, err
-		}
-		for _, r := range results {
-			row := FigureRow{
-				Stack: st.Name(), Phase: r.Phase,
-				Value: r.Elapsed.Seconds(), Unit: "s", RPCs: r.RPCs,
-			}
-			if r.Phase == "total" {
-				row.Paper = paperTotal[kind]
-			}
-			fig.Rows = append(fig.Rows, row)
-		}
-		fig.noteCounters(st.Name(), st)
-		st.Close()
+		fig.phaseRows(st, results, map[string]float64{"total": paperTotal[kind]})
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	fig.render(opts.out())
 	return fig, nil
@@ -228,23 +249,20 @@ func Fig7(opts Options) (*Figure, error) {
 	if opts.Quick {
 		kinds = []StackKind{KindLocal, KindNFSUDP, KindSFS}
 	}
-	for _, kind := range kinds {
-		st, err := Build(kind)
-		if err != nil {
-			return nil, err
-		}
+	err := fig.eachStack(kinds, func(kind StackKind, st Stack) error {
 		r, err := CompileWorkload(st, units, burn)
 		if err != nil {
-			st.Close()
-			return nil, err
+			return err
 		}
 		fig.Rows = append(fig.Rows, FigureRow{
 			Stack: st.Name(), Phase: "compile",
 			Value: r.Elapsed.Seconds(), Unit: "s",
 			Paper: paper[kind] / scale, RPCs: r.RPCs,
 		})
-		fig.noteCounters(st.Name(), st)
-		st.Close()
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	fig.render(opts.out())
 	return fig, nil
@@ -263,24 +281,13 @@ func Fig8(opts Options) (*Figure, error) {
 	if opts.Quick {
 		kinds = []StackKind{KindLocal, KindNFSUDP, KindSFS}
 	}
-	for _, kind := range kinds {
-		st, err := Build(kind)
-		if err != nil {
-			return nil, err
-		}
+	err := fig.eachStack(kinds, func(_ StackKind, st Stack) error {
 		results, err := SpriteSmall(st, n, 1024)
-		if err != nil {
-			st.Close()
-			return nil, err
-		}
-		for _, r := range results {
-			fig.Rows = append(fig.Rows, FigureRow{
-				Stack: st.Name(), Phase: r.Phase,
-				Value: r.Elapsed.Seconds(), Unit: "s", RPCs: r.RPCs,
-			})
-		}
-		fig.noteCounters(st.Name(), st)
-		st.Close()
+		fig.phaseRows(st, results, nil)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	fig.render(opts.out())
 	return fig, nil
@@ -299,24 +306,13 @@ func Fig9(opts Options) (*Figure, error) {
 	if opts.Quick {
 		kinds = []StackKind{KindLocal, KindNFSUDP, KindSFS}
 	}
-	for _, kind := range kinds {
-		st, err := Build(kind)
-		if err != nil {
-			return nil, err
-		}
+	err := fig.eachStack(kinds, func(_ StackKind, st Stack) error {
 		results, err := SpriteLarge(st, size)
-		if err != nil {
-			st.Close()
-			return nil, err
-		}
-		for _, r := range results {
-			fig.Rows = append(fig.Rows, FigureRow{
-				Stack: st.Name(), Phase: r.Phase,
-				Value: r.Elapsed.Seconds(), Unit: "s", RPCs: r.RPCs,
-			})
-		}
-		fig.noteCounters(st.Name(), st)
-		st.Close()
+		fig.phaseRows(st, results, nil)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	fig.render(opts.out())
 	return fig, nil
@@ -350,11 +346,10 @@ func FigWriteBehind(opts Options) (*Figure, error) {
 		{"window 8 (default)", 0},
 	} {
 		stats.ResetWireCopy()
-		fs := vfs.New()
-		fs.SetDisk(netsim.NewDisk())
-		st, err := NewSFS(fs, SFSOptions{
-			Encrypt: true, EnhancedCaching: true, WriteBehind: w.window,
-		})
+		fs, _ := newEraFS()
+		ccfg := paperClient
+		ccfg.WriteBehind = w.window
+		st, err := NewSFS(fs, ccfg, paperServed)
 		if err != nil {
 			return nil, err
 		}
@@ -383,19 +378,6 @@ func FigWriteBehind(opts Options) (*Figure, error) {
 	}
 	fig.render(opts.out())
 	return fig, nil
-}
-
-// All runs every figure in order.
-func All(opts Options) ([]*Figure, error) {
-	var figs []*Figure
-	for _, f := range []func(Options) (*Figure, error){Fig5, Fig6, Fig7, Fig8, Fig9, FigWriteBehind} {
-		fig, err := f(opts)
-		if err != nil {
-			return figs, err
-		}
-		figs = append(figs, fig)
-	}
-	return figs, nil
 }
 
 // RowFor returns the row for (stack, phase), for tests and

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"repro/internal/netsim"
 	"repro/internal/nfs"
 )
 
@@ -22,6 +23,9 @@ type jsonFigure struct {
 	// snapshot (per-procedure calls and latency, write stability,
 	// COMMIT batches, transport totals), keyed by stack label.
 	Counters map[string]nfs.ServerStats `json:"counters,omitempty"`
+	// Disk carries what the era disk model charged under each stack
+	// (media reads and writes, synchronous updates by cause).
+	Disk map[string]netsim.DiskCharges `json:"disk,omitempty"`
 	// Latency carries the latency-attribution figure's per-stage
 	// client/server distributions (p50/p95/p99 per stage), keyed by
 	// storage mode ("mem", "disk").
@@ -74,7 +78,7 @@ func (f *Figure) Slug() string {
 // WriteJSON writes the figure to dir/BENCH_<slug>.json and returns the
 // path. quick must reflect the Options the figure ran with.
 func (f *Figure) WriteJSON(dir string, quick bool) (string, error) {
-	jf := jsonFigure{ID: f.ID, Title: f.Title, Quick: quick, Counters: f.Counters, Latency: f.Latency, Login: f.Login}
+	jf := jsonFigure{ID: f.ID, Title: f.Title, Quick: quick, Counters: f.Counters, Disk: f.Disk, Latency: f.Latency, Login: f.Login}
 	for _, r := range f.Rows {
 		jf.Rows = append(jf.Rows, jsonRow{
 			Stack: r.Stack, Phase: r.Phase,

@@ -18,7 +18,6 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/netsim"
 	"repro/internal/stats"
 	"repro/internal/storage/diskstore"
 	"repro/internal/vfs"
@@ -60,8 +59,7 @@ func latencyMode(fig *Figure, mode string, iters int) error {
 	var fs *vfs.FS
 	switch mode {
 	case "mem":
-		fs = vfs.New()
-		fs.SetDisk(netsim.NewDisk())
+		fs, _ = newEraFS()
 	case "disk":
 		// Like the recovery figure, the disk mode installs no netsim
 		// disk: the WAL fsyncs are real, so the fsync stage measures
@@ -82,11 +80,10 @@ func latencyMode(fig *Figure, mode string, iters int) error {
 	default:
 		return fmt.Errorf("bench: unknown latency mode %q", mode)
 	}
-	st, err := NewSFS(fs, SFSOptions{
-		Encrypt: true, EnhancedCaching: true,
-		NoReadAhead: true, WriteBehind: -1,
-		TraceSpans: 4 * iters,
-	})
+	ccfg, scfg := paperClient, paperServed
+	ccfg.ReadAhead, ccfg.WriteBehind = -1, -1
+	ccfg.TraceSpans, scfg.TraceSpans = 4*iters, 4*iters
+	st, err := NewSFS(fs, ccfg, scfg)
 	if err != nil {
 		return err
 	}

@@ -30,11 +30,11 @@ import (
 	"repro/internal/core"
 	"repro/internal/crypto/prng"
 	"repro/internal/crypto/rabin"
+	"repro/internal/lab"
 	"repro/internal/secchan"
 	"repro/internal/server"
 	"repro/internal/sfsrpc"
 	"repro/internal/sunrpc"
-	"repro/internal/vfs"
 )
 
 // LoginStats is the committed detail block of BENCH_login-storm.json.
@@ -83,39 +83,38 @@ type EksPoint struct {
 // so it uses the paper's deployed key size (sfskey's default).
 const loginKeyBits = 1024
 
-// loginServer is the storm target: a server master on raw loopback
-// TCP with an explicit admission policy and no traffic shaping.
+// loginLocation is the storm target's Location.
+const loginLocation = "storm.example.com"
+
+// loginServer is the storm target: a lab world on raw loopback TCP
+// (no traffic shaping) with an explicit admission policy and a key of
+// the deployed size.
 type loginServer struct {
-	master *server.Server
-	ln     net.Listener
-	path   core.Path
+	world *lab.World
+	path  core.Path
 }
 
-func startLoginServer() (*loginServer, error) {
-	rng := prng.NewSeeded([]byte("bench-login"))
-	key, err := rabin.GenerateKey(rng, loginKeyBits)
+func newLoginServer() (*loginServer, error) {
+	world, err := lab.NewWorld("bench-login")
 	if err != nil {
 		return nil, err
 	}
-	master := server.New(rng)
 	// A deep backlog so the storm measures negotiation throughput, not
 	// shed connections; the admission tests cover the fast-reject path.
-	master.SetHandshakePolicy(server.HandshakePolicy{
+	world.Server.SetHandshakePolicy(server.HandshakePolicy{
 		Backlog: 4096, Timeout: 30 * time.Second,
 	})
-	fs := vfs.New()
-	path, err := master.Serve(server.ServedConfig{
-		Location: "storm.example.com", Key: key, FS: fs,
-	})
+	key, err := rabin.GenerateKey(world.RNG, loginKeyBits)
 	if err != nil {
+		world.Close()
 		return nil, err
 	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+	served, err := world.ServeFSOn(server.ServedConfig{Location: loginLocation, Key: key})
 	if err != nil {
+		world.Close()
 		return nil, err
 	}
-	go master.ListenAndServe(l) //nolint:errcheck
-	return &loginServer{master: master, ln: l, path: path}, nil
+	return &loginServer{world: world, path: served.Path}, nil
 }
 
 // seedTickets performs one uncounted full handshake per worker and
@@ -158,7 +157,7 @@ func (sv *loginServer) storm(workers, total int, tempKey *rabin.PrivateKey, tick
 				ticket = tickets[w]
 			}
 			for i := 0; i < each; i++ {
-				conn, err := net.Dial("tcp", sv.ln.Addr().String())
+				conn, err := sv.world.Dial(loginLocation)
 				if err != nil {
 					errs <- err
 					return
@@ -186,7 +185,7 @@ func (sv *loginServer) storm(workers, total int, tempKey *rabin.PrivateKey, tick
 }
 
 func (sv *loginServer) connectFull(tempKey *rabin.PrivateKey, rng *prng.Generator) (*secchan.Conn, *secchan.Info, error) {
-	conn, err := net.Dial("tcp", sv.ln.Addr().String())
+	conn, err := sv.world.Dial(loginLocation)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -268,8 +267,12 @@ func eksAblation(costs []uint, exchanges int) ([]EksPoint, error) {
 			c2.Close()
 		}
 		elapsed := time.Since(start)
+		// Cost and Exchanges are read back, not echoed: the work factor
+		// the user record carries (which every exchange above hashed at)
+		// and the exchanges the authserver saw through to a matching M1.
+		rec, _ := db.ByName("dm")
 		points = append(points, EksPoint{
-			Cost: cost, Exchanges: exchanges,
+			Cost: uint(rec.EksCost), Exchanges: int(auth.StatsSnapshot().SRPConfirms),
 			PerSec: float64(exchanges) / elapsed.Seconds(),
 		})
 	}
@@ -290,11 +293,11 @@ func FigLogin(opts Options) (*Figure, error) {
 		Title: fmt.Sprintf("connection-storm session establishment (%d full + %d resumed reconnects, %d workers)",
 			full, resumed, workers),
 	}
-	sv, err := startLoginServer()
+	sv, err := newLoginServer()
 	if err != nil {
 		return nil, err
 	}
-	defer sv.ln.Close()
+	defer sv.world.Close()
 	tempKey, err := rabin.GenerateKey(prng.NewSeeded([]byte("storm-temp")), loginKeyBits)
 	if err != nil {
 		return nil, err
@@ -331,13 +334,13 @@ func FigLogin(opts Options) (*Figure, error) {
 
 	ls := &LoginStats{
 		Workers: workers, FullConns: full, ResumedConns: resumed,
-		FullPerSec:    float64(full) / fullElapsed.Seconds(),
-		ResumedPerSec: float64(resumed) / resumedElapsed.Seconds(),
+		FullPerSec:          float64(full) / fullElapsed.Seconds(),
+		ResumedPerSec:       float64(resumed) / resumedElapsed.Seconds(),
 		RabinDecryptsFull:   rabinFull,
 		RabinDecryptsResume: rabinResume,
 		HeldSessions:        held,
 		MBPer10kSessions:    mbPer10k,
-		Handshakes:          sv.master.StatsSnapshot().Handshakes,
+		Handshakes:          sv.world.Server.StatsSnapshot().Handshakes,
 		Secchan:             secchan.StatsSnapshot(),
 		Eks:                 eks,
 	}

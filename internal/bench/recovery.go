@@ -60,7 +60,7 @@ func FigRecovery(opts Options) (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	cluster, err := newSFSClusterOpts(fs, 2, SFSOptions{Encrypt: true, EnhancedCaching: true})
+	cluster, err := NewSFSCluster(fs, 2, paperClient, paperServed)
 	if err != nil {
 		return nil, err
 	}
@@ -76,7 +76,7 @@ func FigRecovery(opts Options) (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	before := clientRPCs(writer, base)
+	before := writer.TotalRPCs()
 	start := time.Now()
 	if err := writeChunks(cf, committed); err != nil {
 		return nil, err
@@ -88,7 +88,7 @@ func FigRecovery(opts Options) (*Figure, error) {
 	fig.Rows = append(fig.Rows, FigureRow{
 		Stack: label, Phase: "write+commit",
 		Value: Result{Elapsed: elapsed, Bytes: committedSize}.MBps(), Unit: "MB/s",
-		RPCs: clientRPCs(writer, base) - before,
+		RPCs: writer.TotalRPCs() - before,
 	})
 
 	// Phase 2: stream unstable writes — the write-behind pipeline
@@ -123,7 +123,7 @@ func FigRecovery(opts Options) (*Figure, error) {
 
 	// Phase 3: the client COMMITs the in-flight file, sees the
 	// verifier change, and retransmits every dirty range.
-	before = clientRPCs(writer, base)
+	before = writer.TotalRPCs()
 	start = time.Now()
 	if err := inf.Sync(); err != nil {
 		return nil, fmt.Errorf("recovery: post-crash sync: %w", err)
@@ -132,7 +132,7 @@ func FigRecovery(opts Options) (*Figure, error) {
 	fig.Rows = append(fig.Rows, FigureRow{
 		Stack: label, Phase: "post-crash sync",
 		Value: elapsed.Seconds(), Unit: "s",
-		RPCs: clientRPCs(writer, base) - before,
+		RPCs: writer.TotalRPCs() - before,
 	})
 
 	// Hard assertions, through the second client so every read
@@ -386,14 +386,4 @@ func writeChunks(f *client.File, data []byte) error {
 		}
 	}
 	return nil
-}
-
-// clientRPCs reads cl's wire call counter, tolerating errors as zero
-// (a stats failure should not abort the figure mid-crash).
-func clientRPCs(cl *client.Client, base string) uint64 {
-	st, err := cl.Stats("bench", base)
-	if err != nil {
-		return 0
-	}
-	return st.Calls
 }

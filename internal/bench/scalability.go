@@ -14,59 +14,8 @@ import (
 	"time"
 
 	"repro/internal/client"
-	"repro/internal/netsim"
 	"repro/internal/nfs"
-	"repro/internal/vfs"
 )
-
-// SFSCluster is one SFS server with N independent client daemons.
-type SFSCluster struct {
-	sv      *sfsServer
-	Clients []*client.Client
-}
-
-// NewSFSCluster boots the full SFS stack (encryption and enhanced
-// caching on) with n client daemons, each with its own channel keys.
-func NewSFSCluster(fs *vfs.FS, n int) (*SFSCluster, error) {
-	return newSFSClusterOpts(fs, n, SFSOptions{Encrypt: true, EnhancedCaching: true})
-}
-
-// newSFSClusterOpts is NewSFSCluster with explicit ablation knobs —
-// the warm-read figure uses it to boot clusters with the data cache
-// enabled.
-func newSFSClusterOpts(fs *vfs.FS, n int, opts SFSOptions) (*SFSCluster, error) {
-	sv, err := startSFSServer(fs, opts)
-	if err != nil {
-		return nil, err
-	}
-	c := &SFSCluster{sv: sv}
-	for i := 0; i < n; i++ {
-		cl, err := sv.newClient(fmt.Sprintf("bench-scal-client-%d", i), opts)
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		c.Clients = append(c.Clients, cl)
-	}
-	return c, nil
-}
-
-// Base returns the self-certifying pathname of the served root.
-func (c *SFSCluster) Base() string { return c.sv.base }
-
-// ServerStats snapshots the server-side NFS counters (which now carry
-// the vfs lock-shard and lease-stripe contention numbers too).
-func (c *SFSCluster) ServerStats() (nfs.ServerStats, bool) {
-	return c.sv.master.NFSStats(c.sv.location)
-}
-
-// Close tears the cluster down.
-func (c *SFSCluster) Close() {
-	c.sv.ln.Close()
-	for _, cl := range c.Clients {
-		cl.Close()
-	}
-}
 
 // ScalPoint is one measured point of the scalability curve.
 type ScalPoint struct {
@@ -106,9 +55,8 @@ const workingSetChunks = 32
 // moving bytesPerClient each, and returns the aggregate measurements
 // plus the server counter snapshot.
 func ScalabilityPoint(clients int, bytesPerClient int64) (ScalPoint, nfs.ServerStats, error) {
-	fs := vfs.New()
-	fs.SetDisk(netsim.NewDisk())
-	cluster, err := NewSFSCluster(fs, clients)
+	fs, _ := newEraFS()
+	cluster, err := NewSFSCluster(fs, clients, paperClient, paperServed)
 	if err != nil {
 		return ScalPoint{}, nfs.ServerStats{}, err
 	}
@@ -139,56 +87,32 @@ func ScalabilityPoint(clients int, bytesPerClient int64) (ScalPoint, nfs.ServerS
 		}
 		files[i] = f
 	}
-	rpcsBefore, err := cluster.totalRPCs()
-	if err != nil {
-		return ScalPoint{}, nfs.ServerStats{}, err
-	}
-
 	ops := int(bytesPerClient / chunk)
-	errs := make([]error, clients)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for i := range files {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			f := files[i]
-			for op := 0; op < ops; op++ {
-				// Offsets rotate through the working set, write and
-				// read pointers deliberately out of phase.
-				if op%2 == 0 {
-					off := uint64((op / 2 % workingSetChunks) * chunk)
-					if _, err := f.WriteAt(buf, off); err != nil {
-						errs[i] = err
-						return
-					}
-				} else {
-					off := uint64(((op/2 + workingSetChunks/2) % workingSetChunks) * chunk)
-					rd := make([]byte, chunk)
-					if _, err := f.ReadAt(rd, off); err != nil {
-						errs[i] = err
-						return
-					}
+	elapsed, rpcs, err := cluster.timeClients(func(i int) error {
+		f := files[i]
+		for op := 0; op < ops; op++ {
+			// Offsets rotate through the working set, write and
+			// read pointers deliberately out of phase.
+			if op%2 == 0 {
+				off := uint64((op / 2 % workingSetChunks) * chunk)
+				if _, err := f.WriteAt(buf, off); err != nil {
+					return err
 				}
-				if op%16 == 15 {
-					if err := f.Sync(); err != nil {
-						errs[i] = err
-						return
-					}
+			} else {
+				off := uint64(((op/2 + workingSetChunks/2) % workingSetChunks) * chunk)
+				rd := make([]byte, chunk)
+				if _, err := f.ReadAt(rd, off); err != nil {
+					return err
 				}
 			}
-			errs[i] = f.Sync()
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	for i, err := range errs {
-		if err != nil {
-			return ScalPoint{}, nfs.ServerStats{}, fmt.Errorf("client %d: %w", i, err)
+			if op%16 == 15 {
+				if err := f.Sync(); err != nil {
+					return err
+				}
+			}
 		}
-	}
-	rpcsAfter, err := cluster.totalRPCs()
+		return f.Sync()
+	})
 	if err != nil {
 		return ScalPoint{}, nfs.ServerStats{}, err
 	}
@@ -197,21 +121,37 @@ func ScalabilityPoint(clients int, bytesPerClient int64) (ScalPoint, nfs.ServerS
 		Clients: clients,
 		Elapsed: elapsed,
 		Bytes:   int64(ops) * chunk * int64(clients),
-		RPCs:    rpcsAfter - rpcsBefore,
+		RPCs:    rpcs,
 	}, ss, nil
 }
 
-// totalRPCs sums wire RPCs across all the cluster's clients.
-func (c *SFSCluster) totalRPCs() (uint64, error) {
-	var total uint64
+// timeClients runs work(i) for every client of the cluster at once and
+// returns the wall time they took and the wire RPCs they cost.
+func (c *SFSCluster) timeClients(work func(i int) error) (time.Duration, uint64, error) {
+	var before uint64
 	for _, cl := range c.Clients {
-		st, err := cl.Stats("bench", c.sv.base)
-		if err != nil {
-			return 0, err
-		}
-		total += st.Calls
+		before += cl.TotalRPCs()
 	}
-	return total, nil
+	errs := make([]error, len(c.Clients))
+	var wg sync.WaitGroup
+	start := time.Now()
+	for i := range c.Clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = work(i)
+		}()
+	}
+	wg.Wait()
+	elapsed := time.Since(start)
+	var after uint64
+	for i, cl := range c.Clients {
+		if errs[i] != nil {
+			return 0, 0, fmt.Errorf("client %d: %w", i, errs[i])
+		}
+		after += cl.TotalRPCs()
+	}
+	return elapsed, after - before, nil
 }
 
 // FigScalability measures the scalability curve: aggregate throughput

@@ -15,14 +15,12 @@ import (
 	"net"
 
 	"repro/internal/agent"
-	"repro/internal/authserv"
 	"repro/internal/client"
-	"repro/internal/core"
-	"repro/internal/crypto/prng"
-	"repro/internal/crypto/rabin"
+	"repro/internal/lab"
 	"repro/internal/netsim"
 	"repro/internal/nfs"
 	"repro/internal/server"
+	"repro/internal/storage/memstore"
 	"repro/internal/sunrpc"
 	"repro/internal/vfs"
 )
@@ -83,8 +81,8 @@ type localStack struct {
 	cred vfs.Cred
 }
 
-// NewLocal builds the local baseline over fs (install a netsim disk
-// on fs for era-accurate timings).
+// NewLocal builds the local baseline over fs (newEraFS for era-accurate
+// timings).
 func NewLocal(fs *vfs.FS) Stack {
 	return &localStack{fs: fs, cred: vfs.Cred{UID: 0, GIDs: []uint32{0}}}
 }
@@ -507,178 +505,119 @@ func (s *nfsStack) Close() {
 }
 
 // ---------------------------------------------------------------------
-// SFS: the full stack — client daemon, agent, secure channel, server
-// master — over a shaped transport.
+// SFS: the full stack — client daemons, agents, secure channel, server
+// master — as a lab world whose every connection is shaped by netsim.
 
-// SFSOptions are the ablation knobs of the paper's evaluation.
-type SFSOptions struct {
-	// Encrypt selects ARC4+MAC on the channel (the "SFS" vs "SFS
-	// w/o encryption" rows). Both the real cipher and the netsim
-	// cost model follow this switch.
-	Encrypt bool
-	// EnhancedCaching selects the attribute-lease and access-cache
-	// extensions (the MAB ablation).
-	EnhancedCaching bool
-	// NoReadAhead disables the sequential-read pipeline, forcing
-	// one READ at a time — the serial behaviour the pre-pipeline
-	// client had (the Fig. 5 readahead ablation).
-	NoReadAhead bool
-	// WriteBehind sets the write-behind window (unstable WRITEs in
-	// flight per file): 0 selects the default depth, negative
-	// disables the pipeline — one synchronous WRITE per chunk, the
-	// pre-pipeline behaviour (the Fig. 9 write-behind ablation).
-	WriteBehind int
-	// DataCacheBytes sizes the client data block cache for the
-	// warm-read figure. Zero keeps the cache OFF — the opposite of
-	// the client default — so figures 5–9 keep reproducing the
-	// paper's cacheless client and their committed JSONs stay
-	// comparable; only workloads that opt in measure the cache.
-	DataCacheBytes int64
-	// TraceSpans > 0 enables per-RPC stage tracing on both the server
-	// and every client, with span rings of this capacity — the
-	// latency-attribution figure's knob. Zero keeps tracing off so the
-	// other figures measure the untraced hot path.
-	TraceSpans int
-}
+// The configuration the paper measured (§4): the attribute-lease and
+// access-cache extensions on both ends, and a client that caches no
+// file data. Figures state an ablation as a change to one of these,
+// in the daemons' own vocabulary.
+var (
+	paperClient = client.Config{EnhancedCaching: true, DataCacheBytes: -1}
+	paperServed = server.ServedConfig{LeaseMS: 60000}
+)
 
-// dataCacheBytes maps the bench knob (zero = off) onto the client
-// knob (zero = default on, negative = off).
-func dataCacheBytes(opt int64) int64 {
-	if opt == 0 {
-		return -1
+// newEraFS returns a substrate file system on the evaluation machines'
+// disk: the in-memory store behind netsim's IBM 18ES model. The store
+// is returned too, for its charge counters.
+func newEraFS() (*vfs.FS, *netsim.DiskStore) {
+	ms := memstore.New()
+	disk := netsim.NewDiskStore(ms, ms, netsim.NewDisk())
+	fs, err := vfs.NewWithStores(disk, disk)
+	if err != nil {
+		panic("bench: in-memory store cannot fail: " + err.Error())
 	}
-	return opt
+	return fs, disk
 }
 
-type sfsStack struct {
-	name      string
-	cl        *client.Client
-	master    *server.Server
-	location  string
-	base      string
-	ln        net.Listener
-	opts      SFSOptions
-	chownFile *client.File
+// SFSCluster is one SFS server with N independent client daemons, each
+// over its own secure channel on the era network.
+type SFSCluster struct {
+	Clients []*client.Client
+	world   *lab.World
+	served  *lab.Served
+	user    *agent.Agent // the benchmark user's agent, shared by every client
 }
 
-// readAheadDepth maps the ablation switch to the client knob.
-func readAheadDepth(disabled bool) int {
-	if disabled {
-		return -1
-	}
-	return 0 // default depth
-}
-
-// sfsServer is the server half of an SFS deployment — master, auth
-// database, shaped listener — shared between the single-client stack
-// (NewSFS) and the multi-client scalability cluster (NewSFSCluster).
-type sfsServer struct {
-	master   *server.Server
-	ln       net.Listener
-	location string
-	base     string
-	profile  netsim.Profile
-	userKey  *rabin.PrivateKey
-	rng      *prng.Generator
-}
-
-// startSFSServer boots the SFS server side over fs.
-func startSFSServer(fs *vfs.FS, opts SFSOptions) (*sfsServer, error) {
-	profile := netsim.SFS(opts.Encrypt)
-	rng := prng.NewSeeded([]byte("bench-sfs"))
-	key, err := rabin.GenerateKey(rng, 768)
+// NewSFSCluster serves fs under scfg from a fresh world and connects n
+// client daemons configured by ccfg. The netsim profile follows
+// scfg.NoEncryption on both directions of every connection.
+func NewSFSCluster(fs *vfs.FS, n int, ccfg client.Config, scfg server.ServedConfig) (*SFSCluster, error) {
+	profile := netsim.SFS(!scfg.NoEncryption)
+	world, err := lab.NewWorldOver("bench-sfs", func(c net.Conn) net.Conn { return netsim.Shape(c, profile) })
 	if err != nil {
 		return nil, err
 	}
-	userKey, err := rabin.GenerateKey(rng, 768)
-	if err != nil {
+	c := &SFSCluster{world: world}
+	scfg.Location, scfg.FS = "bench.example.com", fs
+	if c.served, err = world.ServeFSOn(scfg); err != nil {
+		c.Close()
 		return nil, err
 	}
-	master := server.New(rng)
-	leaseMS := uint32(0)
-	if opts.EnhancedCaching {
-		leaseMS = 60000
+	for i := 0; i < n; i++ {
+		cl, err := c.connect(ccfg)
+		if err != nil {
+			c.Close()
+			return nil, err
+		}
+		c.Clients = append(c.Clients, cl)
 	}
-	path := core.MakePath("bench.example.com", key.PublicKey.Bytes())
-	auth := authserv.New(path.String(), rng)
-	db := authserv.NewDB("local", true)
-	auth.AddDB(db)
-	if err := auth.Register(db, "bench", 0, []uint32{0}, authserv.RegisterOptions{PrivateKey: userKey}); err != nil {
-		return nil, err
-	}
-	if _, err := master.Serve(server.ServedConfig{
-		Location: "bench.example.com", Key: key, FS: fs,
-		Auth: auth, LeaseMS: leaseMS, TraceSpans: opts.TraceSpans,
-		NoEncryption: !opts.Encrypt,
-	}); err != nil {
-		return nil, err
-	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	go master.ListenAndServe(netsim.ShapeListener(l, profile)) //nolint:errcheck
-	return &sfsServer{
-		master: master, ln: l, location: "bench.example.com",
-		base: path.String(), profile: profile, userKey: userKey, rng: rng,
-	}, nil
+	return c, nil
 }
 
-// newClient connects one client daemon to the server, with its own
-// temporary key and agents. seed names the client's deterministic RNG
-// so cluster members key their channels independently.
-func (sv *sfsServer) newClient(seed string, opts SFSOptions) (*client.Client, error) {
-	cl, err := client.New(client.Config{
-		Dial: func(string) (net.Conn, error) {
-			c, err := net.Dial("tcp", sv.ln.Addr().String())
-			if err != nil {
-				return nil, err
-			}
-			return netsim.Shape(c, sv.profile), nil
-		},
-		RNG:             prng.NewSeeded([]byte(seed)),
-		TempKeyBits:     768,
-		EnhancedCaching: opts.EnhancedCaching,
-		NoEncryption:    !opts.Encrypt,
-		ReadAhead:       readAheadDepth(opts.NoReadAhead),
-		WriteBehind:     opts.WriteBehind,
-		DataCacheBytes:  dataCacheBytes(opts.DataCacheBytes),
-		TraceSpans:      opts.TraceSpans,
-	})
+// connect starts one more client daemon on the cluster's server. The
+// benchmark user authenticates as root through the agent; a second,
+// keyless agent exercises unauthorized operations.
+func (c *SFSCluster) connect(ccfg client.Config) (*client.Client, error) {
+	cl, err := c.world.NewClient(ccfg)
 	if err != nil {
 		return nil, err
 	}
-	// The benchmark user authenticates as root through the agent;
-	// a second keyless agent exercises unauthorized operations.
-	benchAgent := agent.New("bench", sv.rng)
-	benchAgent.AddKey(sv.userKey)
-	cl.RegisterAgent("bench", benchAgent)
-	cl.RegisterAgent("nonowner", agent.New("nonowner", sv.rng))
+	if c.user == nil {
+		if c.user, err = c.world.NewUser(cl, c.served, "bench", 0, ""); err != nil {
+			return nil, err
+		}
+	} else {
+		cl.RegisterAgent("bench", c.user)
+	}
+	c.world.NewAnonymousUser(cl, "nonowner")
 	return cl, nil
 }
 
-// NewSFS builds the full SFS stack over fs.
-func NewSFS(fs *vfs.FS, opts SFSOptions) (Stack, error) {
-	sv, err := startSFSServer(fs, opts)
+// Base returns the self-certifying pathname of the served root.
+func (c *SFSCluster) Base() string { return c.served.Path.String() }
+
+// ServerStats snapshots the server-side NFS counters (which carry the
+// vfs lock-shard and lease-stripe contention numbers too).
+func (c *SFSCluster) ServerStats() (nfs.ServerStats, bool) {
+	return c.world.Server.NFSStats(c.served.Location)
+}
+
+// Close tears the cluster down: the listener and every client.
+func (c *SFSCluster) Close() { c.world.Close() }
+
+type sfsStack struct {
+	*SFSCluster
+	name      string
+	cl        *client.Client
+	base      string
+	chownFile *client.File
+}
+
+// NewSFS builds the full SFS stack over fs: one server, one client.
+func NewSFS(fs *vfs.FS, ccfg client.Config, scfg server.ServedConfig) (Stack, error) {
+	c, err := NewSFSCluster(fs, 1, ccfg, scfg)
 	if err != nil {
-		return nil, err
-	}
-	cl, err := sv.newClient("bench-sfs-client", opts)
-	if err != nil {
-		sv.ln.Close()
 		return nil, err
 	}
 	name := "SFS"
 	switch {
-	case !opts.Encrypt:
+	case scfg.NoEncryption:
 		name = "SFS w/o encryption"
-	case !opts.EnhancedCaching:
+	case !ccfg.EnhancedCaching:
 		name = "SFS w/o enhanced caching"
 	}
-	return &sfsStack{
-		name: name, cl: cl, master: sv.master, location: sv.location,
-		base: sv.base, ln: sv.ln, opts: opts,
-	}, nil
+	return &sfsStack{SFSCluster: c, name: name, cl: c.Clients[0], base: c.Base()}, nil
 }
 
 func (s *sfsStack) Name() string           { return s.name }
@@ -747,14 +686,14 @@ func (s *sfsStack) Truncate(path string, size uint64) error {
 	return s.cl.Truncate("bench", s.abs(path), size)
 }
 
-type sfsFile struct{ f *client.File }
+// *client.File is a StackFile as it stands.
 
 func (s *sfsStack) Open(path string) (StackFile, error) {
 	f, err := s.cl.Open("bench", s.abs(path))
 	if err != nil {
 		return nil, err
 	}
-	return &sfsFile{f: f}, nil
+	return f, nil
 }
 
 func (s *sfsStack) Create(path string) (StackFile, error) {
@@ -762,14 +701,7 @@ func (s *sfsStack) Create(path string) (StackFile, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &sfsFile{f: f}, nil
-}
-
-func (f *sfsFile) ReadAt(p []byte, off uint64) (int, error)  { return f.f.ReadAt(p, off) }
-func (f *sfsFile) WriteAt(p []byte, off uint64) (int, error) { return f.f.WriteAt(p, off) }
-func (f *sfsFile) Sync() error                               { return f.f.Sync() }
-func (f *sfsFile) Truncate(size uint64) error {
-	return fmt.Errorf("bench: truncate through open sfs file unsupported")
+	return f, nil
 }
 
 func (s *sfsStack) Stats() nfs.Stats {
@@ -778,13 +710,4 @@ func (s *sfsStack) Stats() nfs.Stats {
 		return nfs.Stats{}
 	}
 	return st
-}
-
-func (s *sfsStack) ServerStats() (nfs.ServerStats, bool) {
-	return s.master.NFSStats(s.location)
-}
-
-func (s *sfsStack) Close() {
-	s.ln.Close()
-	s.cl.Close()
 }

@@ -10,19 +10,16 @@ package bench
 import (
 	"bytes"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/client"
-	"repro/internal/netsim"
 	"repro/internal/nfs"
 	"repro/internal/stats"
-	"repro/internal/vfs"
 )
 
-// warmCacheBytes sizes the data cache for the warm figure: large
-// enough that the whole benchmark file stays resident.
-const warmCacheBytes = 16 << 20
+// warmClient is the paper's client with the data cache on, sized so
+// the whole benchmark file stays resident.
+var warmClient = client.Config{EnhancedCaching: true, DataCacheBytes: 16 << 20}
 
 const warmChunk = 8192
 
@@ -67,10 +64,8 @@ func FigWarmRead(opts Options) (*Figure, error) {
 	}
 
 	stats.ResetWireCopy()
-	fs := vfs.New()
-	fs.SetDisk(netsim.NewDisk())
-	copts := SFSOptions{Encrypt: true, EnhancedCaching: true, DataCacheBytes: warmCacheBytes}
-	cluster, err := newSFSClusterOpts(fs, 2, copts)
+	fs, _ := newEraFS()
+	cluster, err := NewSFSCluster(fs, 2, warmClient, paperServed)
 	if err != nil {
 		return nil, err
 	}
@@ -154,9 +149,7 @@ func FigWarmRead(opts Options) (*Figure, error) {
 	// Ablation: a third daemon on the same server with the cache off
 	// re-reads the same file — every pass pays its READs, the
 	// behaviour the paper's client has.
-	nocacheCl, err := cluster.sv.newClient("bench-warm-nocache", SFSOptions{
-		Encrypt: true, EnhancedCaching: true,
-	})
+	nocacheCl, err := cluster.connect(paperClient)
 	if err != nil {
 		return nil, err
 	}
@@ -209,11 +202,8 @@ func FigWarmRead(opts Options) (*Figure, error) {
 // cache on, primes each client's own file of perClient bytes, then
 // times `loops` concurrent sequential re-read passes per client.
 func warmReadPoint(clients int, perClient int64, loops int) (ScalPoint, error) {
-	fs := vfs.New()
-	fs.SetDisk(netsim.NewDisk())
-	cluster, err := newSFSClusterOpts(fs, clients, SFSOptions{
-		Encrypt: true, EnhancedCaching: true, DataCacheBytes: warmCacheBytes,
-	})
+	fs, _ := newEraFS()
+	cluster, err := NewSFSCluster(fs, clients, warmClient, paperServed)
 	if err != nil {
 		return ScalPoint{}, err
 	}
@@ -233,34 +223,14 @@ func warmReadPoint(clients int, perClient int64, loops int) (ScalPoint, error) {
 		}
 		files[i] = f
 	}
-	rpcsBefore, err := cluster.totalRPCs()
-	if err != nil {
-		return ScalPoint{}, err
-	}
-	errs := make([]error, clients)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for i := range files {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for l := 0; l < loops; l++ {
-				if err := seqReadFile(files[i], perClient); err != nil {
-					errs[i] = err
-					return
-				}
+	elapsed, rpcs, err := cluster.timeClients(func(i int) error {
+		for l := 0; l < loops; l++ {
+			if err := seqReadFile(files[i], perClient); err != nil {
+				return err
 			}
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	for i, err := range errs {
-		if err != nil {
-			return ScalPoint{}, fmt.Errorf("warm client %d: %w", i, err)
 		}
-	}
-	rpcsAfter, err := cluster.totalRPCs()
+		return nil
+	})
 	if err != nil {
 		return ScalPoint{}, err
 	}
@@ -268,6 +238,6 @@ func warmReadPoint(clients int, perClient int64, loops int) (ScalPoint, error) {
 		Clients: clients,
 		Elapsed: elapsed,
 		Bytes:   perClient * int64(loops) * int64(clients),
-		RPCs:    rpcsAfter - rpcsBefore,
+		RPCs:    rpcs,
 	}, nil
 }

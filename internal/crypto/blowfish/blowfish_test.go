@@ -155,6 +155,9 @@ func TestEksblowfishCostMatters(t *testing.T) {
 	if bytes.Equal(h4, h5) {
 		t.Fatal("cost does not affect hash")
 	}
+	if other, _ := PasswordHash(4, salt, []byte("pq")); bytes.Equal(h4, other) {
+		t.Fatal("password does not affect hash")
+	}
 }
 
 func TestEksblowfishCostScales(t *testing.T) {
@@ -172,23 +175,6 @@ func TestEksblowfishCostScales(t *testing.T) {
 	// 2^3 = 8x more work; allow generous slack for timer noise.
 	if t7 < 3*t4 {
 		t.Errorf("cost 7 (%v) not meaningfully slower than cost 4 (%v)", t7, t4)
-	}
-}
-
-func TestVerifyPassword(t *testing.T) {
-	salt := bytes.Repeat([]byte{3}, 16)
-	h, err := PasswordHash(4, salt, []byte("correct horse"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !VerifyPassword(4, salt, []byte("correct horse"), h) {
-		t.Fatal("correct password rejected")
-	}
-	if VerifyPassword(4, salt, []byte("incorrect horse"), h) {
-		t.Fatal("wrong password accepted")
-	}
-	if VerifyPassword(5, salt, []byte("correct horse"), h) {
-		t.Fatal("wrong cost accepted")
 	}
 }
 
@@ -241,6 +227,38 @@ func BenchmarkEksblowfishCost7(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := PasswordHash(7, salt, []byte("benchmark password")); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestSaltedScheduleIsTwoToTheCostRounds pins the work factor where it
+// is exact: NewSalted's state is the salted expansion followed by
+// exactly 2^cost (key, salt) re-expansion rounds — one round fewer or
+// more is a different cipher. Timing tests can only say "slower"; this
+// says how much work a unit of cost buys.
+func TestSaltedScheduleIsTwoToTheCostRounds(t *testing.T) {
+	salt := bytes.Repeat([]byte{7}, 16)
+	key := []byte("storm-pw")
+	schedule := func(rounds int) *Cipher {
+		c := initialState()
+		c.expandKey(salt, key)
+		for i := 0; i < rounds; i++ {
+			c.expandKey(nil, key)
+			c.expandKey(nil, salt)
+		}
+		return c
+	}
+	for cost := uint(0); cost <= 6; cost++ {
+		got, err := NewSalted(cost, salt, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rounds := 1 << cost
+		if *got != *schedule(rounds) {
+			t.Errorf("cost %d: state is not %d re-expansion rounds", cost, rounds)
+		}
+		if *got == *schedule(rounds - 1) || *got == *schedule(rounds + 1) {
+			t.Errorf("cost %d: state also matches %d±1 rounds", cost, rounds)
 		}
 	}
 }

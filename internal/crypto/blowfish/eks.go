@@ -2,7 +2,6 @@ package blowfish
 
 import (
 	"crypto/sha1"
-	"crypto/subtle"
 	"errors"
 )
 
@@ -39,16 +38,6 @@ func PasswordHash(cost uint, salt []byte, password []byte) ([]byte, error) {
 		}
 	}
 	return out, nil
-}
-
-// VerifyPassword reports, in constant time, whether password hashes to
-// want under (cost, salt).
-func VerifyPassword(cost uint, salt, password, want []byte) bool {
-	got, err := PasswordHash(cost, salt, password)
-	if err != nil {
-		return false
-	}
-	return subtle.ConstantTimeCompare(got, want) == 1
 }
 
 // PasswordKey derives a 20-byte symmetric key from a password with the

@@ -78,23 +78,6 @@ func NewSeeded(seed []byte) *Generator {
 	return g
 }
 
-// AddEntropy mixes additional entropy (e.g. keystroke data) into the
-// generator state.
-func (g *Generator) AddEntropy(data []byte) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	h := sha1.New()
-	h.Write(g.xkey[:])
-	h.Write(data)
-	var t [8]byte
-	binary.BigEndian.PutUint64(t[:], uint64(time.Now().UnixNano()))
-	h.Write(t[:])
-	d := h.Sum(nil)
-	for i := range d {
-		g.xkey[i] ^= d[i]
-	}
-}
-
 // step produces one 20-byte output block and advances the state.
 // Callers hold g.mu.
 func (g *Generator) step() [sha1.Size]byte {

@@ -37,15 +37,6 @@ func TestNewGeneratorsDiffer(t *testing.T) {
 	}
 }
 
-func TestExtraEntropyChangesStream(t *testing.T) {
-	g := NewSeeded([]byte("x"))
-	h := NewSeeded([]byte("x"))
-	h.AddEntropy([]byte("keystrokes"))
-	if bytes.Equal(g.Bytes(40), h.Bytes(40)) {
-		t.Fatal("AddEntropy had no effect")
-	}
-}
-
 func TestReadSizes(t *testing.T) {
 	g := NewSeeded([]byte("sizes"))
 	for _, n := range []int{0, 1, 19, 20, 21, 64, 1000} {

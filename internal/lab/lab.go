@@ -1,7 +1,8 @@
 // Package lab assembles complete SFS deployments — server master,
 // authservers, file systems, client daemons, and agents — on loopback
 // TCP. Integration tests, the example programs, and the benchmark
-// harness all build their worlds with it.
+// harness (internal/bench, over a shaped transport) all build their
+// worlds with it.
 package lab
 
 import (
@@ -32,6 +33,7 @@ type World struct {
 	Server *server.Server
 
 	seed       string
+	transport  func(net.Conn) net.Conn // nil: plain loopback TCP
 	mu         sync.Mutex
 	listeners  []net.Listener
 	clients    []*client.Client
@@ -52,22 +54,46 @@ type Served struct {
 }
 
 // NewWorld starts a server master listening on loopback.
-func NewWorld(seed string) (*World, error) {
+func NewWorld(seed string) (*World, error) { return NewWorldOver(seed, nil) }
+
+// NewWorldOver is NewWorld with every connection of the world — each
+// one the master accepts and each one World.Dial opens — passed
+// through transport first: the benchmark harness shapes both ends with
+// its hardware model (internal/netsim), tests tap or count the wire.
+func NewWorldOver(seed string, transport func(net.Conn) net.Conn) (*World, error) {
 	rng := prng.NewSeeded([]byte("lab-" + seed))
 	w := &World{
-		RNG:    rng,
-		Server: server.New(rng),
-		seed:   seed,
-		locs:   make(map[string]string),
-		served: make(map[string]*Served),
+		RNG:       rng,
+		Server:    server.New(rng),
+		seed:      seed,
+		transport: transport,
+		locs:      make(map[string]string),
+		served:    make(map[string]*Served),
 	}
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, err
 	}
 	w.listeners = append(w.listeners, l)
+	if transport != nil {
+		l = acceptVia{l, transport}
+	}
 	go w.Server.ListenAndServe(l) //nolint:errcheck
 	return w, nil
+}
+
+// acceptVia passes each accepted connection through transport.
+type acceptVia struct {
+	net.Listener
+	transport func(net.Conn) net.Conn
+}
+
+func (l acceptVia) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return l.transport(c), nil
 }
 
 // Close shuts the world's listeners down and closes the clients it
@@ -81,13 +107,6 @@ func (w *World) Close() {
 	for _, cl := range w.clients {
 		cl.Close()
 	}
-}
-
-// addr returns the master's address.
-func (w *World) addr() string {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.listeners[0].Addr().String()
 }
 
 // ServeFS creates a key pair, substrate file system, and authserver
@@ -164,7 +183,11 @@ func (w *World) Dial(location string) (net.Conn, error) {
 	if !ok {
 		return nil, fmt.Errorf("lab: unknown location %q", location)
 	}
-	return net.Dial("tcp", addr)
+	c, err := net.Dial("tcp", addr)
+	if err != nil || w.transport == nil {
+		return c, err
+	}
+	return w.transport(c), nil
 }
 
 // NewClient starts a client daemon from cfg. The world supplies what

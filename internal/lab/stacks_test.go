@@ -5,6 +5,7 @@ import (
 	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -181,9 +182,58 @@ func TestModeMismatchFailsClosed(t *testing.T) {
 	}
 }
 
-// TestCloseReleasesEverything: closing a world ends its clients'
-// connections, and with them the server's sessions and their workers —
-// twenty worlds later the process is where it started.
+// wireCount is a World transport that counts the writes on every
+// connection it is handed; the secure channel sends one record per
+// write, so between two snapshots a direction's writes are its
+// messages.
+type wireCount struct {
+	mu    sync.Mutex
+	conns []*countedConn
+}
+
+type countedConn struct {
+	net.Conn
+	writes atomic.Int64
+}
+
+func (c *countedConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+func (wc *wireCount) wrap(c net.Conn) net.Conn {
+	cc := &countedConn{Conn: c}
+	wc.mu.Lock()
+	wc.conns = append(wc.conns, cc)
+	wc.mu.Unlock()
+	return cc
+}
+
+// writes totals the connections by end: the ones the master accepted
+// (their local address is its listener's) send toward the client.
+func (wc *wireCount) writes(w *World) (toServer, toClient int64) {
+	w.mu.Lock()
+	master := w.listeners[0].Addr().String()
+	w.mu.Unlock()
+	wc.mu.Lock()
+	defer wc.mu.Unlock()
+	for _, c := range wc.conns {
+		if c.LocalAddr().String() == master {
+			toClient += c.writes.Load()
+		} else {
+			toServer += c.writes.Load()
+		}
+	}
+	return toServer, toClient
+}
+
+// TestCloseReleasesEverything: a world's transport sees both ends of
+// every connection — each RPC is one message out through the dialed
+// end and one back through the accepted end, which is what lets the
+// benchmark harness charge its hardware model in both directions —
+// and closing the world ends its clients' connections, and with them
+// the server's sessions and their workers: twenty worlds later the
+// process is where it started.
 func TestCloseReleasesEverything(t *testing.T) {
 	settle := func(what string, ok func() bool) {
 		t.Helper()
@@ -195,7 +245,8 @@ func TestCloseReleasesEverything(t *testing.T) {
 	}
 	before := runtime.NumGoroutine()
 	for i := 0; i < 20; i++ {
-		w, err := NewWorld("close")
+		wire := &wireCount{}
+		w, err := NewWorldOver("close", wire.wrap)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,21 +254,48 @@ func TestCloseReleasesEverything(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cl, err := w.NewClient(client.Config{EnhancedCaching: true})
+		if _, err := s.FS.MkdirAll(vfs.Cred{}, "home", 0o777); err != nil {
+			t.Fatal(err)
+		}
+		cl, err := w.NewClient(client.Config{EnhancedCaching: true, DataCacheBytes: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		w.NewAnonymousUser(cl, "anon")
-		if _, err := cl.ReadDir("anon", s.Path.String()); err != nil {
+		root := s.Path.String()
+		if _, err := cl.ReadDir("anon", root); err != nil {
 			t.Fatal(err)
 		}
 		if active := w.Server.StatsSnapshot().Active.Now; active != 1 {
 			t.Fatalf("world %d: %d active connections with one mount up, want 1", i, active)
 		}
+
+		// The mount is up: from here every message is an RPC.
+		st0, err := cl.Stats("anon", root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out0, back0 := wire.writes(w)
+		if err := cl.WriteFile("anon", root+"/home/f", marker); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := cl.ReadFile("anon", root+"/home/f"); err != nil || !bytes.Equal(got, marker) {
+			t.Fatalf("read back %d bytes, err=%v", len(got), err)
+		}
+		st1, err := cl.Stats("anon", root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out1, back1 := wire.writes(w)
+		if rpcs := int64(st1.Calls - st0.Calls); rpcs == 0 || out1-out0 != rpcs || back1-back0 != rpcs {
+			t.Fatalf("world %d: %d RPCs, but the transport saw %d messages to the server and %d back",
+				i, rpcs, out1-out0, back1-back0)
+		}
+
 		w.Close()
 		w.Close() // idempotent
 		settle("the server's active-connection gauge", func() bool { return w.Server.StatsSnapshot().Active.Now == 0 })
-		if _, err := cl.ReadDir("anon", s.Path.String()); err == nil {
+		if _, err := cl.ReadDir("anon", root); err == nil {
 			t.Fatal("a closed client mounted again")
 		}
 	}

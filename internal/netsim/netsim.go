@@ -24,6 +24,11 @@
 // model only charges time for hardware this reproduction does not
 // have. Delays are enforced with spin-precision waits because the
 // interesting quantities sit near scheduler granularity.
+//
+// The model wraps the system under test; nothing in the measured stack
+// imports this package or branches on it. The network is a net.Conn
+// wrapper (Shape) applied to both ends of every connection, the disk a
+// storage decorator (DiskStore) a file system is built over.
 package netsim
 
 import (
@@ -214,27 +219,6 @@ func (c *PacketConn) WriteTo(b []byte, addr net.Addr) (int, error) {
 	spinWait(c.p.Cost(len(b)))
 	c.mu.Unlock()
 	return c.PacketConn.WriteTo(b, addr)
-}
-
-// Listener shapes every accepted connection.
-type Listener struct {
-	net.Listener
-	p Profile
-}
-
-// ShapeListener wraps l so accepted connections are shaped with p on
-// their write side.
-func ShapeListener(l net.Listener, p Profile) *Listener {
-	return &Listener{Listener: l, p: p}
-}
-
-// Accept shapes the accepted connection.
-func (l *Listener) Accept() (net.Conn, error) {
-	c, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return Shape(c, l.p), nil
 }
 
 // Disk models the evaluation machines' SCSI disk for the substrate

@@ -62,13 +62,13 @@ func TestShapedConnDelivers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	shaped := ShapeListener(l, Profile{PerMessage: time.Millisecond})
 	done := make(chan []byte, 1)
 	go func() {
-		c, err := shaped.Accept()
+		raw, err := l.Accept()
 		if err != nil {
 			return
 		}
+		c := Shape(raw, Profile{PerMessage: time.Millisecond})
 		buf := make([]byte, 16)
 		n, _ := c.Read(buf)
 		c.Write(buf[:n]) //nolint:errcheck

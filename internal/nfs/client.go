@@ -905,11 +905,6 @@ func (c *Client) Commit(fh FH) (uint64, error) {
 	return res.Verf, nil
 }
 
-// Null performs a no-op round trip, for latency measurement.
-func (c *Client) Null() error {
-	return c.call(ProcNull, nil, &struct{}{})
-}
-
 // IDNames maps numeric IDs to the server's user and group names (the
 // libsfs mapping service). Unknown IDs come back as empty strings.
 func (c *Client) IDNames(uids, gids []uint32) ([]string, []string, error) {

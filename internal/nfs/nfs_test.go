@@ -417,7 +417,7 @@ func BenchmarkNullRPC(b *testing.B) {
 	defer cl.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := cl.Null(); err != nil {
+		if err := cl.call(ProcNull, nil, &struct{}{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -17,11 +17,7 @@
 // in DESIGN.md.
 package nfs
 
-import (
-	"time"
-
-	"repro/internal/vfs"
-)
+import "repro/internal/vfs"
 
 // Program and version numbers.
 const (
@@ -126,9 +122,6 @@ const (
 	TypeDir     = 2
 	TypeSymlink = 5
 )
-
-// ModTime returns the modification time as a time.Time.
-func (a Fattr) ModTime() time.Time { return time.Unix(0, int64(a.Mtime)) }
 
 // fattrFromVFS converts substrate attributes to the wire form.
 func fattrFromVFS(a vfs.Attr, leaseMS uint32) Fattr {

@@ -33,7 +33,7 @@ func BenchmarkHandshake(b *testing.B) {
 				done <- err
 				return
 			}
-			_, _, err = ServerHandshake(c2, req, sk, srng)
+			_, _, err = ServerHandshakeSession(c2, req, sk, srng, nil)
 			done <- err
 		}()
 		if _, _, _, err := ClientHandshake(c1, ServiceFile, path, tk, crng); err != nil {

@@ -443,16 +443,11 @@ func RejectBusy(conn io.Writer) error {
 	return writeMsg(conn, connectResponse{Status: connectBusy, ServerKey: []byte{}, Revocation: []byte{}})
 }
 
-// ServerHandshake completes the server side of connection setup for a
-// connect request that the caller has matched to priv.
-func ServerHandshake(conn io.ReadWriteCloser, req *ConnectRequest, priv *rabin.PrivateKey, rng *prng.Generator) (*Conn, *Info, error) {
-	return ServerHandshakeSession(conn, req, priv, rng, nil)
-}
-
-// ServerHandshakeSession is ServerHandshake with a resumption cache:
-// the established session's resume secret is cached so the client's
-// next reconnect can skip the Rabin decrypt. A nil cache disables
-// resumption for this session.
+// ServerHandshakeSession completes the server side of connection setup
+// for a connect request that the caller has matched to priv. The
+// established session's resume secret is cached so the client's next
+// reconnect can skip the Rabin decrypt; a nil cache disables resumption
+// for this session.
 func ServerHandshakeSession(conn io.ReadWriteCloser, req *ConnectRequest, priv *rabin.PrivateKey, rng *prng.Generator, cache *ResumeCache) (*Conn, *Info, error) {
 	c, info, err := serverHandshake(conn, req, priv, rng, cache)
 	if err != nil {

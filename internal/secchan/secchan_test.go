@@ -86,7 +86,7 @@ func handshakePair(t *testing.T, seed string) (client, server *Conn, ci, si *Inf
 			ch <- srvRes{err: err}
 			return
 		}
-		conn, info, err := ServerHandshake(c2, req, sk, rng)
+		conn, info, err := ServerHandshakeSession(c2, req, sk, rng, nil)
 		ch <- srvRes{conn: conn, info: info, err: err}
 	}()
 	rng := prng.NewSeeded([]byte("client-" + seed))
@@ -154,7 +154,7 @@ func TestWrongKeyRejected(t *testing.T) {
 		if err != nil {
 			return
 		}
-		ServerHandshake(c2, req, sk, rng) //nolint:errcheck
+		ServerHandshakeSession(c2, req, sk, rng, nil) //nolint:errcheck
 	}()
 	rng := prng.NewSeeded([]byte("cl-wrong"))
 	_, _, _, err := ClientHandshake(c1, ServiceFile, path, tk, rng)
@@ -200,7 +200,7 @@ func TestTamperingDetected(t *testing.T) {
 	go func() {
 		rng := prng.NewSeeded([]byte("srv-tamper"))
 		req, _ := ReadConnect(c2)
-		conn, _, err := ServerHandshake(c2, req, sk, rng)
+		conn, _, err := ServerHandshakeSession(c2, req, sk, rng, nil)
 		if err != nil {
 			srvCh <- nil
 			return

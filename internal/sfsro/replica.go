@@ -102,15 +102,6 @@ func (r *Replica) Path() core.Path {
 	return r.path
 }
 
-// SetDB atomically installs a newer database snapshot (the publisher
-// pushes these; version numbers prevent rollback on the client side).
-func (r *Replica) SetDB(db *DB) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.db = db
-	r.path = core.MakePath(db.Signed.Root.Location, db.Signed.Key)
-}
-
 // handler serves the RO RPC program.
 func (r *Replica) handler() sunrpc.Handler {
 	return func(proc uint32, _ sunrpc.OpaqueAuth, args *xdr.Decoder) (interface{}, error) {

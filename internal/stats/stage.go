@@ -129,16 +129,9 @@ func (c *StageClock) Get(st Stage) int64 {
 	return c.ns[st]
 }
 
-// MarkWrite stamps the moment the call record finished writing — the
-// start of the client-observed wire gap.
-func (c *StageClock) MarkWrite() {
-	if c != nil {
-		c.tWrite = time.Now()
-	}
-}
-
-// MarkWriteAt is MarkWrite with a caller-captured completion time —
-// used when the stamp is taken before the lock that publishes it.
+// MarkWriteAt stamps the moment the call record finished writing — the
+// start of the client-observed wire gap. The caller captures t before
+// taking the lock that publishes it.
 func (c *StageClock) MarkWriteAt(t time.Time) {
 	if c != nil && !t.IsZero() {
 		c.tWrite = t
@@ -146,7 +139,7 @@ func (c *StageClock) MarkWriteAt(t time.Time) {
 }
 
 // MarkArrive stamps the reply record's delivery, charging the gap
-// since MarkWrite to the wire stage. openNS (the channel-open work
+// since MarkWriteAt to the wire stage. openNS (the channel-open work
 // that ran inside record delivery) is moved from wire to cli_decode,
 // where that MAC-verify/decrypt cost belongs.
 func (c *StageClock) MarkArrive(openNS int64) {

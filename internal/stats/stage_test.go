@@ -13,7 +13,6 @@ func TestStageClockNilSafe(t *testing.T) {
 	var c *StageClock
 	c.End(StageVFS, c.Now())
 	c.Add(StageFsync, 100)
-	c.MarkWrite()
 	c.MarkWriteAt(time.Now())
 	c.MarkArrive(10)
 	c.RestartAt(time.Now())
@@ -37,7 +36,7 @@ func TestStageClockLedger(t *testing.T) {
 	if c.Get(StageVFS) != 0 {
 		t.Fatal("negative Add was recorded")
 	}
-	c.MarkWrite()
+	c.MarkWriteAt(time.Now())
 	time.Sleep(2 * time.Millisecond)
 	c.MarkArrive(1_000_000)
 	sp := c.FinishClient(500_000)
@@ -50,7 +49,7 @@ func TestStageClockLedger(t *testing.T) {
 		t.Fatalf("span cli_decode = %dus, want 1500", sp.Stages[StageCliDecode])
 	}
 	if sp.Stages[StageWire] <= 0 {
-		t.Fatal("wire stage empty after MarkWrite/MarkArrive")
+		t.Fatal("wire stage empty after MarkWriteAt/MarkArrive")
 	}
 	if sp.DurUS <= 0 {
 		t.Fatal("span total empty")

@@ -3,6 +3,7 @@ package vfs
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -63,4 +64,57 @@ func TestSeedFromHostAndDumpToHost(t *testing.T) {
 	if err != nil || target != "/sfs/host:abc" {
 		t.Fatalf("dumped symlink: %q %v", target, err)
 	}
+}
+
+// DumpToHost writes the file system's tree under hostDir, inverting
+// SeedFromHost.
+func (f *FS) DumpToHost(cred Cred, hostDir string) error {
+	var walk func(dir FileID, rel string) error
+	walk = func(dir FileID, rel string) error {
+		ents, _, err := f.ReadDir(cred, dir, 0, 0)
+		if err != nil {
+			return err
+		}
+		for _, e := range ents {
+			attr, err := f.GetAttr(e.FileID)
+			if err != nil {
+				return err
+			}
+			hostPath := filepath.Join(hostDir, filepath.FromSlash(rel), e.Name)
+			switch attr.Type {
+			case TypeDir:
+				if err := os.MkdirAll(hostPath, 0o755); err != nil {
+					return err
+				}
+				if err := walk(e.FileID, strings.TrimPrefix(rel+"/"+e.Name, "/")); err != nil {
+					return err
+				}
+			case TypeSymlink:
+				target, err := f.Readlink(e.FileID)
+				if err != nil {
+					return err
+				}
+				os.Remove(hostPath) //nolint:errcheck // replace if present
+				if err := os.Symlink(target, hostPath); err != nil {
+					return err
+				}
+			default:
+				data, _, err := f.Read(cred, e.FileID, 0, uint32(attr.Size))
+				if err != nil {
+					return err
+				}
+				if err := os.MkdirAll(filepath.Dir(hostPath), 0o755); err != nil {
+					return err
+				}
+				if err := os.WriteFile(hostPath, data, os.FileMode(attr.Mode&0o777)); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
+	if err := os.MkdirAll(hostDir, 0o755); err != nil {
+		return err
+	}
+	return walk(f.Root(), "")
 }

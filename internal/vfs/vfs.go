@@ -6,9 +6,7 @@
 // kernel NFS server backed by FreeBSD's FFS (paper §3). This package
 // stands in for that kernel file system: the NFS server in
 // internal/nfs exposes a vfs.FS over the wire, and the benchmarks use
-// a bare FS as the "Local" baseline. An optional Disk model charges
-// simulated media time so benchmark shapes involving synchronous
-// writes (e.g. the Sprite LFS unlink phase) match the paper's.
+// a bare FS as the "Local" baseline.
 //
 // # Storage
 //
@@ -165,17 +163,6 @@ type DirEntry struct {
 	Cookie uint64
 }
 
-// Disk models media costs. The zero value of FS uses no disk model;
-// benchmarks install one to reproduce the paper's disk-bound phases.
-type Disk interface {
-	// Read charges a read of n bytes.
-	Read(n int)
-	// Write charges an asynchronous write of n bytes.
-	Write(n int)
-	// Sync charges a synchronous metadata/data flush.
-	Sync()
-}
-
 type dirent struct {
 	id     FileID
 	cookie uint64
@@ -212,9 +199,6 @@ type shard struct {
 	nodeContended atomic.Uint64
 }
 
-// diskBox wraps the Disk interface for atomic swapping by SetDisk.
-type diskBox struct{ d Disk }
-
 // FS is the node tree over a storage backend. All methods are safe
 // for concurrent use; see the package comment for the lock hierarchy.
 type FS struct {
@@ -222,7 +206,6 @@ type FS struct {
 	root       FileID
 	nextID     atomic.Uint64
 	nextCookie atomic.Uint64
-	disk       atomic.Pointer[diskBox]
 	clock      func() time.Time
 	// meta journals namespace/attr mutations; blocks holds file
 	// content. For durable backends both are one object (diskstore).
@@ -348,22 +331,6 @@ func (fs *FS) LastReplay() storage.ReplayStats { return fs.replayed }
 func (fs *FS) StorageStats() *storage.Stats {
 	if sr, ok := fs.blocks.(storage.StatsReporter); ok {
 		return sr.StorageStats()
-	}
-	return nil
-}
-
-// SetDisk installs a disk cost model; nil removes it.
-func (fs *FS) SetDisk(d Disk) {
-	if d == nil {
-		fs.disk.Store(nil)
-		return
-	}
-	fs.disk.Store(&diskBox{d: d})
-}
-
-func (fs *FS) diskModel() Disk {
-	if b := fs.disk.Load(); b != nil {
-		return b.d
 	}
 	return nil
 }
@@ -623,7 +590,6 @@ func (fs *FS) SetAttrs(cred Cred, id FileID, sa SetAttr) (Attr, error) {
 		rec.SetMask |= storage.SetGID
 		rec.GID = *sa.GID
 	}
-	truncated := false
 	if sa.Size != nil {
 		if n.attr.Type != TypeReg {
 			n.mu.Unlock()
@@ -640,7 +606,6 @@ func (fs *FS) SetAttrs(cred Cred, id FileID, sa SetAttr) (Attr, error) {
 		rec.SetMask |= storage.SetSize | storage.SetMtime
 		rec.Size = sz
 		rec.Mtime = now.UnixNano()
-		truncated = true
 	}
 	if sa.Mtime != nil {
 		n.attr.Mtime = *sa.Mtime
@@ -659,11 +624,6 @@ func (fs *FS) SetAttrs(cred Cred, id FileID, sa SetAttr) (Attr, error) {
 	n.mu.Unlock()
 	if err != nil {
 		return Attr{}, ioErr(err)
-	}
-	if truncated {
-		if disk := fs.diskModel(); disk != nil {
-			disk.Sync()
-		}
 	}
 	return a, nil
 }
@@ -779,9 +739,6 @@ func (fs *FS) Create(cred Cred, dir FileID, name string, mode uint32, exclusive 
 			d.mu.Unlock()
 			if err != nil {
 				return 0, Attr{}, ioErr(err)
-			}
-			if disk := fs.diskModel(); disk != nil {
-				disk.Sync() // metadata creation is synchronous on FFS
 			}
 			return a.FileID, a, nil
 		}
@@ -900,9 +857,6 @@ func (fs *FS) Mkdir(cred Cred, dir FileID, name string, mode uint32) (FileID, At
 	if err != nil {
 		return 0, Attr{}, ioErr(err)
 	}
-	if disk := fs.diskModel(); disk != nil {
-		disk.Sync()
-	}
 	return a.FileID, a, nil
 }
 
@@ -950,9 +904,6 @@ func (fs *FS) Symlink(cred Cred, dir FileID, name, target string) (FileID, Attr,
 	d.mu.Unlock()
 	if err != nil {
 		return 0, Attr{}, ioErr(err)
-	}
-	if disk := fs.diskModel(); disk != nil {
-		disk.Sync()
 	}
 	return a.FileID, a, nil
 }
@@ -1023,9 +974,6 @@ func (fs *FS) Link(cred Cred, file, dir FileID, name string) error {
 	if logErr != nil {
 		return ioErr(logErr)
 	}
-	if disk := fs.diskModel(); disk != nil {
-		disk.Sync()
-	}
 	return nil
 }
 
@@ -1085,9 +1033,6 @@ func (fs *FS) Remove(cred Cred, dir FileID, name string) error {
 		if logErr != nil {
 			return ioErr(logErr)
 		}
-		if disk := fs.diskModel(); disk != nil {
-			disk.Sync() // unlink is a synchronous metadata write
-		}
 		return nil
 	}
 }
@@ -1141,9 +1086,6 @@ func (fs *FS) Rmdir(cred Cred, dir FileID, name string) error {
 		n.mu.Unlock()
 		if logErr != nil {
 			return ioErr(logErr)
-		}
-		if disk := fs.diskModel(); disk != nil {
-			disk.Sync()
 		}
 		return nil
 	}
@@ -1296,9 +1238,6 @@ func (fs *FS) Rename(cred Cred, fromDir FileID, fromName string, toDir FileID, t
 		if logErr != nil {
 			return ioErr(logErr)
 		}
-		if disk := fs.diskModel(); disk != nil {
-			disk.Sync()
-		}
 		return nil
 	}
 }
@@ -1344,14 +1283,11 @@ func (fs *FS) Read(cred Cred, id FileID, off uint64, count uint32) ([]byte, bool
 	}
 	eof := end == size
 	n.mu.RUnlock()
-	if disk := fs.diskModel(); disk != nil {
-		disk.Read(len(out))
-	}
 	return out, eof, nil
 }
 
 // Write stores data at off, extending the file as needed. If sync is
-// set the write is charged as stable storage.
+// set the write is stable: on storage before the call returns.
 func (fs *FS) Write(cred Cred, id FileID, off uint64, data []byte, sync bool) (Attr, error) {
 	return fs.WriteClocked(cred, id, off, data, sync, nil)
 }
@@ -1395,12 +1331,6 @@ func (fs *FS) WriteClocked(cred Cred, id FileID, off uint64, data []byte, sync b
 	a := n.attr
 	a.Nlink = n.nlink
 	n.mu.Unlock()
-	if disk := fs.diskModel(); disk != nil {
-		disk.Write(len(data))
-		if sync {
-			disk.Sync()
-		}
-	}
 	return a, nil
 }
 
@@ -1425,9 +1355,6 @@ func (fs *FS) CommitClocked(id FileID, clk *stats.StageClock) error {
 	n.mu.Unlock()
 	if err != nil {
 		return ioErr(err)
-	}
-	if disk := fs.diskModel(); disk != nil {
-		disk.Sync()
 	}
 	return nil
 }
@@ -1502,18 +1429,6 @@ func (fs *FS) ReadDir(cred Cred, dir FileID, cookie uint64, max int) ([]DirEntry
 		eof = false
 	}
 	return ents, eof, nil
-}
-
-// NumNodes reports the number of live nodes, for tests.
-func (fs *FS) NumNodes() int {
-	total := 0
-	for i := range fs.shards {
-		sh := &fs.shards[i]
-		sh.mu.RLock()
-		total += len(sh.nodes)
-		sh.mu.RUnlock()
-	}
-	return total
 }
 
 // ShardLockStats is one stripe's slice of a LockStats snapshot.

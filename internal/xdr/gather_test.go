@@ -141,8 +141,7 @@ func TestResetDropsBorrows(t *testing.T) {
 // use-after-put is detectable instead of silently corrupting the next
 // record that recycles the buffer.
 func TestPoisonOnPutCatchesUseAfterPut(t *testing.T) {
-	SetPoisonOnPut(true)
-	defer SetPoisonOnPut(false)
+	defer poisonOnPut.Store(poisonOnPut.Swap(true))
 
 	e := GetEncoder()
 	e.PutUint32(0x01020304)

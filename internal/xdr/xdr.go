@@ -214,8 +214,8 @@ func GetEncoder() *Encoder {
 // overwrites the encoder's entire buffer capacity with PoisonByte, so
 // any slice obtained from Bytes/Segments and illegally retained past
 // PutEncoder reads as garbage instead of silently aliasing the next
-// record. Enabled by the XDR_POISON environment variable or
-// SetPoisonOnPut; costs a memset per put, so it is off by default.
+// record. Enabled by the XDR_POISON environment variable; costs a
+// memset per put, so it is off by default.
 var poisonOnPut atomic.Bool
 
 // PoisonByte is the fill value of the poison-on-put debug mode.
@@ -226,11 +226,6 @@ func init() {
 		poisonOnPut.Store(true)
 	}
 }
-
-// SetPoisonOnPut toggles the poison-on-put debug mode at runtime
-// (tests use this; deployments use the XDR_POISON environment
-// variable).
-func SetPoisonOnPut(on bool) { poisonOnPut.Store(on) }
 
 // PutEncoder returns e to the pool. The caller must not touch e or
 // any slice returned by e.Bytes() or e.Segments() afterwards: the

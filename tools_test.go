@@ -7,7 +7,7 @@ package repro
 // Tier-1 practice: the concurrent RPC pipeline makes the race
 // detector part of the bar. Alongside `go test ./...`, run
 //
-//	go test -race ./internal/sunrpc ./internal/secchan ./internal/xdr ./internal/nfs ./internal/client ./internal/stats ./internal/vfs ./internal/storage/... ./internal/server ./internal/lab
+//	go test -race ./internal/sunrpc ./internal/secchan ./internal/xdr ./internal/nfs ./internal/client ./internal/stats ./internal/vfs ./internal/storage/... ./internal/server ./internal/crypto/... ./internal/lab ./internal/netsim
 //
 // before merging — those packages share connections between the
 // reader loop, the dispatch worker pool, and readahead/write-behind
@@ -50,13 +50,17 @@ package repro
 // walks the extent index). Configuration is per stack, with no
 // process-wide switch (TestNoPackageLevelSetters below keeps it so):
 // lab.TestTwoConfigurationsOneProcess runs an encrypted and a plaintext
-// stack side by side.
+// stack side by side. internal/netsim joined: every dispatch worker
+// enters its disk decorator at once (netsim.TestDiskStoreConcurrent).
 
 import (
 	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io"
 	"net"
 	"net/http"
@@ -73,10 +77,8 @@ import (
 // TestNoPackageLevelSetters: a server or a client is configured by the
 // arguments of the function that builds it. A receiver-less Set…
 // function in a library package is a process-wide switch that tests
-// and stacks sharing the process fight over; the one allowed is a
-// fault-detection aid.
+// and stacks sharing the process fight over.
 func TestNoPackageLevelSetters(t *testing.T) {
-	allowed := map[string]bool{"internal/xdr/xdr.go: SetPoisonOnPut": true}
 	setter := regexp.MustCompile(`(?m)^func (Set[A-Z]\w*)`)
 	err := filepath.WalkDir("internal", func(path string, d os.DirEntry, err error) error {
 		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
@@ -87,14 +89,94 @@ func TestNoPackageLevelSetters(t *testing.T) {
 			return err
 		}
 		for _, m := range setter.FindAllSubmatch(src, -1) {
-			if id := filepath.ToSlash(path) + ": " + string(m[1]); !allowed[id] {
-				t.Errorf("%s is a package-level setter; take the value where the server or client is built", id)
-			}
+			t.Errorf("%s: %s is a package-level setter; take the value where the server or client is built", filepath.ToSlash(path), m[1])
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNoTestOnlyExports: an exported function or method under
+// internal/ exists because some program in this module calls it. One
+// that only tests reference is a second surface to keep working for
+// nobody; it belongs in the _test.go that uses it, or goes. References
+// are matched by name over every non-test file in the module (go/parser
+// only, no type information), so a method shares its name's fate with
+// every other use of that name — coarse, but it has no false alarms to
+// silence and it caught every entry of ROADMAP item 9(a).
+func TestNoTestOnlyExports(t *testing.T) {
+	// Kept on purpose, each for the reason given.
+	allowed := map[string]string{
+		"internal/agent: Agent.Unblock":                 "paper §2.6: the undo of Agent.Block, a per-user HostID block; no daemon command reaches either end of it yet",
+		"internal/agent: Agent.Unlink":                  "the undo of Agent.Symlink: a dynamic /sfs link a user made must be removable",
+		"internal/agent: Agent.Keys":                    "lists the agent's public keys; lab's assembly test checks a user's agent through it",
+		"internal/authserv: ImportPublic":               "paper §2.5.2: the other half of `sfsauthd export`, a public database a peer authserver loads read-only",
+		"internal/authserv: Server.SetGuestCredentials": "paper feature with no daemon route: credentials for valid logins whose key is in no database",
+		"internal/bench: Figure.RowFor":                 "the root package's bench_test.go and the shape tests read figure rows through it",
+	}
+	fset := token.NewFileSet()
+	referenced := map[string]bool{}
+	type export struct{ id, name string }
+	var exports []export
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if strings.HasPrefix(d.Name(), ".") && path != "." {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		declared := map[*ast.Ident]bool{}
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			declared[fd.Name] = true
+			if !fd.Name.IsExported() || !strings.HasPrefix(filepath.ToSlash(path), "internal/") {
+				continue
+			}
+			name := fd.Name.Name
+			if fd.Recv != nil {
+				recv := fd.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				if id, ok := recv.(*ast.Ident); ok {
+					name = id.Name + "." + name
+				}
+			}
+			exports = append(exports, export{filepath.ToSlash(filepath.Dir(path)) + ": " + name, fd.Name.Name})
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && !declared[id] {
+				referenced[id.Name] = true
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range exports {
+		switch _, ok := allowed[e.id]; {
+		case !referenced[e.name] && !ok:
+			t.Errorf("%s is exported but no non-test file references it: delete it, or move it into the test that uses it", e.id)
+		case referenced[e.name] && ok:
+			t.Errorf("%s is referenced by non-test code now; drop it from the allowlist", e.id)
+		}
 	}
 }
 

@@ -455,18 +455,11 @@ func (s *Server) dispatchProc(sess *Session, proc uint32, auth sunrpc.OpaqueAuth
 		// retransmit data that actually survived — safe, where the
 		// opposite order could claim lost data was kept.
 		verf := s.fs.Verifier()
-		var attr vfs.Attr
-		if clk != nil {
-			// vfs = the write's substrate time minus whatever the store
-			// charged to the fsync stage while we were inside it.
-			tv := time.Now()
-			fsy0 := clk.Get(stats.StageFsync)
-			attr, err = s.fs.WriteClocked(cred, id, a.Offset, a.Data, a.Stable == FileSync, clk)
-			clk.Add(stats.StageVFS,
-				int64(time.Since(tv))-(clk.Get(stats.StageFsync)-fsy0))
-		} else {
-			attr, err = s.fs.Write(cred, id, a.Offset, a.Data, a.Stable == FileSync)
-		}
+		// vfs = the write's substrate time minus whatever the store
+		// charged to the fsync stage while we were inside it.
+		tv, fsy0 := clk.Now(), clk.Get(stats.StageFsync)
+		attr, err := s.fs.WriteClocked(cred, id, a.Offset, a.Data, a.Stable == FileSync, clk)
+		clk.Add(stats.StageVFS, int64(clk.Now().Sub(tv))-(clk.Get(stats.StageFsync)-fsy0))
 		if err != nil {
 			return WriteRes{Status: statusFromErr(err)}, nil
 		}
@@ -479,46 +472,25 @@ func (s *Server) dispatchProc(sess *Session, proc uint32, auth sunrpc.OpaqueAuth
 		if err := d.Decode(&a); err != nil {
 			return nil, sunrpc.ErrGarbageArgs
 		}
-		dir, err := s.codec.Decode(a.Dir)
-		if err != nil {
-			return LookupRes{Status: ErrBadHandle}, nil
-		}
-		id, _, err := s.fs.Create(cred, dir, a.Name, a.Mode, a.Exclusive)
-		if err != nil {
-			return LookupRes{Status: statusFromErr(err)}, nil
-		}
-		s.invalidate(sess, dir)
-		return LookupRes{Status: OK, FH: s.codec.Encode(id), Attr: s.attrFor(sess, id), DirAttr: s.attrFor(sess, dir)}, nil
+		return s.newEntry(sess, a.Dir, func(dir vfs.FileID) (vfs.FileID, vfs.Attr, error) {
+			return s.fs.Create(cred, dir, a.Name, a.Mode, a.Exclusive)
+		}), nil
 	case ProcMkdir:
 		var a MkdirArgs
 		if err := d.Decode(&a); err != nil {
 			return nil, sunrpc.ErrGarbageArgs
 		}
-		dir, err := s.codec.Decode(a.Dir)
-		if err != nil {
-			return LookupRes{Status: ErrBadHandle}, nil
-		}
-		id, _, err := s.fs.Mkdir(cred, dir, a.Name, a.Mode)
-		if err != nil {
-			return LookupRes{Status: statusFromErr(err)}, nil
-		}
-		s.invalidate(sess, dir)
-		return LookupRes{Status: OK, FH: s.codec.Encode(id), Attr: s.attrFor(sess, id), DirAttr: s.attrFor(sess, dir)}, nil
+		return s.newEntry(sess, a.Dir, func(dir vfs.FileID) (vfs.FileID, vfs.Attr, error) {
+			return s.fs.Mkdir(cred, dir, a.Name, a.Mode)
+		}), nil
 	case ProcSymlink:
 		var a SymlinkArgs
 		if err := d.Decode(&a); err != nil {
 			return nil, sunrpc.ErrGarbageArgs
 		}
-		dir, err := s.codec.Decode(a.Dir)
-		if err != nil {
-			return LookupRes{Status: ErrBadHandle}, nil
-		}
-		id, _, err := s.fs.Symlink(cred, dir, a.Name, a.Target)
-		if err != nil {
-			return LookupRes{Status: statusFromErr(err)}, nil
-		}
-		s.invalidate(sess, dir)
-		return LookupRes{Status: OK, FH: s.codec.Encode(id), Attr: s.attrFor(sess, id), DirAttr: s.attrFor(sess, dir)}, nil
+		return s.newEntry(sess, a.Dir, func(dir vfs.FileID) (vfs.FileID, vfs.Attr, error) {
+			return s.fs.Symlink(cred, dir, a.Name, a.Target)
+		}), nil
 	case ProcRemove:
 		var a DirOpArgs
 		if err := d.Decode(&a); err != nil {
@@ -649,15 +621,9 @@ func (s *Server) dispatchProc(sess *Session, proc uint32, auth sunrpc.OpaqueAuth
 		if err != nil {
 			return CommitRes{Status: ErrBadHandle}, nil
 		}
-		if clk != nil {
-			tv := time.Now()
-			fsy0 := clk.Get(stats.StageFsync)
-			err = s.fs.CommitClocked(id, clk)
-			clk.Add(stats.StageVFS,
-				int64(time.Since(tv))-(clk.Get(stats.StageFsync)-fsy0))
-		} else {
-			err = s.fs.Commit(id)
-		}
+		tv, fsy0 := clk.Now(), clk.Get(stats.StageFsync)
+		err = s.fs.CommitClocked(id, clk)
+		clk.Add(stats.StageVFS, int64(clk.Now().Sub(tv))-(clk.Get(stats.StageFsync)-fsy0))
 		if err != nil {
 			return CommitRes{Status: statusFromErr(err)}, nil
 		}
@@ -669,6 +635,22 @@ func (s *Server) dispatchProc(sess *Session, proc uint32, auth sunrpc.OpaqueAuth
 	default:
 		return nil, sunrpc.ErrProcUnavail
 	}
+}
+
+// newEntry is the part CREATE, MKDIR and SYMLINK share once their
+// arguments are decoded: make the entry in the directory dirFH names,
+// call back the directory's other lease holders, reply with both nodes.
+func (s *Server) newEntry(sess *Session, dirFH FH, create func(dir vfs.FileID) (vfs.FileID, vfs.Attr, error)) LookupRes {
+	dir, err := s.codec.Decode(dirFH)
+	if err != nil {
+		return LookupRes{Status: ErrBadHandle}
+	}
+	id, _, err := create(dir)
+	if err != nil {
+		return LookupRes{Status: statusFromErr(err)}
+	}
+	s.invalidate(sess, dir)
+	return LookupRes{Status: OK, FH: s.codec.Encode(id), Attr: s.attrFor(sess, id), DirAttr: s.attrFor(sess, dir)}
 }
 
 // access implements the ACCESS procedure: for each requested bit,

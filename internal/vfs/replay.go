@@ -3,16 +3,17 @@ package vfs
 // Journal replay: rebuilding the node tree from the MetadataStore's
 // surviving records. Replay is single-threaded and runs either before
 // the FS is published (NewWithStores) or against a private staging
-// tree that is swapped in under every shard lock (crashRestart), so
-// it uses direct map access instead of the locking helpers.
+// tree that is swapped in under every shard lock (crashRestart), so it
+// looks nodes up by direct map access and takes no node lock.
 //
-// The store has already rebuilt its own serving copy (content bytes)
-// from the same records, in the same order, so applyRecord never
-// calls back into the BlockStore — it only mirrors each mutation's
-// namespace effects: entries, link counts, attributes, and the
-// id/cookie watermarks. Timestamps come from the records (the vfs
-// clock reading journaled with each operation), which is what makes
-// replay deterministic under an injected clock.
+// applyRecord changes nothing itself. It finds the nodes a record
+// names — refusing a record that names one the tree does not hold —
+// and hands them to the transition in apply.go that the live operation
+// ran when it wrote the record; only a checkpoint-image node, which no
+// live operation writes, is installed here. The id/cookie watermarks
+// follow the records because replay allocates nothing. The store has
+// already rebuilt its own serving copy (content bytes) from the same
+// records, in the same order.
 
 import (
 	"fmt"
@@ -33,6 +34,22 @@ func (fs *FS) replayDir(id uint64) (*node, error) {
 	return d, nil
 }
 
+// replayEntry resolves the directory dir, its entry name, and the node
+// the entry names.
+func (fs *FS) replayEntry(dir uint64, name string) (d, n *node, err error) {
+	if d, err = fs.replayDir(dir); err != nil {
+		return nil, nil, err
+	}
+	ent, ok := d.children[name]
+	if !ok {
+		return nil, nil, fmt.Errorf("vfs: journal names missing entry %q in %d", name, dir)
+	}
+	if n = fs.replayGet(uint64(ent.id)); n == nil {
+		return nil, nil, fmt.Errorf("vfs: journal entry %q in %d names missing node %d", name, dir, ent.id)
+	}
+	return d, n, nil
+}
+
 func (fs *FS) noteID(id uint64) {
 	if id > fs.nextID.Load() {
 		fs.nextID.Store(id)
@@ -45,37 +62,41 @@ func (fs *FS) noteCookie(c uint64) {
 	}
 }
 
+// installNode installs a checkpoint-image node verbatim, replacing any
+// existing node of the same id (the implicit root from initTree when
+// nr.ID is 1). Image records always precede the journal tail, so the
+// tail's deltas land on top of these.
+func (fs *FS) installNode(nr *storage.NodeRecord) {
+	n := &node{
+		id: FileID(nr.ID),
+		attr: Attr{
+			Type: FileType(nr.Type), Mode: nr.Mode,
+			UID: nr.UID, GID: nr.GID, Size: nr.Size,
+			Atime: time.Unix(0, nr.Atime),
+			Mtime: time.Unix(0, nr.Mtime),
+			Ctime: time.Unix(0, nr.Ctime),
+		},
+		parent: FileID(nr.Parent),
+		target: nr.Target,
+		nlink:  nr.Nlink,
+	}
+	n.attr.FileID = n.id
+	n.attr.Nlink = nr.Nlink
+	if n.attr.Type == TypeDir {
+		n.children = make(map[string]dirent, len(nr.Ents))
+		for _, e := range nr.Ents {
+			n.children[e.Name] = dirent{id: FileID(e.ID), cookie: e.Cookie}
+			fs.noteCookie(e.Cookie)
+		}
+	}
+	fs.insertNode(n)
+	fs.noteID(nr.ID)
+}
+
 // applyRecord replays one journal record into the tree.
 func (fs *FS) applyRecord(rec storage.Record) error {
-	if nr := rec.Node; nr != nil {
-		// A checkpoint-image node: installed verbatim, replacing any
-		// existing node of the same id (the implicit root from
-		// initTree when nr.ID is 1). Image records always precede the
-		// journal tail, so the tail's deltas land on top of these.
-		n := &node{
-			id: FileID(nr.ID),
-			attr: Attr{
-				Type: FileType(nr.Type), Mode: nr.Mode,
-				UID: nr.UID, GID: nr.GID, Size: nr.Size,
-				Atime: time.Unix(0, nr.Atime),
-				Mtime: time.Unix(0, nr.Mtime),
-				Ctime: time.Unix(0, nr.Ctime),
-			},
-			parent: FileID(nr.Parent),
-			target: nr.Target,
-			nlink:  nr.Nlink,
-		}
-		n.attr.FileID = n.id
-		n.attr.Nlink = nr.Nlink
-		if n.attr.Type == TypeDir {
-			n.children = make(map[string]dirent, len(nr.Ents))
-			for _, e := range nr.Ents {
-				n.children[e.Name] = dirent{id: FileID(e.ID), cookie: e.Cookie}
-				fs.noteCookie(e.Cookie)
-			}
-		}
-		fs.shardOf(n.id).nodes[n.id] = n
-		fs.noteID(nr.ID)
+	if rec.Node != nil {
+		fs.installNode(rec.Node)
 		return nil
 	}
 	if d := rec.Data; d != nil {
@@ -83,47 +104,17 @@ func (fs *FS) applyRecord(rec storage.Record) error {
 		if n == nil || n.attr.Type != TypeReg {
 			return fmt.Errorf("vfs: journal data record for unknown file %d", d.ID)
 		}
-		if end := d.Off + uint64(d.Len); end > n.attr.Size {
-			n.attr.Size = end
-		}
-		t := time.Unix(0, d.Time)
-		n.attr.Mtime, n.attr.Ctime = t, t
+		applyData(n, d)
 		return nil
 	}
 	m := rec.Meta
-	t := time.Unix(0, m.Time)
 	switch m.Op {
 	case storage.OpCreate, storage.OpMkdir, storage.OpSymlink:
 		d, err := fs.replayDir(m.Dir)
 		if err != nil {
 			return err
 		}
-		n := &node{
-			id: FileID(m.ID),
-			attr: Attr{
-				Mode: m.Mode, UID: m.UID, GID: m.GID,
-				Atime: t, Mtime: t, Ctime: t,
-			},
-			nlink: 1,
-		}
-		n.attr.FileID = n.id
-		switch m.Op {
-		case storage.OpCreate:
-			n.attr.Type = TypeReg
-		case storage.OpMkdir:
-			n.attr.Type = TypeDir
-			n.children = make(map[string]dirent)
-			n.nlink = 2
-			n.parent = d.id
-			d.nlink++
-		case storage.OpSymlink:
-			n.attr.Type = TypeSymlink
-			n.target = m.Target
-			n.attr.Size = uint64(len(m.Target))
-		}
-		fs.shardOf(n.id).nodes[n.id] = n
-		d.children[m.Name] = dirent{id: n.id, cookie: m.Cookie}
-		fs.touchDir(d, t)
+		fs.applyNewEntry(d, m)
 		fs.noteID(m.ID)
 		fs.noteCookie(m.Cookie)
 
@@ -136,49 +127,22 @@ func (fs *FS) applyRecord(rec storage.Record) error {
 		if n == nil {
 			return fmt.Errorf("vfs: journal link to unknown file %d", m.ID)
 		}
-		d.children[m.Name] = dirent{id: n.id, cookie: m.Cookie}
-		n.nlink++
-		n.attr.Ctime = t
-		fs.touchDir(d, t)
+		applyLink(d, n, m)
 		fs.noteCookie(m.Cookie)
 
-	case storage.OpRemove:
-		d, err := fs.replayDir(m.Dir)
+	case storage.OpRemove, storage.OpRmdir:
+		d, n, err := fs.replayEntry(m.Dir, m.Name)
 		if err != nil {
 			return err
 		}
-		ent, ok := d.children[m.Name]
-		if !ok {
-			return fmt.Errorf("vfs: journal remove of missing entry %q in %d", m.Name, m.Dir)
+		if m.Op == storage.OpRmdir {
+			fs.applyRmdir(d, n, m)
+		} else {
+			fs.applyRemove(d, n, m)
 		}
-		n := fs.replayGet(uint64(ent.id))
-		delete(d.children, m.Name)
-		if n != nil {
-			n.nlink--
-			if n.nlink == 0 {
-				delete(fs.shardOf(n.id).nodes, n.id)
-			} else {
-				n.attr.Ctime = t
-			}
-		}
-		fs.touchDir(d, t)
-
-	case storage.OpRmdir:
-		d, err := fs.replayDir(m.Dir)
-		if err != nil {
-			return err
-		}
-		ent, ok := d.children[m.Name]
-		if !ok {
-			return fmt.Errorf("vfs: journal rmdir of missing entry %q in %d", m.Name, m.Dir)
-		}
-		delete(d.children, m.Name)
-		delete(fs.shardOf(ent.id).nodes, ent.id)
-		d.nlink--
-		fs.touchDir(d, t)
 
 	case storage.OpRename:
-		fd, err := fs.replayDir(m.Dir)
+		fd, n, err := fs.replayEntry(m.Dir, m.Name)
 		if err != nil {
 			return err
 		}
@@ -186,35 +150,15 @@ func (fs *FS) applyRecord(rec storage.Record) error {
 		if err != nil {
 			return err
 		}
-		ent, ok := fd.children[m.Name]
-		if !ok {
-			return fmt.Errorf("vfs: journal rename of missing entry %q in %d", m.Name, m.Dir)
-		}
-		n := fs.replayGet(uint64(ent.id))
-		if old, hasOld := td.children[m.ToName]; hasOld && old.id != ent.id {
-			if o := fs.replayGet(uint64(old.id)); o != nil {
-				if o.attr.Type == TypeDir {
-					delete(fs.shardOf(o.id).nodes, o.id)
-					td.nlink--
-				} else {
-					o.nlink--
-					if o.nlink == 0 {
-						delete(fs.shardOf(o.id).nodes, o.id)
-					}
-				}
+		// No checkVictim here: a journal written before PR 22 may hold a
+		// rename the live path now refuses, and it replays as it did.
+		var o *node
+		if old, ok := td.children[m.ToName]; ok && old.id != n.id {
+			if o = fs.replayGet(uint64(old.id)); o == nil {
+				return fmt.Errorf("vfs: journal rename over %q in %d, which names missing node %d", m.ToName, m.ToDir, old.id)
 			}
 		}
-		delete(fd.children, m.Name)
-		td.children[m.ToName] = dirent{id: ent.id, cookie: m.ToCookie}
-		if n != nil && n.attr.Type == TypeDir {
-			n.parent = td.id
-			if fd.id != td.id {
-				fd.nlink--
-				td.nlink++
-			}
-		}
-		fs.touchDir(fd, t)
-		fs.touchDir(td, t)
+		fs.applyRename(fd, td, n, o, m)
 		fs.noteCookie(m.ToCookie)
 
 	case storage.OpSetAttr:
@@ -222,27 +166,7 @@ func (fs *FS) applyRecord(rec storage.Record) error {
 		if n == nil {
 			return fmt.Errorf("vfs: journal setattr on unknown file %d", m.ID)
 		}
-		if m.SetMask&storage.SetMode != 0 {
-			n.attr.Mode = m.Mode
-		}
-		if m.SetMask&storage.SetUID != 0 {
-			n.attr.UID = m.UID
-		}
-		if m.SetMask&storage.SetGID != 0 {
-			n.attr.GID = m.GID
-		}
-		if m.SetMask&storage.SetSize != 0 {
-			// The store already truncated its serving copy while
-			// scanning this record.
-			n.attr.Size = m.Size
-		}
-		if m.SetMask&storage.SetMtime != 0 {
-			n.attr.Mtime = time.Unix(0, m.Mtime)
-		}
-		if m.SetMask&storage.SetAtime != 0 {
-			n.attr.Atime = time.Unix(0, m.Atime)
-		}
-		n.attr.Ctime = t
+		applySetAttr(n, m)
 
 	default:
 		return fmt.Errorf("vfs: journal op %d unknown", m.Op)

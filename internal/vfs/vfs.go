@@ -51,13 +51,11 @@ package vfs
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/stats"
 	"repro/internal/storage"
 	"repro/internal/storage/memstore"
 )
@@ -186,19 +184,6 @@ type node struct {
 	nlink    uint32
 }
 
-// shard is one stripe of the node table plus its contention counters.
-// The per-node counters live here too, attributed to the shard of the
-// node's id, so hot stripes are visible in LockStats.
-type shard struct {
-	mu    sync.RWMutex
-	nodes map[FileID]*node
-
-	mapLocks      atomic.Uint64
-	mapContended  atomic.Uint64
-	nodeLocks     atomic.Uint64
-	nodeContended atomic.Uint64
-}
-
 // FS is the node tree over a storage backend. All methods are safe
 // for concurrent use; see the package comment for the lock hierarchy.
 type FS struct {
@@ -225,6 +210,12 @@ type FS struct {
 	// Reads never touch it. Ordered before node locks (rule 0: no
 	// path acquires quiesce while holding a node or shard lock).
 	quiesce sync.RWMutex
+	// renameMu serializes the renames that give a directory a new
+	// parent — the only writers of a published node's parent — so the
+	// chain above the destination can be walked to refuse a move into
+	// the directory's own subtree. Ordered after quiesce, before node
+	// locks.
+	renameMu sync.Mutex
 }
 
 // bootCount disambiguates verifiers minted within one clock tick.
@@ -338,159 +329,6 @@ func (fs *FS) StorageStats() *storage.Stats {
 // Root returns the FileID of the root directory.
 func (fs *FS) Root() FileID { return fs.root }
 
-func (fs *FS) shardOf(id FileID) *shard {
-	return &fs.shards[uint64(id)&(NumShards-1)]
-}
-
-// get returns the node for id without locking it. Callers must lock
-// the node and re-check its dead flag before touching its fields.
-func (fs *FS) get(id FileID) (*node, error) {
-	sh := fs.shardOf(id)
-	if !sh.mu.TryRLock() {
-		sh.mapContended.Add(1)
-		sh.mu.RLock()
-	}
-	sh.mapLocks.Add(1)
-	n, ok := sh.nodes[id]
-	sh.mu.RUnlock()
-	if !ok {
-		return nil, ErrStale
-	}
-	return n, nil
-}
-
-// insertNode publishes a fully built node in its shard's map.
-func (fs *FS) insertNode(n *node) {
-	sh := fs.shardOf(n.id)
-	if !sh.mu.TryLock() {
-		sh.mapContended.Add(1)
-		sh.mu.Lock()
-	}
-	sh.mapLocks.Add(1)
-	sh.nodes[n.id] = n
-	sh.mu.Unlock()
-}
-
-// deleteNode removes a dead node from its shard's map. The caller
-// holds the node's lock (node → shard-map order, rule 1).
-func (fs *FS) deleteNode(n *node) {
-	sh := fs.shardOf(n.id)
-	if !sh.mu.TryLock() {
-		sh.mapContended.Add(1)
-		sh.mu.Lock()
-	}
-	sh.mapLocks.Add(1)
-	delete(sh.nodes, n.id)
-	sh.mu.Unlock()
-}
-
-// lockNode write-locks n, counting contention against its shard.
-func (fs *FS) lockNode(n *node) {
-	sh := fs.shardOf(n.id)
-	if !n.mu.TryLock() {
-		sh.nodeContended.Add(1)
-		n.mu.Lock()
-	}
-	sh.nodeLocks.Add(1)
-}
-
-// rlockNode read-locks n, counting contention against its shard.
-func (fs *FS) rlockNode(n *node) {
-	sh := fs.shardOf(n.id)
-	if !n.mu.TryRLock() {
-		sh.nodeContended.Add(1)
-		n.mu.RLock()
-	}
-	sh.nodeLocks.Add(1)
-}
-
-// getLocked returns the node write-locked and alive.
-func (fs *FS) getLocked(id FileID) (*node, error) {
-	n, err := fs.get(id)
-	if err != nil {
-		return nil, err
-	}
-	fs.lockNode(n)
-	if n.dead {
-		n.mu.Unlock()
-		return nil, ErrStale
-	}
-	return n, nil
-}
-
-// getRLocked returns the node read-locked and alive.
-func (fs *FS) getRLocked(id FileID) (*node, error) {
-	n, err := fs.get(id)
-	if err != nil {
-		return nil, err
-	}
-	fs.rlockNode(n)
-	if n.dead {
-		n.mu.RUnlock()
-		return nil, ErrStale
-	}
-	return n, nil
-}
-
-// lockAscending write-locks the given nodes in ascending FileID order.
-// The slice is sorted and deduplicated in place; the returned slice
-// holds the nodes actually locked (unlock in any order).
-func (fs *FS) lockAscending(ns []*node) []*node {
-	sort.Slice(ns, func(i, j int) bool { return ns[i].id < ns[j].id })
-	out := ns[:0]
-	var prev *node
-	for _, n := range ns {
-		if n == prev {
-			continue
-		}
-		fs.lockNode(n)
-		out = append(out, n)
-		prev = n
-	}
-	return out
-}
-
-func unlockAll(ns []*node) {
-	for _, n := range ns {
-		n.mu.Unlock()
-	}
-}
-
-// lockChild locks the child entry id of the already write-locked
-// directory d, following the ascending-id rule: when id > d.id the
-// child is locked directly; otherwise d is released, both are locked
-// in ascending order, and the entry is re-validated. ok reports
-// whether d is still locked, alive, and maps name to id — when false,
-// everything is unlocked and the caller must restart.
-func (fs *FS) lockChild(d *node, name string, id FileID) (child *node, ok bool) {
-	if id > d.id {
-		// A directory's lock pins its entries (rule 3), so the
-		// child must be in the table.
-		n, err := fs.get(id)
-		if err != nil || n.dead {
-			// Unreachable while d is locked; treat as a restart.
-			d.mu.Unlock()
-			return nil, false
-		}
-		fs.lockNode(n)
-		return n, true
-	}
-	fs.orderRestarts.Add(1)
-	d.mu.Unlock()
-	n, err := fs.get(id)
-	if err != nil {
-		return nil, false
-	}
-	fs.lockNode(n)
-	fs.lockNode(d)
-	if d.dead || n.dead || d.children[name].id != id {
-		d.mu.Unlock()
-		n.mu.Unlock()
-		return nil, false
-	}
-	return n, true
-}
-
 // access checks whether cred may perform want (a ModeRead/Write/Exec
 // combination) on n.
 func access(cred Cred, n *node, want uint32) error {
@@ -540,8 +378,7 @@ func (fs *FS) GetAttr(id FileID) (Attr, error) {
 	if err != nil {
 		return Attr{}, err
 	}
-	a := n.attr
-	a.Nlink = n.nlink
+	a := attrOf(n)
 	n.mu.RUnlock()
 	return a, nil
 }
@@ -573,56 +410,53 @@ func (fs *FS) SetAttrs(cred Cred, id FileID, sa SetAttr) (Attr, error) {
 			}
 		}
 	}
+	a, err := fs.setAttr(n, sa)
+	n.mu.Unlock()
+	return a, err
+}
+
+// setAttr is the body SetAttrs and a truncating Create share: n is
+// write-locked and the caller has checked permissions. Everything that
+// can fail does so before the record is applied, so a refused update
+// leaves n untouched and journals nothing.
+func (fs *FS) setAttr(n *node, sa SetAttr) (Attr, error) {
+	if sa.Size != nil && n.attr.Type != TypeReg {
+		return Attr{}, ErrIsDir
+	}
 	now := fs.clock()
 	rec := storage.MetaRecord{Op: storage.OpSetAttr, Time: now.UnixNano(), ID: uint64(n.id)}
 	if sa.Mode != nil {
-		n.attr.Mode = *sa.Mode & 0o7777
 		rec.SetMask |= storage.SetMode
-		rec.Mode = n.attr.Mode
+		rec.Mode = *sa.Mode & 0o7777
 	}
 	if sa.UID != nil {
-		n.attr.UID = *sa.UID
 		rec.SetMask |= storage.SetUID
 		rec.UID = *sa.UID
 	}
 	if sa.GID != nil {
-		n.attr.GID = *sa.GID
 		rec.SetMask |= storage.SetGID
 		rec.GID = *sa.GID
 	}
 	if sa.Size != nil {
-		if n.attr.Type != TypeReg {
-			n.mu.Unlock()
-			return Attr{}, ErrIsDir
-		}
-		sz := *sa.Size
 		// Truncate is a synchronous, stable update.
-		if err := fs.blocks.Truncate(uint64(n.id), sz); err != nil {
-			n.mu.Unlock()
+		if err := fs.blocks.Truncate(uint64(n.id), *sa.Size); err != nil {
 			return Attr{}, ioErr(err)
 		}
-		n.attr.Size = sz
-		n.attr.Mtime = now
 		rec.SetMask |= storage.SetSize | storage.SetMtime
-		rec.Size = sz
+		rec.Size = *sa.Size
 		rec.Mtime = now.UnixNano()
 	}
 	if sa.Mtime != nil {
-		n.attr.Mtime = *sa.Mtime
 		rec.SetMask |= storage.SetMtime
 		rec.Mtime = sa.Mtime.UnixNano()
 	}
 	if sa.Atime != nil {
-		n.attr.Atime = *sa.Atime
 		rec.SetMask |= storage.SetAtime
 		rec.Atime = sa.Atime.UnixNano()
 	}
-	n.attr.Ctime = now
-	a := n.attr
-	a.Nlink = n.nlink
-	err = fs.meta.LogMeta(&rec)
-	n.mu.Unlock()
-	if err != nil {
+	applySetAttr(n, &rec)
+	a := attrOf(n)
+	if err := fs.meta.LogMeta(&rec); err != nil {
 		return Attr{}, ioErr(err)
 	}
 	return a, nil
@@ -640,274 +474,6 @@ func (fs *FS) Access(cred Cred, id FileID, want uint32) error {
 	return err
 }
 
-// Lookup resolves name within directory dir.
-func (fs *FS) Lookup(cred Cred, dir FileID, name string) (FileID, Attr, error) {
-	d, err := fs.getRLocked(dir)
-	if err != nil {
-		return 0, Attr{}, err
-	}
-	if d.attr.Type != TypeDir {
-		d.mu.RUnlock()
-		return 0, Attr{}, ErrNotDir
-	}
-	if err := access(cred, d, ModeExec); err != nil {
-		d.mu.RUnlock()
-		return 0, Attr{}, err
-	}
-	switch name {
-	case ".":
-		a := d.attr
-		a.Nlink = d.nlink
-		d.mu.RUnlock()
-		return d.id, a, nil
-	case "..":
-		// Release d before locking the parent: the parent usually has
-		// a smaller id, and holding both would invert the ascending
-		// order (rule 2).
-		parent := d.parent
-		d.mu.RUnlock()
-		p, err := fs.getRLocked(parent)
-		if err != nil {
-			return 0, Attr{}, err
-		}
-		a := p.attr
-		a.Nlink = p.nlink
-		p.mu.RUnlock()
-		return p.id, a, nil
-	}
-	if err := checkName(name); err != nil {
-		d.mu.RUnlock()
-		return 0, Attr{}, err
-	}
-	ent, ok := d.children[name]
-	d.mu.RUnlock()
-	if !ok {
-		return 0, Attr{}, ErrNotFound
-	}
-	n, err := fs.getRLocked(ent.id)
-	if err != nil {
-		// The entry was removed between the two locks; report the
-		// name as gone rather than the handle as stale.
-		return 0, Attr{}, ErrNotFound
-	}
-	a := n.attr
-	a.Nlink = n.nlink
-	n.mu.RUnlock()
-	return a.FileID, a, nil
-}
-
-// Create makes a regular file owned by cred in dir. If exclusive is
-// set an existing name fails with ErrExist; otherwise an existing
-// regular file is truncated and returned.
-func (fs *FS) Create(cred Cred, dir FileID, name string, mode uint32, exclusive bool) (FileID, Attr, error) {
-	fs.quiesce.RLock()
-	defer fs.quiesce.RUnlock()
-	if err := checkName(name); err != nil {
-		return 0, Attr{}, err
-	}
-	for {
-		d, err := fs.getLocked(dir)
-		if err != nil {
-			return 0, Attr{}, err
-		}
-		if d.attr.Type != TypeDir {
-			d.mu.Unlock()
-			return 0, Attr{}, ErrNotDir
-		}
-		if err := access(cred, d, ModeWrite|ModeExec); err != nil {
-			d.mu.Unlock()
-			return 0, Attr{}, err
-		}
-		ent, ok := d.children[name]
-		if !ok {
-			now := fs.clock()
-			n := fs.newNode(TypeReg, mode, cred, now)
-			a := n.attr
-			a.Nlink = n.nlink
-			fs.insertNode(n)
-			cookie := fs.cookie()
-			d.children[name] = dirent{id: n.id, cookie: cookie}
-			fs.touchDir(d, now)
-			// Journal while d is still locked, so log order matches
-			// serialization order and the create precedes any record
-			// that references the new id.
-			err := fs.meta.LogMeta(&storage.MetaRecord{
-				Op: storage.OpCreate, Time: now.UnixNano(),
-				Dir: uint64(d.id), Name: name, ID: uint64(n.id),
-				Cookie: cookie, Mode: a.Mode, UID: a.UID, GID: a.GID,
-			})
-			d.mu.Unlock()
-			if err != nil {
-				return 0, Attr{}, ioErr(err)
-			}
-			return a.FileID, a, nil
-		}
-		if exclusive {
-			d.mu.Unlock()
-			return 0, Attr{}, ErrExist
-		}
-		n, ok := fs.lockChild(d, name, ent.id)
-		if !ok {
-			continue
-		}
-		if n.attr.Type != TypeReg {
-			d.mu.Unlock()
-			n.mu.Unlock()
-			return 0, Attr{}, ErrExist
-		}
-		if err := access(cred, n, ModeWrite); err != nil {
-			d.mu.Unlock()
-			n.mu.Unlock()
-			return 0, Attr{}, err
-		}
-		// Truncation is stable.
-		if err := fs.blocks.Truncate(uint64(n.id), 0); err != nil {
-			d.mu.Unlock()
-			n.mu.Unlock()
-			return 0, Attr{}, ioErr(err)
-		}
-		n.attr.Size = 0
-		now := fs.clock()
-		n.attr.Mtime, n.attr.Ctime = now, now
-		a := n.attr
-		a.Nlink = n.nlink
-		err = fs.meta.LogMeta(&storage.MetaRecord{
-			Op: storage.OpSetAttr, Time: now.UnixNano(), ID: uint64(n.id),
-			SetMask: storage.SetSize | storage.SetMtime, Size: 0, Mtime: now.UnixNano(),
-		})
-		d.mu.Unlock()
-		n.mu.Unlock()
-		if err != nil {
-			return 0, Attr{}, ioErr(err)
-		}
-		return a.FileID, a, nil
-	}
-}
-
-// newNode builds a node without publishing it; the caller copies what
-// it needs and then calls insertNode. The caller supplies now so one
-// clock reading stamps the node, the directory touch, and the journal
-// record — which is what makes replay reproduce the tree exactly.
-func (fs *FS) newNode(t FileType, mode uint32, cred Cred, now time.Time) *node {
-	gid := uint32(NobodyGID)
-	if len(cred.GIDs) > 0 {
-		gid = cred.GIDs[0]
-	}
-	n := &node{
-		id: FileID(fs.nextID.Add(1)),
-		attr: Attr{
-			Type: t, Mode: mode & 0o7777, UID: cred.UID, GID: gid,
-			Atime: now, Mtime: now, Ctime: now,
-		},
-		nlink: 1,
-	}
-	n.attr.FileID = n.id
-	if t == TypeDir {
-		n.children = make(map[string]dirent)
-		n.nlink = 2
-	}
-	return n
-}
-
-func (fs *FS) cookie() uint64 { return fs.nextCookie.Add(1) }
-
-func (fs *FS) touchDir(d *node, now time.Time) {
-	d.attr.Mtime, d.attr.Ctime = now, now
-}
-
-// Mkdir creates a directory.
-func (fs *FS) Mkdir(cred Cred, dir FileID, name string, mode uint32) (FileID, Attr, error) {
-	fs.quiesce.RLock()
-	defer fs.quiesce.RUnlock()
-	if err := checkName(name); err != nil {
-		return 0, Attr{}, err
-	}
-	d, err := fs.getLocked(dir)
-	if err != nil {
-		return 0, Attr{}, err
-	}
-	if d.attr.Type != TypeDir {
-		d.mu.Unlock()
-		return 0, Attr{}, ErrNotDir
-	}
-	if err := access(cred, d, ModeWrite|ModeExec); err != nil {
-		d.mu.Unlock()
-		return 0, Attr{}, err
-	}
-	if _, ok := d.children[name]; ok {
-		d.mu.Unlock()
-		return 0, Attr{}, ErrExist
-	}
-	now := fs.clock()
-	n := fs.newNode(TypeDir, mode, cred, now)
-	n.parent = d.id
-	a := n.attr
-	a.Nlink = n.nlink
-	fs.insertNode(n)
-	cookie := fs.cookie()
-	d.children[name] = dirent{id: n.id, cookie: cookie}
-	d.nlink++
-	fs.touchDir(d, now)
-	err = fs.meta.LogMeta(&storage.MetaRecord{
-		Op: storage.OpMkdir, Time: now.UnixNano(),
-		Dir: uint64(d.id), Name: name, ID: uint64(n.id),
-		Cookie: cookie, Mode: a.Mode, UID: a.UID, GID: a.GID,
-	})
-	d.mu.Unlock()
-	if err != nil {
-		return 0, Attr{}, ioErr(err)
-	}
-	return a.FileID, a, nil
-}
-
-// Symlink creates a symbolic link to target.
-func (fs *FS) Symlink(cred Cred, dir FileID, name, target string) (FileID, Attr, error) {
-	fs.quiesce.RLock()
-	defer fs.quiesce.RUnlock()
-	if err := checkName(name); err != nil {
-		return 0, Attr{}, err
-	}
-	if len(target) > 4096 {
-		return 0, Attr{}, ErrNameTooLong
-	}
-	d, err := fs.getLocked(dir)
-	if err != nil {
-		return 0, Attr{}, err
-	}
-	if d.attr.Type != TypeDir {
-		d.mu.Unlock()
-		return 0, Attr{}, ErrNotDir
-	}
-	if err := access(cred, d, ModeWrite|ModeExec); err != nil {
-		d.mu.Unlock()
-		return 0, Attr{}, err
-	}
-	if _, ok := d.children[name]; ok {
-		d.mu.Unlock()
-		return 0, Attr{}, ErrExist
-	}
-	now := fs.clock()
-	n := fs.newNode(TypeSymlink, 0o777, cred, now)
-	n.target = target
-	n.attr.Size = uint64(len(target))
-	a := n.attr
-	a.Nlink = n.nlink
-	fs.insertNode(n)
-	cookie := fs.cookie()
-	d.children[name] = dirent{id: n.id, cookie: cookie}
-	fs.touchDir(d, now)
-	err = fs.meta.LogMeta(&storage.MetaRecord{
-		Op: storage.OpSymlink, Time: now.UnixNano(),
-		Dir: uint64(d.id), Name: name, ID: uint64(n.id),
-		Cookie: cookie, Mode: a.Mode, UID: a.UID, GID: a.GID, Target: target,
-	})
-	d.mu.Unlock()
-	if err != nil {
-		return 0, Attr{}, ioErr(err)
-	}
-	return a.FileID, a, nil
-}
-
 // Readlink returns the target of a symbolic link.
 func (fs *FS) Readlink(id FileID) (string, error) {
 	n, err := fs.getRLocked(id)
@@ -921,559 +487,4 @@ func (fs *FS) Readlink(id FileID) (string, error) {
 	target := n.target
 	n.mu.RUnlock()
 	return target, nil
-}
-
-// Link creates a hard link to an existing regular file.
-func (fs *FS) Link(cred Cred, file, dir FileID, name string) error {
-	fs.quiesce.RLock()
-	defer fs.quiesce.RUnlock()
-	if err := checkName(name); err != nil {
-		return err
-	}
-	// Both ids are known up front: lock straight in ascending order.
-	n, err := fs.get(file)
-	if err != nil {
-		return err
-	}
-	d, err := fs.get(dir)
-	if err != nil {
-		return err
-	}
-	locked := fs.lockAscending([]*node{n, d})
-	if n.dead || d.dead {
-		unlockAll(locked)
-		return ErrStale
-	}
-	if n.attr.Type == TypeDir {
-		unlockAll(locked)
-		return ErrIsDir
-	}
-	if d.attr.Type != TypeDir {
-		unlockAll(locked)
-		return ErrNotDir
-	}
-	if err := access(cred, d, ModeWrite|ModeExec); err != nil {
-		unlockAll(locked)
-		return err
-	}
-	if _, ok := d.children[name]; ok {
-		unlockAll(locked)
-		return ErrExist
-	}
-	now := fs.clock()
-	cookie := fs.cookie()
-	d.children[name] = dirent{id: n.id, cookie: cookie}
-	n.nlink++
-	n.attr.Ctime = now
-	fs.touchDir(d, now)
-	logErr := fs.meta.LogMeta(&storage.MetaRecord{
-		Op: storage.OpLink, Time: now.UnixNano(),
-		Dir: uint64(d.id), Name: name, ID: uint64(n.id), Cookie: cookie,
-	})
-	unlockAll(locked)
-	if logErr != nil {
-		return ioErr(logErr)
-	}
-	return nil
-}
-
-// Remove unlinks a non-directory name from dir.
-func (fs *FS) Remove(cred Cred, dir FileID, name string) error {
-	fs.quiesce.RLock()
-	defer fs.quiesce.RUnlock()
-	if err := checkName(name); err != nil {
-		return err
-	}
-	for {
-		d, err := fs.getLocked(dir)
-		if err != nil {
-			return err
-		}
-		if d.attr.Type != TypeDir {
-			d.mu.Unlock()
-			return ErrNotDir
-		}
-		if err := access(cred, d, ModeWrite|ModeExec); err != nil {
-			d.mu.Unlock()
-			return err
-		}
-		ent, ok := d.children[name]
-		if !ok {
-			d.mu.Unlock()
-			return ErrNotFound
-		}
-		n, ok := fs.lockChild(d, name, ent.id)
-		if !ok {
-			continue
-		}
-		if n.attr.Type == TypeDir {
-			d.mu.Unlock()
-			n.mu.Unlock()
-			return ErrIsDir
-		}
-		now := fs.clock()
-		delete(d.children, name)
-		n.nlink--
-		if n.nlink == 0 {
-			n.dead = true
-			fs.deleteNode(n)
-			// Last link gone: release the content. Durability of the
-			// removal rides on the OpRemove record.
-			fs.blocks.Remove(uint64(n.id)) //nolint:errcheck
-		} else {
-			n.attr.Ctime = now
-		}
-		fs.touchDir(d, now)
-		logErr := fs.meta.LogMeta(&storage.MetaRecord{
-			Op: storage.OpRemove, Time: now.UnixNano(),
-			Dir: uint64(d.id), Name: name,
-		})
-		d.mu.Unlock()
-		n.mu.Unlock()
-		if logErr != nil {
-			return ioErr(logErr)
-		}
-		return nil
-	}
-}
-
-// Rmdir removes an empty directory.
-func (fs *FS) Rmdir(cred Cred, dir FileID, name string) error {
-	fs.quiesce.RLock()
-	defer fs.quiesce.RUnlock()
-	if err := checkName(name); err != nil {
-		return err
-	}
-	for {
-		d, err := fs.getLocked(dir)
-		if err != nil {
-			return err
-		}
-		if err := access(cred, d, ModeWrite|ModeExec); err != nil {
-			d.mu.Unlock()
-			return err
-		}
-		ent, ok := d.children[name]
-		if !ok {
-			d.mu.Unlock()
-			return ErrNotFound
-		}
-		n, ok := fs.lockChild(d, name, ent.id)
-		if !ok {
-			continue
-		}
-		if n.attr.Type != TypeDir {
-			d.mu.Unlock()
-			n.mu.Unlock()
-			return ErrNotDir
-		}
-		if len(n.children) != 0 {
-			d.mu.Unlock()
-			n.mu.Unlock()
-			return ErrNotEmpty
-		}
-		now := fs.clock()
-		delete(d.children, name)
-		n.dead = true
-		fs.deleteNode(n)
-		d.nlink--
-		fs.touchDir(d, now)
-		logErr := fs.meta.LogMeta(&storage.MetaRecord{
-			Op: storage.OpRmdir, Time: now.UnixNano(),
-			Dir: uint64(d.id), Name: name,
-		})
-		d.mu.Unlock()
-		n.mu.Unlock()
-		if logErr != nil {
-			return ioErr(logErr)
-		}
-		return nil
-	}
-}
-
-// Rename moves fromName in fromDir to toName in toDir, replacing any
-// existing non-directory target.
-//
-// Rename is the one operation that can need four node locks (two
-// directories, the moved node, a replaced victim), so it always runs
-// the two-phase protocol of rule 2: peek at the entries under the
-// directory locks, release, lock the full set in ascending id order,
-// and re-validate; any interleaved change restarts the loop.
-func (fs *FS) Rename(cred Cred, fromDir FileID, fromName string, toDir FileID, toName string) error {
-	fs.quiesce.RLock()
-	defer fs.quiesce.RUnlock()
-	if err := checkName(fromName); err != nil {
-		return err
-	}
-	if err := checkName(toName); err != nil {
-		return err
-	}
-	for {
-		// Peek phase: discover which nodes the rename involves.
-		fd, err := fs.get(fromDir)
-		if err != nil {
-			return err
-		}
-		td, err := fs.get(toDir)
-		if err != nil {
-			return err
-		}
-		dirs := fs.lockAscending([]*node{fd, td})
-		if fd.dead || td.dead {
-			unlockAll(dirs)
-			return ErrStale
-		}
-		if fd.attr.Type != TypeDir || td.attr.Type != TypeDir {
-			unlockAll(dirs)
-			return ErrNotDir
-		}
-		if err := access(cred, fd, ModeWrite|ModeExec); err != nil {
-			unlockAll(dirs)
-			return err
-		}
-		if err := access(cred, td, ModeWrite|ModeExec); err != nil {
-			unlockAll(dirs)
-			return err
-		}
-		ent, ok := fd.children[fromName]
-		if !ok {
-			unlockAll(dirs)
-			return ErrNotFound
-		}
-		old, hasOld := td.children[toName]
-		if hasOld && old.id == ent.id {
-			unlockAll(dirs)
-			return nil
-		}
-		n, err := fs.get(ent.id)
-		if err != nil {
-			unlockAll(dirs)
-			continue // unreachable while fd is locked; restart
-		}
-		var o *node
-		if hasOld {
-			if o, err = fs.get(old.id); err != nil {
-				unlockAll(dirs)
-				continue
-			}
-		}
-
-		// Lock phase: if every extra node orders after the held
-		// directories, lock them in place; otherwise release and
-		// re-acquire the full set ascending.
-		maxHeld := fd.id
-		if td.id > maxHeld {
-			maxHeld = td.id
-		}
-		var locked []*node
-		if n.id > maxHeld && (o == nil || o.id > maxHeld) {
-			extra := []*node{n}
-			if o != nil && o != n {
-				extra = append(extra, o)
-			}
-			locked = append(dirs, fs.lockAscending(extra)...)
-		} else {
-			fs.orderRestarts.Add(1)
-			unlockAll(dirs)
-			all := []*node{fd, td, n}
-			if o != nil {
-				all = append(all, o)
-			}
-			locked = fs.lockAscending(all)
-			// Re-validate everything read during the peek.
-			stale := fd.dead || td.dead || n.dead || (o != nil && o.dead) ||
-				fd.children[fromName] != ent
-			if !stale {
-				old2, has2 := td.children[toName]
-				stale = has2 != hasOld || (hasOld && old2 != old)
-			}
-			if stale {
-				unlockAll(locked)
-				continue
-			}
-		}
-
-		// Mutation phase: all involved nodes are locked.
-		if o != nil {
-			if o.attr.Type == TypeDir {
-				if n.attr.Type != TypeDir {
-					unlockAll(locked)
-					return ErrIsDir
-				}
-				if len(o.children) != 0 {
-					unlockAll(locked)
-					return ErrNotEmpty
-				}
-				o.dead = true
-				fs.deleteNode(o)
-				td.nlink--
-			} else {
-				o.nlink--
-				if o.nlink == 0 {
-					o.dead = true
-					fs.deleteNode(o)
-					fs.blocks.Remove(uint64(o.id)) //nolint:errcheck
-				}
-			}
-		}
-		now := fs.clock()
-		toCookie := fs.cookie()
-		delete(fd.children, fromName)
-		td.children[toName] = dirent{id: n.id, cookie: toCookie}
-		if n.attr.Type == TypeDir {
-			n.parent = td.id
-			if fd.id != td.id {
-				fd.nlink--
-				td.nlink++
-			}
-		}
-		fs.touchDir(fd, now)
-		fs.touchDir(td, now)
-		logErr := fs.meta.LogMeta(&storage.MetaRecord{
-			Op: storage.OpRename, Time: now.UnixNano(),
-			Dir: uint64(fd.id), Name: fromName,
-			ToDir: uint64(td.id), ToName: toName, ToCookie: toCookie,
-		})
-		unlockAll(locked)
-		if logErr != nil {
-			return ioErr(logErr)
-		}
-		return nil
-	}
-}
-
-// Read returns up to count bytes of file data starting at off, and
-// whether the read reached end of file. The copy is made under the
-// file's own read lock, so concurrent reads — of this file or any
-// other — proceed in parallel.
-//
-// The returned slice is a fresh snapshot no one else references:
-// store-level buffers mutate in place under writes (memstore WriteAt),
-// so this snapshot — not the store's backing array — is the stable
-// slice the wire path borrows into READ replies (DESIGN.md §12). This
-// copy is the one unavoidable touch between disk state and the wire.
-func (fs *FS) Read(cred Cred, id FileID, off uint64, count uint32) ([]byte, bool, error) {
-	n, err := fs.getRLocked(id)
-	if err != nil {
-		return nil, false, err
-	}
-	if n.attr.Type == TypeDir {
-		n.mu.RUnlock()
-		return nil, false, ErrIsDir
-	}
-	if err := access(cred, n, ModeRead); err != nil {
-		n.mu.RUnlock()
-		return nil, false, err
-	}
-	size := n.attr.Size
-	if off >= size {
-		n.mu.RUnlock()
-		return []byte{}, true, nil
-	}
-	end := off + uint64(count)
-	if end > size {
-		end = size
-	}
-	out := make([]byte, end-off)
-	// The copy is made under the node's read lock, which is what
-	// serializes it against writers per the storage contract.
-	if err := fs.blocks.ReadAt(uint64(n.id), off, out); err != nil {
-		n.mu.RUnlock()
-		return nil, false, ioErr(err)
-	}
-	eof := end == size
-	n.mu.RUnlock()
-	return out, eof, nil
-}
-
-// Write stores data at off, extending the file as needed. If sync is
-// set the write is stable: on storage before the call returns.
-func (fs *FS) Write(cred Cred, id FileID, off uint64, data []byte, sync bool) (Attr, error) {
-	return fs.WriteClocked(cred, id, off, data, sync, nil)
-}
-
-// WriteClocked is Write with a stage clock: on a durable store the
-// group-commit wait of a stable write is charged to clk's fsync stage
-// (storage.ClockedStore). A nil clk is exactly Write.
-func (fs *FS) WriteClocked(cred Cred, id FileID, off uint64, data []byte, sync bool, clk *stats.StageClock) (Attr, error) {
-	fs.quiesce.RLock()
-	defer fs.quiesce.RUnlock()
-	n, err := fs.getLocked(id)
-	if err != nil {
-		return Attr{}, err
-	}
-	if n.attr.Type == TypeDir {
-		n.mu.Unlock()
-		return Attr{}, ErrIsDir
-	}
-	if err := access(cred, n, ModeWrite); err != nil {
-		n.mu.Unlock()
-		return Attr{}, err
-	}
-	now := fs.clock()
-	// The store decides what stability means: to the volatile memstore
-	// every write is the same; diskstore journals the extent, returning
-	// immediately for unstable writes and after the group-committed
-	// fsync for stable ones.
-	if cs, ok := fs.blocks.(storage.ClockedStore); ok && clk != nil {
-		err = cs.WriteAtClocked(uint64(n.id), off, data, sync, now.UnixNano(), clk)
-	} else {
-		err = fs.blocks.WriteAt(uint64(n.id), off, data, sync, now.UnixNano())
-	}
-	if err != nil {
-		n.mu.Unlock()
-		return Attr{}, ioErr(err)
-	}
-	if end := off + uint64(len(data)); end > n.attr.Size {
-		n.attr.Size = end
-	}
-	n.attr.Mtime, n.attr.Ctime = now, now
-	a := n.attr
-	a.Nlink = n.nlink
-	n.mu.Unlock()
-	return a, nil
-}
-
-// Commit flushes a file to stable storage (the NFS COMMIT operation).
-// On a durable store this waits for one group-committed fsync.
-func (fs *FS) Commit(id FileID) error {
-	return fs.CommitClocked(id, nil)
-}
-
-// CommitClocked is Commit with the group-commit wait charged to clk's
-// fsync stage. A nil clk is exactly Commit.
-func (fs *FS) CommitClocked(id FileID, clk *stats.StageClock) error {
-	n, err := fs.getLocked(id)
-	if err != nil {
-		return err
-	}
-	if cs, ok := fs.blocks.(storage.ClockedStore); ok && clk != nil {
-		err = cs.CommitClocked(uint64(n.id), clk)
-	} else {
-		err = fs.blocks.Commit(uint64(n.id))
-	}
-	n.mu.Unlock()
-	if err != nil {
-		return ioErr(err)
-	}
-	return nil
-}
-
-// Verifier reports the write verifier of the current boot. NFS 3
-// clients compare the verifiers carried by WRITE and COMMIT replies: a
-// change means unstable data may have been discarded and must be
-// retransmitted (RFC 1813 §4.8).
-func (fs *FS) Verifier() uint64 { return fs.verf.Load() }
-
-// Restart is a server crash and reboot: the write verifier changes so
-// clients retransmit their uncommitted unstable writes (RFC 1813 §4.8).
-//
-// On a durable store the crash is real: the journal drops its
-// user-space buffer and closes without a final sync (the kill -9
-// model), reopens under a new epoch, and the tree is rebuilt from the
-// surviving records — uncommitted unstable writes may be lost, every
-// acknowledged COMMIT survives because its fsync already covered it.
-//
-// The in-memory store cannot crash apart from its process, so there
-// Restart loses nothing and only rolls the verifier: clients
-// retransmit data that in fact survived.
-//
-// Restart is not atomic against in-flight writes — neither is a real
-// crash. A write that lands mid-restart saw the old verifier when its
-// reply was stamped, so the client observes a verifier change and
-// retransmits data that may in fact have survived: a redundant
-// retransmission, never a silently dropped stability promise.
-func (fs *FS) Restart() {
-	// Exclusive against mutators AND checkpoints: a checkpoint
-	// snapshotting the tree mid-swap would publish a half-restarted
-	// image.
-	fs.quiesce.Lock()
-	defer fs.quiesce.Unlock()
-	if cr, ok := fs.blocks.(storage.CrashRestarter); ok {
-		if err := fs.crashRestart(cr); err != nil {
-			// Restart is driven by tests and the recovery figure;
-			// failing to reopen the store leaves nothing to serve.
-			panic("vfs: crash restart: " + err.Error())
-		}
-		return
-	}
-	fs.verf.Store(fs.newVerf())
-}
-
-// ReadDir returns directory entries with cookies greater than cookie,
-// in cookie order, up to max entries (0 means all).
-func (fs *FS) ReadDir(cred Cred, dir FileID, cookie uint64, max int) ([]DirEntry, bool, error) {
-	d, err := fs.getRLocked(dir)
-	if err != nil {
-		return nil, false, err
-	}
-	if d.attr.Type != TypeDir {
-		d.mu.RUnlock()
-		return nil, false, ErrNotDir
-	}
-	if err := access(cred, d, ModeRead); err != nil {
-		d.mu.RUnlock()
-		return nil, false, err
-	}
-	ents := make([]DirEntry, 0, len(d.children))
-	for name, ent := range d.children {
-		if ent.cookie > cookie {
-			ents = append(ents, DirEntry{Name: name, FileID: ent.id, Cookie: ent.cookie})
-		}
-	}
-	d.mu.RUnlock()
-	sort.Slice(ents, func(i, j int) bool { return ents[i].Cookie < ents[j].Cookie })
-	eof := true
-	if max > 0 && len(ents) > max {
-		ents = ents[:max]
-		eof = false
-	}
-	return ents, eof, nil
-}
-
-// ShardLockStats is one stripe's slice of a LockStats snapshot.
-type ShardLockStats struct {
-	Shard         int    `json:"shard"`
-	MapLocks      uint64 `json:"map_locks"`
-	MapContended  uint64 `json:"map_contended,omitempty"`
-	NodeLocks     uint64 `json:"node_locks"`
-	NodeContended uint64 `json:"node_contended,omitempty"`
-}
-
-// LockStats is a snapshot of the sharded lock hierarchy's contention
-// counters: how often the shard-map and per-node locks were taken,
-// how often an acquisition had to wait, and how often a namespace
-// operation restarted to respect the ascending lock order. Shards
-// lists the per-stripe numbers for stripes that saw contention.
-type LockStats struct {
-	MapLocks      uint64           `json:"map_locks"`
-	MapContended  uint64           `json:"map_contended"`
-	NodeLocks     uint64           `json:"node_locks"`
-	NodeContended uint64           `json:"node_contended"`
-	OrderRestarts uint64           `json:"order_restarts"`
-	Shards        []ShardLockStats `json:"shards,omitempty"`
-}
-
-// LockStatsSnapshot captures the contention counters of every stripe.
-func (fs *FS) LockStatsSnapshot() LockStats {
-	var st LockStats
-	st.OrderRestarts = fs.orderRestarts.Load()
-	for i := range fs.shards {
-		sh := &fs.shards[i]
-		s := ShardLockStats{
-			Shard:         i,
-			MapLocks:      sh.mapLocks.Load(),
-			MapContended:  sh.mapContended.Load(),
-			NodeLocks:     sh.nodeLocks.Load(),
-			NodeContended: sh.nodeContended.Load(),
-		}
-		st.MapLocks += s.MapLocks
-		st.MapContended += s.MapContended
-		st.NodeLocks += s.NodeLocks
-		st.NodeContended += s.NodeContended
-		if s.MapContended > 0 || s.NodeContended > 0 {
-			st.Shards = append(st.Shards, s)
-		}
-	}
-	return st
 }

@@ -52,6 +52,9 @@ package repro
 // lab.TestTwoConfigurationsOneProcess runs an encrypted and a plaintext
 // stack side by side. internal/netsim joined: every dispatch worker
 // enters its disk decorator at once (netsim.TestDiskStoreConcurrent).
+// vfs.TestStressCrossingDirectoryRenames races a → b/a against b → a/b:
+// the ancestor walk that refuses a cycle reads parent pointers under
+// the rename mutex alone.
 
 import (
 	"bufio"
@@ -176,6 +179,87 @@ func TestNoTestOnlyExports(t *testing.T) {
 			t.Errorf("%s is exported but no non-test file references it: delete it, or move it into the test that uses it", e.id)
 		case referenced[e.name] && ok:
 			t.Errorf("%s is referenced by non-test code now; drop it from the allowlist", e.id)
+		}
+	}
+}
+
+// TestNodeFieldsChangeInApplyOnly: journal replay reproduces the live
+// tree because both run the transitions of internal/vfs/apply.go and
+// nothing else changes a node (DESIGN.md §11). A namespace or attribute
+// field of a node written anywhere else in the package is a second copy
+// of a transition that replay does not know about. Matched by field
+// name with go/parser alone, like the guards above.
+func TestNodeFieldsChangeInApplyOnly(t *testing.T) {
+	// Functions that build a node no record describes.
+	allowed := map[string]string{
+		"initTree":    "the root directory is implicit: no record creates it, so every replay starts from the same node 1",
+		"installNode": "a checkpoint-image node is a whole node, not a transition; no live operation writes one",
+	}
+	fields := map[string]bool{"attr": true, "nlink": true, "children": true, "parent": true, "target": true, "dead": true}
+	// written names the node field an assigned expression reaches
+	// through: n.attr.Mode → attr, d.children[name] → children.
+	var written func(e ast.Expr) string
+	written = func(e ast.Expr) string {
+		switch e := e.(type) {
+		case *ast.SelectorExpr:
+			if fields[e.Sel.Name] {
+				return e.Sel.Name
+			}
+			return written(e.X)
+		case *ast.IndexExpr:
+			return written(e.X)
+		}
+		return ""
+	}
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, "internal/vfs", func(fi os.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go") && fi.Name() != "apply.go"
+	}, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	used := map[string]bool{}
+	for _, f := range pkgs["vfs"].Files {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			report := func(at ast.Node, what string) {
+				if _, ok := allowed[fd.Name.Name]; ok {
+					used[fd.Name.Name] = true
+					return
+				}
+				t.Errorf("%s: %s %s outside apply.go; make it part of the transition that applies the record", fset.Position(at.Pos()), fd.Name.Name, what)
+			}
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				var lhs []ast.Expr
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					lhs = n.Lhs
+				case *ast.IncDecStmt:
+					lhs = []ast.Expr{n.X}
+				case *ast.CallExpr:
+					if id, ok := n.Fun.(*ast.Ident); ok && id.Name == "delete" && len(n.Args) > 0 {
+						lhs = n.Args[:1]
+					}
+				case *ast.CompositeLit:
+					if id, ok := n.Type.(*ast.Ident); ok && id.Name == "node" {
+						report(n, "builds a node")
+					}
+				}
+				for _, e := range lhs {
+					if field := written(e); field != "" {
+						report(e, "writes a node's "+field)
+					}
+				}
+				return true
+			})
+		}
+	}
+	for name := range allowed {
+		if !used[name] {
+			t.Errorf("%s no longer builds a node; drop it from the allowlist", name)
 		}
 	}
 }

@@ -173,6 +173,35 @@ func loadImageChain(dir string) *image {
 	return nil
 }
 
+// PrepareCheckpoint implements storage.Checkpointer: it writes the
+// pager's dirty blocks back to their slots, fsyncs the extent file and
+// syncs the journal, all of which evictions and COMMITs already do at
+// moments of their own choosing, so the durable state it leaves is one
+// the store could have been in anyway and a crash anywhere in it
+// recovers as a crash between checkpoints. What Checkpoint then finds
+// left to do is what writers produced during the last pass, and the
+// second pass is as short as the first one let writers run; a third
+// would gain little, and none runs "until clean".
+func (s *Store) PrepareCheckpoint() error {
+	s.mu.Lock()
+	w, pg := s.w, s.pg
+	s.ckptStart = time.Now()
+	s.mu.Unlock()
+	var err error
+	for pass := 0; pass < 2 && err == nil; pass++ {
+		if err = pg.flushDirty(); err == nil {
+			err = w.Sync()
+		}
+	}
+	if err == nil {
+		err = s.abort("prepared")
+	}
+	if err != nil {
+		s.countFailure()
+	}
+	return err
+}
+
 // Checkpoint implements storage.Checkpointer: it writes a full image
 // of the namespace (via snapshot) and the pager's extent index, lands
 // it atomically, and compacts the journal by rotating the WAL. The
@@ -183,14 +212,34 @@ func loadImageChain(dir string) *image {
 func (s *Store) Checkpoint(nextID, nextCookie uint64, snapshot func(emit func(*storage.NodeRecord) error) error) (storage.CheckpointStats, error) {
 	st, err := s.checkpoint(nextID, nextCookie, snapshot)
 	if err != nil {
-		// Surface stuck checkpointing: a growing failure count with a
-		// stale image count means the journal is no longer compacting.
-		s.mu.Lock()
-		s.ckpt.Failures++
-		s.mu.Unlock()
+		s.countFailure()
 	}
 	return st, err
 }
+
+// FinishCheckpoint implements storage.Checkpointer: it lets the file
+// system free the displaced journal segment's blocks, and charges the
+// time that takes to the checkpoint's duration.
+func (s *Store) FinishCheckpoint() storage.CheckpointStats {
+	w, _ := s.state()
+	start := time.Now()
+	w.Reclaim() //nolint:errcheck // read-only descriptor of a nameless file
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.ckpt.DurationMS += msSince(start)
+	return s.ckpt
+}
+
+// countFailure surfaces stuck checkpointing: a growing failure count
+// with a stale image count means the journal is no longer compacting.
+func (s *Store) countFailure() {
+	s.mu.Lock()
+	s.ckpt.Failures++
+	s.ckptStart = time.Time{}
+	s.mu.Unlock()
+}
+
+func msSince(t time.Time) float64 { return float64(time.Since(t).Nanoseconds()) / 1e6 }
 
 func (s *Store) checkpoint(nextID, nextCookie uint64, snapshot func(emit func(*storage.NodeRecord) error) error) (storage.CheckpointStats, error) {
 	s.mu.Lock()
@@ -332,7 +381,12 @@ func (s *Store) checkpoint(nextID, nextCookie uint64, snapshot func(emit func(*s
 	s.mu.Lock()
 	s.ckpt.Count++
 	s.ckpt.Bytes = imgBytes
-	s.ckpt.DurationMS = float64(time.Since(start).Nanoseconds()) / 1e6
+	s.ckpt.StallMS = msSince(start)
+	if !s.ckptStart.IsZero() {
+		start = s.ckptStart // prepare ran: the checkpoint began there
+		s.ckptStart = time.Time{}
+	}
+	s.ckpt.DurationMS = msSince(start)
 	s.ckpt.WALTruncatedBytes += truncated
 	out := s.ckpt
 	s.mu.Unlock()

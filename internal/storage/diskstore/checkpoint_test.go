@@ -2,10 +2,12 @@ package diskstore
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -177,9 +179,11 @@ func TestCheckpointFallbackToPrevImage(t *testing.T) {
 // TestCheckpointAbortedMidProtocol kills the checkpoint at each stage
 // of the commit protocol and proves recovery loses nothing: every
 // acked write is served after reopen, whichever image generation boot
-// lands on.
+// lands on. The "prepared" stage dies after PrepareCheckpoint and
+// before the exclusive section: it must recover exactly as if no
+// checkpoint had begun.
 func TestCheckpointAbortedMidProtocol(t *testing.T) {
-	for _, stage := range []string{"image", "rename-prev", "renamed"} {
+	for _, stage := range []string{"prepared", "image", "rename-prev", "renamed"} {
 		t.Run(stage, func(t *testing.T) {
 			dir := t.TempDir()
 			s := openT(t, dir)
@@ -200,12 +204,19 @@ func TestCheckpointAbortedMidProtocol(t *testing.T) {
 				}
 				return nil
 			}
-			_, err := s.Checkpoint(3, 1, func(emit func(*storage.NodeRecord) error) error {
-				n := regNode(2, 15)
-				return emit(&n)
-			})
+			before := durableFiles(t, dir)
+			err := s.PrepareCheckpoint()
+			if err == nil {
+				_, err = s.Checkpoint(3, 1, func(emit func(*storage.NodeRecord) error) error {
+					n := regNode(2, 15)
+					return emit(&n)
+				})
+			}
 			if !errors.Is(err, boom) {
 				t.Fatalf("aborted checkpoint returned %v, want %v", err, boom)
+			}
+			if st := s.StorageStats(); st.Checkpoint.Failures != 1 {
+				t.Fatalf("checkpoint failures = %d, want 1", st.Checkpoint.Failures)
 			}
 			// Kill the process image: crash the WAL, drop the store, and
 			// reopen the directory as a fresh boot would.
@@ -213,10 +224,21 @@ func TestCheckpointAbortedMidProtocol(t *testing.T) {
 				t.Fatal(err)
 			}
 			s.pg.close()
+			if stage == "prepared" {
+				// Prepare writes slots and fsyncs. Every write above was
+				// stable, so it had nothing to add to the journal either:
+				// no file recovery parses may differ.
+				if after := durableFiles(t, dir); !reflect.DeepEqual(before, after) {
+					t.Fatalf("prepare changed what recovery reads:\nbefore %v\nafter  %v", before, after)
+				}
+			}
 
 			s2 := openT(t, dir)
 			defer s2.Close()
-			drainReplay(t, s2)
+			recs := drainReplay(t, s2)
+			if stage == "prepared" && (len(recs) != 2 || recs[0].Node == nil || recs[1].Data == nil) {
+				t.Fatalf("boot after a crash in prepare replayed %+v; want the first image's node and the one write after it", recs)
+			}
 			p := make([]byte, 15)
 			if err := s2.ReadAt(2, 0, p); err != nil || !bytes.Equal(p, []byte("gen-one|gen-two")) {
 				t.Fatalf("stage %s: content after crash = %q, %v", stage, p, err)
@@ -225,6 +247,23 @@ func TestCheckpointAbortedMidProtocol(t *testing.T) {
 			checkpointT(t, s2, 3, 1, regNode(2, 15))
 		})
 	}
+}
+
+// durableFiles reads every file recovery parses: both images and both
+// journal segments (the extent file is only ever read through an
+// image's index).
+func durableFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	files := make(map[string]string)
+	for _, name := range []string{CkptName, CkptPrevName, CkptTmpName, LogName, LogName + ".prev", LogName + ".next"} {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err == nil {
+			files[name] = string(data)
+		} else if !os.IsNotExist(err) {
+			t.Fatal(err)
+		}
+	}
+	return files
 }
 
 // TestCheckpointAbortedWithUnstableTail crashes right after the image
@@ -403,6 +442,13 @@ func TestSfsbenchStatsJSONShape(t *testing.T) {
 	}
 	if st.Checkpoint.Count != 1 || st.Checkpoint.WALTruncatedBytes == 0 && st.Checkpoint.Bytes == 0 {
 		t.Fatalf("checkpoint block = %+v", st.Checkpoint)
+	}
+	if st.Checkpoint.StallMS <= 0 || st.Checkpoint.StallMS > st.Checkpoint.DurationMS {
+		t.Fatalf("stall %v ms must be positive and within the duration %v ms", st.Checkpoint.StallMS, st.Checkpoint.DurationMS)
+	}
+	doc, err := json.Marshal(st)
+	if err != nil || !bytes.Contains(doc, []byte(`"stall_ms":`)) || !bytes.Contains(doc, []byte(`"duration_ms":`)) {
+		t.Fatalf("stats document %s (%v) lacks stall_ms beside duration_ms", doc, err)
 	}
 	if st.Pager.HotBytes == 0 {
 		t.Fatalf("pager block = %+v", st.Pager)

@@ -77,12 +77,13 @@ type Store struct {
 	nextID     uint64 // id/cookie watermarks from the image trailer
 	nextCookie uint64
 
-	ckpt storage.CheckpointStats // running checkpoint counters
+	ckpt      storage.CheckpointStats // running checkpoint counters
+	ckptStart time.Time               // when the checkpoint in progress began; zero between checkpoints
 
 	// testAbort, when set, is called at each checkpoint stage
-	// ("image", "rename-prev", "renamed") and aborts the checkpoint
-	// mid-protocol when it returns an error — the unit-test analogue
-	// of kill -9 at that instant.
+	// ("prepared", "image", "rename-prev", "renamed") and aborts the
+	// checkpoint mid-protocol when it returns an error — the unit-test
+	// analogue of kill -9 at that instant.
 	testAbort func(stage string) error
 }
 
@@ -391,6 +392,7 @@ func (s *Store) StorageStats() *storage.Stats {
 		ReplayRecords: rs.Records,
 		ReplayBytes:   rs.Bytes,
 		ReplayMBps:    rs.MBps(),
+		WALFailures:   ws.Failures,
 		Checkpoint:    &ck,
 		Pager:         pg.stats(),
 	}

@@ -25,6 +25,15 @@ const DefaultHotBytes = 64 << 20
 // at or under the budget whenever the budget covers that floor.
 const pagerShards = 8
 
+// prepareBatch bounds how many blocks flushDirty writes back under one
+// hold of a shard lock, so a writer to a file in that shard waits for
+// at most this many pwrites. spareBlocks bounds each shard's list of
+// block buffers kept from evicted blocks for the next install.
+const (
+	prepareBatch = 64
+	spareBlocks  = 16
+)
+
 // pager is the paged serving copy of file content: a bounded set of
 // resident blocks over an extent file. Hot blocks live in memory;
 // cold ones are paged in on demand and evicted CLOCK-wise, with dirty
@@ -67,7 +76,8 @@ type pagerShard struct {
 	files map[uint64]*pfile
 	ring  []*pblock // CLOCK ring: resident + not-yet-reaped dead
 	hand  int
-	live  int // resident blocks in this shard
+	live  int      // resident blocks in this shard
+	spare [][]byte // BlockSize buffers of evicted blocks, contents stale
 }
 
 type pfile struct {
@@ -162,25 +172,45 @@ func (sh *pagerShard) getFile(id uint64, create bool) *pfile {
 	return pf
 }
 
+// blockBuf returns a BlockSize buffer with arbitrary contents: the
+// caller overwrites or clears every byte. Caller holds sh.mu.
+func (sh *pagerShard) blockBuf() []byte {
+	if n := len(sh.spare); n > 0 {
+		buf := sh.spare[n-1]
+		sh.spare = sh.spare[:n-1]
+		return buf
+	}
+	return make([]byte, storage.BlockSize)
+}
+
 // fault brings one block into residency: from its slot when it has
 // one, as zeros when it does not (a hole). Caller holds sh.mu.
 func (p *pager) fault(sh *pagerShard, pf *pfile, id, bno uint64) (*pblock, error) {
-	b := &pblock{id: id, bno: bno, data: make([]byte, storage.BlockSize), ref: true}
+	b := &pblock{id: id, bno: bno, data: sh.blockBuf(), ref: true}
+	n := 0
 	if slot, ok := pf.slots[bno]; ok {
 		// A short read at the extent file's end just means the tail of
 		// the slot was never written — those bytes read as zeros.
-		_, err := p.f.ReadAt(b.data, int64(slot)*storage.BlockSize)
+		var err error
+		n, err = p.f.ReadAt(b.data, int64(slot)*storage.BlockSize)
 		if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
 			return nil, err
 		}
 	}
+	clear(b.data[n:])
 	p.faults.Add(1)
-	pf.blocks[bno] = b
+	p.admit(sh, pf, b)
+	return b, nil
+}
+
+// admit makes b resident and evicts to make room for it. Caller holds
+// sh.mu.
+func (p *pager) admit(sh *pagerShard, pf *pfile, b *pblock) {
+	pf.blocks[b.bno] = b
 	sh.insert(b)
 	p.resident.Add(1)
 	sh.live++
 	p.evictOver(sh, b)
-	return b, nil
 }
 
 // insert adds b to the CLOCK ring, compacting reaped entries when the
@@ -240,6 +270,12 @@ func (p *pager) evictOver(sh *pagerShard, pin *pblock) {
 			delete(pf.blocks, b.bno)
 		}
 		b.dead = true
+		// Readers copy out under sh.mu and nothing else keeps a dead
+		// block's bytes, so the buffer can serve the next install.
+		if len(sh.spare) < spareBlocks {
+			sh.spare = append(sh.spare, b.data)
+		}
+		b.data = nil
 		sh.ring[sh.hand] = sh.ring[len(sh.ring)-1]
 		sh.ring = sh.ring[:len(sh.ring)-1]
 		sh.live--
@@ -341,12 +377,8 @@ func (p *pager) writeAt(id, off uint64, data []byte) error {
 		if b == nil {
 			if bo == 0 && n == storage.BlockSize {
 				// Full overwrite: the old content is irrelevant.
-				b = &pblock{id: id, bno: bno, data: make([]byte, storage.BlockSize), ref: true}
-				pf.blocks[bno] = b
-				sh.insert(b)
-				p.resident.Add(1)
-				sh.live++
-				p.evictOver(sh, b)
+				b = &pblock{id: id, bno: bno, data: sh.blockBuf(), ref: true}
+				p.admit(sh, pf, b)
 			} else {
 				var err error
 				if b, err = p.fault(sh, pf, id, bno); err != nil {
@@ -446,6 +478,40 @@ func (p *pager) removeLocked(sh *pagerShard, id uint64) {
 	}
 	p.releaseSlots(freed)
 	delete(sh.files, id)
+}
+
+// flushDirty does checkpointImage's flush with writers running: it
+// writes the resident blocks that are dirty back to their slots,
+// prepareBatch per hold of a shard lock, then fsyncs the extent file.
+// Blocks dirtied behind its back stay dirty, so a steady writer cannot
+// keep it going. It writes slots exactly as evictions do at arbitrary
+// moments, so a crash at any point in it is a crash between
+// checkpoints.
+func (p *pager) flushDirty() error {
+	for i := range p.shards {
+		sh := &p.shards[i]
+		sh.mu.Lock()
+		blocks := append([]*pblock(nil), sh.ring...)
+		sh.mu.Unlock()
+		for len(blocks) > 0 {
+			sh.mu.Lock()
+			wrote := 0
+			for len(blocks) > 0 && wrote < prepareBatch {
+				b := blocks[0]
+				blocks = blocks[1:]
+				if b.dead || !b.dirty {
+					continue
+				}
+				if err := p.writeBack(sh, b); err != nil {
+					sh.mu.Unlock()
+					return err
+				}
+				wrote++
+			}
+			sh.mu.Unlock()
+		}
+	}
+	return p.f.Sync()
 }
 
 // checkpointImage garbage-collects files not in live, flushes every

@@ -219,3 +219,73 @@ func TestPagerReadBeyondExtentErrors(t *testing.T) {
 		t.Fatalf("error = %q, want %q", err, want)
 	}
 }
+
+// TestPagerRecycledBufferReadsClean: an evicted block's buffer is
+// handed to the next install with its old bytes in it. A hole and the
+// unwritten tail of a slot must still read as zeros, and the list of
+// kept buffers must stay bounded.
+func TestPagerRecycledBufferReadsClean(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{HotBytes: storage.BlockSize}) // one resident block
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	drainReplay(t, s)
+	const id = 2
+	stale := bytes.Repeat([]byte{0xAA}, storage.BlockSize)
+	for bno := uint64(0); bno < 2*spareBlocks; bno++ {
+		if err := s.WriteAt(id, bno*storage.BlockSize, stale, false, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sh := s.pg.shard(id)
+	sh.mu.Lock()
+	spare := len(sh.spare)
+	sh.mu.Unlock()
+	if spare == 0 || spare > spareBlocks {
+		t.Fatalf("shard keeps %d spare buffers after %d evictions, want 1..%d", spare, 2*spareBlocks-1, spareBlocks)
+	}
+
+	// A hole: one byte, the last, written into a block that has no slot.
+	hole := uint64(4 * spareBlocks)
+	if err := s.WriteAt(id, (hole+1)*storage.BlockSize-1, []byte{1}, false, 2); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, storage.BlockSize)
+	if err := s.ReadAt(id, hole*storage.BlockSize, got); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, storage.BlockSize)
+	want[storage.BlockSize-1] = 1
+	if !bytes.Equal(got, want) {
+		t.Fatal("a block faulted in over a hole shows a recycled buffer's bytes")
+	}
+
+	// A short slot: the extent file ends inside the last slot written,
+	// as after a crash that lost its tail.
+	st, err := s.pg.f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := uint64(st.Size()/storage.BlockSize) - 1
+	if err := s.pg.f.Truncate(st.Size() - 100); err != nil {
+		t.Fatal(err)
+	}
+	var bno uint64
+	sh.mu.Lock()
+	for b, slot := range sh.files[id].slots {
+		if slot == last {
+			bno = b
+		}
+	}
+	sh.mu.Unlock()
+	if err := s.ReadAt(id, bno*storage.BlockSize, got); err != nil {
+		t.Fatal(err)
+	}
+	copy(want, stale)
+	clear(want[storage.BlockSize-100:])
+	if !bytes.Equal(got, want) {
+		t.Fatal("the unwritten tail of a short slot shows a recycled buffer's bytes")
+	}
+}

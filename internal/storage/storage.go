@@ -143,12 +143,23 @@ type ClockedStore interface {
 }
 
 // Checkpointer is implemented by durable stores that can bound replay
-// with checkpoint images. Checkpoint writes a point-in-time image of
-// the namespace (the node records the snapshot callback emits) plus
-// the store's own content index, then compacts the journal up to the
-// image's LSN.
+// with checkpoint images. A checkpoint is PrepareCheckpoint with
+// mutations running, Checkpoint with them held off, FinishCheckpoint
+// with them running again; the first and last exist so that the
+// middle, the only part mutators wait for, is short. Checkpoint alone
+// is a complete and correct checkpoint. The caller runs one checkpoint
+// at a time.
 //
-// The caller owns quiescence: no LogMeta/WriteAt/Truncate/Commit/
+// PrepareCheckpoint does ahead of time whatever of Checkpoint's work
+// stays valid while mutations continue (syncing the journal, writing
+// dirty content back). It changes nothing recovery reads differently:
+// a crash during or after it recovers as if no checkpoint had begun.
+// An error means no checkpoint was started.
+//
+// Checkpoint writes a point-in-time image of the namespace (the node
+// records the snapshot callback emits) plus the store's own content
+// index, then compacts the journal up to the image's LSN. The caller
+// owns quiescence: no LogMeta/WriteAt/Truncate/Commit/
 // Remove call may be in flight for the duration (the vfs holds its
 // quiesce lock across the call). Concurrent ReadAt is allowed.
 // snapshot must call emit once per live node; emit returns an error
@@ -157,8 +168,15 @@ type ClockedStore interface {
 // nextCookie are the caller's allocation watermarks, persisted in the
 // image so recovery never reuses an id (see Watermarker). The
 // returned stats are the store's updated running view.
+//
+// FinishCheckpoint releases what the checkpoint displaced (disk space
+// whose freeing is slow) after the caller has dropped quiescence, and
+// returns the running view again with that time in DurationMS. Call it
+// whether or not Checkpoint succeeded.
 type Checkpointer interface {
+	PrepareCheckpoint() error
 	Checkpoint(nextID, nextCookie uint64, snapshot func(emit func(*NodeRecord) error) error) (CheckpointStats, error)
+	FinishCheckpoint() CheckpointStats
 	// WALSizeBytes reports the bytes appended to the live journal
 	// segment since the last checkpoint (or boot) — the
 	// bytes-since-checkpoint trigger for background checkpointing.
@@ -192,6 +210,11 @@ type Stats struct {
 	ReplayRecords uint64             `json:"replay_records"`
 	ReplayBytes   uint64             `json:"replay_bytes"`
 	ReplayMBps    float64            `json:"replay_mbps,omitempty"`
+	// WALFailures counts journal calls that hit, or were refused
+	// because of, a write or fsync error. The journal is fail-stop:
+	// once this is nonzero every mutation fails until the store is
+	// reopened.
+	WALFailures uint64 `json:"wal_failures,omitempty"`
 	// Checkpoint and Pager appear only on stores that checkpoint and
 	// page (diskstore); omitted elsewhere so memstore deployments keep
 	// their exact pre-checkpoint stats documents.
@@ -202,17 +225,21 @@ type Stats struct {
 // CheckpointStats describes a store's checkpointing activity. As the
 // return value of Checkpointer.Checkpoint it describes that one
 // checkpoint; inside Stats it is the running view (Count cumulative,
-// Bytes/DurationMS from the most recent image, WALTruncatedBytes
-// cumulative journal bytes compacted away).
+// Bytes/DurationMS/StallMS from the most recent image,
+// WALTruncatedBytes cumulative journal bytes compacted away).
 type CheckpointStats struct {
-	Count             uint64  `json:"count"`
-	Bytes             uint64  `json:"bytes"`
+	Count uint64 `json:"count"`
+	Bytes uint64 `json:"bytes"`
+	// DurationMS is the wall time of the whole checkpoint, all three
+	// calls; StallMS is the part of it spent inside Checkpoint, which
+	// is how long mutations were held off.
 	DurationMS        float64 `json:"duration_ms"`
+	StallMS           float64 `json:"stall_ms"`
 	WALTruncatedBytes uint64  `json:"wal_truncated_bytes"`
-	// Failures counts Checkpoint calls that returned an error (each
-	// leaves the previous images and the full journal intact). A
-	// growing value against a stale Count means checkpointing is stuck
-	// and the journal is growing without bound.
+	// Failures counts PrepareCheckpoint and Checkpoint calls that
+	// returned an error (each leaves the previous images and the full
+	// journal intact). A growing value against a stale Count means
+	// checkpointing is stuck and the journal is growing without bound.
 	Failures uint64 `json:"failures,omitempty"`
 	// Boot-time gauges: throughput of the checkpoint-image load and
 	// the journal tail replay of the most recent open (satellite of

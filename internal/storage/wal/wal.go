@@ -22,8 +22,8 @@
 //
 // # Rotation
 //
-// Rotate seals the current segment (flush + fsync), renames it to
-// path+".prev" (deleting the previous .prev), and starts a fresh
+// Rotate seals the current segment (flush + fsync), renames it over
+// path+".prev" (displacing the previous .prev), and starts a fresh
 // segment whose baseSeq continues the chain. The fresh segment is
 // created and headered under path+".next" before the live path is
 // renamed away, so a failure at any step either completes the
@@ -33,7 +33,10 @@
 // lands: the new image covers everything in .prev, and .prev is
 // retained one generation so a torn image can fall back to the
 // previous image plus a longer replay. The chain therefore never
-// holds more than two segments.
+// holds more than two segments. Rotate keeps a descriptor open on the
+// segment it displaced, so the rename only drops its name; the file
+// system frees its blocks when Reclaim closes the descriptor, which
+// the checkpointer does after writers are running again.
 //
 // # Recovery
 //
@@ -63,6 +66,23 @@
 // fsync; callers that arrive while the leader is flushing wait and
 // then find their records already durable. The records-per-fsync
 // histogram is the direct measure of how well commits batch.
+//
+// The leader holds syncMu for the whole write + fsync but flushMu only
+// for the write: an appender that crosses the auto-flush mark while an
+// fsync is in flight spills its batch behind it and returns, and the
+// leader advances the durable watermark only to what it had written
+// before its fsync began. Lock order: syncMu, then flushMu, then mu.
+//
+// # Failure
+//
+// The log is fail-stop. Records are numbered by position, so a batch
+// that failed to reach the file cannot be skipped, and after a failed
+// fsync the kernel may have dropped the dirty pages, so a later fsync
+// proves nothing. The first write or fsync error is therefore kept:
+// every later Append, Flush, Sync and Rotate returns it, and the
+// durable watermark stays where the last good fsync left it. Reopening
+// the log (which truncates whatever tail the failure tore) is the way
+// out.
 //
 // The append hot path is allocation-free at steady state: callers
 // reserve space with Append(size, fill) and encode in place, and the
@@ -144,10 +164,15 @@ type WAL struct {
 	base      uint64
 	chainBase uint64
 	closed    bool
+	failed    error // first write or fsync error; sticky
 
-	// flushMu serializes file writes, fsyncs, and rotation (the
-	// group-commit leader lock) and guards f, spare, and written.
-	// Lock order: flushMu before mu.
+	// syncMu is the group-commit leader lock: its holder is the one
+	// goroutine fsyncing, rotating, crashing or closing the log.
+	// flushMu serializes write(2) and the buffer swap and guards
+	// spare and written. f changes only with all three locks held, so
+	// holding any one of them is enough to use it.
+	// Lock order: syncMu, flushMu, mu.
+	syncMu  sync.Mutex
 	flushMu sync.Mutex
 	f       *os.File
 	spare   []byte
@@ -155,6 +180,10 @@ type WAL struct {
 
 	synced atomic.Uint64 // records known durable
 	live   atomic.Uint64 // record bytes in the current segment
+
+	// displaced is the segment the last Rotate pushed out of the .prev
+	// slot: already nameless, its blocks freed when Reclaim closes it.
+	displaced atomic.Pointer[os.File]
 
 	epoch  uint64
 	replay ReplayInfo
@@ -164,6 +193,7 @@ type WAL struct {
 	flushes     stats.Counter
 	fsyncs      stats.Counter
 	rotations   stats.Counter
+	failures    stats.Counter
 	batch       stats.Histogram
 }
 
@@ -565,12 +595,13 @@ func (w *WAL) ChainBase() uint64 {
 func (w *WAL) LiveBytes() uint64 { return w.live.Load() }
 
 // Rotate seals the current segment (flushing and fsyncing everything
-// appended so far), renames it to the .prev slot — discarding the
+// appended so far), renames it over the .prev slot — displacing the
 // previous .prev, whose size it returns as the bytes compacted away —
 // and starts a fresh segment continuing the seq chain. Callers rotate
 // immediately after a checkpoint image lands: the image covers the
 // sealed segment, and the sealed segment covers back to the previous
-// image for fallback.
+// image for fallback. The displaced segment loses its name here but
+// keeps its blocks until Reclaim.
 //
 // Rotation is failure-atomic: the fresh segment is created and
 // headered under a .next temp name before the live path is renamed
@@ -578,6 +609,8 @@ func (w *WAL) LiveBytes() uint64 { return w.live.Load() }
 // w.f always matches the live path, and no acknowledged record ever
 // lands in a file recovery cannot find.
 func (w *WAL) Rotate() (freed uint64, err error) {
+	w.syncMu.Lock()
+	defer w.syncMu.Unlock()
 	w.flushMu.Lock()
 	defer w.flushMu.Unlock()
 	upto, err := w.flushLocked()
@@ -585,7 +618,7 @@ func (w *WAL) Rotate() (freed uint64, err error) {
 		return 0, err
 	}
 	if err := w.f.Sync(); err != nil {
-		return 0, err
+		return 0, w.fail(err)
 	}
 	w.fsyncs.Inc()
 	w.synced.Store(upto)
@@ -596,10 +629,19 @@ func (w *WAL) Rotate() (freed uint64, err error) {
 	if err != nil {
 		return 0, err
 	}
+	var displaced *os.File
 	abort := func(e error) (uint64, error) {
 		nf.Close()
 		os.Remove(nextPath)
+		if displaced != nil {
+			displaced.Close()
+		}
 		return 0, e
+	}
+	// Opened before the rename takes its name away: unlinking a large
+	// segment is slow, and this moves that cost to Reclaim.
+	if displaced, err = os.Open(w.prevPath); err != nil && !os.IsNotExist(err) {
+		return abort(err)
 	}
 	// Base the fresh segment at the flushed watermark, not w.seq:
 	// records appended (buffered) since the flush have seqs above upto
@@ -609,11 +651,10 @@ func (w *WAL) Rotate() (freed uint64, err error) {
 		return abort(err)
 	}
 	w.fsyncs.Inc()
-	if st, err := os.Stat(w.prevPath); err == nil {
-		freed = uint64(st.Size())
-	}
-	if err := os.Remove(w.prevPath); err != nil && !os.IsNotExist(err) {
-		return abort(err)
+	if displaced != nil {
+		if st, err := displaced.Stat(); err == nil {
+			freed = uint64(st.Size())
+		}
 	}
 	if err := os.Rename(w.path, w.prevPath); err != nil {
 		return abort(err)
@@ -631,12 +672,25 @@ func (w *WAL) Rotate() (freed uint64, err error) {
 	w.base = upto
 	w.mu.Unlock()
 	old.Close()
+	if unclaimed := w.displaced.Swap(displaced); unclaimed != nil {
+		unclaimed.Close()
+	}
 	if _, err := nf.Seek(headerSize, io.SeekStart); err != nil {
 		return 0, err
 	}
 	w.live.Store(0)
 	w.rotations.Inc()
 	return freed, syncDir(filepath.Dir(w.path))
+}
+
+// Reclaim closes the descriptor Rotate kept on the segment it
+// displaced, which is what frees that segment's blocks. It takes no
+// lock appenders or syncers wait on.
+func (w *WAL) Reclaim() error {
+	if d := w.displaced.Swap(nil); d != nil {
+		return d.Close()
+	}
+	return nil
 }
 
 func syncDir(dir string) error {
@@ -648,6 +702,31 @@ func syncDir(dir string) error {
 	return d.Sync()
 }
 
+// stateErr reports why the log accepts no more work — closed, or
+// fail-stopped on an earlier write or fsync error — and counts the
+// call it is about to refuse for the second reason. Caller holds mu.
+func (w *WAL) stateErr() error {
+	if w.closed {
+		return ErrClosed
+	}
+	if w.failed != nil {
+		w.failures.Inc()
+	}
+	return w.failed
+}
+
+// fail makes err the log's sticky error unless an earlier one already
+// is, and returns the sticky one.
+func (w *WAL) fail(err error) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.failed == nil {
+		w.failed = fmt.Errorf("wal: log failed, reopen to recover: %w", err)
+	}
+	w.failures.Inc()
+	return w.failed
+}
+
 // Append reserves size bytes for one record and calls fill to encode
 // the payload in place. The record buffers in user space (crossing
 // the auto-flush threshold spills it to the OS); it is durable only
@@ -657,9 +736,9 @@ func (w *WAL) Append(size int, fill func(dst []byte)) error {
 		return fmt.Errorf("wal: record size %d out of range", size)
 	}
 	w.mu.Lock()
-	if w.closed {
+	if err := w.stateErr(); err != nil {
 		w.mu.Unlock()
-		return ErrClosed
+		return err
 	}
 	off := len(w.buf)
 	need := off + frameSize + size
@@ -698,9 +777,9 @@ func (w *WAL) Flush() error {
 // flushMu. Returns the record watermark now handed to the OS.
 func (w *WAL) flushLocked() (uint64, error) {
 	w.mu.Lock()
-	if w.closed {
+	if err := w.stateErr(); err != nil {
 		w.mu.Unlock()
-		return w.written, ErrClosed
+		return w.written, err
 	}
 	buf, upto := w.buf, w.seq
 	if len(buf) == 0 {
@@ -712,7 +791,9 @@ func (w *WAL) flushLocked() (uint64, error) {
 	_, err := w.f.Write(buf)
 	w.spare = buf[:0]
 	if err != nil {
-		return w.written, err
+		// The batch is gone and part of it may be in the file; nothing
+		// may be written after it.
+		return w.written, w.fail(err)
 	}
 	w.flushes.Inc()
 	w.written = upto
@@ -736,33 +817,45 @@ func (w *WAL) SyncClocked(clk *stats.StageClock) error {
 func (w *WAL) Sync() error {
 	w.mu.Lock()
 	target := w.seq
-	closed := w.closed
+	err := w.stateErr()
 	w.mu.Unlock()
-	if closed {
-		return ErrClosed
+	if err != nil {
+		return err
 	}
 	for w.synced.Load() < target {
-		w.flushMu.Lock()
+		w.syncMu.Lock()
 		if w.synced.Load() >= target {
 			// A leader's fsync covered us while we waited.
-			w.flushMu.Unlock()
+			w.syncMu.Unlock()
 			return nil
 		}
-		start := w.synced.Load()
-		upto, err := w.flushLocked()
+		err := w.syncLocked()
+		w.syncMu.Unlock()
 		if err != nil {
-			w.flushMu.Unlock()
 			return err
 		}
-		if err := w.f.Sync(); err != nil {
-			w.flushMu.Unlock()
-			return err
-		}
-		w.fsyncs.Inc()
-		w.batch.Observe(upto - start)
-		w.synced.Store(upto)
-		w.flushMu.Unlock()
 	}
+	return nil
+}
+
+// syncLocked is the leader's work: write the batch, fsync, and advance
+// the durable watermark to what the write covered. Appenders keep
+// spilling during the fsync; their records are not claimed durable
+// until the next one. Caller holds syncMu.
+func (w *WAL) syncLocked() error {
+	start := w.synced.Load()
+	w.flushMu.Lock()
+	upto, err := w.flushLocked()
+	w.flushMu.Unlock()
+	if err != nil {
+		return err
+	}
+	if err := w.f.Sync(); err != nil {
+		return w.fail(err)
+	}
+	w.fsyncs.Inc()
+	w.batch.Observe(upto - start)
+	w.synced.Store(upto)
 	return nil
 }
 
@@ -771,6 +864,8 @@ func (w *WAL) Sync() error {
 // already handed to the OS survive — the page cache outlives the
 // process — exactly as with a real SIGKILL.
 func (w *WAL) Crash() error {
+	w.syncMu.Lock()
+	defer w.syncMu.Unlock()
 	w.flushMu.Lock()
 	defer w.flushMu.Unlock()
 	w.mu.Lock()
@@ -781,25 +876,34 @@ func (w *WAL) Crash() error {
 	w.buf = nil
 	w.closed = true
 	w.mu.Unlock()
+	w.Reclaim() //nolint:errcheck // read-only descriptor of a nameless file
 	return w.f.Close()
 }
 
 // Close flushes, syncs, and closes the log.
 func (w *WAL) Close() error {
-	if err := w.Sync(); err != nil && !errors.Is(err, ErrClosed) {
-		w.f.Close()
-		return err
+	w.syncMu.Lock()
+	defer w.syncMu.Unlock()
+	w.mu.Lock()
+	closed, unsynced := w.closed, w.synced.Load() < w.seq
+	w.mu.Unlock()
+	if closed {
+		return nil
+	}
+	var err error
+	if unsynced {
+		err = w.syncLocked()
 	}
 	w.flushMu.Lock()
 	defer w.flushMu.Unlock()
 	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
-		return nil
-	}
 	w.closed = true
 	w.mu.Unlock()
-	return w.f.Close()
+	w.Reclaim() //nolint:errcheck // read-only descriptor of a nameless file
+	if cerr := w.f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Stats is a snapshot of the log's counters.
@@ -810,7 +914,10 @@ type Stats struct {
 	Flushes     uint64
 	Fsyncs      uint64
 	Rotations   uint64
-	Batch       stats.HistSnapshot
+	// Failures counts calls that hit or were refused by the sticky
+	// write/fsync error; nonzero means the log is fail-stopped.
+	Failures uint64
+	Batch    stats.HistSnapshot
 }
 
 // StatsSnapshot captures the counters.
@@ -822,6 +929,7 @@ func (w *WAL) StatsSnapshot() Stats {
 		Flushes:     w.flushes.Load(),
 		Fsyncs:      w.fsyncs.Load(),
 		Rotations:   w.rotations.Load(),
+		Failures:    w.failures.Load(),
 		Batch:       w.batch.Snapshot(),
 	}
 }

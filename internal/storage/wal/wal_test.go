@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 )
 
 func openT(t *testing.T, path string, opts Options) (*WAL, [][]byte) {
@@ -551,5 +552,279 @@ func TestAppendNoAlloc(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("Append allocates %.1f objects per op, want 0", allocs)
+	}
+}
+
+// TestFailedWriteIsFailStop: a batch whose write(2) failed is gone, and
+// records are numbered by position, so the log must refuse everything
+// after it. At 5ac18af the third Sync returned nil with synced = 3 and
+// a reopen replayed A, C as seqs 1, 2.
+func TestFailedWriteIsFailStop(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.log")
+	w, _ := openT(t, path, Options{AutoFlushBytes: -1})
+	appendT(t, w, "A")
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	ro, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ro.Close()
+	good := w.f
+	w.f = ro // every write now fails with EBADF
+	appendT(t, w, "B")
+	first := w.Sync()
+	if first == nil {
+		t.Fatal("Sync over a failing write returned nil")
+	}
+	w.f = good
+
+	if err := w.Append(1, func(dst []byte) { dst[0] = 'C' }); !errors.Is(err, first) {
+		t.Fatalf("Append after the failure = %v, want the first error %v", err, first)
+	}
+	for name, op := range map[string]func() error{
+		"Flush":  w.Flush,
+		"Sync":   w.Sync,
+		"Rotate": func() error { _, err := w.Rotate(); return err },
+	} {
+		if err := op(); !errors.Is(err, first) {
+			t.Fatalf("%s after the failure = %v, want the first error %v", name, err, first)
+		}
+	}
+	if got := w.synced.Load(); got != 1 {
+		t.Fatalf("synced = %d after a failed batch, want 1 (the last good watermark)", got)
+	}
+	if got := w.StatsSnapshot().Failures; got < 5 {
+		t.Fatalf("Failures = %d, want one per failed or refused call (5)", got)
+	}
+	if err := w.Close(); !errors.Is(err, first) {
+		t.Fatalf("Close of a failed log = %v, want the first error", err)
+	}
+
+	w2, replayed, seqs := openSeqT(t, path, Options{})
+	defer w2.Close()
+	if len(replayed) != 1 || string(replayed[0]) != "A" || seqs[0] != 1 {
+		t.Fatalf("reopen replayed %q at seqs %v, want only A at seq 1", replayed, seqs)
+	}
+}
+
+// TestFailedFsyncIsFailStop: after a failed fsync the kernel may have
+// dropped the dirty pages, so a later successful fsync proves nothing
+// about them.
+func TestFailedFsyncIsFailStop(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.log")
+	w, _ := openT(t, path, Options{AutoFlushBytes: -1})
+	appendT(t, w, "A")
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	good := w.f
+	closed, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed.Close()
+	w.f = closed // fsync of a closed descriptor fails
+	first := w.Sync()
+	if first == nil {
+		t.Fatal("Sync over a failing fsync returned nil")
+	}
+	w.f = good
+	if err := w.Sync(); !errors.Is(err, first) {
+		t.Fatalf("second Sync = %v, want the first error %v", err, first)
+	}
+	if got := w.synced.Load(); got != 0 {
+		t.Fatalf("synced = %d, want 0", got)
+	}
+	w.Close() //nolint:errcheck // reports the sticky error, checked above
+}
+
+// within fails the test unless f returns soon; the bound only decides
+// how long a deadlock takes to report.
+func within(t *testing.T, what string, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() { defer close(done); f() }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s did not finish", what)
+	}
+}
+
+// TestAppendSpillsDuringSync: an fsync in flight is the leader holding
+// syncMu. An appender that crosses the auto-flush mark then must write
+// its batch and return — it holds a vfs file lock while it does — and
+// the durable watermark must not move for it.
+func TestAppendSpillsDuringSync(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.log")
+	w, _ := openT(t, path, Options{AutoFlushBytes: 64})
+	appendT(t, w, "synced")
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+
+	w.syncMu.Lock()
+	within(t, "Append across the auto-flush mark with the sync leader lock held", func() {
+		appendT(t, w, string(make([]byte, 128)))
+	})
+	w.flushMu.Lock()
+	written := w.written
+	w.flushMu.Unlock()
+	if written != 2 {
+		t.Fatalf("written = %d, want 2: the append did not spill", written)
+	}
+	if got := w.synced.Load(); got != 1 {
+		t.Fatalf("synced = %d with no fsync since record 1, want 1", got)
+	}
+
+	// A Rotate must wait for the leader: it swaps the file the leader
+	// is fsyncing.
+	rotated := make(chan error, 1)
+	go func() { _, err := w.Rotate(); rotated <- err }()
+	select {
+	case err := <-rotated:
+		t.Fatalf("Rotate finished (%v) while a sync leader held the log", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	w.syncMu.Unlock()
+	within(t, "Rotate after the leader left", func() {
+		if err := <-rotated; err != nil {
+			t.Errorf("Rotate: %v", err)
+		}
+	})
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSyncedNeverPassesWritten races spilling appenders, syncers and
+// rotations: the durable watermark may only ever name records a write
+// had handed to the OS before the fsync that advanced it, every Sync
+// must cover what was appended before it, and the chain must replay
+// whole. Race-detector target.
+func TestSyncedNeverPassesWritten(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.log")
+	w, _ := openT(t, path, Options{AutoFlushBytes: 256})
+	const appenders, perG = 4, 400
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for g := 0; g < appenders; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				if err := w.Append(100, func(dst []byte) { dst[0] = 1 }); err != nil {
+					t.Errorf("Append: %v", err)
+					return
+				}
+				if i%50 == 49 {
+					before := w.Seq()
+					if err := w.Sync(); err != nil {
+						t.Errorf("Sync: %v", err)
+						return
+					}
+					if got := w.synced.Load(); got < before {
+						t.Errorf("Sync returned with synced = %d, below the %d records appended before it", got, before)
+					}
+				}
+			}
+		}()
+	}
+	var bg sync.WaitGroup
+	bg.Add(2)
+	go func() { // the checkpointer
+		defer bg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := w.Rotate(); err != nil {
+				t.Errorf("Rotate: %v", err)
+				return
+			}
+			if err := w.Reclaim(); err != nil {
+				t.Errorf("Reclaim: %v", err)
+			}
+		}
+	}()
+	go func() { // the invariant
+		defer bg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			w.flushMu.Lock()
+			synced, written := w.synced.Load(), w.written
+			w.flushMu.Unlock()
+			if synced > written {
+				t.Errorf("synced = %d passes written = %d", synced, written)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	bg.Wait()
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Rotations discarded the oldest segments; what remains must be a
+	// contiguous run ending at the last record appended.
+	w2, _, seqs := openSeqT(t, path, Options{SkipBelow: w.chainBase})
+	defer w2.Close()
+	for i := 1; i < len(seqs); i++ {
+		if seqs[i] != seqs[i-1]+1 {
+			t.Fatalf("replayed seqs not contiguous at %d: %d then %d", i, seqs[i-1], seqs[i])
+		}
+	}
+	if w2.Seq() != appenders*perG {
+		t.Fatalf("reopened Seq = %d, want %d", w2.Seq(), appenders*perG)
+	}
+}
+
+// TestRotateKeepsDisplacedSegmentUntilReclaim: the segment pushed out
+// of the .prev slot loses its name at once — recovery never sees three
+// segments — but its blocks go only when Reclaim closes it.
+func TestRotateKeepsDisplacedSegmentUntilReclaim(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.log")
+	w, _ := openT(t, path, Options{})
+	defer w.Close()
+	appendT(t, w, "first-gen")
+	if _, err := w.Rotate(); err != nil {
+		t.Fatal(err)
+	}
+	if w.displaced.Load() != nil {
+		t.Fatal("first Rotate displaced a segment from an empty .prev slot")
+	}
+	appendT(t, w, "second-gen")
+	freed, err := w.Rotate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := w.displaced.Load()
+	if d == nil {
+		t.Fatal("second Rotate kept no descriptor on the displaced segment")
+	}
+	if st, err := d.Stat(); err != nil || uint64(st.Size()) != freed {
+		t.Fatalf("displaced segment stat = %v, %v; want the %d bytes Rotate reported", st, err, freed)
+	}
+	names, err := filepath.Glob(path + "*")
+	if err != nil || len(names) != 2 {
+		t.Fatalf("chain files = %v, %v; want exactly the live segment and .prev", names, err)
+	}
+	if err := w.Reclaim(); err != nil {
+		t.Fatal(err)
+	}
+	if w.displaced.Load() != nil {
+		t.Fatal("Reclaim left the descriptor behind")
+	}
+	if err := w.Reclaim(); err != nil {
+		t.Fatalf("second Reclaim = %v, want a no-op", err)
 	}
 }

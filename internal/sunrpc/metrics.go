@@ -109,13 +109,13 @@ type ProcCount struct {
 // procedure names; the NFS server exposes named counters one layer
 // up).
 type MetricsSnapshot struct {
-	Calls    uint64               `json:"calls"`
-	Replies  uint64               `json:"replies"`
-	Dropped  uint64               `json:"dropped,omitempty"`
-	Errors   uint64               `json:"errors,omitempty"`
-	InFlight stats.GaugeSnapshot  `json:"in_flight"`
-	Workers  stats.GaugeSnapshot  `json:"workers"`
-	Latency  stats.HistSnapshot   `json:"latency_us"`
+	Calls    uint64                 `json:"calls"`
+	Replies  uint64                 `json:"replies"`
+	Dropped  uint64                 `json:"dropped,omitempty"`
+	Errors   uint64                 `json:"errors,omitempty"`
+	InFlight stats.GaugeSnapshot    `json:"in_flight"`
+	Workers  stats.GaugeSnapshot    `json:"workers"`
+	Latency  stats.HistSnapshot     `json:"latency_us"`
 	Procs    map[string]ProcCount   `json:"procs,omitempty"`
 	Trace    stats.TraceSnapshot    `json:"trace"`
 	Stages   stats.StageSetSnapshot `json:"stages,omitempty"`

@@ -6,14 +6,16 @@ package vfs
 // journal; the next boot loads the image and replays only the tail
 // (DESIGN.md §15).
 //
-// The snapshot must correspond exactly to one journal LSN, so
-// Checkpoint holds the quiesce lock exclusively: every mutator holds
-// it shared for the span that journals the record and applies the
-// tree change, so when Checkpoint enters, the tree equals the journal
-// prefix and nothing moves until the image is on disk. Reads are
-// never blocked — they take node read locks only, and the snapshot
+// The snapshot must correspond exactly to one journal LSN, so the
+// image is written with the quiesce lock held exclusively: every
+// mutator holds it shared for the span that journals the record and
+// applies the tree change, so inside the lock the tree equals the
+// journal prefix and nothing moves until the image is on disk. Reads
+// are never blocked — they take node read locks only, and the snapshot
 // walk takes the same, so lookups and READs proceed at full speed
-// while a checkpoint streams out.
+// while a checkpoint streams out. Mutators are blocked only for that
+// section: the store does the bulk of the I/O before the lock is taken
+// and frees disk space after it is dropped.
 
 import (
 	"fmt"
@@ -33,9 +35,19 @@ func (fs *FS) Checkpoint() (storage.CheckpointStats, error) {
 	if !ok {
 		return storage.CheckpointStats{}, fmt.Errorf("vfs: store %T cannot checkpoint", fs.blocks)
 	}
+	fs.ckptMu.Lock()
+	defer fs.ckptMu.Unlock()
+	if err := ck.PrepareCheckpoint(); err != nil {
+		return storage.CheckpointStats{}, err
+	}
 	fs.quiesce.Lock()
-	defer fs.quiesce.Unlock()
-	return ck.Checkpoint(fs.nextID.Load(), fs.nextCookie.Load(), fs.snapshotNodes)
+	_, err := ck.Checkpoint(fs.nextID.Load(), fs.nextCookie.Load(), fs.snapshotNodes)
+	fs.quiesce.Unlock()
+	st := ck.FinishCheckpoint()
+	if err != nil {
+		return storage.CheckpointStats{}, err
+	}
+	return st, nil
 }
 
 // snapshotNodes streams every live node to emit as a NodeRecord. The
@@ -115,6 +127,7 @@ func (fs *FS) StartAutoCheckpoint(walBytes uint64, every time.Duration) (stop fu
 		var fails uint64
 		var lastMsg string
 		var lastWarn time.Time
+		var lastGood storage.CheckpointStats
 		for {
 			select {
 			case <-done:
@@ -130,14 +143,15 @@ func (fs *FS) StartAutoCheckpoint(walBytes uint64, every time.Duration) (stop fu
 			// from hot-looping the disk. The store counts failures in
 			// its checkpoint stats block; log here too (throttled) so a
 			// journal growing without bound is never silent.
-			if _, err := fs.Checkpoint(); err != nil {
+			if st, err := fs.Checkpoint(); err != nil {
 				fails++
 				if msg := err.Error(); msg != lastMsg || time.Since(lastWarn) >= time.Minute {
 					lastMsg, lastWarn = msg, time.Now()
-					log.Printf("vfs: auto-checkpoint failed (%d failures): %v", fails, err)
+					log.Printf("vfs: auto-checkpoint failed (%d failures; last good one took %.1f ms, %.1f ms of it stalling writers): %v",
+						fails, lastGood.DurationMS, lastGood.StallMS, err)
 				}
 			} else {
-				fails, lastMsg = 0, ""
+				fails, lastMsg, lastGood = 0, "", st
 			}
 			last = time.Now()
 		}

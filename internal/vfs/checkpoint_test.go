@@ -5,6 +5,7 @@ package vfs
 // the quiesce protocol under concurrent load.
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -191,21 +192,38 @@ func TestCheckpointBoundsReplayAcrossHistory(t *testing.T) {
 }
 
 // TestCheckpointConcurrentWrites hammers the quiesce protocol: many
-// writers and namespace mutators race a stream of checkpoints, then
-// the store reopens and every file the workload acked must be whole.
-// Race-detector target.
+// writers, COMMITs and namespace mutators race a stream of checkpoints
+// — whose prepare phase writes blocks back and syncs the journal while
+// they run — then the store is crashed and replayed, and later closed
+// and reopened, and both times every file and every block the workload
+// had acknowledged must be whole. Race-detector target.
 func TestCheckpointConcurrentWrites(t *testing.T) {
 	dir := t.TempDir()
+	// Sixteen resident blocks: most of every stream is evicted or
+	// written back by a prepare while its writer is still going.
 	fs, ds := newDiskFS(t, dir, diskstore.Options{HotBytes: 128 << 10})
 
 	const workers = 4
 	const perWorker = 40
+	const streamBlocks, passes, blockSize = 24, 3, 8192
+	block := func(w, bno, gen int) []byte {
+		p := make([]byte, blockSize)
+		for i := range p {
+			p[i] = byte(w*31 + bno*7 + gen*3 + i)
+		}
+		return p
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		w := w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			stream, _, err := fs.Create(root, fs.Root(), fmt.Sprintf("w%d-stream", w), 0o644, true)
+			if err != nil {
+				t.Errorf("create stream %d: %v", w, err)
+				return
+			}
 			for i := 0; i < perWorker; i++ {
 				name := fmt.Sprintf("w%d-f%d", w, i)
 				id, _, err := fs.Create(root, fs.Root(), name, 0o644, true)
@@ -225,12 +243,33 @@ func TestCheckpointConcurrentWrites(t *testing.T) {
 					}
 				}
 			}
+			for n := 0; n < passes*streamBlocks; n++ {
+				bno, gen := n%streamBlocks, n/streamBlocks
+				if _, err := fs.Write(root, stream, uint64(bno)*blockSize, block(w, bno, gen), false); err != nil {
+					t.Errorf("stream %d block %d: %v", w, bno, err)
+					return
+				}
+				if n%8 == 7 {
+					if err := fs.Commit(stream); err != nil {
+						t.Errorf("commit stream %d: %v", w, err)
+						return
+					}
+				}
+			}
 		}()
 	}
+	writersDone := make(chan struct{})
 	ckDone := make(chan struct{})
 	go func() {
 		defer close(ckDone)
-		for i := 0; i < 8; i++ {
+		for i := 0; ; i++ {
+			if i >= 8 {
+				select {
+				case <-writersDone:
+					return
+				default:
+				}
+			}
 			if _, err := fs.Checkpoint(); err != nil {
 				t.Errorf("checkpoint %d: %v", i, err)
 				return
@@ -238,26 +277,48 @@ func TestCheckpointConcurrentWrites(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+	close(writersDone)
 	<-ckDone
-	if err := ds.Close(); err != nil {
-		t.Fatal(err)
-	}
 
-	fs2, ds2 := newDiskFS(t, dir, diskstore.Options{HotBytes: 128 << 10})
-	defer ds2.Close()
-	for w := 0; w < workers; w++ {
-		for i := 0; i < perWorker; i++ {
-			name := fmt.Sprintf("w%d-f%d", w, i)
-			id, _, err := fs2.Lookup(root, fs2.Root(), name)
-			if err != nil {
-				t.Fatalf("lookup %s: %v", name, err)
+	verify := func(fs *FS, when string) {
+		t.Helper()
+		for w := 0; w < workers; w++ {
+			for i := 0; i < perWorker; i++ {
+				name := fmt.Sprintf("w%d-f%d", w, i)
+				id, _, err := fs.Lookup(root, fs.Root(), name)
+				if err != nil {
+					t.Fatalf("%s: lookup %s: %v", when, name, err)
+				}
+				data, _, err := fs.Read(root, id, 0, uint32(len(name)))
+				if err != nil || string(data) != name {
+					t.Fatalf("%s: read %s = %q, %v", when, name, data, err)
+				}
 			}
-			data, _, err := fs2.Read(root, id, 0, uint32(len(name)))
-			if err != nil || string(data) != name {
-				t.Fatalf("read %s = %q, %v", name, data, err)
+			stream, _, err := fs.Lookup(root, fs.Root(), fmt.Sprintf("w%d-stream", w))
+			if err != nil {
+				t.Fatalf("%s: lookup stream %d: %v", when, w, err)
+			}
+			for bno := 0; bno < streamBlocks; bno++ {
+				data, _, err := fs.Read(root, stream, uint64(bno)*blockSize, blockSize)
+				if err != nil || !bytes.Equal(data, block(w, bno, passes-1)) {
+					t.Fatalf("%s: stream %d block %d is not its last committed generation (%v)", when, w, bno, err)
+				}
 			}
 		}
 	}
+	if st := fs.StorageStats(); st.Checkpoint.Count < 8 || st.Checkpoint.Failures != 0 || st.Pager.WriteBackFailures != 0 || st.WALFailures != 0 {
+		t.Fatalf("store counters after the race: %+v %+v, %d journal failures", st.Checkpoint, st.Pager, st.WALFailures)
+	}
+	// Every stream's last write was followed by a COMMIT (passes *
+	// streamBlocks is a multiple of 8), so a crash may lose nothing.
+	fs.Restart()
+	verify(fs, "after crash and replay")
+	if err := ds.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fs2, ds2 := newDiskFS(t, dir, diskstore.Options{HotBytes: 128 << 10})
+	defer ds2.Close()
+	verify(fs2, "after reopen")
 }
 
 // TestAutoCheckpointFires: the background checkpointer must fire on

@@ -206,10 +206,14 @@ type FS struct {
 	orderRestarts atomic.Uint64
 	// quiesce serializes mutations against checkpoint snapshots:
 	// every operation that journals a record or changes the tree
-	// holds it shared, Checkpoint and Restart hold it exclusive.
-	// Reads never touch it. Ordered before node locks (rule 0: no
-	// path acquires quiesce while holding a node or shard lock).
+	// holds it shared, Checkpoint (for its image-writing section) and
+	// Restart hold it exclusive. Reads never touch it. Ordered before
+	// node locks (rule 0: no path acquires quiesce while holding a
+	// node or shard lock).
 	quiesce sync.RWMutex
+	// ckptMu admits one Checkpoint at a time: most of a checkpoint
+	// runs outside quiesce. Ordered before quiesce.
+	ckptMu sync.Mutex
 	// renameMu serializes the renames that give a directory a new
 	// parent — the only writers of a published node's parent — so the
 	// chain above the destination can be walked to refuse a move into

@@ -47,7 +47,10 @@ package repro
 // mutators and stable writers racing a stream of checkpoints through
 // the quiesce lock) and diskstore.TestCheckpointConcurrentReads
 // (readers faulting cold pages while the image writer flushes and
-// walks the extent index). Configuration is per stack, with no
+// walks the extent index); since checkpoints do their bulk I/O with
+// writers running, the first also races COMMITs and ends in a crash and
+// a replay, and wal.TestSyncedNeverPassesWritten races spilling
+// appenders, sync leaders and rotations. Configuration is per stack, with no
 // process-wide switch (TestNoPackageLevelSetters below keeps it so):
 // lab.TestTwoConfigurationsOneProcess runs an encrypted and a plaintext
 // stack side by side. internal/netsim joined: every dispatch worker
@@ -62,6 +65,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"go/ast"
+	"go/format"
 	"go/parser"
 	"go/token"
 	"io"
@@ -98,6 +102,41 @@ func TestNoPackageLevelSetters(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestGofmt: every Go file of the program is in gofmt's form, so a
+// diff never carries reformatting (CI also runs `gofmt -l`).
+func TestGofmt(t *testing.T) {
+	check := func(path string) {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := format.Source(src)
+		if err != nil {
+			t.Errorf("%s: %v", filepath.ToSlash(path), err)
+		} else if !bytes.Equal(src, want) {
+			t.Errorf("%s is not gofmt-clean; run gofmt -w on it", filepath.ToSlash(path))
+		}
+	}
+	roots, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range roots {
+		check(path)
+	}
+	for _, dir := range []string{"internal", "cmd", "examples"} {
+		err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+			if err == nil && !d.IsDir() && strings.HasSuffix(path, ".go") {
+				check(path)
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -448,6 +448,41 @@ func TestCachingReducesWireCalls(t *testing.T) {
 	}
 }
 
+// TestRepliesSpareTheWalk: a path made by this client is walked with no
+// RPC at all — MKDIR and CREATE bound its names — and the lease-cache
+// counters reach the stats document sfscd and /stats render.
+func TestRepliesSpareTheWalk(t *testing.T) {
+	w, s, cl := newWorld(t, "spare")
+	if _, err := w.NewUser(cl, s, "root", 0, ""); err != nil {
+		t.Fatal(err)
+	}
+	base := s.Path.String()
+	if err := cl.Mkdir("root", base+"/d", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.WriteFile("root", base+"/d/f", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	before := cl.TotalRPCs()
+	if a, err := cl.Stat("root", base+"/d/f"); err != nil || a.Size != 1 {
+		t.Fatalf("stat: %+v, %v", a, err)
+	}
+	if sent := cl.TotalRPCs() - before; sent != 0 {
+		t.Fatalf("stat of a file this client just made sent %d RPCs", sent)
+	}
+	if err := cl.Rename("root", base+"/d/f", base+"/d/g"); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Remove("root", base+"/d/g"); err != nil {
+		t.Fatal(err)
+	}
+	m := cl.StatsSnapshot().Mounts[0]
+	if m.NameInstalls < 3 || m.NameHits < 2 || m.Forgets != 1 || m.Records != 2 {
+		t.Fatalf("mount stats: %d installs (want >= 3: mkdir, create, rename), %d name hits, %d forgets (want 1: the removed file), %d records (want 2: root and d)",
+			m.NameInstalls, m.NameHits, m.Forgets, m.Records)
+	}
+}
+
 func TestNotSFSPathRejected(t *testing.T) {
 	_, _, cl := newWorld(t, "notsfs")
 	cl.RegisterAgent("u", agent.New("u", nil))

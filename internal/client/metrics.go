@@ -82,6 +82,16 @@ type MountStats struct {
 	AttrHits uint64 `json:"attr_hits"`
 	AccHits  uint64 `json:"access_hits"`
 	Invals   uint64 `json:"invalidations"`
+	// Lease cache (one record per handle): name_hits avoided a LOOKUP;
+	// name_installs are names a reply other than LOOKUP's taught it;
+	// forgets are handles dropped by a callback or an own mutation,
+	// swept the records reclaimed after their leases expired; records
+	// is the current table size.
+	NameHits     uint64 `json:"name_hits"`
+	NameInstalls uint64 `json:"name_installs"`
+	Forgets      uint64 `json:"forgets"`
+	Swept        uint64 `json:"swept"`
+	Records      uint64 `json:"records"`
 	// Data block cache (PR 5): hits avoided a READ RPC entirely;
 	// bytes_cached is the current occupancy; singleflight_shared
 	// counts cold reads that rode another reader's RPC.
@@ -118,6 +128,7 @@ func (c *Client) mountStats() []MountStats {
 		}
 		s := ns.Stats()
 		st.Calls, st.AttrHits, st.AccHits, st.Invals = s.Calls, s.AttrHits, s.AccessHits, s.Invals
+		st.NameHits, st.NameInstalls, st.Forgets, st.Swept, st.Records = s.NameHits, s.NameInstalls, s.Forgets, s.Swept, s.Records
 		st.DataHits, st.DataMisses, st.DataBytesCached = s.DataHits, s.DataMisses, s.DataBytesCached
 		st.DataEvictions, st.SingleFlightShared = s.Evictions, s.SingleFlightShared
 		st.CacheLocks, st.CacheContended = s.CacheLocks, s.CacheContended

@@ -69,6 +69,12 @@ type Stats struct {
 	AccessHits uint64 // ACCESSes avoided
 	Invals     uint64 // callbacks received
 
+	NameHits     uint64 // LOOKUPs avoided
+	NameInstalls uint64 // names learned from a reply other than LOOKUP's
+	Forgets      uint64 // handles dropped: callbacks, own mutations, error paths
+	Swept        uint64 // records reclaimed after every lease in them expired
+	Records      uint64 // handles the lease cache currently holds a record for
+
 	DataHits           uint64 // READs served from the data block cache
 	DataMisses         uint64 // cacheable READs that went to the wire
 	DataBytesCached    uint64 // bytes currently held by the data cache
@@ -78,27 +84,40 @@ type Stats struct {
 	CacheContended     uint64 // acquisitions that found the lock held
 }
 
-type attrEntry struct {
+// record is everything the client holds about one file handle: its
+// attributes while their lease runs, what each principal may do to it,
+// and — for a directory — the names known to live in it. Forgetting a
+// handle is deleting its record.
+type record struct {
 	attr    Fattr
-	expires time.Time
+	expires time.Time     // of attr; zero when none are held
+	access  []accessEntry // one per principal that asked
+	names   map[string]nameEntry
 }
 
 type accessEntry struct {
-	granted uint32 // bits known granted
-	checked uint32 // bits known (granted or denied)
-	expires time.Time
+	principal string
+	granted   uint32 // bits known granted
+	checked   uint32 // bits known (granted or denied)
+	expires   time.Time
 }
 
+// nameEntry binds a name in a directory to a handle for as long as the
+// directory's lease, granted by the reply that taught us the name, runs.
 type nameEntry struct {
 	fh      FH
 	expires time.Time
 }
 
+// minSweep is the table size below which expired records are not worth
+// a sweep.
+const minSweep = 256
+
 // clientCore is the state shared by every per-user view of one
-// connection: the transport, the attribute cache (safe to share
-// between mutually distrustful users because the pathname's HostID
-// already names the server key — the point of §5.1's AFS
-// comparison), and the statistics.
+// connection: the transport, the lease cache (safe to share between
+// mutually distrustful users because the pathname's HostID already
+// names the server key — the point of §5.1's AFS comparison; access
+// results alone are kept per principal), and the statistics.
 type clientCore struct {
 	cfg  ClientConfig
 	peer *sunrpc.Client
@@ -107,22 +126,22 @@ type clientCore struct {
 	traceRing   *stats.TraceRing
 	traceStages *stats.StageSet
 
-	mu     sync.RWMutex
-	attrs  map[string]attrEntry
-	access map[string]accessEntry // keyed by principal + handle
-	// names caches LOOKUP results under leases (dir handle + name →
-	// child handle). Entries die with the directory's cached state:
-	// any mutation or callback on the directory forgets them, so the
-	// cache stays as consistent as the attribute cache.
-	names map[string]nameEntry
+	mu   sync.RWMutex
+	recs map[string]*record // keyed by handle
+	// sweptAt is the table size the last sweep left; lock sweeps again
+	// once the table has doubled, so reclaiming expired records costs
+	// O(1) per record inserted.
+	sweptAt int
 	// dc caches file data blocks (nil when disabled); flights is the
 	// single-flight table collapsing concurrent cold-block READs.
 	dc      *dataCache
 	flights map[string]*readFlight
-	// invalEpoch advances on every forget and on truncation. A READ
-	// reply may only populate the cache if the epoch it was issued
-	// under is still current — otherwise an invalidation that raced
-	// the RPC would be undone by a stale reply.
+	// invalEpoch advances on every forget (dropLocked of an own victim
+	// aside) and on truncation. A reply may only add a data block or a
+	// name if the epoch its call was issued under is still current —
+	// otherwise an invalidation that raced the RPC (the read loop hands
+	// the reply to its caller, then dispatches the callback; the
+	// callback may run first) would be undone by a stale reply.
 	invalEpoch atomic.Uint64
 	// writeEpoch advances whenever an acknowledged WRITE is folded into
 	// the cache. A READ issued before that — by another goroutine, for
@@ -134,27 +153,70 @@ type clientCore struct {
 	// pipelined writes do not disqualify each other.
 	writeEpoch atomic.Uint64
 
-	calls      atomic.Uint64
-	attrHits   atomic.Uint64
-	accessHits atomic.Uint64
-	invals     atomic.Uint64
-	dataHits   atomic.Uint64
-	dataMisses atomic.Uint64
-	evictions  atomic.Uint64
-	sfShared   atomic.Uint64
-	cacheLocks atomic.Uint64
-	contended  atomic.Uint64
+	calls        atomic.Uint64
+	attrHits     atomic.Uint64
+	accessHits   atomic.Uint64
+	invals       atomic.Uint64
+	nameHits     atomic.Uint64
+	nameInstalls atomic.Uint64
+	forgets      atomic.Uint64
+	swept        atomic.Uint64
+	dataHits     atomic.Uint64
+	dataMisses   atomic.Uint64
+	evictions    atomic.Uint64
+	sfShared     atomic.Uint64
+	cacheLocks   atomic.Uint64
+	contended    atomic.Uint64
 }
 
 // lock and rlock wrap the cache mutex with the same TryLock-first
 // contention accounting the server's vfs_locks counters use: a failed
-// try means another goroutine held the lock when we arrived.
+// try means another goroutine held the lock when we arrived. Every
+// writer enters through lock, holding no record yet, which makes it the
+// one safe place to sweep.
 func (core *clientCore) lock() {
 	if !core.mu.TryLock() {
 		core.contended.Add(1)
 		core.mu.Lock()
 	}
 	core.cacheLocks.Add(1)
+	if len(core.recs) >= 2*core.sweptAt {
+		core.sweep()
+	}
+}
+
+// sweep reclaims what lease expiry alone left behind: names, and whole
+// records (with their data blocks) once nothing in them is live — files
+// another client removed, handles nobody asked about again.
+func (core *clientCore) sweep() {
+	now := time.Now()
+	for key, r := range core.recs {
+		dead := !now.Before(r.expires)
+		for _, e := range r.access {
+			dead = dead && !now.Before(e.expires)
+		}
+		for name, e := range r.names {
+			if !now.Before(e.expires) {
+				delete(r.names, name)
+			}
+		}
+		if dead && len(r.names) == 0 {
+			delete(core.recs, key)
+			if core.dc != nil {
+				core.dc.dropFileLocked(key)
+			}
+			core.swept.Add(1)
+		}
+	}
+	core.sweptAt = max(len(core.recs), minSweep)
+}
+
+// lockSince takes the write lock to fold in the reply to a call issued
+// at epoch, and reports whether the cache is as that call left it: no
+// invalidation has moved invalEpoch since.
+func (core *clientCore) lockSince(epoch uint64) (fresh bool, now time.Time) {
+	core.lock()
+	return core.invalEpoch.Load() == epoch, time.Now()
 }
 
 func (core *clientCore) rlock() {
@@ -181,9 +243,8 @@ type Client struct {
 func Dial(conn io.ReadWriteCloser, cfg ClientConfig) *Client {
 	core := &clientCore{
 		cfg:     cfg,
-		attrs:   make(map[string]attrEntry),
-		access:  make(map[string]accessEntry),
-		names:   make(map[string]nameEntry),
+		recs:    make(map[string]*record),
+		sweptAt: minSweep,
 		flights: make(map[string]*readFlight),
 	}
 	if cfg.DataCacheBytes >= 0 {
@@ -258,6 +319,10 @@ func (c *Client) Stats() Stats {
 		AttrHits:           c.core.attrHits.Load(),
 		AccessHits:         c.core.accessHits.Load(),
 		Invals:             c.core.invals.Load(),
+		NameHits:           c.core.nameHits.Load(),
+		NameInstalls:       c.core.nameInstalls.Load(),
+		Forgets:            c.core.forgets.Load(),
+		Swept:              c.core.swept.Load(),
 		DataHits:           c.core.dataHits.Load(),
 		DataMisses:         c.core.dataMisses.Load(),
 		Evictions:          c.core.evictions.Load(),
@@ -268,6 +333,9 @@ func (c *Client) Stats() Stats {
 	if c.core.dc != nil {
 		st.DataBytesCached = uint64(c.core.dc.size.Load())
 	}
+	c.core.mu.RLock()
+	st.Records = uint64(len(c.core.recs))
+	c.core.mu.RUnlock()
 	return st
 }
 
@@ -276,30 +344,32 @@ func (c *Client) call(proc uint32, args, res interface{}) error {
 	return c.core.peer.Call(Program, Version, proc, c.auth(), args, res)
 }
 
-// forget drops cached state for a handle across all principals,
-// including any name-cache entries under it (when it is a directory)
-// and every cached data block: attribute-entry lifetime bounds block
-// lifetime, so this one choke point is the cache's whole coherence
-// protocol. The epoch bump fences in-flight READ replies.
+// forget drops everything held for a handle, for every principal: its
+// attributes, its access results, the names in it (when it is a
+// directory) and every cached data block — attribute lifetime bounds
+// block lifetime, so this one choke point is the cache's whole
+// coherence protocol. The epoch bump fences replies still in flight.
 func (core *clientCore) forget(fh FH) {
 	core.lock()
+	core.forgetLocked(fh)
+	core.mu.Unlock()
+}
+
+func (core *clientCore) forgetLocked(fh FH) {
 	core.invalEpoch.Add(1)
-	delete(core.attrs, string(fh))
+	core.dropLocked(fh)
+}
+
+// dropLocked forgets without the fence: for the victim of this client's
+// own REMOVE or RENAME, where the only replies it could make stale are
+// ones the caller itself raced against its mutation, and moving the
+// epoch would void every READ and name in flight on unrelated handles.
+func (core *clientCore) dropLocked(fh FH) {
+	core.forgets.Add(1)
+	delete(core.recs, string(fh))
 	if core.dc != nil {
 		core.dc.dropFileLocked(string(fh))
 	}
-	for k := range core.access {
-		if len(k) >= len(fh) && k[len(k)-len(fh):] == string(fh) {
-			delete(core.access, k)
-		}
-	}
-	prefix := string(fh) + "\x00"
-	for k := range core.names {
-		if len(k) >= len(prefix) && k[:len(prefix)] == prefix {
-			delete(core.names, k)
-		}
-	}
-	core.mu.Unlock()
 }
 
 // endFlight publishes a finished flight to its joiners and retires it
@@ -321,48 +391,105 @@ func (core *clientCore) readEpoch() uint64 {
 	return core.invalEpoch.Load() + core.writeEpoch.Load()
 }
 
-func nameKey(dir FH, name string) string { return string(dir) + "\x00" + name }
-
-// dropName removes one name-cache entry.
-func (core *clientCore) dropName(dir FH, name string) {
-	core.lock()
-	delete(core.names, nameKey(dir, name))
-	core.mu.Unlock()
-}
-
-// refreshDir applies post-operation directory attributes from a
-// mutating reply (NFS3 wcc_data): when present the directory's
-// attribute entry is refreshed in place; when absent the whole
-// directory state is dropped.
-func (c *Client) refreshDir(dir FH, attr *Fattr) {
-	if attr == nil {
-		c.core.forget(dir)
-		return
+// recFor returns fh's record, making an empty one if none is held.
+// Caller holds the write lock.
+func (core *clientCore) recFor(fh FH) *record {
+	r := core.recs[string(fh)]
+	if r == nil {
+		r = &record{}
+		core.recs[string(fh)] = r
 	}
-	c.remember(dir, attr)
+	return r
 }
 
-func (c *Client) accessKey(fh FH) string { return c.principal + "\x00" + string(fh) }
+// live returns fh's record while its attributes are held and current,
+// else nil. Caller holds the lock in either mode.
+func (core *clientCore) live(fh FH, now time.Time) *record {
+	if r := core.recs[string(fh)]; r != nil && now.Before(r.expires) {
+		return r
+	}
+	return nil
+}
+
+func (r *record) accessOf(principal string) *accessEntry {
+	for i := range r.access {
+		if r.access[i].principal == principal {
+			return &r.access[i]
+		}
+	}
+	return nil
+}
+
+// takeLocked unbinds name in dir and returns what it was bound to, the
+// zero entry if nothing. An entry past its lease still names the handle
+// the name most likely had, which is reason enough to forget that
+// handle but never to bind it again: whoever changed the directory
+// since owed us no callback.
+func (core *clientCore) takeLocked(dir FH, name string) nameEntry {
+	d := core.recs[string(dir)]
+	if d == nil {
+		return nameEntry{}
+	}
+	e := d.names[name]
+	delete(d.names, name)
+	return e
+}
+
+// bindLocked binds name in dir to fh, if it may: a binding is only as
+// good as our lease on the directory, so the reply that carried it
+// must have granted one (grant is the attributes it did so with), and
+// no invalidation may have overtaken the call (fresh: invalEpoch has
+// not moved since it was issued). Otherwise the name is left unbound.
+// Returns how many names it installed.
+func (c *Client) bindLocked(dir FH, name string, fh FH, grant *Fattr, fresh bool, now time.Time) uint64 {
+	ttl := c.lease(grant)
+	if !fresh || ttl <= 0 {
+		c.core.takeLocked(dir, name)
+		return 0
+	}
+	d := c.core.recFor(dir)
+	if d.names == nil {
+		d.names = make(map[string]nameEntry)
+	}
+	d.names[name] = nameEntry{fh: fh, expires: now.Add(ttl)}
+	return 1
+}
 
 // remember stores attributes under the cache policy: the server lease
-// when enabled and granted, else the fixed client timeout.
+// when enabled and granted, else the fixed client timeout. A reply
+// without the attributes it should carry means the server could not
+// read them, and the handle is forgotten — for the directory of a
+// mutating reply (NFS3 wcc_data), names and all.
 func (c *Client) remember(fh FH, attr *Fattr) {
-	if attr == nil {
-		c.core.forget(fh)
-		return
-	}
-	ttl := c.ttlFor(attr)
-	if ttl <= 0 {
+	if attr != nil && c.ttlFor(attr) <= 0 {
 		return
 	}
 	c.core.lock()
-	c.core.attrs[string(fh)] = attrEntry{attr: *attr, expires: time.Now().Add(ttl)}
+	c.rememberLocked(fh, attr, time.Now())
 	c.core.mu.Unlock()
 }
 
-func (c *Client) ttlFor(attr *Fattr) time.Duration {
+func (c *Client) rememberLocked(fh FH, attr *Fattr, now time.Time) {
+	if attr == nil {
+		c.core.forgetLocked(fh)
+	} else if ttl := c.ttlFor(attr); ttl > 0 {
+		r := c.core.recFor(fh)
+		r.attr, r.expires = *attr, now.Add(ttl)
+	}
+}
+
+// lease is the term the server granted with attr; zero outside lease
+// mode.
+func (c *Client) lease(attr *Fattr) time.Duration {
 	if c.core.cfg.UseLeases && attr != nil && attr.LeaseMS > 0 {
 		return time.Duration(attr.LeaseMS) * time.Millisecond
+	}
+	return 0
+}
+
+func (c *Client) ttlFor(attr *Fattr) time.Duration {
+	if ttl := c.lease(attr); ttl > 0 {
+		return ttl
 	}
 	return c.core.cfg.AttrTimeout
 }
@@ -390,10 +517,11 @@ func deref(a *Fattr) Fattr {
 // GetAttr returns attributes, from cache when fresh.
 func (c *Client) GetAttr(fh FH) (Fattr, error) {
 	c.core.rlock()
-	if e, ok := c.core.attrs[string(fh)]; ok && time.Now().Before(e.expires) {
+	if r := c.core.live(fh, time.Now()); r != nil {
+		attr := r.attr
 		c.core.mu.RUnlock()
 		c.core.attrHits.Add(1)
-		return e.attr, nil
+		return attr, nil
 	}
 	c.core.mu.RUnlock()
 	var res AttrRes
@@ -426,22 +554,28 @@ func (c *Client) SetAttr(args SetAttrArgs) (Fattr, error) {
 	return deref(res.Attr), nil
 }
 
-// Lookup resolves name in dir. In lease mode, repeat lookups are
-// served from the name cache together with the attribute cache, so a
-// warm pathname walk needs no RPCs at all.
+// Lookup resolves name in dir. In lease mode a name some earlier reply
+// bound is served from the cache together with the child's attributes,
+// so a warm pathname walk needs no RPCs at all.
 func (c *Client) Lookup(dir FH, name string) (FH, Fattr, error) {
-	if c.core.cfg.UseLeases {
-		key := nameKey(dir, name)
-		c.core.rlock()
-		if e, ok := c.core.names[key]; ok && time.Now().Before(e.expires) {
-			if a, ok := c.core.attrs[string(e.fh)]; ok && time.Now().Before(a.expires) {
-				c.core.mu.RUnlock()
-				c.core.attrHits.Add(1)
-				return e.fh, a.attr, nil
+	core := c.core
+	if core.cfg.UseLeases {
+		now := time.Now()
+		core.rlock()
+		if d := core.recs[string(dir)]; d != nil {
+			if e, ok := d.names[name]; ok && now.Before(e.expires) {
+				if r := core.live(e.fh, now); r != nil {
+					attr := r.attr
+					core.mu.RUnlock()
+					core.attrHits.Add(1)
+					core.nameHits.Add(1)
+					return e.fh, attr, nil
+				}
 			}
 		}
-		c.core.mu.RUnlock()
+		core.mu.RUnlock()
 	}
+	epoch := core.invalEpoch.Load()
 	var res LookupRes
 	if err := c.call(ProcLookup, DirOpArgs{Dir: dir, Name: name}, &res); err != nil {
 		return nil, Fattr{}, err
@@ -449,30 +583,31 @@ func (c *Client) Lookup(dir FH, name string) (FH, Fattr, error) {
 	if err := StatusErr(res.Status); err != nil {
 		return nil, Fattr{}, err
 	}
-	c.remember(res.FH, res.Attr)
-	if c.core.cfg.UseLeases {
-		if ttl := c.ttlFor(res.Attr); ttl > 0 {
-			c.core.lock()
-			c.core.names[nameKey(dir, name)] = nameEntry{fh: res.FH, expires: time.Now().Add(ttl)}
-			c.core.mu.Unlock()
-		}
-	}
+	// LOOKUP leases the directory along with the child, for the term
+	// the child's attributes state.
+	fresh, now := core.lockSince(epoch)
+	c.rememberLocked(res.FH, res.Attr, now)
+	c.bindLocked(dir, name, res.FH, res.Attr, fresh, now)
+	core.mu.Unlock()
 	return res.FH, deref(res.Attr), nil
 }
 
 // Access checks permission bits, using the per-principal access cache
 // when enabled.
 func (c *Client) Access(fh FH, want uint32) (uint32, error) {
-	if c.core.cfg.AccessCache {
-		key := c.accessKey(fh)
-		c.core.rlock()
-		if e, ok := c.core.access[key]; ok && time.Now().Before(e.expires) && e.checked&want == want {
-			granted := e.granted & want
-			c.core.mu.RUnlock()
-			c.core.accessHits.Add(1)
-			return granted, nil
+	core := c.core
+	if core.cfg.AccessCache {
+		now := time.Now()
+		core.rlock()
+		if r := core.recs[string(fh)]; r != nil {
+			if e := r.accessOf(c.principal); e != nil && now.Before(e.expires) && e.checked&want == want {
+				granted := e.granted & want
+				core.mu.RUnlock()
+				core.accessHits.Add(1)
+				return granted, nil
+			}
 		}
-		c.core.mu.RUnlock()
+		core.mu.RUnlock()
 	}
 	var res AccessRes
 	if err := c.call(ProcAccess, AccessArgs{FH: fh, Access: want}, &res); err != nil {
@@ -481,20 +616,22 @@ func (c *Client) Access(fh FH, want uint32) (uint32, error) {
 	if err := StatusErr(res.Status); err != nil {
 		return 0, err
 	}
-	c.remember(fh, res.Attr)
-	if c.core.cfg.AccessCache {
-		if ttl := c.ttlFor(res.Attr); ttl > 0 {
-			key := c.accessKey(fh)
-			c.core.lock()
-			e := c.core.access[key]
-			e.granted |= res.Access & want
-			e.granted &^= want &^ res.Access
-			e.checked |= want
-			e.expires = time.Now().Add(ttl)
-			c.core.access[key] = e
-			c.core.mu.Unlock()
+	core.lock()
+	now := time.Now()
+	c.rememberLocked(fh, res.Attr, now)
+	if ttl := c.ttlFor(res.Attr); core.cfg.AccessCache && ttl > 0 {
+		r := core.recFor(fh)
+		e := r.accessOf(c.principal)
+		if e == nil {
+			r.access = append(r.access, accessEntry{principal: c.principal})
+			e = &r.access[len(r.access)-1]
 		}
+		e.granted |= res.Access & want
+		e.granted &^= want &^ res.Access
+		e.checked |= want
+		e.expires = now.Add(ttl)
 	}
+	core.mu.Unlock()
 	return res.Access, nil
 }
 
@@ -516,62 +653,14 @@ func (c *Client) Readlink(fh FH) (string, error) {
 // single-flight table so concurrent readers cost one READ. The
 // returned slice may alias the cache — callers must not modify it.
 func (c *Client) Read(fh FH, offset uint64, count uint32) ([]byte, bool, error) {
-	core := c.core
-	if core.dc != nil && blockSpan(offset, count) {
-		if data, eof, ok := c.dataLookup(fh, offset, count); ok {
-			core.dataHits.Add(1)
-			return data, eof, nil
-		}
-		core.dataMisses.Add(1)
-		if offset%DataBlockSize == 0 && count == DataBlockSize {
-			return c.readShared(fh, offset)
-		}
+	if data, eof, ok := c.dataLookup(fh, offset, count); ok {
+		return data, eof, nil
 	}
-	epoch := core.readEpoch()
-	data, eof, err := c.readWire(fh, offset, count)
-	if err == nil {
-		c.populate(fh, offset, data, eof, epoch)
-	}
-	return data, eof, err
-}
-
-// readWire is the uncached READ round trip.
-func (c *Client) readWire(fh FH, offset uint64, count uint32) ([]byte, bool, error) {
-	var res ReadRes
-	if err := c.call(ProcRead, ReadArgs{FH: fh, Offset: offset, Count: count}, &res); err != nil {
+	fin, err := c.readStartCold(fh, offset, count)
+	if err != nil {
 		return nil, false, err
 	}
-	if err := StatusErr(res.Status); err != nil {
-		return nil, false, err
-	}
-	c.remember(fh, res.Attr)
-	return res.Data, res.EOF, nil
-}
-
-// readShared reads one cold full block through the single-flight
-// table: the first caller becomes the leader and issues the RPC,
-// later callers block on its flight and share the reply.
-func (c *Client) readShared(fh FH, offset uint64) ([]byte, bool, error) {
-	core := c.core
-	key := flightKey(c.principal, fh, offset/DataBlockSize)
-	core.lock()
-	if fl, ok := core.flights[key]; ok {
-		core.mu.Unlock()
-		core.sfShared.Add(1)
-		<-fl.done
-		return fl.data, fl.eof, fl.err
-	}
-	fl := &readFlight{done: make(chan struct{})}
-	core.flights[key] = fl
-	epoch := core.readEpoch()
-	core.mu.Unlock()
-	data, eof, err := c.readWire(fh, offset, DataBlockSize)
-	if err == nil {
-		c.populate(fh, offset, data, eof, epoch)
-	}
-	fl.data, fl.eof, fl.err = data, eof, err
-	core.endFlight(key, fl)
-	return data, eof, err
+	return fin()
 }
 
 // ReadAheadDepth reports the configured pipelining depth: how many
@@ -598,16 +687,17 @@ func (c *Client) ReadAheadDepth() int {
 // pipeline doubles as the cache filler. Futures must be finished in
 // the order they were started when several cover the same blocks.
 func (c *Client) ReadStart(fh FH, offset uint64, count uint32) (func() ([]byte, bool, error), error) {
+	if data, eof, ok := c.dataLookup(fh, offset, count); ok {
+		return func() ([]byte, bool, error) { return data, eof, nil }, nil
+	}
+	return c.readStartCold(fh, offset, count)
+}
+
+// readStartCold issues the READ a cache miss costs.
+func (c *Client) readStartCold(fh FH, offset uint64, count uint32) (func() ([]byte, bool, error), error) {
 	core := c.core
-	if core.dc != nil && blockSpan(offset, count) {
-		if data, eof, ok := c.dataLookup(fh, offset, count); ok {
-			core.dataHits.Add(1)
-			return func() ([]byte, bool, error) { return data, eof, nil }, nil
-		}
-		core.dataMisses.Add(1)
-		if offset%DataBlockSize == 0 && count == DataBlockSize {
-			return c.readStartShared(fh, offset)
-		}
+	if core.dc != nil && offset%DataBlockSize == 0 && count == DataBlockSize {
+		return c.readStartShared(fh, offset)
 	}
 	epoch := core.readEpoch()
 	fin, err := c.readStartWire(fh, offset, count)
@@ -687,8 +777,8 @@ func (c *Client) readStartShared(fh FH, offset uint64) (func() ([]byte, bool, er
 func (c *Client) sizeHint(fh FH) (uint64, bool) {
 	c.core.rlock()
 	defer c.core.mu.RUnlock()
-	if e, ok := c.core.attrs[string(fh)]; ok && time.Now().Before(e.expires) {
-		return e.attr.Size, true
+	if r := c.core.live(fh, time.Now()); r != nil {
+		return r.attr.Size, true
 	}
 	return 0, false
 }
@@ -764,118 +854,127 @@ func (c *Client) WriteStart(fh FH, offset uint64, data []byte, stable uint32) (f
 
 // Create makes a regular file.
 func (c *Client) Create(dir FH, name string, mode uint32, exclusive bool) (FH, Fattr, error) {
-	var res LookupRes
-	if err := c.call(ProcCreate, CreateArgs{Dir: dir, Name: name, Mode: mode, Exclusive: exclusive}, &res); err != nil {
-		return nil, Fattr{}, err
-	}
-	c.core.dropName(dir, name)
-	if err := StatusErr(res.Status); err != nil {
-		c.core.forget(dir)
-		return nil, Fattr{}, err
-	}
-	c.refreshDir(dir, res.DirAttr)
-	c.remember(res.FH, res.Attr)
-	return res.FH, deref(res.Attr), nil
+	return c.newEntry(ProcCreate, CreateArgs{Dir: dir, Name: name, Mode: mode, Exclusive: exclusive}, dir, name)
 }
 
 // Mkdir makes a directory.
 func (c *Client) Mkdir(dir FH, name string, mode uint32) (FH, Fattr, error) {
-	var res LookupRes
-	if err := c.call(ProcMkdir, MkdirArgs{Dir: dir, Name: name, Mode: mode}, &res); err != nil {
-		return nil, Fattr{}, err
-	}
-	c.core.dropName(dir, name)
-	if err := StatusErr(res.Status); err != nil {
-		c.core.forget(dir)
-		return nil, Fattr{}, err
-	}
-	c.refreshDir(dir, res.DirAttr)
-	c.remember(res.FH, res.Attr)
-	return res.FH, deref(res.Attr), nil
+	return c.newEntry(ProcMkdir, MkdirArgs{Dir: dir, Name: name, Mode: mode}, dir, name)
 }
 
 // Symlink creates a symbolic link.
 func (c *Client) Symlink(dir FH, name, target string) (FH, Fattr, error) {
+	return c.newEntry(ProcSymlink, SymlinkArgs{Dir: dir, Name: name, Target: target}, dir, name)
+}
+
+// newEntry is CREATE, MKDIR and SYMLINK: the reply carries the new
+// node and the directory after the change, each with a lease, so the
+// name is bound without the LOOKUP that would otherwise follow.
+func (c *Client) newEntry(proc uint32, args interface{}, dir FH, name string) (FH, Fattr, error) {
+	core := c.core
+	epoch := core.invalEpoch.Load()
 	var res LookupRes
-	if err := c.call(ProcSymlink, SymlinkArgs{Dir: dir, Name: name, Target: target}, &res); err != nil {
+	if err := c.call(proc, args, &res); err != nil {
 		return nil, Fattr{}, err
 	}
-	c.core.dropName(dir, name)
 	if err := StatusErr(res.Status); err != nil {
-		c.core.forget(dir)
+		core.forget(dir)
 		return nil, Fattr{}, err
 	}
-	c.refreshDir(dir, res.DirAttr)
-	c.remember(res.FH, res.Attr)
+	fresh, now := core.lockSince(epoch)
+	c.rememberLocked(dir, res.DirAttr, now)
+	c.rememberLocked(res.FH, res.Attr, now)
+	core.nameInstalls.Add(c.bindLocked(dir, name, res.FH, res.DirAttr, fresh, now))
+	core.mu.Unlock()
 	return res.FH, deref(res.Attr), nil
 }
 
 // Remove unlinks a file.
-func (c *Client) Remove(dir FH, name string) error {
-	var res StatusRes
-	if err := c.call(ProcRemove, DirOpArgs{Dir: dir, Name: name}, &res); err != nil {
-		return err
-	}
-	c.core.dropName(dir, name)
-	if err := StatusErr(res.Status); err != nil {
-		c.core.forget(dir)
-		return err
-	}
-	c.refreshDir(dir, res.DirAttr)
-	return nil
-}
+func (c *Client) Remove(dir FH, name string) error { return c.unlink(ProcRemove, dir, name) }
 
 // Rmdir removes a directory.
-func (c *Client) Rmdir(dir FH, name string) error {
+func (c *Client) Rmdir(dir FH, name string) error { return c.unlink(ProcRmdir, dir, name) }
+
+// unlink is REMOVE and RMDIR. The reply names no handle, but the name
+// cache usually knows which one the name was bound to: that node just
+// changed (nlink, ctime) or died, and the server's invalidate skips
+// the session that caused it, so the actor forgets it here.
+func (c *Client) unlink(proc uint32, dir FH, name string) error {
+	core := c.core
 	var res StatusRes
-	if err := c.call(ProcRmdir, DirOpArgs{Dir: dir, Name: name}, &res); err != nil {
+	if err := c.call(proc, DirOpArgs{Dir: dir, Name: name}, &res); err != nil {
 		return err
 	}
-	c.core.dropName(dir, name)
 	if err := StatusErr(res.Status); err != nil {
-		c.core.forget(dir)
+		core.forget(dir)
 		return err
 	}
-	c.refreshDir(dir, res.DirAttr)
+	core.lock()
+	if victim := core.takeLocked(dir, name).fh; victim != nil {
+		core.dropLocked(victim)
+	}
+	c.rememberLocked(dir, res.DirAttr, time.Now())
+	core.mu.Unlock()
 	return nil
 }
 
-// Rename moves a name.
+// Rename moves a name. A binding still under its lease moves with it —
+// the server does not touch the moved node, so what is cached about it
+// stays exact — and a node the rename replaced is forgotten as unlink
+// forgets its victim.
 func (c *Client) Rename(fromDir FH, fromName string, toDir FH, toName string) error {
+	core := c.core
+	epoch := core.invalEpoch.Load()
 	var res StatusRes
 	if err := c.call(ProcRename, RenameArgs{FromDir: fromDir, FromName: fromName, ToDir: toDir, ToName: toName}, &res); err != nil {
 		return err
 	}
-	c.core.dropName(fromDir, fromName)
-	c.core.dropName(toDir, toName)
 	if err := StatusErr(res.Status); err != nil {
-		c.core.forget(fromDir)
-		c.core.forget(toDir)
+		core.forget(fromDir)
+		core.forget(toDir)
 		return err
 	}
-	c.refreshDir(fromDir, res.DirAttr)
-	c.refreshDir(toDir, res.DirAttr2)
+	fresh, now := core.lockSince(epoch)
+	moved := core.takeLocked(fromDir, fromName)
+	if over := core.takeLocked(toDir, toName).fh; over != nil {
+		core.dropLocked(over)
+	}
+	c.rememberLocked(fromDir, res.DirAttr, now)
+	c.rememberLocked(toDir, res.DirAttr2, now)
+	if now.Before(moved.expires) {
+		core.nameInstalls.Add(c.bindLocked(toDir, toName, moved.fh, res.DirAttr2, fresh, now))
+	}
+	core.mu.Unlock()
 	return nil
 }
 
 // Link creates a hard link.
 func (c *Client) Link(file, dir FH, name string) error {
+	core := c.core
+	epoch := core.invalEpoch.Load()
 	var res StatusRes
 	if err := c.call(ProcLink, LinkArgs{File: file, Dir: dir, Name: name}, &res); err != nil {
 		return err
 	}
-	c.core.dropName(dir, name)
-	c.core.forget(file)
-	if err := StatusErr(res.Status); err != nil {
-		c.core.forget(dir)
-		return err
+	err := StatusErr(res.Status)
+	fresh, now := core.lockSince(epoch)
+	core.forgetLocked(file) // nlink and ctime moved
+	if err != nil {
+		core.forgetLocked(dir)
+	} else {
+		c.rememberLocked(dir, res.DirAttr, now)
+		core.nameInstalls.Add(c.bindLocked(dir, name, file, res.DirAttr, fresh, now))
 	}
-	c.refreshDir(dir, res.DirAttr)
-	return nil
+	core.mu.Unlock()
+	return err
 }
 
-// ReadDir lists entries after cookie.
+// ReadDir lists entries after cookie. Every entry comes with its handle
+// and leased attributes (READDIRPLUS style) under a lease on the
+// directory, so each is bound as if it had been looked up.
 func (c *Client) ReadDir(dir FH, cookie uint64, count uint32) ([]Entry, bool, error) {
+	core := c.core
+	epoch := core.invalEpoch.Load()
 	var res ReadDirRes
 	if err := c.call(ProcReadDir, ReadDirArgs{Dir: dir, Cookie: cookie, Count: count}, &res); err != nil {
 		return nil, false, err
@@ -883,9 +982,14 @@ func (c *Client) ReadDir(dir FH, cookie uint64, count uint32) ([]Entry, bool, er
 	if err := StatusErr(res.Status); err != nil {
 		return nil, false, err
 	}
+	fresh, now := core.lockSince(epoch)
+	var installed uint64
 	for _, e := range res.Entries {
-		c.remember(e.FH, e.Attr)
+		c.rememberLocked(e.FH, e.Attr, now)
+		installed += c.bindLocked(dir, e.Name, e.FH, e.Attr, fresh, now)
 	}
+	core.nameInstalls.Add(installed)
+	core.mu.Unlock()
 	return res.Entries, res.EOF, nil
 }
 
@@ -938,7 +1042,7 @@ func (c *Client) Call(prog, vers, proc uint32, args, res interface{}) error {
 func (c *Client) ReadAll(fh FH, chunk uint32) ([]byte, error) {
 	depth := c.ReadAheadDepth()
 	if depth <= 1 {
-		return c.readAllSerial(fh, chunk)
+		return c.readAllTail(fh, chunk, nil)
 	}
 
 	size, sizeKnown := c.sizeHint(fh)
@@ -1034,8 +1138,4 @@ func (c *Client) readAllTail(fh FH, chunk uint32, out []byte) ([]byte, error) {
 			return out, nil
 		}
 	}
-}
-
-func (c *Client) readAllSerial(fh FH, chunk uint32) ([]byte, error) {
-	return c.readAllTail(fh, chunk, nil)
 }

@@ -125,12 +125,15 @@ func (dc *dataCache) evictLocked(evictions *atomic.Uint64) {
 }
 
 // removeLocked unlinks one block from the file map and the CLOCK ring
-// (swap-remove, fixing the moved block's index).
+// (swap-remove, fixing the moved block's index). The proven-principal
+// set goes with the file's last block: with nothing left to serve it
+// protects nothing, and the next wire transfer grants it again.
 func (dc *dataCache) removeLocked(b *dataBlock) {
 	blocks := dc.files[b.fhKey]
 	delete(blocks, b.blk)
 	if len(blocks) == 0 {
 		delete(dc.files, b.fhKey)
+		delete(dc.auth, b.fhKey)
 	}
 	last := len(dc.ring) - 1
 	moved := dc.ring[last]
@@ -141,13 +144,12 @@ func (dc *dataCache) removeLocked(b *dataBlock) {
 	dc.size.Add(-int64(len(b.data)))
 }
 
-// dropFileLocked discards every cached block of one file along with
-// its proven-principal set.
+// dropFileLocked discards every cached block of one file (and with the
+// last of them its proven-principal set).
 func (dc *dataCache) dropFileLocked(fhKey string) {
 	for _, b := range dc.files[fhKey] {
 		dc.removeLocked(b)
 	}
-	delete(dc.auth, fhKey)
 }
 
 // grantLocked records that principal completed a wire transfer on the
@@ -182,21 +184,34 @@ func (dc *dataCache) dropRangeLocked(fhKey string, from, to uint64) {
 // attribute entry is live, and the block covers the requested range
 // up to the file's current size. The returned slice aliases the cache
 // and must not be modified. This is the warm hit path: one read lock,
-// no allocation.
+// no allocation. It also keeps the hit and miss counts.
 func (c *Client) dataLookup(fh FH, offset uint64, count uint32) ([]byte, bool, bool) {
 	core := c.core
-	dc := core.dc
-	blk := offset / DataBlockSize
+	if core.dc == nil || !blockSpan(offset, count) {
+		return nil, false, false
+	}
 	core.rlock()
-	defer core.mu.RUnlock()
+	data, eof, ok := c.serveLocked(fh, offset, count)
+	core.mu.RUnlock()
+	if ok {
+		core.dataHits.Add(1)
+	} else {
+		core.dataMisses.Add(1)
+	}
+	return data, eof, ok
+}
+
+func (c *Client) serveLocked(fh FH, offset uint64, count uint32) ([]byte, bool, bool) {
+	core, dc := c.core, c.core.dc
+	blk := offset / DataBlockSize
 	if _, ok := dc.auth[string(fh)][c.principal]; !ok {
 		return nil, false, false
 	}
-	a, ok := core.attrs[string(fh)]
-	if !ok || !time.Now().Before(a.expires) {
+	r := core.live(fh, time.Now())
+	if r == nil {
 		return nil, false, false
 	}
-	size := a.attr.Size
+	size := r.attr.Size
 	if offset >= size {
 		// Read at/past EOF: empty and EOF, no block required — the
 		// readahead pipeline probes past the end of every file it
@@ -250,8 +265,7 @@ func (c *Client) populate(fh FH, offset uint64, data []byte, eof bool, epoch uin
 	if core.readEpoch() != epoch {
 		return
 	}
-	a, ok := core.attrs[string(fh)]
-	if !ok || !time.Now().Before(a.expires) {
+	if core.live(fh, time.Now()) == nil {
 		return
 	}
 	dc.grantLocked(string(fh), c.principal)
@@ -281,9 +295,8 @@ func (c *Client) noteWrite(fh FH, offset uint64, data []byte, epoch uint64, owne
 		// starts a flight of its own, behind the write.
 		delete(core.flights, flightKey(c.principal, fh, b))
 	}
-	a, live := core.attrs[string(fh)]
 	if offset%DataBlockSize != 0 || blk != endBlk ||
-		core.invalEpoch.Load() != epoch || !live || !time.Now().Before(a.expires) {
+		core.invalEpoch.Load() != epoch || core.live(fh, time.Now()) == nil {
 		dc.dropRangeLocked(string(fh), offset, offset+uint64(len(data)))
 		return
 	}

@@ -266,6 +266,29 @@ func TestDataCacheEviction(t *testing.T) {
 	}
 }
 
+// TestDataCacheAuthFollowsBlocks: the proven-principal set of a file
+// goes when its last block is evicted — one-block files streamed
+// through a small budget must not each leave a set behind.
+func TestDataCacheAuthFollowsBlocks(t *testing.T) {
+	const budget = 16 * DataBlockSize
+	_, cl := dataCachePair(t, budget)
+	root, _, _ := cl.MountRoot()
+	for i := 0; i < 2*budget/DataBlockSize; i++ {
+		fh, _, err := cl.Create(root, "one-block-"+string(rune('a'+i)), 0o644, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fillPattern(t, cl, fh, DataBlockSize)
+	}
+	dc := cl.core.dc
+	cl.core.mu.RLock()
+	files, auth := len(dc.files), len(dc.auth)
+	cl.core.mu.RUnlock()
+	if files == 0 || files > budget/DataBlockSize || auth > files {
+		t.Fatalf("%d files hold blocks (budget %d), %d hold a principal set", files, budget/DataBlockSize, auth)
+	}
+}
+
 // TestDataCacheTruncate: SETATTR with a size keeps attributes but
 // drops the file's bytes, so reads see the new length immediately.
 func TestDataCacheTruncate(t *testing.T) {

@@ -76,7 +76,6 @@ import (
 	"repro/internal/server"
 	"repro/internal/stats"
 	"repro/internal/storage/diskstore"
-	"repro/internal/sunrpc"
 	"repro/internal/vfs"
 )
 
@@ -200,7 +199,6 @@ func main() {
 			doc := map[string]any{
 				"master":   ms,
 				"nfs":      nfsByLoc,
-				"sunrpc":   sunrpc.WireSnapshot(),
 				"secchan":  secchan.StatsSnapshot(),
 				"authserv": auth.StatsSnapshot(),
 				// Zero-copy wire path accounting (DESIGN.md §12); also

@@ -24,16 +24,9 @@ type ioStats struct {
 	syncSmall   stats.Counter   // Syncs satisfied by one FILE_SYNC WRITE (no COMMIT)
 }
 
-// discardIO sinks updates from Files whose node carries no mount
-// (never the case for Files made by Open/Create, but cheap to guard).
-var discardIO ioStats
-
-func (f *File) stats() *ioStats {
-	if f.node.mount == nil || f.node.mount.io == nil {
-		return &discardIO
-	}
-	return f.node.mount.io
-}
+// stats is the counter block of the Client f was opened through: every
+// node is resolved under a mount, and every mount carries its Client's.
+func (f *File) stats() *ioStats { return f.node.mount.io }
 
 // IOStats is the JSON form of a client's pipeline counters.
 // ChunkFillRatio is WriteBehindBytes over the capacity of the issued

@@ -18,7 +18,7 @@ func (zeroWriteView) Write(nfs.FH, uint64, []byte, uint32) (uint32, error) {
 }
 
 func TestWriteAtZeroProgress(t *testing.T) {
-	f := &File{node: &node{view: zeroWriteView{}, fh: nfs.FH{1}}}
+	f := &File{node: &node{view: zeroWriteView{}, mount: &mount{io: new(ioStats)}, fh: nfs.FH{1}}}
 	n, err := f.WriteAt(make([]byte, 100), 0)
 	if !errors.Is(err, io.ErrShortWrite) {
 		t.Fatalf("err = %v, want io.ErrShortWrite", err)

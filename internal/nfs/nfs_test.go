@@ -236,6 +236,32 @@ func TestAccessCache(t *testing.T) {
 	}
 }
 
+// TestSessionCountsMalformedRecords: an NFS session reads its records
+// on the peer's loop, and counts what it discards there as dropped —
+// a record too short to say what it is, and a reply to nothing it
+// asked — while the connection keeps serving.
+func TestSessionCountsMalformedRecords(t *testing.T) {
+	srv := NewServer(vfs.New(), sfsServerConfig())
+	c1, c2 := net.Pipe()
+	sess := srv.ServeConn(c2)
+	defer sess.Close()
+	stray := []byte{0, 0, 0, 42, 0, 0, 0, 1, 0, 0, 0, 0} // xid 42, REPLY, accepted
+	for _, rec := range [][]byte{{1, 2, 3, 4, 5}, stray} {
+		if err := sunrpc.WriteRecord(c1, rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cl := Dial(c1, ClientConfig{Auth: rootAuth})
+	defer cl.Close()
+	if _, _, err := cl.MountRoot(); err != nil {
+		t.Fatal(err)
+	}
+	rpc := srv.StatsSnapshot().RPC
+	if rpc.Dropped != 2 || rpc.Calls != 1 {
+		t.Fatalf("dropped %d, calls %d; want 2 and 1", rpc.Dropped, rpc.Calls)
+	}
+}
+
 func TestInvalidationCallback(t *testing.T) {
 	fsys := vfs.New()
 	srv := NewServer(fsys, sfsServerConfig())

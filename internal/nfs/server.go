@@ -177,7 +177,8 @@ type Session struct {
 func (sess *Session) SetCreds(f CredFunc) { sess.creds = f }
 
 // ServeConn starts serving NFS calls on conn and returns the session.
-// The connection is also used for invalidation callbacks.
+// The connection is also used for invalidation callbacks, and is
+// closed when the session ends.
 func (s *Server) ServeConn(conn io.ReadWriteCloser) *Session {
 	return s.ServeConnWith(conn, nil)
 }
@@ -227,10 +228,6 @@ func (s *Server) dropSession(sess *Session) {
 // Close shuts down the session.
 func (sess *Session) Close() error { return sess.peer.Close() }
 
-// Done is closed when the session's connection fails or is closed;
-// the server master uses it to log connection teardown.
-func (sess *Session) Done() <-chan struct{} { return sess.peer.Done() }
-
 // grantLease records that sess may cache attributes of id.
 func (s *Server) grantLease(sess *Session, id vfs.FileID) uint32 {
 	if s.cfg.LeaseMS == 0 || sess == nil {
@@ -269,6 +266,9 @@ func (s *Server) invalidate(actor *Session, ids ...vfs.FileID) {
 	}
 	var targets []target
 	for _, id := range ids {
+		if id == 0 { // no node: a victim that was not there
+			continue
+		}
 		ls := s.leaseStripeOf(id)
 		s.lockStripe(ls)
 		m := ls.m[id]
@@ -500,24 +500,12 @@ func (s *Server) dispatchProc(sess *Session, proc uint32, auth sunrpc.OpaqueAuth
 		if err != nil {
 			return StatusRes{Status: ErrBadHandle}, nil
 		}
-		var victim vfs.FileID
-		if id, _, err := s.fs.Lookup(cred, dir, a.Name); err == nil {
-			victim = id
-		}
+		victim := s.victim(cred, dir, a.Name)
 		if err := s.fs.Remove(cred, dir, a.Name); err != nil {
 			return StatusRes{Status: statusFromErr(err)}, nil
 		}
 		s.invalidate(sess, dir, victim)
-		if _, err := s.fs.GetAttr(victim); err != nil {
-			// That was the last link. Nothing can change the file again,
-			// so nobody will ever need calling back about it — and the
-			// remover's own lease, which invalidate leaves alone, would
-			// otherwise stay in the table as long as its session does.
-			ls := s.leaseStripeOf(victim)
-			s.lockStripe(ls)
-			delete(ls.m, victim)
-			ls.mu.Unlock()
-		}
+		s.forgetUnlinked(victim)
 		return StatusRes{Status: OK, DirAttr: s.attrFor(sess, dir)}, nil
 	case ProcRmdir:
 		var a DirOpArgs
@@ -546,10 +534,12 @@ func (s *Server) dispatchProc(sess *Session, proc uint32, auth sunrpc.OpaqueAuth
 		if err != nil {
 			return StatusRes{Status: ErrBadHandle}, nil
 		}
+		victim := s.victim(cred, to, a.ToName)
 		if err := s.fs.Rename(cred, from, a.FromName, to, a.ToName); err != nil {
 			return StatusRes{Status: statusFromErr(err)}, nil
 		}
-		s.invalidate(sess, from, to)
+		s.invalidate(sess, from, to, victim)
+		s.forgetUnlinked(victim)
 		return StatusRes{Status: OK, DirAttr: s.attrFor(sess, from), DirAttr2: s.attrFor(sess, to)}, nil
 	case ProcLink:
 		var a LinkArgs
@@ -651,6 +641,33 @@ func (s *Server) newEntry(sess *Session, dirFH FH, create func(dir vfs.FileID) (
 	}
 	s.invalidate(sess, dir)
 	return LookupRes{Status: OK, FH: s.codec.Encode(id), Attr: s.attrFor(sess, id), DirAttr: s.attrFor(sess, dir)}
+}
+
+// victim is the node name in dir is bound to before a REMOVE or a
+// RENAME over it unlinks it; 0 when unbound.
+func (s *Server) victim(cred vfs.Cred, dir vfs.FileID, name string) vfs.FileID {
+	id, _, err := s.fs.Lookup(cred, dir, name)
+	if err != nil {
+		return 0
+	}
+	return id
+}
+
+// forgetUnlinked is the tail REMOVE and RENAME share once victim's
+// lease holders have been called back: when that was victim's last
+// link nothing can change it again, so nobody will ever need calling
+// back about it — and the actor's own lease, which invalidate leaves
+// alone, would otherwise stay in the table as long as its session does.
+func (s *Server) forgetUnlinked(victim vfs.FileID) {
+	if victim == 0 { // a RENAME to a fresh name unlinks nothing
+		return
+	}
+	if _, err := s.fs.GetAttr(victim); err != nil {
+		ls := s.leaseStripeOf(victim)
+		s.lockStripe(ls)
+		delete(ls.m, victim)
+		ls.mu.Unlock()
+	}
 }
 
 // access implements the ACCESS procedure: for each requested bit,

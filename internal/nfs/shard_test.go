@@ -255,3 +255,67 @@ func TestRemoveDropsLeases(t *testing.T) {
 		t.Fatalf("removing one of two links changed the table: %d entries, want %d", n, base)
 	}
 }
+
+// TestRenameOverCallsBackVictim: a RENAME over an existing name unlinks
+// the node that name was bound to, as REMOVE does. Its other lease
+// holders are called back, and with its last link gone its lease-table
+// entry goes too.
+func TestRenameOverCallsBackVictim(t *testing.T) {
+	srv, a := dataCachePair(t, 0)
+	b := dataCacheClient(t, srv, 0)
+	rootA, _, err := a.MountRoot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, _, err := a.Mkdir(rootA, "d", 0o755)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"x", "y"} {
+		if _, _, err := a.Create(d, name, 0o644, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rootB, _, err := b.MountRoot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dB, _, err := b.Lookup(rootB, "d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fhY, _, err := b.Lookup(dB, "y") // B now holds a lease on y
+	if err != nil {
+		t.Fatal(err)
+	}
+	y, err := srv.codec.Decode(fhY)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := func() bool {
+		b.core.mu.RLock()
+		defer b.core.mu.RUnlock()
+		return b.core.recs[string(fhY)] != nil
+	}
+	if !held() {
+		t.Fatal("B holds no record for y before the rename")
+	}
+
+	if err := a.Rename(d, "x", d, "y"); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil := time.Now().Add(2 * time.Second)
+	for held() {
+		if time.Now().After(waitUntil) {
+			t.Fatal("B was never called back about the node the rename unlinked")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	ls := srv.leaseStripeOf(y)
+	ls.mu.Lock()
+	_, kept := ls.m[y]
+	ls.mu.Unlock()
+	if kept {
+		t.Fatal("the lease table still holds an entry for a node with no links")
+	}
+}

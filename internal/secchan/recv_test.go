@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/stats"
 	"repro/internal/sunrpc"
 )
 
@@ -256,9 +255,6 @@ func TestReadRecordOwnership(t *testing.T) {
 // read around each call (what srv_open and cli_decode are built from)
 // still attributes work per record.
 func TestOpenWorkPerRecord(t *testing.T) {
-	ring := stats.NewTraceRing(4)
-	ring.SetEnabled(true)
-	defer ring.SetEnabled(false)
 	var wire bytes.Buffer
 	cw := sealer(t, &wire)
 	const k = 8
@@ -270,6 +266,7 @@ func TestOpenWorkPerRecord(t *testing.T) {
 	reads := 0
 	raw := &chunked{data: wire.Bytes(), next: func() int { reads++; return 1 << 30 }}
 	sr := opener(t, raw)
+	sr.TimeWork()
 	for i := 0; i < k; i++ {
 		before := sr.OpenWorkNS()
 		if _, ok, err := sr.ReadRecord(); err != nil || !ok {

@@ -42,7 +42,6 @@ import (
 	"repro/internal/crypto/prng"
 	"repro/internal/crypto/rabin"
 	"repro/internal/crypto/sha1mac"
-	"repro/internal/stats"
 	"repro/internal/sunrpc"
 	"repro/internal/xdr"
 )
@@ -538,19 +537,25 @@ type Conn struct {
 	// Stage-tracing work ledgers (DESIGN.md §13): cumulative
 	// nanoseconds of seal (MAC + encrypt + staging, excluding the
 	// transport write) and open (decrypt + MAC verify, excluding the
-	// transport reads) work on this channel. Only accumulated while
-	// stats.StageTimingOn() — one atomic load per record otherwise —
-	// and read by the RPC layer as deltas around one record.
+	// transport reads) work on this channel. Only accumulated once the
+	// RPC layer has traced this connection (timed, set by TimeWork) —
+	// one atomic load per record otherwise — and read by it as deltas
+	// around one record.
+	timed  atomic.Bool
 	sealNS atomic.Int64
 	openNS atomic.Int64
 }
 
+// TimeWork starts the channel's seal and open work ledgers
+// (sunrpc.WorkTimer). No other channel in the process starts timing.
+func (c *Conn) TimeWork() { c.timed.Store(true) }
+
 // SealWorkNS returns the cumulative seal work on this channel in
-// nanoseconds (sunrpc.SealTimer).
+// nanoseconds (sunrpc.WorkTimer).
 func (c *Conn) SealWorkNS() int64 { return c.sealNS.Load() }
 
 // OpenWorkNS returns the cumulative open work on this channel in
-// nanoseconds (sunrpc.OpenTimer).
+// nanoseconds (sunrpc.WorkTimer).
 func (c *Conn) OpenWorkNS() int64 { return c.openNS.Load() }
 
 // maxRetainedBuf caps the seal scratch a Conn keeps between records,
@@ -640,7 +645,7 @@ func (c *Conn) WriteSegments(segs [][]byte) (int, int, error) {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	var sealT0 time.Time
-	if stats.StageTimingOn() {
+	if c.timed.Load() {
 		sealT0 = time.Now()
 	}
 	c.send.KeyStreamInto(c.sendMacKey[:])
@@ -837,7 +842,7 @@ func (c *Conn) open(p []byte, owned bool) (rec []byte, direct bool, err error) {
 	// The open work proper — decrypt + MAC verify — is timed for the
 	// stage-tracing ledger; the transport reads above are wire wait.
 	var openT0 time.Time
-	if stats.StageTimingOn() {
+	if c.timed.Load() {
 		openT0 = time.Now()
 	}
 	if c.encrypt {

@@ -577,7 +577,9 @@ func (s *Server) serveFile(sec *secchan.Conn, info *secchan.Info, sfs *servedFS)
 	nextAuthNo := uint32(1)
 	var seqs seqWindow
 
-	sess := sfs.nfss.ServeConnWith(sec, func(rpc *sunrpc.Server, sess *nfs.Session) {
+	// The session closes the channel when it ends, which fires the byte
+	// accounting and close log even when the peer vanishes.
+	sfs.nfss.ServeConnWith(sec, func(rpc *sunrpc.Server, sess *nfs.Session) {
 		// Credential tagging: the server, not the client, decides
 		// what a given authentication number means.
 		sess.SetCreds(func(a sunrpc.OpaqueAuth) vfs.Cred {
@@ -633,12 +635,6 @@ func (s *Server) serveFile(sec *secchan.Conn, info *secchan.Info, sfs *servedFS)
 			return sfsrpc.LoginRes{Status: sfsrpc.LoginOK, AuthNo: no}, nil
 		})
 	})
-	// Close the channel when the session dies, so the byte accounting
-	// and close log fire even when the peer vanishes.
-	go func() {
-		<-sess.Done()
-		sec.Close()
-	}()
 }
 
 // serveAuth serves the sfskey management service (SRP password login
@@ -650,10 +646,7 @@ func (s *Server) serveAuth(sec *secchan.Conn, sfs *servedFS) {
 	}
 	rpc := sunrpc.NewServer()
 	rpc.Register(sfsrpc.KeyProgram, sfsrpc.Version, sfs.cfg.Auth.KeyServiceHandler())
-	go func() {
-		rpc.ServeConn(sec) //nolint:errcheck
-		sec.Close()        // fire the byte accounting / close log
-	}()
+	go rpc.ServeConn(sec) //nolint:errcheck // closes sec, firing the byte accounting and close log
 }
 
 // Path returns the self-certifying pathname of a served location, for

@@ -161,10 +161,7 @@ func (r *Replica) HandleConn(conn net.Conn, req *secchan.ConnectRequest) {
 	}
 	rpc := sunrpc.NewServer()
 	rpc.Register(sfsrpc.ROProgram, sfsrpc.Version, r.handler())
-	go func() {
-		rpc.ServeConn(conn) //nolint:errcheck
-		conn.Close()        // fire the close log even when the peer vanishes
-	}()
+	go rpc.ServeConn(conn) //nolint:errcheck // closes conn, firing the close log even when the peer vanishes
 }
 
 // ListenAndServe runs a standalone replica (the untrusted-mirror

@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"time"
 )
 
@@ -61,16 +60,6 @@ var StageNames = [NumStages]string{
 	"wire", "cli_decode",
 	"hs_queue", "hs_crypto",
 }
-
-// stageTimers counts enabled trace rings process-wide. Layers that
-// cannot see a per-request clock (the secure channel's seal and open
-// paths) consult it with one atomic load before reading the monotonic
-// clock, keeping the tracing-off cost at exactly that load.
-var stageTimers atomic.Int64
-
-// StageTimingOn reports whether any trace ring in the process is
-// enabled — the cheap gate for fine-grained stage timing.
-func StageTimingOn() bool { return stageTimers.Load() > 0 }
 
 // A StageClock accumulates per-stage durations for one RPC. It is
 // allocated only when tracing is on; every method is safe on a nil

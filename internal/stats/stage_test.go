@@ -107,30 +107,6 @@ func TestSpanWaterfall(t *testing.T) {
 	}
 }
 
-// Enabling and disabling rings must keep the process-wide stage-timer
-// refcount balanced: redundant SetEnabled calls may not double-count.
-func TestStageTimerRefcount(t *testing.T) {
-	if StageTimingOn() {
-		t.Fatal("stage timing on at test start (leaked ring?)")
-	}
-	a, b := NewTraceRing(4), NewTraceRing(4)
-	a.SetEnabled(true)
-	a.SetEnabled(true) // redundant
-	b.SetEnabled(true)
-	if !StageTimingOn() {
-		t.Fatal("stage timing off with rings enabled")
-	}
-	a.SetEnabled(false)
-	if !StageTimingOn() {
-		t.Fatal("disabling one of two rings turned timing off")
-	}
-	b.SetEnabled(false)
-	b.SetEnabled(false) // redundant
-	if StageTimingOn() {
-		t.Fatal("stage timing still on with every ring disabled")
-	}
-}
-
 // The ring must wrap: after more records than capacity, the snapshot
 // holds the most recent capacity spans, oldest first.
 func TestTraceRingWraparound(t *testing.T) {
@@ -184,11 +160,6 @@ func TestTraceRingConcurrentRecordSnapshotToggle(t *testing.T) {
 		close(stop)
 	}()
 	wg.Wait()
-	r.SetEnabled(false)
-	// Refcount must come back to zero whatever the toggling order was.
-	if StageTimingOn() {
-		t.Fatal("stage timers leaked by concurrent toggling")
-	}
 }
 
 func TestTraceRingSlowLog(t *testing.T) {

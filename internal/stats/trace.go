@@ -64,18 +64,8 @@ func NewTraceRing(n int) *TraceRing {
 	return &TraceRing{size: n}
 }
 
-// SetEnabled switches recording on or off. Enabled rings are counted
-// process-wide (StageTimingOn) so layers without a per-request clock
-// know to time their work.
-func (t *TraceRing) SetEnabled(on bool) {
-	if t.enabled.CompareAndSwap(!on, on) {
-		if on {
-			stageTimers.Add(1)
-		} else {
-			stageTimers.Add(-1)
-		}
-	}
-}
+// SetEnabled switches recording on or off.
+func (t *TraceRing) SetEnabled(on bool) { t.enabled.Store(on) }
 
 // Enabled reports whether spans are being recorded.
 func (t *TraceRing) Enabled() bool { return t.enabled.Load() }

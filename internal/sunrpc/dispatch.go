@@ -22,18 +22,11 @@ type RecordReader interface {
 	ReadRecord() (rec []byte, ok bool, err error)
 }
 
-// recordIn is the receive half of one served connection.
+// recordIn is the receive half of one connection.
 type recordIn struct {
 	r  io.Reader
 	rr RecordReader // nil on a plain transport
-	ot OpenTimer    // nil unless the transport keeps an open-work ledger
-}
-
-func newRecordIn(conn io.Reader) recordIn {
-	in := recordIn{r: conn}
-	in.rr, _ = conn.(RecordReader)
-	in.ot, _ = conn.(OpenTimer)
-	return in
+	wt WorkTimer    // nil unless the transport keeps an open-work ledger
 }
 
 // next reads one record. When traced it brackets the read with the
@@ -42,29 +35,23 @@ func newRecordIn(conn io.Reader) recordIn {
 // when the record was complete. Untraced, tRead is zero.
 func (in *recordIn) next(traced bool) (rec []byte, tRead time.Time, openNS int64, err error) {
 	var open0 int64
-	if traced && in.ot != nil {
-		open0 = in.ot.OpenWorkNS()
+	if traced && in.wt != nil {
+		open0 = in.wt.OpenWorkNS()
 	}
 	if rec, err = in.read(); err != nil || !traced {
 		return rec, tRead, 0, err
 	}
 	tRead = time.Now()
-	if in.ot != nil {
-		openNS = in.ot.OpenWorkNS() - open0
+	if in.wt != nil {
+		openNS = in.wt.OpenWorkNS() - open0
 	}
 	return rec, tRead, openNS, nil
 }
 
 func (in *recordIn) read() ([]byte, error) {
 	if in.rr != nil {
-		rec, ok, err := in.rr.ReadRecord()
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			wire.recordsIn.Inc()
-			wire.bytesIn.Add(uint64(len(rec)) + 4)
-			return rec, nil
+		if rec, ok, err := in.rr.ReadRecord(); err != nil || ok {
+			return rec, err
 		}
 	}
 	return ReadRecord(in.r)
@@ -78,21 +65,19 @@ type call struct {
 	openNS int64
 }
 
-// dispatcher is the resident worker set of one served connection,
-// shared by peer mode and ServeConn. A read loop submits each call;
-// workers start on demand, never more than max, and stay for the life
-// of the connection, so a call costs a hand-off to a goroutine whose
-// stack is already grown, not a goroutine.
+// dispatcher is the resident worker set of one served connection. The
+// peer's read loop submits each call; workers start on demand, never
+// more than max, and stay for the life of the connection, so a call
+// costs a hand-off to a goroutine whose stack is already grown, not a
+// goroutine.
 //
 // Calls never run on the read loop itself: a handler that breaks a
 // lease waits for a callback reply that another connection's read loop
 // delivers, and two such handlers could wait on each other.
 type dispatcher struct {
 	srv  *Server
-	w    io.Writer
-	wmu  *sync.Mutex // serializes writes on w
-	fail func(error) // ends the connection
-	max  int         // bound on calls read but not yet answered
+	peer *Client // replies go out on its transport, under its write lock
+	max  int     // bound on calls read but not yet answered
 
 	mu       sync.Mutex
 	room     sync.Cond   // on mu: inflight dropped below max
@@ -110,8 +95,8 @@ type dispatcher struct {
 	wg        sync.WaitGroup
 }
 
-func newDispatcher(srv *Server, w io.Writer, wmu *sync.Mutex, fail func(error)) *dispatcher {
-	d := &dispatcher{srv: srv, w: w, wmu: wmu, fail: fail, max: srv.workers}
+func newDispatcher(srv *Server, peer *Client) *dispatcher {
+	d := &dispatcher{srv: srv, peer: peer, max: srv.workers}
 	d.room.L = &d.mu
 	return d
 }
@@ -177,7 +162,7 @@ func (d *dispatcher) work(c call) {
 // it keeps the call's clock: anchored when the record finished reading,
 // the record's open work credited to srv_open, the queue stage ended
 // here at pick-up, and the reply's cost split between reply_seal (the
-// channel's MAC+encrypt work, read from its SealTimer under the write
+// channel's MAC+encrypt work, read from its WorkTimer under the write
 // lock, so the delta is this record's alone) and reply_write.
 func (d *dispatcher) serve(c call) {
 	met := c.met
@@ -195,34 +180,32 @@ func (d *dispatcher) serve(c call) {
 	d.finishing++
 	d.mu.Unlock()
 	if err != nil {
-		d.fail(err)
+		d.peer.fail(err) //nolint:errcheck // the connection is over either way
 		ok = false
 	}
-	d.wmu.Lock()
+	d.peer.wmu.Lock()
 	if ok {
-		var st SealTimer
+		wt := d.peer.wt
 		var seal0 int64
-		if clk != nil {
-			if st, _ = d.w.(SealTimer); st != nil {
-				seal0 = st.SealWorkNS()
-			}
+		if clk != nil && wt != nil {
+			seal0 = wt.SealWorkNS()
 		}
 		t0 := clk.Now()
-		err = WriteRecordEncoder(d.w, e)
+		err = WriteRecordEncoder(d.peer.conn, e)
 		if clk != nil {
 			var sealNS int64
-			if st != nil {
-				sealNS = st.SealWorkNS() - seal0
+			if wt != nil {
+				sealNS = wt.SealWorkNS() - seal0
 			}
 			clk.Add(stats.StageReplySeal, sealNS)
 			clk.Add(stats.StageReplyWrite, int64(time.Since(t0))-sealNS)
 			clk.Span.Bytes += uint64(e.Len()) + 4
 		}
 	}
-	d.wmu.Unlock()
+	d.peer.wmu.Unlock()
 	xdr.PutEncoder(e)
 	if ok && err != nil {
-		d.fail(err)
+		d.peer.fail(err) //nolint:errcheck // the connection is over either way
 	} else if ok && clk != nil {
 		sp := clk.FinishServer()
 		met.Stages.Record(sp)

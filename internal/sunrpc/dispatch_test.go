@@ -386,6 +386,36 @@ func FuzzReadRecord(f *testing.F) {
 	})
 }
 
+// replayConn is a served connection fed from a byte slice: it reads to
+// the end whatever happens, and replies go nowhere.
+type replayConn struct{ *bytes.Reader }
+
+func (replayConn) Write(p []byte) (int, error) { return len(p), nil }
+func (replayConn) Close() error                { return nil }
+
+// FuzzServeConn feeds arbitrary record-marked bytes to a served
+// connection. Nothing may panic, and every record read is counted
+// once: as a call, or as dropped. The seeds (testdata/fuzz) are calls
+// that succeed and fail, a record too short to classify, a stray
+// reply, truncated headers, a cut record and a fragmented one.
+func FuzzServeConn(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in []byte) {
+		records := 0
+		for r := bytes.NewReader(in); ; records++ {
+			if _, err := ReadRecord(r); err != nil {
+				break
+			}
+		}
+		srv := NewServer()
+		srv.Register(testProg, testVers, echoHandler)
+		srv.ServeConn(replayConn{bytes.NewReader(in)}) //nolint:errcheck
+		m := srv.Metrics()
+		if got := m.Calls.Load() + m.Dropped.Load(); got != uint64(records) {
+			t.Fatalf("%d records read, %d calls + %d dropped", records, m.Calls.Load(), m.Dropped.Load())
+		}
+	})
+}
+
 // BenchmarkPeerNullCall is a null RPC served in peer mode over
 // net.Pipe: the path sfssd serves on (readLoop → resident worker →
 // reply under the peer's write lock), which the ladder's

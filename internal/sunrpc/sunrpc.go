@@ -215,19 +215,20 @@ func putBuf(b *[]byte) {
 	bufPool.Put(b)
 }
 
-// SealTimer and OpenTimer are implemented by transports (the secure
-// channel) that account their per-record cryptographic work in
-// monotonic nanosecond accumulators. The RPC layer reads the
-// accumulator before and after moving one record; because writes are
-// serialized under the connection's write lock and all reads happen on
-// one goroutine, the delta is exactly that record's own seal or open
-// cost. The accumulators only advance while stage timing is on
-// (stats.StageTimingOn), so reading them is free in the steady state.
-type SealTimer interface{ SealWorkNS() int64 }
-
-// OpenTimer is SealTimer's receive-side twin: cumulative
-// decrypt+MAC-verify nanoseconds.
-type OpenTimer interface{ OpenWorkNS() int64 }
+// WorkTimer is implemented by transports (the secure channel) that can
+// account their per-record cryptographic work in monotonic nanosecond
+// accumulators: SealWorkNS is cumulative MAC+encrypt work, OpenWorkNS
+// cumulative decrypt+MAC-verify work. The accumulators stay at zero
+// until TimeWork, which the RPC layer calls once the connection is
+// traced; it then reads an accumulator before and after moving one
+// record. Writes are serialized under the connection's write lock and
+// all reads happen on one goroutine, so the delta is exactly that
+// record's own seal or open cost.
+type WorkTimer interface {
+	TimeWork()
+	SealWorkNS() int64
+	OpenWorkNS() int64
+}
 
 // principalOf extracts the caller identity for a traced span: the SFS
 // authentication number, or the unix uid on the plain-NFS baseline.
@@ -311,10 +312,6 @@ func WriteRecordEncoder(w io.Writer, e *xdr.Encoder) error {
 		*bp = buf
 		putBuf(bp)
 	}
-	if err == nil {
-		wire.recordsOut.Inc()
-		wire.bytesOut.Add(uint64(n + 4))
-	}
 	if payload > 0 {
 		stats.NoteWirePayload(payload)
 		if b := e.BorrowedBytes(); b > 0 {
@@ -346,10 +343,6 @@ func WriteRecord(w io.Writer, payload []byte) error {
 	_, err := w.Write(buf)
 	*bp = buf
 	putBuf(bp)
-	if err == nil {
-		wire.recordsOut.Inc()
-		wire.bytesOut.Add(uint64(len(payload) + 4))
-	}
 	return err
 }
 
@@ -399,7 +392,7 @@ func ReadRecord(r io.Reader) ([]byte, error) {
 	defer putBuf(bp)
 	hdr := (*bp)[:4]
 	var out []byte
-	for frags := uint64(1); ; frags++ {
+	for {
 		if _, err := io.ReadFull(r, hdr); err != nil {
 			return nil, err
 		}
@@ -413,8 +406,6 @@ func ReadRecord(r io.Reader) ([]byte, error) {
 			return nil, err
 		}
 		if h&0x80000000 != 0 { // last fragment: the first one, commonly
-			wire.recordsIn.Inc()
-			wire.bytesIn.Add(uint64(len(out)) + 4*frags)
 			return out, nil
 		}
 	}
@@ -438,11 +429,14 @@ type Client struct {
 	// single-owner at every instant.
 	traces map[uint32]*stats.StageClock
 	tracer atomic.Pointer[clientTracer]
-	err    error
-	closed bool
-	wmu    sync.Mutex  // serializes writes
-	disp   *dispatcher // serves incoming calls; nil for a pure client
-	done   chan struct{}
+	// timed is set once this connection is traced, by either side: the
+	// read loop then stamps each record's arrival and open work.
+	timed atomic.Bool
+	wt    WorkTimer // the transport's work ledgers; nil if it keeps none
+	err   error
+	wmu   sync.Mutex  // serializes writes
+	disp  *dispatcher // serves incoming calls; nil for a pure client
+	done  chan struct{}
 }
 
 // clientTracer is a client's tracing sinks, installed by EnableTrace.
@@ -459,7 +453,18 @@ func (c *Client) EnableTrace(spans int) (*stats.TraceRing, *stats.StageSet) {
 	t := &clientTracer{ring: stats.NewTraceRing(spans), stages: new(stats.StageSet)}
 	t.ring.SetEnabled(true)
 	c.tracer.Store(t)
+	c.timeWork()
 	return t.ring, t.stages
+}
+
+// timeWork marks the connection traced: the read loop times each
+// record from here on, and a transport that can time its own seal and
+// open work starts to. Nothing else in the process starts timing.
+func (c *Client) timeWork() {
+	c.timed.Store(true)
+	if c.wt != nil {
+		c.wt.TimeWork()
+	}
 }
 
 // NewClient starts a client on conn and begins reading replies.
@@ -471,88 +476,95 @@ func NewClient(conn io.ReadWriteCloser) *Client { return NewPeer(conn, nil) }
 // concurrently, bounded by the server's worker limit, and replies go
 // out in completion order: XIDs disambiguate.
 func NewPeer(conn io.ReadWriteCloser, srv *Server) *Client {
+	c := newPeer(conn, srv)
+	go c.readLoop()
+	return c
+}
+
+func newPeer(conn io.ReadWriteCloser, srv *Server) *Client {
 	c := &Client{
 		conn:    conn,
 		nextXID: 1,
 		pending: make(map[uint32]chan record),
 		done:    make(chan struct{}),
 	}
+	c.wt, _ = conn.(WorkTimer)
 	if srv != nil {
-		c.disp = newDispatcher(srv, conn, &c.wmu, c.fail)
+		c.disp = newDispatcher(srv, c)
+		if srv.met.Load().Trace.Enabled() {
+			c.timeWork()
+		}
 	}
-	go c.readLoop()
 	return c
 }
 
 // Done is closed when the connection fails or is closed.
 func (c *Client) Done() <-chan struct{} { return c.done }
 
+// readLoop reads the connection until it fails. On a connection that
+// serves, every record read is counted once: as a call when dispatch
+// parses its header, as dropped when it does not, or when it is no
+// call and answers nothing pending.
 func (c *Client) readLoop() {
-	in := newRecordIn(c.conn)
+	in := recordIn{r: c.conn, wt: c.wt}
+	in.rr, _ = c.conn.(RecordReader)
 	if c.disp != nil {
 		defer c.disp.close()
 	}
 	for {
-		// Any trace ring in the process being on is reason to time the
-		// record: a reply's open work belongs to the client-side span.
-		// Off, this is one atomic load per record.
-		rec, tRead, openNS, err := in.next(stats.StageTimingOn())
+		rec, tRead, openNS, err := in.next(c.timed.Load())
 		if err != nil {
-			c.fail(err)
+			c.fail(err) //nolint:errcheck // the connection is over either way
 			return
 		}
-		if len(rec) < 8 {
-			continue
-		}
-		if binary.BigEndian.Uint32(rec[4:]) == msgCall {
+		if len(rec) >= 8 && binary.BigEndian.Uint32(rec[4:]) == msgCall {
 			if c.disp != nil {
 				c.disp.submit(call{rec: rec, tRead: tRead, openNS: openNS})
 			}
 			continue
 		}
-		xid := binary.BigEndian.Uint32(rec)
-		c.mu.Lock()
-		ch, ok := c.pending[xid]
-		if ok {
-			delete(c.pending, xid)
+		var ch chan record
+		if len(rec) >= 8 {
+			xid := binary.BigEndian.Uint32(rec)
+			c.mu.Lock()
+			if ch = c.pending[xid]; ch != nil {
+				delete(c.pending, xid)
+			}
+			if clk := c.traces[xid]; clk != nil {
+				clk.MarkArrive(openNS)
+			}
+			c.mu.Unlock()
 		}
-		if clk := c.traces[xid]; clk != nil {
-			clk.MarkArrive(openNS)
-		}
-		c.mu.Unlock()
-		if ok {
+		if ch != nil {
 			ch <- rec
+		} else if c.disp != nil {
+			c.disp.srv.met.Load().Dropped.Inc()
 		}
 	}
 }
 
-func (c *Client) fail(err error) {
+// fail ends the connection, once: it keeps the first error, fails every
+// pending call, closes Done and then the transport, and returns what
+// closing the transport returned (nil on every later call).
+func (c *Client) fail(err error) error {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.err == nil {
-		c.err = err
-		close(c.done)
+	if c.err != nil {
+		c.mu.Unlock()
+		return nil
 	}
+	c.err = err
+	close(c.done)
 	for xid, ch := range c.pending {
 		close(ch)
 		delete(c.pending, xid)
 	}
 	c.traces = nil
+	c.mu.Unlock()
+	return c.conn.Close()
 }
 
 // Close tears down the transport and fails all pending calls.
-func (c *Client) Close() error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil
-	}
-	c.closed = true
-	c.mu.Unlock()
-	err := c.conn.Close()
-	c.fail(ErrClosed)
-	return err
-}
+func (c *Client) Close() error { return c.fail(ErrClosed) }
 
 // Call performs a synchronous RPC: it marshals args, sends the call
 // with the given credentials, waits for the matching reply, and
@@ -608,14 +620,10 @@ func (c *Client) Start(prog, vers, proc uint32, cred OpaqueAuth, args interface{
 		}
 	}
 	clk.End(stats.StageCliEncode, tEnc)
-	var st SealTimer
-	if clk != nil {
-		st, _ = c.conn.(SealTimer)
-	}
 	c.wmu.Lock()
 	var seal0 int64
-	if st != nil {
-		seal0 = st.SealWorkNS()
+	if clk != nil && c.wt != nil {
+		seal0 = c.wt.SealWorkNS()
 	}
 	tW := clk.Now()
 	err := WriteRecordEncoder(c.conn, e)
@@ -624,8 +632,8 @@ func (c *Client) Start(prog, vers, proc uint32, cred OpaqueAuth, args interface{
 	if clk != nil {
 		tDone = time.Now()
 		writeNS = int64(tDone.Sub(tW))
-		if st != nil {
-			sealNS = st.SealWorkNS() - seal0
+		if c.wt != nil {
+			sealNS = c.wt.SealWorkNS() - seal0
 		}
 	}
 	c.wmu.Unlock()
@@ -809,47 +817,21 @@ func (s *Server) Register(prog, vers uint32, h Handler) {
 	s.handlers[progVers{prog, vers}] = h
 }
 
-// ServeConn handles calls on conn until it fails, then closes it.
-// Up to DefaultWorkers calls are dispatched concurrently by the
-// connection's resident workers; replies leave under one write lock, in
-// completion order — XIDs disambiguate, and RFC 1831 imposes no
-// ordering.
+// ServeConn serves calls on conn until it fails: it is a peer with no
+// calls of its own, whose read loop runs on the caller's goroutine.
+// Once the loop ends — the transport is closed by then — it waits for
+// the calls already read to finish, and returns nil on EOF, the first
+// error otherwise.
 func (s *Server) ServeConn(conn io.ReadWriteCloser) error {
-	defer conn.Close()
-	var (
-		wmu    sync.Mutex
-		failMu sync.Mutex
-		srvErr error
-	)
-	d := newDispatcher(s, conn, &wmu, func(err error) {
-		failMu.Lock()
-		if srvErr == nil {
-			srvErr = err
-			conn.Close() // unblock the reader and any in-flight writes
-		}
-		failMu.Unlock()
-	})
-	in := newRecordIn(conn)
-	met := s.met.Load()
-	var readErr error
-	for {
-		var c call
-		if c.rec, c.tRead, c.openNS, readErr = in.next(met.Trace.Enabled()); readErr != nil {
-			break
-		}
-		d.submit(c)
-	}
-	d.close()
-	d.wg.Wait()
-	failMu.Lock()
-	defer failMu.Unlock()
-	if srvErr != nil {
-		return srvErr
-	}
-	if errors.Is(readErr, io.EOF) {
+	c := newPeer(conn, s)
+	c.readLoop()
+	c.disp.wg.Wait()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if errors.Is(c.err, io.EOF) {
 		return nil
 	}
-	return readErr
+	return c.err
 }
 
 // dispatch decodes one call record and encodes the reply into e
@@ -858,8 +840,8 @@ func (s *Server) ServeConn(conn io.ReadWriteCloser) error {
 // clk, when non-nil, is the call's stage clock: it rides to the NFS
 // handler through the decoder's context slot, the handler's vfs/fsync
 // charges are subtracted out of the dispatch stage, and the span is
-// recorded by the caller after the reply write. With a nil clk a
-// duration-only span is recorded here, as before stage tracing.
+// recorded by the caller after the reply write. Untraced, dispatch
+// reads no clock.
 func (s *Server) dispatch(rec []byte, e *xdr.Encoder, clk *stats.StageClock) (bool, error) {
 	e.Reset()
 	// Reply payloads (READ data) are borrowed into the record; vfs.Read
@@ -890,11 +872,8 @@ func (s *Server) dispatch(rec []byte, e *xdr.Encoder, clk *stats.StageClock) (bo
 		clk.Span.Bytes += uint64(len(rec)) + 4
 		d.SetCtx(clk)
 	}
-	start := time.Now()
+	start := clk.Now()
 	ok, success, err := s.dispatchCall(xid, hdr, d, e)
-	dur := time.Since(start)
-	m.Latency.ObserveDuration(dur)
-	m.prog(progVers{hdr.Prog, hdr.Vers}).observe(hdr.Proc, !success)
 	switch {
 	case err != nil:
 		m.Errors.Inc()
@@ -906,19 +885,14 @@ func (s *Server) dispatch(rec []byte, e *xdr.Encoder, clk *stats.StageClock) (bo
 		// The handler's vfs and fsync charges are nested inside the
 		// dispatch interval; subtract them so the stages partition it.
 		clk.Add(stats.StageDispatch,
-			int64(dur)-clk.Get(stats.StageVFS)-clk.Get(stats.StageFsync))
-	} else {
-		m.Trace.Record(stats.Span{
-			XID: xid, Prog: hdr.Prog, Vers: hdr.Vers, Proc: hdr.Proc,
-			DurUS: dur.Microseconds(), Err: !success,
-		})
+			int64(time.Since(start))-clk.Get(stats.StageVFS)-clk.Get(stats.StageFsync))
 	}
 	return ok, err
 }
 
 // dispatchCall routes one decoded call header. success reports
-// whether the reply (if any) carries accept status SUCCESS — the
-// per-procedure error counters' notion of failure.
+// whether the reply (if any) carries accept status SUCCESS — a traced
+// span's notion of failure.
 func (s *Server) dispatchCall(xid uint32, hdr callHeader, d *xdr.Decoder, e *xdr.Encoder) (ok, success bool, err error) {
 	if hdr.RPCVers != RPCVersion {
 		ok, err = replyInto(e, xid, acceptSystemErr, nil)

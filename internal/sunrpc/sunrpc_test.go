@@ -2,11 +2,13 @@ package sunrpc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"net"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/xdr"
 )
@@ -225,7 +227,11 @@ func TestOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	go srv.ListenAndServe(l) //nolint:errcheck
+	go func() {
+		if conn, err := l.Accept(); err == nil {
+			srv.ServeConn(conn) //nolint:errcheck
+		}
+	}()
 	conn, err := net.Dial("tcp", l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -262,6 +268,66 @@ func TestOverUDP(t *testing.T) {
 	}
 	if res.Msg != "udp" || res.N != 8 {
 		t.Fatalf("got %+v", res)
+	}
+}
+
+// TestDatagramReplyMatchesStreamRecord: ServePacket sends a reply
+// through the same record writer as a stream connection, so a reply
+// datagram is byte for byte the record a TCP peer reads, mark included:
+// a small reply, an 8 KB borrowed payload and an error reply alike.
+func TestDatagramReplyMatchesStreamRecord(t *testing.T) {
+	payload := bytes.Repeat([]byte{0xa5, 0x5a, 7}, 3000)
+	srv := NewServer()
+	srv.Register(testProg, testVers, func(proc uint32, cred OpaqueAuth, args *xdr.Decoder) (interface{}, error) {
+		if proc == 9 {
+			return payload, nil
+		}
+		return echoHandler(proc, cred, args)
+	})
+	c1, c2 := net.Pipe()
+	defer c1.Close()
+	go srv.ServeConn(c2) //nolint:errcheck
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pc.Close()
+	go srv.ServePacket(pc) //nolint:errcheck
+	udp, err := net.Dial("udp", pc.LocalAddr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer udp.Close()
+
+	for i, proc := range []uint32{0, 9, 99} {
+		var call bytes.Buffer
+		if err := WriteRecord(&call, callRecord(t, uint32(i+1), proc)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c1.Write(call.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		mark := make([]byte, 4)
+		if _, err := io.ReadFull(c1, mark); err != nil {
+			t.Fatal(err)
+		}
+		stream := append(mark, make([]byte, binary.BigEndian.Uint32(mark)&0x7fffffff)...)
+		if _, err := io.ReadFull(c1, stream[4:]); err != nil {
+			t.Fatal(err)
+		}
+
+		if _, err := udp.Write(call.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		udp.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+		dgram := make([]byte, 65536)
+		n, err := udp.Read(dgram)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(dgram[:n], stream) {
+			t.Fatalf("proc %d: datagram (%d bytes) differs from the stream record (%d bytes)", proc, n, len(stream))
+		}
 	}
 }
 

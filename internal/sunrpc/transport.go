@@ -4,7 +4,6 @@ import (
 	"net"
 	"sync"
 
-	"repro/internal/stats"
 	"repro/internal/xdr"
 )
 
@@ -45,17 +44,16 @@ func (d *DatagramConn) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// ListenAndServe accepts TCP connections on l and serves RPC calls on
-// each in its own goroutine until l is closed.
-func (s *Server) ListenAndServe(l net.Listener) error {
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return err
-		}
-		go s.ServeConn(conn) //nolint:errcheck // per-conn errors end that conn only
-	}
+// packetTo writes each record to addr as one datagram. It is no
+// SegmentWriter, so WriteRecordEncoder flattens a reply — borrowed
+// payload included — into one buffer and one Write, the one copy the
+// accounting charges.
+type packetTo struct {
+	pc   net.PacketConn
+	addr net.Addr
 }
+
+func (p packetTo) Write(b []byte) (int, error) { return p.pc.WriteTo(b, p.addr) }
 
 // ServePacket serves RPC calls arriving as datagrams on pc, replying to
 // each sender. The receive buffer is allocated once; each in-flight
@@ -82,37 +80,9 @@ func (s *Server) ServePacket(pc net.PacketConn) error {
 			}
 			e := xdr.GetEncoder()
 			defer xdr.PutEncoder(e)
-			ok, err := s.dispatch(pkt[4:], e, nil) // datagram path: untraced
-			if err != nil || !ok {
-				return
+			if ok, err := s.dispatch(pkt[4:], e, nil); ok && err == nil { // datagram path: untraced
+				WriteRecordEncoder(packetTo{pc, addr}, e) //nolint:errcheck // best-effort datagram
 			}
-			// Datagram replies must go out as one packet, so the
-			// segments (possibly including borrowed payload) are flattened
-			// into a pooled buffer; the flatten pass is the one copy the
-			// accounting charges here.
-			rlen := e.Len()
-			op := getBuf()
-			out := (*op)[:0]
-			var hdr [4]byte
-			hdr[0] = 0x80
-			hdr[1] = byte(rlen >> 16)
-			hdr[2] = byte(rlen >> 8)
-			hdr[3] = byte(rlen)
-			out = append(out, hdr[:]...)
-			for _, seg := range e.Segments() {
-				out = append(out, seg...)
-			}
-			if payload := e.PayloadBytes(); payload > 0 {
-				stats.NoteWirePayload(payload)
-				if b := e.BorrowedBytes(); b > 0 {
-					stats.NoteWireBorrowed(b)
-				}
-				stats.NoteWireCopied(e.CopiedBytes() + payload)
-				stats.ObserveWireCopies(e.CopiedBytes()+payload, payload)
-			}
-			pc.WriteTo(out, addr) //nolint:errcheck // best-effort datagram
-			*op = out
-			putBuf(op)
 		}(bp, pkt, addr)
 	}
 }

@@ -148,6 +148,7 @@ func TestGofmt(t *testing.T) {
 // only, no type information), so a method shares its name's fate with
 // every other use of that name — coarse, but it has no false alarms to
 // silence and it caught every entry of ROADMAP item 9(a).
+// Blind spot: a method passes when any type's same-named method is used (sunrpc's ListenAndServe hid so).
 func TestNoTestOnlyExports(t *testing.T) {
 	// Kept on purpose, each for the reason given.
 	allowed := map[string]string{
@@ -218,6 +219,147 @@ func TestNoTestOnlyExports(t *testing.T) {
 			t.Errorf("%s is exported but no non-test file references it: delete it, or move it into the test that uses it", e.id)
 		case referenced[e.name] && ok:
 			t.Errorf("%s is referenced by non-test code now; drop it from the allowlist", e.id)
+		}
+	}
+}
+
+// TestNoProcessWideCounters: a counter belongs to the server, client or
+// connection whose work it counts. One in a package-level var is shared
+// by every stack in the process: two stacks' numbers mix, and a switch
+// set for one stack changes the others. This fails on a package-level
+// var, in non-test code under internal/, whose type holds a stats
+// Counter, Gauge or Histogram or a sync/atomic value — through fields,
+// arrays, maps, pointers and the package's own named types. Types are
+// read off the syntax with go/parser alone, like the guards above.
+func TestNoProcessWideCounters(t *testing.T) {
+	// Kept on purpose, each for the reason given.
+	allowed := map[string]string{
+		"internal/stats: wireCopy":       "benchmark/trace.go reads it through stats.WireCopySnapshot, and a daemon runs one wire role",
+		"internal/secchan: chanStats":    "its snapshot is a field of the committed BENCH_login-storm.json",
+		"internal/server: heapHigh":      "a process property: the heap belongs to the process, not to a stack",
+		"internal/server: goroutineHigh": "a process property: goroutines belong to the process, not to a stack",
+		"internal/vfs: bootCount":        "uniqueness across every FS in the process is its purpose",
+		"internal/xdr: poisonOnPut":      "the XDR_POISON debug mode, fixed from the environment at start-up",
+	}
+	type named struct {
+		typ ast.Expr
+		imp map[string]string // import name → path, in the declaring file
+	}
+	type global struct {
+		id  string
+		typ ast.Expr
+		imp map[string]string
+	}
+	fset := token.NewFileSet()
+	types := map[string]map[string]named{} // package dir → type name → declaration
+	var globals []global
+	err := filepath.WalkDir("internal", func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		imp := map[string]string{}
+		for _, is := range f.Imports {
+			p := strings.Trim(is.Path.Value, `"`)
+			name := p[strings.LastIndex(p, "/")+1:]
+			if is.Name != nil {
+				name = is.Name.Name
+			}
+			imp[name] = p
+		}
+		dir := filepath.ToSlash(filepath.Dir(path))
+		if types[dir] == nil {
+			types[dir] = map[string]named{}
+		}
+		for _, decl := range f.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					types[dir][s.Name.Name] = named{s.Type, imp}
+				case *ast.ValueSpec:
+					if gd.Tok != token.VAR {
+						continue
+					}
+					for i, n := range s.Names {
+						typ := s.Type
+						if typ == nil && i < len(s.Values) {
+							typ = s.Values[i] // a literal or new(T) says its type
+							if u, ok := typ.(*ast.UnaryExpr); ok {
+								typ = u.X
+							}
+							switch v := typ.(type) {
+							case *ast.CompositeLit:
+								typ = v.Type
+							case *ast.CallExpr:
+								if id, ok := v.Fun.(*ast.Ident); ok && id.Name == "new" && len(v.Args) == 1 {
+									typ = v.Args[0]
+								}
+							}
+						}
+						globals = append(globals, global{dir + ": " + n.Name, typ, imp})
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var holds func(dir string, e ast.Expr, imp map[string]string, seen map[string]bool) bool
+	holds = func(dir string, e ast.Expr, imp map[string]string, seen map[string]bool) bool {
+		switch e := e.(type) {
+		case *ast.Ident:
+			if n, ok := types[dir][e.Name]; ok && !seen[e.Name] {
+				seen[e.Name] = true
+				return holds(dir, n.typ, n.imp, seen)
+			}
+		case *ast.SelectorExpr:
+			if x, ok := e.X.(*ast.Ident); ok {
+				switch imp[x.Name] {
+				case "sync/atomic":
+					return true
+				case "repro/internal/stats":
+					return e.Sel.Name == "Counter" || e.Sel.Name == "Gauge" || e.Sel.Name == "Histogram"
+				}
+			}
+		case *ast.StarExpr:
+			return holds(dir, e.X, imp, seen)
+		case *ast.ArrayType:
+			return holds(dir, e.Elt, imp, seen)
+		case *ast.MapType:
+			return holds(dir, e.Key, imp, seen) || holds(dir, e.Value, imp, seen)
+		case *ast.IndexExpr: // atomic.Pointer[T]
+			return holds(dir, e.X, imp, seen)
+		case *ast.StructType:
+			for _, f := range e.Fields.List {
+				if holds(dir, f.Type, imp, seen) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	flagged := map[string]bool{}
+	for _, g := range globals {
+		if !holds(g.id[:strings.Index(g.id, ":")], g.typ, g.imp, map[string]bool{}) {
+			continue
+		}
+		flagged[g.id] = true
+		if _, ok := allowed[g.id]; !ok {
+			t.Errorf("%s is a process-wide counter: give it to the server, client or connection whose work it counts", g.id)
+		}
+	}
+	for id := range allowed {
+		if !flagged[id] {
+			t.Errorf("%s is no process-wide counter now; drop it from the allowlist", id)
 		}
 	}
 }
@@ -482,7 +624,7 @@ func TestToolsEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	for _, key := range []string{"master", "nfs", "sunrpc", "secchan", "authserv"} {
+	for _, key := range []string{"master", "nfs", "secchan", "authserv"} {
 		if _, ok := snap[key]; !ok {
 			t.Errorf("stats snapshot missing %q section (have %d sections)", key, len(snap))
 		}

@@ -123,6 +123,7 @@ func TestFig5ReadAheadAblation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
+	const size = 8 << 20
 	measure := func(readAhead int) float64 {
 		fs, _ := newEraFS()
 		ccfg := paperClient
@@ -132,9 +133,14 @@ func TestFig5ReadAheadAblation(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(st.Close)
-		r, err := ThroughputMicro(st, 8<<20)
+		r, err := ThroughputMicro(st, size)
 		if err != nil {
 			t.Fatal(err)
+		}
+		// Read-ahead stops at the file's size: either depth costs
+		// one READ per block, none past the end.
+		if r.RPCs != size/8192 {
+			t.Errorf("read-ahead %d: %d READs for %d blocks", readAhead, r.RPCs, size/8192)
 		}
 		return r.MBps()
 	}

@@ -374,7 +374,17 @@ func (s *nfsStack) ReadFile(path string) ([]byte, error) {
 	if _, err := s.cl.GetAttr(fh); err != nil {
 		return nil, err
 	}
-	return s.cl.ReadAll(fh, 8192)
+	var out []byte
+	for {
+		data, eof, err := s.cl.Read(fh, uint64(len(out)), 8192)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, data...)
+		if eof || len(data) == 0 {
+			return out, nil
+		}
+	}
 }
 
 func (s *nfsStack) Stat(path string) error {

@@ -60,20 +60,20 @@ type Config struct {
 	// before regeneration (default 1 hour, as in the paper).
 	TempKeyLife time.Duration
 	// EnhancedCaching enables the SFS attribute/access caching
-	// extensions (default on; benchmarks disable it to reproduce
-	// the paper's ablation).
+	// extensions. The zero value leaves them off (plain NFS 3
+	// caching); the daemon and the paper's configuration turn them on.
 	EnhancedCaching bool
 	// AttrTimeout is the fallback attribute TTL when enhanced
 	// caching is off (plain NFS-style); zero disables caching.
 	AttrTimeout time.Duration
-	// ReadAhead is the depth of the sequential-read pipeline: how
-	// many READ RPCs stay in flight on one channel. Zero selects
-	// nfs.DefaultReadAhead; negative disables pipelining.
+	// ReadAhead is the depth of an open file's sequential-read
+	// window: how many READ RPCs stay in flight. Zero selects 8;
+	// negative selects 1, one READ at a time.
 	ReadAhead int
-	// WriteBehind is the depth of the write-behind pipeline: how
-	// many unstable WRITE RPCs stay in flight per open file. Zero
-	// selects nfs.DefaultWriteBehind; negative disables write-behind
-	// (every WriteAt waits for its WRITE reply, as before).
+	// WriteBehind is the depth of an open file's write-behind window:
+	// how many unstable WRITE RPCs stay in flight. Zero selects 8;
+	// negative selects a window of zero, where each WRITE is
+	// acknowledged before WriteAt returns.
 	WriteBehind int
 	// DataCacheBytes bounds each mount's lease-coherent data block
 	// cache (shared by all users of the mount, served per principal).
@@ -85,9 +85,6 @@ type Config struct {
 	// clear. The server must be serving with ServedConfig.NoEncryption; a
 	// mismatch fails the channel's first record.
 	NoEncryption bool
-	// ReadDirPage is the number of directory entries requested per
-	// READDIR page. Zero selects 256.
-	ReadDirPage int
 	// LocalUsers is the client machine's own uid→name table, used
 	// by the libsfs "%name" convention: when client and server
 	// agree on an ID's name, the percent prefix is dropped.
@@ -160,6 +157,8 @@ func New(cfg Config) (*Client, error) {
 	if cfg.TempKeyLife == 0 {
 		cfg.TempKeyLife = time.Hour
 	}
+	cfg.ReadAhead = depth(cfg.ReadAhead, 1)
+	cfg.WriteBehind = depth(cfg.WriteBehind, 0)
 	c := &Client{
 		cfg:      cfg,
 		rng:      cfg.RNG,
@@ -172,6 +171,20 @@ func New(cfg Config) (*Client, error) {
 		return nil, err
 	}
 	return c, nil
+}
+
+// depth resolves a pipeline depth knob: zero selects the default
+// window of 8 (deep enough to cover the bandwidth-delay product of the
+// paper's 10 Mbit LAN at 8 KB per RPC), negative selects serial: one
+// READ in flight, or no WRITE left outstanding when WriteAt returns.
+func depth(knob, serial int) int {
+	switch {
+	case knob == 0:
+		return 8
+	case knob < 0:
+		return serial
+	}
+	return knob
 }
 
 // rotateTempKey regenerates the short-lived key K_C'.
@@ -294,8 +307,6 @@ func (c *Client) getMount(p core.Path) (*mount, error) {
 		UseLeases:      c.cfg.EnhancedCaching,
 		AccessCache:    c.cfg.EnhancedCaching,
 		AttrTimeout:    c.cfg.AttrTimeout,
-		ReadAhead:      c.cfg.ReadAhead,
-		WriteBehind:    c.cfg.WriteBehind,
 		DataCacheBytes: c.cfg.DataCacheBytes,
 		TraceSpans:     c.cfg.TraceSpans,
 	}

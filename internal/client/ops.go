@@ -12,14 +12,22 @@ import (
 
 // File is an open file: a handle plus the authenticated view it was
 // opened through. It supports streaming reads and writes at a cursor,
-// pipelines sequential reads when the view supports asynchronous RPCs,
-// and gathers writes into a write-behind window of unstable WRITEs
-// committed in one verifier-checked batch by Sync. All methods are
-// safe for concurrent use.
+// and it is the one place bytes are pipelined: sequential reads run
+// through a read-ahead window of READ futures, and writes through a
+// write-behind window of unstable WRITEs committed in one
+// verifier-checked batch by Sync. All methods are safe for concurrent
+// use.
 type File struct {
 	node *node
+	// raDepth and wbDepth are the windows' depths (Config.ReadAhead and
+	// Config.WriteBehind as New resolved them).
+	raDepth, wbDepth int
 
-	mu     sync.Mutex
+	mu sync.Mutex
+	// size is the file size as this File knows it: the attributes it
+	// was opened with, raised by its own writes. Read-ahead never
+	// speculates at or past it.
+	size   uint64
 	off    uint64
 	ra     readahead
 	wb     writebehind
@@ -27,25 +35,10 @@ type File struct {
 	closed bool
 }
 
-// asyncView is the optional view capability that enables read-ahead:
-// issuing a READ without waiting for the reply. The NFS client over a
-// secure channel implements it; the read-only verifying view does not
-// and falls back to serial reads.
-type asyncView interface {
-	ReadStart(fh nfs.FH, offset uint64, count uint32) (func() ([]byte, bool, error), error)
-	ReadAheadDepth() int
+// newFile opens n with the client's window depths.
+func (c *Client) newFile(n *node) *File {
+	return &File{node: n, raDepth: c.cfg.ReadAhead, wbDepth: c.cfg.WriteBehind, size: n.attr.Size}
 }
-
-var _ asyncView = (*nfs.Client)(nil)
-
-// asyncWriteView is the write-side capability: issuing an unstable
-// WRITE without waiting for the reply, for the write-behind window.
-type asyncWriteView interface {
-	WriteStart(fh nfs.FH, offset uint64, data []byte, stable uint32) (func() (uint32, uint64, error), error)
-	WriteBehindDepth() int
-}
-
-var _ asyncWriteView = (*nfs.Client)(nil)
 
 // readahead is the sequential-read pipeline of one open file: a window
 // of outstanding READ futures at consecutive offsets, guarded by the
@@ -102,7 +95,7 @@ type wbRange struct {
 
 // writebehind is the asynchronous write pipeline of one open file:
 // caller bytes are copied into pooled wire-sized chunks, issued as
-// unstable WRITE futures (at most WriteBehindDepth outstanding), and
+// unstable WRITE futures (at most File.wbDepth outstanding), and
 // retained on the dirty list until a COMMIT whose verifier matches
 // the WRITE replies proves them stable (RFC 1813 §4.8). Guarded by
 // the File's mutex.
@@ -139,7 +132,7 @@ func (wb *writebehind) active() bool {
 // issueChunk sends the coalescing buffer as one unstable WRITE future.
 // Only transport-level failures are returned; a server-side rejection
 // surfaces later, when the future is retired.
-func (f *File) issueChunk(av asyncWriteView) error {
+func (f *File) issueChunk() error {
 	buf := f.wb.buf
 	if len(buf) == 0 {
 		return nil
@@ -155,10 +148,10 @@ func (f *File) issueChunk(av asyncWriteView) error {
 			break
 		}
 	}
-	for len(f.wb.window) >= av.WriteBehindDepth() {
+	for len(f.wb.window) > 0 && len(f.wb.window) >= f.wbDepth {
 		f.retireOldest()
 	}
-	fin, err := av.WriteStart(f.node.fh, off, buf, nfs.Unstable)
+	fin, err := f.node.view.WriteStart(f.node.fh, off, buf, nfs.Unstable)
 	if err != nil {
 		putChunk(buf)
 		return err
@@ -168,6 +161,9 @@ func (f *File) issueChunk(av asyncWriteView) error {
 	ios.wbChunks.Inc()
 	ios.wbBytes.Add(uint64(len(buf)))
 	ios.wbWindowOcc.Observe(uint64(len(f.wb.window)))
+	if f.wbDepth == 0 {
+		f.retireOldest()
+	}
 	return nil
 }
 
@@ -200,8 +196,8 @@ func (f *File) retireAll() {
 
 // flush pushes every buffered and in-flight write to the server and
 // waits for the replies, without committing.
-func (f *File) flush(av asyncWriteView) error {
-	if err := f.issueChunk(av); err != nil {
+func (f *File) flush() error {
+	if err := f.issueChunk(); err != nil {
 		return err
 	}
 	f.retireAll()
@@ -231,14 +227,14 @@ func (f *File) discard() {
 
 // retransmit re-sends every dirty range after a verifier change told
 // us the server rebooted and dropped its unstable data.
-func (f *File) retransmit(av asyncWriteView) error {
+func (f *File) retransmit() error {
 	f.wb.mismatch = false
 	f.wb.verfOK = false
 	ios := f.stats()
 	for _, r := range f.wb.dirty {
 		ios.retransOps.Inc()
 		ios.retransB.Add(uint64(len(r.buf)))
-		fin, err := av.WriteStart(f.node.fh, r.off, r.buf, nfs.Unstable)
+		fin, err := f.node.view.WriteStart(f.node.fh, r.off, r.buf, nfs.Unstable)
 		if err != nil {
 			return err
 		}
@@ -282,7 +278,7 @@ func (c *Client) Open(user, path string) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &File{node: n}, nil
+	return c.newFile(n), nil
 }
 
 // Access checks permissions on path for user (the ACCESS RPC, served
@@ -324,7 +320,7 @@ func (c *Client) Create(user, path string, mode uint32) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &File{node: &node{view: dir.view, mount: dir.mount, fh: fh, attr: attr}}, nil
+	return c.newFile(&node{view: dir.view, mount: dir.mount, fh: fh, attr: attr}), nil
 }
 
 // Mkdir creates a directory.
@@ -395,13 +391,8 @@ func (c *Client) Rename(user, from, to string) error {
 	return fromDir.view.Rename(fromDir.fh, fromName, toDir.fh, toName)
 }
 
-// readDirPage reports the configured READDIR page size.
-func (c *Client) readDirPage() uint32 {
-	if c.cfg.ReadDirPage > 0 {
-		return uint32(c.cfg.ReadDirPage)
-	}
-	return 256
-}
+// readDirPage is the number of directory entries one READDIR asks for.
+const readDirPage = 256
 
 // ReadDir lists a directory.
 func (c *Client) ReadDir(user, path string) ([]nfs.Entry, error) {
@@ -409,11 +400,10 @@ func (c *Client) ReadDir(user, path string) ([]nfs.Entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	page := c.readDirPage()
 	var out []nfs.Entry
 	cookie := uint64(0)
 	for {
-		ents, eof, err := n.view.ReadDir(n.fh, cookie, page)
+		ents, eof, err := n.view.ReadDir(n.fh, cookie, readDirPage)
 		if err != nil {
 			return nil, err
 		}
@@ -427,13 +417,28 @@ func (c *Client) ReadDir(user, path string) ([]nfs.Entry, error) {
 	}
 }
 
-// ReadFile returns the entire contents of the file at path.
+// ReadFile returns the entire contents of the file at path, read
+// through the open file's read-ahead window into a buffer sized from
+// its attributes.
 func (c *Client) ReadFile(user, path string) ([]byte, error) {
 	f, err := c.Open(user, path)
 	if err != nil {
 		return nil, err
 	}
-	return f.node.view.ReadAll(f.node.fh, 8192)
+	defer f.Close()
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	out := make([]byte, 0, min(f.size, 1<<30)) // capped: the size is the server's claim
+	for {
+		data, eof, err := f.fetch(uint64(len(out)), wireChunk)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, data...)
+		if eof || len(data) == 0 {
+			return out, nil
+		}
+	}
 }
 
 // WriteFile creates path with the given contents. The data is flushed
@@ -493,10 +498,9 @@ func (c *Client) Stats(user, path string) (nfs.Stats, error) {
 // Attr returns the attributes the file was opened with.
 func (f *File) Attr() nfs.Fattr { return f.node.attr }
 
-// ReadAt reads up to len(p) bytes at offset off. Sequential reads
-// through a view that supports asynchronous RPCs are pipelined: a
-// window of READs stays in flight so each call usually finds its data
-// already on the wire (the paper's Figure 5 workload).
+// ReadAt reads up to len(p) bytes at offset off. Sequential reads are
+// pipelined: a window of READs stays in flight so each call usually
+// finds its data already on the wire (the paper's Figure 5 workload).
 func (f *File) ReadAt(p []byte, off uint64) (int, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -504,66 +508,60 @@ func (f *File) ReadAt(p []byte, off uint64) (int, error) {
 }
 
 func (f *File) readAt(p []byte, off uint64) (int, error) {
-	// A read must observe every write issued before it; the server
-	// dispatches out of order, so wait for in-flight WRITEs first.
-	// (Acknowledged dirty data is already applied server-side and
-	// need not block reads.)
-	if f.wb.active() {
-		if av, ok := f.node.view.(asyncWriteView); ok {
-			if err := f.flush(av); err != nil {
-				return 0, err
-			}
-			if err := f.wb.takeErr(); err != nil {
-				return 0, err
-			}
-		}
-	}
-	if av, ok := f.node.view.(asyncView); ok && len(p) > 0 {
-		if depth := av.ReadAheadDepth(); depth > 1 {
-			return f.readAtPipelined(av, depth, p, off)
-		}
-	}
-	return f.readAtSerial(p, off)
-}
-
-func (f *File) readAtSerial(p []byte, off uint64) (int, error) {
-	data, eof, err := f.node.view.Read(f.node.fh, off, uint32(len(p)))
+	data, eof, err := f.fetch(off, uint32(len(p)))
 	if err != nil {
 		return 0, err
 	}
 	n := copy(p, data)
-	f.ra.lastEnd = off + uint64(n)
 	if eof && n < len(p) {
 		return n, io.EOF
 	}
 	return n, nil
 }
 
-func (f *File) readAtPipelined(av asyncView, depth int, p []byte, off uint64) (int, error) {
-	count := uint32(len(p))
+// fetch returns up to count bytes at off and whether they end the
+// file. The slice may alias the view's data cache: callers copy it out
+// and never modify it.
+func (f *File) fetch(off uint64, count uint32) ([]byte, bool, error) {
+	// A read must observe every write issued before it; the server
+	// dispatches out of order, so wait for in-flight WRITEs first.
+	// (Acknowledged dirty data is already applied server-side and
+	// need not block reads.)
+	if f.wb.active() {
+		if err := f.flush(); err != nil {
+			return nil, false, err
+		}
+		if err := f.wb.takeErr(); err != nil {
+			return nil, false, err
+		}
+	}
 	ra := &f.ra
 	ios := f.stats()
 	if len(ra.window) > 0 && (ra.chunk != count || ra.head != off) {
 		ra.drain() // request shape changed: speculation is useless
 	}
 	if len(ra.window) == 0 {
-		if off != ra.lastEnd {
-			// Non-sequential access: stay serial, but remember the
-			// position so a following sequential read starts the pipe.
-			ios.raMisses.Inc()
-			return f.readAtSerial(p, off)
+		ios.raMisses.Inc()
+		if off != ra.lastEnd || count == 0 {
+			// Non-sequential access: one direct READ, remembering
+			// where it stopped so a following sequential read starts
+			// the pipe.
+			data, eof, err := f.node.view.Read(f.node.fh, off, count)
+			ra.lastEnd = off + uint64(len(data))
+			return data, eof, err
 		}
 		// Pipeline startup: this read still pays a full round trip.
-		ios.raMisses.Inc()
 		ra.chunk, ra.head, ra.issued = count, off, off
 	} else {
 		ios.raHits.Inc()
 	}
-	for len(ra.window) < depth {
-		fin, err := av.ReadStart(f.node.fh, ra.issued, count)
+	// The read asked for is always issued; speculation stops at the
+	// size the File knows, so a stale size costs speed, never bytes.
+	for len(ra.window) == 0 || len(ra.window) < f.raDepth && ra.issued < f.size {
+		fin, err := f.node.view.ReadStart(f.node.fh, ra.issued, count)
 		if err != nil {
 			ra.drain()
-			return 0, err
+			return nil, false, err
 		}
 		ra.window = append(ra.window, fin)
 		ra.issued += uint64(count)
@@ -574,20 +572,16 @@ func (f *File) readAtPipelined(av asyncView, depth int, p []byte, off uint64) (i
 	data, eof, err := fin()
 	if err != nil {
 		ra.drain()
-		return 0, err
+		return nil, false, err
 	}
-	n := copy(p, data)
 	ra.head = off + uint64(count)
-	ra.lastEnd = off + uint64(n)
-	if eof || n < int(count) {
+	ra.lastEnd = off + uint64(len(data))
+	if eof || len(data) < int(count) {
 		// Final or short chunk: outstanding speculative READs target
 		// offsets the caller will not ask for next.
 		ra.drain()
 	}
-	if eof && n < len(p) {
-		return n, io.EOF
-	}
-	return n, nil
+	return data, eof, nil
 }
 
 // Read reads from the cursor.
@@ -603,12 +597,13 @@ func (f *File) Read(p []byte) (int, error) {
 }
 
 // WriteAt writes p at offset off (unstable; call Sync for stability).
-// Through a view with asynchronous RPCs the write goes behind: p is
-// copied into pooled wire-sized chunks — adjacent small writes
-// coalesce into full chunks — and up to Config.WriteBehind unstable
-// WRITEs ride the channel at once, so the call usually returns before
-// the server acknowledges. A deferred RPC failure is reported by the
-// next WriteAt, Sync, or Close.
+// The write goes behind: p is copied into pooled wire-sized chunks —
+// adjacent small writes coalesce into full chunks — and up to
+// Config.WriteBehind unstable WRITEs ride the channel at once, so the
+// call usually returns before the server acknowledges. A deferred RPC
+// failure is reported by the next WriteAt, Sync, or Close. With a
+// window of zero every chunk, the last partial one included, is
+// acknowledged before WriteAt returns.
 func (f *File) WriteAt(p []byte, off uint64) (int, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -620,19 +615,18 @@ func (f *File) writeAt(p []byte, off uint64) (int, error) {
 	// Reads still in the pipeline were issued before this write and
 	// could return stale data to a later sequential read.
 	f.ra.drain()
-	av, ok := f.node.view.(asyncWriteView)
-	if !ok || av.WriteBehindDepth() < 1 || len(p) == 0 {
-		return f.writeAtSerial(p, off)
-	}
 	if err := f.wb.takeErr(); err != nil {
 		return 0, err
+	}
+	if end := off + uint64(len(p)); len(p) > 0 && end > f.size {
+		f.size = end
 	}
 	written := 0
 	for written < len(p) {
 		o := off + uint64(written)
 		if len(f.wb.buf) > 0 && f.wb.bufOff+uint64(len(f.wb.buf)) != o {
 			// Non-adjacent write: flush the partial chunk first.
-			if err := f.issueChunk(av); err != nil {
+			if err := f.issueChunk(); err != nil {
 				return written, err
 			}
 		}
@@ -642,44 +636,22 @@ func (f *File) writeAt(p []byte, off uint64) (int, error) {
 		if len(f.wb.buf) == 0 {
 			f.wb.bufOff = o
 		}
-		n := wireChunk - len(f.wb.buf)
-		if rest := len(p) - written; n > rest {
-			n = rest
-		}
+		n := min(wireChunk-len(f.wb.buf), len(p)-written)
 		f.wb.buf = append(f.wb.buf, p[written:written+n]...)
 		written += n
-		if len(f.wb.buf) == wireChunk {
-			if err := f.issueChunk(av); err != nil {
+		if len(f.wb.buf) == wireChunk || f.wbDepth == 0 && written == len(p) {
+			if err := f.issueChunk(); err != nil {
 				return written, err
+			}
+			if f.wbDepth == 0 && f.wb.err != nil {
+				// Retired synchronously: the chunk just sent — all of
+				// it this call's bytes — was not acknowledged.
+				return written - n, f.wb.takeErr()
 			}
 		}
 	}
 	if err := f.wb.takeErr(); err != nil {
 		return written, err
-	}
-	return written, nil
-}
-
-// writeAtSerial is the synchronous path: views without asynchronous
-// RPCs, or write-behind disabled (Config.WriteBehind < 0).
-func (f *File) writeAtSerial(p []byte, off uint64) (int, error) {
-	const chunk = 32 << 10
-	written := 0
-	for written < len(p) {
-		end := written + chunk
-		if end > len(p) {
-			end = len(p)
-		}
-		n, err := f.node.view.Write(f.node.fh, off+uint64(written), p[written:end], nfs.Unstable)
-		written += int(n)
-		if err != nil {
-			return written, err
-		}
-		if n == 0 {
-			// A server acknowledging zero bytes without error would
-			// spin this loop forever.
-			return written, io.ErrShortWrite
-		}
 	}
 	return written, nil
 }
@@ -707,11 +679,7 @@ func (f *File) Seek(off uint64) {
 func (f *File) Flush() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	av, ok := f.node.view.(asyncWriteView)
-	if !ok {
-		return nil
-	}
-	if err := f.flush(av); err != nil {
+	if err := f.flush(); err != nil {
 		return err
 	}
 	return f.wb.takeErr()
@@ -733,15 +701,12 @@ func (f *File) Sync() error {
 }
 
 func (f *File) sync() error {
-	av, _ := f.node.view.(asyncWriteView)
-	if av != nil && av.WriteBehindDepth() >= 1 {
-		if f.wb.err == nil && len(f.wb.window) == 0 && len(f.wb.dirty) == 0 && len(f.wb.buf) > 0 {
-			return f.syncSmall(av)
-		}
-		if err := f.flush(av); err != nil {
-			f.discard()
-			return err
-		}
+	if f.wb.err == nil && len(f.wb.window) == 0 && len(f.wb.dirty) == 0 && len(f.wb.buf) > 0 {
+		return f.syncSmall()
+	}
+	if err := f.flush(); err != nil {
+		f.discard()
+		return err
 	}
 	if err := f.wb.takeErr(); err != nil {
 		f.discard()
@@ -763,7 +728,7 @@ func (f *File) sync() error {
 			f.discard()
 			return nfs.Error(nfs.ErrIO)
 		}
-		if err := f.retransmit(av); err != nil {
+		if err := f.retransmit(); err != nil {
 			f.discard()
 			return err
 		}
@@ -772,11 +737,11 @@ func (f *File) sync() error {
 
 // syncSmall stabilizes a single still-unsent chunk with one FILE_SYNC
 // WRITE instead of WRITE + COMMIT.
-func (f *File) syncSmall(av asyncWriteView) error {
+func (f *File) syncSmall() error {
 	buf, off := f.wb.buf, f.wb.bufOff
 	f.wb.buf = nil
 	f.stats().syncSmall.Inc()
-	fin, err := av.WriteStart(f.node.fh, off, buf, nfs.FileSync)
+	fin, err := f.node.view.WriteStart(f.node.fh, off, buf, nfs.FileSync)
 	if err != nil {
 		putChunk(buf)
 		return err

@@ -1,6 +1,7 @@
 package client_test
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"time"
@@ -37,6 +38,9 @@ func buildROWorld(t *testing.T, seed string) (*lab.World, *sfsro.DB, string) {
 	if err := src.SymlinkAt(cred, "pub/alias", "catalog.txt"); err != nil {
 		t.Fatal(err)
 	}
+	if err := src.WriteFile(cred, "data/big.bin", bigROFile(), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	db, err := sfsro.BuildFromVFS(src, "ca.example.com", key, 1, time.Hour, w.RNG, time.Now())
 	if err != nil {
 		t.Fatal(err)
@@ -46,6 +50,15 @@ func buildROWorld(t *testing.T, seed string) (*lab.World, *sfsro.DB, string) {
 		t.Fatal(err)
 	}
 	return w, db, p.String()
+}
+
+// bigROFile spans several 8 KB READ chunks and ends mid-chunk.
+func bigROFile() []byte {
+	b := make([]byte, 5*8192+1234)
+	for i := range b {
+		b[i] = byte(i*31 + i>>8)
+	}
+	return b
 }
 
 func TestReadOnlyMountThroughClient(t *testing.T) {
@@ -77,6 +90,12 @@ func TestReadOnlyMountThroughClient(t *testing.T) {
 	if attr.Mode&0o222 != 0 {
 		t.Fatal("read-only file reports writable mode bits")
 	}
+	// A multi-chunk file streams through the read-ahead window, each
+	// chunk verified as it is consumed.
+	data, err = cl.ReadFile("u", base+"/data/big.bin")
+	if err != nil || !bytes.Equal(data, bigROFile()) {
+		t.Fatalf("multi-chunk read: %d bytes, err %v", len(data), err)
+	}
 	// pwd works on RO mounts too.
 	pwd, err := cl.SelfPath("u", base+"/pub")
 	if err != nil || pwd != base {
@@ -102,6 +121,18 @@ func TestReadOnlyMountRefusesWrites(t *testing.T) {
 	}
 	if err := cl.Chmod("u", base+"/pub/catalog.txt", 0o777); !errors.Is(err, nfs.Error(nfs.ErrROFS)) {
 		t.Fatalf("chmod: %v, want EROFS", err)
+	}
+	// An existing file opened for reading: the write is buffered, and
+	// the Sync that sends it is refused.
+	f, err := cl.Open("u", base+"/pub/catalog.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte("nope"), 0); err != nil {
+		t.Fatalf("buffered write: %v", err)
+	}
+	if err := f.Sync(); !errors.Is(err, nfs.Error(nfs.ErrROFS)) {
+		t.Fatalf("sync: %v, want EROFS", err)
 	}
 }
 

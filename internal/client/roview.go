@@ -136,6 +136,13 @@ func (v *roView) Read(fh nfs.FH, offset uint64, count uint32) ([]byte, bool, err
 	return data, eof, nil
 }
 
+// ReadStart defers the verified read to the future, so a read-ahead
+// window over a read-only mount fetches and checks each block in the
+// order the reader consumes it.
+func (v *roView) ReadStart(fh nfs.FH, offset uint64, count uint32) (func() ([]byte, bool, error), error) {
+	return func() ([]byte, bool, error) { return v.Read(fh, offset, count) }, nil
+}
+
 func (v *roView) ReadDir(dir nfs.FH, cookie uint64, count uint32) ([]nfs.Entry, bool, error) {
 	_, ino, err := v.inode(dir)
 	if err != nil {
@@ -163,22 +170,6 @@ func (v *roView) ReadDir(dir nfs.FH, cookie uint64, count uint32) ([]nfs.Entry, 
 	return out, true, nil
 }
 
-func (v *roView) ReadAll(fh nfs.FH, chunk uint32) ([]byte, error) {
-	var out []byte
-	var off uint64
-	for {
-		data, eof, err := v.Read(fh, off, chunk)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, data...)
-		off += uint64(len(data))
-		if eof || len(data) == 0 {
-			return out, nil
-		}
-	}
-}
-
 func (v *roView) IDNames(uids, gids []uint32) ([]string, []string, error) {
 	return nil, nil, nfs.Error(nfs.ErrNotSupp)
 }
@@ -190,8 +181,8 @@ func (v *roView) Stats() nfs.Stats { return nfs.Stats{} }
 var errROFS = nfs.Error(nfs.ErrROFS)
 
 func (v *roView) SetAttr(nfs.SetAttrArgs) (nfs.Fattr, error) { return nfs.Fattr{}, errROFS }
-func (v *roView) Write(nfs.FH, uint64, []byte, uint32) (uint32, error) {
-	return 0, errROFS
+func (v *roView) WriteStart(nfs.FH, uint64, []byte, uint32) (func() (uint32, uint64, error), error) {
+	return nil, errROFS
 }
 func (v *roView) Create(nfs.FH, string, uint32, bool) (nfs.FH, nfs.Fattr, error) {
 	return nil, nfs.Fattr{}, errROFS

@@ -14,13 +14,19 @@ type View interface {
 	Access(fh nfs.FH, want uint32) (uint32, error)
 	Readlink(fh nfs.FH) (string, error)
 	Read(fh nfs.FH, offset uint64, count uint32) ([]byte, bool, error)
+	// ReadStart issues a READ and returns the future that yields its
+	// result; File's read-ahead window keeps several outstanding.
+	ReadStart(fh nfs.FH, offset uint64, count uint32) (func() ([]byte, bool, error), error)
 	ReadDir(dir nfs.FH, cookie uint64, count uint32) ([]nfs.Entry, bool, error)
-	ReadAll(fh nfs.FH, chunk uint32) ([]byte, error)
 	IDNames(uids, gids []uint32) ([]string, []string, error)
 	Stats() nfs.Stats
 
 	SetAttr(args nfs.SetAttrArgs) (nfs.Fattr, error)
-	Write(fh nfs.FH, offset uint64, data []byte, stable uint32) (uint32, error)
+	// WriteStart issues a WRITE and returns the future that yields the
+	// acknowledged count and the write verifier; File's write-behind
+	// window keeps several outstanding. data may be reused once it
+	// returns.
+	WriteStart(fh nfs.FH, offset uint64, data []byte, stable uint32) (func() (uint32, uint64, error), error)
 	Create(dir nfs.FH, name string, mode uint32, exclusive bool) (nfs.FH, nfs.Fattr, error)
 	Mkdir(dir nfs.FH, name string, mode uint32) (nfs.FH, nfs.Fattr, error)
 	Symlink(dir nfs.FH, name, target string) (nfs.FH, nfs.Fattr, error)

@@ -91,9 +91,13 @@ func TestDeferredWriteErrorSurfaces(t *testing.T) {
 // were gone before the retransmission. The in-memory store cannot lose
 // them: there Restart only rolls the verifier, and the test asserts the
 // retransmission of data that survived is harmless.
+//
+// The serial case runs the disk scenario with a window of zero
+// (WriteBehind < 0), where every WRITE is acknowledged before WriteAt
+// returns: its chunks must be held for the verified COMMIT like any
+// others, or Sync reports success over lost data.
 func TestWriteRetransmitAcrossServerRestart(t *testing.T) {
-	t.Run("mem", func(t *testing.T) { testWriteRetransmit(t, vfs.New(), false) })
-	t.Run("disk", func(t *testing.T) {
+	disk := func(t *testing.T) *vfs.FS {
 		ds, err := diskstore.Open(t.TempDir(), diskstore.Options{AutoFlushBytes: -1})
 		if err != nil {
 			t.Fatal(err)
@@ -103,11 +107,14 @@ func TestWriteRetransmitAcrossServerRestart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		testWriteRetransmit(t, fs, true)
-	})
+		return fs
+	}
+	t.Run("mem", func(t *testing.T) { testWriteRetransmit(t, vfs.New(), false, 0) })
+	t.Run("disk", func(t *testing.T) { testWriteRetransmit(t, disk(t), true, 0) })
+	t.Run("disk-serial", func(t *testing.T) { testWriteRetransmit(t, disk(t), true, -1) })
 }
 
-func testWriteRetransmit(t *testing.T, fs *vfs.FS, crashLoses bool) {
+func testWriteRetransmit(t *testing.T, fs *vfs.FS, crashLoses bool, writeBehind int) {
 	w, err := lab.NewWorld("wbverf")
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +124,7 @@ func testWriteRetransmit(t *testing.T, fs *vfs.FS, crashLoses bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := w.NewClient(client.Config{EnhancedCaching: true})
+	cl, err := w.NewClient(client.Config{EnhancedCaching: true, WriteBehind: writeBehind})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,7 +54,7 @@ func BenchmarkWritePathSerial(b *testing.B) {
 func BenchmarkWritePathPipelined(b *testing.B) {
 	cl, fh := benchWritePair(b)
 	payload := make([]byte, 8192)
-	const window = DefaultWriteBehind
+	const window = 8 // the client's default write-behind depth
 	fins := make([]func() (uint32, uint64, error), 0, window)
 	b.ReportAllocs()
 	b.SetBytes(int64(len(payload)))
@@ -85,7 +85,7 @@ func BenchmarkWritePathPipelined(b *testing.B) {
 func BenchmarkWritePathSyncBatch(b *testing.B) {
 	cl, fh := benchWritePair(b)
 	payload := make([]byte, 8192)
-	const window = DefaultWriteBehind
+	const window = 8 // the client's default write-behind depth
 	b.ReportAllocs()
 	b.SetBytes(int64(len(payload) * window))
 	b.ResetTimer()

@@ -24,16 +24,6 @@ type ClientConfig struct {
 	// AccessCache caches ACCESS results per principal — the second
 	// SFS caching enhancement.
 	AccessCache bool
-	// ReadAhead is the number of sequential READ RPCs kept in flight
-	// on one channel (the paper's asynchronous RPC library keeps the
-	// pipe full the same way, §3.2). Zero selects DefaultReadAhead;
-	// negative disables pipelining entirely.
-	ReadAhead int
-	// WriteBehind is the number of unstable WRITE RPCs kept in
-	// flight per open file — the mirror image of ReadAhead. Zero
-	// selects DefaultWriteBehind; negative disables write-behind,
-	// reverting to one synchronous WRITE per chunk.
-	WriteBehind int
 	// DataCacheBytes bounds the lease-coherent data block cache
 	// shared by every view of the connection: 8 KB-aligned blocks,
 	// valid only while the file's attribute entry is live, evicted
@@ -49,15 +39,6 @@ type ClientConfig struct {
 	// per-call cost is a single atomic load.
 	TraceSpans int
 }
-
-// DefaultReadAhead is the pipelining depth used when ClientConfig
-// leaves ReadAhead zero: deep enough to cover the bandwidth-delay
-// product of the paper's 10 Mbit LAN at 8KB per READ.
-const DefaultReadAhead = 8
-
-// DefaultWriteBehind is the write-behind window used when
-// ClientConfig leaves WriteBehind zero, matching the read side.
-const DefaultWriteBehind = 8
 
 // Stats counts the RPCs that actually crossed the wire, and the cache
 // hits that avoided one. The paper attributes much of SFS's MAB
@@ -663,20 +644,6 @@ func (c *Client) Read(fh FH, offset uint64, count uint32) ([]byte, bool, error) 
 	return fin()
 }
 
-// ReadAheadDepth reports the configured pipelining depth: how many
-// READ RPCs a sequential reader should keep outstanding. 1 means
-// serial.
-func (c *Client) ReadAheadDepth() int {
-	d := c.core.cfg.ReadAhead
-	if d == 0 {
-		return DefaultReadAhead
-	}
-	if d < 1 {
-		return 1
-	}
-	return d
-}
-
 // ReadStart issues an asynchronous READ and returns a future that
 // yields its result. Multiple futures may be outstanding on the same
 // channel — XIDs match replies to calls — which is how sequential
@@ -773,16 +740,6 @@ func (c *Client) readStartShared(fh FH, offset uint64) (func() ([]byte, bool, er
 	}, nil
 }
 
-// sizeHint returns the file's cached size, if fresh.
-func (c *Client) sizeHint(fh FH) (uint64, bool) {
-	c.core.rlock()
-	defer c.core.mu.RUnlock()
-	if r := c.core.live(fh, time.Now()); r != nil {
-		return r.attr.Size, true
-	}
-	return 0, false
-}
-
 // Write stores data at offset with the given stability. Acknowledged
 // bytes are folded into the data cache so re-reads of freshly written
 // data stay off the wire.
@@ -799,20 +756,6 @@ func (c *Client) Write(fh FH, offset uint64, data []byte, stable uint32) (uint32
 	c.remember(fh, res.Attr)
 	c.noteWrite(fh, offset, data, epoch, false)
 	return res.Count, nil
-}
-
-// WriteBehindDepth reports the configured write pipelining depth: how
-// many unstable WRITEs a writer should keep outstanding per file. 0
-// means write-behind is disabled (serial synchronous writes).
-func (c *Client) WriteBehindDepth() int {
-	d := c.core.cfg.WriteBehind
-	if d == 0 {
-		return DefaultWriteBehind
-	}
-	if d < 0 {
-		return 0
-	}
-	return d
 }
 
 // WriteStart issues an asynchronous WRITE and returns a future that
@@ -1034,108 +977,4 @@ func (c *Client) IDNames(uids, gids []uint32) ([]string, []string, error) {
 func (c *Client) Call(prog, vers, proc uint32, args, res interface{}) error {
 	c.core.calls.Add(1)
 	return c.core.peer.Call(prog, vers, proc, c.auth(), args, res)
-}
-
-// ReadAll reads an entire file in chunked RPCs. With read-ahead
-// enabled it keeps a window of READs in flight, using the cached file
-// size (when fresh) to presize the result and avoid issuing past EOF.
-func (c *Client) ReadAll(fh FH, chunk uint32) ([]byte, error) {
-	depth := c.ReadAheadDepth()
-	if depth <= 1 {
-		return c.readAllTail(fh, chunk, nil)
-	}
-
-	size, sizeKnown := c.sizeHint(fh)
-	var out []byte
-	if sizeKnown && size < 1<<30 {
-		out = make([]byte, 0, size)
-	}
-
-	// First chunk serial when the size is unknown: most files fit in
-	// one chunk, and the reply's attributes usually populate the hint
-	// for the rest.
-	if !sizeKnown {
-		data, eof, err := c.Read(fh, 0, chunk)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, data...)
-		if eof || len(data) == 0 {
-			return out, nil
-		}
-		if uint64(len(data)) < uint64(chunk) {
-			return c.readAllTail(fh, chunk, out)
-		}
-		size, sizeKnown = c.sizeHint(fh)
-	}
-
-	window := make([]func() ([]byte, bool, error), 0, depth)
-	drain := func() {
-		for _, fin := range window {
-			fin() //nolint:errcheck // unwanted speculative replies
-		}
-		window = window[:0]
-	}
-
-	next := uint64(len(out)) // next offset to issue
-	canIssue := func() bool { return !sizeKnown || next < size }
-	issue := func() error {
-		fin, err := c.ReadStart(fh, next, chunk)
-		if err != nil {
-			return err
-		}
-		window = append(window, fin)
-		next += uint64(chunk)
-		return nil
-	}
-
-	for len(window) < depth && canIssue() {
-		if err := issue(); err != nil {
-			drain()
-			return nil, err
-		}
-	}
-	for len(window) > 0 {
-		fin := window[0]
-		window = window[1:]
-		data, eof, err := fin()
-		if err != nil {
-			drain()
-			return nil, err
-		}
-		out = append(out, data...)
-		if eof || len(data) == 0 {
-			drain()
-			return out, nil
-		}
-		if uint64(len(data)) < uint64(chunk) {
-			// Short read without EOF: the speculative later READs
-			// fetched the wrong offsets; finish serially.
-			drain()
-			return c.readAllTail(fh, chunk, out)
-		}
-		if canIssue() {
-			if err := issue(); err != nil {
-				drain()
-				return nil, err
-			}
-		}
-	}
-	// The window drained without an EOF reply (the size hint was stale
-	// or exact): confirm the tail serially.
-	return c.readAllTail(fh, chunk, out)
-}
-
-// readAllTail continues a partially assembled read serially.
-func (c *Client) readAllTail(fh FH, chunk uint32, out []byte) ([]byte, error) {
-	for {
-		data, eof, err := c.Read(fh, uint64(len(out)), chunk)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, data...)
-		if eof || len(data) == 0 {
-			return out, nil
-		}
-	}
 }

@@ -144,12 +144,13 @@ func (dc *dataCache) removeLocked(b *dataBlock) {
 	dc.size.Add(-int64(len(b.data)))
 }
 
-// dropFileLocked discards every cached block of one file (and with the
-// last of them its proven-principal set).
+// dropFileLocked discards every cached block of one file and its
+// proven-principal set.
 func (dc *dataCache) dropFileLocked(fhKey string) {
 	for _, b := range dc.files[fhKey] {
 		dc.removeLocked(b)
 	}
+	delete(dc.auth, fhKey)
 }
 
 // grantLocked records that principal completed a wire transfer on the
@@ -213,9 +214,8 @@ func (c *Client) serveLocked(fh FH, offset uint64, count uint32) ([]byte, bool, 
 	}
 	size := r.attr.Size
 	if offset >= size {
-		// Read at/past EOF: empty and EOF, no block required — the
-		// readahead pipeline probes past the end of every file it
-		// streams, and those probes must not cost READs.
+		// Read at/past EOF: empty and EOF, no block required (an
+		// empty file has none).
 		return nil, true, true
 	}
 	b := dc.files[string(fh)][blk]
@@ -242,7 +242,9 @@ func (c *Client) serveLocked(fh FH, offset uint64, count uint32) ([]byte, bool, 
 
 // populate stores a READ reply in the cache and records the caller's
 // proven access. Only block-aligned replies that either fill a block
-// or end at EOF are cacheable, and only while the file's attribute
+// or end at EOF are cacheable (an empty one at EOF proves access and
+// stores nothing: reads at or past the size are served without a
+// block), and only while the file's attribute
 // entry is live and no invalidation has raced the RPC (epoch check):
 // a callback processed between issue and reply must win, or a stale
 // block could be revived after forget dropped it. data must be safe
@@ -254,7 +256,7 @@ func (c *Client) serveLocked(fh FH, offset uint64, count uint32) ([]byte, bool, 
 func (c *Client) populate(fh FH, offset uint64, data []byte, eof bool, epoch uint64) {
 	core := c.core
 	dc := core.dc
-	if dc == nil || offset%DataBlockSize != 0 || len(data) == 0 || len(data) > DataBlockSize {
+	if dc == nil || offset%DataBlockSize != 0 || len(data) > DataBlockSize {
 		return
 	}
 	if len(data) < DataBlockSize && !eof {
@@ -269,7 +271,9 @@ func (c *Client) populate(fh FH, offset uint64, data []byte, eof bool, epoch uin
 		return
 	}
 	dc.grantLocked(string(fh), c.principal)
-	dc.insertLocked(string(fh), offset/DataBlockSize, data, &core.evictions)
+	if len(data) > 0 {
+		dc.insertLocked(string(fh), offset/DataBlockSize, data, &core.evictions)
+	}
 }
 
 // noteWrite folds an acknowledged WRITE into the cache so re-reads of

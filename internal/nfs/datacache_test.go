@@ -87,7 +87,7 @@ func TestWarmSequentialRereadZeroRPCs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := reader.ReadAll(fh, DataBlockSize)
+	cold, err := readAll(reader, fh, DataBlockSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestWarmSequentialRereadZeroRPCs(t *testing.T) {
 		t.Fatalf("cold read corrupted: %d vs %d bytes", len(cold), len(want))
 	}
 	st1 := reader.Stats()
-	warm, err := reader.ReadAll(fh, DataBlockSize)
+	warm, err := readAll(reader, fh, DataBlockSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestDataCacheEviction(t *testing.T) {
 	// 6 blocks passed through a 2-block cache: at least one early
 	// block must be gone, so a full re-read needs the wire again.
 	st1 := cl.Stats()
-	if _, err := cl.ReadAll(fh, DataBlockSize); err != nil {
+	if _, err := readAll(cl, fh, DataBlockSize); err != nil {
 		t.Fatal(err)
 	}
 	if d := cl.Stats().Calls - st1.Calls; d == 0 {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"net"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -334,6 +336,21 @@ func TestMutationInvalidatesOwnCache(t *testing.T) {
 	}
 }
 
+// readAll reads a whole file with serial READs of chunk bytes each.
+func readAll(cl *Client, fh FH, chunk uint32) ([]byte, error) {
+	var out []byte
+	for {
+		data, eof, err := cl.Read(fh, uint64(len(out)), chunk)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, data...)
+		if eof || len(data) == 0 {
+			return out, nil
+		}
+	}
+}
+
 func TestReadAllChunks(t *testing.T) {
 	_, _, cl := newPair(t, ServerConfig{}, ClientConfig{})
 	root, _, _ := cl.MountRoot()
@@ -342,17 +359,71 @@ func TestReadAllChunks(t *testing.T) {
 	if _, err := cl.Write(fh, 0, want, Unstable); err != nil {
 		t.Fatal(err)
 	}
-	got, err := cl.ReadAll(fh, 4096)
+	got, err := readAll(cl, fh, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("ReadAll returned %d bytes, want %d", len(got), len(want))
+		t.Fatalf("read returned %d bytes, want %d", len(got), len(want))
+	}
+}
+
+// TestReadDirPageBoundaries pins READDIR's count at its boundaries: a
+// one-entry page (every entry its own round trip, the cookie carrying
+// the walk) and a page larger than the directory (one round trip, EOF
+// on it). Both must list every entry exactly once.
+func TestReadDirPageBoundaries(t *testing.T) {
+	names := []string{"a.txt", "b.txt", "c.txt", "d.txt", "e.txt"}
+	for _, tc := range []struct {
+		label string
+		count uint32
+		pages int
+	}{
+		{"page1", 1, len(names)},
+		{"page64", 64, 1},
+	} {
+		t.Run(tc.label, func(t *testing.T) {
+			_, _, cl := newPair(t, ServerConfig{}, ClientConfig{})
+			root, _, _ := cl.MountRoot()
+			d, _, err := cl.Mkdir(root, "dir", 0o755)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range names {
+				if _, _, err := cl.Create(d, n, 0o644, true); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var got []string
+			cookie, pages := uint64(0), 0
+			for eof := false; !eof; pages++ {
+				var ents []Entry
+				ents, eof, err = cl.ReadDir(d, cookie, tc.count)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if uint32(len(ents)) > tc.count {
+					t.Fatalf("page of %d entries, asked for %d", len(ents), tc.count)
+				}
+				for _, e := range ents {
+					got = append(got, e.Name)
+					cookie = e.Cookie
+				}
+			}
+			sort.Strings(got)
+			if strings.Join(got, ",") != strings.Join(names, ",") {
+				t.Fatalf("listing %v, want %v", got, names)
+			}
+			if pages != tc.pages {
+				t.Fatalf("%d READDIRs, want %d", pages, tc.pages)
+			}
+		})
 	}
 }
 
 func TestWriteSizeLimit(t *testing.T) {
-	_, _, cl := newPair(t, ServerConfig{MaxIO: 1024}, ClientConfig{})
+	_, srv, cl := newPair(t, ServerConfig{}, ClientConfig{})
+	srv.maxIO = 1024
 	root, _, _ := cl.MountRoot()
 	fh, _, _ := cl.Create(root, "f", 0o644, true)
 	if _, err := cl.Write(fh, 0, make([]byte, 2048), Unstable); err == nil {
@@ -495,7 +566,7 @@ func TestWriteStartPipelined(t *testing.T) {
 			t.Fatalf("write %d: verifier %x, server boot verifier %x", i, verf, fsys.Verifier())
 		}
 	}
-	got, err := cl.ReadAll(fh, 4096)
+	got, err := readAll(cl, fh, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}

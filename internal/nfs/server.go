@@ -66,14 +66,15 @@ type ServerConfig struct {
 	Codec HandleCodec
 	// Creds maps authenticators to credentials; nil means UnixCreds.
 	Creds CredFunc
-	// MaxIO bounds read/write transfer sizes; 0 means 64 KiB.
-	MaxIO uint32
 	// IDNames maps a numeric user/group ID to a name for the libsfs
 	// mapping service (paper §3.3). Nil disables the service.
 	IDNames func(uid uint32, group bool) string
 	// TraceSpans sizes the xid-tagged trace ring; 0 means 256.
 	TraceSpans int
 }
+
+// maxTransfer bounds the data one READ returns and one WRITE may carry.
+const maxTransfer = 64 << 10
 
 // NumLeaseStripes is the number of stripes in the lease table,
 // matching vfs.NumShards so a file's lease bookkeeping and its node
@@ -97,7 +98,7 @@ type Server struct {
 	cfg   ServerConfig
 	codec HandleCodec
 	creds CredFunc
-	maxIO uint32
+	maxIO uint32 // transfer bound: maxTransfer, lowered only by tests
 
 	// mu guards sessions only. Lease state lives in the striped
 	// table below so the per-file hot path never crosses a global
@@ -131,7 +132,7 @@ func NewServer(fs *vfs.FS, cfg ServerConfig) *Server {
 		cfg:      cfg,
 		codec:    cfg.Codec,
 		creds:    cfg.Creds,
-		maxIO:    cfg.MaxIO,
+		maxIO:    maxTransfer,
 		sessions: make(map[*Session]struct{}),
 		met:      newServerMetrics(cfg.TraceSpans),
 	}
@@ -143,9 +144,6 @@ func NewServer(fs *vfs.FS, cfg ServerConfig) *Server {
 	}
 	if s.creds == nil {
 		s.creds = UnixCreds
-	}
-	if s.maxIO == 0 {
-		s.maxIO = 64 << 10
 	}
 	return s
 }

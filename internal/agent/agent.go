@@ -45,10 +45,9 @@ type Resolver interface {
 
 // Errors.
 var (
-	ErrRevoked   = errors.New("agent: pathname revoked")
-	ErrBlocked   = errors.New("agent: HostID blocked by agent")
-	ErrNoSuchKey = errors.New("agent: no keys loaded")
-	ErrNotFound  = errors.New("agent: name not found")
+	ErrRevoked  = errors.New("agent: pathname revoked")
+	ErrBlocked  = errors.New("agent: HostID blocked by agent")
+	ErrNotFound = errors.New("agent: name not found")
 )
 
 // auditKeep is how many private-key operations the in-memory audit

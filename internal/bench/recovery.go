@@ -109,7 +109,9 @@ func FigRecovery(opts Options) (*Figure, error) {
 	}
 	oldVerf := fs.Verifier()
 	start = time.Now()
-	fs.Restart() // disk store: real crash (torn WAL tail) + replay
+	if err := fs.Restart(); err != nil { // real crash (torn WAL tail) + replay
+		return nil, fmt.Errorf("recovery: restart: %w", err)
+	}
 	restartElapsed := time.Since(start)
 	if fs.Verifier() == oldVerf {
 		return nil, fmt.Errorf("recovery: verifier unchanged across crash")

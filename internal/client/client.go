@@ -47,25 +47,24 @@ var (
 	ErrClosed    = errors.New("client: closed")
 )
 
+// tempKeyBits sizes the short-lived key K_C' used for forward secrecy.
+const tempKeyBits = 768
+
 // Config tunes a client.
 type Config struct {
 	// Dial connects to servers; required.
 	Dial Dialer
 	// RNG; nil uses an environment-seeded generator.
 	RNG *prng.Generator
-	// TempKeyBits sizes the short-lived key used for forward
-	// secrecy (default 768).
-	TempKeyBits int
 	// TempKeyLife bounds how long one short-lived key is used
 	// before regeneration (default 1 hour, as in the paper).
 	TempKeyLife time.Duration
 	// EnhancedCaching enables the SFS attribute/access caching
-	// extensions. The zero value leaves them off (plain NFS 3
-	// caching); the daemon and the paper's configuration turn them on.
+	// extensions: leases with callbacks (paper §3.3). The zero value
+	// leaves them off, and the client caches no attributes, as NFS 3
+	// with no attribute cache; the daemon and the paper's
+	// configuration turn them on.
 	EnhancedCaching bool
-	// AttrTimeout is the fallback attribute TTL when enhanced
-	// caching is off (plain NFS-style); zero disables caching.
-	AttrTimeout time.Duration
 	// ReadAhead is the depth of an open file's sequential-read
 	// window: how many READ RPCs stay in flight. Zero selects 8;
 	// negative selects 1, one READ at a time.
@@ -93,7 +92,8 @@ type Config struct {
 	// mount with a span ring of that capacity.
 	TraceSpans int
 	// TraceSlow emits a one-line stage waterfall through TraceLogf for
-	// every traced RPC slower than this. Zero disables the slow log.
+	// every traced RPC slower than this. It needs TraceSpans > 0; zero
+	// disables the slow log.
 	TraceSlow time.Duration
 	// TraceLogf receives slow-span log lines; nil falls back to the
 	// standard logger.
@@ -151,9 +151,6 @@ func New(cfg Config) (*Client, error) {
 	if cfg.RNG == nil {
 		cfg.RNG = prng.New()
 	}
-	if cfg.TempKeyBits == 0 {
-		cfg.TempKeyBits = 768
-	}
 	if cfg.TempKeyLife == 0 {
 		cfg.TempKeyLife = time.Hour
 	}
@@ -189,7 +186,7 @@ func depth(knob, serial int) int {
 
 // rotateTempKey regenerates the short-lived key K_C'.
 func (c *Client) rotateTempKey() error {
-	k, err := rabin.GenerateKey(c.rng, c.cfg.TempKeyBits)
+	k, err := rabin.GenerateKey(c.rng, tempKeyBits)
 	if err != nil {
 		return err
 	}
@@ -306,7 +303,6 @@ func (c *Client) getMount(p core.Path) (*mount, error) {
 	clCfg := nfs.ClientConfig{
 		UseLeases:      c.cfg.EnhancedCaching,
 		AccessCache:    c.cfg.EnhancedCaching,
-		AttrTimeout:    c.cfg.AttrTimeout,
 		DataCacheBytes: c.cfg.DataCacheBytes,
 		TraceSpans:     c.cfg.TraceSpans,
 	}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/lab"
 	"repro/internal/server"
 	"repro/internal/storage/diskstore"
+	"repro/internal/storage/wal"
 	"repro/internal/vfs"
 )
 
@@ -84,13 +85,10 @@ func TestDeferredWriteErrorSurfaces(t *testing.T) {
 // retransmit every dirty range, ending with the data stable — the
 // scenario RFC 1813 §4.8 verifiers exist for.
 //
-// The scenario runs against both storage backends. On the disk store
-// Restart is a real crash — the WAL tears off its user-space buffer
-// (auto-flush disabled so the unstable batch is actually lost), reopens
-// with a bumped epoch, and replays — and the test asserts the bytes
-// were gone before the retransmission. The in-memory store cannot lose
-// them: there Restart only rolls the verifier, and the test asserts the
-// retransmission of data that survived is harmless.
+// Restart is a real crash of the disk store: the WAL tears off its
+// user-space buffer (the unstable batch stays below the spill mark, so
+// it is actually lost), reopens with a bumped epoch, and replays. The
+// test asserts the bytes were gone before the retransmission.
 //
 // The serial case runs the disk scenario with a window of zero
 // (WriteBehind < 0), where every WRITE is acknowledged before WriteAt
@@ -98,7 +96,7 @@ func TestDeferredWriteErrorSurfaces(t *testing.T) {
 // others, or Sync reports success over lost data.
 func TestWriteRetransmitAcrossServerRestart(t *testing.T) {
 	disk := func(t *testing.T) *vfs.FS {
-		ds, err := diskstore.Open(t.TempDir(), diskstore.Options{AutoFlushBytes: -1})
+		ds, err := diskstore.Open(t.TempDir(), diskstore.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,12 +107,11 @@ func TestWriteRetransmitAcrossServerRestart(t *testing.T) {
 		}
 		return fs
 	}
-	t.Run("mem", func(t *testing.T) { testWriteRetransmit(t, vfs.New(), false, 0) })
-	t.Run("disk", func(t *testing.T) { testWriteRetransmit(t, disk(t), true, 0) })
-	t.Run("disk-serial", func(t *testing.T) { testWriteRetransmit(t, disk(t), true, -1) })
+	t.Run("disk", func(t *testing.T) { testWriteRetransmit(t, disk(t), 0) })
+	t.Run("disk-serial", func(t *testing.T) { testWriteRetransmit(t, disk(t), -1) })
 }
 
-func testWriteRetransmit(t *testing.T, fs *vfs.FS, crashLoses bool, writeBehind int) {
+func testWriteRetransmit(t *testing.T, fs *vfs.FS, writeBehind int) {
 	w, err := lab.NewWorld("wbverf")
 	if err != nil {
 		t.Fatal(err)
@@ -143,15 +140,20 @@ func testWriteRetransmit(t *testing.T, fs *vfs.FS, crashLoses bool, writeBehind 
 	if err := f.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	// Server crash+reboot: the boot verifier changes, and on a store
-	// that can crash the uncommitted data is gone.
-	s.FS.Restart()
+	// Server crash+reboot: the boot verifier changes and the
+	// uncommitted data, still buffered in the journal, is gone.
+	if got := s.FS.StorageStats().WALBytes; got >= wal.DefaultAutoFlush {
+		t.Fatalf("journal appends total %d bytes, not below the %d-byte spill mark", got, wal.DefaultAutoFlush)
+	}
+	if err := s.FS.Restart(); err != nil {
+		t.Fatal(err)
+	}
 	onServer, err := s.FS.ReadFile(rootCred(), "home/wbverf/big.bin")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lost := !bytes.Equal(onServer, data); lost != crashLoses {
-		t.Fatalf("after the crash the server holds %d of %d bytes: lost=%v, want %v", len(onServer), len(data), lost, crashLoses)
+	if bytes.Equal(onServer, data) {
+		t.Fatalf("after the crash the server still holds all %d uncommitted bytes", len(data))
 	}
 	if err := f.Sync(); err != nil {
 		t.Fatal(err)
@@ -161,7 +163,9 @@ func testWriteRetransmit(t *testing.T, fs *vfs.FS, crashLoses bool, writeBehind 
 	}
 	// The retransmitted data must now be stable: it survives another
 	// reboot.
-	s.FS.Restart()
+	if err := s.FS.Restart(); err != nil {
+		t.Fatal(err)
+	}
 	got, err := cl.ReadFile(user, path)
 	if err != nil {
 		t.Fatal(err)

@@ -191,9 +191,8 @@ func (w *World) Dial(location string) (net.Conn, error) {
 }
 
 // NewClient starts a client daemon from cfg. The world supplies what
-// cfg leaves zero: its own dialer, an RNG seeded from the world's seed
-// and the client's ordinal, and lab-sized temporary keys. World.Close
-// closes the client.
+// cfg leaves zero: its own dialer, and an RNG seeded from the world's
+// seed and the client's ordinal. World.Close closes the client.
 func (w *World) NewClient(cfg client.Config) (*client.Client, error) {
 	w.mu.Lock()
 	n := w.nclients
@@ -204,9 +203,6 @@ func (w *World) NewClient(cfg client.Config) (*client.Client, error) {
 	}
 	if cfg.RNG == nil {
 		cfg.RNG = prng.NewSeeded([]byte(fmt.Sprintf("lab-client-%s-%d", w.seed, n)))
-	}
-	if cfg.TempKeyBits == 0 {
-		cfg.TempKeyBits = KeyBits
 	}
 	cl, err := client.New(cfg)
 	if err != nil {

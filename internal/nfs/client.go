@@ -13,13 +13,10 @@ import (
 
 // ClientConfig selects the caching behaviour of a client.
 type ClientConfig struct {
-	// AttrTimeout is the client-side attribute cache lifetime when
-	// the server grants no lease — standard NFS 3 behaviour. Zero
-	// disables client-side attribute caching entirely.
-	AttrTimeout time.Duration
 	// UseLeases honors server-granted attribute leases, caching
-	// attributes for the full lease instead of AttrTimeout. This is
-	// the SFS enhanced-caching mode (paper §3.3).
+	// attributes for the full lease. This is the SFS enhanced-caching
+	// mode (paper §3.3); without it the client caches nothing, as NFS 3
+	// run with no attribute cache.
 	UseLeases bool
 	// AccessCache caches ACCESS results per principal — the second
 	// SFS caching enhancement.
@@ -28,9 +25,9 @@ type ClientConfig struct {
 	// shared by every view of the connection: 8 KB-aligned blocks,
 	// valid only while the file's attribute entry is live, evicted
 	// CLOCK-wise past the budget. Zero selects DefaultDataCacheBytes;
-	// negative disables data caching. Without leases (or a nonzero
-	// AttrTimeout) the cache never serves: block lifetime is bounded
-	// by attribute lifetime, and there is none.
+	// negative disables data caching. Without leases the cache never
+	// serves: block lifetime is bounded by attribute lifetime, and
+	// there is none.
 	DataCacheBytes int64
 	// Auth supplies per-call credentials; nil means anonymous.
 	Auth func() sunrpc.OpaqueAuth
@@ -436,13 +433,13 @@ func (c *Client) bindLocked(dir FH, name string, fh FH, grant *Fattr, fresh bool
 	return 1
 }
 
-// remember stores attributes under the cache policy: the server lease
-// when enabled and granted, else the fixed client timeout. A reply
-// without the attributes it should carry means the server could not
-// read them, and the handle is forgotten — for the directory of a
-// mutating reply (NFS3 wcc_data), names and all.
+// remember stores attributes for the lease the server granted with
+// them; outside lease mode it stores nothing. A reply without the
+// attributes it should carry means the server could not read them, and
+// the handle is forgotten — for the directory of a mutating reply
+// (NFS3 wcc_data), names and all.
 func (c *Client) remember(fh FH, attr *Fattr) {
-	if attr != nil && c.ttlFor(attr) <= 0 {
+	if attr != nil && c.lease(attr) <= 0 {
 		return
 	}
 	c.core.lock()
@@ -453,7 +450,7 @@ func (c *Client) remember(fh FH, attr *Fattr) {
 func (c *Client) rememberLocked(fh FH, attr *Fattr, now time.Time) {
 	if attr == nil {
 		c.core.forgetLocked(fh)
-	} else if ttl := c.ttlFor(attr); ttl > 0 {
+	} else if ttl := c.lease(attr); ttl > 0 {
 		r := c.core.recFor(fh)
 		r.attr, r.expires = *attr, now.Add(ttl)
 	}
@@ -466,13 +463,6 @@ func (c *Client) lease(attr *Fattr) time.Duration {
 		return time.Duration(attr.LeaseMS) * time.Millisecond
 	}
 	return 0
-}
-
-func (c *Client) ttlFor(attr *Fattr) time.Duration {
-	if ttl := c.lease(attr); ttl > 0 {
-		return ttl
-	}
-	return c.core.cfg.AttrTimeout
 }
 
 // MountRoot fetches the root file handle.
@@ -600,7 +590,7 @@ func (c *Client) Access(fh FH, want uint32) (uint32, error) {
 	core.lock()
 	now := time.Now()
 	c.rememberLocked(fh, res.Attr, now)
-	if ttl := c.ttlFor(res.Attr); core.cfg.AccessCache && ttl > 0 {
+	if ttl := c.lease(res.Attr); core.cfg.AccessCache && ttl > 0 {
 		r := core.recFor(fh)
 		e := r.accessOf(c.principal)
 		if e == nil {

@@ -11,6 +11,7 @@ package nfs
 // granularity.
 
 import (
+	"strconv"
 	"sync"
 
 	"repro/internal/stats"
@@ -44,22 +45,7 @@ func ProcName(proc uint32) string {
 	if n, ok := procNames[proc]; ok {
 		return n
 	}
-	return "proc" + uitoa(proc)
-}
-
-// uitoa is strconv.Itoa without the import churn for a uint32.
-func uitoa(v uint32) string {
-	if v == 0 {
-		return "0"
-	}
-	var b [10]byte
-	i := len(b)
-	for v > 0 {
-		i--
-		b[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(b[i:])
+	return "proc" + strconv.FormatUint(uint64(proc), 10)
 }
 
 func slotFor(proc uint32) int {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/storage/diskstore"
+	"repro/internal/storage/wal"
 	"repro/internal/sunrpc"
 	"repro/internal/vfs"
 )
@@ -40,7 +41,7 @@ func sfsServerConfig() ServerConfig {
 }
 
 func sfsClientConfig() ClientConfig {
-	return ClientConfig{UseLeases: true, AccessCache: true, AttrTimeout: 3 * time.Second}
+	return ClientConfig{UseLeases: true, AccessCache: true}
 }
 
 func TestMountAndBasicOps(t *testing.T) {
@@ -204,7 +205,7 @@ func TestAttrCachingReducesRPCs(t *testing.T) {
 }
 
 func TestNoCachingWithoutLeases(t *testing.T) {
-	_, _, cl := newPair(t, ServerConfig{}, ClientConfig{}) // plain NFS, AttrTimeout 0
+	_, _, cl := newPair(t, ServerConfig{}, ClientConfig{}) // plain NFS: no attribute cache
 	root, _, _ := cl.MountRoot()
 	fh, _, _ := cl.Create(root, "f", 0o644, true)
 	before := cl.Stats().Calls
@@ -577,13 +578,11 @@ func TestWriteStartPipelined(t *testing.T) {
 
 // TestWriteVerifierChangesAcrossRestart: a server reboot bumps the boot
 // verifier, and both WRITE and COMMIT expose the new one so the client
-// knows to retransmit. On the disk store the reboot is a real crash and
-// the uncommitted write is gone; the in-memory store cannot lose it,
-// and the retransmission the verifier provokes is merely redundant.
+// knows to retransmit. The reboot is a real crash of the disk store,
+// and the uncommitted write is gone.
 func TestWriteVerifierChangesAcrossRestart(t *testing.T) {
-	t.Run("mem", func(t *testing.T) { testWriteVerifier(t, vfs.New(), "before") })
 	t.Run("disk", func(t *testing.T) {
-		ds, err := diskstore.Open(t.TempDir(), diskstore.Options{AutoFlushBytes: -1})
+		ds, err := diskstore.Open(t.TempDir(), diskstore.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -592,11 +591,11 @@ func TestWriteVerifierChangesAcrossRestart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		testWriteVerifier(t, fs, "")
+		testWriteVerifier(t, fs)
 	})
 }
 
-func testWriteVerifier(t *testing.T, fs *vfs.FS, afterCrash string) {
+func testWriteVerifier(t *testing.T, fs *vfs.FS) {
 	fsys, _, cl := newPairOn(t, fs, ServerConfig{}, ClientConfig{})
 	root, _, _ := cl.MountRoot()
 	fh, _, _ := cl.Create(root, "f", 0o644, true)
@@ -608,9 +607,14 @@ func testWriteVerifier(t *testing.T, fs *vfs.FS, afterCrash string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fsys.Restart()
-	if got, _, err := cl.Read(fh, 0, 100); err != nil || string(got) != afterCrash {
-		t.Fatalf("after the restart the file holds %q (err=%v), want %q", got, err, afterCrash)
+	if got := fsys.StorageStats().WALBytes; got >= wal.DefaultAutoFlush {
+		t.Fatalf("journal appends total %d bytes, not below the %d-byte spill mark", got, wal.DefaultAutoFlush)
+	}
+	if err := fsys.Restart(); err != nil {
+		t.Fatal(err)
+	}
+	if got, _, err := cl.Read(fh, 0, 100); err != nil || len(got) != 0 {
+		t.Fatalf("after the restart the file holds %q (err=%v), want nothing", got, err)
 	}
 	fin, err = cl.WriteStart(fh, 0, []byte("after!"), Unstable)
 	if err != nil {
@@ -630,7 +634,9 @@ func testWriteVerifier(t *testing.T, fs *vfs.FS, afterCrash string) {
 	if cverf != verf2 {
 		t.Fatalf("commit verifier %x != post-restart write verifier %x", cverf, verf2)
 	}
-	fsys.Restart()
+	if err := fsys.Restart(); err != nil {
+		t.Fatal(err)
+	}
 	if got, _, err := cl.Read(fh, 0, 100); err != nil || string(got) != "after!" {
 		t.Fatalf("committed data after a second restart: %q (err=%v)", got, err)
 	}

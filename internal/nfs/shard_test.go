@@ -9,6 +9,7 @@ package nfs
 import (
 	"io"
 	"net"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -141,7 +142,7 @@ func TestConcurrentLeaseAttachDetachInvalidate(t *testing.T) {
 	ids := make([]vfs.FileID, nFiles)
 	root := fs.Root()
 	for i := range ids {
-		id, _, err := fs.Create(vfs.Cred{UID: 0}, root, "f"+uitoa(uint32(i)), 0o644, true)
+		id, _, err := fs.Create(vfs.Cred{UID: 0}, root, "f"+strconv.Itoa(i), 0o644, true)
 		if err != nil {
 			t.Fatal(err)
 		}

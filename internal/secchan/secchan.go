@@ -402,16 +402,6 @@ func AcceptPlain(conn io.Writer, serverKey []byte) error {
 	return writeMsg(conn, connectResponse{Status: connectOK, ServerKey: serverKey, Revocation: []byte{}})
 }
 
-// KeySource supplies the private key serving a (Location, HostID)
-// pair, or nil if this server does not serve it. The server master
-// uses it to dispatch by self-certifying pathname.
-type KeySource func(location string, hostID core.HostID) *rabin.PrivateKey
-
-// RevocationSource optionally supplies a revocation certificate for a
-// HostID, letting servers "get the word out fast" about revoked
-// pathnames (§2.6). May be nil.
-type RevocationSource func(hostID core.HostID) *core.PathRevoke
-
 // ReadConnect reads the client's clear-text connect announcement so a
 // server master can decide how to dispatch the connection.
 func ReadConnect(conn io.Reader) (*ConnectRequest, error) {

@@ -110,15 +110,12 @@ type ServedConfig struct {
 	// in the clear. Clients must mount with client.Config.NoEncryption;
 	// a mismatch fails the channel's first record.
 	NoEncryption bool
-	// AnonUID/AnonGID map anonymous access; zero values use
-	// the substrate's nobody IDs.
-	AnonCred *vfs.Cred
 	// TraceSpans > 0 enables per-RPC stage tracing with an xid-tagged
 	// span ring of this capacity.
 	TraceSpans int
-	// TraceSlow also enables tracing (with a default-sized ring when
-	// TraceSpans is 0) and logs a one-line stage waterfall through the
-	// master's logger for every RPC slower than this.
+	// TraceSlow logs a one-line stage waterfall through the master's
+	// logger for every traced RPC slower than this. It needs
+	// TraceSpans > 0; zero disables the slow log.
 	TraceSlow time.Duration
 }
 
@@ -127,7 +124,6 @@ type servedFS struct {
 	cfg  ServedConfig
 	path core.Path
 	nfss *nfs.Server
-	anon vfs.Cred
 }
 
 // ExtensionHandler serves a non-file, non-auth service. It receives
@@ -241,23 +237,19 @@ func (s *Server) Serve(cfg ServedConfig) (core.Path, error) {
 	if err != nil {
 		return core.Path{}, err
 	}
-	anon := vfs.Anonymous
-	if cfg.AnonCred != nil {
-		anon = *cfg.AnonCred
-	}
-	sfs := &servedFS{cfg: cfg, path: path, anon: anon}
+	sfs := &servedFS{cfg: cfg, path: path}
 	nfsCfg := nfs.ServerConfig{
 		LeaseMS:    cfg.LeaseMS,
 		Callbacks:  cfg.LeaseMS > 0,
 		Codec:      codec,
-		Creds:      func(sunrpc.OpaqueAuth) vfs.Cred { return anon },
+		Creds:      func(sunrpc.OpaqueAuth) vfs.Cred { return vfs.Anonymous },
 		TraceSpans: cfg.TraceSpans,
 	}
 	if cfg.Auth != nil {
 		nfsCfg.IDNames = cfg.Auth.NameOfID
 	}
 	sfs.nfss = nfs.NewServer(cfg.FS, nfsCfg)
-	if cfg.TraceSpans > 0 || cfg.TraceSlow > 0 {
+	if cfg.TraceSpans > 0 {
 		ring := sfs.nfss.RPCMetrics().Trace
 		ring.SetEnabled(true)
 		if cfg.TraceSlow > 0 {
@@ -585,14 +577,14 @@ func (s *Server) serveFile(sec *secchan.Conn, info *secchan.Info, sfs *servedFS)
 		sess.SetCreds(func(a sunrpc.OpaqueAuth) vfs.Cred {
 			no := sunrpc.AuthNumber(a)
 			if no == 0 {
-				return sfs.anon
+				return vfs.Anonymous
 			}
 			mu.Lock()
 			defer mu.Unlock()
 			if c, ok := authNos[no]; ok {
 				return c
 			}
-			return sfs.anon
+			return vfs.Anonymous
 		})
 		rpc.Register(sfsrpc.AuthProgram, sfsrpc.Version, func(proc uint32, _ sunrpc.OpaqueAuth, args *xdr.Decoder) (interface{}, error) {
 			if proc != sfsrpc.ProcLogin {

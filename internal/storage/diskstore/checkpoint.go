@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/storage"
+	"repro/internal/storage/wal"
 )
 
 // Checkpoint image file names inside the store directory. The image
@@ -365,7 +366,7 @@ func (s *Store) checkpoint(nextID, nextCookie uint64, snapshot func(emit func(*s
 	if err := os.Rename(tmpPath, ckptPath); err != nil {
 		return storage.CheckpointStats{}, err
 	}
-	if err := syncDir(s.dir); err != nil {
+	if err := wal.SyncDir(s.dir); err != nil {
 		return storage.CheckpointStats{}, err
 	}
 	if err := s.abort("renamed"); err != nil {
@@ -399,13 +400,4 @@ func (s *Store) abort(stage string) error {
 		return s.testAbort(stage)
 	}
 	return nil
-}
-
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
 }

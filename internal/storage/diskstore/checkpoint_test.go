@@ -281,7 +281,7 @@ func TestCheckpointAbortedWithUnstableTail(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
-			s, err := Open(dir, Options{AutoFlushBytes: -1})
+			s, err := Open(dir, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -309,6 +309,7 @@ func TestCheckpointAbortedWithUnstableTail(t *testing.T) {
 			if st := s.StorageStats(); st.Checkpoint.Failures != 1 {
 				t.Fatalf("checkpoint failures = %d, want 1", st.Checkpoint.Failures)
 			}
+			belowSpill(t, s)
 			if err := s.w.Crash(); err != nil {
 				t.Fatal(err)
 			}

@@ -45,8 +45,6 @@ const LogName = "wal.log"
 
 // Options tunes a disk store.
 type Options struct {
-	// AutoFlushBytes is passed to the WAL (0 selects the default).
-	AutoFlushBytes int
 	// HotBytes is the pager's residency budget for content blocks
 	// (0 selects DefaultHotBytes). The dataset may exceed it; cold
 	// extents page in from the extent file on demand.
@@ -158,7 +156,7 @@ func (s *Store) open() error {
 	walStart := time.Now()
 	var tailRecords uint64
 	w, err := wal.Open(filepath.Join(s.dir, LogName),
-		wal.Options{AutoFlushBytes: s.opts.AutoFlushBytes, SkipBelow: imgSeq},
+		wal.Options{SkipBelow: imgSeq},
 		func(seq uint64, payload []byte) error {
 			if seq <= imgSeq {
 				return nil // covered by the image

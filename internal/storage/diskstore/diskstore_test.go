@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/storage"
+	"repro/internal/storage/wal"
 )
 
 func openT(t *testing.T, dir string) *Store {
@@ -28,6 +29,16 @@ func drainReplay(t *testing.T, s *Store) []storage.Record {
 		t.Fatalf("Replay: %v", err)
 	}
 	return recs
+}
+
+// belowSpill checks the premise of a test that expects a crash to lose
+// its unstable writes: the journal's appends total less than
+// wal.DefaultAutoFlush, so none spilled to the OS.
+func belowSpill(t *testing.T, s *Store) {
+	t.Helper()
+	if got := s.StorageStats().WALBytes; got >= wal.DefaultAutoFlush {
+		t.Fatalf("journal appends total %d bytes, not below the %d-byte spill mark: the unstable tail did not stay buffered", got, wal.DefaultAutoFlush)
+	}
 }
 
 func TestPersistAcrossCloseOpen(t *testing.T) {
@@ -71,9 +82,9 @@ func TestPersistAcrossCloseOpen(t *testing.T) {
 
 func TestCrashRestartDropsBufferedKeepsCommitted(t *testing.T) {
 	dir := t.TempDir()
-	// Disable auto-flush so uncommitted records stay in user space and
+	// Uncommitted records stay in user space below the spill mark, so
 	// the crash actually loses them.
-	s, err := Open(dir, Options{AutoFlushBytes: -1})
+	s, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,6 +101,7 @@ func TestCrashRestartDropsBufferedKeepsCommitted(t *testing.T) {
 	}
 	epochBefore := s.Epoch()
 
+	belowSpill(t, s)
 	if err := s.CrashRestart(); err != nil {
 		t.Fatal(err)
 	}

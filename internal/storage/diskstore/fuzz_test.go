@@ -32,7 +32,7 @@ func TestCrashCorruptionFuzz(t *testing.T) {
 		t.Run(fmt.Sprintf("iter=%d", iter), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(0xC0FFEE + int64(iter)))
 			dir := t.TempDir()
-			s, err := Open(dir, Options{AutoFlushBytes: -1, HotBytes: 64 << 10})
+			s, err := Open(dir, Options{HotBytes: 64 << 10})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -146,7 +146,7 @@ func TestCrashCorruptionFuzz(t *testing.T) {
 				}
 			}
 
-			s2, err := Open(dir, Options{AutoFlushBytes: -1, HotBytes: 64 << 10})
+			s2, err := Open(dir, Options{HotBytes: 64 << 10})
 			if err != nil {
 				t.Fatalf("recovery after single-file corruption failed: %v", err)
 			}

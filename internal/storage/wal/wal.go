@@ -124,10 +124,6 @@ var ErrClosed = errors.New("wal: log closed")
 
 // Options tunes a WAL.
 type Options struct {
-	// AutoFlushBytes overrides DefaultAutoFlush; negative disables
-	// auto-flush entirely (everything buffers until Flush/Sync).
-	AutoFlushBytes int
-
 	// SkipBelow is the record seq already covered by the caller's
 	// checkpoint image. Open still reports every scanned record to
 	// replay (the caller filters by seq), but uses SkipBelow to
@@ -148,7 +144,6 @@ type ReplayInfo struct {
 // WAL is an append-only record log with group commit. All methods are
 // safe for concurrent use.
 type WAL struct {
-	autoFlush int
 	skipBelow uint64
 	path      string
 	prevPath  string
@@ -210,13 +205,9 @@ func Open(path string, opts Options, replay func(seq uint64, payload []byte) err
 	}
 	w := &WAL{
 		f:         f,
-		autoFlush: opts.AutoFlushBytes,
 		skipBelow: opts.SkipBelow,
 		path:      path,
 		prevPath:  path + ".prev",
-	}
-	if w.autoFlush == 0 {
-		w.autoFlush = DefaultAutoFlush
 	}
 	if err := w.recover(replay); err != nil {
 		w.f.Close() // recover may have swapped in a fresh segment file
@@ -519,7 +510,7 @@ func (w *WAL) recover(replay func(uint64, []byte) error) error {
 		if err := w.writeHeader(); err != nil {
 			return err
 		}
-		return syncDir(filepath.Dir(w.path))
+		return SyncDir(filepath.Dir(w.path))
 	}
 
 	w.finish(start, seg.bytes)
@@ -680,7 +671,7 @@ func (w *WAL) Rotate() (freed uint64, err error) {
 	}
 	w.live.Store(0)
 	w.rotations.Inc()
-	return freed, syncDir(filepath.Dir(w.path))
+	return freed, SyncDir(filepath.Dir(w.path))
 }
 
 // Reclaim closes the descriptor Rotate kept on the segment it
@@ -693,7 +684,9 @@ func (w *WAL) Reclaim() error {
 	return nil
 }
 
-func syncDir(dir string) error {
+// SyncDir fsyncs directory dir, making the creations, renames and
+// unlinks done in it durable.
+func SyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err
@@ -758,7 +751,7 @@ func (w *WAL) Append(size int, fill func(dst []byte)) error {
 	w.appends.Inc()
 	w.appendBytes.Add(uint64(frameSize + size))
 	w.live.Add(uint64(frameSize + size))
-	if w.autoFlush > 0 && buffered >= w.autoFlush {
+	if buffered >= DefaultAutoFlush {
 		return w.Flush()
 	}
 	return nil

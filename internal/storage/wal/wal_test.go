@@ -43,6 +43,20 @@ func appendT(t *testing.T, w *WAL, payload string) {
 	}
 }
 
+// crashBuffered crashes w after checking the premise of every test
+// that crashes with records past its last Flush or Sync: its appends
+// total less than DefaultAutoFlush, so Append never spilled them and
+// the crash loses them.
+func crashBuffered(t *testing.T, w *WAL) {
+	t.Helper()
+	if got := w.StatsSnapshot().AppendBytes; got >= DefaultAutoFlush {
+		t.Fatalf("appends total %d bytes, not below the %d-byte spill mark: the tail did not stay buffered", got, DefaultAutoFlush)
+	}
+	if err := w.Crash(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestRoundTripReplay(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	w, replayed := openT(t, path, Options{})
@@ -96,7 +110,7 @@ func TestEpochIncrementsAcrossOpens(t *testing.T) {
 
 func TestCrashDropsBufferedKeepsFlushed(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
-	w, _ := openT(t, path, Options{AutoFlushBytes: -1})
+	w, _ := openT(t, path, Options{})
 	appendT(t, w, "survives-sync")
 	if err := w.Sync(); err != nil {
 		t.Fatal(err)
@@ -106,9 +120,7 @@ func TestCrashDropsBufferedKeepsFlushed(t *testing.T) {
 		t.Fatal(err)
 	}
 	appendT(t, w, "lost-in-buffer")
-	if err := w.Crash(); err != nil {
-		t.Fatal(err)
-	}
+	crashBuffered(t, w)
 	if err := w.Append(1, func(dst []byte) {}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Append after Crash = %v, want ErrClosed", err)
 	}
@@ -309,16 +321,14 @@ func TestInterruptedRotationCompletes(t *testing.T) {
 // next boot, losing acknowledged writes.
 func TestOpenRebasesAboveImageCoverage(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
-	w, _ := openT(t, path, Options{AutoFlushBytes: -1})
+	w, _ := openT(t, path, Options{})
 	appendT(t, w, "durable-1")
 	appendT(t, w, "durable-2")
 	if err := w.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	appendT(t, w, "buffered-lost") // covered by the image, lost in the crash
-	if err := w.Crash(); err != nil {
-		t.Fatal(err)
-	}
+	crashBuffered(t, w)
 
 	// The image claims coverage through seq 3; the durable tail ends at
 	// seq 2. Open must complete the crashed rotation: seal the segment
@@ -451,7 +461,7 @@ func TestCorruptHeaderNeverPanics(t *testing.T) {
 
 func TestGroupCommitCounters(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
-	w, _ := openT(t, path, Options{AutoFlushBytes: -1})
+	w, _ := openT(t, path, Options{})
 	defer w.Close()
 	headerFsyncs := w.StatsSnapshot().Fsyncs // Open fsyncs the header
 
@@ -532,7 +542,7 @@ func TestConcurrentAppendSync(t *testing.T) {
 // buffer has reached steady state, so the pre-warm loop runs first.
 func TestAppendNoAlloc(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
-	w, _ := openT(t, path, Options{AutoFlushBytes: -1})
+	w, _ := openT(t, path, Options{})
 	defer w.Close()
 	payload := make([]byte, 256)
 	// Pre-warm: grow the buffer past what the measured loop needs.
@@ -561,7 +571,7 @@ func TestAppendNoAlloc(t *testing.T) {
 // a reopen replayed A, C as seqs 1, 2.
 func TestFailedWriteIsFailStop(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
-	w, _ := openT(t, path, Options{AutoFlushBytes: -1})
+	w, _ := openT(t, path, Options{})
 	appendT(t, w, "A")
 	if err := w.Sync(); err != nil {
 		t.Fatal(err)
@@ -614,7 +624,7 @@ func TestFailedWriteIsFailStop(t *testing.T) {
 // about them.
 func TestFailedFsyncIsFailStop(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
-	w, _ := openT(t, path, Options{AutoFlushBytes: -1})
+	w, _ := openT(t, path, Options{})
 	appendT(t, w, "A")
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
@@ -659,21 +669,25 @@ func within(t *testing.T, what string, f func()) {
 // the durable watermark must not move for it.
 func TestAppendSpillsDuringSync(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
-	w, _ := openT(t, path, Options{AutoFlushBytes: 64})
+	w, _ := openT(t, path, Options{})
 	appendT(t, w, "synced")
 	if err := w.Sync(); err != nil {
 		t.Fatal(err)
 	}
+	flushes := w.StatsSnapshot().Flushes
 
 	w.syncMu.Lock()
 	within(t, "Append across the auto-flush mark with the sync leader lock held", func() {
-		appendT(t, w, string(make([]byte, 128)))
+		appendT(t, w, string(make([]byte, DefaultAutoFlush)))
 	})
 	w.flushMu.Lock()
 	written := w.written
 	w.flushMu.Unlock()
 	if written != 2 {
 		t.Fatalf("written = %d, want 2: the append did not spill", written)
+	}
+	if got := w.StatsSnapshot().Flushes - flushes; got != 1 {
+		t.Fatalf("flushes for one append past the spill mark = %d, want 1", got)
 	}
 	if got := w.synced.Load(); got != 1 {
 		t.Fatalf("synced = %d with no fsync since record 1, want 1", got)
@@ -706,8 +720,9 @@ func TestAppendSpillsDuringSync(t *testing.T) {
 // whole. Race-detector target.
 func TestSyncedNeverPassesWritten(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
-	w, _ := openT(t, path, Options{AutoFlushBytes: 256})
-	const appenders, perG = 4, 400
+	w, _ := openT(t, path, Options{})
+	// Each appender crosses the spill mark every 8 records of its own.
+	const appenders, perG, size = 4, 200, DefaultAutoFlush / 8
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for g := 0; g < appenders; g++ {
@@ -715,7 +730,7 @@ func TestSyncedNeverPassesWritten(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				if err := w.Append(100, func(dst []byte) { dst[0] = 1 }); err != nil {
+				if err := w.Append(size, func(dst []byte) { dst[0] = 1 }); err != nil {
 					t.Errorf("Append: %v", err)
 					return
 				}

@@ -63,7 +63,7 @@ func dumpTree(fs *FS) string {
 }
 
 func TestRenameIntoOwnSubtree(t *testing.T) {
-	onBothStores(t, func(t *testing.T, fs *FS, _ bool) {
+	onBothStores(t, func(t *testing.T, fs *FS) {
 		a, _, _ := fs.Mkdir(root, fs.Root(), "a", 0o755)
 		b, _, _ := fs.Mkdir(root, a, "b", 0o755)
 		other, _, _ := fs.Mkdir(root, fs.Root(), "other", 0o755)
@@ -97,7 +97,7 @@ func TestRenameIntoOwnSubtree(t *testing.T) {
 }
 
 func TestRenameDirectoryOverFile(t *testing.T) {
-	onBothStores(t, func(t *testing.T, fs *FS, _ bool) {
+	onBothStores(t, func(t *testing.T, fs *FS) {
 		fs.Mkdir(root, fs.Root(), "d", 0o755)
 		f, _, _ := fs.Create(root, fs.Root(), "f", 0o644, true)
 		before := dumpTree(fs)

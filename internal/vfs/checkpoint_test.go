@@ -311,7 +311,7 @@ func TestCheckpointConcurrentWrites(t *testing.T) {
 	}
 	// Every stream's last write was followed by a COMMIT (passes *
 	// streamBlocks is a multiple of 8), so a crash may lose nothing.
-	fs.Restart()
+	restartT(t, fs)
 	verify(fs, "after crash and replay")
 	if err := ds.Close(); err != nil {
 		t.Fatal(err)

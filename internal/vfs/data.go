@@ -1,8 +1,8 @@
 package vfs
 
 // The data path: Read, Write and Commit touch one node lock and the
-// BlockStore; the write verifier and Restart are how a reboot is told
-// to clients holding uncommitted data.
+// BlockStore; the write verifier is how a reboot (Restart, replay.go)
+// is told to clients holding uncommitted data.
 
 import (
 	"repro/internal/stats"
@@ -129,38 +129,3 @@ func (fs *FS) CommitClocked(id FileID, clk *stats.StageClock) error {
 // change means unstable data may have been discarded and must be
 // retransmitted (RFC 1813 §4.8).
 func (fs *FS) Verifier() uint64 { return fs.verf.Load() }
-
-// Restart is a server crash and reboot: the write verifier changes so
-// clients retransmit their uncommitted unstable writes (RFC 1813 §4.8).
-//
-// On a durable store the crash is real: the journal drops its
-// user-space buffer and closes without a final sync (the kill -9
-// model), reopens under a new epoch, and the tree is rebuilt from the
-// surviving records — uncommitted unstable writes may be lost, every
-// acknowledged COMMIT survives because its fsync already covered it.
-//
-// The in-memory store cannot crash apart from its process, so there
-// Restart loses nothing and only rolls the verifier: clients
-// retransmit data that in fact survived.
-//
-// Restart is not atomic against in-flight writes — neither is a real
-// crash. A write that lands mid-restart saw the old verifier when its
-// reply was stamped, so the client observes a verifier change and
-// retransmits data that may in fact have survived: a redundant
-// retransmission, never a silently dropped stability promise.
-func (fs *FS) Restart() {
-	// Exclusive against mutators AND checkpoints: a checkpoint
-	// snapshotting the tree mid-swap would publish a half-restarted
-	// image.
-	fs.quiesce.Lock()
-	defer fs.quiesce.Unlock()
-	if cr, ok := fs.blocks.(storage.CrashRestarter); ok {
-		if err := fs.crashRestart(cr); err != nil {
-			// Restart is driven by tests and the recovery figure;
-			// failing to reopen the store leaves nothing to serve.
-			panic("vfs: crash restart: " + err.Error())
-		}
-		return
-	}
-	fs.verf.Store(fs.newVerf())
-}

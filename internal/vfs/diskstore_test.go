@@ -12,7 +12,27 @@ import (
 	"time"
 
 	"repro/internal/storage/diskstore"
+	"repro/internal/storage/wal"
 )
+
+// restartT crashes and restarts fs, failing the test if it cannot.
+func restartT(t *testing.T, fs *FS) {
+	t.Helper()
+	if err := fs.Restart(); err != nil {
+		t.Fatalf("Restart: %v", err)
+	}
+}
+
+// crashBuffered restarts fs after checking the premise of a test that
+// expects the crash to lose an unstable write: the journal's appends
+// total less than wal.DefaultAutoFlush, so none spilled to the OS.
+func crashBuffered(t *testing.T, fs *FS) {
+	t.Helper()
+	if got := fs.StorageStats().WALBytes; got >= wal.DefaultAutoFlush {
+		t.Fatalf("journal appends total %d bytes, not below the %d-byte spill mark: the unstable tail did not stay buffered", got, wal.DefaultAutoFlush)
+	}
+	restartT(t, fs)
+}
 
 // newDiskFS opens a disk-backed FS in dir with a deterministic clock
 // (satellite: no wall-clock reads in the log path, so replay is
@@ -157,7 +177,7 @@ func TestDiskNamespacePersistence(t *testing.T) {
 // real crash (Restart on the disk path), acknowledged COMMIT data is
 // intact and an uncommitted user-space-buffered write is gone.
 func TestDiskCommitSurvivesCrash(t *testing.T) {
-	fs, ds := newDiskFS(t, t.TempDir(), diskstore.Options{AutoFlushBytes: -1})
+	fs, ds := newDiskFS(t, t.TempDir(), diskstore.Options{})
 	defer ds.Close()
 	id, _, err := fs.Create(root, fs.Root(), "f", 0o644, true)
 	if err != nil {
@@ -170,11 +190,11 @@ func TestDiskCommitSurvivesCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Uncommitted unstable overwrite: buffered in the WAL's user-space
-	// buffer (auto-flush disabled), lost by the crash.
+	// buffer (below the spill mark), lost by the crash.
 	if _, err := fs.Write(root, id, 0, []byte("VOLATILE--"), false); err != nil {
 		t.Fatal(err)
 	}
-	fs.Restart()
+	crashBuffered(t, fs)
 	data, _, err := fs.Read(root, id, 0, 100)
 	if err != nil || string(data) != "durable" {
 		t.Fatalf("post-crash read = %q err=%v, want the committed image", data, err)
@@ -189,7 +209,7 @@ func TestDiskVerifierFromEpoch(t *testing.T) {
 	dir := t.TempDir()
 	fs, ds := newDiskFS(t, dir, diskstore.Options{})
 	v1 := fs.Verifier()
-	fs.Restart()
+	restartT(t, fs)
 	v2 := fs.Verifier()
 	if v2 == v1 {
 		t.Fatal("verifier unchanged across crash")
@@ -234,7 +254,7 @@ func TestDiskRestartConcurrentWrites(t *testing.T) {
 			fs.Write(root, id, 9+uint64(i)*512, buf, false) //nolint:errcheck
 		}
 	}()
-	fs.Restart()
+	restartT(t, fs)
 	<-done
 	data, _, err := fs.Read(root, id, 0, 9)
 	if err != nil || string(data) != "committed" {

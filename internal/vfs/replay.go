@@ -3,7 +3,7 @@ package vfs
 // Journal replay: rebuilding the node tree from the MetadataStore's
 // surviving records. Replay is single-threaded and runs either before
 // the FS is published (NewWithStores) or against a private staging
-// tree that is swapped in under every shard lock (crashRestart), so it
+// tree that is swapped in under every shard lock (Restart), so it
 // looks nodes up by direct map access and takes no node lock.
 //
 // applyRecord changes nothing itself. It finds the nodes a record
@@ -174,23 +174,46 @@ func (fs *FS) applyRecord(rec storage.Record) error {
 	return nil
 }
 
-// crashRestart drives the durable store through a real crash (kill -9
-// semantics: buffered journal records torn off, fd closed unsynced),
-// rebuilds a staging tree by replaying the surviving journal, and
-// swaps it into the live FS under every shard-map lock. In-flight
-// operations holding pre-crash node pointers mutate orphans — the
-// same data a real crash would have lost — and the epoch-derived
-// verifier change makes their clients retransmit.
-func (fs *FS) crashRestart(cr storage.CrashRestarter) error {
+// Restart is a server crash and reboot: the journal drops its
+// user-space buffer and closes without a final sync (the kill -9
+// model), reopens under a new epoch, and a staging tree rebuilt from
+// the surviving records is swapped into the live FS under every
+// shard-map lock. Uncommitted unstable writes may be lost; every
+// acknowledged COMMIT survives because its fsync already covered it.
+// The write verifier changes, so clients retransmit their uncommitted
+// unstable writes (RFC 1813 §4.8).
+//
+// Only a store that implements storage.CrashRestarter can crash apart
+// from its process. On any other store Restart returns an error and
+// changes nothing. A store that fails to reopen returns its error, and
+// the file system has nothing left to serve.
+//
+// Restart is not atomic against in-flight writes — neither is a real
+// crash. Operations holding pre-crash node pointers mutate orphans,
+// the same data a real crash would have lost. A write that lands
+// mid-restart saw the old verifier when its reply was stamped, so the
+// client observes a verifier change and retransmits data that may in
+// fact have survived: a redundant retransmission, never a silently
+// dropped stability promise.
+func (fs *FS) Restart() error {
+	cr, ok := fs.blocks.(storage.CrashRestarter)
+	if !ok {
+		return fmt.Errorf("vfs: store %T cannot crash and restart", fs.blocks)
+	}
+	rp, ok := fs.meta.(storage.Replayer)
+	if !ok {
+		return fmt.Errorf("vfs: store %T crashes but cannot replay", fs.meta)
+	}
+	// Exclusive against mutators AND checkpoints: a checkpoint
+	// snapshotting the tree mid-swap would publish a half-restarted
+	// image.
+	fs.quiesce.Lock()
+	defer fs.quiesce.Unlock()
 	if err := cr.CrashRestart(); err != nil {
 		return err
 	}
 	staging := &FS{clock: fs.clock, meta: fs.meta, blocks: fs.blocks}
 	staging.initTree()
-	rp, ok := fs.meta.(storage.Replayer)
-	if !ok {
-		return fmt.Errorf("vfs: store %T crashes but cannot replay", fs.meta)
-	}
 	st, err := rp.Replay(staging.applyRecord)
 	if err != nil {
 		return err

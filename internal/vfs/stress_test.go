@@ -10,9 +10,13 @@ package vfs
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/storage/diskstore"
+	"repro/internal/storage/wal"
 )
 
 // TestStressNamespaceVsData runs writers, readers, committers, and
@@ -150,14 +154,21 @@ func TestStressNamespaceVsData(t *testing.T) {
 	}
 }
 
-// TestStressRestartVsWrite interleaves Restart with unstable writes
-// and commits: the verifier must change across each restart, and no
-// write may observe torn data.
+// TestStressRestartVsWrite interleaves Restart — a real crash and
+// replay of the disk store — with unstable writes and commits: the
+// verifier must change across each restart, and no write may observe
+// torn data. A COMMIT that loses the race to the crash fails with the
+// closed journal's error, as a real crash fails it; any other error
+// fails the test.
 func TestStressRestartVsWrite(t *testing.T) {
-	fs := New()
+	fs, ds := newDiskFS(t, t.TempDir(), diskstore.Options{})
+	defer ds.Close()
 	cred := Cred{UID: 0}
 	id, _, err := fs.Create(cred, fs.Root(), "f", 0o644, true)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Commit(id); err != nil { // the file outlives every crash
 		t.Fatal(err)
 	}
 
@@ -181,7 +192,7 @@ func TestStressRestartVsWrite(t *testing.T) {
 				return
 			}
 			if i%16 == 0 {
-				if err := fs.Commit(id); err != nil {
+				if err := fs.Commit(id); err != nil && !strings.Contains(err.Error(), wal.ErrClosed.Error()) {
 					t.Errorf("commit: %v", err)
 					return
 				}
@@ -190,7 +201,9 @@ func TestStressRestartVsWrite(t *testing.T) {
 	}()
 	for i := 0; i < 20; i++ {
 		before := fs.Verifier()
-		fs.Restart()
+		if err := fs.Restart(); err != nil {
+			t.Fatalf("restart %d: %v", i, err)
+		}
 		if fs.Verifier() == before {
 			t.Error("verifier unchanged across restart")
 		}
@@ -199,8 +212,8 @@ func TestStressRestartVsWrite(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	// Post-churn, the file is either empty (reverted) or holds the
-	// payload prefix — never torn garbage.
+	// Post-churn, the file is either empty (the crash lost every
+	// write) or holds the payload prefix — never torn garbage.
 	data, _, err := fs.Read(cred, id, 0, 2048)
 	if err != nil {
 		t.Fatal(err)

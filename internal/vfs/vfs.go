@@ -228,9 +228,9 @@ var bootCount atomic.Uint64
 // newVerf mints a boot verifier. A durable store's WAL epoch is
 // authoritative — it survives the crash that invalidated the old
 // verifier, so replayed clients and a reopened server agree without
-// any wall-clock read. The in-memory path mixes the file system's
-// clock with a boot counter, so restart tests driven by an injected
-// clock stay deterministic.
+// any wall-clock read. The in-memory store, which mints one only at
+// boot, mixes the file system's clock with a boot counter, so two file
+// systems made within one clock tick still differ.
 func (fs *FS) newVerf() uint64 {
 	if ep, ok := fs.blocks.(storage.Epocher); ok {
 		return mix64(ep.Epoch())

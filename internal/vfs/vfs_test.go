@@ -561,22 +561,25 @@ func BenchmarkWrite8K(b *testing.B) {
 	}
 }
 
-// onBothStores runs f against the in-memory store, which cannot crash
-// apart from its process (crashLoses false: Restart only rolls the
-// verifier), and against a disk store whose journal keeps unsynced
-// records in user space (crashLoses true: Restart is a real crash and
-// replay).
-func onBothStores(t *testing.T, f func(t *testing.T, fs *FS, crashLoses bool)) {
-	t.Run("mem", func(t *testing.T) { f(t, New(), false) })
+// onBothStores runs f against the in-memory store and against a disk
+// store.
+func onBothStores(t *testing.T, f func(t *testing.T, fs *FS)) {
+	t.Run("mem", func(t *testing.T) { f(t, New()) })
+	onDiskStore(t, f)
+}
+
+// onDiskStore runs f against a disk store, where Restart is a real
+// crash and replay.
+func onDiskStore(t *testing.T, f func(t *testing.T, fs *FS)) {
 	t.Run("disk", func(t *testing.T) {
-		fs, ds := newDiskFS(t, t.TempDir(), diskstore.Options{AutoFlushBytes: -1})
+		fs, ds := newDiskFS(t, t.TempDir(), diskstore.Options{})
 		defer ds.Close()
-		f(t, fs, true)
+		f(t, fs)
 	})
 }
 
 func TestVerifierAndRestart(t *testing.T) {
-	onBothStores(t, func(t *testing.T, fs *FS, crashLoses bool) {
+	onDiskStore(t, func(t *testing.T, fs *FS) {
 		v1 := fs.Verifier()
 		id, _, _ := fs.Create(root, fs.Root(), "f", 0o644, true)
 		if _, err := fs.Write(root, id, 0, []byte("stable"), true); err != nil {
@@ -584,27 +587,23 @@ func TestVerifierAndRestart(t *testing.T) {
 		}
 		// The write verifier changes across a restart, so clients
 		// retransmit an unstable overwrite that was never committed —
-		// which a store that can crash has discarded.
+		// which the crash has discarded.
 		if _, err := fs.Write(root, id, 0, []byte("VOLATILE--"), false); err != nil {
 			t.Fatal(err)
 		}
-		fs.Restart()
+		crashBuffered(t, fs)
 		if fs.Verifier() == v1 {
 			t.Fatal("verifier unchanged across restart")
 		}
-		want := "VOLATILE--"
-		if crashLoses {
-			want = "stable"
-		}
 		data, _, err := fs.Read(root, id, 0, 100)
-		if err != nil || string(data) != want {
-			t.Fatalf("post-restart data %q err=%v, want %q", data, err, want)
+		if err != nil || string(data) != "stable" {
+			t.Fatalf("post-restart data %q err=%v, want %q", data, err, "stable")
 		}
 	})
 }
 
 func TestCommitSurvivesRestart(t *testing.T) {
-	onBothStores(t, func(t *testing.T, fs *FS, _ bool) {
+	onDiskStore(t, func(t *testing.T, fs *FS) {
 		id, _, _ := fs.Create(root, fs.Root(), "f", 0o644, true)
 		if _, err := fs.Write(root, id, 0, []byte("durable"), false); err != nil {
 			t.Fatal(err)
@@ -612,12 +611,26 @@ func TestCommitSurvivesRestart(t *testing.T) {
 		if err := fs.Commit(id); err != nil {
 			t.Fatal(err)
 		}
-		fs.Restart()
+		restartT(t, fs)
 		data, _, err := fs.Read(root, id, 0, 100)
 		if err != nil || string(data) != "durable" {
 			t.Fatalf("committed data lost across restart: %q err=%v", data, err)
 		}
 	})
+}
+
+// TestRestartNeedsACrashableStore: the in-memory store cannot crash
+// apart from its process, so Restart refuses it and leaves the
+// verifier alone.
+func TestRestartNeedsACrashableStore(t *testing.T) {
+	fs := New()
+	v := fs.Verifier()
+	if err := fs.Restart(); err == nil {
+		t.Fatal("Restart on the in-memory store returned nil")
+	}
+	if fs.Verifier() != v {
+		t.Fatal("a refused Restart changed the verifier")
+	}
 }
 
 // NumNodes reports the number of live nodes.

@@ -23,7 +23,7 @@ package repro
 // (Create/Rename/Remove interleaved with Read/Write/Commit across the
 // striped node table, including the cross-directory rename pattern
 // that deadlocks under naive lock orders), vfs.TestStressRestartVsWrite
-// (boot-verifier rollover racing unstable writes), and
+// (disk-store crash and replay racing unstable writes), and
 // nfs.TestConcurrentLeaseAttachDetachInvalidate plus
 // nfs.TestStalledSessionDoesNotBlockWriters (striped lease table and
 // the no-RPC-under-lock rule). The client data block cache adds
@@ -140,29 +140,11 @@ func TestGofmt(t *testing.T) {
 	}
 }
 
-// TestNoTestOnlyExports: an exported function or method under
-// internal/ exists because some program in this module calls it. One
-// that only tests reference is a second surface to keep working for
-// nobody; it belongs in the _test.go that uses it, or goes. References
-// are matched by name over every non-test file in the module (go/parser
-// only, no type information), so a method shares its name's fate with
-// every other use of that name — coarse, but it has no false alarms to
-// silence and it caught every entry of ROADMAP item 9(a).
-// Blind spot: a method passes when any type's same-named method is used (sunrpc's ListenAndServe hid so).
-func TestNoTestOnlyExports(t *testing.T) {
-	// Kept on purpose, each for the reason given.
-	allowed := map[string]string{
-		"internal/agent: Agent.Unblock":                 "paper §2.6: the undo of Agent.Block, a per-user HostID block; no daemon command reaches either end of it yet",
-		"internal/agent: Agent.Unlink":                  "the undo of Agent.Symlink: a dynamic /sfs link a user made must be removable",
-		"internal/agent: Agent.Keys":                    "lists the agent's public keys; lab's assembly test checks a user's agent through it",
-		"internal/authserv: ImportPublic":               "paper §2.5.2: the other half of `sfsauthd export`, a public database a peer authserver loads read-only",
-		"internal/authserv: Server.SetGuestCredentials": "paper feature with no daemon route: credentials for valid logins whose key is in no database",
-		"internal/bench: Figure.RowFor":                 "the root package's bench_test.go and the shape tests read figure rows through it",
-	}
+// parseProgram parses every non-test Go file of the module outside
+// hidden directories and hands each to visit with its slash path.
+func parseProgram(t *testing.T, visit func(path string, f *ast.File)) {
+	t.Helper()
 	fset := token.NewFileSet()
-	referenced := map[string]bool{}
-	type export struct{ id, name string }
-	var exports []export
 	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -180,27 +162,75 @@ func TestNoTestOnlyExports(t *testing.T) {
 		if err != nil {
 			return err
 		}
+		visit(filepath.ToSlash(path), f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestNoTestOnlyExports: an exported function, method, type or
+// package-level var under internal/ exists because some program in this
+// module uses it. One that only tests reference is a second surface to
+// keep working for nobody; it belongs in the _test.go that uses it, or
+// goes. Consts are exempt (see below). References are matched by name
+// over every non-test file in the module (go/parser only, no type
+// information), so a method shares its name's fate with every other
+// use of that name — coarse, but it has no false alarms to silence and
+// it caught every entry of ROADMAP item 9(a).
+// Blind spot: a method passes when any type's same-named method is used (sunrpc's ListenAndServe hid so).
+func TestNoTestOnlyExports(t *testing.T) {
+	// Kept on purpose, each for the reason given.
+	allowed := map[string]string{
+		"internal/agent: Agent.Unblock":                 "paper §2.6: the undo of Agent.Block, a per-user HostID block; no daemon command reaches either end of it yet",
+		"internal/agent: Agent.Unlink":                  "the undo of Agent.Symlink: a dynamic /sfs link a user made must be removable",
+		"internal/agent: Agent.Keys":                    "lists the agent's public keys; lab's assembly test checks a user's agent through it",
+		"internal/authserv: ImportPublic":               "paper §2.5.2: the other half of `sfsauthd export`, a public database a peer authserver loads read-only",
+		"internal/authserv: Server.SetGuestCredentials": "paper feature with no daemon route: credentials for valid logins whose key is in no database",
+		"internal/bench: Figure.RowFor":                 "the root package's bench_test.go and the shape tests read figure rows through it",
+	}
+	referenced := map[string]bool{}
+	type export struct{ id, name string }
+	var exports []export
+	parseProgram(t, func(path string, f *ast.File) {
 		declared := map[*ast.Ident]bool{}
+		note := func(id *ast.Ident, name string) {
+			declared[id] = true
+			if id.IsExported() && strings.HasPrefix(path, "internal/") {
+				exports = append(exports, export{filepath.ToSlash(filepath.Dir(path)) + ": " + name, id.Name})
+			}
+		}
 		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			declared[fd.Name] = true
-			if !fd.Name.IsExported() || !strings.HasPrefix(filepath.ToSlash(path), "internal/") {
-				continue
-			}
-			name := fd.Name.Name
-			if fd.Recv != nil {
-				recv := fd.Recv.List[0].Type
-				if star, ok := recv.(*ast.StarExpr); ok {
-					recv = star.X
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				name := decl.Name.Name
+				if decl.Recv != nil {
+					recv := decl.Recv.List[0].Type
+					if star, ok := recv.(*ast.StarExpr); ok {
+						recv = star.X
+					}
+					if id, ok := recv.(*ast.Ident); ok {
+						name = id.Name + "." + name
+					}
 				}
-				if id, ok := recv.(*ast.Ident); ok {
-					name = id.Name + "." + name
+				note(decl.Name, name)
+			case *ast.GenDecl:
+				// Consts are exempt: protocol tables such as
+				// nfs.ErrServerFault are wire definitions.
+				for _, spec := range decl.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						note(spec.Name, spec.Name.Name)
+					case *ast.ValueSpec:
+						for _, id := range spec.Names {
+							if decl.Tok == token.VAR {
+								note(id, id.Name)
+							}
+						}
+					}
 				}
 			}
-			exports = append(exports, export{filepath.ToSlash(filepath.Dir(path)) + ": " + name, fd.Name.Name})
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			if id, ok := n.(*ast.Ident); ok && !declared[id] {
@@ -208,17 +238,98 @@ func TestNoTestOnlyExports(t *testing.T) {
 			}
 			return true
 		})
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, e := range exports {
 		switch _, ok := allowed[e.id]; {
 		case !referenced[e.name] && !ok:
 			t.Errorf("%s is exported but no non-test file references it: delete it, or move it into the test that uses it", e.id)
 		case referenced[e.name] && ok:
 			t.Errorf("%s is referenced by non-test code now; drop it from the allowlist", e.id)
+		}
+	}
+}
+
+// TestNoTestOnlyConfig: a setting exists because a deployment sets it.
+// A config struct is an exported struct under internal/ whose name ends
+// in Config, Options or Policy. Each of its exported fields must be set
+// by some non-test file outside the declaring package: a
+// composite-literal key, or an assignment to a selector. Passing on the
+// same-named field of another value (Foo: cfg.Foo) does not count: a
+// layer forwarding a knob is not a deployment choosing it. A field only
+// tests set is a second behaviour to keep working for nobody; it goes,
+// with the code path it selects. Matched by name, like its siblings
+// (go/parser only, no type information).
+func TestNoTestOnlyConfig(t *testing.T) {
+	// Kept on purpose, each for the reason given.
+	allowed := map[string]string{
+		"internal/client: Config.LocalUsers":  "paper's libsfs %name convention (a client-side uid→name table); no daemon route sets it yet",
+		"internal/client: Config.TempKeyLife": "the only way to exercise hourly temporary-key rotation until the client takes an injectable clock",
+	}
+	configName := regexp.MustCompile(`(Config|Options|Policy)$`)
+	type field struct{ id, dir, name string }
+	var fields []field
+	setIn := map[string]map[string]bool{} // field name → dirs of non-test files that set it
+	parseProgram(t, func(path string, f *ast.File) {
+		dir := filepath.ToSlash(filepath.Dir(path))
+		for _, decl := range f.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok || gd.Tok != token.TYPE || !strings.HasPrefix(dir, "internal/") {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				ts := spec.(*ast.TypeSpec)
+				st, ok := ts.Type.(*ast.StructType)
+				if !ok || !ts.Name.IsExported() || !configName.MatchString(ts.Name.Name) {
+					continue
+				}
+				for _, fl := range st.Fields.List {
+					for _, id := range fl.Names {
+						if id.IsExported() {
+							fields = append(fields, field{dir + ": " + ts.Name.Name + "." + id.Name, dir, id.Name})
+						}
+					}
+				}
+			}
+		}
+		set := func(name string, value ast.Expr) {
+			if sel, ok := value.(*ast.SelectorExpr); ok && sel.Sel.Name == name {
+				return // passed on, not chosen
+			}
+			if setIn[name] == nil {
+				setIn[name] = map[string]bool{}
+			}
+			setIn[name][dir] = true
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.KeyValueExpr:
+				if key, ok := n.Key.(*ast.Ident); ok {
+					set(key.Name, n.Value)
+				}
+			case *ast.AssignStmt:
+				for i, lhs := range n.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok {
+						var value ast.Expr
+						if len(n.Rhs) == len(n.Lhs) {
+							value = n.Rhs[i]
+						}
+						set(sel.Sel.Name, value)
+					}
+				}
+			}
+			return true
+		})
+	})
+	for _, fl := range fields {
+		deployed := false
+		for dir := range setIn[fl.name] {
+			deployed = deployed || dir != fl.dir
+		}
+		switch _, ok := allowed[fl.id]; {
+		case !deployed && !ok:
+			t.Errorf("%s is set by no non-test file outside its package: delete it and the code path it selects, or set it where a deployment is built", fl.id)
+		case deployed && ok:
+			t.Errorf("%s is set by a deployment now; drop it from the allowlist", fl.id)
 		}
 	}
 }

@@ -38,7 +38,16 @@ type macState struct {
 	out  [Size]byte
 }
 
-var statePool = sync.Pool{New: func() interface{} { return &macState{h: sha1.New()} }}
+// statePool is the one place the SHA-1 implementation is chosen: the
+// digest on the x86 SHA extensions where CPUID reports them, and
+// crypto/sha1 everywhere else. Both compute the same function, so the
+// choice never shows on the wire.
+var statePool = sync.Pool{New: func() interface{} {
+	if useSHANI {
+		return &macState{h: newDigest()}
+	}
+	return &macState{h: sha1.New()}
+}}
 
 // Sum computes the MAC of data under the 32-byte per-message key. It
 // includes the message length in the hashed input, as the paper

@@ -6,6 +6,23 @@ import (
 	"testing/quick"
 )
 
+// TestPoolPicksByCPUID: the pool hands out the SHA-extension digest
+// exactly when detection says the CPU has the extensions, and
+// crypto/sha1 otherwise. Run with -v, a host without them shows as a
+// skip naming the path that ran.
+func TestPoolPicksByCPUID(t *testing.T) {
+	st := statePool.Get().(*macState)
+	defer statePool.Put(st)
+	_, shani := st.h.(*digest)
+	if shani != useSHANI {
+		t.Fatalf("pool digest is %T, but detection says SHA extensions = %v", st.h, useSHANI)
+	}
+	if !useSHANI {
+		t.Skipf("CPU lacks SHA/SSSE3/SSE4.1: MACs use %T (crypto/sha1)", st.h)
+	}
+	t.Logf("MACs use the SHA-extension digest")
+}
+
 func key(b byte) []byte {
 	k := make([]byte, KeySize)
 	for i := range k {
@@ -88,11 +105,49 @@ func TestQuickNoCollisionsOnFlip(t *testing.T) {
 	}
 }
 
+// TestSumAllocatesNothing: a MAC costs no allocation once the pool is
+// warm, on whichever digest the pool hands out. Sum and SumVec run once
+// per sealed and once per opened record. Hard fail, same pattern as
+// secchan's TestSealGatherZeroAlloc.
+func TestSumAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	k := key(5)
+	for _, n := range []int{120, 8192} {
+		data := make([]byte, n)
+		segs := [][]byte{data[:40], data[40:]}
+		Sum(k, data)
+		if a := testing.AllocsPerRun(100, func() { Sum(k, data) }); a != 0 {
+			t.Errorf("Sum of %d bytes: %.1f allocs per call, want 0", n, a)
+		}
+		if a := testing.AllocsPerRun(100, func() { SumVec(k, segs) }); a != 0 {
+			t.Errorf("SumVec of %d bytes: %.1f allocs per call, want 0", n, a)
+		}
+	}
+}
+
 func BenchmarkSum8K(b *testing.B) {
 	k := key(3)
 	data := make([]byte, 8192)
 	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Sum(k, data)
+	}
+}
+
+// BenchmarkSumVec120 is a small record's MAC (meta_small's GETATTR and
+// LOOKUP replies) sealed from a header and a body segment.
+func BenchmarkSumVec120(b *testing.B) {
+	k := key(3)
+	data := make([]byte, 120)
+	segs := [][]byte{data[:28], data[28:]}
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		SumVec(k, segs)
 	}
 }

@@ -192,42 +192,3 @@ func BenchmarkFig9LargeNFSUDP(b *testing.B)   { benchSpriteLarge(b, bench.KindNF
 func BenchmarkFig9LargeNFSTCP(b *testing.B)   { benchSpriteLarge(b, bench.KindNFSTCP) }
 func BenchmarkFig9LargeSFS(b *testing.B)      { benchSpriteLarge(b, bench.KindSFS) }
 func BenchmarkFig9LargeSFSNoEnc(b *testing.B) { benchSpriteLarge(b, bench.KindSFSNoEnc) }
-
-// --- Scalability: concurrent clients against one server ---
-
-func benchScalability(b *testing.B, clients int) {
-	for i := 0; i < b.N; i++ {
-		p, _, err := bench.ScalabilityPoint(clients, 1<<20)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(p.MBps(), "MB/s")
-		b.ReportMetric(p.RPCps(), "RPC/s")
-	}
-}
-
-func BenchmarkScalability1Client(b *testing.B)  { benchScalability(b, 1) }
-func BenchmarkScalability4Clients(b *testing.B) { benchScalability(b, 4) }
-func BenchmarkScalability8Clients(b *testing.B) { benchScalability(b, 8) }
-
-// --- Warm read: the client data cache figure ---
-
-// BenchmarkWarmReadFigure regenerates the warm-read figure (quick
-// sizes) and fails if the warm re-read crossed the wire — the
-// regression CI's bench-smoke step exists to catch.
-func BenchmarkWarmReadFigure(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig, err := bench.FigWarmRead(bench.Options{Quick: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		row, ok := fig.RowFor("SFS (data cache)", "warm re-read")
-		if !ok {
-			b.Fatal("figure lacks the warm re-read row")
-		}
-		if row.RPCs != 0 {
-			b.Fatalf("warm re-read issued %d RPCs, want 0", row.RPCs)
-		}
-		b.ReportMetric(row.Value, "warm-MB/s")
-	}
-}

@@ -3,12 +3,14 @@
 // — the local substrate, NFS 3 over UDP and TCP, and SFS with its
 // ablation knobs — on loopback TCP with the calibrated hardware model
 // of internal/netsim, runs the paper's workload, and prints measured
-// values next to the paper's where the paper states numbers.
+// values next to the paper's where the paper states numbers. Beside
+// Figures 5–9 it runs the write-behind ablation (wb) and the
+// disk-store crash-recovery figure (recovery); logins, warm reads and
+// the per-stage latency waterfall are measured by benchmark/run.sh.
 //
 // Usage:
 //
-//	sfsbench [-quick] [-fig 5|6|7|8|9|wb|scal|warm|recovery|latency|login|all] [-json dir]
-//	sfsbench -clients N
+//	sfsbench [-quick] [-fig 5|6|7|8|9|wb|recovery|all] [-json dir]
 //	sfsbench -list
 //
 // -list prints every registered figure key alongside the
@@ -16,11 +18,7 @@
 //
 // With -json, every figure is also written to dir as a
 // machine-readable BENCH_<slug>.json (schema in EXPERIMENTS.md), so
-// the performance trajectory can be tracked across changes. With
-// -clients, instead of a whole figure, one scalability point (N
-// concurrent clients, mixed 8 KB read/write against one server) runs
-// and prints its aggregate throughput — the quickest way to reproduce
-// a single point of BENCH_scalability.json from the command line.
+// the performance trajectory can be tracked across changes.
 package main
 
 import (
@@ -35,7 +33,6 @@ func main() {
 	quick := flag.Bool("quick", false, "shrink workloads for a fast smoke run")
 	fig := flag.String("fig", "all", "which figure to regenerate: a key from -list, or all")
 	jsonDir := flag.String("json", "", "directory to write BENCH_*.json files into (empty disables)")
-	clients := flag.Int("clients", 0, "run one scalability point with N concurrent clients and exit")
 	list := flag.Bool("list", false, "list figure keys and their BENCH_*.json slugs, then exit")
 	flag.Parse()
 
@@ -44,24 +41,6 @@ func main() {
 		for _, spec := range bench.Registry {
 			fmt.Printf("%-10s %-34s BENCH_%s.json\n", spec.Key, spec.ID, bench.SlugForID(spec.ID))
 		}
-		return
-	}
-
-	if *clients > 0 {
-		per := int64(4 << 20)
-		if *quick {
-			per = 1 << 20
-		}
-		p, ss, err := bench.ScalabilityPoint(*clients, per)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sfsbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("clients=%d bytes=%d elapsed=%s throughput=%.2f MB/s rpcs=%d rate=%.0f RPC/s\n",
-			p.Clients, p.Bytes, p.Elapsed, p.MBps(), p.RPCs, p.RPCps())
-		fmt.Printf("server: node_locks=%d node_contended=%d map_contended=%d order_restarts=%d lease_stripe_contended=%d\n",
-			ss.VFSLocks.NodeLocks, ss.VFSLocks.NodeContended, ss.VFSLocks.MapContended,
-			ss.VFSLocks.OrderRestarts, ss.Leases.StripeContended)
 		return
 	}
 

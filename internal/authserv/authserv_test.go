@@ -249,6 +249,38 @@ func TestFetchWithPassword(t *testing.T) {
 	}
 }
 
+// TestFetchRunsAtRegisteredCost: the eksblowfish work factor is a
+// per-user registration choice, and every password exchange runs at
+// the cost the user's record carries (the client hashes at the cost
+// the server returns from that record). Each exchange that reaches a
+// matching proof counts one SRP confirm. That a unit of cost doubles
+// the work is pinned in blowfish's own tests.
+func TestFetchRunsAtRegisteredCost(t *testing.T) {
+	uk, _ := userKeys(t)
+	for _, cost := range []uint{2, 4} {
+		s, db := newTestServer(t)
+		if err := s.Register(db, "dm", 1000, []uint32{1000}, RegisterOptions{
+			Password: "pw", PrivateKey: uk, EksCost: cost,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if rec, _ := db.ByName("dm"); rec.EksCost != uint32(cost) {
+			t.Fatalf("registered at cost %d, record carries %d", cost, rec.EksCost)
+		}
+		g := prng.NewSeeded([]byte{'e', byte(cost)})
+		for i := uint64(1); i <= 2; i++ {
+			// A key-service handler serves one exchange, like a real
+			// connection.
+			if _, err := FetchWithPassword(dialKeyService(t, s), "dm", "pw", g); err != nil {
+				t.Fatalf("cost %d: %v", cost, err)
+			}
+			if got := s.StatsSnapshot().SRPConfirms; got != i {
+				t.Fatalf("cost %d: %d SRP confirms after %d exchanges", cost, got, i)
+			}
+		}
+	}
+}
+
 func TestFetchWrongPassword(t *testing.T) {
 	uk, _ := userKeys(t)
 	s, db := newTestServer(t)

@@ -119,41 +119,6 @@ func TestFig5ThroughputShape(t *testing.T) {
 	}
 }
 
-func TestFig5ReadAheadAblation(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	const size = 8 << 20
-	measure := func(readAhead int) float64 {
-		fs, _ := newEraFS()
-		ccfg := paperClient
-		ccfg.ReadAhead = readAhead
-		st, err := NewSFS(fs, ccfg, paperServed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(st.Close)
-		r, err := ThroughputMicro(st, size)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Read-ahead stops at the file's size: either depth costs
-		// one READ per block, none past the end.
-		if r.RPCs != size/8192 {
-			t.Errorf("read-ahead %d: %d READs for %d blocks", readAhead, r.RPCs, size/8192)
-		}
-		return r.MBps()
-	}
-	serial := measure(-1)   // one READ at a time
-	pipelined := measure(0) // default depth
-	t.Logf("sequential 8KB reads: %.2f MB/s serial, %.2f MB/s with readahead", serial, pipelined)
-	// Pipelining overlaps per-RPC latency; it must not be slower, and
-	// on the shaped link it should win clearly.
-	if pipelined <= serial {
-		t.Errorf("readahead shows no benefit: %.2f vs %.2f MB/s", pipelined, serial)
-	}
-}
-
 func TestFig6MABShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -288,47 +253,6 @@ func TestFig9WriteBehindAblation(t *testing.T) {
 	// not be slower, and on the shaped link it should win clearly.
 	if pipelined >= serial {
 		t.Errorf("write-behind shows no benefit: %v vs %v", pipelined, serial)
-	}
-}
-
-// TestFigWarmReadShape asserts the warm-read figure's claims from its
-// own rows: the warm re-read crosses the wire zero times and is far
-// faster than the cold pass, while both the cacheless ablation and the
-// post-invalidation re-read pay READs again. CI's bench-smoke step
-// runs exactly this test.
-func TestFigWarmReadShape(t *testing.T) {
-	fig, err := FigWarmRead(Options{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const cached = "SFS (data cache)"
-	cold, ok := fig.RowFor(cached, "cold read")
-	if !ok {
-		t.Fatal("no cold read row")
-	}
-	warm, ok := fig.RowFor(cached, "warm re-read")
-	if !ok {
-		t.Fatal("no warm re-read row")
-	}
-	if warm.RPCs != 0 {
-		t.Errorf("warm re-read issued %d RPCs, want 0", warm.RPCs)
-	}
-	if warm.Value <= 5*cold.Value {
-		t.Errorf("warm re-read %.1f MB/s not >5x cold %.1f MB/s", warm.Value, cold.Value)
-	}
-	inval, ok := fig.RowFor(cached, "re-read after remote write")
-	if !ok {
-		t.Fatal("no post-invalidation row")
-	}
-	if inval.RPCs == 0 {
-		t.Error("re-read after remote write cost no RPCs — invalidation did not drop the blocks")
-	}
-	nocache, ok := fig.RowFor("SFS w/o data cache", "warm re-read")
-	if !ok {
-		t.Fatal("no ablation row")
-	}
-	if nocache.RPCs == 0 {
-		t.Error("cacheless re-read cost no RPCs")
 	}
 }
 

@@ -96,13 +96,6 @@ type Figure struct {
 	// Disk holds what the era disk model charged under each stack of
 	// Figures 5–9, synchronous updates by cause, keyed like Counters.
 	Disk map[string]netsim.DiskCharges
-	// Latency holds the latency-attribution figure's per-stage
-	// client/server distributions, keyed by storage mode ("mem",
-	// "disk"). Nil for every other figure.
-	Latency map[string]LatencyMode
-	// Login holds the connection-storm figure's session-establishment
-	// detail (DESIGN.md §14). Nil for every other figure.
-	Login *LoginStats
 }
 
 // noteCounters records st's server-side counter snapshot under label
@@ -410,11 +403,7 @@ var Registry = []FigureSpec{
 	{Key: "8", ID: "Figure 8", Run: Fig8},
 	{Key: "9", ID: "Figure 9", Run: Fig9},
 	{Key: "wb", ID: "Figure 9 (write-behind ablation)", Run: FigWriteBehind},
-	{Key: "scal", ID: "Scalability", Run: FigScalability},
-	{Key: "warm", ID: "Warm read", Run: FigWarmRead},
 	{Key: "recovery", ID: "Recovery", Run: FigRecovery},
-	{Key: "latency", ID: "Latency", Run: FigLatency},
-	{Key: "login", ID: "Login-storm", Run: FigLogin},
 }
 
 // SlugForID derives the BENCH_ file stem for a figure ID without

@@ -26,14 +26,6 @@ type jsonFigure struct {
 	// Disk carries what the era disk model charged under each stack
 	// (media reads and writes, synchronous updates by cause).
 	Disk map[string]netsim.DiskCharges `json:"disk,omitempty"`
-	// Latency carries the latency-attribution figure's per-stage
-	// client/server distributions (p50/p95/p99 per stage), keyed by
-	// storage mode ("mem", "disk").
-	Latency map[string]LatencyMode `json:"latency,omitempty"`
-	// Login carries the connection-storm figure's session-establishment
-	// detail: rates, Rabin-decrypt counters, per-session memory, the
-	// server's handshake stats, and the eksblowfish ablation.
-	Login *LoginStats `json:"login,omitempty"`
 }
 
 type jsonRow struct {
@@ -78,7 +70,7 @@ func (f *Figure) Slug() string {
 // WriteJSON writes the figure to dir/BENCH_<slug>.json and returns the
 // path. quick must reflect the Options the figure ran with.
 func (f *Figure) WriteJSON(dir string, quick bool) (string, error) {
-	jf := jsonFigure{ID: f.ID, Title: f.Title, Quick: quick, Counters: f.Counters, Disk: f.Disk, Latency: f.Latency, Login: f.Login}
+	jf := jsonFigure{ID: f.ID, Title: f.Title, Quick: quick, Counters: f.Counters, Disk: f.Disk}
 	for _, r := range f.Rows {
 		jf.Rows = append(jf.Rows, jsonRow{
 			Stack: r.Stack, Phase: r.Phase,

@@ -546,12 +546,13 @@ type SFSCluster struct {
 	Clients []*client.Client
 	world   *lab.World
 	served  *lab.Served
-	user    *agent.Agent // the benchmark user's agent, shared by every client
 }
 
 // NewSFSCluster serves fs under scfg from a fresh world and connects n
 // client daemons configured by ccfg. The netsim profile follows
-// scfg.NoEncryption on both directions of every connection.
+// scfg.NoEncryption on both directions of every connection. The
+// benchmark user authenticates as root through one agent every client
+// shares; a second, keyless agent exercises unauthorized operations.
 func NewSFSCluster(fs *vfs.FS, n int, ccfg client.Config, scfg server.ServedConfig) (*SFSCluster, error) {
 	profile := netsim.SFS(!scfg.NoEncryption)
 	world, err := lab.NewWorldOver("bench-sfs", func(c net.Conn) net.Conn { return netsim.Shape(c, profile) })
@@ -564,34 +565,25 @@ func NewSFSCluster(fs *vfs.FS, n int, ccfg client.Config, scfg server.ServedConf
 		c.Close()
 		return nil, err
 	}
+	var user *agent.Agent
 	for i := 0; i < n; i++ {
-		cl, err := c.connect(ccfg)
+		cl, err := world.NewClient(ccfg)
 		if err != nil {
 			c.Close()
 			return nil, err
 		}
+		if user == nil {
+			if user, err = world.NewUser(cl, c.served, "bench", 0, ""); err != nil {
+				c.Close()
+				return nil, err
+			}
+		} else {
+			cl.RegisterAgent("bench", user)
+		}
+		world.NewAnonymousUser(cl, "nonowner")
 		c.Clients = append(c.Clients, cl)
 	}
 	return c, nil
-}
-
-// connect starts one more client daemon on the cluster's server. The
-// benchmark user authenticates as root through the agent; a second,
-// keyless agent exercises unauthorized operations.
-func (c *SFSCluster) connect(ccfg client.Config) (*client.Client, error) {
-	cl, err := c.world.NewClient(ccfg)
-	if err != nil {
-		return nil, err
-	}
-	if c.user == nil {
-		if c.user, err = c.world.NewUser(cl, c.served, "bench", 0, ""); err != nil {
-			return nil, err
-		}
-	} else {
-		cl.RegisterAgent("bench", c.user)
-	}
-	c.world.NewAnonymousUser(cl, "nonowner")
-	return cl, nil
 }
 
 // Base returns the self-certifying pathname of the served root.

@@ -65,14 +65,11 @@ type Config struct {
 	// with no attribute cache; the daemon and the paper's
 	// configuration turn them on.
 	EnhancedCaching bool
-	// ReadAhead is the depth of an open file's sequential-read
-	// window: how many READ RPCs stay in flight. Zero selects 8;
-	// negative selects 1, one READ at a time.
-	ReadAhead int
 	// WriteBehind is the depth of an open file's write-behind window:
 	// how many unstable WRITE RPCs stay in flight. Zero selects 8;
 	// negative selects a window of zero, where each WRITE is
-	// acknowledged before WriteAt returns.
+	// acknowledged before WriteAt returns. (The read-ahead window has
+	// no setting: it is always 8 deep.)
 	WriteBehind int
 	// DataCacheBytes bounds each mount's lease-coherent data block
 	// cache (shared by all users of the mount, served per principal).
@@ -154,8 +151,7 @@ func New(cfg Config) (*Client, error) {
 	if cfg.TempKeyLife == 0 {
 		cfg.TempKeyLife = time.Hour
 	}
-	cfg.ReadAhead = depth(cfg.ReadAhead, 1)
-	cfg.WriteBehind = depth(cfg.WriteBehind, 0)
+	cfg.WriteBehind = depth(cfg.WriteBehind)
 	c := &Client{
 		cfg:      cfg,
 		rng:      cfg.RNG,
@@ -170,16 +166,21 @@ func New(cfg Config) (*Client, error) {
 	return c, nil
 }
 
-// depth resolves a pipeline depth knob: zero selects the default
-// window of 8 (deep enough to cover the bandwidth-delay product of the
-// paper's 10 Mbit LAN at 8 KB per RPC), negative selects serial: one
-// READ in flight, or no WRITE left outstanding when WriteAt returns.
-func depth(knob, serial int) int {
+// windowDepth is the depth of an open file's read-ahead window and
+// the default depth of its write-behind window: 8 RPCs of 8 KB in
+// flight, deep enough to cover the bandwidth-delay product of the
+// paper's 10 Mbit LAN.
+const windowDepth = 8
+
+// depth resolves Config.WriteBehind: zero selects windowDepth,
+// negative selects serial, no WRITE left outstanding when WriteAt
+// returns.
+func depth(knob int) int {
 	switch {
 	case knob == 0:
-		return 8
+		return windowDepth
 	case knob < 0:
-		return serial
+		return 0
 	}
 	return knob
 }

@@ -19,9 +19,9 @@ import (
 // use.
 type File struct {
 	node *node
-	// raDepth and wbDepth are the windows' depths (Config.ReadAhead and
-	// Config.WriteBehind as New resolved them).
-	raDepth, wbDepth int
+	// wbDepth is the write-behind window's depth (Config.WriteBehind
+	// as New resolved it); the read-ahead window is windowDepth deep.
+	wbDepth int
 
 	mu sync.Mutex
 	// size is the file size as this File knows it: the attributes it
@@ -35,9 +35,9 @@ type File struct {
 	closed bool
 }
 
-// newFile opens n with the client's window depths.
+// newFile opens n with the client's write-behind depth.
 func (c *Client) newFile(n *node) *File {
-	return &File{node: n, raDepth: c.cfg.ReadAhead, wbDepth: c.cfg.WriteBehind, size: n.attr.Size}
+	return &File{node: n, wbDepth: c.cfg.WriteBehind, size: n.attr.Size}
 }
 
 // readahead is the sequential-read pipeline of one open file: a window
@@ -557,7 +557,7 @@ func (f *File) fetch(off uint64, count uint32) ([]byte, bool, error) {
 	}
 	// The read asked for is always issued; speculation stops at the
 	// size the File knows, so a stale size costs speed, never bytes.
-	for len(ra.window) == 0 || len(ra.window) < f.raDepth && ra.issued < f.size {
+	for len(ra.window) == 0 || len(ra.window) < windowDepth && ra.issued < f.size {
 		fin, err := f.node.view.ReadStart(f.node.fh, ra.issued, count)
 		if err != nil {
 			ra.drain()

@@ -222,6 +222,7 @@ func TestDataCacheRemoteWriteInvalidation(t *testing.T) {
 	}
 	// The callback dropped attrs and blocks together; polling covers
 	// the write racing its own callback.
+	calls := cl2.Stats().Calls
 	for {
 		got, _, err := cl2.Read(fh2, 0, DataBlockSize)
 		if err != nil {
@@ -234,6 +235,11 @@ func TestDataCacheRemoteWriteInvalidation(t *testing.T) {
 			t.Fatalf("stale bytes served after invalidation: %q...", got[:8])
 		}
 		time.Sleep(time.Millisecond)
+	}
+	// The fresh bytes came over the wire: the dropped blocks were
+	// fetched again, not served from the cache.
+	if cl2.Stats().Calls == calls {
+		t.Fatal("re-read after invalidation cost no RPCs")
 	}
 }
 

@@ -115,6 +115,9 @@ func TestStalledSessionDoesNotBlockWriters(t *testing.T) {
 	if st.Leases.Granted == 0 {
 		t.Fatal("no leases granted — test exercised nothing")
 	}
+	if st.VFSLocks.NodeLocks == 0 {
+		t.Fatal("server snapshot carries no per-node lock acquisitions")
+	}
 	if st.Leases.Breaks == 0 {
 		t.Fatal("no lease break recorded for the stalled session")
 	}

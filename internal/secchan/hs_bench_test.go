@@ -1,7 +1,7 @@
 package secchan
 
-// Handshake-path benchmarks: the per-connection setup cost the
-// login-storm figure scales up. BenchmarkHandshake is the full key
+// Handshake-path benchmarks: the per-connection setup cost a
+// connection storm multiplies. BenchmarkHandshake is the full key
 // negotiation (two Rabin decrypts per connection, both ends
 // in-process); BenchmarkResume is the resumption rekey — no
 // public-key work, so the gap between the two is the storm capacity

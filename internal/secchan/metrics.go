@@ -17,9 +17,9 @@ var chanStats struct {
 	macDrops               stats.Counter
 	handshakes, handshakeF stats.Counter
 	// rabinDecrypts counts private-key decrypt operations on the
-	// handshake paths — the public-key cost a resumption avoids. The
-	// login-storm figure asserts this stays flat across a resumed
-	// reconnect wave.
+	// handshake paths — the public-key cost a resumption avoids.
+	// server.TestResumeReconnectThroughMaster asserts a full handshake
+	// adds two and a resumed reconnect none.
 	rabinDecrypts stats.Counter
 	// resumes counts handshakes established via session resumption
 	// (each end of an in-process pair increments once, like
@@ -67,8 +67,3 @@ func StatsSnapshot() Snapshot {
 		ResumeMisses:   chanStats.resumeMisses.Load(),
 	}
 }
-
-// RabinDecrypts returns the process-wide count of handshake-path
-// Rabin private-key decrypts — the counter the login-storm figure and
-// CI smoke assert stays flat across a resumed reconnect wave.
-func RabinDecrypts() uint64 { return chanStats.rabinDecrypts.Load() }

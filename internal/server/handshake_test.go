@@ -57,7 +57,13 @@ func TestResumeReconnectThroughMaster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A full handshake with both ends in-process: one Rabin decrypt per
+	// side.
+	rabin0 := secchan.StatsSnapshot().RabinDecrypts
 	sec, info := dialServer(t, s, path, secchan.ServiceFile)
+	if d := secchan.StatsSnapshot().RabinDecrypts - rabin0; d != 2 {
+		t.Fatalf("full handshake performed %d Rabin decrypts, want 2", d)
+	}
 	if info.Ticket == nil {
 		t.Fatal("full handshake minted no resumption ticket")
 	}
@@ -68,10 +74,10 @@ func TestResumeReconnectThroughMaster(t *testing.T) {
 	waitFor(t, "ticket cached", func() bool { return s.resume.Stats().Entries == 1 })
 
 	// Reconnect by resumption: zero Rabin decrypts, counted as resumed.
-	rabin0 := secchan.RabinDecrypts()
+	rabin1 := secchan.StatsSnapshot().RabinDecrypts
 	sec2, info2 := dialResume(t, s, path, secchan.ServiceFile, info.Ticket)
 	defer sec2.Close()
-	if d := secchan.RabinDecrypts() - rabin0; d != 0 {
+	if d := secchan.StatsSnapshot().RabinDecrypts - rabin1; d != 0 {
 		t.Fatalf("resumed reconnect performed %d Rabin decrypts, want 0", d)
 	}
 	if info2.SessionID == info.SessionID {

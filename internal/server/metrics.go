@@ -141,8 +141,7 @@ func serviceName(service uint32) string {
 // full vs resumed handshake counts, admission-control outcomes, pool
 // queue depth (with high-water) and per-stage wait/crypto histograms,
 // the resumption cache's hit/eviction counters, and the process heap
-// high-water observed across snapshots — the per-session memory
-// accounting the login-storm figure reads.
+// high-water observed across snapshots.
 type HandshakeStats struct {
 	Full        uint64                   `json:"full"`
 	Resumed     uint64                   `json:"resumed"`

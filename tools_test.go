@@ -188,7 +188,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 		"internal/agent: Agent.Keys":                    "lists the agent's public keys; lab's assembly test checks a user's agent through it",
 		"internal/authserv: ImportPublic":               "paper §2.5.2: the other half of `sfsauthd export`, a public database a peer authserver loads read-only",
 		"internal/authserv: Server.SetGuestCredentials": "paper feature with no daemon route: credentials for valid logins whose key is in no database",
-		"internal/bench: Figure.RowFor":                 "the root package's bench_test.go and the shape tests read figure rows through it",
+		"internal/bench: Figure.RowFor":                 "the recovery shape test reads the figure's rows through it",
 	}
 	referenced := map[string]bool{}
 	type export struct{ id, name string }
@@ -346,7 +346,7 @@ func TestNoProcessWideCounters(t *testing.T) {
 	// Kept on purpose, each for the reason given.
 	allowed := map[string]string{
 		"internal/stats: wireCopy":       "benchmark/trace.go reads it through stats.WireCopySnapshot, and a daemon runs one wire role",
-		"internal/secchan: chanStats":    "its snapshot is a field of the committed BENCH_login-storm.json",
+		"internal/secchan: chanStats":    "sfssd's /stats serves its snapshot (cmd/sfssd/main.go)",
 		"internal/server: heapHigh":      "a process property: the heap belongs to the process, not to a stack",
 		"internal/server: goroutineHigh": "a process property: goroutines belong to the process, not to a stack",
 		"internal/vfs: bootCount":        "uniqueness across every FS in the process is its purpose",

@@ -4,13 +4,14 @@
 // ablation knobs — on loopback TCP with the calibrated hardware model
 // of internal/netsim, runs the paper's workload, and prints measured
 // values next to the paper's where the paper states numbers. Beside
-// Figures 5–9 it runs the write-behind ablation (wb) and the
-// disk-store crash-recovery figure (recovery); logins, warm reads and
-// the per-stage latency waterfall are measured by benchmark/run.sh.
+// Figures 5–9 it runs the disk-store crash-recovery figure (recovery);
+// logins, warm reads and the per-stage latency waterfall are measured
+// by benchmark/run.sh. -quick runs the sizes internal/bench's shape
+// tests check.
 //
 // Usage:
 //
-//	sfsbench [-quick] [-fig 5|6|7|8|9|wb|recovery|all] [-json dir]
+//	sfsbench [-quick] [-fig 5|6|7|8|9|recovery|all] [-json dir]
 //	sfsbench -list
 //
 // -list prints every registered figure key alongside the
@@ -67,7 +68,7 @@ func main() {
 			os.Exit(1)
 		}
 		if *jsonDir != "" {
-			path, err := f.WriteJSON(*jsonDir, *quick)
+			path, err := f.WriteJSON(*jsonDir)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "sfsbench: %v\n", err)
 				os.Exit(1)

@@ -4,7 +4,8 @@
 //
 // The implementation lives under internal/ (see DESIGN.md for the
 // system inventory), command-line tools under cmd/, and runnable
-// examples under examples/. The benchmarks in bench_test.go and the
-// cmd/sfsbench tool regenerate every table and figure of the paper's
-// evaluation; EXPERIMENTS.md records paper-vs-measured values.
+// examples under examples/. The cmd/sfsbench tool regenerates every
+// table and figure of the paper's evaluation, and internal/bench's
+// tests check each at a smaller size; EXPERIMENTS.md records
+// paper-vs-measured values.
 package repro

@@ -73,43 +73,34 @@ func (o Options) out() io.Writer {
 // FigureRow is one line of a rendered figure: measured value plus the
 // paper's reference number where the paper states one.
 type FigureRow struct {
-	Stack string
-	Phase string
+	Stack string `json:"stack"`
+	Phase string `json:"phase"`
 	// Measured value and unit ("us", "MB/s", "s").
-	Value float64
-	Unit  string
+	Value float64 `json:"value"`
+	Unit  string  `json:"unit"`
 	// Paper is the paper's reported value in the same unit, or 0
 	// when the paper gives only a bar chart.
-	Paper float64
-	RPCs  uint64
+	Paper float64 `json:"paper,omitempty"`
+	RPCs  uint64  `json:"rpcs"`
 }
 
-// Figure is one reproduced table/figure.
+// Figure is one reproduced table/figure, and the schema of the
+// BENCH_*.json file WriteJSON writes (documented in EXPERIMENTS.md;
+// keep the two in sync).
 type Figure struct {
-	ID    string
-	Title string
-	Rows  []FigureRow
+	ID    string `json:"id"`
+	Title string `json:"title"`
+	// Quick records whether the figure ran with shrunken workloads,
+	// so trajectory tooling never compares quick rows to full rows.
+	Quick bool        `json:"quick"`
+	Rows  []FigureRow `json:"rows"`
 	// Counters holds each remote stack's server-side NFS counter
 	// snapshot, taken after its workloads ran — the raw per-procedure
 	// and write-stability numbers behind the Rows.
-	Counters map[string]nfs.ServerStats
+	Counters map[string]nfs.ServerStats `json:"counters,omitempty"`
 	// Disk holds what the era disk model charged under each stack of
 	// Figures 5–9, synchronous updates by cause, keyed like Counters.
-	Disk map[string]netsim.DiskCharges
-}
-
-// noteCounters records st's server-side counter snapshot under label
-// (usually the stack name; ablations use their row label). Stacks
-// without a server (Local) record nothing.
-func (f *Figure) noteCounters(label string, st Stack) {
-	ss, ok := st.ServerStats()
-	if !ok {
-		return
-	}
-	if f.Counters == nil {
-		f.Counters = make(map[string]nfs.ServerStats)
-	}
-	f.Counters[label] = ss
+	Disk map[string]netsim.DiskCharges `json:"disk,omitempty"`
 }
 
 func (f *Figure) render(w io.Writer) {
@@ -126,9 +117,10 @@ func (f *Figure) render(w io.Writer) {
 }
 
 // eachStack builds each kind in turn, runs work on it, records its
-// server counters and what its disk charged under the stack's name,
-// and closes it.
+// server counters (stacks without a server, Local, have none) and what
+// its disk charged under the stack's name, and closes it.
 func (f *Figure) eachStack(kinds []StackKind, work func(StackKind, Stack) error) error {
+	f.Counters = make(map[string]nfs.ServerStats)
 	f.Disk = make(map[string]netsim.DiskCharges)
 	for _, kind := range kinds {
 		st, disk, err := Build(kind)
@@ -136,7 +128,9 @@ func (f *Figure) eachStack(kinds []StackKind, work func(StackKind, Stack) error)
 			return err
 		}
 		if err = work(kind, st); err == nil {
-			f.noteCounters(st.Name(), st)
+			if ss, ok := st.ServerStats(); ok {
+				f.Counters[st.Name()] = ss
+			}
 			f.Disk[st.Name()] = disk.Charges()
 		}
 		st.Close()
@@ -166,9 +160,9 @@ func Fig5(opts Options) (*Figure, error) {
 	iters := 500
 	size := int64(64 << 20)
 	if opts.Quick {
-		iters, size = 100, 16<<20
+		iters, size = 100, 8<<20
 	}
-	fig := &Figure{ID: "Figure 5", Title: "micro-benchmarks for basic operations"}
+	fig := &Figure{ID: "Figure 5", Title: "micro-benchmarks for basic operations", Quick: opts.Quick}
 	paperLat := map[StackKind]float64{KindNFSUDP: 200, KindNFSTCP: 220, KindSFS: 790, KindSFSNoEnc: 770}
 	paperTput := map[StackKind]float64{KindNFSUDP: 9.3, KindNFSTCP: 7.6, KindSFS: 4.1, KindSFSNoEnc: 7.1}
 	err := fig.eachStack([]StackKind{KindNFSUDP, KindNFSTCP, KindSFS, KindSFSNoEnc}, func(kind StackKind, st Stack) error {
@@ -202,16 +196,20 @@ func Fig5(opts Options) (*Figure, error) {
 // Local, NFS/UDP, NFS/TCP, and SFS, plus the paper's enhanced-caching
 // ablation (SFS without leases/access caching, total 6.6 s vs 5.9 s).
 func Fig6(opts Options) (*Figure, error) {
-	fig := &Figure{ID: "Figure 6", Title: "Modified Andrew Benchmark (wall seconds per phase)"}
+	fig := &Figure{ID: "Figure 6", Title: "Modified Andrew Benchmark (wall seconds per phase)", Quick: opts.Quick}
 	paperTotal := map[StackKind]float64{
 		KindNFSUDP: 5.3, KindSFS: 5.9, KindSFSNoCache: 6.6,
 	}
 	kinds := []StackKind{KindLocal, KindNFSUDP, KindNFSTCP, KindSFS, KindSFSNoCache}
+	// 56 ms per source file puts the compile phase on Local near the
+	// paper's ≈3 s. It is the same on every stack, so Quick halves it.
+	burn := 56 * time.Millisecond
 	if opts.Quick {
-		kinds = []StackKind{KindLocal, KindNFSUDP, KindSFS}
+		kinds = []StackKind{KindLocal, KindNFSUDP, KindSFS, KindSFSNoCache}
+		burn /= 2
 	}
 	err := fig.eachStack(kinds, func(kind StackKind, st Stack) error {
-		results, err := MABPhases(st)
+		results, err := MABPhases(st, burn)
 		fig.phaseRows(st, results, map[string]float64{"total": paperTotal[kind]})
 		return err
 	})
@@ -234,13 +232,13 @@ func Fig7(opts Options) (*Figure, error) {
 		units, burn = 20, 55*time.Millisecond
 		scale = 70.0
 	}
-	fig := &Figure{ID: "Figure 7", Title: fmt.Sprintf("GENERIC kernel compile (scaled 1/%g; paper values also scaled)", scale)}
+	fig := &Figure{ID: "Figure 7", Title: fmt.Sprintf("GENERIC kernel compile (scaled 1/%g; paper values also scaled)", scale), Quick: opts.Quick}
 	paper := map[StackKind]float64{
 		KindLocal: 140, KindNFSUDP: 178, KindNFSTCP: 207, KindSFS: 197,
 	}
 	kinds := []StackKind{KindLocal, KindNFSUDP, KindNFSTCP, KindSFS, KindSFSNoEnc}
 	if opts.Quick {
-		kinds = []StackKind{KindLocal, KindNFSUDP, KindSFS}
+		kinds = []StackKind{KindLocal, KindNFSUDP, KindNFSTCP, KindSFS}
 	}
 	err := fig.eachStack(kinds, func(kind StackKind, st Stack) error {
 		r, err := CompileWorkload(st, units, burn)
@@ -267,9 +265,9 @@ func Fig7(opts Options) (*Figure, error) {
 func Fig8(opts Options) (*Figure, error) {
 	n := 1000
 	if opts.Quick {
-		n = 200
+		n = 100
 	}
-	fig := &Figure{ID: "Figure 8", Title: fmt.Sprintf("Sprite LFS small-file benchmark (%d x 1 KB files)", n)}
+	fig := &Figure{ID: "Figure 8", Title: fmt.Sprintf("Sprite LFS small-file benchmark (%d x 1 KB files)", n), Quick: opts.Quick}
 	kinds := []StackKind{KindLocal, KindNFSUDP, KindNFSTCP, KindSFS, KindSFSNoCache}
 	if opts.Quick {
 		kinds = []StackKind{KindLocal, KindNFSUDP, KindSFS}
@@ -292,12 +290,12 @@ func Fig8(opts Options) (*Figure, error) {
 func Fig9(opts Options) (*Figure, error) {
 	size := int64(40000 << 10)
 	if opts.Quick {
-		size = 8 << 20
+		size = 4 << 20
 	}
-	fig := &Figure{ID: "Figure 9", Title: fmt.Sprintf("Sprite LFS large-file benchmark (%d MB file, 8 KB chunks)", size>>20)}
+	fig := &Figure{ID: "Figure 9", Title: fmt.Sprintf("Sprite LFS large-file benchmark (%d MB file, 8 KB chunks)", size>>20), Quick: opts.Quick}
 	kinds := []StackKind{KindLocal, KindNFSUDP, KindNFSTCP, KindSFS, KindSFSNoEnc}
 	if opts.Quick {
-		kinds = []StackKind{KindLocal, KindNFSUDP, KindSFS}
+		kinds = []StackKind{KindLocal, KindNFSUDP, KindSFS, KindSFSNoEnc}
 	}
 	err := fig.eachStack(kinds, func(_ StackKind, st Stack) error {
 		results, err := SpriteLarge(st, size)
@@ -309,79 +307,6 @@ func Fig9(opts Options) (*Figure, error) {
 	}
 	fig.render(opts.out())
 	return fig, nil
-}
-
-// FigWriteBehind is the write-behind ablation companion to Figure 9:
-// the sequential-write phase of the Sprite LFS large-file benchmark on
-// the full SFS stack at three window depths — disabled (one
-// synchronous WRITE per chunk, the pre-pipeline client), window 1, and
-// the default window 8 with verified COMMIT batching.
-func FigWriteBehind(opts Options) (*Figure, error) {
-	size := int64(40000 << 10)
-	if opts.Quick {
-		size = 8 << 20
-	}
-	fig := &Figure{
-		ID:    "Figure 9 (write-behind ablation)",
-		Title: fmt.Sprintf("SFS sequential write of a %d MB file vs write-behind window", size>>20),
-	}
-	const chunk = 8192
-	buf := make([]byte, chunk)
-	for i := range buf {
-		buf[i] = byte(i * 7)
-	}
-	for _, w := range []struct {
-		label  string
-		window int
-	}{
-		{"window 0 (serial)", -1},
-		{"window 1", 1},
-		{"window 8 (default)", 0},
-	} {
-		stats.ResetWireCopy()
-		fs, _ := newEraFS()
-		ccfg := paperClient
-		ccfg.WriteBehind = w.window
-		st, err := NewSFS(fs, ccfg, paperServed)
-		if err != nil {
-			return nil, err
-		}
-		f, err := st.Create("large.bin")
-		if err != nil {
-			st.Close()
-			return nil, err
-		}
-		r, err := timed(st, "seq write", func() error {
-			for off := int64(0); off < size; off += chunk {
-				if _, err := f.WriteAt(buf, uint64(off)); err != nil {
-					return err
-				}
-			}
-			return f.Sync()
-		})
-		fig.noteCounters(w.label, st)
-		st.Close()
-		if err != nil {
-			return nil, err
-		}
-		fig.Rows = append(fig.Rows, FigureRow{
-			Stack: w.label, Phase: "seq write",
-			Value: r.Elapsed.Seconds(), Unit: "s", RPCs: r.RPCs,
-		})
-	}
-	fig.render(opts.out())
-	return fig, nil
-}
-
-// RowFor returns the row for (stack, phase), for tests and
-// EXPERIMENTS.md tooling.
-func (f *Figure) RowFor(stack, phase string) (FigureRow, bool) {
-	for _, r := range f.Rows {
-		if r.Stack == stack && r.Phase == phase {
-			return r, true
-		}
-	}
-	return FigureRow{}, false
 }
 
 // FigureSpec is one entry of the figure registry: the -fig key the
@@ -402,7 +327,6 @@ var Registry = []FigureSpec{
 	{Key: "7", ID: "Figure 7", Run: Fig7},
 	{Key: "8", ID: "Figure 8", Run: Fig8},
 	{Key: "9", ID: "Figure 9", Run: Fig9},
-	{Key: "wb", ID: "Figure 9 (write-behind ablation)", Run: FigWriteBehind},
 	{Key: "recovery", ID: "Recovery", Run: FigRecovery},
 }
 

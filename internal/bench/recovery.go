@@ -42,7 +42,8 @@ func FigRecovery(opts Options) (*Figure, error) {
 		inflightSize = 256 << 10
 	}
 	fig := &Figure{
-		ID: "Recovery",
+		ID:    "Recovery",
+		Quick: opts.Quick,
 		Title: fmt.Sprintf("disk store crash recovery: %d KB committed + %d KB in-flight, kill -9, WAL replay",
 			committedSize>>10, inflightSize>>10),
 	}

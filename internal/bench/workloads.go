@@ -148,8 +148,6 @@ func genSource(g *prng.Generator, n int) []byte {
 }
 
 // compileBurn models the CPU work of compiling one translation unit.
-// The constant is calibrated so the MAB compile phase on Local lands
-// near the paper's ≈3 s (Figure 6) at the default unit count.
 func compileBurn(d time.Duration) {
 	deadline := time.Now().Add(d)
 	x := uint64(1)
@@ -160,8 +158,9 @@ func compileBurn(d time.Duration) {
 }
 
 // MABPhases runs the five MAB phases on st and returns one Result per
-// phase plus the total.
-func MABPhases(st Stack) ([]Result, error) {
+// phase plus the total. burn is the CPU time compiling one source file
+// costs.
+func MABPhases(st Stack, burn time.Duration) ([]Result, error) {
 	tree := genMABTree()
 	var results []Result
 
@@ -239,7 +238,7 @@ func MABPhases(st Stack) ([]Result, error) {
 			if err != nil {
 				return err
 			}
-			compileBurn(56 * time.Millisecond)
+			compileBurn(burn)
 			obj := name[:len(name)-2] + ".o"
 			if err := st.WriteFile(obj, append(data, data...)); err != nil {
 				return err

@@ -65,12 +65,6 @@ type Config struct {
 	// with no attribute cache; the daemon and the paper's
 	// configuration turn them on.
 	EnhancedCaching bool
-	// WriteBehind is the depth of an open file's write-behind window:
-	// how many unstable WRITE RPCs stay in flight. Zero selects 8;
-	// negative selects a window of zero, where each WRITE is
-	// acknowledged before WriteAt returns. (The read-ahead window has
-	// no setting: it is always 8 deep.)
-	WriteBehind int
 	// DataCacheBytes bounds each mount's lease-coherent data block
 	// cache (shared by all users of the mount, served per principal).
 	// Zero selects nfs.DefaultDataCacheBytes; negative disables data
@@ -151,7 +145,6 @@ func New(cfg Config) (*Client, error) {
 	if cfg.TempKeyLife == 0 {
 		cfg.TempKeyLife = time.Hour
 	}
-	cfg.WriteBehind = depth(cfg.WriteBehind)
 	c := &Client{
 		cfg:      cfg,
 		rng:      cfg.RNG,
@@ -166,24 +159,10 @@ func New(cfg Config) (*Client, error) {
 	return c, nil
 }
 
-// windowDepth is the depth of an open file's read-ahead window and
-// the default depth of its write-behind window: 8 RPCs of 8 KB in
-// flight, deep enough to cover the bandwidth-delay product of the
-// paper's 10 Mbit LAN.
+// windowDepth is the depth of an open file's read-ahead and
+// write-behind windows: 8 RPCs of 8 KB in flight, deep enough to cover
+// the bandwidth-delay product of the paper's 10 Mbit LAN.
 const windowDepth = 8
-
-// depth resolves Config.WriteBehind: zero selects windowDepth,
-// negative selects serial, no WRITE left outstanding when WriteAt
-// returns.
-func depth(knob int) int {
-	switch {
-	case knob == 0:
-		return windowDepth
-	case knob < 0:
-		return 0
-	}
-	return knob
-}
 
 // rotateTempKey regenerates the short-lived key K_C'.
 func (c *Client) rotateTempKey() error {

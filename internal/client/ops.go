@@ -19,9 +19,6 @@ import (
 // use.
 type File struct {
 	node *node
-	// wbDepth is the write-behind window's depth (Config.WriteBehind
-	// as New resolved it); the read-ahead window is windowDepth deep.
-	wbDepth int
 
 	mu sync.Mutex
 	// size is the file size as this File knows it: the attributes it
@@ -33,11 +30,6 @@ type File struct {
 	wb     writebehind
 	wrote  bool // any write issued; Close then commits
 	closed bool
-}
-
-// newFile opens n with the client's write-behind depth.
-func (c *Client) newFile(n *node) *File {
-	return &File{node: n, wbDepth: c.cfg.WriteBehind, size: n.attr.Size}
 }
 
 // readahead is the sequential-read pipeline of one open file: a window
@@ -95,7 +87,7 @@ type wbRange struct {
 
 // writebehind is the asynchronous write pipeline of one open file:
 // caller bytes are copied into pooled wire-sized chunks, issued as
-// unstable WRITE futures (at most File.wbDepth outstanding), and
+// unstable WRITE futures (at most windowDepth outstanding), and
 // retained on the dirty list until a COMMIT whose verifier matches
 // the WRITE replies proves them stable (RFC 1813 §4.8). Guarded by
 // the File's mutex.
@@ -148,7 +140,7 @@ func (f *File) issueChunk() error {
 			break
 		}
 	}
-	for len(f.wb.window) > 0 && len(f.wb.window) >= f.wbDepth {
+	for len(f.wb.window) >= windowDepth {
 		f.retireOldest()
 	}
 	fin, err := f.node.view.WriteStart(f.node.fh, off, buf, nfs.Unstable)
@@ -161,9 +153,6 @@ func (f *File) issueChunk() error {
 	ios.wbChunks.Inc()
 	ios.wbBytes.Add(uint64(len(buf)))
 	ios.wbWindowOcc.Observe(uint64(len(f.wb.window)))
-	if f.wbDepth == 0 {
-		f.retireOldest()
-	}
 	return nil
 }
 
@@ -278,7 +267,7 @@ func (c *Client) Open(user, path string) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return c.newFile(n), nil
+	return &File{node: n, size: n.attr.Size}, nil
 }
 
 // Access checks permissions on path for user (the ACCESS RPC, served
@@ -320,7 +309,7 @@ func (c *Client) Create(user, path string, mode uint32) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return c.newFile(&node{view: dir.view, mount: dir.mount, fh: fh, attr: attr}), nil
+	return &File{node: &node{view: dir.view, mount: dir.mount, fh: fh, attr: attr}, size: attr.Size}, nil
 }
 
 // Mkdir creates a directory.
@@ -598,12 +587,10 @@ func (f *File) Read(p []byte) (int, error) {
 
 // WriteAt writes p at offset off (unstable; call Sync for stability).
 // The write goes behind: p is copied into pooled wire-sized chunks —
-// adjacent small writes coalesce into full chunks — and up to
-// Config.WriteBehind unstable WRITEs ride the channel at once, so the
-// call usually returns before the server acknowledges. A deferred RPC
-// failure is reported by the next WriteAt, Sync, or Close. With a
-// window of zero every chunk, the last partial one included, is
-// acknowledged before WriteAt returns.
+// adjacent small writes coalesce into full chunks — and up to 8
+// unstable WRITEs ride the channel at once, so the call usually
+// returns before the server acknowledges. A deferred RPC failure is
+// reported by the next WriteAt, Sync, or Close.
 func (f *File) WriteAt(p []byte, off uint64) (int, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -639,14 +626,9 @@ func (f *File) writeAt(p []byte, off uint64) (int, error) {
 		n := min(wireChunk-len(f.wb.buf), len(p)-written)
 		f.wb.buf = append(f.wb.buf, p[written:written+n]...)
 		written += n
-		if len(f.wb.buf) == wireChunk || f.wbDepth == 0 && written == len(p) {
+		if len(f.wb.buf) == wireChunk {
 			if err := f.issueChunk(); err != nil {
 				return written, err
-			}
-			if f.wbDepth == 0 && f.wb.err != nil {
-				// Retired synchronously: the chunk just sent — all of
-				// it this call's bytes — was not acknowledged.
-				return written - n, f.wb.takeErr()
 			}
 		}
 	}

@@ -17,17 +17,16 @@ func (zeroWriteView) WriteStart(nfs.FH, uint64, []byte, uint32) (func() (uint32,
 	return func() (uint32, uint64, error) { return 0, 0, nil }, nil
 }
 
-// TestWriteAtZeroProgress writes through a window of zero, where every
-// chunk is acknowledged before WriteAt returns: a zero-byte
-// acknowledgment must end the call with io.ErrShortWrite and no bytes
-// counted as written.
+// TestWriteAtZeroProgress writes through the write-behind window to a
+// server that acknowledges zero bytes: WriteAt buffers the bytes and
+// returns, and the zero-byte acknowledgment must end the Flush that
+// retires the WRITE with io.ErrShortWrite, not be retried.
 func TestWriteAtZeroProgress(t *testing.T) {
 	f := &File{node: &node{view: zeroWriteView{}, mount: &mount{io: new(ioStats)}, fh: nfs.FH{1}}}
-	n, err := f.WriteAt(make([]byte, 100), 0)
-	if !errors.Is(err, io.ErrShortWrite) {
-		t.Fatalf("err = %v, want io.ErrShortWrite", err)
+	if n, err := f.WriteAt(make([]byte, 100), 0); err != nil || n != 100 {
+		t.Fatalf("WriteAt = %d, %v; want 100 bytes buffered", n, err)
 	}
-	if n != 0 {
-		t.Fatalf("n = %d, want 0", n)
+	if err := f.Flush(); !errors.Is(err, io.ErrShortWrite) {
+		t.Fatalf("Flush err = %v, want io.ErrShortWrite", err)
 	}
 }

@@ -89,13 +89,8 @@ func TestDeferredWriteErrorSurfaces(t *testing.T) {
 // user-space buffer (the unstable batch stays below the spill mark, so
 // it is actually lost), reopens with a bumped epoch, and replays. The
 // test asserts the bytes were gone before the retransmission.
-//
-// The serial case runs the disk scenario with a window of zero
-// (WriteBehind < 0), where every WRITE is acknowledged before WriteAt
-// returns: its chunks must be held for the verified COMMIT like any
-// others, or Sync reports success over lost data.
 func TestWriteRetransmitAcrossServerRestart(t *testing.T) {
-	disk := func(t *testing.T) *vfs.FS {
+	t.Run("disk", func(t *testing.T) {
 		ds, err := diskstore.Open(t.TempDir(), diskstore.Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -105,13 +100,11 @@ func TestWriteRetransmitAcrossServerRestart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return fs
-	}
-	t.Run("disk", func(t *testing.T) { testWriteRetransmit(t, disk(t), 0) })
-	t.Run("disk-serial", func(t *testing.T) { testWriteRetransmit(t, disk(t), -1) })
+		testWriteRetransmit(t, fs)
+	})
 }
 
-func testWriteRetransmit(t *testing.T, fs *vfs.FS, writeBehind int) {
+func testWriteRetransmit(t *testing.T, fs *vfs.FS) {
 	w, err := lab.NewWorld("wbverf")
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +114,7 @@ func testWriteRetransmit(t *testing.T, fs *vfs.FS, writeBehind int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := w.NewClient(client.Config{EnhancedCaching: true, WriteBehind: writeBehind})
+	cl, err := w.NewClient(client.Config{EnhancedCaching: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,8 @@ var (
 )
 
 // TestStageSpansReconcile traces both ends of one SFS connection over
-// serial 8 KB durable writes (WRITE, then COMMIT) and serial 8 KB
+// serial 8 KB durable writes (WRITE, then COMMIT: a Sync after every
+// write leaves the write-behind window one RPC deep) and serial 8 KB
 // reads, on the memory store and on the disk store. Each side's stage
 // sums must reconcile to its span totals within 5 % (the remainder is
 // lock handoffs and scheduler gaps between stamps), both sides must
@@ -87,7 +88,7 @@ func tracedSpans(t *testing.T, seed string, fs *vfs.FS) (cli, srv stats.StageSet
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := w.NewClient(client.Config{EnhancedCaching: true, DataCacheBytes: -1, WriteBehind: -1, TraceSpans: 4 * iters})
+	cl, err := w.NewClient(client.Config{EnhancedCaching: true, DataCacheBytes: -1, TraceSpans: 4 * iters})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -188,7 +188,6 @@ func TestNoTestOnlyExports(t *testing.T) {
 		"internal/agent: Agent.Keys":                    "lists the agent's public keys; lab's assembly test checks a user's agent through it",
 		"internal/authserv: ImportPublic":               "paper §2.5.2: the other half of `sfsauthd export`, a public database a peer authserver loads read-only",
 		"internal/authserv: Server.SetGuestCredentials": "paper feature with no daemon route: credentials for valid logins whose key is in no database",
-		"internal/bench: Figure.RowFor":                 "the recovery shape test reads the figure's rows through it",
 	}
 	referenced := map[string]bool{}
 	type export struct{ id, name string }

@@ -1,8 +1,9 @@
 // Command sfsbench regenerates the tables and figures of the paper's
 // evaluation section (§4). Each figure builds the stacks it compares
-// — the local substrate, NFS 3 over UDP and TCP, and SFS with its
-// ablation knobs — on loopback TCP with the calibrated hardware model
-// of internal/netsim, runs the paper's workload, and prints measured
+// — the local substrate, NFS 3 over UDP and TCP, and SFS with and
+// without encryption and enhanced caching — as lab worlds on loopback,
+// every connection shaped by the calibrated hardware model of
+// internal/netsim, runs the paper's workload, and prints measured
 // values next to the paper's where the paper states numbers. Beside
 // Figures 5–9 it runs the disk-store crash-recovery figure (recovery);
 // logins, warm reads and the per-stage latency waterfall are measured

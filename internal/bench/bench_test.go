@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"testing"
@@ -27,18 +28,15 @@ func TestStacksBasicOps(t *testing.T) {
 			if err := st.Mkdir("d"); err != nil {
 				t.Fatal(err)
 			}
-			if err := st.WriteFile("d/f", []byte("hello")); err != nil {
+			if err := writeFile(st, "d/f", []byte("hello")); err != nil {
 				t.Fatal(err)
 			}
 			data, err := st.ReadFile("d/f")
 			if err != nil || string(data) != "hello" {
 				t.Fatalf("read back: %q %v", data, err)
 			}
-			if err := st.Stat("d/f"); err != nil {
-				t.Fatal(err)
-			}
-			if err := st.ReadDir("d"); err != nil {
-				t.Fatal(err)
+			if mtime, err := st.Stat("d/f"); err != nil || mtime == 0 {
+				t.Fatalf("stat: mtime %d, err %v", mtime, err)
 			}
 			if err := st.ChownFail("d/f"); err != nil {
 				t.Fatal(err)
@@ -64,7 +62,7 @@ func TestFig8RPCEconomics(t *testing.T) {
 		// A warm-up file primes the mount, handle caches, and access
 		// checks so the measured file shows steady-state cost.
 		data := make([]byte, 1024)
-		if err := st.WriteFile("warm", data); err != nil {
+		if err := writeFile(st, "warm", data); err != nil {
 			t.Fatal(err)
 		}
 		ss, ok := st.ServerStats()
@@ -72,7 +70,7 @@ func TestFig8RPCEconomics(t *testing.T) {
 			t.Fatalf("%s: stack reports no server stats", kind)
 		}
 		before := ss.TotalCalls()
-		if err := st.WriteFile("f", data); err != nil {
+		if err := writeFile(st, "f", data); err != nil {
 			t.Fatal(err)
 		}
 		ss, _ = st.ServerStats()
@@ -130,12 +128,12 @@ func TestCachingAblationRPCCounts(t *testing.T) {
 	// wire RPCs. Measured without netsim noise by comparing counts.
 	count := func(kind StackKind) uint64 {
 		st := buildOrSkip(t, kind)
-		if err := st.WriteFile("f", []byte("x")); err != nil {
+		if err := writeFile(st, "f", []byte("x")); err != nil {
 			t.Fatal(err)
 		}
 		before := st.Stats().Calls
 		for i := 0; i < 30; i++ {
-			if err := st.Stat("f"); err != nil {
+			if _, err := st.Stat("f"); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -184,7 +182,7 @@ func TestMABTreeDeterministic(t *testing.T) {
 func TestGenSourceHasNoNeedle(t *testing.T) {
 	g := genMABTree()
 	for name, data := range g.files {
-		if contains(data, []byte("no-such-needle")) {
+		if bytes.Contains(data, []byte("no-such-needle")) {
 			t.Fatalf("%s contains the search needle", name)
 		}
 	}

@@ -1,9 +1,11 @@
 // Package bench implements the paper's evaluation (§4): the four file
 // system stacks under test (Local FFS stand-in, NFS 3 over UDP, NFS 3
-// over TCP, and SFS with its ablation knobs), the workloads (null-RPC
-// and streaming micro-benchmarks, the Modified Andrew Benchmark, a
+// over TCP, and SFS as the paper measured it, with and without
+// encryption and enhanced caching), the workloads (null-RPC and
+// streaming micro-benchmarks, the Modified Andrew Benchmark, a
 // synthetic kernel compile, and the Sprite LFS small- and large-file
 // benchmarks), and harness functions that regenerate every figure.
+// Every remote stack is a lab world whose connections netsim shapes.
 //
 // Hardware-era costs come from internal/netsim; protocol behaviour
 // (RPC counts, caching, crypto) is executed for real. EXPERIMENTS.md
@@ -13,6 +15,7 @@ package bench
 import (
 	"fmt"
 	"net"
+	"strings"
 
 	"repro/internal/agent"
 	"repro/internal/client"
@@ -31,18 +34,12 @@ type Stack interface {
 	Name() string
 	// Mkdir creates a directory.
 	Mkdir(path string) error
-	// WriteFile creates path with data and flushes it to stable
-	// storage, as the Sprite benchmarks require.
-	WriteFile(path string, data []byte) error
 	// ReadFile reads the whole file.
 	ReadFile(path string) ([]byte, error)
-	// Stat fetches attributes.
-	Stat(path string) error
-	// StatMtime fetches a file's modification time, for the
-	// close-to-open revalidation the compile workload models.
-	StatMtime(path string) (int64, error)
-	// ReadDir lists a directory.
-	ReadDir(path string) error
+	// Stat fetches a file's attributes and returns its modification
+	// time, for the close-to-open revalidation the compile workload
+	// models.
+	Stat(path string) (mtime int64, err error)
 	// Remove unlinks a file.
 	Remove(path string) error
 	// ChownFail attempts an unauthorized chown; the paper's
@@ -53,7 +50,7 @@ type Stack interface {
 	Truncate(path string, size uint64) error
 	// Open returns a handle for chunked I/O.
 	Open(path string) (StackFile, error)
-	// Create returns a writable handle.
+	// Create makes an empty file and returns a writable handle.
 	Create(path string) (StackFile, error)
 	// Stats reports wire RPCs when the stack has a wire.
 	Stats() nfs.Stats
@@ -94,31 +91,11 @@ func (s *localStack) Mkdir(path string) error {
 	return err
 }
 
-func (s *localStack) WriteFile(path string, data []byte) error {
-	if err := s.fs.WriteFile(s.cred, path, data, 0o644); err != nil {
-		return err
-	}
-	id, _, err := s.fs.Resolve(s.cred, path)
-	if err != nil {
-		return err
-	}
-	return s.fs.Commit(id)
-}
-
 func (s *localStack) ReadFile(path string) ([]byte, error) {
 	return s.fs.ReadFile(s.cred, path)
 }
 
-func (s *localStack) Stat(path string) error {
-	id, _, err := s.fs.Resolve(s.cred, path)
-	if err != nil {
-		return err
-	}
-	_, err = s.fs.GetAttr(id)
-	return err
-}
-
-func (s *localStack) StatMtime(path string) (int64, error) {
+func (s *localStack) Stat(path string) (int64, error) {
 	id, _, err := s.fs.Resolve(s.cred, path)
 	if err != nil {
 		return 0, err
@@ -128,15 +105,6 @@ func (s *localStack) StatMtime(path string) (int64, error) {
 		return 0, err
 	}
 	return attr.Mtime.UnixNano(), nil
-}
-
-func (s *localStack) ReadDir(path string) error {
-	id, _, err := s.fs.Resolve(s.cred, path)
-	if err != nil {
-		return err
-	}
-	_, _, err = s.fs.ReadDir(s.cred, id, 0, 0)
-	return err
 }
 
 func (s *localStack) Remove(path string) error {
@@ -179,10 +147,16 @@ func (s *localStack) Open(path string) (StackFile, error) {
 }
 
 func (s *localStack) Create(path string) (StackFile, error) {
-	if err := s.fs.WriteFile(s.cred, path, nil, 0o644); err != nil {
+	dir, name := splitDirFile(path)
+	dirID, _, err := s.fs.Resolve(s.cred, dir)
+	if err != nil {
 		return nil, err
 	}
-	return s.Open(path)
+	id, _, err := s.fs.Create(s.cred, dirID, name, 0o644, false)
+	if err != nil {
+		return nil, err
+	}
+	return &localFile{s: s, id: id}, nil
 }
 
 func (f *localFile) ReadAt(p []byte, off uint64) (int, error) {
@@ -225,74 +199,43 @@ func splitDirFile(path string) (string, string) {
 }
 
 // ---------------------------------------------------------------------
-// NFS 3 baseline over a shaped transport (UDP or TCP).
+// NFS 3 baseline: the kernel client model (a dnlc and close-to-open
+// GETATTRs) over a lab world whose connection netsim shapes.
 
 type nfsStack struct {
 	name     string
+	world    *lab.World
 	srv      *nfs.Server
 	cl       *nfs.Client
 	root     nfs.FH
-	ln       net.Listener
-	pc       net.PacketConn
 	dirs     map[string]nfs.FH
 	files    map[string]nfs.FH
 	chownFH  nfs.FH
 	nonOwner *nfs.Client
 }
 
-// NewNFS builds the kernel-NFS baseline over fs with the given
-// transport ("udp" or "tcp") and netsim profile.
-func NewNFS(fs *vfs.FS, transport string, profile netsim.Profile) (Stack, error) {
-	srv := nfs.NewServer(fs, nfs.ServerConfig{})
-	st := &nfsStack{srv: srv, dirs: make(map[string]nfs.FH), files: make(map[string]nfs.FH)}
-	auth := func() sunrpc.OpaqueAuth { return sunrpc.UnixAuth(0, []uint32{0}) }
-	switch transport {
-	case "udp":
-		st.name = "NFS 3 (UDP)"
-		pc, err := net.ListenPacket("udp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		st.pc = pc
-		rpc := sunrpc.NewServer()
-		rpc.Register(nfs.Program, nfs.Version, srv.Handler())
-		go rpc.ServePacket(netsim.ShapePacketConn(pc, profile)) //nolint:errcheck
-		conn, err := net.Dial("udp", pc.LocalAddr().String())
-		if err != nil {
-			return nil, err
-		}
-		shaped := netsim.Shape(conn, profile)
-		st.cl = nfs.Dial(sunrpc.NewDatagramConn(shaped), nfs.ClientConfig{Auth: auth})
-	case "tcp":
-		st.name = "NFS 3 (TCP)"
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		st.ln = l
-		go func() {
-			for {
-				c, err := l.Accept()
-				if err != nil {
-					return
-				}
-				srv.ServeConn(netsim.Shape(c, profile))
-			}
-		}()
-		conn, err := net.Dial("tcp", l.Addr().String())
-		if err != nil {
-			return nil, err
-		}
-		st.cl = nfs.Dial(netsim.Shape(conn, profile), nfs.ClientConfig{Auth: auth})
-	default:
-		return nil, fmt.Errorf("bench: unknown transport %q", transport)
-	}
-	root, _, err := st.cl.MountRoot()
+// NewNFS builds the kernel-NFS baseline over fs on network ("udp" or
+// "tcp"), both directions shaped by profile.
+func NewNFS(fs *vfs.FS, network string, profile netsim.Profile) (Stack, error) {
+	world, err := lab.NewWorldOver("bench-nfs", func(c net.Conn) net.Conn { return netsim.Shape(c, profile) })
 	if err != nil {
-		st.Close()
 		return nil, err
 	}
-	st.root = root
+	st := &nfsStack{
+		name:  "NFS 3 (" + strings.ToUpper(network) + ")",
+		world: world,
+		dirs:  make(map[string]nfs.FH),
+		files: make(map[string]nfs.FH),
+	}
+	auth := func() sunrpc.OpaqueAuth { return sunrpc.UnixAuth(0, []uint32{0}) }
+	if st.srv, st.cl, err = world.ServeNFS(fs, network, nfs.ClientConfig{Auth: auth}); err != nil {
+		world.Close()
+		return nil, err
+	}
+	if st.root, _, err = st.cl.MountRoot(); err != nil {
+		world.Close()
+		return nil, err
+	}
 	return st, nil
 }
 
@@ -353,17 +296,6 @@ func (s *nfsStack) Mkdir(path string) error {
 	return err
 }
 
-func (s *nfsStack) WriteFile(path string, data []byte) error {
-	f, err := s.Create(path)
-	if err != nil {
-		return err
-	}
-	if _, err := f.WriteAt(data, 0); err != nil {
-		return err
-	}
-	return f.Sync()
-}
-
 func (s *nfsStack) ReadFile(path string) ([]byte, error) {
 	fh, err := s.lookupFile(path)
 	if err != nil {
@@ -387,16 +319,7 @@ func (s *nfsStack) ReadFile(path string) ([]byte, error) {
 	}
 }
 
-func (s *nfsStack) Stat(path string) error {
-	fh, err := s.lookupFile(path)
-	if err != nil {
-		return err
-	}
-	_, err = s.cl.GetAttr(fh)
-	return err
-}
-
-func (s *nfsStack) StatMtime(path string) (int64, error) {
+func (s *nfsStack) Stat(path string) (int64, error) {
 	fh, err := s.lookupFile(path)
 	if err != nil {
 		return 0, err
@@ -406,15 +329,6 @@ func (s *nfsStack) StatMtime(path string) (int64, error) {
 		return 0, err
 	}
 	return int64(attr.Mtime), nil
-}
-
-func (s *nfsStack) ReadDir(path string) error {
-	fh, err := s.walk(path)
-	if err != nil {
-		return err
-	}
-	_, _, err = s.cl.ReadDir(fh, 0, 1024)
-	return err
 }
 
 func (s *nfsStack) Remove(path string) error {
@@ -502,17 +416,7 @@ func (s *nfsStack) ServerStats() (nfs.ServerStats, bool) {
 	return s.srv.StatsSnapshot(), true
 }
 
-func (s *nfsStack) Close() {
-	if s.cl != nil {
-		s.cl.Close()
-	}
-	if s.ln != nil {
-		s.ln.Close()
-	}
-	if s.pc != nil {
-		s.pc.Close()
-	}
-}
+func (s *nfsStack) Close() { s.world.Close() }
 
 // ---------------------------------------------------------------------
 // SFS: the full stack — client daemons, agents, secure channel, server
@@ -629,37 +533,16 @@ func (s *sfsStack) Mkdir(path string) error {
 	return s.cl.Mkdir("bench", s.abs(path), 0o755)
 }
 
-func (s *sfsStack) WriteFile(path string, data []byte) error {
-	f, err := s.cl.Create("bench", s.abs(path), 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.WriteAt(data, 0); err != nil {
-		return err
-	}
-	return f.Sync()
-}
-
 func (s *sfsStack) ReadFile(path string) ([]byte, error) {
 	return s.cl.ReadFile("bench", s.abs(path))
 }
 
-func (s *sfsStack) Stat(path string) error {
-	_, err := s.cl.Stat("bench", s.abs(path))
-	return err
-}
-
-func (s *sfsStack) StatMtime(path string) (int64, error) {
+func (s *sfsStack) Stat(path string) (int64, error) {
 	attr, err := s.cl.Stat("bench", s.abs(path))
 	if err != nil {
 		return 0, err
 	}
 	return int64(attr.Mtime), nil
-}
-
-func (s *sfsStack) ReadDir(path string) error {
-	_, err := s.cl.ReadDir("bench", s.abs(path))
-	return err
 }
 
 func (s *sfsStack) Remove(path string) error {

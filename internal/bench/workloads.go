@@ -1,7 +1,9 @@
 package bench
 
 import (
+	"bytes"
 	"fmt"
+	"sort"
 	"time"
 
 	"repro/internal/crypto/prng"
@@ -41,6 +43,19 @@ func timed(st Stack, phase string, f func() error) (Result, error) {
 	}, nil
 }
 
+// writeFile creates path on st with data and flushes it to stable
+// storage, as the Sprite benchmarks require.
+func writeFile(st Stack, path string, data []byte) error {
+	f, err := st.Create(path)
+	if err != nil {
+		return err
+	}
+	if _, err := f.WriteAt(data, 0); err != nil {
+		return err
+	}
+	return f.Sync()
+}
+
 // ---------------------------------------------------------------------
 // Micro-benchmarks (Figure 5).
 
@@ -49,7 +64,7 @@ func timed(st Stack, phase string, f func() error) (Result, error) {
 // remote RPC but never a disk access. It returns the per-operation
 // latency.
 func LatencyMicro(st Stack, iters int) (Result, error) {
-	if err := st.WriteFile("latency-probe", []byte("x")); err != nil {
+	if err := writeFile(st, "latency-probe", []byte("x")); err != nil {
 		return Result{}, err
 	}
 	// Warm caches and connections.
@@ -78,7 +93,7 @@ func LatencyMicro(st Stack, iters int) (Result, error) {
 // does with a sparse 1,000 Mbyte file. size is the sparse file size.
 func ThroughputMicro(st Stack, size int64) (Result, error) {
 	const chunk = 8192
-	if err := st.WriteFile("sparse.bin", nil); err != nil {
+	if err := writeFile(st, "sparse.bin", nil); err != nil {
 		return Result{}, err
 	}
 	if err := st.Truncate("sparse.bin", uint64(size)); err != nil {
@@ -179,10 +194,14 @@ func MABPhases(st Stack, burn time.Duration) ([]Result, error) {
 	results = append(results, r)
 
 	// Phase 2: copy the files into the tree.
-	names := sortedKeys(tree.files)
+	names := make([]string, 0, len(tree.files))
+	for name := range tree.files {
+		names = append(names, name)
+	}
+	sort.Strings(names)
 	r, err = timed(st, "copy", func() error {
 		for _, name := range names {
-			if err := st.WriteFile(name, tree.files[name]); err != nil {
+			if err := writeFile(st, name, tree.files[name]); err != nil {
 				return err
 			}
 		}
@@ -197,7 +216,7 @@ func MABPhases(st Stack, burn time.Duration) ([]Result, error) {
 	r, err = timed(st, "attributes", func() error {
 		for pass := 0; pass < 4; pass++ {
 			for _, name := range names {
-				if err := st.Stat(name); err != nil {
+				if _, err := st.Stat(name); err != nil {
 					return err
 				}
 			}
@@ -216,7 +235,7 @@ func MABPhases(st Stack, burn time.Duration) ([]Result, error) {
 			if err != nil {
 				return err
 			}
-			if contains(data, []byte("no-such-needle")) {
+			if bytes.Contains(data, []byte("no-such-needle")) {
 				return fmt.Errorf("needle unexpectedly found")
 			}
 		}
@@ -240,7 +259,7 @@ func MABPhases(st Stack, burn time.Duration) ([]Result, error) {
 			}
 			compileBurn(burn)
 			obj := name[:len(name)-2] + ".o"
-			if err := st.WriteFile(obj, append(data, data...)); err != nil {
+			if err := writeFile(st, obj, append(data, data...)); err != nil {
 				return err
 			}
 		}
@@ -258,35 +277,6 @@ func MABPhases(st Stack, burn time.Duration) ([]Result, error) {
 	}
 	results = append(results, total)
 	return results, nil
-}
-
-func sortedKeys(m map[string][]byte) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
-func contains(data, needle []byte) bool {
-	for i := 0; i+len(needle) <= len(data); i++ {
-		match := true
-		for j := range needle {
-			if data[i+j] != needle[j] {
-				match = false
-				break
-			}
-		}
-		if match {
-			return true
-		}
-	}
-	return false
 }
 
 // ---------------------------------------------------------------------
@@ -316,7 +306,7 @@ func newPageCache(st Stack) *pageCache {
 // open returns the file's contents, revalidating a cached copy by
 // modification time.
 func (c *pageCache) open(path string) ([]byte, error) {
-	mtime, err := c.st.StatMtime(path)
+	mtime, err := c.st.Stat(path)
 	if err != nil {
 		return nil, err
 	}
@@ -355,14 +345,14 @@ func CompileWorkload(st Stack, units int, burn time.Duration) (Result, error) {
 	headers := make([]string, compileHeaders)
 	for i := range headers {
 		headers[i] = fmt.Sprintf("kernel/sys/hdr%02d.h", i)
-		if err := st.WriteFile(headers[i], genSource(g, 1500)); err != nil {
+		if err := writeFile(st, headers[i], genSource(g, 1500)); err != nil {
 			return Result{}, err
 		}
 	}
 	srcs := make([]string, units)
 	for i := range srcs {
 		srcs[i] = fmt.Sprintf("kernel/unit%03d.c", i)
-		if err := st.WriteFile(srcs[i], genSource(g, 8000)); err != nil {
+		if err := writeFile(st, srcs[i], genSource(g, 8000)); err != nil {
 			return Result{}, err
 		}
 	}
@@ -384,7 +374,7 @@ func CompileWorkload(st Stack, units int, burn time.Duration) (Result, error) {
 			}
 			compileBurn(burn)
 			obj := "kernel/compile/" + src[len("kernel/"):len(src)-2] + ".o"
-			if err := st.WriteFile(obj, data[:len(data)/2]); err != nil {
+			if err := writeFile(st, obj, data[:len(data)/2]); err != nil {
 				return err
 			}
 			objs = append(objs, obj)
@@ -398,7 +388,7 @@ func CompileWorkload(st Stack, units int, burn time.Duration) (Result, error) {
 			}
 			image = append(image, data[:256]...)
 		}
-		return st.WriteFile("kernel/compile/kernel", image)
+		return writeFile(st, "kernel/compile/kernel", image)
 	})
 	if err != nil {
 		return Result{}, err
@@ -426,7 +416,7 @@ func SpriteSmall(st Stack, n, size int) ([]Result, error) {
 	var results []Result
 	r, err := timed(st, "create", func() error {
 		for _, name := range names {
-			if err := st.WriteFile(name, payload); err != nil {
+			if err := writeFile(st, name, payload); err != nil {
 				return err
 			}
 		}

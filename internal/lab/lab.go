@@ -1,13 +1,16 @@
 // Package lab assembles complete SFS deployments — server master,
 // authservers, file systems, client daemons, and agents — on loopback
-// TCP. Integration tests, the example programs, and the benchmark
-// harness (internal/bench, over a shaped transport) all build their
-// worlds with it.
+// TCP, and the plain NFS 3 baseline the paper measures SFS against, on
+// loopback UDP or TCP. Integration tests, the example programs, and
+// the benchmark harness (internal/bench, over a shaped transport) all
+// build their worlds with it.
 package lab
 
 import (
 	"fmt"
+	"io"
 	"net"
+	"net/netip"
 	"sync"
 
 	"repro/internal/agent"
@@ -16,9 +19,11 @@ import (
 	"repro/internal/core"
 	"repro/internal/crypto/prng"
 	"repro/internal/crypto/rabin"
+	"repro/internal/nfs"
 	"repro/internal/secchan"
 	"repro/internal/server"
 	"repro/internal/sfsro"
+	"repro/internal/sunrpc"
 	"repro/internal/vfs"
 )
 
@@ -27,7 +32,8 @@ import (
 // code paths.
 const KeyBits = 768
 
-// World is one self-contained SFS deployment.
+// World is one self-contained SFS deployment, with any NFS 3
+// baselines served beside it.
 type World struct {
 	RNG    *prng.Generator
 	Server *server.Server
@@ -37,6 +43,7 @@ type World struct {
 	mu         sync.Mutex
 	listeners  []net.Listener
 	clients    []*client.Client
+	nfsEnds    []io.Closer       // both ends of every ServeNFS connection
 	nclients   int               // ordinals handed out by NewClient
 	locs       map[string]string // Location -> TCP address
 	served     map[string]*Served
@@ -97,7 +104,8 @@ func (l acceptVia) Accept() (net.Conn, error) {
 }
 
 // Close shuts the world's listeners down and closes the clients it
-// made, which ends their server sessions too.
+// made, which ends their server sessions too, and both ends of every
+// NFS connection: a datagram socket sees no hang-up from its peer.
 func (w *World) Close() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -106,6 +114,9 @@ func (w *World) Close() {
 	}
 	for _, cl := range w.clients {
 		cl.Close()
+	}
+	for _, c := range w.nfsEnds {
+		c.Close()
 	}
 }
 
@@ -189,6 +200,89 @@ func (w *World) Dial(location string) (net.Conn, error) {
 	}
 	return w.transport(c), nil
 }
+
+// ServeNFS serves fs as the plain NFS 3 baseline — handles from
+// nfs.PlainCodec, AUTH_UNIX credentials trusted, no leases — over one
+// loopback connection on network, "udp" or "tcp", and returns the
+// server and a client dialed on that connection with cfg. Both ends
+// pass through the world's transport, as the SFS connections do. On
+// UDP each end is then a sunrpc.DatagramConn, so the server end is one
+// session on the same peer loop as a stream. World.Close ends both.
+func (w *World) ServeNFS(fs *vfs.FS, network string, cfg nfs.ClientConfig) (*nfs.Server, *nfs.Client, error) {
+	srvEnd, cliEnd, err := loopbackPair(network)
+	if err != nil {
+		return nil, nil, err
+	}
+	if w.transport != nil {
+		srvEnd, cliEnd = w.transport(srvEnd), w.transport(cliEnd)
+	}
+	var srvConn, cliConn io.ReadWriteCloser = srvEnd, cliEnd
+	if network == "udp" {
+		srvConn, cliConn = sunrpc.NewDatagramConn(srvEnd), sunrpc.NewDatagramConn(cliEnd)
+	}
+	srv := nfs.NewServer(fs, nfs.ServerConfig{})
+	sess := srv.ServeConn(srvConn)
+	cl := nfs.Dial(cliConn, cfg)
+	w.mu.Lock()
+	w.nfsEnds = append(w.nfsEnds, cl, sess)
+	w.mu.Unlock()
+	return srv, cl, nil
+}
+
+// loopbackPair opens one loopback connection on network and returns
+// its server and client ends: over "tcp" the accepted and the dialed
+// stream, over "udp" a bound socket fixed to the one client address
+// and the socket dialed to it.
+func loopbackPair(network string) (srv, cl net.Conn, err error) {
+	switch network {
+	case "tcp":
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			return nil, nil, err
+		}
+		defer l.Close()
+		if cl, err = net.Dial("tcp", l.Addr().String()); err != nil {
+			return nil, nil, err
+		}
+		if srv, err = l.Accept(); err != nil {
+			cl.Close()
+			return nil, nil, err
+		}
+		return srv, cl, nil
+	case "udp":
+		pc, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+		if err != nil {
+			return nil, nil, err
+		}
+		c, err := net.DialUDP("udp", nil, pc.LocalAddr().(*net.UDPAddr))
+		if err != nil {
+			pc.Close()
+			return nil, nil, err
+		}
+		return udpPeer{pc, c.LocalAddr().(*net.UDPAddr).AddrPort()}, c, nil
+	}
+	return nil, nil, fmt.Errorf("lab: unknown network %q", network)
+}
+
+// udpPeer is a bound UDP socket fixed to one peer address: it reads
+// only that peer's datagrams and writes every datagram to it.
+type udpPeer struct {
+	*net.UDPConn
+	peer netip.AddrPort
+}
+
+func (c udpPeer) Read(p []byte) (int, error) {
+	for {
+		n, from, err := c.ReadFromUDPAddrPort(p)
+		if err != nil || from == c.peer {
+			return n, err
+		}
+	}
+}
+
+func (c udpPeer) Write(p []byte) (int, error) { return c.WriteToUDPAddrPort(p, c.peer) }
+
+func (c udpPeer) RemoteAddr() net.Addr { return net.UDPAddrFromAddrPort(c.peer) }
 
 // NewClient starts a client daemon from cfg. The world supplies what
 // cfg leaves zero: its own dialer, and an RNG seeded from the world's

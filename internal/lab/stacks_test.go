@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/crypto/prng"
+	"repro/internal/nfs"
 	"repro/internal/secchan"
 	"repro/internal/server"
 	"repro/internal/vfs"
@@ -232,8 +233,9 @@ func (wc *wireCount) writes(w *World) (toServer, toClient int64) {
 // end and one back through the accepted end, which is what lets the
 // benchmark harness charge its hardware model in both directions —
 // and closing the world ends its clients' connections, and with them
-// the server's sessions and their workers: twenty worlds later the
-// process is where it started.
+// the server's sessions and their workers, the NFS baseline's over UDP
+// and TCP included: twenty worlds later the process is where it
+// started.
 func TestCloseReleasesEverything(t *testing.T) {
 	settle := func(what string, ok func() bool) {
 		t.Helper()
@@ -291,12 +293,28 @@ func TestCloseReleasesEverything(t *testing.T) {
 			t.Fatalf("world %d: %d RPCs, but the transport saw %d messages to the server and %d back",
 				i, rpcs, out1-out0, back1-back0)
 		}
+		var nfsClients []*nfs.Client
+		for _, network := range []string{"udp", "tcp"} {
+			_, ncl, err := w.ServeNFS(vfs.New(), network, nfs.ClientConfig{Auth: rootAuth})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := ncl.MountRoot(); err != nil {
+				t.Fatalf("world %d: NFS over %s: %v", i, network, err)
+			}
+			nfsClients = append(nfsClients, ncl)
+		}
 
 		w.Close()
 		w.Close() // idempotent
 		settle("the server's active-connection gauge", func() bool { return w.Server.StatsSnapshot().Active.Now == 0 })
 		if _, err := cl.ReadDir("anon", root); err == nil {
 			t.Fatal("a closed client mounted again")
+		}
+		for _, ncl := range nfsClients {
+			if _, _, err := ncl.MountRoot(); err == nil {
+				t.Fatal("a closed NFS client mounted again")
+			}
 		}
 	}
 	settle("the goroutine count", func() bool { return runtime.NumGoroutine() <= before })

@@ -200,27 +200,6 @@ func (c *Conn) WriteSegments(segs [][]byte) (int, int, error) {
 	return n, 0, nil
 }
 
-// PacketConn shapes the send side of a packet connection (the NFS
-// over UDP server's replies).
-type PacketConn struct {
-	net.PacketConn
-	p  Profile
-	mu sync.Mutex
-}
-
-// ShapePacketConn wraps pc so every WriteTo is charged under p.
-func ShapePacketConn(pc net.PacketConn, p Profile) *PacketConn {
-	return &PacketConn{PacketConn: pc, p: p}
-}
-
-// WriteTo charges the model cost, then forwards.
-func (c *PacketConn) WriteTo(b []byte, addr net.Addr) (int, error) {
-	c.mu.Lock()
-	spinWait(c.p.Cost(len(b)))
-	c.mu.Unlock()
-	return c.PacketConn.WriteTo(b, addr)
-}
-
 // Disk models the evaluation machines' SCSI disk for the substrate
 // file system. The dominant term for the paper's metadata-heavy
 // phases is the synchronous update (seek + rotation), ≈5 ms; writes

@@ -460,40 +460,6 @@ func TestCommit(t *testing.T) {
 	}
 }
 
-func TestUDPHandlerMode(t *testing.T) {
-	fsys := vfs.New()
-	srv := NewServer(fsys, ServerConfig{})
-	rpc := sunrpc.NewServer()
-	rpc.Register(Program, Version, srv.Handler())
-	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pc.Close()
-	go rpc.ServePacket(pc) //nolint:errcheck
-	conn, err := net.Dial("udp", pc.LocalAddr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := Dial(sunrpc.NewDatagramConn(conn), ClientConfig{Auth: rootAuth})
-	defer cl.Close()
-	root, _, err := cl.MountRoot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fh, _, err := cl.Create(root, "udp.txt", 0o644, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.Write(fh, 0, []byte("datagram"), Unstable); err != nil {
-		t.Fatal(err)
-	}
-	data, _, err := cl.Read(fh, 0, 100)
-	if err != nil || string(data) != "datagram" {
-		t.Fatalf("read over UDP: %q %v", data, err)
-	}
-}
-
 func TestPlainCodecRoundTrip(t *testing.T) {
 	c := PlainCodec{}
 	fh := c.Encode(12345)

@@ -148,15 +148,6 @@ func NewServer(fs *vfs.FS, cfg ServerConfig) *Server {
 	return s
 }
 
-// Handler returns a stateless RPC handler for datagram transports
-// (the NFS-over-UDP baseline), where no session exists and therefore
-// no leases or callbacks apply.
-func (s *Server) Handler() sunrpc.Handler {
-	return func(proc uint32, cred sunrpc.OpaqueAuth, args *xdr.Decoder) (interface{}, error) {
-		return s.dispatch(nil, proc, cred, args)
-	}
-}
-
 // Session is one client connection.
 type Session struct {
 	srv  *Server
@@ -228,7 +219,7 @@ func (sess *Session) Close() error { return sess.peer.Close() }
 
 // grantLease records that sess may cache attributes of id.
 func (s *Server) grantLease(sess *Session, id vfs.FileID) uint32 {
-	if s.cfg.LeaseMS == 0 || sess == nil {
+	if s.cfg.LeaseMS == 0 {
 		return 0
 	}
 	if s.cfg.Callbacks {
@@ -332,7 +323,7 @@ func (s *Server) dispatchProc(sess *Session, proc uint32, auth sunrpc.OpaqueAuth
 	// split out by the clocked write/commit variants).
 	clk, _ := d.Ctx().(*stats.StageClock)
 	credFn := s.creds
-	if sess != nil && sess.creds != nil {
+	if sess.creds != nil {
 		credFn = sess.creds
 	}
 	cred := credFn(auth)
@@ -425,11 +416,10 @@ func (s *Server) dispatchProc(sess *Session, proc uint32, auth sunrpc.OpaqueAuth
 		// exactly the gather path's ownership rule (DESIGN.md §12).
 		return ReadRes{Status: OK, Attr: s.attrFor(sess, id), Count: uint32(len(data)), EOF: eof, Data: data}, nil
 	case ProcWrite:
-		// WRITE data may alias the call record: both record sources
-		// (fresh per-record stream buffers, pooled datagram packets
-		// recycled only after dispatch returns) outlive this handler,
-		// and fs.Write consumes the bytes synchronously — the store
-		// copies them under the node lock before returning.
+		// WRITE data may alias the call record: every transport hands
+		// the RPC layer a fresh slice per record, which outlives this
+		// handler, and fs.Write consumes the bytes synchronously — the
+		// store copies them under the node lock before returning.
 		d.SetBorrow(true)
 		var a WriteArgs
 		if err := d.Decode(&a); err != nil {

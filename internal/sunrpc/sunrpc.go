@@ -175,7 +175,7 @@ func (a OpaqueAuth) put(e *xdr.Encoder) {
 }
 
 // get copies the body out of the record, so a handler may keep its
-// credentials past the call on transports that reuse packet buffers.
+// credentials past the call without pinning the whole record.
 func (a *OpaqueAuth) get(d *xdr.Decoder) (err error) {
 	if a.Flavor, err = d.Uint32(); err != nil {
 		return err

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"net/netip"
 	"sync"
 	"testing"
 	"time"
@@ -247,20 +248,49 @@ func TestOverTCP(t *testing.T) {
 	}
 }
 
+// udpPeer is a bound UDP socket fixed to one peer: the server end of
+// a loopback datagram exchange.
+type udpPeer struct {
+	*net.UDPConn
+	peer netip.AddrPort
+}
+
+func (c udpPeer) Read(p []byte) (int, error) {
+	for {
+		n, from, err := c.ReadFromUDPAddrPort(p)
+		if err != nil || from == c.peer {
+			return n, err
+		}
+	}
+}
+
+func (c udpPeer) Write(p []byte) (int, error) { return c.WriteToUDPAddrPort(p, c.peer) }
+
+// udpPair returns the server and client ends of one loopback UDP
+// exchange; both are closed when the test ends.
+func udpPair(t *testing.T) (srv, cl net.Conn) {
+	t.Helper()
+	pc, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { pc.Close() })
+	c, err := net.DialUDP("udp", nil, pc.LocalAddr().(*net.UDPAddr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return udpPeer{pc, c.LocalAddr().(*net.UDPAddr).AddrPort()}, c
+}
+
+// TestOverUDP: a datagram socket is one more connection — ServeConn
+// serves it on the peer loop, one record per datagram.
 func TestOverUDP(t *testing.T) {
 	srv := NewServer()
 	srv.Register(testProg, testVers, echoHandler)
-	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pc.Close()
-	go srv.ServePacket(pc) //nolint:errcheck
-	conn, err := net.Dial("udp", pc.LocalAddr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := NewClient(NewDatagramConn(conn))
+	srvEnd, cliEnd := udpPair(t)
+	go srv.ServeConn(NewDatagramConn(srvEnd)) //nolint:errcheck
+	cl := NewClient(NewDatagramConn(cliEnd))
 	defer cl.Close()
 	var res echoRes
 	if err := cl.Call(testProg, testVers, 1, NoAuth(), echoArgs{N: 7, Msg: "udp"}, &res); err != nil {
@@ -271,10 +301,11 @@ func TestOverUDP(t *testing.T) {
 	}
 }
 
-// TestDatagramReplyMatchesStreamRecord: ServePacket sends a reply
-// through the same record writer as a stream connection, so a reply
-// datagram is byte for byte the record a TCP peer reads, mark included:
-// a small reply, an 8 KB borrowed payload and an error reply alike.
+// TestDatagramReplyMatchesStreamRecord: a served datagram connection
+// sends a reply through the same record writer as a stream
+// connection, so a reply datagram is byte for byte the record a TCP
+// peer reads, mark included: a small reply, an 8 KB borrowed payload
+// and an error reply alike.
 func TestDatagramReplyMatchesStreamRecord(t *testing.T) {
 	payload := bytes.Repeat([]byte{0xa5, 0x5a, 7}, 3000)
 	srv := NewServer()
@@ -287,17 +318,8 @@ func TestDatagramReplyMatchesStreamRecord(t *testing.T) {
 	c1, c2 := net.Pipe()
 	defer c1.Close()
 	go srv.ServeConn(c2) //nolint:errcheck
-	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pc.Close()
-	go srv.ServePacket(pc) //nolint:errcheck
-	udp, err := net.Dial("udp", pc.LocalAddr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer udp.Close()
+	srvEnd, udp := udpPair(t)
+	go srv.ServeConn(NewDatagramConn(srvEnd)) //nolint:errcheck
 
 	for i, proc := range []uint32{0, 9, 99} {
 		var call bytes.Buffer

@@ -1,88 +1,46 @@
 package sunrpc
 
 import (
+	"encoding/binary"
 	"net"
-	"sync"
-
-	"repro/internal/xdr"
 )
 
-// DatagramConn adapts a connected packet connection (e.g. UDP) to the
-// stream-oriented io.ReadWriteCloser the RPC client and server expect.
-// Each Write is sent as a single datagram; Read serves bytes from the
-// most recently received datagram, so record marking stays intact as
-// long as every record fits in one datagram (true for NFS-sized RPCs
-// over loopback, which is how the paper's NFS 3 over UDP baseline is
-// reproduced).
+// maxDatagram is the receive buffer of a DatagramConn: larger than any
+// UDP payload, so a datagram is never cut short by the buffer.
+const maxDatagram = 64 << 10
+
+// DatagramConn carries RPC records over a connected datagram socket
+// (UDP), one record per datagram, which is how the paper's NFS 3 over
+// UDP baseline is reproduced. It is a RecordReader, so the RPC layer
+// takes each datagram whole from ReadRecord and a datagram socket is
+// one more connection on the same peer loop as a stream. It is no
+// SegmentWriter: WriteRecordEncoder flattens each record into one
+// Write, and so into one datagram.
 type DatagramConn struct {
 	net.Conn
-	mu   sync.Mutex
-	recv []byte // 64KB receive buffer, allocated once and reused
-	buf  []byte // unread tail of the current datagram (aliases recv)
+	recv []byte // receive buffer, allocated on the first read and reused
 }
 
 // NewDatagramConn wraps a connected datagram socket.
 func NewDatagramConn(c net.Conn) *DatagramConn { return &DatagramConn{Conn: c} }
 
-// Read serves buffered bytes from the current datagram, receiving a new
-// one into the persistent receive buffer when it is empty.
-func (d *DatagramConn) Read(p []byte) (int, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.buf) == 0 {
-		if d.recv == nil {
-			d.recv = make([]byte, 65536)
-		}
+// ReadRecord returns the next datagram that is exactly one whole
+// single-fragment record, without its mark, in a slice of its own. Any
+// other datagram — empty, cut short, padded, a fragment — is dropped,
+// so a bad datagram costs only itself and never desynchronises the
+// records after it. ok is true whenever err is nil. Reads happen on
+// the connection's one read loop.
+func (d *DatagramConn) ReadRecord() ([]byte, bool, error) {
+	if d.recv == nil {
+		d.recv = make([]byte, maxDatagram)
+	}
+	for {
 		n, err := d.Conn.Read(d.recv)
 		if err != nil {
-			return 0, err
+			return nil, false, err
 		}
-		d.buf = d.recv[:n]
-	}
-	n := copy(p, d.buf)
-	d.buf = d.buf[n:]
-	return n, nil
-}
-
-// packetTo writes each record to addr as one datagram. It is no
-// SegmentWriter, so WriteRecordEncoder flattens a reply — borrowed
-// payload included — into one buffer and one Write, the one copy the
-// accounting charges.
-type packetTo struct {
-	pc   net.PacketConn
-	addr net.Addr
-}
-
-func (p packetTo) Write(b []byte) (int, error) { return p.pc.WriteTo(b, p.addr) }
-
-// ServePacket serves RPC calls arriving as datagrams on pc, replying to
-// each sender. The receive buffer is allocated once; each in-flight
-// packet gets a pooled copy sized to what actually arrived, and at most
-// the server's worker limit of packets are dispatched concurrently. It
-// runs until pc is closed.
-func (s *Server) ServePacket(pc net.PacketConn) error {
-	buf := make([]byte, 65536)
-	sem := make(chan struct{}, s.workers)
-	for {
-		n, addr, err := pc.ReadFrom(buf)
-		if err != nil {
-			return err
+		if n >= 4 && binary.BigEndian.Uint32(d.recv) == 0x80000000|uint32(n-4) {
+			return append(make([]byte, 0, n-4), d.recv[4:n]...), true, nil
 		}
-		bp := getBuf()
-		pkt := append((*bp)[:0], buf[:n]...)
-		*bp = pkt
-		sem <- struct{}{}
-		go func(bp *[]byte, pkt []byte, addr net.Addr) {
-			defer func() { <-sem; putBuf(bp) }()
-			// Strip the record mark if present.
-			if len(pkt) < 4 {
-				return
-			}
-			e := xdr.GetEncoder()
-			defer xdr.PutEncoder(e)
-			if ok, err := s.dispatch(pkt[4:], e, nil); ok && err == nil { // datagram path: untraced
-				WriteRecordEncoder(packetTo{pc, addr}, e) //nolint:errcheck // best-effort datagram
-			}
-		}(bp, pkt, addr)
 	}
 }

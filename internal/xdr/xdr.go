@@ -330,8 +330,8 @@ type Decoder struct {
 	// payload-class opaques (>= BorrowThreshold) instead of copying.
 	// Only safe when the input buffer outlives every decoded value —
 	// client-side reply records are freshly allocated per record, so
-	// always safe there; server-side packet buffers are pooled, so
-	// handlers opt in only when they consume the bytes synchronously.
+	// always safe there; server handlers opt in only when they consume
+	// the bytes synchronously.
 	borrow bool
 
 	// Wire-copy accounting for payload-class opaques, mirroring the

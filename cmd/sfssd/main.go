@@ -133,7 +133,7 @@ func main() {
 		if err != nil {
 			die(err)
 		}
-		fsys, err = vfs.NewWithStores(ds, ds)
+		fsys, err = vfs.NewWithStore(ds)
 		if err != nil {
 			die(err)
 		}

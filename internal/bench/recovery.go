@@ -57,7 +57,7 @@ func FigRecovery(opts Options) (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	fs, err := vfs.NewWithStores(ds, ds)
+	fs, err := vfs.NewWithStore(ds)
 	if err != nil {
 		return nil, err
 	}
@@ -243,7 +243,7 @@ func replayAfterHistory(rounds, roundBytes int, checkpoint bool) (time.Duration,
 	if err != nil {
 		return 0, storage.ReplayStats{}, err
 	}
-	fs, err := vfs.NewWithStores(ds, ds)
+	fs, err := vfs.NewWithStore(ds)
 	if err != nil {
 		return 0, storage.ReplayStats{}, err
 	}
@@ -277,7 +277,7 @@ func replayAfterHistory(rounds, roundBytes int, checkpoint bool) (time.Duration,
 	if err != nil {
 		return 0, storage.ReplayStats{}, err
 	}
-	fs2, err := vfs.NewWithStores(ds2, ds2)
+	fs2, err := vfs.NewWithStore(ds2)
 	if err != nil {
 		return 0, storage.ReplayStats{}, err
 	}
@@ -306,7 +306,7 @@ func largerThanRAM(hot uint64, files, fileBytes int) (resident, faults uint64, e
 		if err != nil {
 			return nil, nil, err
 		}
-		fs, err := vfs.NewWithStores(ds, ds)
+		fs, err := vfs.NewWithStore(ds)
 		if err != nil {
 			ds.Close()
 			return nil, nil, err

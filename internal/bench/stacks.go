@@ -435,9 +435,8 @@ var (
 // disk: the in-memory store behind netsim's IBM 18ES model. The store
 // is returned too, for its charge counters.
 func newEraFS() (*vfs.FS, *netsim.DiskStore) {
-	ms := memstore.New()
-	disk := netsim.NewDiskStore(ms, ms, netsim.NewDisk())
-	fs, err := vfs.NewWithStores(disk, disk)
+	disk := netsim.NewDiskStore(memstore.New(), netsim.NewDisk())
+	fs, err := vfs.NewWithStore(disk)
 	if err != nil {
 		panic("bench: in-memory store cannot fail: " + err.Error())
 	}

@@ -43,7 +43,7 @@ func TestStageSpansReconcile(t *testing.T) {
 					t.Fatal(err)
 				}
 				t.Cleanup(func() { ds.Close() })
-				if fs, err = vfs.NewWithStores(ds, ds); err != nil {
+				if fs, err = vfs.NewWithStore(ds); err != nil {
 					t.Fatal(err)
 				}
 			}

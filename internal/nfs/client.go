@@ -245,8 +245,10 @@ func Dial(conn io.ReadWriteCloser, cfg ClientConfig) *Client {
 		if err := args.Decode(&a); err != nil {
 			return nil, sunrpc.ErrGarbageArgs
 		}
-		core.invals.Add(1)
+		// Counted after its effect: a reader who sees the count sees
+		// the handle forgotten.
 		core.forget(a.FH)
+		core.invals.Add(1)
 		return StatusRes{Status: OK}, nil
 	})
 	core.peer = sunrpc.NewPeer(conn, cb)

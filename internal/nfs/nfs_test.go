@@ -553,7 +553,7 @@ func TestWriteVerifierChangesAcrossRestart(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { ds.Close() })
-		fs, err := vfs.NewWithStores(ds, ds)
+		fs, err := vfs.NewWithStore(ds)
 		if err != nil {
 			t.Fatal(err)
 		}

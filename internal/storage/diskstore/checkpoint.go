@@ -174,7 +174,7 @@ func loadImageChain(dir string) *image {
 	return nil
 }
 
-// PrepareCheckpoint implements storage.Checkpointer: it writes the
+// PrepareCheckpoint is the first checkpoint call: it writes the
 // pager's dirty blocks back to their slots, fsyncs the extent file and
 // syncs the journal, all of which evictions and COMMITs already do at
 // moments of their own choosing, so the durable state it leaves is one
@@ -203,7 +203,7 @@ func (s *Store) PrepareCheckpoint() error {
 	return err
 }
 
-// Checkpoint implements storage.Checkpointer: it writes a full image
+// Checkpoint is the quiesced checkpoint call: it writes a full image
 // of the namespace (via snapshot) and the pager's extent index, lands
 // it atomically, and compacts the journal by rotating the WAL. The
 // caller holds the file system quiescent for the duration; concurrent
@@ -218,7 +218,7 @@ func (s *Store) Checkpoint(nextID, nextCookie uint64, snapshot func(emit func(*s
 	return st, err
 }
 
-// FinishCheckpoint implements storage.Checkpointer: it lets the file
+// FinishCheckpoint is the last checkpoint call: it lets the file
 // system free the displaced journal segment's blocks, and charges the
 // time that takes to the checkpoint's duration.
 func (s *Store) FinishCheckpoint() storage.CheckpointStats {

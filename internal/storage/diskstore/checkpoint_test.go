@@ -41,14 +41,14 @@ func TestCheckpointBoundsReplay(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir)
 	drainReplay(t, s)
-	if err := s.WriteAt(2, 0, []byte("pre-checkpoint"), true, 1); err != nil {
+	if err := s.Write(2, 0, []byte("pre-checkpoint"), true, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	st := checkpointT(t, s, 10, 20, regNode(2, 14))
 	if st.Count != 1 || st.Bytes == 0 {
 		t.Fatalf("checkpoint stats = %+v, want count 1 and a non-empty image", st)
 	}
-	if err := s.WriteAt(3, 0, []byte("tail"), true, 2); err != nil {
+	if err := s.Write(3, 0, []byte("tail"), true, 2, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -88,11 +88,11 @@ func TestCheckpointReplayStatsPhases(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir)
 	drainReplay(t, s)
-	if err := s.WriteAt(2, 0, bytes.Repeat([]byte("a"), 20000), true, 1); err != nil {
+	if err := s.Write(2, 0, bytes.Repeat([]byte("a"), 20000), true, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	checkpointT(t, s, 3, 1, regNode(2, 20000))
-	if err := s.WriteAt(2, 0, []byte("tail-write"), true, 2); err != nil {
+	if err := s.Write(2, 0, []byte("tail-write"), true, 2, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -120,15 +120,15 @@ func TestCheckpointFallbackToPrevImage(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir)
 	drainReplay(t, s)
-	if err := s.WriteAt(2, 0, []byte("first"), true, 1); err != nil {
+	if err := s.Write(2, 0, []byte("first"), true, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	checkpointT(t, s, 3, 1, regNode(2, 5))
-	if err := s.WriteAt(2, 5, []byte("+second"), true, 2); err != nil {
+	if err := s.Write(2, 5, []byte("+second"), true, 2, nil); err != nil {
 		t.Fatal(err)
 	}
 	checkpointT(t, s, 3, 1, regNode(2, 12))
-	if err := s.WriteAt(2, 12, []byte("+tail"), true, 3); err != nil {
+	if err := s.Write(2, 12, []byte("+tail"), true, 3, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -188,13 +188,13 @@ func TestCheckpointAbortedMidProtocol(t *testing.T) {
 			dir := t.TempDir()
 			s := openT(t, dir)
 			drainReplay(t, s)
-			if err := s.WriteAt(2, 0, []byte("gen-one"), true, 1); err != nil {
+			if err := s.Write(2, 0, []byte("gen-one"), true, 1, nil); err != nil {
 				t.Fatal(err)
 			}
 			// A completed first checkpoint so the aborted one exercises
 			// the rename-prev path too.
 			checkpointT(t, s, 3, 1, regNode(2, 7))
-			if err := s.WriteAt(2, 7, []byte("|gen-two"), true, 2); err != nil {
+			if err := s.Write(2, 7, []byte("|gen-two"), true, 2, nil); err != nil {
 				t.Fatal(err)
 			}
 			boom := errors.New("crashed at " + stage)
@@ -286,10 +286,10 @@ func TestCheckpointAbortedWithUnstableTail(t *testing.T) {
 				t.Fatal(err)
 			}
 			drainReplay(t, s)
-			if err := s.WriteAt(2, 0, []byte("acked"), true, 1); err != nil {
+			if err := s.Write(2, 0, []byte("acked"), true, 1, nil); err != nil {
 				t.Fatal(err)
 			}
-			if err := s.WriteAt(2, 5, []byte("|unstable"), false, 2); err != nil {
+			if err := s.Write(2, 5, []byte("|unstable"), false, 2, nil); err != nil {
 				t.Fatal(err)
 			}
 			boom := errors.New("crashed after image rename")
@@ -345,7 +345,7 @@ func TestCheckpointAbortedWithUnstableTail(t *testing.T) {
 			}
 			// New acked write after the crash: this is the record the
 			// seq-reuse bug silently loses.
-			if err := s2.WriteAt(3, 0, []byte("post-crash-ack"), true, 3); err != nil {
+			if err := s2.Write(3, 0, []byte("post-crash-ack"), true, 3, nil); err != nil {
 				t.Fatal(err)
 			}
 			if err := s2.Close(); err != nil {
@@ -369,7 +369,7 @@ func TestCheckpointAbortedWithUnstableTail(t *testing.T) {
 	}
 }
 
-// TestCheckpointConcurrentReads: the Checkpointer contract allows
+// TestCheckpointConcurrentReads: the checkpoint contract allows
 // concurrent ReadAt while a checkpoint runs (only mutations are
 // quiesced). Race-detector target.
 func TestCheckpointConcurrentReads(t *testing.T) {
@@ -384,12 +384,12 @@ func TestCheckpointConcurrentReads(t *testing.T) {
 	content := bytes.Repeat([]byte("0123456789abcdef"), 2048) // 32 KB each
 	var nodes []storage.NodeRecord
 	for id := uint64(2); id < 2+files; id++ {
-		if err := s.WriteAt(id, 0, content, false, 1); err != nil {
+		if err := s.Write(id, 0, content, false, 1, nil); err != nil {
 			t.Fatal(err)
 		}
 		nodes = append(nodes, regNode(id, uint64(len(content))))
 	}
-	if err := s.Commit(2); err != nil {
+	if err := s.Commit(2, nil); err != nil {
 		t.Fatal(err)
 	}
 	stop := make(chan struct{})
@@ -433,7 +433,7 @@ func TestSfsbenchStatsJSONShape(t *testing.T) {
 	s := openT(t, dir)
 	defer s.Close()
 	drainReplay(t, s)
-	if err := s.WriteAt(2, 0, []byte("x"), true, 1); err != nil {
+	if err := s.Write(2, 0, []byte("x"), true, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	checkpointT(t, s, 3, 1, regNode(2, 1))

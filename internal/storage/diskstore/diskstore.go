@@ -1,12 +1,12 @@
-// Package diskstore implements storage.MetadataStore and
-// storage.BlockStore on disk: every mutation appends a record to a
-// group-commit write-ahead log (storage/wal), a paged serving copy
-// (pager.go) keeps hot content blocks in memory under a byte budget
-// and cold extents in an on-disk extent file, and periodic checkpoint
-// images (checkpoint.go) bound recovery to the journal tail.
+// Package diskstore implements storage.Store on disk: every mutation
+// appends a record to a group-commit write-ahead log (storage/wal), a
+// paged serving copy (pager.go) keeps hot content blocks in memory
+// under a byte budget and cold extents in an on-disk extent file, and
+// periodic checkpoint images (checkpoint.go) bound recovery to the
+// journal tail.
 //
 // Durability follows the NFS 3 stability model the vfs exposes:
-// unstable WriteAt appends asynchronously (user-space buffer, spilled
+// unstable Write appends asynchronously (user-space buffer, spilled
 // to the OS past a threshold), Commit and stable writes wait for one
 // group-committed fsync, and LogMeta — namespace mutations — is
 // synchronous like FFS metadata updates. The journal is the
@@ -94,8 +94,8 @@ type pendingRec struct {
 
 // Open opens (or creates) the store rooted at dir, loading the newest
 // valid checkpoint image and scanning the journal tail past it. The
-// caller must follow with a storage.Replayer Replay pass
-// (vfs.NewWithStores does) to rebuild the namespace.
+// caller must follow with a Replay pass (vfs.NewWithStore does) to
+// rebuild the namespace.
 func Open(dir string, opts Options) (*Store, error) {
 	s := &Store{dir: dir, opts: opts}
 	if err := s.open(); err != nil {
@@ -225,11 +225,10 @@ func (s *Store) state() (*wal.WAL, *pager) {
 	return w, pg
 }
 
-// Replay implements storage.Replayer: it streams the image's node
-// records and then the journal-tail records scanned at open through
-// apply so the vfs can rebuild its node tree, then drops them.
-// Serving-copy content was already rebuilt during open; apply must
-// not call back into the store.
+// Replay streams the image's node records and then the journal-tail
+// records scanned at open through apply so the vfs can rebuild its
+// node tree, then drops them. Serving-copy content was already rebuilt
+// during open; apply must not call back into the store.
 func (s *Store) Replay(apply func(storage.Record) error) (storage.ReplayStats, error) {
 	s.mu.Lock()
 	pending, rs := s.pending, s.replay
@@ -243,17 +242,16 @@ func (s *Store) Replay(apply func(storage.Record) error) (storage.ReplayStats, e
 	return rs, nil
 }
 
-// Watermarks implements storage.Watermarker: the id/cookie allocation
-// watermarks persisted in the checkpoint trailer (zero when booting
-// without an image).
+// Watermarks returns the id/cookie allocation watermarks persisted in
+// the checkpoint trailer (zero when booting without an image).
 func (s *Store) Watermarks() (nextID, nextCookie uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.nextID, s.nextCookie
 }
 
-// WALSizeBytes implements storage.Checkpointer's trigger gauge: bytes
-// appended to the live journal segment since the last checkpoint.
+// WALSizeBytes is the checkpoint trigger gauge: bytes appended to the
+// live journal segment since the last checkpoint.
 func (s *Store) WALSizeBytes() uint64 {
 	w, _ := s.state()
 	return w.LiveBytes()
@@ -279,16 +277,18 @@ func (s *Store) ReadAt(id, off uint64, p []byte) error {
 	return pg.ReadAt(id, off, p)
 }
 
-// WriteAt applies the write to the serving copy and appends a journal
-// record. Unstable writes return once buffered (the WRITE(unstable)
-// fast path); stable writes additionally wait for the group commit.
+// WriteAt is Write without a stage clock. Only benchmark/ladder.go
+// calls it, with five arguments; it goes when that caller moves to
+// Write.
 func (s *Store) WriteAt(id, off uint64, data []byte, stable bool, t int64) error {
-	return s.WriteAtClocked(id, off, data, stable, t, nil)
+	return s.Write(id, off, data, stable, t, nil)
 }
 
-// WriteAtClocked implements storage.ClockedStore: WriteAt with the
-// group-commit wait of a stable write charged to clk's fsync stage.
-func (s *Store) WriteAtClocked(id, off uint64, data []byte, stable bool, t int64, clk *stats.StageClock) error {
+// Write applies the write to the serving copy and appends a journal
+// record. Unstable writes return once buffered (the WRITE(unstable)
+// fast path); stable writes additionally wait for the group commit,
+// charging that wait to clk's fsync stage.
+func (s *Store) Write(id, off uint64, data []byte, stable bool, t int64, clk *stats.StageClock) error {
 	w, pg := s.state()
 	// The serving copy keeps no last-stable image: recovery rebuilds it
 	// from image + journal, so that image is whatever the surviving
@@ -317,15 +317,9 @@ func (s *Store) Truncate(id, size uint64) error {
 }
 
 // Commit waits for every prior write of any file to reach stable
-// storage — the group-commit point backing NFS COMMIT.
-func (s *Store) Commit(uint64) error {
-	w, _ := s.state()
-	return w.Sync()
-}
-
-// CommitClocked implements storage.ClockedStore: Commit with the
-// group-commit wait charged to clk's fsync stage.
-func (s *Store) CommitClocked(_ uint64, clk *stats.StageClock) error {
+// storage — the group-commit point backing NFS COMMIT — charging the
+// wait to clk's fsync stage.
+func (s *Store) Commit(_ uint64, clk *stats.StageClock) error {
 	w, _ := s.state()
 	return w.SyncClocked(clk)
 }
@@ -338,15 +332,15 @@ func (s *Store) Remove(id uint64) error {
 	return pg.Remove(id)
 }
 
-// Epoch implements storage.Epocher.
+// Epoch is the journal's boot epoch, bumped by every open.
 func (s *Store) Epoch() uint64 {
 	w, _ := s.state()
 	return w.Epoch()
 }
 
-// CrashRestart implements storage.CrashRestarter: kill -9 the log
-// (dropping user-space buffered records, keeping what reached the
-// OS), then reopen and rebuild the serving copy from image + tail.
+// CrashRestart is the kill -9 model: it crashes the log (dropping
+// user-space buffered records, keeping what reached the OS), then
+// reopens it and rebuilds the serving copy from image + tail.
 // The caller follows with Replay to rebuild the namespace.
 func (s *Store) CrashRestart() error {
 	s.mu.Lock()
@@ -371,7 +365,8 @@ func (s *Store) Close() error {
 	return err
 }
 
-// StorageStats implements storage.StatsReporter.
+// StorageStats reports the journal, replay, checkpoint and pager
+// counters.
 func (s *Store) StorageStats() *storage.Stats {
 	s.mu.Lock()
 	w, pg, rs, ck := s.w, s.pg, s.replay, s.ckpt

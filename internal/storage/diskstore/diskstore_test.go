@@ -18,7 +18,7 @@ func openT(t *testing.T, dir string) *Store {
 }
 
 // drainReplay consumes the pending record list the way
-// vfs.NewWithStores does, returning the records.
+// vfs.NewWithStore does, returning the records.
 func drainReplay(t *testing.T, s *Store) []storage.Record {
 	t.Helper()
 	var recs []storage.Record
@@ -49,10 +49,10 @@ func TestPersistAcrossCloseOpen(t *testing.T) {
 	if err := s.LogMeta(meta); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.WriteAt(2, 0, []byte("persisted"), false, 11); err != nil {
+	if err := s.Write(2, 0, []byte("persisted"), false, 11, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Commit(2); err != nil {
+	if err := s.Commit(2, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -90,13 +90,13 @@ func TestCrashRestartDropsBufferedKeepsCommitted(t *testing.T) {
 	}
 	defer s.Close()
 	drainReplay(t, s)
-	if err := s.WriteAt(2, 0, []byte("committed"), false, 1); err != nil {
+	if err := s.Write(2, 0, []byte("committed"), false, 1, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Commit(2); err != nil {
+	if err := s.Commit(2, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.WriteAt(3, 0, []byte("lost"), false, 2); err != nil {
+	if err := s.Write(3, 0, []byte("lost"), false, 2, nil); err != nil {
 		t.Fatal(err)
 	}
 	epochBefore := s.Epoch()
@@ -121,7 +121,7 @@ func TestCrashRestartDropsBufferedKeepsCommitted(t *testing.T) {
 	}
 
 	// The store still works after the in-place restart.
-	if err := s.WriteAt(4, 0, []byte("post-crash"), true, 3); err != nil {
+	if err := s.Write(4, 0, []byte("post-crash"), true, 3, nil); err != nil {
 		t.Fatal(err)
 	}
 	p = make([]byte, 10)
@@ -137,7 +137,7 @@ func TestReplayAppliesTruncates(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir)
 	drainReplay(t, s)
-	if err := s.WriteAt(2, 0, []byte("0123456789"), true, 1); err != nil {
+	if err := s.Write(2, 0, []byte("0123456789"), true, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.LogMeta(&storage.MetaRecord{
@@ -169,10 +169,10 @@ func TestStorageStats(t *testing.T) {
 	s := openT(t, dir)
 	defer s.Close()
 	drainReplay(t, s)
-	if err := s.WriteAt(2, 0, []byte("x"), false, 1); err != nil {
+	if err := s.Write(2, 0, []byte("x"), false, 1, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Commit(2); err != nil {
+	if err := s.Commit(2, nil); err != nil {
 		t.Fatal(err)
 	}
 	st := s.StorageStats()

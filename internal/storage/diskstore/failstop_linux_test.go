@@ -48,20 +48,20 @@ func TestJournalFailureIsSurfaced(t *testing.T) {
 	s := openT(t, dir)
 	defer s.Close()
 	drainReplay(t, s)
-	if err := s.WriteAt(2, 0, []byte("acked"), true, 1); err != nil {
+	if err := s.Write(2, 0, []byte("acked"), true, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	breakJournal(t, dir)
-	if err := s.WriteAt(2, 5, []byte("|lost"), false, 2); err != nil {
+	if err := s.Write(2, 5, []byte("|lost"), false, 2, nil); err != nil {
 		t.Fatalf("buffered write = %v; the failure is only met at the flush", err)
 	}
-	if err := s.Commit(2); err == nil {
+	if err := s.Commit(2, nil); err == nil {
 		t.Fatal("Commit over a failing journal returned nil")
 	}
-	if err := s.WriteAt(2, 5, []byte("|more"), false, 3); err == nil {
+	if err := s.Write(2, 5, []byte("|more"), false, 3, nil); err == nil {
 		t.Fatal("write accepted after the journal fail-stopped")
 	}
-	if err := s.Commit(2); err == nil {
+	if err := s.Commit(2, nil); err == nil {
 		t.Fatal("second Commit returned nil: the lost batch was reported durable")
 	}
 	if err := s.PrepareCheckpoint(); err == nil {
@@ -95,7 +95,7 @@ func TestJournalFailureIsSurfaced(t *testing.T) {
 	if st := s.StorageStats(); st.WALFailures != 0 {
 		t.Fatalf("wal_failures = %d on the reopened journal, want 0", st.WALFailures)
 	}
-	if err := s.WriteAt(2, 5, []byte("|again"), true, 4); err != nil {
+	if err := s.Write(2, 5, []byte("|again"), true, 4, nil); err != nil {
 		t.Fatalf("write after restart: %v", err)
 	}
 }

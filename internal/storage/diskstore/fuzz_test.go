@@ -75,7 +75,7 @@ func TestCrashCorruptionFuzz(t *testing.T) {
 						data[i] = byte(rng.Intn(256))
 					}
 					stable := rng.Intn(3) == 0
-					if err := s.WriteAt(id, off, data, stable, int64(op)); err != nil {
+					if err := s.Write(id, off, data, stable, int64(op), nil); err != nil {
 						t.Fatal(err)
 					}
 					old := files[id]
@@ -110,7 +110,7 @@ func TestCrashCorruptionFuzz(t *testing.T) {
 					}
 					delete(files, id)
 				case k < 9: // commit (sync point)
-					if err := s.Commit(uint64(op)); err != nil {
+					if err := s.Commit(uint64(op), nil); err != nil {
 						t.Fatal(err)
 					}
 				default: // checkpoint

@@ -36,12 +36,12 @@ func TestPagerLargerThanRAM(t *testing.T) {
 	const fileSize = 96 << 10 // 2.25 MB total, 9x the hot budget
 	var nodes []storage.NodeRecord
 	for id := uint64(2); id < 2+files; id++ {
-		if err := s.WriteAt(id, 0, fileContent(id, fileSize), false, 1); err != nil {
+		if err := s.Write(id, 0, fileContent(id, fileSize), false, 1, nil); err != nil {
 			t.Fatal(err)
 		}
 		nodes = append(nodes, regNode(id, fileSize))
 	}
-	if err := s.Commit(2); err != nil {
+	if err := s.Commit(2, nil); err != nil {
 		t.Fatal(err)
 	}
 	checkpointT(t, s, 100, 100, nodes...)
@@ -91,7 +91,7 @@ func TestPagerTruncateZeroesTail(t *testing.T) {
 	drainReplay(t, s)
 
 	full := bytes.Repeat([]byte{0xab}, 3*storage.BlockSize)
-	if err := s.WriteAt(2, 0, full, true, 1); err != nil {
+	if err := s.Write(2, 0, full, true, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Shrink to mid-block, then grow again: everything past the shrink
@@ -111,7 +111,7 @@ func TestPagerTruncateZeroesTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Evict everything by streaming another file through the budget.
-	if err := s.WriteAt(3, 0, fileContent(3, 128<<10), false, 2); err != nil {
+	if err := s.Write(3, 0, fileContent(3, 128<<10), false, 2, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -163,10 +163,10 @@ func TestPagerSlotReuseDeferred(t *testing.T) {
 	drainReplay(t, s)
 	doomed := fileContent(2, 64<<10)
 	keeper := fileContent(3, 64<<10)
-	if err := s.WriteAt(2, 0, doomed, true, 1); err != nil {
+	if err := s.Write(2, 0, doomed, true, 1, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.WriteAt(3, 0, keeper, true, 1); err != nil {
+	if err := s.Write(3, 0, keeper, true, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Image 1 references both files' slots.
@@ -181,7 +181,7 @@ func TestPagerSlotReuseDeferred(t *testing.T) {
 	}
 	checkpointT(t, s, 4, 1, regNode(3, 64<<10))
 	// New writes must not land in file 2's old slots yet.
-	if err := s.WriteAt(4, 0, fileContent(4, 64<<10), true, 2); err != nil {
+	if err := s.Write(4, 0, fileContent(4, 64<<10), true, 2, nil); err != nil {
 		t.Fatal(err)
 	}
 	free := func() int {
@@ -207,7 +207,7 @@ func TestPagerReadBeyondExtentErrors(t *testing.T) {
 	if err := s.ReadAt(9, 0, make([]byte, 1)); err == nil {
 		t.Fatal("read of unknown id succeeded")
 	}
-	if err := s.WriteAt(2, 0, []byte("abc"), false, 1); err != nil {
+	if err := s.Write(2, 0, []byte("abc"), false, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	err := s.ReadAt(2, 2, make([]byte, 2))
@@ -235,7 +235,7 @@ func TestPagerRecycledBufferReadsClean(t *testing.T) {
 	const id = 2
 	stale := bytes.Repeat([]byte{0xAA}, storage.BlockSize)
 	for bno := uint64(0); bno < 2*spareBlocks; bno++ {
-		if err := s.WriteAt(id, bno*storage.BlockSize, stale, false, 1); err != nil {
+		if err := s.Write(id, bno*storage.BlockSize, stale, false, 1, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -249,7 +249,7 @@ func TestPagerRecycledBufferReadsClean(t *testing.T) {
 
 	// A hole: one byte, the last, written into a block that has no slot.
 	hole := uint64(4 * spareBlocks)
-	if err := s.WriteAt(id, (hole+1)*storage.BlockSize-1, []byte{1}, false, 2); err != nil {
+	if err := s.Write(id, (hole+1)*storage.BlockSize-1, []byte{1}, false, 2, nil); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, storage.BlockSize)

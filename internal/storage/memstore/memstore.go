@@ -1,16 +1,19 @@
 // Package memstore is the default storage backend: the original
 // in-memory content store extracted from internal/vfs behind the
-// storage.MetadataStore and storage.BlockStore interfaces. Metadata
-// journaling is a no-op (the node tree is the only copy) and content
-// lives in per-file byte slices. The store is volatile and cannot crash
-// apart from its process, so stable and unstable writes are the same
-// write and Commit has nothing to do (DESIGN.md §11 "Crash model").
+// storage.Store contract. Metadata journaling is a no-op (the node
+// tree is the only copy) and content lives in per-file byte slices.
+// The store is volatile and cannot crash apart from its process, so
+// stable and unstable writes are the same write, Commit has nothing
+// to do, there is nothing to replay, and crash-restart and checkpoint
+// return storage.ErrVolatile (DESIGN.md §11 "Crash model").
 package memstore
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"sync"
 
+	"repro/internal/stats"
 	"repro/internal/storage"
 )
 
@@ -25,17 +28,18 @@ type shard struct {
 	files map[uint64]*file
 }
 
-// Store implements storage.MetadataStore and storage.BlockStore in
-// memory. The shard locks guard only the id→file maps; per-file field
-// access relies on the vfs contract that mutations of one id are
-// serialized by the caller.
+// Store implements storage.Store in memory. The shard locks guard
+// only the id→file maps; per-file field access relies on the vfs
+// contract that mutations of one id are serialized by the caller.
 type Store struct {
 	shards [numShards]shard
+	epoch  uint64
 }
 
-// New returns an empty store.
+// New returns an empty store under a random epoch, so two stores made
+// back to back give their file systems different write verifiers.
 func New() *Store {
-	s := &Store{}
+	s := &Store{epoch: rand.Uint64()}
 	for i := range s.shards {
 		s.shards[i].files = make(map[uint64]*file)
 	}
@@ -95,8 +99,9 @@ func (s *Store) ReadAt(id, off uint64, p []byte) error {
 	return nil
 }
 
-// WriteAt stores data at off, zero-filling any gap.
-func (s *Store) WriteAt(id, off uint64, data []byte, _ bool, _ int64) error {
+// Write stores data at off, zero-filling any gap. There is no sync to
+// wait for, so nothing is charged to the clock.
+func (s *Store) Write(id, off uint64, data []byte, _ bool, _ int64, _ *stats.StageClock) error {
 	f := s.fetch(id)
 	end := off + uint64(len(data))
 	if end > uint64(len(f.data)) {
@@ -119,7 +124,7 @@ func (s *Store) Truncate(id, size uint64) error {
 
 // Commit is a no-op: every write is already as stable as this store
 // gets.
-func (s *Store) Commit(uint64) error { return nil }
+func (s *Store) Commit(uint64, *stats.StageClock) error { return nil }
 
 // Remove drops all content of id.
 func (s *Store) Remove(id uint64) error {
@@ -129,3 +134,37 @@ func (s *Store) Remove(id uint64) error {
 	sh.mu.Unlock()
 	return nil
 }
+
+// Replay has nothing to replay: the store starts empty.
+func (s *Store) Replay(func(storage.Record) error) (storage.ReplayStats, error) {
+	return storage.ReplayStats{}, nil
+}
+
+// Epoch is the random epoch drawn in New.
+func (s *Store) Epoch() uint64 { return s.epoch }
+
+// CrashRestart returns storage.ErrVolatile: the store cannot crash
+// apart from its process.
+func (s *Store) CrashRestart() error { return storage.ErrVolatile }
+
+// PrepareCheckpoint returns storage.ErrVolatile: there is no journal
+// to bound.
+func (s *Store) PrepareCheckpoint() error { return storage.ErrVolatile }
+
+// Checkpoint returns storage.ErrVolatile.
+func (s *Store) Checkpoint(uint64, uint64, func(func(*storage.NodeRecord) error) error) (storage.CheckpointStats, error) {
+	return storage.CheckpointStats{}, storage.ErrVolatile
+}
+
+// FinishCheckpoint has nothing to release.
+func (s *Store) FinishCheckpoint() storage.CheckpointStats { return storage.CheckpointStats{} }
+
+// WALSizeBytes is 0: there is no journal.
+func (s *Store) WALSizeBytes() uint64 { return 0 }
+
+// Watermarks are 0, 0: no image persisted any.
+func (s *Store) Watermarks() (nextID, nextCookie uint64) { return 0, 0 }
+
+// StorageStats is nil, so memstore deployments keep their exact stats
+// documents.
+func (s *Store) StorageStats() *storage.Stats { return nil }

@@ -17,7 +17,7 @@ func readT(t *testing.T, s *Store, id, off uint64, n int) []byte {
 
 func TestWriteReadTruncate(t *testing.T) {
 	s := New()
-	if err := s.WriteAt(1, 4, []byte("hello"), true, 0); err != nil {
+	if err := s.Write(1, 4, []byte("hello"), true, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	// The gap before the write zero-fills.
@@ -61,10 +61,10 @@ func TestUnstableWriteCommitAllocatesNothing(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	for i := 0; i < 50; i++ {
 		off := uint64(i) << 20
-		if err := s.WriteAt(1, off, chunk, false, 0); err != nil {
+		if err := s.Write(1, off, chunk, false, 0, nil); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Commit(1); err != nil {
+		if err := s.Commit(1, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

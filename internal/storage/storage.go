@@ -1,18 +1,21 @@
 // Package storage defines the durable-storage seam underneath
-// internal/vfs: a MetadataStore that journals namespace and attribute
-// mutations, and a BlockStore that holds regular-file content keyed by
-// file id. The node tree in vfs owns locking, permission checks, and
-// the namespace; a store owns bytes and their durability.
+// internal/vfs: one Store contract that journals namespace and
+// attribute mutations, holds regular-file content keyed by file id,
+// and replays, checkpoints and crash-restarts what it holds. The node
+// tree in vfs owns locking, permission checks, and the namespace; a
+// store owns bytes and their durability, and vfs never asks which
+// store it has.
 //
 // Two implementations live below this package: storage/memstore (the
-// default, preserving the original in-memory behavior byte for byte)
-// and storage/diskstore (both interfaces over a group-commit
-// write-ahead log in storage/wal, with real crash recovery).
+// default, preserving the original in-memory behavior byte for byte,
+// and answering the durable half with nothing to replay and
+// ErrVolatile) and storage/diskstore (a group-commit write-ahead log
+// in storage/wal, with real crash recovery).
 //
 // # Concurrency contract
 //
 // The vfs serializes mutating calls per file id under its per-node
-// locks: a store never sees two concurrent WriteAt/Truncate/Commit/
+// locks: a store never sees two concurrent Write/Truncate/Commit/
 // Remove calls for the same id. Concurrent ReadAt calls on one id, and
 // any mix of calls across different ids, are allowed and must not
 // interfere. LogMeta may be called concurrently from independent
@@ -22,55 +25,128 @@
 // serialization order).
 package storage
 
-import "repro/internal/stats"
+import (
+	"errors"
+
+	"repro/internal/stats"
+)
 
 // BlockSize is the nominal content block size. The WAL journals
 // byte-granular extents, but stores may use this for allocation and
 // the protocol layers above advertise it as the preferred I/O size.
 const BlockSize = 8192
 
-// MetadataStore journals namespace and attribute mutations. A durable
-// implementation returns from LogMeta only once the record is on
-// stable storage (one group-committed fsync); the in-memory store is
-// a no-op since its "stable storage" is the node tree itself.
-type MetadataStore interface {
+// ErrVolatile is what a volatile store (memstore) returns from the
+// calls that need durable media: CrashRestart, PrepareCheckpoint and
+// Checkpoint.
+var ErrVolatile = errors.New("storage: volatile store cannot crash or checkpoint")
+
+// Store is the one storage contract under vfs: it journals namespace
+// and attribute mutations, holds regular-file content keyed by file
+// id (vfs.FileID; offsets and sizes are bytes), and owns durability.
+// A volatile store answers the durable half plainly: nothing to
+// replay, zero watermarks, nil stats, and ErrVolatile from the calls
+// that need media.
+type Store interface {
+	// LogMeta journals one namespace or attribute mutation. A durable
+	// implementation returns only once the record is on stable storage
+	// (one group-committed fsync); the in-memory store is a no-op
+	// since its "stable storage" is the node tree itself.
 	LogMeta(rec *MetaRecord) error
 	Close() error
-}
 
-// BlockStore holds regular-file content. The id space is vfs.FileID;
-// offsets and sizes are bytes.
-type BlockStore interface {
 	// ReadAt copies the content of id at off into p. The caller
 	// guarantees [off, off+len(p)) lies within the file's current
 	// size, so a short or missing extent indicates store corruption.
 	ReadAt(id, off uint64, p []byte) error
-	// WriteAt stores data at off, zero-filling any gap beyond the
+	// Write stores data at off, zero-filling any gap beyond the
 	// current end. stable asks for durability before return (the NFS
 	// FILE_SYNC path); unstable writes may buffer until Commit. t is
 	// the caller's clock reading (UnixNano), stamped into the journal
-	// so replay is deterministic under an injected clock.
-	WriteAt(id, off uint64, data []byte, stable bool, t int64) error
+	// so replay is deterministic under an injected clock. A durable
+	// store charges the group-commit wait of a stable write to clk's
+	// fsync stage (stats.StageFsync); clk is nil when tracing is off.
+	Write(id, off uint64, data []byte, stable bool, t int64, clk *stats.StageClock) error
 	// Truncate sets the size of id, zero-filling growth. Truncation
 	// is a stable update (its durability rides on the MetaRecord the
 	// vfs journals for the same operation).
 	Truncate(id, size uint64) error
-	// Commit makes every prior WriteAt of id durable (the NFS COMMIT
+	// Commit makes every prior Write of id durable (the NFS COMMIT
 	// operation). For a group-commit store many concurrent Commits
-	// share one fsync.
-	Commit(id uint64) error
+	// share one fsync, whose wait is charged to clk's fsync stage
+	// (nil when tracing is off).
+	Commit(id uint64, clk *stats.StageClock) error
 	// Remove drops all content of id after its last link is gone.
 	Remove(id uint64) error
-}
 
-// Replayer is implemented by durable stores. Replay streams the
-// journal of the previous boots in append order, calling apply for
-// every record so the vfs can rebuild its node tree. The store applies
-// data payloads to its own serving copy before Replay returns; apply
-// must not call back into the store. Replay is single-threaded and
-// runs before the file system is published.
-type Replayer interface {
+	// Replay streams the journal of the previous boots in append
+	// order, calling apply for every record so the vfs can rebuild its
+	// node tree. The store applies data payloads to its own serving
+	// copy before Replay returns; apply must not call back into the
+	// store. Replay is single-threaded and runs before the file system
+	// is published.
 	Replay(apply func(Record) error) (ReplayStats, error)
+
+	// Epoch is the per-boot epoch a durable store persists in its
+	// journal header. The vfs derives the NFS write verifier from it,
+	// so acknowledged COMMITs survive a real kill -9: a reopened store
+	// has a new epoch, hence a new verifier, and clients retransmit
+	// exactly the unstable data that may have been lost.
+	Epoch() uint64
+
+	// CrashRestart crashes for real: it drops all user-space buffered
+	// journal records and closes the journal without a final flush or
+	// sync — the kill -9 failure model — then reopens it, scans
+	// surviving records, and prepares a fresh Replay for the vfs to
+	// rebuild from.
+	CrashRestart() error
+
+	// A checkpoint bounds replay with an image. It is
+	// PrepareCheckpoint with mutations running, Checkpoint with them
+	// held off, FinishCheckpoint with them running again; the first
+	// and last exist so that the middle, the only part mutators wait
+	// for, is short. Checkpoint alone is a complete and correct
+	// checkpoint. The caller runs one checkpoint at a time.
+	//
+	// PrepareCheckpoint does ahead of time whatever of Checkpoint's
+	// work stays valid while mutations continue (syncing the journal,
+	// writing dirty content back). It changes nothing recovery reads
+	// differently: a crash during or after it recovers as if no
+	// checkpoint had begun. An error means no checkpoint was started.
+	PrepareCheckpoint() error
+	// Checkpoint writes a point-in-time image of the namespace (the
+	// node records the snapshot callback emits) plus the store's own
+	// content index, then compacts the journal up to the image's LSN.
+	// The caller owns quiescence: no LogMeta/Write/Truncate/Commit/
+	// Remove call may be in flight for the duration (the vfs holds its
+	// quiesce lock across the call). Concurrent ReadAt is allowed.
+	// snapshot must call emit once per live node; emit returns an
+	// error only on image-write failure, which aborts the checkpoint
+	// leaving the previous images and the full journal intact. nextID
+	// and nextCookie are the caller's allocation watermarks, persisted
+	// in the image so recovery never reuses an id (see Watermarks).
+	// The returned stats are the store's updated running view.
+	Checkpoint(nextID, nextCookie uint64, snapshot func(emit func(*NodeRecord) error) error) (CheckpointStats, error)
+	// FinishCheckpoint releases what the checkpoint displaced (disk
+	// space whose freeing is slow) after the caller has dropped
+	// quiescence, and returns the running view again with that time in
+	// DurationMS. Call it whether or not Checkpoint succeeded.
+	FinishCheckpoint() CheckpointStats
+	// WALSizeBytes reports the bytes appended to the live journal
+	// segment since the last checkpoint (or boot) — the
+	// bytes-since-checkpoint trigger for background checkpointing.
+	WALSizeBytes() uint64
+
+	// Watermarks returns the id/cookie allocation watermarks a
+	// checkpoint image persisted. Replaying only node records would
+	// under-estimate them (ids created and removed before the
+	// checkpoint vanish from the image, and ids are never reused), so
+	// the vfs folds these into its counters after Replay.
+	Watermarks() (nextID, nextCookie uint64)
+
+	// StorageStats exposes the store's observability counters, nil
+	// for a store that keeps none.
+	StorageStats() *Stats
 }
 
 // ReplayStats summarizes one boot-time recovery. With checkpointing
@@ -112,91 +188,6 @@ func mbps(bytes, nanos uint64) float64 {
 	return float64(bytes) / (1 << 20) / (float64(nanos) / 1e9)
 }
 
-// Epocher exposes the per-boot epoch a durable store persists in its
-// journal header. The vfs derives the NFS write verifier from it, so
-// acknowledged COMMITs survive a real kill -9: a reopened store has a
-// new epoch, hence a new verifier, and clients retransmit exactly the
-// unstable data that may have been lost.
-type Epocher interface {
-	Epoch() uint64
-}
-
-// CrashRestarter is implemented by durable stores that can crash for
-// real: CrashRestart drops all user-space buffered journal records and
-// closes the journal without a final flush or sync — the kill -9
-// failure model — then reopens it, scans surviving records, and
-// prepares a fresh Replay for the vfs to rebuild from.
-type CrashRestarter interface {
-	CrashRestart() error
-}
-
-// ClockedStore is implemented by durable stores that can attribute
-// their group-commit fsync wait to a request's stage clock. The
-// clocked variants behave exactly like WriteAt/Commit, additionally
-// charging the time this call spent waiting on the WAL sync to the
-// clock's fsync stage (stats.StageFsync). Callers pass a nil clock
-// when tracing is off; implementations must then behave identically
-// to the unclocked methods.
-type ClockedStore interface {
-	WriteAtClocked(id, off uint64, data []byte, stable bool, t int64, clk *stats.StageClock) error
-	CommitClocked(id uint64, clk *stats.StageClock) error
-}
-
-// Checkpointer is implemented by durable stores that can bound replay
-// with checkpoint images. A checkpoint is PrepareCheckpoint with
-// mutations running, Checkpoint with them held off, FinishCheckpoint
-// with them running again; the first and last exist so that the
-// middle, the only part mutators wait for, is short. Checkpoint alone
-// is a complete and correct checkpoint. The caller runs one checkpoint
-// at a time.
-//
-// PrepareCheckpoint does ahead of time whatever of Checkpoint's work
-// stays valid while mutations continue (syncing the journal, writing
-// dirty content back). It changes nothing recovery reads differently:
-// a crash during or after it recovers as if no checkpoint had begun.
-// An error means no checkpoint was started.
-//
-// Checkpoint writes a point-in-time image of the namespace (the node
-// records the snapshot callback emits) plus the store's own content
-// index, then compacts the journal up to the image's LSN. The caller
-// owns quiescence: no LogMeta/WriteAt/Truncate/Commit/
-// Remove call may be in flight for the duration (the vfs holds its
-// quiesce lock across the call). Concurrent ReadAt is allowed.
-// snapshot must call emit once per live node; emit returns an error
-// only on image-write failure, which aborts the checkpoint leaving
-// the previous images and the full journal intact. nextID and
-// nextCookie are the caller's allocation watermarks, persisted in the
-// image so recovery never reuses an id (see Watermarker). The
-// returned stats are the store's updated running view.
-//
-// FinishCheckpoint releases what the checkpoint displaced (disk space
-// whose freeing is slow) after the caller has dropped quiescence, and
-// returns the running view again with that time in DurationMS. Call it
-// whether or not Checkpoint succeeded.
-type Checkpointer interface {
-	PrepareCheckpoint() error
-	Checkpoint(nextID, nextCookie uint64, snapshot func(emit func(*NodeRecord) error) error) (CheckpointStats, error)
-	FinishCheckpoint() CheckpointStats
-	// WALSizeBytes reports the bytes appended to the live journal
-	// segment since the last checkpoint (or boot) — the
-	// bytes-since-checkpoint trigger for background checkpointing.
-	WALSizeBytes() uint64
-}
-
-// Watermarker is implemented by stores whose checkpoint images persist
-// the id/cookie allocation watermarks. Replaying only node records
-// would under-estimate them (ids created and removed before the
-// checkpoint vanish from the image, and ids are never reused), so the
-// vfs folds these into its counters after Replay.
-type Watermarker interface {
-	Watermarks() (nextID, nextCookie uint64)
-}
-
-// StatsReporter exposes a store's observability counters.
-type StatsReporter interface {
-	StorageStats() *Stats
-}
-
 // Stats is the JSON form of a durable store's counters, embedded in
 // the sfssd -stats document and in BENCH JSON counter blocks.
 type Stats struct {
@@ -223,7 +214,7 @@ type Stats struct {
 }
 
 // CheckpointStats describes a store's checkpointing activity. As the
-// return value of Checkpointer.Checkpoint it describes that one
+// return value of Store.Checkpoint it describes that one
 // checkpoint; inside Stats it is the running view (Count cumulative,
 // Bytes/DurationMS/StallMS from the most recent image,
 // WALTruncatedBytes cumulative journal bytes compacted away).

@@ -42,9 +42,9 @@ func dumpTree(fs *FS) string {
 		fmt.Fprintf(&b, "%d type=%d mode=%o uid=%d gid=%d size=%d nlink=%d at=%d mt=%d ct=%d parent=%d target=%q dead=%v",
 			n.id, a.Type, a.Mode, a.UID, a.GID, a.Size, a.Nlink,
 			a.Atime.UnixNano(), a.Mtime.UnixNano(), a.Ctime.UnixNano(), n.parent, n.target, n.dead)
-		if a.Type == TypeReg && a.Size > 0 && fs.blocks != nil { // like Read, never ask a store for an empty extent
+		if a.Type == TypeReg && a.Size > 0 && fs.store != nil { // like Read, never ask a store for an empty extent
 			p := make([]byte, a.Size)
-			if err := fs.blocks.ReadAt(uint64(n.id), 0, p); err != nil {
+			if err := fs.store.ReadAt(uint64(n.id), 0, p); err != nil {
 				fmt.Fprintf(&b, " content-err=%v", err)
 			}
 			fmt.Fprintf(&b, " crc=%08x", crc32.ChecksumIEEE(p))
@@ -130,7 +130,7 @@ func TestSetAttrsAllOrNothing(t *testing.T) {
 
 	t.Run("size on a directory", func(t *testing.T) {
 		cs := &captureStore{Store: memstore.New()}
-		fs, _ := NewWithStores(cs, cs)
+		fs, _ := NewWithStore(cs)
 		d, _, _ := fs.Mkdir(root, fs.Root(), "d", 0o755)
 		before, journaled := dumpTree(fs), len(cs.recs)
 		if _, err := fs.SetAttrs(root, d, sa); !errors.Is(err, ErrIsDir) {
@@ -143,7 +143,7 @@ func TestSetAttrsAllOrNothing(t *testing.T) {
 	})
 	t.Run("truncate fails", func(t *testing.T) {
 		cs := &failTruncate{captureStore{Store: memstore.New()}}
-		fs, _ := NewWithStores(cs, cs)
+		fs, _ := NewWithStore(cs)
 		f, _, _ := fs.Create(root, fs.Root(), "f", 0o644, true)
 		before, journaled := dumpTree(fs), len(cs.recs)
 		if _, err := fs.SetAttrs(root, f, sa); !errors.Is(err, ErrIO) {
@@ -313,7 +313,7 @@ func TestDifferentialLiveVersusReplay(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				fs, err := NewWithStores(ds, ds)
+				fs, err := NewWithStore(ds)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -340,7 +340,7 @@ func TestDifferentialLiveVersusReplay(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer ds.Close()
-				fs, err = NewWithStores(ds, ds)
+				fs, err = NewWithStore(ds)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -18,7 +18,7 @@ package vfs
 // and frees disk space after it is dropped.
 
 import (
-	"fmt"
+	"errors"
 	"log"
 	"sync"
 	"time"
@@ -28,22 +28,18 @@ import (
 
 // Checkpoint snapshots the tree into the durable store's checkpoint
 // image and compacts the journal. It returns the store's running
-// checkpoint counters. Fails on stores that do not checkpoint (the
-// in-memory default).
+// checkpoint counters. On the in-memory default it returns
+// storage.ErrVolatile and changes nothing.
 func (fs *FS) Checkpoint() (storage.CheckpointStats, error) {
-	ck, ok := fs.blocks.(storage.Checkpointer)
-	if !ok {
-		return storage.CheckpointStats{}, fmt.Errorf("vfs: store %T cannot checkpoint", fs.blocks)
-	}
 	fs.ckptMu.Lock()
 	defer fs.ckptMu.Unlock()
-	if err := ck.PrepareCheckpoint(); err != nil {
+	if err := fs.store.PrepareCheckpoint(); err != nil {
 		return storage.CheckpointStats{}, err
 	}
 	fs.quiesce.Lock()
-	_, err := ck.Checkpoint(fs.nextID.Load(), fs.nextCookie.Load(), fs.snapshotNodes)
+	_, err := fs.store.Checkpoint(fs.nextID.Load(), fs.nextCookie.Load(), fs.snapshotNodes)
 	fs.quiesce.Unlock()
-	st := ck.FinishCheckpoint()
+	st := fs.store.FinishCheckpoint()
 	if err != nil {
 		return storage.CheckpointStats{}, err
 	}
@@ -106,10 +102,9 @@ func (fs *FS) snapshotNodes(emit func(*storage.NodeRecord) error) error {
 // trigger) or when every has elapsed since the last checkpoint (0
 // disables the timer). The returned stop function halts the loop and
 // waits for any in-flight checkpoint to finish. On a store that
-// cannot checkpoint it is a no-op.
+// cannot checkpoint the loop ends at its first attempt, silently.
 func (fs *FS) StartAutoCheckpoint(walBytes uint64, every time.Duration) (stop func()) {
-	ck, ok := fs.blocks.(storage.Checkpointer)
-	if !ok || (walBytes == 0 && every == 0) {
+	if walBytes == 0 && every == 0 {
 		return func() {}
 	}
 	poll := 250 * time.Millisecond
@@ -134,7 +129,7 @@ func (fs *FS) StartAutoCheckpoint(walBytes uint64, every time.Duration) (stop fu
 				return
 			case <-tick.C:
 			}
-			if !(walBytes > 0 && ck.WALSizeBytes() >= walBytes) &&
+			if !(walBytes > 0 && fs.store.WALSizeBytes() >= walBytes) &&
 				!(every > 0 && time.Since(last) >= every) {
 				continue
 			}
@@ -143,7 +138,9 @@ func (fs *FS) StartAutoCheckpoint(walBytes uint64, every time.Duration) (stop fu
 			// from hot-looping the disk. The store counts failures in
 			// its checkpoint stats block; log here too (throttled) so a
 			// journal growing without bound is never silent.
-			if st, err := fs.Checkpoint(); err != nil {
+			if st, err := fs.Checkpoint(); errors.Is(err, storage.ErrVolatile) {
+				return
+			} else if err != nil {
 				fails++
 				if msg := err.Error(); msg != lastMsg || time.Since(lastWarn) >= time.Minute {
 					lastMsg, lastWarn = msg, time.Now()

@@ -6,11 +6,13 @@ package vfs
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/storage"
 	"repro/internal/storage/diskstore"
 )
 
@@ -360,8 +362,8 @@ func TestAutoCheckpointFires(t *testing.T) {
 // checkpoint; the API must say so instead of silently succeeding.
 func TestCheckpointOnMemstoreErrors(t *testing.T) {
 	fs := New()
-	if _, err := fs.Checkpoint(); err == nil {
-		t.Fatal("Checkpoint on memstore succeeded")
+	if _, err := fs.Checkpoint(); !errors.Is(err, storage.ErrVolatile) {
+		t.Fatalf("Checkpoint on memstore = %v, want storage.ErrVolatile", err)
 	}
 	stop := fs.StartAutoCheckpoint(1, time.Millisecond)
 	stop() // no-op, must not panic

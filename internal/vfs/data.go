@@ -1,7 +1,7 @@
 package vfs
 
 // The data path: Read, Write and Commit touch one node lock and the
-// BlockStore; the write verifier is how a reboot (Restart, replay.go)
+// store; the write verifier is how a reboot (Restart, replay.go)
 // is told to clients holding uncommitted data.
 
 import (
@@ -15,7 +15,7 @@ import (
 // other — proceed in parallel.
 //
 // The returned slice is a fresh snapshot no one else references:
-// store-level buffers mutate in place under writes (memstore WriteAt),
+// store-level buffers mutate in place under writes (memstore Write),
 // so this snapshot — not the store's backing array — is the stable
 // slice the wire path borrows into READ replies (DESIGN.md §12). This
 // copy is the one unavoidable touch between disk state and the wire.
@@ -44,7 +44,7 @@ func (fs *FS) Read(cred Cred, id FileID, off uint64, count uint32) ([]byte, bool
 	out := make([]byte, end-off)
 	// The copy is made under the node's read lock, which is what
 	// serializes it against writers per the storage contract.
-	if err := fs.blocks.ReadAt(uint64(n.id), off, out); err != nil {
+	if err := fs.store.ReadAt(uint64(n.id), off, out); err != nil {
 		n.mu.RUnlock()
 		return nil, false, ioErr(err)
 	}
@@ -59,9 +59,9 @@ func (fs *FS) Write(cred Cred, id FileID, off uint64, data []byte, sync bool) (A
 	return fs.WriteClocked(cred, id, off, data, sync, nil)
 }
 
-// WriteClocked is Write with a stage clock: on a durable store the
-// group-commit wait of a stable write is charged to clk's fsync stage
-// (storage.ClockedStore). A nil clk is exactly Write.
+// WriteClocked is Write with a stage clock: the store charges the
+// group-commit wait of a stable write to clk's fsync stage (always
+// zero on the in-memory store). A nil clk is exactly Write.
 func (fs *FS) WriteClocked(cred Cred, id FileID, off uint64, data []byte, sync bool, clk *stats.StageClock) (Attr, error) {
 	fs.quiesce.RLock()
 	defer fs.quiesce.RUnlock()
@@ -82,12 +82,7 @@ func (fs *FS) WriteClocked(cred Cred, id FileID, off uint64, data []byte, sync b
 	// every write is the same; diskstore journals the extent, returning
 	// immediately for unstable writes and after the group-committed
 	// fsync for stable ones.
-	if cs, ok := fs.blocks.(storage.ClockedStore); ok && clk != nil {
-		err = cs.WriteAtClocked(uint64(n.id), off, data, sync, now.UnixNano(), clk)
-	} else {
-		err = fs.blocks.WriteAt(uint64(n.id), off, data, sync, now.UnixNano())
-	}
-	if err != nil {
+	if err := fs.store.Write(uint64(n.id), off, data, sync, now.UnixNano(), clk); err != nil {
 		n.mu.Unlock()
 		return Attr{}, ioErr(err)
 	}
@@ -112,11 +107,7 @@ func (fs *FS) CommitClocked(id FileID, clk *stats.StageClock) error {
 	if err != nil {
 		return err
 	}
-	if cs, ok := fs.blocks.(storage.ClockedStore); ok && clk != nil {
-		err = cs.CommitClocked(uint64(n.id), clk)
-	} else {
-		err = fs.blocks.Commit(uint64(n.id))
-	}
+	err = fs.store.Commit(uint64(n.id), clk)
 	n.mu.Unlock()
 	if err != nil {
 		return ioErr(err)

@@ -44,9 +44,9 @@ func newDiskFS(t *testing.T, dir string, opts diskstore.Options) (*FS, *diskstor
 	if err != nil {
 		t.Fatalf("diskstore.Open: %v", err)
 	}
-	fs, err := NewWithStores(ds, ds)
+	fs, err := NewWithStore(ds)
 	if err != nil {
-		t.Fatalf("NewWithStores: %v", err)
+		t.Fatalf("NewWithStore: %v", err)
 	}
 	base := time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC)
 	var tick atomic.Int64 // concurrent writers stamp records in parallel

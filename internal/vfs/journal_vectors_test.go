@@ -16,11 +16,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/stats"
 	"repro/internal/storage"
 	"repro/internal/storage/memstore"
 )
 
-// captureStore is the in-memory store with every LogMeta and WriteAt
+// captureStore is the in-memory store with every LogMeta and Write
 // call recorded in its journal encoding.
 type captureStore struct {
 	*memstore.Store
@@ -34,11 +35,11 @@ func (c *captureStore) LogMeta(r *storage.MetaRecord) error {
 	return nil
 }
 
-func (c *captureStore) WriteAt(id, off uint64, data []byte, stable bool, t int64) error {
+func (c *captureStore) Write(id, off uint64, data []byte, stable bool, t int64, clk *stats.StageClock) error {
 	b := make([]byte, storage.DataLen(len(data)))
 	storage.PutData(b, &storage.DataRecord{ID: id, Off: off, Stable: stable, Time: t}, data)
 	c.recs = append(c.recs, hex.EncodeToString(b))
-	return c.Store.WriteAt(id, off, data, stable, t)
+	return c.Store.Write(id, off, data, stable, t, clk)
 }
 
 // tickClock returns a clock advancing one second per reading from a
@@ -229,7 +230,7 @@ func TestJournalVectors(t *testing.T) {
 		t.Fatal(err)
 	}
 	cs := &captureStore{Store: memstore.New()}
-	fs, err := NewWithStores(cs, cs)
+	fs, err := NewWithStore(cs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -122,7 +122,7 @@ func (fs *FS) newEntry(cred Cred, dir FileID, rec storage.MetaRecord, exclusive 
 			// Journal while d is still locked, so log order matches
 			// serialization order and the create precedes any record
 			// that references the new id.
-			err := fs.meta.LogMeta(&rec)
+			err := fs.store.LogMeta(&rec)
 			d.mu.Unlock()
 			if err != nil {
 				return 0, Attr{}, ioErr(err)
@@ -202,7 +202,7 @@ func (fs *FS) Link(cred Cred, file, dir FileID, name string) error {
 		Dir: uint64(d.id), Name: name, ID: uint64(n.id), Cookie: fs.cookie(),
 	}
 	applyLink(d, n, &rec)
-	logErr := fs.meta.LogMeta(&rec)
+	logErr := fs.store.LogMeta(&rec)
 	unlockAll(locked)
 	if logErr != nil {
 		return ioErr(logErr)
@@ -251,9 +251,9 @@ func (fs *FS) Remove(cred Cred, dir FileID, name string) error {
 		if fs.applyRemove(d, n, &rec) {
 			// Last link gone: release the content. Durability of the
 			// removal rides on the OpRemove record.
-			fs.blocks.Remove(uint64(n.id)) //nolint:errcheck
+			fs.store.Remove(uint64(n.id)) //nolint:errcheck
 		}
-		logErr := fs.meta.LogMeta(&rec)
+		logErr := fs.store.LogMeta(&rec)
 		d.mu.Unlock()
 		n.mu.Unlock()
 		if logErr != nil {
@@ -303,7 +303,7 @@ func (fs *FS) Rmdir(cred Cred, dir FileID, name string) error {
 			Dir: uint64(d.id), Name: name,
 		}
 		fs.applyRmdir(d, n, &rec)
-		logErr := fs.meta.LogMeta(&rec)
+		logErr := fs.store.LogMeta(&rec)
 		d.mu.Unlock()
 		n.mu.Unlock()
 		if logErr != nil {
@@ -446,9 +446,9 @@ func (fs *FS) Rename(cred Cred, fromDir FileID, fromName string, toDir FileID, t
 			ToDir: uint64(td.id), ToName: toName, ToCookie: fs.cookie(),
 		}
 		if fs.applyRename(fd, td, n, o, &rec) {
-			fs.blocks.Remove(uint64(o.id)) //nolint:errcheck
+			fs.store.Remove(uint64(o.id)) //nolint:errcheck
 		}
-		logErr := fs.meta.LogMeta(&rec)
+		logErr := fs.store.LogMeta(&rec)
 		unlockAll(locked)
 		if logErr != nil {
 			return ioErr(logErr)

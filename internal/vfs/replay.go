@@ -1,10 +1,10 @@
 package vfs
 
-// Journal replay: rebuilding the node tree from the MetadataStore's
-// surviving records. Replay is single-threaded and runs either before
-// the FS is published (NewWithStores) or against a private staging
-// tree that is swapped in under every shard lock (Restart), so it
-// looks nodes up by direct map access and takes no node lock.
+// Journal replay: rebuilding the node tree from the store's surviving
+// records. Replay is single-threaded and runs either before the FS is
+// published (NewWithStore) or against a private staging tree that is
+// swapped in under every shard lock (Restart), so it looks nodes up by
+// direct map access and takes no node lock.
 //
 // applyRecord changes nothing itself. It finds the nodes a record
 // names — refusing a record that names one the tree does not hold —
@@ -183,10 +183,10 @@ func (fs *FS) applyRecord(rec storage.Record) error {
 // The write verifier changes, so clients retransmit their uncommitted
 // unstable writes (RFC 1813 §4.8).
 //
-// Only a store that implements storage.CrashRestarter can crash apart
-// from its process. On any other store Restart returns an error and
-// changes nothing. A store that fails to reopen returns its error, and
-// the file system has nothing left to serve.
+// Only a durable store can crash apart from its process. The
+// in-memory store's CrashRestart returns storage.ErrVolatile, which
+// Restart returns having changed nothing. A store that fails to reopen
+// returns its error, and the file system has nothing left to serve.
 //
 // Restart is not atomic against in-flight writes — neither is a real
 // crash. Operations holding pre-crash node pointers mutate orphans,
@@ -196,25 +196,17 @@ func (fs *FS) applyRecord(rec storage.Record) error {
 // fact have survived: a redundant retransmission, never a silently
 // dropped stability promise.
 func (fs *FS) Restart() error {
-	cr, ok := fs.blocks.(storage.CrashRestarter)
-	if !ok {
-		return fmt.Errorf("vfs: store %T cannot crash and restart", fs.blocks)
-	}
-	rp, ok := fs.meta.(storage.Replayer)
-	if !ok {
-		return fmt.Errorf("vfs: store %T crashes but cannot replay", fs.meta)
-	}
 	// Exclusive against mutators AND checkpoints: a checkpoint
 	// snapshotting the tree mid-swap would publish a half-restarted
 	// image.
 	fs.quiesce.Lock()
 	defer fs.quiesce.Unlock()
-	if err := cr.CrashRestart(); err != nil {
+	if err := fs.store.CrashRestart(); err != nil {
 		return err
 	}
-	staging := &FS{clock: fs.clock, meta: fs.meta, blocks: fs.blocks}
+	staging := &FS{clock: fs.clock, store: fs.store}
 	staging.initTree()
-	st, err := rp.Replay(staging.applyRecord)
+	st, err := fs.store.Replay(staging.applyRecord)
 	if err != nil {
 		return err
 	}

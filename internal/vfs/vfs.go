@@ -11,14 +11,14 @@
 // # Storage
 //
 // The node tree holds the namespace and attributes; bytes and their
-// durability belong to a storage backend behind two narrow interfaces
-// (see internal/storage): a MetadataStore that journals every
-// namespace/attribute mutation, and a BlockStore that holds file
-// content. New uses storage/memstore — the original in-memory
-// behavior, where journaling is a no-op — while NewWithStores accepts
-// a durable pair such as storage/diskstore, whose write-ahead log is
-// replayed here at open to rebuild the tree and whose boot epoch
-// becomes the NFS write verifier (DESIGN.md §11).
+// durability belong to one storage.Store (see internal/storage), which
+// journals every namespace/attribute mutation and holds file content.
+// The file system calls it and never asks what it is. New uses
+// storage/memstore — the original in-memory behavior, where journaling
+// is a no-op and there is nothing to replay — while NewWithStore
+// accepts any store, such as storage/diskstore, whose write-ahead log
+// is replayed here at open to rebuild the tree. Either store's boot
+// epoch becomes the NFS write verifier (DESIGN.md §11).
 //
 // # Concurrency
 //
@@ -169,7 +169,7 @@ type dirent struct {
 // node is one inode. Its mu guards every field below it; id is
 // immutable. dead marks a node whose last link is gone (or whose
 // removal is committed) — operations that find it set return ErrStale.
-// Regular-file content lives in the FS's BlockStore, keyed by id;
+// Regular-file content lives in the FS's store, keyed by id;
 // attr.Size is the authoritative length and the node lock serializes
 // all store calls for the id (the storage concurrency contract).
 type node struct {
@@ -192,10 +192,8 @@ type FS struct {
 	nextID     atomic.Uint64
 	nextCookie atomic.Uint64
 	clock      func() time.Time
-	// meta journals namespace/attr mutations; blocks holds file
-	// content. For durable backends both are one object (diskstore).
-	meta   storage.MetadataStore
-	blocks storage.BlockStore
+	// store journals namespace/attr mutations and holds file content.
+	store storage.Store
 	// replayed records the journal replay done at open, for figures.
 	replayed storage.ReplayStats
 	// verf is the write verifier of the current "boot" (RFC 1813
@@ -222,21 +220,12 @@ type FS struct {
 	renameMu sync.Mutex
 }
 
-// bootCount disambiguates verifiers minted within one clock tick.
-var bootCount atomic.Uint64
-
-// newVerf mints a boot verifier. A durable store's WAL epoch is
-// authoritative — it survives the crash that invalidated the old
+// newVerf mints a boot verifier from the store's epoch. A durable
+// store's WAL epoch survives the crash that invalidated the old
 // verifier, so replayed clients and a reopened server agree without
-// any wall-clock read. The in-memory store, which mints one only at
-// boot, mixes the file system's clock with a boot counter, so two file
-// systems made within one clock tick still differ.
-func (fs *FS) newVerf() uint64 {
-	if ep, ok := fs.blocks.(storage.Epocher); ok {
-		return mix64(ep.Epoch())
-	}
-	return uint64(fs.clock().UnixNano()) ^ bootCount.Add(1)<<48
-}
+// any wall-clock read; the in-memory store draws a random epoch when
+// it is made, so two file systems made back to back still differ.
+func (fs *FS) newVerf() uint64 { return mix64(fs.store.Epoch()) }
 
 // mix64 is the splitmix64 finalizer: a bijection spreading small
 // epochs across the verifier space.
@@ -250,34 +239,37 @@ func mix64(x uint64) uint64 {
 // New returns an empty file system over the in-memory store, whose
 // root directory is owned by rootUID/rootGID with mode 0755.
 func New() *FS {
-	ms := memstore.New()
-	fs, err := NewWithStores(ms, ms)
+	fs, err := NewWithStore(memstore.New())
 	if err != nil {
 		panic("vfs: in-memory store cannot fail: " + err.Error())
 	}
 	return fs
 }
 
-// NewWithStores returns a file system whose namespace mutations are
-// journaled through meta and whose file content lives in blocks. If
-// the stores are durable (meta implements storage.Replayer), the
-// surviving journal is replayed to rebuild the tree before the file
-// system is returned, and the write verifier derives from the
-// store's boot epoch. Durable backends must pass one object as both
-// halves (journal order must cover both namespaces and content).
-func NewWithStores(meta storage.MetadataStore, blocks storage.BlockStore) (*FS, error) {
-	fs := &FS{clock: time.Now, meta: meta, blocks: blocks}
+// NewWithStore returns a file system over s. The store's surviving
+// journal is replayed to rebuild the tree before the file system is
+// returned (nothing, on the in-memory store), and the write verifier
+// derives from the store's boot epoch.
+func NewWithStore(s storage.Store) (*FS, error) {
+	fs := &FS{clock: time.Now, store: s}
 	fs.initTree()
-	if rp, ok := meta.(storage.Replayer); ok {
-		st, err := rp.Replay(fs.applyRecord)
-		if err != nil {
-			return nil, err
-		}
-		fs.replayed = st
+	st, err := s.Replay(fs.applyRecord)
+	if err != nil {
+		return nil, err
 	}
+	fs.replayed = st
 	fs.foldWatermarks()
 	fs.verf.Store(fs.newVerf())
 	return fs, nil
+}
+
+// NewWithStores is NewWithStore for benchmark/stack.go, which still
+// passes its one store twice; two different stores are an error.
+func NewWithStores(meta, blocks storage.Store) (*FS, error) {
+	if meta != blocks {
+		return nil, errors.New("vfs: the metadata and block stores must be one store")
+	}
+	return NewWithStore(meta)
 }
 
 // foldWatermarks raises the id and cookie counters to the store's
@@ -286,11 +278,9 @@ func NewWithStores(meta storage.MetadataStore, blocks storage.BlockStore) (*FS, 
 // neither the image nor the tail, and reusing one would resurrect
 // stale NFS file handles.
 func (fs *FS) foldWatermarks() {
-	if wm, ok := fs.meta.(storage.Watermarker); ok {
-		id, cookie := wm.Watermarks()
-		fs.noteID(id)
-		fs.noteCookie(cookie)
-	}
+	id, cookie := fs.store.Watermarks()
+	fs.noteID(id)
+	fs.noteCookie(cookie)
 }
 
 // initTree builds the empty shard table and the root directory. The
@@ -320,15 +310,10 @@ func (fs *FS) initTree() {
 // recent open or crash-restart (zero for the in-memory store).
 func (fs *FS) LastReplay() storage.ReplayStats { return fs.replayed }
 
-// StorageStats returns the durable store's counters, or nil for the
-// in-memory default — callers embed it with omitempty so memstore
-// deployments keep their exact pre-refactor stats documents.
-func (fs *FS) StorageStats() *storage.Stats {
-	if sr, ok := fs.blocks.(storage.StatsReporter); ok {
-		return sr.StorageStats()
-	}
-	return nil
-}
+// StorageStats returns the store's counters, nil for the in-memory
+// default — callers embed it with omitempty so memstore deployments
+// keep their exact pre-refactor stats documents.
+func (fs *FS) StorageStats() *storage.Stats { return fs.store.StorageStats() }
 
 // Root returns the FileID of the root directory.
 func (fs *FS) Root() FileID { return fs.root }
@@ -443,7 +428,7 @@ func (fs *FS) setAttr(n *node, sa SetAttr) (Attr, error) {
 	}
 	if sa.Size != nil {
 		// Truncate is a synchronous, stable update.
-		if err := fs.blocks.Truncate(uint64(n.id), *sa.Size); err != nil {
+		if err := fs.store.Truncate(uint64(n.id), *sa.Size); err != nil {
 			return Attr{}, ioErr(err)
 		}
 		rec.SetMask |= storage.SetSize | storage.SetMtime
@@ -460,7 +445,7 @@ func (fs *FS) setAttr(n *node, sa SetAttr) (Attr, error) {
 	}
 	applySetAttr(n, &rec)
 	a := attrOf(n)
-	if err := fs.meta.LogMeta(&rec); err != nil {
+	if err := fs.store.LogMeta(&rec); err != nil {
 		return Attr{}, ioErr(err)
 	}
 	return a, nil

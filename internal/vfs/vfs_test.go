@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/storage"
 	"repro/internal/storage/diskstore"
 )
 
@@ -620,16 +621,25 @@ func TestCommitSurvivesRestart(t *testing.T) {
 }
 
 // TestRestartNeedsACrashableStore: the in-memory store cannot crash
-// apart from its process, so Restart refuses it and leaves the
-// verifier alone.
+// apart from its process, so Restart refuses it with
+// storage.ErrVolatile and leaves the verifier alone.
 func TestRestartNeedsACrashableStore(t *testing.T) {
 	fs := New()
 	v := fs.Verifier()
-	if err := fs.Restart(); err == nil {
-		t.Fatal("Restart on the in-memory store returned nil")
+	if err := fs.Restart(); !errors.Is(err, storage.ErrVolatile) {
+		t.Fatalf("Restart on the in-memory store = %v, want storage.ErrVolatile", err)
 	}
 	if fs.Verifier() != v {
 		t.Fatal("a refused Restart changed the verifier")
+	}
+}
+
+// TestVerifiersDifferAcrossFileSystems: two in-memory file systems
+// made back to back are two boots, and a client that moves from one to
+// the other must see the verifier change.
+func TestVerifiersDifferAcrossFileSystems(t *testing.T) {
+	if a, b := New().Verifier(), New().Verifier(); a == b {
+		t.Fatalf("two file systems share the verifier %#x", a)
 	}
 }
 

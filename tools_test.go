@@ -348,7 +348,6 @@ func TestNoProcessWideCounters(t *testing.T) {
 		"internal/secchan: chanStats":    "sfssd's /stats serves its snapshot (cmd/sfssd/main.go)",
 		"internal/server: heapHigh":      "a process property: the heap belongs to the process, not to a stack",
 		"internal/server: goroutineHigh": "a process property: goroutines belong to the process, not to a stack",
-		"internal/vfs: bootCount":        "uniqueness across every FS in the process is its purpose",
 		"internal/xdr: poisonOnPut":      "the XDR_POISON debug mode, fixed from the environment at start-up",
 	}
 	type named struct {

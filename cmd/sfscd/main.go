@@ -30,9 +30,10 @@
 // -v reports each command's wall time and how many RPCs it cost.
 // -stats ADDR serves the same counters as JSON at http://ADDR/stats.
 // -quiet turns off the single-line dial/close connection log.
-// -trace records a per-RPC stage span for every mount's calls;
-// -trace-ring N sizes the span ring and -trace-slow DUR logs a
-// one-line stage waterfall for RPCs slower than DUR (DESIGN.md §13).
+// -trace records a per-RPC stage span for every mount's calls into a
+// ring of the last 256 and per-stage histograms; -trace-slow DUR
+// (which implies -trace) logs a one-line stage waterfall for RPCs
+// slower than DUR (DESIGN.md §13).
 package main
 
 import (
@@ -101,16 +102,16 @@ func main() {
 	statsAddr := flag.String("stats", "", "serve JSON counters and pprof on this address")
 	quiet := flag.Bool("quiet", false, "suppress per-connection dial/close logging")
 	trace := flag.Bool("trace", false, "record per-RPC stage spans and latency histograms")
-	traceRing := flag.Int("trace-ring", 256, "capacity of the per-mount trace ring")
 	traceSlow := flag.Duration("trace-slow", 0, "log a stage waterfall for RPCs slower than this (implies -trace)")
 	var links, certpaths listFlag
 	flag.Var(&links, "link", "agent symlink NAME=TARGET (repeatable)")
 	flag.Var(&certpaths, "certpath", "certification path directory (repeatable)")
 	flag.Parse()
 
+	log.SetPrefix("sfscd: ") // connection and slow-rpc lines
 	var connLog func(format string, args ...interface{})
 	if !*quiet {
-		connLog = log.New(os.Stderr, "sfscd: ", log.LstdFlags).Printf
+		connLog = log.Printf
 	}
 
 	addrs := map[string]string{}
@@ -140,9 +141,8 @@ func main() {
 		EnhancedCaching: true,
 	}
 	if *trace || *traceSlow > 0 {
-		cfg.TraceSpans = *traceRing
+		cfg.TraceSpans = stats.TraceSpans
 		cfg.TraceSlow = *traceSlow
-		cfg.TraceLogf = log.New(os.Stderr, "sfscd: ", log.LstdFlags).Printf
 	}
 	cl, err := client.New(cfg)
 	if err != nil {

@@ -40,10 +40,10 @@
 //
 // -trace records a per-RPC stage span (encode, seal, queue, dispatch,
 // vfs, fsync, reply) for every file RPC; the per-stage log2 histograms
-// with derived p50/p95/p99 appear under "nfs" in the stats endpoint.
-// -trace-ring N sizes the in-memory span ring (default 256) and
-// -trace-slow DUR logs a one-line stage waterfall for any RPC slower
-// than DUR (DESIGN.md §13).
+// with derived p50/p95/p99, and the last 256 spans, appear under "nfs"
+// in the stats endpoint. -trace-slow DUR (which implies -trace) logs a
+// one-line stage waterfall for any RPC slower than DUR (DESIGN.md
+// §13); -quiet silences it with the connection log.
 //
 // Connection admission (DESIGN.md §14): full key negotiations run on
 // a bounded worker pool — -hs-workers (default NumCPU) with
@@ -95,7 +95,6 @@ func main() {
 	statsAddr := flag.String("stats", "", "serve JSON counters and pprof on this address")
 	quiet := flag.Bool("quiet", false, "suppress per-connection accept/close logging")
 	trace := flag.Bool("trace", false, "record per-RPC stage spans and latency histograms")
-	traceRing := flag.Int("trace-ring", 256, "capacity of the xid-tagged trace ring")
 	traceSlow := flag.Duration("trace-slow", 0, "log a stage waterfall for RPCs slower than this (implies -trace)")
 	hsTimeout := flag.Duration("handshake-timeout", 5*time.Second, "deadline for key negotiation (0 disables)")
 	hsWorkers := flag.Int("hs-workers", 0, "negotiation pool size for full handshakes (0 = NumCPU)")
@@ -181,7 +180,7 @@ func main() {
 		Location: *location, Key: key, FS: fsys, Auth: auth, LeaseMS: uint32(*lease),
 	}
 	if *trace || *traceSlow > 0 {
-		srvCfg.TraceSpans = *traceRing
+		srvCfg.TraceSpans = stats.TraceSpans
 		srvCfg.TraceSlow = *traceSlow
 	}
 	if _, err := master.Serve(srvCfg); err != nil {

@@ -79,16 +79,13 @@ type Config struct {
 	// by the libsfs "%name" convention: when client and server
 	// agree on an ID's name, the percent prefix is dropped.
 	LocalUsers map[uint32]string
-	// TraceSpans, when > 0, enables per-RPC stage tracing on every
-	// mount with a span ring of that capacity.
+	// TraceSpans > 0 traces every mount's RPCs into a ring of its own
+	// (stats.TraceSpans spans, whatever the value).
 	TraceSpans int
-	// TraceSlow emits a one-line stage waterfall through TraceLogf for
-	// every traced RPC slower than this. It needs TraceSpans > 0; zero
-	// disables the slow log.
+	// TraceSlow logs a one-line stage waterfall through the standard
+	// logger for every traced RPC slower than this. It needs
+	// TraceSpans > 0; zero disables the slow log.
 	TraceSlow time.Duration
-	// TraceLogf receives slow-span log lines; nil falls back to the
-	// standard logger.
-	TraceLogf func(format string, args ...interface{})
 }
 
 // mount is one automounted remote file system: read-write over a
@@ -98,6 +95,8 @@ type mount struct {
 	base *nfs.Client
 	info *secchan.Info
 	root nfs.FH
+	// trace holds the mount's RPC spans; nil when untraced.
+	trace *stats.TraceRing
 	// ro is set for read-only mounts; base/info are then nil and
 	// every user shares the one verified view.
 	ro *roView
@@ -284,26 +283,17 @@ func (c *Client) getMount(p core.Path) (*mount, error) {
 		UseLeases:      c.cfg.EnhancedCaching,
 		AccessCache:    c.cfg.EnhancedCaching,
 		DataCacheBytes: c.cfg.DataCacheBytes,
-		TraceSpans:     c.cfg.TraceSpans,
+	}
+	if c.cfg.TraceSpans > 0 {
+		clCfg.Trace = stats.NewTraceRing(c.cfg.TraceSlow, nfs.SlowRPCLog(p.Location, log.Printf))
 	}
 	base := nfs.Dial(sec, clCfg)
-	if ring := base.TraceRing(); ring != nil && c.cfg.TraceSlow > 0 {
-		logf := c.cfg.TraceLogf
-		if logf == nil {
-			logf = log.Printf
-		}
-		loc := p.Location
-		ring.SetSlowLog(c.cfg.TraceSlow, func(sp stats.Span) {
-			logf("slow rpc: server=%s proc=%s xid=%d principal=%d bytes=%d total=%dus %s",
-				loc, nfs.ProcName(sp.Proc), sp.XID, sp.Principal, sp.Bytes, sp.DurUS, sp.Waterfall())
-		})
-	}
 	root, _, err := base.MountRoot()
 	if err != nil {
 		base.Close()
 		return nil, err
 	}
-	m = &mount{path: p.Root(), base: base, info: info, root: root, io: &c.io, users: make(map[string]*nfs.Client)}
+	m = &mount{path: p.Root(), base: base, info: info, root: root, trace: clCfg.Trace, io: &c.io, users: make(map[string]*nfs.Client)}
 	c.mu.Lock()
 	if info.Ticket != nil {
 		c.tickets[p.HostID] = info.Ticket

@@ -125,8 +125,9 @@ func (c *Client) mountStats() []MountStats {
 		st.DataHits, st.DataMisses, st.DataBytesCached = s.DataHits, s.DataMisses, s.DataBytesCached
 		st.DataEvictions, st.SingleFlightShared = s.Evictions, s.SingleFlightShared
 		st.CacheLocks, st.CacheContended = s.CacheLocks, s.CacheContended
-		if m.base != nil {
-			st.Stages = m.base.StageSnapshot()
+		if m.trace != nil {
+			stages := m.trace.Stages()
+			st.Stages = &stages
 		}
 		out = append(out, st)
 	}

@@ -31,10 +31,10 @@ type ClientConfig struct {
 	DataCacheBytes int64
 	// Auth supplies per-call credentials; nil means anonymous.
 	Auth func() sunrpc.OpaqueAuth
-	// TraceSpans, when > 0, enables client-side RPC stage tracing with
-	// a span ring of that capacity (see stats.StageClock). Off (0), the
-	// per-call cost is a single atomic load.
-	TraceSpans int
+	// Trace receives a span for every call the client makes (see
+	// stats.StageClock); nil calls untraced, at the cost of one nil
+	// check per call. Callbacks from the server are never traced.
+	Trace *stats.TraceRing
 }
 
 // Stats counts the RPCs that actually crossed the wire, and the cache
@@ -99,10 +99,6 @@ const minSweep = 256
 type clientCore struct {
 	cfg  ClientConfig
 	peer *sunrpc.Client
-	// traceRing/traceStages are the client-side tracing sinks (nil
-	// unless ClientConfig.TraceSpans > 0).
-	traceRing   *stats.TraceRing
-	traceStages *stats.StageSet
 
 	mu   sync.RWMutex
 	recs map[string]*record // keyed by handle
@@ -251,29 +247,12 @@ func Dial(conn io.ReadWriteCloser, cfg ClientConfig) *Client {
 		core.invals.Add(1)
 		return StatusRes{Status: OK}, nil
 	})
-	core.peer = sunrpc.NewPeer(conn, cb)
-	if cfg.TraceSpans > 0 {
-		core.traceRing, core.traceStages = core.peer.EnableTrace(cfg.TraceSpans)
-	}
+	core.peer = sunrpc.NewPeer(conn, cb, cfg.Trace)
 	auth := cfg.Auth
 	if auth == nil {
 		auth = sunrpc.NoAuth
 	}
 	return &Client{core: core, principal: "", auth: auth}
-}
-
-// TraceRing returns the client-side span ring, or nil when tracing is
-// off. The caller may attach a slow-span log to it (TraceRing.SetSlowLog).
-func (c *Client) TraceRing() *stats.TraceRing { return c.core.traceRing }
-
-// StageSnapshot returns the client-side per-stage latency histograms,
-// or nil when tracing is off.
-func (c *Client) StageSnapshot() *stats.StageSetSnapshot {
-	if c.core.traceStages == nil {
-		return nil
-	}
-	s := c.core.traceStages.Snapshot()
-	return &s
 }
 
 // WithAuth returns a view of the same connection for another

@@ -48,6 +48,17 @@ func ProcName(proc uint32) string {
 	return "proc" + strconv.FormatUint(uint64(proc), 10)
 }
 
+// SlowRPCLog returns the slow-span log of a trace ring (see
+// stats.NewTraceRing): one line per slow RPC through logf, naming the
+// file system's location, the procedure, the xid and the span's stage
+// waterfall. Server and client daemons log the same line.
+func SlowRPCLog(location string, logf func(format string, args ...interface{})) func(stats.Span) {
+	return func(sp stats.Span) {
+		logf("slow rpc: location=%s proc=%s xid=%d principal=%d bytes=%d total=%dus %s",
+			location, ProcName(sp.Proc), sp.XID, sp.Principal, sp.Bytes, sp.DurUS, sp.Waterfall())
+	}
+}
+
 func slotFor(proc uint32) int {
 	switch {
 	case proc < numStdProcs:
@@ -106,13 +117,10 @@ type ServerMetrics struct {
 	rpc *sunrpc.Metrics // shared with every session's RPC server
 }
 
-func newServerMetrics(traceSpans int) *ServerMetrics {
-	if traceSpans <= 0 {
-		traceSpans = 256
-	}
+func newServerMetrics(trace *stats.TraceRing) *ServerMetrics {
 	return &ServerMetrics{
 		pending: make(map[vfs.FileID]uint64),
-		rpc:     sunrpc.NewMetricsSized(traceSpans),
+		rpc:     &sunrpc.Metrics{Trace: trace},
 	}
 }
 
@@ -230,7 +238,3 @@ func (s *Server) StatsSnapshot() ServerStats {
 	}
 	return st
 }
-
-// RPCMetrics exposes the transport metrics block shared by the
-// server's sessions (e.g. to enable trace-span recording).
-func (s *Server) RPCMetrics() *sunrpc.Metrics { return s.met.rpc }

@@ -6,9 +6,11 @@ import (
 	"net"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/stats"
 	"repro/internal/storage/diskstore"
 	"repro/internal/storage/wal"
 	"repro/internal/sunrpc"
@@ -605,5 +607,55 @@ func testWriteVerifier(t *testing.T, fs *vfs.FS) {
 	}
 	if got, _, err := cl.Read(fh, 0, 100); err != nil || string(got) != "after!" {
 		t.Fatalf("committed data after a second restart: %q (err=%v)", got, err)
+	}
+}
+
+// timedConn is a pipe end that counts TimeWork calls: the RPC layer
+// starts a transport's work timing only on a traced connection.
+type timedConn struct {
+	net.Conn
+	timed atomic.Int32
+}
+
+func (c *timedConn) TimeWork()         { c.timed.Add(1) }
+func (c *timedConn) SealWorkNS() int64 { return 0 }
+func (c *timedConn) OpenWorkNS() int64 { return 0 }
+
+// TestDialTracesOnlyWhatItIsTold: the callback server Dial builds is
+// untraced, so an untraced Dial times nothing even while it answers a
+// callback, and a traced one times its connection once and files no
+// span for the callback.
+func TestDialTracesOnlyWhatItIsTold(t *testing.T) {
+	for _, traced := range []bool{false, true} {
+		a, b := net.Pipe()
+		conn := &timedConn{Conn: a}
+		var ring *stats.TraceRing
+		if traced {
+			ring = stats.NewTraceRing(0, nil)
+		}
+		cl := Dial(conn, ClientConfig{UseLeases: true, Auth: rootAuth, Trace: ring})
+		srvEnd := sunrpc.NewClient(b)
+		// Two callbacks in series: a worker files a span after writing
+		// its reply, and the second call waits for the worker that
+		// answered the first, so its reply comes after the first span
+		// would have been filed.
+		for i := 0; i < 2; i++ {
+			var res StatusRes
+			if err := srvEnd.Call(Program, Version, ProcInvalidate, sunrpc.NoAuth(), InvalidateArgs{FH: FH("fh")}, &res); err != nil || res.Status != OK {
+				t.Fatalf("traced=%v: callback answered %+v, %v", traced, res, err)
+			}
+		}
+		want := int32(0)
+		if traced {
+			want = 1
+		}
+		if got := conn.timed.Load(); got != want {
+			t.Fatalf("traced=%v: connection timing started %d times, want %d", traced, got, want)
+		}
+		if n := ring.Snapshot().Recorded; n != 0 {
+			t.Fatalf("traced=%v: the callback filed %d spans", traced, n)
+		}
+		cl.Close()
+		srvEnd.Close()
 	}
 }

@@ -69,8 +69,9 @@ type ServerConfig struct {
 	// IDNames maps a numeric user/group ID to a name for the libsfs
 	// mapping service (paper §3.3). Nil disables the service.
 	IDNames func(uid uint32, group bool) string
-	// TraceSpans sizes the xid-tagged trace ring; 0 means 256.
-	TraceSpans int
+	// Trace receives a span for every call served on any session; nil
+	// serves untraced.
+	Trace *stats.TraceRing
 }
 
 // maxTransfer bounds the data one READ returns and one WRITE may carry.
@@ -134,7 +135,7 @@ func NewServer(fs *vfs.FS, cfg ServerConfig) *Server {
 		creds:    cfg.Creds,
 		maxIO:    maxTransfer,
 		sessions: make(map[*Session]struct{}),
-		met:      newServerMetrics(cfg.TraceSpans),
+		met:      newServerMetrics(cfg.Trace),
 	}
 	for i := range s.leases {
 		s.leases[i].m = make(map[vfs.FileID]map[*Session]time.Time)
@@ -185,7 +186,7 @@ func (s *Server) ServeConnWith(conn io.ReadWriteCloser, setup func(rpc *sunrpc.S
 	if setup != nil {
 		setup(rpc, sess)
 	}
-	sess.peer = sunrpc.NewPeer(conn, rpc)
+	sess.peer = sunrpc.NewPeer(conn, rpc, nil)
 	close(sess.ready)
 	s.mu.Lock()
 	s.sessions[sess] = struct{}{}

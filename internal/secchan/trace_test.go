@@ -3,6 +3,7 @@ package secchan
 import (
 	"testing"
 
+	"repro/internal/stats"
 	"repro/internal/sunrpc"
 	"repro/internal/xdr"
 )
@@ -48,8 +49,8 @@ func TestSealPathStageTimingZeroAlloc(t *testing.T) {
 }
 
 // TestWorkTimingIsPerConnection: tracing one connection times that
-// connection's channels and no other. A traced pair (a client with a
-// trace ring, a server whose ring is on) and an untraced pair run side
+// connection's channels and no other. A traced pair (a client and a
+// server each built with a trace ring) and an untraced pair run side
 // by side; the untraced channels' ledgers stay at zero.
 func TestWorkTimingIsPerConnection(t *testing.T) {
 	echo := func(proc uint32, _ sunrpc.OpaqueAuth, args *xdr.Decoder) (interface{}, error) {
@@ -63,13 +64,14 @@ func TestWorkTimingIsPerConnection(t *testing.T) {
 		cc, sc, _, _ = handshakePair(t, seed)
 		srv := sunrpc.NewServer()
 		srv.Register(7, 1, echo)
-		srv.Metrics().Trace.SetEnabled(traced)
-		go srv.ServeConn(sc) //nolint:errcheck
-		cl := sunrpc.NewClient(cc)
-		t.Cleanup(func() { cl.Close() })
+		var trace *stats.TraceRing
 		if traced {
-			cl.EnableTrace(16)
+			srv.SetMetrics(&sunrpc.Metrics{Trace: stats.NewTraceRing(0, nil)})
+			trace = stats.NewTraceRing(0, nil)
 		}
+		go srv.ServeConn(sc) //nolint:errcheck
+		cl := sunrpc.NewPeer(cc, nil, trace)
+		t.Cleanup(func() { cl.Close() })
 		for i := 0; i < 4; i++ {
 			var out string
 			if err := cl.Call(7, 1, 0, sunrpc.NoAuth(), "timed?", &out); err != nil {

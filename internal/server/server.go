@@ -110,8 +110,8 @@ type ServedConfig struct {
 	// in the clear. Clients must mount with client.Config.NoEncryption;
 	// a mismatch fails the channel's first record.
 	NoEncryption bool
-	// TraceSpans > 0 enables per-RPC stage tracing with an xid-tagged
-	// span ring of this capacity.
+	// TraceSpans > 0 enables per-RPC stage tracing into an xid-tagged
+	// span ring (stats.TraceSpans spans, whatever the value).
 	TraceSpans int
 	// TraceSlow logs a one-line stage waterfall through the master's
 	// logger for every traced RPC slower than this. It needs
@@ -239,27 +239,18 @@ func (s *Server) Serve(cfg ServedConfig) (core.Path, error) {
 	}
 	sfs := &servedFS{cfg: cfg, path: path}
 	nfsCfg := nfs.ServerConfig{
-		LeaseMS:    cfg.LeaseMS,
-		Callbacks:  cfg.LeaseMS > 0,
-		Codec:      codec,
-		Creds:      func(sunrpc.OpaqueAuth) vfs.Cred { return vfs.Anonymous },
-		TraceSpans: cfg.TraceSpans,
+		LeaseMS:   cfg.LeaseMS,
+		Callbacks: cfg.LeaseMS > 0,
+		Codec:     codec,
+		Creds:     func(sunrpc.OpaqueAuth) vfs.Cred { return vfs.Anonymous },
 	}
 	if cfg.Auth != nil {
 		nfsCfg.IDNames = cfg.Auth.NameOfID
 	}
-	sfs.nfss = nfs.NewServer(cfg.FS, nfsCfg)
 	if cfg.TraceSpans > 0 {
-		ring := sfs.nfss.RPCMetrics().Trace
-		ring.SetEnabled(true)
-		if cfg.TraceSlow > 0 {
-			loc := cfg.Location
-			ring.SetSlowLog(cfg.TraceSlow, func(sp stats.Span) {
-				s.logConn("slow rpc: location=%s proc=%s xid=%d principal=%d bytes=%d total=%dus %s",
-					loc, nfs.ProcName(sp.Proc), sp.XID, sp.Principal, sp.Bytes, sp.DurUS, sp.Waterfall())
-			})
-		}
+		nfsCfg.Trace = stats.NewTraceRing(cfg.TraceSlow, nfs.SlowRPCLog(cfg.Location, s.logConn))
 	}
+	sfs.nfss = nfs.NewServer(cfg.FS, nfsCfg)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, dup := s.byHost[path.HostID]; dup {

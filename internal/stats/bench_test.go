@@ -64,19 +64,10 @@ func BenchmarkStatsHistogramObserveParallel(b *testing.B) {
 	})
 }
 
-func BenchmarkStatsTraceRecordEnabled(b *testing.B) {
-	ring := NewTraceRing(256)
-	ring.SetEnabled(true)
+func BenchmarkStatsTraceRecord(b *testing.B) {
+	ring := NewTraceRing(0, nil)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		ring.Record(Span{XID: uint32(i), Prog: 100003, Proc: 7, DurUS: 120})
-	}
-}
-
-func BenchmarkStatsTraceRecordDisabled(b *testing.B) {
-	ring := NewTraceRing(256)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ring.Record(Span{XID: uint32(i)})
+		ring.Record(&Span{XID: uint32(i), Prog: 100003, Proc: 7, DurUS: 120})
 	}
 }

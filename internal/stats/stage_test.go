@@ -108,30 +108,34 @@ func TestSpanWaterfall(t *testing.T) {
 }
 
 // The ring must wrap: after more records than capacity, the snapshot
-// holds the most recent capacity spans, oldest first.
+// holds the most recent capacity spans, oldest first, while the stage
+// histograms count every span.
 func TestTraceRingWraparound(t *testing.T) {
-	r := NewTraceRing(4)
-	r.SetEnabled(true)
-	defer r.SetEnabled(false)
-	for i := 1; i <= 10; i++ {
-		r.Record(Span{XID: uint32(i)})
+	const n = TraceSpans + 6
+	r := NewTraceRing(0, nil)
+	for i := 1; i <= n; i++ {
+		sp := Span{XID: uint32(i), DurUS: 10}
+		sp.Stages[StageVFS] = 4
+		r.Record(&sp)
 	}
 	snap := r.Snapshot()
-	if snap.Recorded != 10 || len(snap.Spans) != 4 {
-		t.Fatalf("recorded=%d spans=%d, want 10/4", snap.Recorded, len(snap.Spans))
+	if snap.Recorded != n || len(snap.Spans) != TraceSpans {
+		t.Fatalf("recorded=%d spans=%d, want %d/%d", snap.Recorded, len(snap.Spans), n, TraceSpans)
 	}
 	for i, sp := range snap.Spans {
 		if want := uint32(7 + i); sp.XID != want {
 			t.Fatalf("span[%d].XID = %d, want %d", i, sp.XID, want)
 		}
 	}
+	st := r.Stages()
+	if st.Total.Count != n || st.Total.SumUS != 10*n || st.Stages["vfs"].Count != n {
+		t.Fatalf("stages = %+v, want %d spans of 10 us with a vfs stage", st, n)
+	}
 }
 
-// Concurrent Record, Snapshot, and enable/disable toggling — the
-// -race run is the assertion.
-func TestTraceRingConcurrentRecordSnapshotToggle(t *testing.T) {
-	r := NewTraceRing(8)
-	r.SetEnabled(true)
+// Concurrent Record and Snapshot — the -race run is the assertion.
+func TestTraceRingConcurrentRecordSnapshot(t *testing.T) {
+	r := NewTraceRing(0, nil)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for g := 0; g < 4; g++ {
@@ -146,7 +150,7 @@ func TestTraceRingConcurrentRecordSnapshotToggle(t *testing.T) {
 				}
 				sp := Span{XID: uint32(g<<16 | i), DurUS: int64(i)}
 				sp.Stages[StageVFS] = int64(i)
-				r.Record(sp)
+				r.Record(&sp)
 			}
 		}(g)
 	}
@@ -155,7 +159,7 @@ func TestTraceRingConcurrentRecordSnapshotToggle(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 200; i++ {
 			r.Snapshot()
-			r.SetEnabled(i%2 == 0)
+			r.Stages()
 		}
 		close(stop)
 	}()
@@ -163,22 +167,27 @@ func TestTraceRingConcurrentRecordSnapshotToggle(t *testing.T) {
 }
 
 func TestTraceRingSlowLog(t *testing.T) {
-	r := NewTraceRing(4)
-	r.SetEnabled(true)
-	defer r.SetEnabled(false)
 	var mu sync.Mutex
 	var got []Span
-	r.SetSlowLog(time.Millisecond, func(sp Span) {
+	r := NewTraceRing(time.Millisecond, func(sp Span) {
 		mu.Lock()
 		got = append(got, sp)
 		mu.Unlock()
 	})
-	r.Record(Span{XID: 1, DurUS: 500})  // below threshold
-	r.Record(Span{XID: 2, DurUS: 1000}) // at threshold
-	r.Record(Span{XID: 3, DurUS: 9000})
+	r.Record(&Span{XID: 1, DurUS: 500})  // below threshold
+	r.Record(&Span{XID: 2, DurUS: 1000}) // at threshold
+	r.Record(&Span{XID: 3, DurUS: 9000})
 	mu.Lock()
 	defer mu.Unlock()
 	if len(got) != 2 || got[0].XID != 2 || got[1].XID != 3 {
 		t.Fatalf("slow log got %+v, want xids 2,3", got)
+	}
+	// A threshold finer than a span's whole microseconds logs every
+	// span, zero-length ones included.
+	got = nil
+	all := NewTraceRing(time.Nanosecond, func(sp Span) { got = append(got, sp) })
+	all.Record(&Span{XID: 4})
+	if len(got) != 1 {
+		t.Fatalf("a 1 ns threshold logged %d of 1 spans", len(got))
 	}
 }

@@ -2,7 +2,9 @@
 // counters, gauges, log₂-bucketed histograms, and a fixed-capacity
 // trace ring, all stdlib-only and allocation-free on the hot path
 // (verified by the package's ReportAllocs benchmarks and
-// testing.AllocsPerRun tests).
+// testing.AllocsPerRun tests). A trace ring is built only for a
+// connection or server that is traced; a nil *TraceRing is tracing
+// off, in every layer that holds one.
 //
 // The primitives are plain structs meant to be embedded by value in a
 // subsystem's metrics block; incrementing one is a single atomic

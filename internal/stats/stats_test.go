@@ -98,12 +98,11 @@ func TestConcurrentIncrementAndSnapshot(t *testing.T) {
 		c       Counter
 		g       Gauge
 		h       Histogram
-		ring    = NewTraceRing(64)
+		ring    = NewTraceRing(0, nil)
 		writers sync.WaitGroup
 		readers sync.WaitGroup
 		stop    = make(chan struct{})
 	)
-	ring.SetEnabled(true)
 	// Snapshot readers racing the writers.
 	for i := 0; i < 2; i++ {
 		readers.Add(1)
@@ -130,7 +129,7 @@ func TestConcurrentIncrementAndSnapshot(t *testing.T) {
 				c.Inc()
 				g.Inc()
 				h.Observe(uint64(i))
-				ring.Record(Span{XID: uint32(w*iters + i), DurUS: int64(i)})
+				ring.Record(&Span{XID: uint32(w*iters + i), DurUS: int64(i)})
 				g.Dec()
 			}
 		}(w)
@@ -155,8 +154,8 @@ func TestConcurrentIncrementAndSnapshot(t *testing.T) {
 	if ts.Recorded != workers*iters {
 		t.Errorf("ring recorded = %d, want %d", ts.Recorded, workers*iters)
 	}
-	if len(ts.Spans) != 64 {
-		t.Errorf("ring kept %d spans, want 64", len(ts.Spans))
+	if len(ts.Spans) != TraceSpans {
+		t.Errorf("ring kept %d spans, want %d", len(ts.Spans), TraceSpans)
 	}
 }
 
@@ -168,9 +167,8 @@ func TestHotPathAllocFree(t *testing.T) {
 		c    Counter
 		g    Gauge
 		h    Histogram
-		ring = NewTraceRing(16)
+		ring = NewTraceRing(0, nil)
 	)
-	ring.SetEnabled(true)
 	cases := []struct {
 		name string
 		f    func()
@@ -180,7 +178,7 @@ func TestHotPathAllocFree(t *testing.T) {
 		{"Gauge.Inc+Dec", func() { g.Inc(); g.Dec() }},
 		{"Histogram.Observe", func() { h.Observe(12345) }},
 		{"Histogram.ObserveDuration", func() { h.ObserveDuration(3 * time.Millisecond) }},
-		{"TraceRing.Record", func() { ring.Record(Span{XID: 7, DurUS: 9}) }},
+		{"TraceRing.Record", func() { ring.Record(&Span{XID: 7, DurUS: 9}) }},
 	}
 	for _, c := range cases {
 		if n := testing.AllocsPerRun(100, c.f); n != 0 {
@@ -189,30 +187,21 @@ func TestHotPathAllocFree(t *testing.T) {
 	}
 }
 
+// Tracing off is a nil ring: it records nothing and snapshots as an
+// empty ring with zero stage totals — the `"trace": {"recorded": 0}`
+// of an untraced daemon's stats.
 func TestTraceRingDisabledIsNoop(t *testing.T) {
-	ring := NewTraceRing(4)
-	ring.Record(Span{XID: 1})
-	if s := ring.Snapshot(); s.Recorded != 0 || len(s.Spans) != 0 {
-		t.Fatalf("disabled ring recorded %+v", s)
-	}
-	// A ring nobody enabled holds no span storage: every connection
-	// builds one, so construction must stay a few words.
-	if ring.spans != nil {
-		t.Fatalf("never-enabled ring allocated %d spans", len(ring.spans))
-	}
-	ring.SetEnabled(true)
-	for i := 0; i < 6; i++ {
-		ring.Record(Span{XID: uint32(i)})
-	}
+	var ring *TraceRing
+	ring.Record(&Span{XID: 1, DurUS: 5})
 	s := ring.Snapshot()
-	if s.Recorded != 6 || len(s.Spans) != 4 {
-		t.Fatalf("ring snapshot %+v", s)
+	if s.Recorded != 0 || len(s.Spans) != 0 {
+		t.Fatalf("nil ring recorded %+v", s)
 	}
-	// Oldest-first: xids 2,3,4,5 survive.
-	for i, sp := range s.Spans {
-		if sp.XID != uint32(i+2) {
-			t.Fatalf("span %d has xid %d, want %d", i, sp.XID, i+2)
-		}
+	if b, err := json.Marshal(s); err != nil || string(b) != `{"recorded":0}` {
+		t.Fatalf("nil ring snapshot JSON = %s, %v", b, err)
+	}
+	if st := ring.Stages(); st.Total.Count != 0 || st.Stages != nil {
+		t.Fatalf("nil ring stages = %+v", st)
 	}
 }
 

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -32,79 +31,63 @@ type Span struct {
 	Err    bool             `json:"err,omitempty"`
 }
 
-// TraceRing keeps the last N spans in a fixed ring. Recording is
-// a no-op while disabled (a single atomic load), so the ring can stay
-// wired into the dispatch path permanently and be switched on by the
-// -stats listener. When enabled, Record takes a short mutex — spans
-// are for introspection, not the fast path's steady state.
-//
-// The span storage (N × ~170 bytes) is allocated by the first Record
-// that finds the ring enabled, and never again: every connection
-// builds an RPC server with a ring, and almost none is ever traced.
+// TraceSpans is the capacity of every trace ring.
+const TraceSpans = 256
+
+// TraceRing is one traced connection's or server's span sink: the
+// last TraceSpans spans, xid-tagged, and per-stage latency histograms
+// over every span. It exists only where tracing is on; a nil
+// *TraceRing is tracing off, and every method is safe on it. Record
+// takes a short mutex — spans are for introspection, not the fast
+// path's steady state.
 type TraceRing struct {
-	enabled atomic.Bool
-	mu      sync.Mutex
-	size    int
-	spans   []Span // nil until the first enabled Record, then len size
-	next    int
-	total   uint64
+	mu     sync.Mutex
+	spans  [TraceSpans]Span
+	next   int
+	total  uint64
+	stages StageSet
 
-	// Slow-span log: spans at or above slowUS microseconds are handed
-	// to emit (outside the ring lock). Configured once at startup.
-	slowUS atomic.Int64
-	emitMu sync.Mutex
-	emit   func(Span)
+	// Spans of at least slowUS whole microseconds are handed to slow,
+	// outside the ring lock; slow is nil when there is no slow-span log.
+	slowUS int64
+	slow   func(Span)
 }
 
-// NewTraceRing returns a ring holding the most recent n spans.
-func NewTraceRing(n int) *TraceRing {
-	if n <= 0 {
-		n = 1
+// NewTraceRing returns an empty ring. Every recorded span whose total
+// is at or above threshold, compared in whole microseconds (so a
+// sub-microsecond threshold passes every span), is also passed to
+// slow — the "-trace-slow" waterfall log. A zero threshold or nil slow
+// means no such log.
+func NewTraceRing(threshold time.Duration, slow func(Span)) *TraceRing {
+	if threshold <= 0 {
+		slow = nil
 	}
-	return &TraceRing{size: n}
+	return &TraceRing{slowUS: threshold.Microseconds(), slow: slow}
 }
 
-// SetEnabled switches recording on or off.
-func (t *TraceRing) SetEnabled(on bool) { t.enabled.Store(on) }
-
-// Enabled reports whether spans are being recorded.
-func (t *TraceRing) Enabled() bool { return t.enabled.Load() }
-
-// SetSlowLog arranges for every recorded span with a total at or
-// above threshold to be passed to emit — the "-trace-slow" waterfall
-// log. A zero threshold or nil emit disables it.
-func (t *TraceRing) SetSlowLog(threshold time.Duration, emit func(Span)) {
-	t.emitMu.Lock()
-	t.emit = emit
-	t.emitMu.Unlock()
-	if threshold <= 0 || emit == nil {
-		t.slowUS.Store(0)
+// Record files one finished span in the ring and the stage histograms.
+func (t *TraceRing) Record(s *Span) {
+	if t == nil {
 		return
 	}
-	t.slowUS.Store(threshold.Microseconds())
-}
-
-// Record stores s if the ring is enabled.
-func (t *TraceRing) Record(s Span) {
-	if !t.enabled.Load() {
-		return
-	}
+	t.stages.Record(s)
 	t.mu.Lock()
-	if t.spans == nil {
-		t.spans = make([]Span, t.size)
-	}
-	t.spans[t.next] = s
-	t.next = (t.next + 1) % t.size
+	t.spans[t.next] = *s
+	t.next = (t.next + 1) % TraceSpans
 	t.total++
 	t.mu.Unlock()
-	if slow := t.slowUS.Load(); slow > 0 && s.DurUS >= slow {
-		t.emitMu.Lock()
-		emit := t.emit
-		t.emitMu.Unlock()
-		if emit != nil {
-			emit(s)
-		}
+	if t.slow != nil && s.DurUS >= t.slowUS {
+		t.slow(*s)
 	}
+}
+
+// Stages returns the per-stage latency histograms of every recorded
+// span; all zero on a nil ring.
+func (t *TraceRing) Stages() StageSetSnapshot {
+	if t == nil {
+		return StageSetSnapshot{}
+	}
+	return t.stages.Snapshot()
 }
 
 // TraceSnapshot is the JSON form of a TraceRing: how many spans were
@@ -114,12 +97,16 @@ type TraceSnapshot struct {
 	Spans    []Span `json:"spans,omitempty"`
 }
 
-// Snapshot returns the buffered spans, oldest first.
+// Snapshot returns the buffered spans, oldest first; none on a nil
+// ring.
 func (t *TraceRing) Snapshot() TraceSnapshot {
+	if t == nil {
+		return TraceSnapshot{}
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	out := TraceSnapshot{Recorded: t.total}
-	if t.total < uint64(t.size) {
+	if t.total < TraceSpans {
 		out.Spans = append(out.Spans, t.spans[:t.next]...)
 		return out
 	}

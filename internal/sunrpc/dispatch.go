@@ -168,7 +168,7 @@ func (d *dispatcher) serve(c call) {
 	met := c.met
 	met.Workers.Inc()
 	var clk *stats.StageClock
-	if !c.tRead.IsZero() && met.Trace.Enabled() {
+	if !c.tRead.IsZero() && met.Trace != nil {
 		clk = stats.NewStageClock()
 		clk.RestartAt(c.tRead)
 		clk.Add(stats.StageSrvOpen, c.openNS)
@@ -207,9 +207,7 @@ func (d *dispatcher) serve(c call) {
 	if ok && err != nil {
 		d.peer.fail(err) //nolint:errcheck // the connection is over either way
 	} else if ok && clk != nil {
-		sp := clk.FinishServer()
-		met.Stages.Record(sp)
-		met.Trace.Record(*sp)
+		met.Trace.Record(clk.FinishServer())
 	}
 	met.Workers.Dec()
 	met.InFlight.Dec()

@@ -42,7 +42,7 @@ func TestSerialClientKeepsOneWorker(t *testing.T) {
 	srv := NewServer()
 	srv.Register(testProg, testVers, echoHandler)
 	c1, c2 := net.Pipe()
-	peer := NewPeer(c2, srv)
+	peer := NewPeer(c2, srv, nil)
 	defer peer.Close()
 	cl := NewClient(c1)
 	defer cl.Close()
@@ -72,7 +72,7 @@ func TestConnectServeCloseLeavesNoGoroutines(t *testing.T) {
 		var peer *Client
 		served := make(chan struct{})
 		if peerMode {
-			peer = NewPeer(c2, srv)
+			peer = NewPeer(c2, srv, nil)
 			close(served)
 		} else {
 			go func() { srv.ServeConn(c2); close(served) }() //nolint:errcheck
@@ -128,7 +128,7 @@ func TestWorkersBoundedUnderBurst(t *testing.T) {
 		})
 		c1, c2 := net.Pipe()
 		if peerMode {
-			peer := NewPeer(c2, srv)
+			peer := NewPeer(c2, srv, nil)
 			defer peer.Close()
 		} else {
 			go srv.ServeConn(c2) //nolint:errcheck
@@ -207,7 +207,7 @@ func TestHandlerCallsBackOverSamePeer(t *testing.T) {
 		return uint32(41), nil
 	})
 	c1, c2 := net.Pipe()
-	left, right = NewPeer(c1, a), NewPeer(c2, b)
+	left, right = NewPeer(c1, a, nil), NewPeer(c2, b, nil)
 	defer left.Close()
 	defer right.Close()
 
@@ -247,7 +247,7 @@ func TestQueuedBehindFinishingWorker(t *testing.T) {
 	srv := NewServer()
 	srv.Register(testProg, testVers, echoHandler)
 	c1, c2 := net.Pipe() // unbuffered: a reply write blocks until the test reads it
-	peer := NewPeer(c2, srv)
+	peer := NewPeer(c2, srv, nil)
 	defer peer.Close()
 	defer c1.Close()
 	for xid := uint32(1); xid <= 2; xid++ {
@@ -424,7 +424,7 @@ func BenchmarkPeerNullCall(b *testing.B) {
 	srv := NewServer()
 	srv.Register(testProg, testVers, echoHandler)
 	c1, c2 := net.Pipe()
-	peer := NewPeer(c2, srv)
+	peer := NewPeer(c2, srv, nil)
 	defer peer.Close()
 	cl := NewClient(c1)
 	defer cl.Close()

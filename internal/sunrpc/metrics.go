@@ -4,16 +4,16 @@ package sunrpc
 // across connections when the owner passes one Metrics to many
 // Servers via SetMetrics, as the NFS server does for its
 // per-connection sessions). Counters sit directly on the dispatch
-// path: a counter bump is one atomic add, and trace recording is a
-// single atomic load while disabled. Per-procedure counts live one
-// layer up, where procedures have names (nfs.ServerStats.Procs).
+// path: a counter bump is one atomic add, and an untraced block (nil
+// Trace) records no span. Per-procedure counts live one layer up,
+// where procedures have names (nfs.ServerStats.Procs).
 
 import "repro/internal/stats"
 
 // Metrics instruments a Server's dispatch pipeline: aggregate
 // call/reply counters, the dispatch-queue depth (calls read off the
-// wire but not yet replied), worker-pool occupancy, and an xid-tagged
-// trace ring (off until SetEnabled).
+// wire but not yet replied), worker-pool occupancy, and, when the
+// owner traces, an xid-tagged trace ring.
 type Metrics struct {
 	Calls   stats.Counter // well-formed calls dispatched
 	Replies stats.Counter // replies encoded successfully
@@ -22,20 +22,9 @@ type Metrics struct {
 
 	InFlight stats.Gauge // dispatch-queue depth
 	Workers  stats.Gauge // workers executing a handler
-	Trace    *stats.TraceRing
-	// Stages aggregates per-stage latency histograms from traced spans
-	// (populated only while Trace is enabled).
-	Stages *stats.StageSet
-}
-
-// NewMetrics returns a fresh metrics block with a 256-span trace
-// ring (disabled until Trace.SetEnabled(true)).
-func NewMetrics() *Metrics { return NewMetricsSized(256) }
-
-// NewMetricsSized is NewMetrics with a caller-chosen trace-ring
-// capacity (the daemons expose it as a flag).
-func NewMetricsSized(spans int) *Metrics {
-	return &Metrics{Trace: stats.NewTraceRing(spans), Stages: new(stats.StageSet)}
+	// Trace receives every served call's span; nil serves untraced.
+	// It is fixed before the first connection is served.
+	Trace *stats.TraceRing
 }
 
 // MetricsSnapshot is the JSON form of a Metrics block.
@@ -60,6 +49,6 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		InFlight: m.InFlight.Snapshot(),
 		Workers:  m.Workers.Snapshot(),
 		Trace:    m.Trace.Snapshot(),
-		Stages:   m.Stages.Snapshot(),
+		Stages:   m.Trace.Stages(),
 	}
 }

@@ -56,8 +56,8 @@ func TestDuplexPeers(t *testing.T) {
 		return s
 	}
 	c1, c2 := net.Pipe()
-	left := NewPeer(c1, mkServer("left"))
-	right := NewPeer(c2, mkServer("right"))
+	left := NewPeer(c1, mkServer("left"), nil)
+	right := NewPeer(c2, mkServer("right"), nil)
 	defer left.Close()
 	defer right.Close()
 

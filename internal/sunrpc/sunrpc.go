@@ -422,16 +422,17 @@ type Client struct {
 	conn    io.ReadWriteCloser
 	nextXID uint32
 	pending map[uint32]chan record
-	// traces maps in-flight xids to their stage clocks (nil until
-	// EnableTrace). All cross-goroutine clock access — registration
-	// after the call record is written, the read loop's arrival stamp,
-	// Finish's claim — happens under mu, which is what makes a clock
-	// single-owner at every instant.
+	// traces maps in-flight xids to their stage clocks (nil until the
+	// first traced call). All cross-goroutine clock access —
+	// registration after the call record is written, the read loop's
+	// arrival stamp, Finish's claim — happens under mu, which is what
+	// makes a clock single-owner at every instant.
 	traces map[uint32]*stats.StageClock
-	tracer atomic.Pointer[clientTracer]
-	// timed is set once this connection is traced, by either side: the
+	// trace receives this peer's own calls' spans; nil calls untraced.
+	trace *stats.TraceRing
+	// timed is set when either side of the connection is traced: the
 	// read loop then stamps each record's arrival and open work.
-	timed atomic.Bool
+	timed bool
 	wt    WorkTimer // the transport's work ledgers; nil if it keeps none
 	err   error
 	wmu   sync.Mutex  // serializes writes
@@ -439,61 +440,42 @@ type Client struct {
 	done  chan struct{}
 }
 
-// clientTracer is a client's tracing sinks, installed by EnableTrace.
-type clientTracer struct {
-	ring   *stats.TraceRing
-	stages *stats.StageSet
-}
-
-// EnableTrace switches on client-side span recording with a ring of
-// the given capacity, returning the ring (for snapshots and the slow
-// log) and the per-stage histogram set. The steady-state cost while
-// installed is one atomic pointer load per call.
-func (c *Client) EnableTrace(spans int) (*stats.TraceRing, *stats.StageSet) {
-	t := &clientTracer{ring: stats.NewTraceRing(spans), stages: new(stats.StageSet)}
-	t.ring.SetEnabled(true)
-	c.tracer.Store(t)
-	c.timeWork()
-	return t.ring, t.stages
-}
-
-// timeWork marks the connection traced: the read loop times each
-// record from here on, and a transport that can time its own seal and
-// open work starts to. Nothing else in the process starts timing.
-func (c *Client) timeWork() {
-	c.timed.Store(true)
-	if c.wt != nil {
-		c.wt.TimeWork()
-	}
-}
-
-// NewClient starts a client on conn and begins reading replies.
-func NewClient(conn io.ReadWriteCloser) *Client { return NewPeer(conn, nil) }
+// NewClient starts an untraced client on conn and begins reading
+// replies.
+func NewClient(conn io.ReadWriteCloser) *Client { return NewPeer(conn, nil, nil) }
 
 // NewPeer starts a duplex peer on conn: replies are matched to local
 // calls, and incoming calls (if srv is non-nil) are dispatched to srv
 // with replies sent back over the same connection. Incoming calls run
 // concurrently, bounded by the server's worker limit, and replies go
-// out in completion order: XIDs disambiguate.
-func NewPeer(conn io.ReadWriteCloser, srv *Server) *Client {
-	c := newPeer(conn, srv)
+// out in completion order: XIDs disambiguate. trace, when non-nil,
+// receives a span for each of the peer's own calls.
+func NewPeer(conn io.ReadWriteCloser, srv *Server, trace *stats.TraceRing) *Client {
+	c := newPeer(conn, srv, trace)
 	go c.readLoop()
 	return c
 }
 
-func newPeer(conn io.ReadWriteCloser, srv *Server) *Client {
+// newPeer builds the peer without starting its read loop. A connection
+// is timed when either side is traced: the read loop then times each
+// record, and a transport that can time its own seal and open work
+// starts to. Nothing else in the process starts timing.
+func newPeer(conn io.ReadWriteCloser, srv *Server, trace *stats.TraceRing) *Client {
 	c := &Client{
 		conn:    conn,
 		nextXID: 1,
 		pending: make(map[uint32]chan record),
+		trace:   trace,
 		done:    make(chan struct{}),
 	}
 	c.wt, _ = conn.(WorkTimer)
+	c.timed = trace != nil
 	if srv != nil {
 		c.disp = newDispatcher(srv, c)
-		if srv.met.Load().Trace.Enabled() {
-			c.timeWork()
-		}
+		c.timed = c.timed || srv.met.Load().Trace != nil
+	}
+	if c.timed && c.wt != nil {
+		c.wt.TimeWork()
 	}
 	return c
 }
@@ -512,7 +494,7 @@ func (c *Client) readLoop() {
 		defer c.disp.close()
 	}
 	for {
-		rec, tRead, openNS, err := in.next(c.timed.Load())
+		rec, tRead, openNS, err := in.next(c.timed)
 		if err != nil {
 			c.fail(err) //nolint:errcheck // the connection is over either way
 			return
@@ -582,7 +564,7 @@ func (c *Client) Call(prog, vers, proc uint32, cred OpaqueAuth, args, res interf
 // mechanism by which the client overlaps many outstanding NFS RPCs.
 func (c *Client) Start(prog, vers, proc uint32, cred OpaqueAuth, args interface{}) (<-chan record, error) {
 	var clk *stats.StageClock
-	if tr := c.tracer.Load(); tr != nil && tr.ring.Enabled() {
+	if c.trace != nil {
 		clk = stats.NewStageClock()
 		clk.Span.Prog, clk.Span.Vers, clk.Span.Proc = prog, vers, proc
 		clk.Span.Principal = principalOf(cred)
@@ -687,17 +669,13 @@ func (c *Client) Finish(ch <-chan record, res interface{}) error {
 	sp := clk.FinishClient(int64(time.Since(t0)))
 	sp.Err = sp.Err || err != nil
 	sp.Bytes += uint64(len(rec)) + 4
-	if tr := c.tracer.Load(); tr != nil {
-		tr.stages.Record(sp)
-		tr.ring.Record(*sp)
-	}
+	c.trace.Record(sp)
 	return err
 }
 
 // takeTrace claims the stage clock registered for rec's xid, if any.
-// One atomic load while tracing was never enabled.
 func (c *Client) takeTrace(rec record) *stats.StageClock {
-	if c.tracer.Load() == nil || len(rec) < 4 {
+	if c.trace == nil || len(rec) < 4 {
 		return nil
 	}
 	xid := binary.BigEndian.Uint32(rec)
@@ -791,10 +769,11 @@ type Server struct {
 	met      atomic.Pointer[Metrics]
 }
 
-// NewServer returns an empty server with its own metrics block.
+// NewServer returns an empty, untraced server with its own metrics
+// block.
 func NewServer() *Server {
 	s := &Server{handlers: make(map[progVers]Handler), workers: DefaultWorkers}
-	s.met.Store(NewMetrics())
+	s.met.Store(new(Metrics))
 	return s
 }
 
@@ -803,7 +782,9 @@ func (s *Server) Metrics() *Metrics { return s.met.Load() }
 
 // SetMetrics replaces the server's metrics block, typically to share
 // one block across the per-connection Servers of a daemon so the
-// daemon's counters aggregate every session.
+// daemon's counters aggregate every session. The block's Trace ring,
+// or its absence, decides whether connections served from then on are
+// traced.
 func (s *Server) SetMetrics(m *Metrics) {
 	if m != nil {
 		s.met.Store(m)
@@ -823,7 +804,7 @@ func (s *Server) Register(prog, vers uint32, h Handler) {
 // the calls already read to finish, and returns nil on EOF, the first
 // error otherwise.
 func (s *Server) ServeConn(conn io.ReadWriteCloser) error {
-	c := newPeer(conn, s)
+	c := newPeer(conn, s, nil)
 	c.readLoop()
 	c.disp.wg.Wait()
 	c.mu.Lock()

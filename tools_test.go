@@ -637,7 +637,8 @@ func TestToolsEndToEnd(t *testing.T) {
 	}
 	hostID := selfPath[strings.LastIndexByte(selfPath, ':')+1:]
 
-	// 2. Seed content and start sfssd with one password user.
+	// 2. Seed content and start sfssd with one password user. A 1 ns
+	// -trace-slow traces every RPC and logs each one as slow.
 	seedDir := filepath.Join(work, "seed")
 	if err := os.MkdirAll(filepath.Join(seedDir, "pub"), 0o755); err != nil {
 		t.Fatal(err)
@@ -654,6 +655,7 @@ func TestToolsEndToEnd(t *testing.T) {
 		"-keyfile", srvKey,
 		"-seed", seedDir,
 		"-stats", statsAddr,
+		"-trace-slow", "1ns",
 		"-user", "alice:1000:correct horse:"+userKeyPath,
 	)
 	sdOut := &lockedBuffer{}
@@ -684,10 +686,11 @@ func TestToolsEndToEnd(t *testing.T) {
 
 	// 4. Drive sfscd interactively: read the served file through the
 	// self-certifying pathname, write one back as alice. -v makes the
-	// shell report wall time and RPC count after each command.
+	// shell report wall time and RPC count after each command; -trace
+	// gives the lat command a stage table to print.
 	cd := exec.Command(filepath.Join(bin, "sfscd"),
 		"-server", "files.example.com="+addr,
-		"-user", "alice", "-keyfile", fetched, "-v")
+		"-user", "alice", "-keyfile", fetched, "-v", "-trace")
 	stdin, err := cd.StdinPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -704,6 +707,7 @@ func TestToolsEndToEnd(t *testing.T) {
 	fmt.Fprintf(stdin, "cat %s/pub/hello.txt\n", selfPath)
 	fmt.Fprintf(stdin, "pwd %s/pub\n", selfPath)
 	fmt.Fprintln(stdin, "stats")
+	fmt.Fprintln(stdin, "lat")
 	fmt.Fprintln(stdin, "quit")
 	out, _ := io.ReadAll(bufio.NewReader(stdout))
 	if !strings.Contains(string(out), "tool-served content") {
@@ -720,6 +724,12 @@ func TestToolsEndToEnd(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "data_hits") {
 		t.Fatalf("sfscd stats command printed no data cache counters:\n%s", out)
+	}
+	if !regexp.MustCompile(`(?m)^total +[1-9]`).Match(out) || strings.Contains(string(out), "no stage data") {
+		t.Fatalf("sfscd -trace lat printed no stage table with a total row:\n%s", out)
+	}
+	if !regexp.MustCompile(`slow rpc: location=files\.example\.com proc=\w+ xid=\d+`).MatchString(sdOut.String()) {
+		t.Fatalf("sfssd -trace-slow logged no slow rpc line:\n%s", sdOut.String())
 	}
 
 	// 4b. The sfssd -stats endpoint serves one JSON document covering
@@ -740,6 +750,19 @@ func TestToolsEndToEnd(t *testing.T) {
 	}
 	if !strings.Contains(string(snap["master"]), `"accepts"`) {
 		t.Errorf("master section lacks connection counters: %s", snap["master"])
+	}
+	var nfsByLoc map[string]struct {
+		RPC struct {
+			Trace struct {
+				Recorded uint64 `json:"recorded"`
+			} `json:"trace"`
+		} `json:"rpc"`
+	}
+	if err := json.Unmarshal(snap["nfs"], &nfsByLoc); err != nil {
+		t.Fatal(err)
+	}
+	if n := nfsByLoc["files.example.com"].RPC.Trace.Recorded; n == 0 {
+		t.Errorf("traced sfssd recorded no spans: %s", snap["nfs"])
 	}
 
 	// 5. Read-only dialect: build a signed database, serve it from a

@@ -91,7 +91,7 @@ func main() {
 
 	// The home agent audited every key operation, including the hop.
 	for _, entry := range homeAgent.Audit() {
-		fmt.Printf("audit: signed for %s seq=%d via %q\n", entry.Location, entry.SeqNo, entry.AuthPath)
+		fmt.Printf("audit: %s for %s seq=%d via %q\n", entry.Op, entry.Location, entry.SeqNo, entry.AuthPath)
 	}
 
 	// Session over: the forwarding channel closes, and the lab

@@ -9,6 +9,8 @@
 //
 //   - holds the user's private keys and signs authentication requests,
 //     keeping a full audit trail of every private key operation;
+//   - decides whether a login its key made may be carried into a
+//     resumed session, which signs nothing but is audited too;
 //   - creates symbolic links in /sfs visible only to its own user,
 //     mapping human-readable names to self-certifying pathnames;
 //   - resolves names through a certification path: an ordered list of
@@ -20,6 +22,7 @@
 package agent
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -58,11 +61,31 @@ var (
 // the ones an intrusion review needs.
 const auditKeep = 4096
 
+// AuditOp says what the agent did for an audit entry.
+type AuditOp uint8
+
+const (
+	// AuditSign: the agent signed an authentication request.
+	AuditSign AuditOp = iota
+	// AuditApprove: the agent let a login its key made be carried
+	// into a resumed session; nothing was signed.
+	AuditApprove
+)
+
+// String names the operation as an audit listing shows it.
+func (op AuditOp) String() string {
+	if op == AuditApprove {
+		return "approved"
+	}
+	return "signed"
+}
+
 // AuditEntry records one private-key operation (paper §2.5.1: "an SFS
 // agent can keep a full audit trail of every private key operation it
-// performs").
+// performs"), or one approval standing in for it.
 type AuditEntry struct {
 	Time     time.Time
+	Op       AuditOp
 	Location string
 	HostID   core.HostID
 	SeqNo    uint32
@@ -171,11 +194,47 @@ func (a *Agent) Authenticate(ai sfsrpc.AuthInfo, seqNo uint32, authPath string, 
 	if err != nil {
 		return nil, false
 	}
+	a.auditLocked(AuditSign, ai, seqNo, authPath, attempt)
+	m := sfsrpc.AuthMsg{UserKey: k.PublicKey.Bytes(), Req: req, Sig: *sig}
+	return m.Marshal(), true
+}
+
+// ApproveResume decides whether the login that prior — an AuthMsg this
+// agent issued — made may be carried, unsigned, into the resumed
+// session ai names (DESIGN.md §14). The agent says yes only while it
+// still holds the key prior was signed with, and within its attempt
+// bound; every yes is audited like a signature. No means the client
+// runs a full login, which asks Authenticate as before.
+func (a *Agent) ApproveResume(ai sfsrpc.AuthInfo, seqNo uint32, authPath string, prior []byte) bool {
+	a.mu.Lock()
+	if rs := a.remote; rs != nil {
+		a.mu.Unlock()
+		return rs.approve(ai, seqNo, authPath, prior)
+	}
+	defer a.mu.Unlock()
+	m, err := sfsrpc.ParseAuthMsg(prior)
+	if err != nil {
+		return false
+	}
+	for i, k := range a.keys {
+		if i >= a.maxTries {
+			break
+		}
+		if bytes.Equal(k.PublicKey.Bytes(), m.UserKey) {
+			a.auditLocked(AuditApprove, ai, seqNo, authPath, i)
+			return true
+		}
+	}
+	return false
+}
+
+// auditLocked appends to the audit ring; a.mu is held.
+func (a *Agent) auditLocked(op AuditOp, ai sfsrpc.AuthInfo, seqNo uint32, authPath string, keyIndex int) {
 	var hostID core.HostID
 	copy(hostID[:], ai.HostID[:])
 	entry := AuditEntry{
-		Time: time.Now(), Location: ai.Location, HostID: hostID,
-		SeqNo: seqNo, AuthPath: authPath, KeyIndex: attempt,
+		Time: time.Now(), Op: op, Location: ai.Location, HostID: hostID,
+		SeqNo: seqNo, AuthPath: authPath, KeyIndex: keyIndex,
 	}
 	if len(a.audit) < auditKeep {
 		a.audit = append(a.audit, entry)
@@ -183,12 +242,10 @@ func (a *Agent) Authenticate(ai sfsrpc.AuthInfo, seqNo uint32, authPath string, 
 		a.audit[a.auditNext] = entry
 		a.auditNext = (a.auditNext + 1) % auditKeep
 	}
-	m := sfsrpc.AuthMsg{UserKey: k.PublicKey.Bytes(), Req: req, Sig: *sig}
-	return m.Marshal(), true
 }
 
 // Audit returns a copy of the audit trail, oldest entry first: the
-// most recent auditKeep private-key operations.
+// most recent auditKeep private-key operations and approvals.
 func (a *Agent) Audit() []AuditEntry {
 	a.mu.Lock()
 	defer a.mu.Unlock()

@@ -349,3 +349,36 @@ func TestLinksCopySemantics(t *testing.T) {
 		t.Fatal("Unlink failed")
 	}
 }
+
+// TestApproveResumeOnlyForHeldKey: the agent approves carrying a login
+// only for a key it still holds, audits the approval as one, and signs
+// nothing for it.
+func TestApproveResumeOnlyForHeldKey(t *testing.T) {
+	uk, other, _ := agKeys(t)
+	a := New("dm", prng.NewSeeded([]byte("approve")))
+	a.AddKey(uk)
+	ai := testAI()
+	prior, ok := a.Authenticate(ai, 1, "console", 0)
+	if !ok {
+		t.Fatal("agent declined with a key loaded")
+	}
+	if !a.ApproveResume(ai, 2, "console", prior) {
+		t.Fatal("agent declined a login its own key made")
+	}
+	audit := a.Audit()
+	if len(audit) != 2 || audit[0].Op != AuditSign || audit[1].Op != AuditApprove || audit[1].SeqNo != 2 {
+		t.Fatalf("audit: %+v", audit)
+	}
+
+	b := New("dm", prng.NewSeeded([]byte("approve-other")))
+	b.AddKey(other)
+	if b.ApproveResume(ai, 3, "console", prior) {
+		t.Fatal("agent approved a login made with a key it does not hold")
+	}
+	if b.ApproveResume(ai, 3, "console", []byte("garbage")) {
+		t.Fatal("agent approved an unparsable message")
+	}
+	if len(b.Audit()) != 0 {
+		t.Fatal("a declined approval was audited")
+	}
+}

@@ -106,3 +106,42 @@ func TestClearRemoteSignerRestoresLocal(t *testing.T) {
 		t.Fatal("still proxying after ClearRemoteSigner")
 	}
 }
+
+// TestProxyApproveDecidedAtHome: a proxy agent forwards approvals; the
+// home agent decides and audits them with the hop.
+func TestProxyApproveDecidedAtHome(t *testing.T) {
+	uk, _, _ := agKeys(t)
+	home := New("dm", prng.NewSeeded([]byte("home3")))
+	home.AddKey(uk)
+	laptop := New("dm", prng.NewSeeded([]byte("lab3")))
+	c1, c2 := net.Pipe()
+	go home.ServeSigner(c2) //nolint:errcheck
+	laptop.UseRemoteSigner(c1, "lab-host")
+	defer laptop.ClearRemoteSigner()
+
+	ai := testAI()
+	prior, ok := laptop.Authenticate(ai, 1, "sfscd:dm", 0)
+	if !ok {
+		t.Fatal("proxy signing declined")
+	}
+	if !laptop.ApproveResume(ai, 2, "sfscd:dm", prior) {
+		t.Fatal("proxy approval declined")
+	}
+	audit := home.Audit()
+	if len(audit) != 2 || audit[1].Op != AuditApprove || audit[1].AuthPath != "lab-host!sfscd:dm" {
+		t.Fatalf("home audit: %+v", audit)
+	}
+	if len(laptop.Audit()) != 0 {
+		t.Fatal("laptop recorded an approval it never made")
+	}
+
+	// A home agent without the key declines through the proxy too.
+	laptop.ClearRemoteSigner()
+	bare := New("dm", prng.NewSeeded([]byte("home4")))
+	c3, c4 := net.Pipe()
+	go bare.ServeSigner(c4) //nolint:errcheck
+	laptop.UseRemoteSigner(c3, "lab-host")
+	if laptop.ApproveResume(ai, 3, "sfscd:dm", prior) {
+		t.Fatal("proxy approved where the home agent holds no key")
+	}
+}

@@ -113,6 +113,22 @@ func (db *DB) put(rec UserRecord) {
 	db.byKey[fingerprint(rec.PublicKey)] = &r
 }
 
+// Delete removes a user's record.
+func (db *DB) Delete(user string) error {
+	if !db.writable {
+		return ErrReadOnly
+	}
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	old, ok := db.byName[user]
+	if !ok {
+		return ErrNoUser
+	}
+	delete(db.byKey, fingerprint(old.PublicKey))
+	delete(db.byName, user)
+	return nil
+}
+
 // ByKey looks a record up by public key.
 func (db *DB) ByKey(pub []byte) (*UserRecord, bool) {
 	db.mu.RLock()
@@ -311,25 +327,43 @@ func (s *Server) Validate(args sfsrpc.ValidateArgs) sfsrpc.ValidateRes {
 		s.met.failures.Inc()
 		return sfsrpc.ValidateRes{}
 	}
-	rec, ok := s.lookupKey(pub.Bytes())
-	if !ok {
-		s.mu.RLock()
-		guest := s.guestCreds
-		s.mu.RUnlock()
-		if guest == nil {
-			s.met.failures.Inc()
-			return sfsrpc.ValidateRes{}
-		}
+	creds, guest, ok := s.credentialsFor(pub.Bytes())
+	switch {
+	case !ok:
+		s.met.failures.Inc()
+		return sfsrpc.ValidateRes{}
+	case guest:
 		s.met.okGuest.Inc()
-		return sfsrpc.ValidateRes{OK: true, Creds: *guest, AuthID: msg.Req.AuthID, SeqNo: msg.Req.SeqNo}
+	default:
+		s.met.okUser.Inc()
 	}
-	s.met.okUser.Inc()
-	return sfsrpc.ValidateRes{
-		OK:     true,
-		Creds:  sfsrpc.Credentials{User: rec.User, UID: rec.UID, GIDs: rec.GIDs},
-		AuthID: msg.Req.AuthID,
-		SeqNo:  msg.Req.SeqNo,
+	return sfsrpc.ValidateRes{OK: true, Creds: creds, AuthID: msg.Req.AuthID, SeqNo: msg.Req.SeqNo}
+}
+
+// Recheck reports whether the databases still map pub to creds: the
+// mapping half of Validate, without a signature. The file server runs
+// it before it carries a login into a resumed session (DESIGN.md
+// §14), so a deleted user, a changed key or changed UID/GIDs fall back
+// to a full login.
+func (s *Server) Recheck(pub []byte, creds sfsrpc.Credentials) bool {
+	now, _, ok := s.credentialsFor(pub)
+	return ok && now.Equal(creds)
+}
+
+// credentialsFor maps a public key to credentials: its record in the
+// first database that holds it, else the guest credentials (guest
+// true), else nothing.
+func (s *Server) credentialsFor(pub []byte) (creds sfsrpc.Credentials, guest, ok bool) {
+	if rec, found := s.lookupKey(pub); found {
+		return sfsrpc.Credentials{User: rec.User, UID: rec.UID, GIDs: rec.GIDs}, false, true
 	}
+	s.mu.RLock()
+	g := s.guestCreds
+	s.mu.RUnlock()
+	if g == nil {
+		return sfsrpc.Credentials{}, false, false
+	}
+	return *g, true, true
 }
 
 // NameOfID returns the user (or group) name behind a numeric ID, for

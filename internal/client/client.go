@@ -106,9 +106,42 @@ type mount struct {
 	// Client reference.
 	io *ioStats
 
+	// sess is this mount's resumable session: the next reconnect's
+	// ticket and the users' logins. prev is the session this mount
+	// resumed, whose logins the users can carry over; nil after a
+	// full handshake (and for read-only mounts, which have neither).
+	sess, prev *session
+
 	mu    sync.Mutex
 	seq   uint32
 	users map[string]*nfs.Client // per-user authenticated views
+}
+
+// nextSeq draws a fresh sequence number for the session's Fig. 4
+// window.
+func (m *mount) nextSeq() uint32 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.seq++
+	return m.seq
+}
+
+// session is the client's half of one server session that a reconnect
+// can resume: the ticket that resumes the channel and the logins that
+// resume its users (DESIGN.md §14).
+type session struct {
+	ticket *secchan.ResumeTicket
+
+	mu     sync.Mutex
+	logins map[string]login
+}
+
+// login is one user's login in a session: the authentication number,
+// and the AuthMsg the user's agent issued for it, which the agent
+// checks before the login is carried into a resumed session.
+type login struct {
+	authNo uint32
+	msg    []byte
 }
 
 // Client is the SFS client daemon.
@@ -126,11 +159,12 @@ type Client struct {
 	agents   map[string]*agent.Agent
 	mounts   map[core.HostID]*mount
 	accessed map[string]map[string]bool // user -> referenced /sfs names
-	// tickets holds the latest resumption ticket per server, so a
+	// sessions holds the latest resumable session per server, so a
 	// reconnect (the mount was dropped when its connection died) skips
-	// the Rabin handshake when the server still remembers the session.
-	tickets map[core.HostID]*secchan.ResumeTicket
-	closed  bool
+	// the Rabin handshake and the users' signatures when the server
+	// still remembers the session.
+	sessions map[core.HostID]*session
+	closed   bool
 }
 
 // New creates a client.
@@ -150,7 +184,7 @@ func New(cfg Config) (*Client, error) {
 		agents:   make(map[string]*agent.Agent),
 		mounts:   make(map[core.HostID]*mount),
 		accessed: make(map[string]map[string]bool),
-		tickets:  make(map[core.HostID]*secchan.ResumeTicket),
+		sessions: make(map[core.HostID]*session),
 	}
 	if err := c.rotateTempKey(); err != nil {
 		return nil, err
@@ -237,7 +271,7 @@ func (r *agentResolver) ReadFile(path string) ([]byte, error) {
 func (c *Client) getMount(p core.Path) (*mount, error) {
 	c.mu.Lock()
 	m, ok := c.mounts[p.HostID]
-	ticket := c.tickets[p.HostID]
+	prev := c.sessions[p.HostID]
 	closed := c.closed
 	c.mu.Unlock()
 	if ok {
@@ -258,11 +292,15 @@ func (c *Client) getMount(p core.Path) (*mount, error) {
 	// then comes up without public-key work when the server still
 	// holds the session, and falls back to the full handshake on the
 	// same connection otherwise.
+	var ticket *secchan.ResumeTicket
+	if prev != nil {
+		ticket = prev.ticket
+	}
 	sec, info, _, err := secchan.ClientHandshakeResume(raw, secchan.ServiceFile, p.Root(), tempKey, c.rng, ticket)
-	if err != nil && ticket != nil {
+	if err != nil && prev != nil {
 		c.mu.Lock()
-		if c.tickets[p.HostID] == ticket {
-			delete(c.tickets, p.HostID)
+		if c.sessions[p.HostID] == prev {
+			delete(c.sessions, p.HostID)
 		}
 		c.mu.Unlock()
 	}
@@ -293,22 +331,29 @@ func (c *Client) getMount(p core.Path) (*mount, error) {
 		base.Close()
 		return nil, err
 	}
-	m = &mount{path: p.Root(), base: base, info: info, root: root, trace: clCfg.Trace, io: &c.io, users: make(map[string]*nfs.Client)}
-	c.mu.Lock()
-	if info.Ticket != nil {
-		c.tickets[p.HostID] = info.Ticket
+	m = &mount{
+		path: p.Root(), base: base, info: info, root: root, trace: clCfg.Trace, io: &c.io,
+		sess:  &session{ticket: info.Ticket, logins: make(map[string]login)},
+		users: make(map[string]*nfs.Client),
 	}
+	if info.Resumed != nil {
+		m.prev = prev
+	}
+	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		base.Close()
 		return nil, ErrClosed
 	}
 	if exist, ok := c.mounts[p.HostID]; ok {
+		// A concurrent access mounted first; its session, the one its
+		// users log in to, is the one the next reconnect resumes.
 		c.mu.Unlock()
 		base.Close()
 		return exist, nil
 	}
 	c.mounts[p.HostID] = m
+	c.sessions[p.HostID] = m.sess
 	c.mu.Unlock()
 	// Drop the mount when the connection dies so the next access
 	// reconnects.
@@ -377,8 +422,10 @@ func (c *Client) getROMount(p core.Path) (*mount, error) {
 	return m, nil
 }
 
-// viewFor returns the user's authenticated view of a mount, running
-// the login protocol on first access (paper §3.1.2, Figure 4).
+// viewFor returns the user's authenticated view of a mount, logging
+// the user in on first access: by carrying the user's login of the
+// session this mount resumed over, when there is one and the agent
+// approves, else by the paper's login protocol (§3.1.2, Figure 4).
 // Read-only mounts need no authentication: everyone shares the one
 // verified view.
 func (c *Client) viewFor(m *mount, user string) (View, error) {
@@ -397,40 +444,86 @@ func (c *Client) viewFor(m *mount, user string) (View, error) {
 		return nil, err
 	}
 	ai := sfsrpc.NewAuthInfo(m.info.Location, m.info.HostID, m.info.SessionID)
-	authNo := uint32(0)
+	l, ok, err := c.resumeLogin(m, a, user, ai)
+	if err == nil && !ok {
+		l, err = c.fullLogin(m, a, user, ai)
+	}
+	if err != nil {
+		return nil, err
+	}
+	no := l.authNo
+	v := m.base.WithAuth(user, func() sunrpc.OpaqueAuth { return sunrpc.SFSAuth(no) })
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if exist, ok := m.users[user]; ok {
+		return exist, nil
+	}
+	m.users[user] = v
+	if no != 0 {
+		m.sess.mu.Lock()
+		m.sess.logins[user] = l
+		m.sess.mu.Unlock()
+	}
+	return v, nil
+}
+
+// resumeLogin carries the user's login of the session m resumed into
+// m's session (DESIGN.md §14): the agent approves without signing,
+// and one RPC proves the claim with a MAC under the resumed session's
+// secret. ok is false when there is no login to carry, the agent
+// declines, or the server refuses; the caller then logs in in full.
+func (c *Client) resumeLogin(m *mount, a *agent.Agent, user string, ai sfsrpc.AuthInfo) (l login, ok bool, err error) {
+	if m.prev == nil {
+		return login{}, false, nil
+	}
+	m.prev.mu.Lock()
+	l, ok = m.prev.logins[user]
+	m.prev.mu.Unlock()
+	if !ok {
+		return login{}, false, nil
+	}
+	seq := m.nextSeq()
+	if !a.ApproveResume(ai, seq, "sfscd:"+user, l.msg) {
+		return login{}, false, nil
+	}
+	args := sfsrpc.ResumeLoginArgs{
+		AuthNo: l.authNo, SeqNo: seq,
+		Proof: m.info.Resumed.LoginProof(ai.AuthID(), seq, l.authNo),
+	}
+	var res sfsrpc.LoginRes
+	if err := m.base.Call(sfsrpc.AuthProgram, sfsrpc.Version, sfsrpc.ProcResumeLogin, args, &res); err != nil {
+		return login{}, false, err
+	}
+	if res.Status != sfsrpc.LoginOK {
+		return login{}, false, nil
+	}
+	return login{authNo: res.AuthNo, msg: l.msg}, true, nil
+}
+
+// fullLogin runs the paper's login protocol (§3.1.2, Figure 4): the
+// agent signs a request for this session, trying its keys in turn, and
+// the server maps the key to credentials. A zero authNo means
+// anonymous access: the agent declined or the server said no.
+func (c *Client) fullLogin(m *mount, a *agent.Agent, user string, ai sfsrpc.AuthInfo) (login, error) {
 	for attempt := 0; ; attempt++ {
-		m.mu.Lock()
-		m.seq++
-		seq := m.seq
-		m.mu.Unlock()
+		seq := m.nextSeq()
 		msg, ok := a.Authenticate(ai, seq, "sfscd:"+user, attempt)
 		if !ok {
-			break // agent declines; proceed anonymously
+			return login{}, nil // agent declines; proceed anonymously
 		}
 		var res sfsrpc.LoginRes
 		err := m.base.Call(sfsrpc.AuthProgram, sfsrpc.Version, sfsrpc.ProcLogin,
 			sfsrpc.LoginArgs{SeqNo: seq, AuthMsg: msg}, &res)
 		if err != nil {
-			return nil, err
+			return login{}, err
 		}
-		if res.Status == sfsrpc.LoginOK {
-			authNo = res.AuthNo
-			break
-		}
-		if res.Status == sfsrpc.LoginNo {
-			break
+		switch res.Status {
+		case sfsrpc.LoginOK:
+			return login{authNo: res.AuthNo, msg: msg}, nil
+		case sfsrpc.LoginNo:
+			return login{}, nil
 		}
 	}
-	no := authNo
-	v := m.base.WithAuth(user, func() sunrpc.OpaqueAuth { return sunrpc.SFSAuth(no) })
-	m.mu.Lock()
-	if exist, ok := m.users[user]; ok {
-		m.mu.Unlock()
-		return exist, nil
-	}
-	m.users[user] = v
-	m.mu.Unlock()
-	return v, nil
 }
 
 // node is a resolved file: the view to talk through and the handle.

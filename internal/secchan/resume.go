@@ -35,13 +35,23 @@ package secchan
 // sessions. Each entry is bound to the (hostID, location, service)
 // the session was established for; a resumption claiming any other
 // endpoint is treated as a miss, so a ticket cannot be redeemed
-// against a different served FS on the same master. Forward secrecy
-// is coarser than a full handshake's — the RMS lives in server memory
-// for the cache TTL — which is the same tradeoff TLS session tickets
-// make; the TTL and byte budget bound it.
+// against a different served FS on the same master.
+//
+// An entry also keeps a pointer to its session's login table
+// (sfsrpc.Grants), so a resumed session can carry the users its
+// predecessor logged in over without a signature: the client proves
+// each claim with Resumed.LoginProof, a MAC keyed from the
+// predecessor's RMS. The table is the live one, so logins made after
+// the handshake travel too without a second cache write.
+//
+// Forward secrecy is coarser than a full handshake's — the RMS lives
+// in server memory for the cache TTL — which is the same tradeoff TLS
+// session tickets make; the TTL and byte budget bound it.
 
 import (
+	"crypto/hmac"
 	"crypto/sha1"
+	"encoding/binary"
 	"errors"
 	"io"
 	"sync"
@@ -50,6 +60,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/crypto/prng"
 	"repro/internal/crypto/rabin"
+	"repro/internal/sfsrpc"
 	"repro/internal/stats"
 )
 
@@ -128,6 +139,40 @@ func resumeKeys(rms [keyHalf]byte, nonceC, nonceS [keyHalf]byte) (cs, sc [keyHal
 	return cs, sc, sessionID
 }
 
+// Resumed is what a session established by resumption inherits from
+// the session it resumed: on the server, that session's login table;
+// on both ends, the key that proves a claim on one of its logins
+// (sfsrpc.ProcResumeLogin, DESIGN.md §14).
+type Resumed struct {
+	// Grants is the resumed session's login table (server side only).
+	Grants   *sfsrpc.Grants
+	proofKey [sha1.Size]byte
+}
+
+func newResumed(rms [keyHalf]byte, grants *sfsrpc.Grants) *Resumed {
+	r := &Resumed{Grants: grants}
+	h := sha1.New()
+	h.Write([]byte("ResumeLogin"))
+	h.Write(rms[:])
+	h.Sum(r.proofKey[:0])
+	return r
+}
+
+// LoginProof is the MAC that carries login authNo of the resumed
+// session into the session named by authID: HMAC-SHA1 over (authID,
+// seqNo, authNo) keyed with SHA-1("ResumeLogin", RMS) of the resumed
+// session. Only the two ends of that session hold its RMS.
+func (r *Resumed) LoginProof(authID [sha1.Size]byte, seqNo, authNo uint32) (proof [sha1.Size]byte) {
+	var msg [sha1.Size + 8]byte
+	copy(msg[:], authID[:])
+	binary.BigEndian.PutUint32(msg[sha1.Size:], seqNo)
+	binary.BigEndian.PutUint32(msg[sha1.Size+4:], authNo)
+	m := hmac.New(sha1.New, r.proofKey[:])
+	m.Write(msg[:])
+	m.Sum(proof[:0])
+	return proof
+}
+
 // mintTicket builds the next connection's ticket from an established
 // session's keys.
 func mintTicket(sessionID [sha1.Size]byte, cs, sc []byte) *ResumeTicket {
@@ -157,6 +202,7 @@ type resumeBinding struct {
 type resumeEntry struct {
 	sid     [sha1.Size]byte
 	rms     [keyHalf]byte
+	grants  *sfsrpc.Grants
 	binding resumeBinding
 	expires time.Time
 	cost    int64
@@ -203,8 +249,9 @@ func NewResumeCache(maxBytes int64, ttl time.Duration) *ResumeCache {
 	}
 }
 
-// put caches a freshly established session bound to its endpoint.
-func (c *ResumeCache) put(sid [sha1.Size]byte, rms [keyHalf]byte, binding resumeBinding) {
+// put caches a freshly established session bound to its endpoint,
+// with its login table.
+func (c *ResumeCache) put(sid [sha1.Size]byte, rms [keyHalf]byte, grants *sfsrpc.Grants, binding resumeBinding) {
 	if c == nil {
 		return
 	}
@@ -213,6 +260,7 @@ func (c *ResumeCache) put(sid [sha1.Size]byte, rms [keyHalf]byte, binding resume
 	defer c.mu.Unlock()
 	if e, ok := c.entries[sid]; ok {
 		e.rms = rms
+		e.grants = grants
 		e.binding = binding
 		e.expires = c.now().Add(c.ttl)
 		e.ref = true
@@ -223,7 +271,7 @@ func (c *ResumeCache) put(sid [sha1.Size]byte, rms [keyHalf]byte, binding resume
 	for c.bytes+cost > c.max && c.evictOne() {
 	}
 	e := &resumeEntry{
-		sid: sid, rms: rms, binding: binding,
+		sid: sid, rms: rms, grants: grants, binding: binding,
 		expires: c.now().Add(c.ttl), cost: cost,
 		idx: len(c.ring), ref: true,
 	}
@@ -276,30 +324,30 @@ func (c *ResumeCache) evictOne() bool {
 // the same endpoint the caller presents. Tickets are single-use: any
 // lookup — hit, expired, or binding mismatch — removes the entry (the
 // resumed session's new ticket is inserted by the caller).
-func (c *ResumeCache) take(sid [sha1.Size]byte, binding resumeBinding) (rms [keyHalf]byte, ok bool) {
+func (c *ResumeCache) take(sid [sha1.Size]byte, binding resumeBinding) (rms [keyHalf]byte, grants *sfsrpc.Grants, ok bool) {
 	if c == nil {
-		return rms, false
+		return rms, nil, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, found := c.entries[sid]
 	if !found {
 		c.misses.Inc()
-		return rms, false
+		return rms, nil, false
 	}
 	c.removeLocked(e)
 	if c.now().After(e.expires) {
 		c.expired.Inc()
 		c.misses.Inc()
-		return rms, false
+		return rms, nil, false
 	}
 	if e.binding != binding {
 		c.bindingMiss.Inc()
 		c.misses.Inc()
-		return rms, false
+		return rms, nil, false
 	}
 	c.hits.Inc()
-	return e.rms, true
+	return e.rms, e.grants, true
 }
 
 // ResumeCacheStats is the JSON form of a cache's counters.
@@ -385,12 +433,14 @@ func RejectResume(conn io.Writer) error {
 // AcceptResume answers a resumption hello from cache. On a hit it
 // completes the rekey, caches the resumed session's next ticket, and
 // returns the established channel with hit = true; no public-key work
-// runs. On a miss (or nil cache) it sends the miss response and
-// returns hit = false with no error — the caller then reads the
-// client's fallback SFS_CONNECT from the same connection.
+// runs, and Info.Resumed holds the resumed session's login table and
+// the key that checks claims on it. On a miss (or nil cache) it sends
+// the miss response and returns hit = false with no error — the caller
+// then reads the client's fallback SFS_CONNECT from the same
+// connection.
 func AcceptResume(conn io.ReadWriteCloser, req *ResumeRequest, cache *ResumeCache, rng *prng.Generator) (*Conn, *Info, bool, error) {
 	binding := resumeBinding{hostID: req.HostID, location: req.Location, service: req.Service}
-	rms, ok := cache.take(req.SessionID, binding)
+	rms, prev, ok := cache.take(req.SessionID, binding)
 	if !ok {
 		return nil, nil, false, RejectResume(conn)
 	}
@@ -401,7 +451,8 @@ func AcceptResume(conn io.ReadWriteCloser, req *ResumeRequest, cache *ResumeCach
 	// The next ticket is cached before the response that lets the
 	// client compute it leaves: a client that reconnects the instant
 	// the handshake completes must find it.
-	cache.put(sid, resumeMaster(cs[:], sc[:]), binding)
+	grants := new(sfsrpc.Grants)
+	cache.put(sid, resumeMaster(cs[:], sc[:]), grants, binding)
 	if err := writeMsg(conn, resp); err != nil {
 		chanStats.handshakeF.Inc()
 		return nil, nil, false, err
@@ -416,6 +467,7 @@ func AcceptResume(conn io.ReadWriteCloser, req *ResumeRequest, cache *ResumeCach
 	info := &Info{
 		SessionID: sid, Location: req.Location, HostID: hostID,
 		Service: req.Service, Version: req.Version, Extensions: req.Extensions,
+		Grants: grants, Resumed: newResumed(rms, prev),
 	}
 	chanStats.handshakes.Inc()
 	chanStats.resumes.Inc()
@@ -471,7 +523,7 @@ func ClientHandshakeResume(conn io.ReadWriteCloser, service uint32, path core.Pa
 	info := &Info{
 		SessionID: sid, Location: path.Location, HostID: path.HostID,
 		Service: service, Version: req.Version, Extensions: extensions,
-		Ticket: mintTicket(sid, cs[:], sc[:]),
+		Ticket: mintTicket(sid, cs[:], sc[:]), Resumed: newResumed(ticket.rms, nil),
 	}
 	chanStats.handshakes.Inc()
 	chanStats.resumes.Inc()

@@ -221,9 +221,9 @@ func TestResumeTicketExpiry(t *testing.T) {
 	var sid [sha1.Size]byte
 	var rms [keyHalf]byte
 	copy(sid[:], []byte("expiring session id."))
-	cache.put(sid, rms, resumeBinding{})
+	cache.put(sid, rms, nil, resumeBinding{})
 	now = now.Add(2 * time.Minute)
-	if _, ok := cache.take(sid, resumeBinding{}); ok {
+	if _, _, ok := cache.take(sid, resumeBinding{}); ok {
 		t.Fatal("expired ticket resumed")
 	}
 	st := cache.Stats()
@@ -241,14 +241,14 @@ func TestResumeCacheEviction(t *testing.T) {
 	var rms [keyHalf]byte
 	sid := func(i byte) (s [sha1.Size]byte) { s[0] = i; return }
 	for i := byte(0); i < 4; i++ {
-		cache.put(sid(i), rms, resumeBinding{})
+		cache.put(sid(i), rms, nil, resumeBinding{})
 	}
 	if st := cache.Stats(); st.Evictions != 0 || st.Entries != 4 {
 		t.Fatalf("premature eviction: %+v", st)
 	}
 	// A fifth entry must evict one; CLOCK clears reference bits on the
 	// first sweep and evicts the first unreferenced entry (entry 0).
-	cache.put(sid(4), rms, resumeBinding{})
+	cache.put(sid(4), rms, nil, resumeBinding{})
 	st := cache.Stats()
 	if st.Evictions != 1 || st.Entries != 4 {
 		t.Fatalf("eviction did not bound the cache: %+v", st)
@@ -256,10 +256,10 @@ func TestResumeCacheEviction(t *testing.T) {
 	if st.Bytes > 4*resumeEntryBytes {
 		t.Fatalf("accounted bytes %d exceed budget", st.Bytes)
 	}
-	if _, ok := cache.take(sid(0), resumeBinding{}); ok {
+	if _, _, ok := cache.take(sid(0), resumeBinding{}); ok {
 		t.Fatal("CLOCK kept the stale entry")
 	}
-	if _, ok := cache.take(sid(4), resumeBinding{}); !ok {
+	if _, _, ok := cache.take(sid(4), resumeBinding{}); !ok {
 		t.Fatal("fresh entry missing after eviction")
 	}
 }
@@ -269,11 +269,11 @@ func TestResumeSingleUse(t *testing.T) {
 	var sid [sha1.Size]byte
 	var rms [keyHalf]byte
 	sid[0] = 7
-	cache.put(sid, rms, resumeBinding{})
-	if _, ok := cache.take(sid, resumeBinding{}); !ok {
+	cache.put(sid, rms, nil, resumeBinding{})
+	if _, _, ok := cache.take(sid, resumeBinding{}); !ok {
 		t.Fatal("first take missed")
 	}
-	if _, ok := cache.take(sid, resumeBinding{}); ok {
+	if _, _, ok := cache.take(sid, resumeBinding{}); ok {
 		t.Fatal("ticket replayed: second take hit")
 	}
 }
@@ -288,12 +288,12 @@ func TestResumeCacheRingNoLeak(t *testing.T) {
 		s[0], s[1], s[2], s[3] = byte(i), byte(i>>8), byte(i>>16), byte(i>>24)
 		return
 	}
-	cache.put(sid(0), rms, resumeBinding{})
+	cache.put(sid(0), rms, nil, resumeBinding{})
 	for i := 1; i <= 10000; i++ {
-		if _, ok := cache.take(sid(i-1), resumeBinding{}); !ok {
+		if _, _, ok := cache.take(sid(i-1), resumeBinding{}); !ok {
 			t.Fatalf("cycle %d: take missed", i)
 		}
-		cache.put(sid(i), rms, resumeBinding{})
+		cache.put(sid(i), rms, nil, resumeBinding{})
 	}
 	cache.mu.Lock()
 	ring, entries := len(cache.ring), len(cache.entries)
@@ -321,23 +321,23 @@ func TestResumeBindingMismatch(t *testing.T) {
 
 	other := bound
 	other.service = ServiceAuth
-	cache.put(sid(1), rms, bound)
-	if _, ok := cache.take(sid(1), other); ok {
+	cache.put(sid(1), rms, nil, bound)
+	if _, _, ok := cache.take(sid(1), other); ok {
 		t.Fatal("ticket redeemed for a different service")
 	}
-	if _, ok := cache.take(sid(1), bound); ok {
+	if _, _, ok := cache.take(sid(1), bound); ok {
 		t.Fatal("binding miss did not consume the single-use entry")
 	}
 
 	other = bound
 	other.hostID[0] = 2
-	cache.put(sid(2), rms, bound)
-	if _, ok := cache.take(sid(2), other); ok {
+	cache.put(sid(2), rms, nil, bound)
+	if _, _, ok := cache.take(sid(2), other); ok {
 		t.Fatal("ticket redeemed for a different hostID")
 	}
 
-	cache.put(sid(3), rms, bound)
-	if _, ok := cache.take(sid(3), bound); !ok {
+	cache.put(sid(3), rms, nil, bound)
+	if _, _, ok := cache.take(sid(3), bound); !ok {
 		t.Fatal("matching binding missed")
 	}
 	st := cache.Stats()

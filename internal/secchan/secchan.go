@@ -42,6 +42,7 @@ import (
 	"repro/internal/crypto/prng"
 	"repro/internal/crypto/rabin"
 	"repro/internal/crypto/sha1mac"
+	"repro/internal/sfsrpc"
 	"repro/internal/sunrpc"
 	"repro/internal/xdr"
 )
@@ -136,6 +137,13 @@ type Info struct {
 	// public-key work (client side only; nil on the server side and on
 	// plain connects). Every established session mints a fresh one.
 	Ticket *ResumeTicket
+	// Grants is the session's login table (server side only). The
+	// resumption cache keeps a pointer to it, so the session that
+	// resumes this one can carry its logins over.
+	Grants *sfsrpc.Grants
+	// Resumed is set when the session was established by resumption,
+	// on both ends; nil after a full handshake.
+	Resumed *Resumed
 }
 
 func sessionKeys(serverKey, tempKey []byte, cHalves, sHalves []byte) (cs, sc [keyHalf]byte, sessionID [sha1.Size]byte) {
@@ -475,7 +483,8 @@ func serverHandshake(conn io.ReadWriteCloser, req *ConnectRequest, priv *rabin.P
 	}
 	// Cached before the response leaves, as in AcceptResume.
 	cs, sc, sid := sessionKeys(pub, neg.TempKey, cHalves, sHalves)
-	cache.put(sid, resumeMaster(cs[:], sc[:]),
+	grants := new(sfsrpc.Grants)
+	cache.put(sid, resumeMaster(cs[:], sc[:]), grants,
 		resumeBinding{hostID: req.HostID, location: req.Location, service: req.Service})
 	if err := writeMsg(conn, keyNegResponse{KeyHalves: encS}); err != nil {
 		return nil, nil, err
@@ -489,6 +498,7 @@ func serverHandshake(conn io.ReadWriteCloser, req *ConnectRequest, priv *rabin.P
 	info := &Info{
 		SessionID: sid, Location: req.Location, HostID: hostID,
 		Service: req.Service, Version: req.Version, Extensions: req.Extensions,
+		Grants: grants,
 	}
 	return sec, info, nil
 }

@@ -17,6 +17,7 @@ import (
 	"repro/internal/crypto/prng"
 	"repro/internal/crypto/rabin"
 	"repro/internal/secchan"
+	"repro/internal/sfsrpc"
 	"repro/internal/vfs"
 )
 
@@ -50,35 +51,52 @@ func dialResume(t *testing.T, s *Server, path core.Path, service uint32, ticket 
 	return sec, info
 }
 
+// TestResumeReconnectThroughMaster counts the public-key work of a
+// reconnect and of the relogin on it: a full handshake costs two Rabin
+// decrypts and its login one signature; a resumed reconnect costs no
+// decrypt and its resumed relogin no signature.
 func TestResumeReconnectThroughMaster(t *testing.T) {
+	m := newAuthMaster(t, "resume-master")
+	s := m.s
 	key, _ := serverKeys(t)
-	s := New(prng.NewSeeded([]byte("resume-master")))
-	path, err := s.Serve(ServedConfig{Location: "resume.example.com", Key: key, FS: vfs.New()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	path := m.serve(t, "resume.example.com", key)
 	// A full handshake with both ends in-process: one Rabin decrypt per
 	// side.
 	rabin0 := secchan.StatsSnapshot().RabinDecrypts
-	sec, info := dialServer(t, s, path, secchan.ServiceFile)
+	first := m.dial(t, path, nil)
 	if d := secchan.StatsSnapshot().RabinDecrypts - rabin0; d != 2 {
 		t.Fatalf("full handshake performed %d Rabin decrypts, want 2", d)
 	}
+	info := first.info
 	if info.Ticket == nil {
 		t.Fatal("full handshake minted no resumption ticket")
 	}
-	sec.Close()
-	// The server caches the session just after its final handshake
-	// write; an instant reconnect could miss (and harmlessly fall back),
-	// but this test wants the hit path.
+	signs0 := signatures(m.agent)
+	no := first.login(t, m.agent)
+	if d := signatures(m.agent) - signs0; d != 1 {
+		t.Fatalf("full login signed %d times, want 1", d)
+	}
+	first.rpc.Close()
 	waitFor(t, "ticket cached", func() bool { return s.resume.Stats().Entries == 1 })
 
-	// Reconnect by resumption: zero Rabin decrypts, counted as resumed.
+	// Reconnect by resumption and relogin: zero Rabin decrypts, zero
+	// signatures, counted as resumed.
 	rabin1 := secchan.StatsSnapshot().RabinDecrypts
-	sec2, info2 := dialResume(t, s, path, secchan.ServiceFile, info.Ticket)
-	defer sec2.Close()
+	signs1 := signatures(m.agent)
+	second := m.dial(t, path, info.Ticket)
+	info2 := second.info
+	if second.info.Resumed == nil {
+		t.Fatal("reconnect did not resume")
+	}
+	res := second.call(t, sfsrpc.ProcResumeLogin, second.claimArgs(no))
+	if res.Status != sfsrpc.LoginOK {
+		t.Fatalf("resumed relogin status %d, want LoginOK", res.Status)
+	}
 	if d := secchan.StatsSnapshot().RabinDecrypts - rabin1; d != 0 {
-		t.Fatalf("resumed reconnect performed %d Rabin decrypts, want 0", d)
+		t.Fatalf("resumed reconnect and relogin performed %d Rabin decrypts, want 0", d)
+	}
+	if d := signatures(m.agent) - signs1; d != 0 {
+		t.Fatalf("resumed relogin signed %d times, want 0", d)
 	}
 	if info2.SessionID == info.SessionID {
 		t.Fatal("resumed session reused the old session ID")
@@ -89,6 +107,9 @@ func TestResumeReconnectThroughMaster(t *testing.T) {
 	waitFor(t, "resumed counter", func() bool { return s.met.hsResumed.Load() == 1 })
 	if got := s.met.hsFull.Load(); got != 1 {
 		t.Fatalf("full handshakes %d, want 1", got)
+	}
+	if got, fb := s.met.loginsResumed.Load(), s.met.resumeFallbacks.Load(); got != 1 || fb != 0 {
+		t.Fatalf("logins resumed %d, fallbacks %d; want 1, 0", got, fb)
 	}
 }
 
@@ -225,7 +246,14 @@ func TestHandshakeTimeoutFreesSlot(t *testing.T) {
 	waitFor(t, "handshake timeout", func() bool { return s.met.hsTimeouts.Load() >= 1 })
 	waitFor(t, "slot release", func() bool { return s.hsInFlight.Load() == 0 })
 
-	// With the slot back, a well-behaved client negotiates fine.
+	// With the slot back, a well-behaved client negotiates fine. Its
+	// full 768-bit handshake (and the temp key dialServer generates
+	// after the master starts the clock) can outlast 100 ms on a loaded
+	// host under -race, so the deadline, whose part of the test is
+	// done, is lifted first. The write is ordered after the staller's
+	// last read of it: that read precedes its releaseHS, whose
+	// hsInFlight decrement the wait above observed.
+	s.hsTimeout = 0
 	sec, _ := dialServer(t, s, path, secchan.ServiceFile)
 	sec.Close()
 	waitFor(t, "full handshake after timeout", func() bool { return s.met.hsFull.Load() == 1 })

@@ -37,10 +37,14 @@ type masterMetrics struct {
 	hsQueue      stats.Gauge   // connections waiting for a pool slot
 	hsStages     stats.StageSet
 
-	logins     stats.Counter // login RPCs received
+	logins     stats.Counter // full-login RPCs received
 	loginOK    stats.Counter
-	loginFails stats.Counter // any non-OK outcome
+	loginFails stats.Counter // any non-OK full-login outcome
 	seqReplays stats.Counter // rejected by the sequence-number window
+
+	// Logins carried into a resumed session (DESIGN.md §14).
+	loginsResumed   stats.Counter // granted with no signature
+	resumeFallbacks stats.Counter // refused: the client logs in in full
 }
 
 // recordHSSpan folds one established session into the handshake stage
@@ -170,10 +174,12 @@ type MasterStats struct {
 
 	Handshakes HandshakeStats `json:"handshakes"`
 
-	Logins     uint64 `json:"logins"`
-	LoginOK    uint64 `json:"login_ok"`
-	LoginFails uint64 `json:"login_fails"`
-	SeqReplays uint64 `json:"seq_replays"`
+	Logins          uint64 `json:"logins"`
+	LoginOK         uint64 `json:"login_ok"`
+	LoginFails      uint64 `json:"login_fails"`
+	SeqReplays      uint64 `json:"seq_replays"`
+	LoginsResumed   uint64 `json:"logins_resumed"`
+	ResumeFallbacks uint64 `json:"login_resume_fallbacks"`
 
 	Locations map[string]nfs.ServerStats `json:"locations,omitempty"`
 }
@@ -203,6 +209,9 @@ func (s *Server) StatsSnapshot() MasterStats {
 		LoginOK:    m.loginOK.Load(),
 		LoginFails: m.loginFails.Load(),
 		SeqReplays: m.seqReplays.Load(),
+
+		LoginsResumed:   m.loginsResumed.Load(),
+		ResumeFallbacks: m.resumeFallbacks.Load(),
 	}
 	st.Handshakes.HeapInUse, st.Handshakes.HeapInUseMax = sampleHeap()
 	st.Handshakes.GoroutineNow = runtime.NumGoroutine()

@@ -17,6 +17,7 @@
 package server
 
 import (
+	"crypto/hmac"
 	"crypto/sha1"
 	"encoding/binary"
 	"errors"
@@ -552,13 +553,11 @@ func (w *seqWindow) accept(seq uint32) bool {
 // serveFile serves the read-write file protocol plus the user-
 // authentication service on one secure channel.
 func (s *Server) serveFile(sec *secchan.Conn, info *secchan.Info, sfs *servedFS) {
-	authInfo := sfsrpc.NewAuthInfo(info.Location, info.HostID, info.SessionID)
-	wantAuthID := authInfo.AuthID()
-
-	var mu sync.Mutex
-	authNos := map[uint32]vfs.Cred{}
-	nextAuthNo := uint32(1)
-	var seqs seqWindow
+	fs := &fileSession{
+		s: s, sfs: sfs, grants: info.Grants, resumed: info.Resumed,
+		authInfo: sfsrpc.NewAuthInfo(info.Location, info.HostID, info.SessionID),
+	}
+	fs.authID = fs.authInfo.AuthID()
 
 	// The session closes the channel when it ends, which fires the byte
 	// accounting and close log even when the peer vanishes.
@@ -566,58 +565,109 @@ func (s *Server) serveFile(sec *secchan.Conn, info *secchan.Info, sfs *servedFS)
 		// Credential tagging: the server, not the client, decides
 		// what a given authentication number means.
 		sess.SetCreds(func(a sunrpc.OpaqueAuth) vfs.Cred {
-			no := sunrpc.AuthNumber(a)
-			if no == 0 {
-				return vfs.Anonymous
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			if c, ok := authNos[no]; ok {
-				return c
+			if g, ok := fs.grants.Get(sunrpc.AuthNumber(a)); ok {
+				return vfs.Cred{UID: g.Creds.UID, GIDs: g.Creds.GIDs}
 			}
 			return vfs.Anonymous
 		})
 		rpc.Register(sfsrpc.AuthProgram, sfsrpc.Version, func(proc uint32, _ sunrpc.OpaqueAuth, args *xdr.Decoder) (interface{}, error) {
-			if proc != sfsrpc.ProcLogin {
-				return nil, sunrpc.ErrProcUnavail
+			switch proc {
+			case sfsrpc.ProcLogin:
+				var la sfsrpc.LoginArgs
+				if err := args.Decode(&la); err != nil {
+					return nil, sunrpc.ErrGarbageArgs
+				}
+				return fs.login(la), nil
+			case sfsrpc.ProcResumeLogin:
+				var ra sfsrpc.ResumeLoginArgs
+				if err := args.Decode(&ra); err != nil {
+					return nil, sunrpc.ErrGarbageArgs
+				}
+				return fs.resumeLogin(ra), nil
 			}
-			var la sfsrpc.LoginArgs
-			if err := args.Decode(&la); err != nil {
-				return nil, sunrpc.ErrGarbageArgs
-			}
-			s.met.logins.Inc()
-			if sfs.cfg.Auth == nil {
-				s.met.loginFails.Inc()
-				return sfsrpc.LoginRes{Status: sfsrpc.LoginNo}, nil
-			}
-			res := sfs.cfg.Auth.Validate(sfsrpc.ValidateArgs{
-				AuthInfo: authInfo, SeqNo: la.SeqNo, AuthMsg: la.AuthMsg,
-			})
-			if !res.OK {
-				s.met.loginFails.Inc()
-				return sfsrpc.LoginRes{Status: sfsrpc.LoginAgain}, nil
-			}
-			// The server itself re-checks what the authserver
-			// echoes: the AuthID must match this session and the
-			// sequence number must be fresh (paper §3.1.2).
-			if res.AuthID != wantAuthID {
-				s.met.loginFails.Inc()
-				return sfsrpc.LoginRes{Status: sfsrpc.LoginAgain}, nil
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			if !seqs.accept(res.SeqNo) {
-				s.met.seqReplays.Inc()
-				s.met.loginFails.Inc()
-				return sfsrpc.LoginRes{Status: sfsrpc.LoginAgain}, nil
-			}
-			no := nextAuthNo
-			nextAuthNo++
-			authNos[no] = vfs.Cred{UID: res.Creds.UID, GIDs: res.Creds.GIDs}
-			s.met.loginOK.Inc()
-			return sfsrpc.LoginRes{Status: sfsrpc.LoginOK, AuthNo: no}, nil
+			return nil, sunrpc.ErrProcUnavail
 		})
 	})
+}
+
+// fileSession is the login state of one file-service session.
+type fileSession struct {
+	s        *Server
+	sfs      *servedFS
+	authInfo sfsrpc.AuthInfo
+	authID   [sha1.Size]byte  // SHA-1 of authInfo: what logins must name
+	grants   *sfsrpc.Grants   // this session's logins
+	resumed  *secchan.Resumed // nil unless the session was resumed
+
+	mu   sync.Mutex
+	seqs seqWindow // Fig. 4 window, shared by full and resumed logins
+}
+
+// fresh admits a sequence number to the session's window.
+func (fs *fileSession) fresh(seq uint32) bool {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if !fs.seqs.accept(seq) {
+		fs.s.met.seqReplays.Inc()
+		return false
+	}
+	return true
+}
+
+// login runs the paper's Fig. 4 login: the authserver checks the
+// agent's signature and maps the key to credentials.
+func (fs *fileSession) login(la sfsrpc.LoginArgs) sfsrpc.LoginRes {
+	met := &fs.s.met
+	met.logins.Inc()
+	auth := fs.sfs.cfg.Auth
+	if auth == nil {
+		met.loginFails.Inc()
+		return sfsrpc.LoginRes{Status: sfsrpc.LoginNo}
+	}
+	res := auth.Validate(sfsrpc.ValidateArgs{AuthInfo: fs.authInfo, SeqNo: la.SeqNo, AuthMsg: la.AuthMsg})
+	// The server itself re-checks what the authserver echoes: the
+	// AuthID must match this session and the sequence number must be
+	// fresh (paper §3.1.2).
+	if !res.OK || res.AuthID != fs.authID || !fs.fresh(res.SeqNo) {
+		met.loginFails.Inc()
+		return sfsrpc.LoginRes{Status: sfsrpc.LoginAgain}
+	}
+	// Validate parsed the message already, so this cannot fail.
+	msg, err := sfsrpc.ParseAuthMsg(la.AuthMsg)
+	if err != nil {
+		met.loginFails.Inc()
+		return sfsrpc.LoginRes{Status: sfsrpc.LoginAgain}
+	}
+	no := fs.grants.Add(sfsrpc.Grant{UserKey: msg.UserKey, Creds: res.Creds})
+	met.loginOK.Inc()
+	return sfsrpc.LoginRes{Status: sfsrpc.LoginOK, AuthNo: no}
+}
+
+// resumeLogin carries a login of the resumed session into this one
+// with no signature (DESIGN.md §14). It grants only when the proof
+// MACs under the resumed session's secret, the sequence number is
+// fresh, and the authserver still maps the grant's key to the same
+// credentials; anything else sends the client to a full login.
+func (fs *fileSession) resumeLogin(ra sfsrpc.ResumeLoginArgs) sfsrpc.LoginRes {
+	met := &fs.s.met
+	auth := fs.sfs.cfg.Auth
+	if auth == nil || fs.resumed == nil {
+		met.resumeFallbacks.Inc()
+		return sfsrpc.LoginRes{Status: sfsrpc.LoginAgain}
+	}
+	proof := fs.resumed.LoginProof(fs.authID, ra.SeqNo, ra.AuthNo)
+	if !hmac.Equal(proof[:], ra.Proof[:]) || !fs.fresh(ra.SeqNo) {
+		met.resumeFallbacks.Inc()
+		return sfsrpc.LoginRes{Status: sfsrpc.LoginAgain}
+	}
+	g, ok := fs.resumed.Grants.Get(ra.AuthNo)
+	if !ok || !auth.Recheck(g.UserKey, g.Creds) {
+		met.resumeFallbacks.Inc()
+		return sfsrpc.LoginRes{Status: sfsrpc.LoginAgain}
+	}
+	no := fs.grants.Add(g)
+	met.loginsResumed.Inc()
+	return sfsrpc.LoginRes{Status: sfsrpc.LoginOK, AuthNo: no}
 }
 
 // serveAuth serves the sfskey management service (SRP password login

@@ -14,6 +14,8 @@ package sfsrpc
 
 import (
 	"crypto/sha1"
+	"slices"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/crypto/rabin"
@@ -43,6 +45,11 @@ const (
 	// ProcLogin submits an authentication message; the reply carries
 	// an authentication number or a retry indication.
 	ProcLogin = 1
+	// ProcResumeLogin carries a login of the session this one resumed
+	// into this session, with no signature (ResumeLoginArgs; DESIGN.md
+	// §14). The reply is a LoginRes; anything but LoginOK means "log in
+	// in full".
+	ProcResumeLogin = 2
 )
 
 // AuthInfo identifies one session at one file system. Its hash is the
@@ -132,6 +139,11 @@ type Credentials struct {
 	GIDs []uint32
 }
 
+// Equal reports whether c and o are the same user, UID and groups.
+func (c Credentials) Equal(o Credentials) bool {
+	return c.User == o.User && c.UID == o.UID && slices.Equal(c.GIDs, o.GIDs)
+}
+
 // LoginArgs is the client→server (and server→authserver) request.
 type LoginArgs struct {
 	SeqNo   uint32
@@ -151,6 +163,55 @@ const (
 type LoginRes struct {
 	Status uint32
 	AuthNo uint32
+}
+
+// ResumeLoginArgs claims, in a resumed session, the login the resumed
+// session granted as AuthNo. Proof is the MAC only the two ends of
+// that session can compute: secchan.Resumed.LoginProof over this
+// session's AuthID, SeqNo and AuthNo. SeqNo shares the session's
+// Fig. 4 window with ProcLogin.
+type ResumeLoginArgs struct {
+	AuthNo uint32
+	SeqNo  uint32
+	Proof  [sha1.Size]byte
+}
+
+// Grant is what one authentication number means at the server: the
+// public key that logged in and the credentials the authserver mapped
+// it to.
+type Grant struct {
+	UserKey []byte
+	Creds   Credentials
+}
+
+// Grants is one session's table of logins: the server, not the
+// client, decides what an authentication number means (paper
+// §3.1.2). Numbers are handed out from 1; 0 stays anonymous. A
+// session's table outlives its connection in the resumption cache, so
+// the session resuming it can carry its logins over (DESIGN.md §14).
+// The zero value is an empty table; methods are safe for concurrent
+// use.
+type Grants struct {
+	mu sync.Mutex
+	g  []Grant // authentication number n is g[n-1]
+}
+
+// Add records a grant and returns its authentication number.
+func (t *Grants) Add(g Grant) uint32 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.g = append(t.g, g)
+	return uint32(len(t.g))
+}
+
+// Get returns the grant behind an authentication number.
+func (t *Grants) Get(no uint32) (Grant, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if no == 0 || uint64(no) > uint64(len(t.g)) {
+		return Grant{}, false
+	}
+	return t.g[no-1], true
 }
 
 // ValidateArgs is what the file server hands the authserver: the

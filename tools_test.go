@@ -186,6 +186,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 		"internal/agent: Agent.Unblock":                 "paper §2.6: the undo of Agent.Block, a per-user HostID block; no daemon command reaches either end of it yet",
 		"internal/agent: Agent.Unlink":                  "the undo of Agent.Symlink: a dynamic /sfs link a user made must be removable",
 		"internal/agent: Agent.Keys":                    "lists the agent's public keys; lab's assembly test checks a user's agent through it",
+		"internal/authserv: DB.Delete":                  "the undo of DB.Put: a removed user must stop mapping to credentials, carried logins included; no daemon command reaches it yet",
 		"internal/authserv: ImportPublic":               "paper §2.5.2: the other half of `sfsauthd export`, a public database a peer authserver loads read-only",
 		"internal/authserv: Server.SetGuestCredentials": "paper feature with no daemon route: credentials for valid logins whose key is in no database",
 	}

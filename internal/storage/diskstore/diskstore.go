@@ -61,9 +61,9 @@ type Store struct {
 	// mu guards the swappable state below across CrashRestart. Ops
 	// snapshot the pointers under mu and then run lock-free against
 	// them; an op that loses the race to a crash writes to the old
-	// (closed) WAL and reports an error, or mutates an orphaned
-	// serving copy — the same "lost at the crash" outcome a real
-	// kill -9 gives, and the verifier change makes clients retransmit.
+	// (closed) WAL or the old (closed) pager and reports an error —
+	// the same "lost at the crash" outcome a real kill -9 gives, and
+	// the verifier change makes clients retransmit.
 	mu      sync.Mutex
 	w       *wal.WAL
 	pg      *pager

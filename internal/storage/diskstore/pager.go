@@ -1,6 +1,7 @@
 package diskstore
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -27,12 +28,18 @@ const pagerShards = 8
 
 // prepareBatch bounds how many blocks flushDirty writes back under one
 // hold of a shard lock, so a writer to a file in that shard waits for
-// at most this many pwrites. spareBlocks bounds each shard's list of
-// block buffers kept from evicted blocks for the next install.
+// at most this many pwrites.
+const prepareBatch = 64
+
+// slabBlocks is how many block buffers one slab of block memory holds:
+// the pager maps that memory 1 MiB at a time, as it needs it.
 const (
-	prepareBatch = 64
-	spareBlocks  = 16
+	slabBlocks = 128
+	slabBytes  = slabBlocks * storage.BlockSize
 )
+
+// errPagerClosed is what every entry point of a closed pager returns.
+var errPagerClosed = errors.New("diskstore: pager closed")
 
 // pager is the paged serving copy of file content: a bounded set of
 // resident blocks over an extent file. Hot blocks live in memory;
@@ -65,6 +72,16 @@ type pager struct {
 	free    []uint64
 	freed   [2][]uint64
 
+	// Block memory. Resident blocks' buffers are cut from slabs that
+	// mapSlab takes outside the Go heap (slab_mmap.go), and every
+	// buffer whose block stops being resident goes back on bufs.
+	// Slabs are unmapped only by close. bufMu is taken under a shard
+	// lock, never the other way round.
+	bufMu  sync.Mutex
+	slabs  [][]byte
+	bufs   [][]byte // free BlockSize buffers, contents stale
+	mapped atomic.Uint64
+
 	resident  atomic.Uint64 // resident blocks, all shards
 	faults    atomic.Uint64
 	evictions atomic.Uint64
@@ -72,12 +89,12 @@ type pager struct {
 }
 
 type pagerShard struct {
-	mu    sync.Mutex
-	files map[uint64]*pfile
-	ring  []*pblock // CLOCK ring: resident + not-yet-reaped dead
-	hand  int
-	live  int      // resident blocks in this shard
-	spare [][]byte // BlockSize buffers of evicted blocks, contents stale
+	mu     sync.Mutex
+	closed bool // set by close; block buffers may be unmapped
+	files  map[uint64]*pfile
+	ring   []*pblock // CLOCK ring: resident + not-yet-reaped dead
+	hand   int
+	live   int // resident blocks in this shard
 }
 
 type pfile struct {
@@ -111,7 +128,40 @@ func newPager(path string, hotBytes uint64) (*pager, error) {
 
 func (p *pager) shard(id uint64) *pagerShard { return &p.shards[id%pagerShards] }
 
-func (p *pager) close() error { return p.f.Close() }
+// lock takes sh.mu and holds it unless the pager is closed. Every read
+// or write of block bytes happens between a successful lock and the
+// matching sh.mu.Unlock.
+func (sh *pagerShard) lock() error {
+	sh.mu.Lock()
+	if sh.closed {
+		sh.mu.Unlock()
+		return errPagerClosed
+	}
+	return nil
+}
+
+// close marks every shard closed, one shard lock at a time, and only
+// then unmaps the slabs. An op that still holds the pager (CrashRestart
+// orphans it while ops may run) gets errPagerClosed from its next lock,
+// and none is inside a shard lock once every shard is marked, so no
+// block byte is touched after its slab is gone.
+func (p *pager) close() error {
+	for i := range p.shards {
+		sh := &p.shards[i]
+		sh.mu.Lock()
+		sh.closed = true
+		sh.mu.Unlock()
+	}
+	var errs []error
+	p.bufMu.Lock()
+	for _, slab := range p.slabs {
+		errs = append(errs, unmapSlab(slab))
+		p.mapped.Add(^uint64(slabBytes - 1))
+	}
+	p.slabs, p.bufs = nil, nil
+	p.bufMu.Unlock()
+	return errors.Join(append(errs, p.f.Close())...)
+}
 
 // install registers one file's extent index from a checkpoint image.
 // Boot-time only, before the pager is shared.
@@ -172,32 +222,69 @@ func (sh *pagerShard) getFile(id uint64, create bool) *pfile {
 	return pf
 }
 
-// blockBuf returns a BlockSize buffer with arbitrary contents: the
-// caller overwrites or clears every byte. Caller holds sh.mu.
-func (sh *pagerShard) blockBuf() []byte {
-	if n := len(sh.spare); n > 0 {
-		buf := sh.spare[n-1]
-		sh.spare = sh.spare[:n-1]
-		return buf
+// blockBuf returns a BlockSize buffer with arbitrary contents, mapping
+// a new slab when the free list is empty: the caller overwrites or
+// clears every byte. Caller holds a shard lock.
+func (p *pager) blockBuf() ([]byte, error) {
+	p.bufMu.Lock()
+	defer p.bufMu.Unlock()
+	if len(p.bufs) == 0 {
+		slab, err := mapSlab(slabBytes)
+		if err != nil {
+			return nil, fmt.Errorf("diskstore: map block memory: %w", err)
+		}
+		p.slabs = append(p.slabs, slab)
+		p.mapped.Add(slabBytes)
+		for off := 0; off < slabBytes; off += storage.BlockSize {
+			p.bufs = append(p.bufs, slab[off:off+storage.BlockSize:off+storage.BlockSize])
+		}
 	}
-	return make([]byte, storage.BlockSize)
+	n := len(p.bufs) - 1
+	buf := p.bufs[n]
+	p.bufs = p.bufs[:n]
+	return buf, nil
+}
+
+// freeBuf puts a buffer no block owns any more on the free list.
+func (p *pager) freeBuf(buf []byte) {
+	p.bufMu.Lock()
+	p.bufs = append(p.bufs, buf)
+	p.bufMu.Unlock()
+}
+
+// drop ends b's residency — eviction, truncation or removal — and
+// returns its buffer to the free list. b stays in the CLOCK ring,
+// marked dead, until CLOCK or insert reaps it. Caller holds sh.mu.
+func (p *pager) drop(sh *pagerShard, b *pblock) {
+	if pf := sh.files[b.id]; pf != nil {
+		delete(pf.blocks, b.bno)
+	}
+	b.dead = true
+	p.freeBuf(b.data)
+	b.data = nil
+	sh.live--
+	p.resident.Add(^uint64(0))
 }
 
 // fault brings one block into residency: from its slot when it has
 // one, as zeros when it does not (a hole). Caller holds sh.mu.
 func (p *pager) fault(sh *pagerShard, pf *pfile, id, bno uint64) (*pblock, error) {
-	b := &pblock{id: id, bno: bno, data: sh.blockBuf(), ref: true}
+	buf, err := p.blockBuf()
+	if err != nil {
+		return nil, err
+	}
 	n := 0
 	if slot, ok := pf.slots[bno]; ok {
 		// A short read at the extent file's end just means the tail of
 		// the slot was never written — those bytes read as zeros.
-		var err error
-		n, err = p.f.ReadAt(b.data, int64(slot)*storage.BlockSize)
+		n, err = p.f.ReadAt(buf, int64(slot)*storage.BlockSize)
 		if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+			p.freeBuf(buf)
 			return nil, err
 		}
 	}
-	clear(b.data[n:])
+	clear(buf[n:])
+	b := &pblock{id: id, bno: bno, data: buf, ref: true}
 	p.faults.Add(1)
 	p.admit(sh, pf, b)
 	return b, nil
@@ -265,21 +352,11 @@ func (p *pager) evictOver(sh *pagerShard, pin *pblock) {
 			b.ref = true
 			return
 		}
-		pf := sh.files[b.id]
-		if pf != nil {
-			delete(pf.blocks, b.bno)
-		}
-		b.dead = true
 		// Readers copy out under sh.mu and nothing else keeps a dead
 		// block's bytes, so the buffer can serve the next install.
-		if len(sh.spare) < spareBlocks {
-			sh.spare = append(sh.spare, b.data)
-		}
-		b.data = nil
+		p.drop(sh, b)
 		sh.ring[sh.hand] = sh.ring[len(sh.ring)-1]
 		sh.ring = sh.ring[:len(sh.ring)-1]
-		sh.live--
-		p.resident.Add(^uint64(0))
 		p.evictions.Add(1)
 	}
 }
@@ -314,7 +391,9 @@ func (p *pager) writeBack(sh *pagerShard, b *pblock) error {
 func (p *pager) rebalance() {
 	for i := 0; i < pagerShards && p.resident.Load() > p.budget; i++ {
 		sh := &p.shards[i]
-		sh.mu.Lock()
+		if sh.lock() != nil {
+			continue
+		}
 		p.evictOver(sh, nil)
 		sh.mu.Unlock()
 	}
@@ -330,7 +409,9 @@ func (p *pager) ReadAt(id, off uint64, dst []byte) error {
 
 func (p *pager) readAt(id, off uint64, dst []byte) error {
 	sh := p.shard(id)
-	sh.mu.Lock()
+	if err := sh.lock(); err != nil {
+		return err
+	}
 	defer sh.mu.Unlock()
 	pf := sh.getFile(id, false)
 	if pf == nil || off+uint64(len(dst)) > pf.size {
@@ -366,7 +447,9 @@ func (p *pager) WriteAt(id, off uint64, data []byte) error {
 
 func (p *pager) writeAt(id, off uint64, data []byte) error {
 	sh := p.shard(id)
-	sh.mu.Lock()
+	if err := sh.lock(); err != nil {
+		return err
+	}
 	defer sh.mu.Unlock()
 	pf := sh.getFile(id, true)
 	for len(data) > 0 {
@@ -377,7 +460,11 @@ func (p *pager) writeAt(id, off uint64, data []byte) error {
 		if b == nil {
 			if bo == 0 && n == storage.BlockSize {
 				// Full overwrite: the old content is irrelevant.
-				b = &pblock{id: id, bno: bno, data: sh.blockBuf(), ref: true}
+				buf, err := p.blockBuf()
+				if err != nil {
+					return err
+				}
+				b = &pblock{id: id, bno: bno, data: buf, ref: true}
 				p.admit(sh, pf, b)
 			} else {
 				var err error
@@ -409,7 +496,9 @@ func (p *pager) Truncate(id, size uint64) error {
 
 func (p *pager) truncate(id, size uint64) error {
 	sh := p.shard(id)
-	sh.mu.Lock()
+	if err := sh.lock(); err != nil {
+		return err
+	}
 	defer sh.mu.Unlock()
 	pf := sh.getFile(id, true)
 	if size < pf.size {
@@ -417,10 +506,7 @@ func (p *pager) truncate(id, size uint64) error {
 		var freed []uint64
 		for bno, b := range pf.blocks {
 			if bno >= keep {
-				b.dead = true
-				delete(pf.blocks, bno)
-				sh.live--
-				p.resident.Add(^uint64(0))
+				p.drop(sh, b)
 			}
 		}
 		for bno, slot := range pf.slots {
@@ -456,7 +542,9 @@ func (p *pager) truncate(id, size uint64) error {
 // Remove drops all content of id.
 func (p *pager) Remove(id uint64) error {
 	sh := p.shard(id)
-	sh.mu.Lock()
+	if err := sh.lock(); err != nil {
+		return err
+	}
 	defer sh.mu.Unlock()
 	p.removeLocked(sh, id)
 	return nil
@@ -468,9 +556,7 @@ func (p *pager) removeLocked(sh *pagerShard, id uint64) {
 		return
 	}
 	for _, b := range pf.blocks {
-		b.dead = true
-		sh.live--
-		p.resident.Add(^uint64(0))
+		p.drop(sh, b)
 	}
 	var freed []uint64
 	for _, slot := range pf.slots {
@@ -490,11 +576,15 @@ func (p *pager) removeLocked(sh *pagerShard, id uint64) {
 func (p *pager) flushDirty() error {
 	for i := range p.shards {
 		sh := &p.shards[i]
-		sh.mu.Lock()
+		if err := sh.lock(); err != nil {
+			return err
+		}
 		blocks := append([]*pblock(nil), sh.ring...)
 		sh.mu.Unlock()
 		for len(blocks) > 0 {
-			sh.mu.Lock()
+			if err := sh.lock(); err != nil {
+				return err
+			}
 			wrote := 0
 			for len(blocks) > 0 && wrote < prepareBatch {
 				b := blocks[0]
@@ -523,7 +613,9 @@ func (p *pager) flushDirty() error {
 func (p *pager) checkpointImage(live map[uint64]struct{}, emit func(id, size uint64, bnos, slots []uint64) error) (files uint64, err error) {
 	for i := range p.shards {
 		sh := &p.shards[i]
-		sh.mu.Lock()
+		if err := sh.lock(); err != nil {
+			return 0, err
+		}
 		for id := range sh.files {
 			if _, ok := live[id]; !ok {
 				p.removeLocked(sh, id)
@@ -544,7 +636,9 @@ func (p *pager) checkpointImage(live map[uint64]struct{}, emit func(id, size uin
 	}
 	for i := range p.shards {
 		sh := &p.shards[i]
-		sh.mu.Lock()
+		if err := sh.lock(); err != nil {
+			return 0, err
+		}
 		for id, pf := range sh.files {
 			bnos := make([]uint64, 0, len(pf.slots))
 			slots := make([]uint64, 0, len(pf.slots))
@@ -579,5 +673,6 @@ func (p *pager) stats() *storage.PagerStats {
 		Faults:            p.faults.Load(),
 		Evictions:         p.evictions.Load(),
 		WriteBackFailures: p.wbFails.Load(),
+		MappedBytes:       p.mapped.Load(),
 	}
 }

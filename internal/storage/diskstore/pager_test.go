@@ -2,8 +2,12 @@ package diskstore
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/storage"
 )
@@ -20,8 +24,9 @@ func fileContent(id uint64, n int) []byte {
 
 // TestPagerLargerThanRAM writes a dataset several times the hot
 // budget, checkpoints, and proves the pager serves every byte back
-// identically while residency stays under budget — the
-// larger-than-RAM acceptance row at unit scale.
+// identically while residency stays under budget and its block memory
+// within the budget's slabs — the larger-than-RAM acceptance row at
+// unit scale.
 func TestPagerLargerThanRAM(t *testing.T) {
 	dir := t.TempDir()
 	const hot = 256 << 10 // 32 blocks
@@ -64,10 +69,19 @@ func TestPagerLargerThanRAM(t *testing.T) {
 		if ps.Faults == 0 || ps.Evictions == 0 {
 			t.Fatalf("%s: dataset 9x budget but faults=%d evictions=%d", label, ps.Faults, ps.Evictions)
 		}
+		// Evicted buffers serve the next installs, so the pass maps
+		// no more than the budget's worth of slabs.
+		if ps.MappedBytes == 0 || ps.MappedBytes > mappedBound(hot) {
+			t.Fatalf("%s: mapped_bytes = %d, want 1..%d", label, ps.MappedBytes, mappedBound(hot))
+		}
+		checkBufs(t, st.pg)
 	}
 	verify(s, "live")
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if m := s.StorageStats().Pager.MappedBytes; m != 0 {
+		t.Fatalf("mapped_bytes = %d after Close, want 0", m)
 	}
 
 	// Reopen: content now comes exclusively from image + extent file.
@@ -222,8 +236,9 @@ func TestPagerReadBeyondExtentErrors(t *testing.T) {
 
 // TestPagerRecycledBufferReadsClean: an evicted block's buffer is
 // handed to the next install with its old bytes in it. A hole and the
-// unwritten tail of a slot must still read as zeros, and the list of
-// kept buffers must stay bounded.
+// unwritten tail of a slot must still read as zeros, and the buffers
+// must stay bounded: each is resident or on the free list, and one
+// slab holds them all.
 func TestPagerRecycledBufferReadsClean(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{HotBytes: storage.BlockSize}) // one resident block
@@ -233,22 +248,24 @@ func TestPagerRecycledBufferReadsClean(t *testing.T) {
 	defer s.Close()
 	drainReplay(t, s)
 	const id = 2
+	const written = 32
 	stale := bytes.Repeat([]byte{0xAA}, storage.BlockSize)
-	for bno := uint64(0); bno < 2*spareBlocks; bno++ {
+	for bno := uint64(0); bno < written; bno++ {
 		if err := s.Write(id, bno*storage.BlockSize, stale, false, 1, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	sh := s.pg.shard(id)
-	sh.mu.Lock()
-	spare := len(sh.spare)
-	sh.mu.Unlock()
-	if spare == 0 || spare > spareBlocks {
-		t.Fatalf("shard keeps %d spare buffers after %d evictions, want 1..%d", spare, 2*spareBlocks-1, spareBlocks)
+	free := checkBufs(t, s.pg)
+	if free != slabBlocks-1 {
+		t.Fatalf("free list holds %d buffers after %d evictions, want %d (one slab less the resident block)", free, written-1, slabBlocks-1)
 	}
+	if m := s.StorageStats().Pager.MappedBytes; m != slabBytes {
+		t.Fatalf("mapped_bytes = %d after %d one-block installs, want one slab (%d)", m, written, slabBytes)
+	}
+	sh := s.pg.shard(id)
 
 	// A hole: one byte, the last, written into a block that has no slot.
-	hole := uint64(4 * spareBlocks)
+	hole := uint64(2 * written)
 	if err := s.Write(id, (hole+1)*storage.BlockSize-1, []byte{1}, false, 2, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -287,5 +304,194 @@ func TestPagerRecycledBufferReadsClean(t *testing.T) {
 	clear(want[storage.BlockSize-100:])
 	if !bytes.Equal(got, want) {
 		t.Fatal("the unwritten tail of a short slot shows a recycled buffer's bytes")
+	}
+}
+
+// checkBufs fails unless every buffer the pager has mapped is either
+// resident or on the free list, which a dead block that kept its
+// buffer breaks, and returns the free list's length. The pager must be
+// idle.
+func checkBufs(t *testing.T, p *pager) uint64 {
+	t.Helper()
+	p.bufMu.Lock()
+	free, slabs := uint64(len(p.bufs)), uint64(len(p.slabs))
+	p.bufMu.Unlock()
+	if res := p.resident.Load(); res+free != slabs*slabBlocks {
+		t.Fatalf("%d resident + %d free buffers, but %d slabs hold %d", res, free, slabs, slabs*slabBlocks)
+	}
+	if m := p.mapped.Load(); m != slabs*slabBytes {
+		t.Fatalf("mapped_bytes = %d for %d slabs", m, slabs)
+	}
+	return free
+}
+
+// mappedBound is the most block memory a pager may hold after a
+// single-threaded pass: its budget plus the one block per shard that
+// in-shard eviction keeps, in whole slabs.
+func mappedBound(hotBytes uint64) uint64 {
+	blocks := hotBytes/storage.BlockSize + pagerShards
+	return (blocks + slabBlocks - 1) / slabBlocks * slabBytes
+}
+
+// TestPagerDeadBlocksReturnBuffers: blocks that truncate or Remove
+// drop while resident give their buffers back, so filling twice the
+// budget and throwing it away, over and over, maps no more memory than
+// one fill does.
+func TestPagerDeadBlocksReturnBuffers(t *testing.T) {
+	const hot = 1 << 20
+	s, err := Open(t.TempDir(), Options{HotBytes: hot})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	drainReplay(t, s)
+	content := fileContent(2, 2*hot)
+	for round := range 20 {
+		if err := s.Write(2, 0, content, false, int64(round), nil); err != nil {
+			t.Fatal(err)
+		}
+		how := "truncate"
+		if round%2 == 0 {
+			err = s.Truncate(2, 0)
+		} else {
+			how = "remove"
+			err = s.Remove(2)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m := s.StorageStats().Pager.MappedBytes; m > mappedBound(hot) {
+			t.Fatalf("round %d (%s): mapped_bytes = %d, bound %d", round, how, m, mappedBound(hot))
+		}
+		checkBufs(t, s.pg)
+	}
+}
+
+// TestPagerClosedRefusesEveryEntryPoint: once closed, with its block
+// memory unmapped, the pager answers every call with errPagerClosed.
+func TestPagerClosedRefusesEveryEntryPoint(t *testing.T) {
+	s := openT(t, t.TempDir())
+	drainReplay(t, s)
+	if err := s.Write(2, 0, fileContent(2, 3*storage.BlockSize), false, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	p := s.pg
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, ckptErr := p.checkpointImage(map[uint64]struct{}{2: {}}, func(uint64, uint64, []uint64, []uint64) error { return nil })
+	for name, err := range map[string]error{
+		"ReadAt":          p.ReadAt(2, 0, make([]byte, 10)),
+		"WriteAt":         p.WriteAt(2, 0, []byte("x")),
+		"Truncate":        p.Truncate(2, 1),
+		"Remove":          p.Remove(2),
+		"flushDirty":      p.flushDirty(),
+		"checkpointImage": ckptErr,
+	} {
+		if !errors.Is(err, errPagerClosed) {
+			t.Errorf("%s on a closed pager: %v, want %v", name, err, errPagerClosed)
+		}
+	}
+	p.rebalance() // must return without touching a shard
+}
+
+// TestPagerCloseRace: readers, writers, a truncating churner and
+// PrepareCheckpoint run while CrashRestart orphans the pager they hold
+// and then Close unmaps the block memory of its successor. Every call
+// returns its data or an error; none touches unmapped memory, which
+// would fault the test binary rather than fail it. Each call that
+// starts after Close returns must fail.
+func TestPagerCloseRace(t *testing.T) {
+	s, err := Open(t.TempDir(), Options{HotBytes: 128 << 10}) // 16 blocks
+	if err != nil {
+		t.Fatal(err)
+	}
+	drainReplay(t, s)
+	const files = 4
+	const size = 64 << 10 // twice the budget in all
+	for id := uint64(2); id < 2+files; id++ {
+		if err := s.Write(id, 0, fileContent(id, size), true, 1, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var (
+		closed atomic.Bool
+		calls  [3]atomic.Uint64 // successful calls before the crash, between crash and close, after close
+		phase  atomic.Int32
+		stop   = make(chan struct{})
+		wg     sync.WaitGroup
+	)
+	worker := func(name string, op func(i int) error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				after, ph := closed.Load(), phase.Load()
+				err := op(i)
+				if after && err == nil {
+					t.Errorf("%s: call %d succeeded on a closed store", name, i)
+					return
+				}
+				if err == nil {
+					calls[ph].Add(1)
+				}
+			}
+		}()
+	}
+	for g := range 2 {
+		worker(fmt.Sprintf("reader %d", g), func(i int) error {
+			id := uint64(2 + (g+i)%files)
+			off := uint64(i*977) % (size - storage.BlockSize)
+			buf := make([]byte, storage.BlockSize)
+			if err := s.ReadAt(id, off, buf); err != nil {
+				return err
+			}
+			if !bytes.Equal(buf, fileContent(id, size)[off:off+storage.BlockSize]) {
+				t.Errorf("reader %d: id %d at %d reads wrong bytes", g, id, off)
+			}
+			return nil
+		})
+		worker(fmt.Sprintf("writer %d", g), func(i int) error {
+			id := uint64(2 + (g+i)%files)
+			off := uint64(i*1531) % (size - storage.BlockSize)
+			return s.Write(id, off, fileContent(id, size)[off:off+storage.BlockSize], false, 2, nil)
+		})
+	}
+	worker("churner", func(i int) error {
+		if err := s.Write(99, 0, fileContent(99, size), false, 3, nil); err != nil {
+			return err
+		}
+		if i%2 == 0 {
+			return s.Truncate(99, storage.BlockSize/2)
+		}
+		return s.Remove(99)
+	})
+	worker("prepare", func(int) error { return s.PrepareCheckpoint() })
+
+	time.Sleep(30 * time.Millisecond)
+	if err := s.CrashRestart(); err != nil {
+		t.Fatal(err)
+	}
+	phase.Store(1)
+	drainReplay(t, s)
+	time.Sleep(30 * time.Millisecond)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	closed.Store(true)
+	phase.Store(2)
+	time.Sleep(10 * time.Millisecond)
+	close(stop)
+	wg.Wait()
+	if calls[0].Load() == 0 || calls[1].Load() == 0 {
+		t.Fatalf("successful calls before the crash %d, before the close %d: the race never ran", calls[0].Load(), calls[1].Load())
+	}
+	if m := s.StorageStats().Pager.MappedBytes; m != 0 {
+		t.Fatalf("mapped_bytes = %d after Close, want 0", m)
 	}
 }

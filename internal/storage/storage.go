@@ -251,6 +251,11 @@ type PagerStats struct {
 	// unaffected (the journal holds the data), but a growing value
 	// means residency may sit above HotBytes until write-backs succeed.
 	WriteBackFailures uint64 `json:"write_back_failures,omitempty"`
+	// MappedBytes is the block memory the pager holds: whole slabs
+	// mapped outside the Go heap, so runtime.MemStats does not count
+	// them. Resident blocks and the pager's free list share it; it
+	// grows a slab at a time and drops to 0 when the store closes.
+	MappedBytes uint64 `json:"mapped_bytes"`
 }
 
 // MetaOp enumerates journaled namespace/attribute mutations.

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"log"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -31,6 +32,7 @@ import (
 	"repro/internal/secchan"
 	"repro/internal/sfsro"
 	"repro/internal/sfsrpc"
+	"repro/internal/slab"
 	"repro/internal/stats"
 	"repro/internal/sunrpc"
 )
@@ -155,6 +157,10 @@ type Client struct {
 
 	io ioStats // pipeline counters shared by every mount
 
+	// chunks holds every open File's write-behind chunks, in slabs
+	// outside the Go heap; Close unmaps them as they come back.
+	chunks *chunkPool
+
 	mu       sync.Mutex
 	agents   map[string]*agent.Agent
 	mounts   map[core.HostID]*mount
@@ -185,11 +191,30 @@ func New(cfg Config) (*Client, error) {
 		mounts:   make(map[core.HostID]*mount),
 		accessed: make(map[string]map[string]bool),
 		sessions: make(map[core.HostID]*session),
+		chunks:   newChunkPool(),
 	}
 	if err := c.rotateTempKey(); err != nil {
 		return nil, err
 	}
 	return c, nil
+}
+
+// chunkPool is a Client's pool of write-behind chunks. The Client and
+// every File's write-behind state point to it, and its finalizer closes
+// the pool once none of them is left, so a Client dropped without
+// Close unmaps its slabs the way the GC reclaimed heap chunks, and
+// never while a File can still write. The finalizer sits on this
+// object, not on the Client: the Client is part of reference cycles
+// (each agent resolves names through it), and a finalizer on a cycle
+// never runs.
+type chunkPool struct{ *slab.Pool }
+
+func newChunkPool() *chunkPool {
+	cp := &chunkPool{slab.New(wireChunk)}
+	runtime.SetFinalizer(cp, func(cp *chunkPool) {
+		cp.Close() //nolint:errcheck // nobody is left to tell; the gauge went with the Client
+	})
+	return cp
 }
 
 // windowDepth is the depth of an open file's read-ahead and
@@ -368,14 +393,18 @@ func (c *Client) getMount(p core.Path) (*mount, error) {
 	return m, nil
 }
 
-// Close closes every mount's connection; the client then refuses to
-// mount again. Calling it more than once is harmless.
+// Close closes every mount's connection and the write-behind chunk
+// pool; the client then refuses to mount again, and a File still open
+// gets an error for any write that needs a new chunk. The chunks such
+// a File holds stay mapped until it gives them back. Calling Close
+// more than once is harmless.
 func (c *Client) Close() {
 	c.mu.Lock()
 	c.closed = true
 	mounts := c.mounts
 	c.mounts = make(map[core.HostID]*mount)
 	c.mu.Unlock()
+	c.chunks.Close() //nolint:errcheck // tearing down; writebehind_mapped_bytes shows a slab munmap refused
 	for _, m := range mounts {
 		if m.ro != nil {
 			m.ro.cl.Close() //nolint:errcheck // tearing down

@@ -44,6 +44,11 @@ type IOStats struct {
 	RetransmittedOps   uint64             `json:"retransmitted_ops"`
 	RetransmittedBytes uint64             `json:"retransmitted_bytes"`
 	SyncSmallWrites    uint64             `json:"sync_small_writes"`
+	// WriteBehindMappedBytes is the slab memory the client's chunk
+	// pool holds outside the Go heap, beside the pager's mapped_bytes:
+	// the chunks awaiting COMMIT plus free ones, which stay mapped
+	// until the pool has handed out nothing for two GC cycles.
+	WriteBehindMappedBytes uint64 `json:"writebehind_mapped_bytes"`
 }
 
 // IOStats captures the client's pipeline counters.
@@ -59,6 +64,8 @@ func (c *Client) IOStats() IOStats {
 		RetransmittedOps:   m.retransOps.Load(),
 		RetransmittedBytes: m.retransB.Load(),
 		SyncSmallWrites:    m.syncSmall.Load(),
+
+		WriteBehindMappedBytes: c.chunks.Mapped(),
 	}
 	if st.WriteBehindChunks > 0 {
 		st.ChunkFillRatio = float64(st.WriteBehindBytes) / float64(st.WriteBehindChunks*wireChunk)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
 	"sync"
 
@@ -27,9 +28,14 @@ type File struct {
 	size   uint64
 	off    uint64
 	ra     readahead
-	wb     writebehind
-	wrote  bool // any write issued; Close then commits
+	wb     *writebehind
+	wrote  bool // any write issued: Close then commits, and the finalizer is set
 	closed bool
+}
+
+// newFile opens n for reading and writing through c.
+func (c *Client) newFile(n *node) *File {
+	return &File{node: n, size: n.attr.Size, wb: &writebehind{chunks: c.chunks}}
 }
 
 // readahead is the sequential-read pipeline of one open file: a window
@@ -60,18 +66,6 @@ const wireChunk = 8192
 // server keeps rebooting under one Sync.
 const maxCommitRetries = 5
 
-// chunkPool recycles write-behind chunk buffers. A chunk lives from
-// the WriteAt that copies caller bytes into it until the COMMIT that
-// proves those bytes stable (retransmission after a server reboot
-// needs the data), then returns here.
-var chunkPool = sync.Pool{New: func() interface{} {
-	b := make([]byte, 0, wireChunk)
-	return &b
-}}
-
-func getChunk() []byte  { return (*chunkPool.Get().(*[]byte))[:0] }
-func putChunk(b []byte) { chunkPool.Put(&b) }
-
 // wbWrite is one issued, not yet acknowledged unstable WRITE.
 type wbWrite struct {
 	fin func() (uint32, uint64, error)
@@ -86,17 +80,19 @@ type wbRange struct {
 }
 
 // writebehind is the asynchronous write pipeline of one open file:
-// caller bytes are copied into pooled wire-sized chunks, issued as
-// unstable WRITE futures (at most windowDepth outstanding), and
-// retained on the dirty list until a COMMIT whose verifier matches
-// the WRITE replies proves them stable (RFC 1813 §4.8). Guarded by
-// the File's mutex.
+// caller bytes are copied into wire-sized chunks from the client's
+// pool, issued as unstable WRITE futures (at most windowDepth
+// outstanding), and retained on the dirty list until a COMMIT whose
+// verifier matches the WRITE replies proves them stable (RFC 1813
+// §4.8); only then does a chunk go back, since retransmission after a
+// server reboot needs the data. Guarded by the File's mutex.
 type writebehind struct {
-	buf      []byte    // coalescing buffer, cap wireChunk; nil when unused
-	bufOff   uint64    // file offset of buf[0]
-	window   []wbWrite // issued, reply not yet awaited — oldest first
-	dirty    []wbRange // acknowledged unstable, awaiting verified COMMIT
-	verf     uint64    // verifier of the most recent WRITE reply
+	chunks   *chunkPool // the Client's; chunks live outside the Go heap
+	buf      []byte     // coalescing buffer, cap wireChunk; nil when unused
+	bufOff   uint64     // file offset of buf[0]
+	window   []wbWrite  // issued, reply not yet awaited — oldest first
+	dirty    []wbRange  // acknowledged unstable, awaiting verified COMMIT
+	verf     uint64     // verifier of the most recent WRITE reply
 	verfOK   bool
 	mismatch bool  // WRITE replies disagreed: server restarted mid-stream
 	err      error // deferred failure for the next WriteAt/Sync/Close
@@ -113,6 +109,23 @@ func (wb *writebehind) takeErr() error {
 	err := wb.err
 	wb.err = nil
 	return err
+}
+
+// release returns every chunk the pipeline holds to the pool, without
+// awaiting a reply: WRITE arguments borrow a chunk only until the call
+// is sent. It is also the finalizer of a File dropped without Sync or
+// Close, when nothing else can reach wb.
+func (wb *writebehind) release() {
+	for _, w := range wb.window {
+		wb.chunks.Put(w.buf)
+	}
+	for _, r := range wb.dirty {
+		wb.chunks.Put(r.buf)
+	}
+	if wb.buf != nil {
+		wb.chunks.Put(wb.buf)
+	}
+	wb.window, wb.dirty, wb.buf = wb.window[:0], wb.dirty[:0], nil
 }
 
 // active reports whether unflushed writes exist that a read or sync
@@ -145,7 +158,7 @@ func (f *File) issueChunk() error {
 	}
 	fin, err := f.node.view.WriteStart(f.node.fh, off, buf, nfs.Unstable)
 	if err != nil {
-		putChunk(buf)
+		f.wb.chunks.Put(buf)
 		return err
 	}
 	f.wb.window = append(f.wb.window, wbWrite{fin: fin, off: off, buf: buf})
@@ -166,7 +179,7 @@ func (f *File) retireOldest() {
 		err = io.ErrShortWrite
 	}
 	if err != nil {
-		putChunk(w.buf)
+		f.wb.chunks.Put(w.buf)
 		f.wb.fail(err)
 		return
 	}
@@ -199,17 +212,8 @@ func (f *File) flush() error {
 func (f *File) discard() {
 	for _, w := range f.wb.window {
 		w.fin() //nolint:errcheck // futures hold reply slots
-		putChunk(w.buf)
 	}
-	f.wb.window = f.wb.window[:0]
-	for _, r := range f.wb.dirty {
-		putChunk(r.buf)
-	}
-	f.wb.dirty = f.wb.dirty[:0]
-	if f.wb.buf != nil {
-		putChunk(f.wb.buf)
-		f.wb.buf = nil
-	}
+	f.wb.release()
 	f.wb.mismatch = false
 	f.wb.verfOK = false
 }
@@ -267,7 +271,7 @@ func (c *Client) Open(user, path string) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &File{node: n, size: n.attr.Size}, nil
+	return c.newFile(n), nil
 }
 
 // Access checks permissions on path for user (the ACCESS RPC, served
@@ -309,7 +313,7 @@ func (c *Client) Create(user, path string, mode uint32) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &File{node: &node{view: dir.view, mount: dir.mount, fh: fh, attr: attr}, size: attr.Size}, nil
+	return c.newFile(&node{view: dir.view, mount: dir.mount, fh: fh, attr: attr}), nil
 }
 
 // Mkdir creates a directory.
@@ -586,10 +590,10 @@ func (f *File) Read(p []byte) (int, error) {
 }
 
 // WriteAt writes p at offset off (unstable; call Sync for stability).
-// The write goes behind: p is copied into pooled wire-sized chunks —
-// adjacent small writes coalesce into full chunks — and up to 8
-// unstable WRITEs ride the channel at once, so the call usually
-// returns before the server acknowledges. A deferred RPC failure is
+// The write goes behind: p is copied into wire-sized chunks from the
+// client's pool — adjacent small writes coalesce into full chunks —
+// and up to 8 unstable WRITEs ride the channel at once, so the call
+// usually returns before the server acknowledges. A deferred RPC failure is
 // reported by the next WriteAt, Sync, or Close.
 func (f *File) WriteAt(p []byte, off uint64) (int, error) {
 	f.mu.Lock()
@@ -598,7 +602,15 @@ func (f *File) WriteAt(p []byte, off uint64) (int, error) {
 }
 
 func (f *File) writeAt(p []byte, off uint64) (int, error) {
-	f.wrote = true
+	if !f.wrote {
+		// A File dropped without Sync or Close still returns its
+		// chunks, or their slabs would stay mapped for good. The
+		// finalizer sits on the pipeline, a separate allocation that
+		// only the File reaches, so it runs once the File is dropped
+		// and never keeps the File alive.
+		runtime.SetFinalizer(f.wb, (*writebehind).release)
+		f.wrote = true
+	}
 	// Reads still in the pipeline were issued before this write and
 	// could return stale data to a later sequential read.
 	f.ra.drain()
@@ -618,7 +630,11 @@ func (f *File) writeAt(p []byte, off uint64) (int, error) {
 			}
 		}
 		if f.wb.buf == nil {
-			f.wb.buf = getChunk()
+			buf, err := f.wb.chunks.Get()
+			if err != nil {
+				return written, err
+			}
+			f.wb.buf = buf[:0]
 		}
 		if len(f.wb.buf) == 0 {
 			f.wb.bufOff = o
@@ -725,11 +741,11 @@ func (f *File) syncSmall() error {
 	f.stats().syncSmall.Inc()
 	fin, err := f.node.view.WriteStart(f.node.fh, off, buf, nfs.FileSync)
 	if err != nil {
-		putChunk(buf)
+		f.wb.chunks.Put(buf)
 		return err
 	}
 	n, _, err := fin()
-	putChunk(buf)
+	f.wb.chunks.Put(buf)
 	if err == nil && int(n) < len(buf) {
 		err = io.ErrShortWrite
 	}

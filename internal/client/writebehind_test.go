@@ -3,9 +3,11 @@ package client_test
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/client"
 	"repro/internal/lab"
@@ -322,4 +324,155 @@ func TestMixedReadWriteOneChannel(t *testing.T) {
 		t.Error(err)
 	}
 	_ = w
+}
+
+// mappedChunks is the client's write-behind slab memory.
+func mappedChunks(cl *client.Client) uint64 { return cl.IOStats().WriteBehindMappedBytes }
+
+// TestWriteBehindSteadyStateMapsOnce: a chunk pool in use keeps its
+// slabs across a Sync, so a second round of the same size writes into
+// the first round's slabs, mapping and unmapping nothing.
+func TestWriteBehindSteadyStateMapsOnce(t *testing.T) {
+	w, s, cl := newWorld(t, "wbsteady")
+	user, dir := setupWriter(t, w, s, cl, "wbsteady", 3500)
+	f, err := cl.Create(user, dir+"/steady.bin", 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()       //nolint:errcheck
+	const round = 4 << 20 // four slabs of chunks, held until the Sync
+	chunk := make([]byte, 8192)
+	for r := range 2 {
+		for off := 0; off < round; off += len(chunk) {
+			if _, err := f.WriteAt(chunk, uint64(off)); err != nil {
+				t.Fatal(err)
+			}
+			if m := mappedChunks(cl); r == 1 && m != round {
+				t.Fatalf("round 2, offset %d: writebehind_mapped_bytes = %d, want the first round's %d", off, m, round)
+			}
+		}
+		if err := f.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if m := mappedChunks(cl); m != round {
+			t.Fatalf("after round %d's Sync: writebehind_mapped_bytes = %d, want %d kept", r+1, m, round)
+		}
+	}
+}
+
+// TestWriteBehindReleasesOnClose: Client.Close leaves mapped only the
+// slabs whose chunks a File still holds, the File gets errors rather
+// than touching unmapped memory, and the mapping reaches 0 once the
+// File gives its chunks back.
+func TestWriteBehindReleasesOnClose(t *testing.T) {
+	w, s, cl := newWorld(t, "wbclose")
+	user, dir := setupWriter(t, w, s, cl, "wbclose", 3600)
+	f, err := cl.Create(user, dir+"/held.bin", 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Eight chunks in flight or awaiting COMMIT, and a partial one.
+	if _, err := f.WriteAt(make([]byte, 64<<10+100), 0); err != nil {
+		t.Fatal(err)
+	}
+	if m := mappedChunks(cl); m == 0 {
+		t.Fatal("no chunk memory mapped while chunks are held")
+	}
+	cl.Close()
+	if m := mappedChunks(cl); m == 0 {
+		t.Fatal("Client.Close unmapped a slab whose chunks a File still holds")
+	}
+	// The partial chunk is still the File's to fill; the next chunk is
+	// not to be had, and the batch cannot be committed.
+	if _, err := f.WriteAt([]byte("tail"), 64<<10+100); err != nil {
+		t.Fatalf("write into the held partial chunk: %v", err)
+	}
+	if _, err := f.WriteAt([]byte("elsewhere"), 1<<20); err == nil {
+		t.Fatal("a write needing a new chunk succeeded after Client.Close")
+	}
+	if err := f.Close(); err == nil {
+		t.Fatal("File.Close committed after Client.Close")
+	}
+	if m := mappedChunks(cl); m != 0 {
+		t.Fatalf("writebehind_mapped_bytes = %d once every chunk is back, want 0", m)
+	}
+}
+
+// TestDroppedFileReturnsChunks: a File dropped with chunks in flight,
+// never synced or closed, returns them through its finalizer; without
+// it their slab would stay mapped for good.
+func TestDroppedFileReturnsChunks(t *testing.T) {
+	w, s, cl := newWorld(t, "wbdrop")
+	user, dir := setupWriter(t, w, s, cl, "wbdrop", 3700)
+	func() {
+		f, err := cl.Create(user, dir+"/dropped.bin", 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteAt(make([]byte, 64<<10+100), 0); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	if m := mappedChunks(cl); m == 0 {
+		t.Fatal("no chunk memory mapped while the dropped File holds chunks")
+	}
+	runtime.GC()
+	runtime.GC()
+	// After Close a slab is unmapped as soon as its last chunk comes
+	// back, so the mapping reads 0 exactly when no chunk is live.
+	cl.Close()
+	for deadline := time.Now().Add(5 * time.Second); mappedChunks(cl) != 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("writebehind_mapped_bytes = %d: the dropped File's chunks never came back", mappedChunks(cl))
+		}
+		runtime.GC()
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestQuietClientReleasesChunkSlabs: one File holds a partial chunk, so
+// the client's pool never drains, while another writes and syncs 4 MiB.
+// Once the client has taken no chunk for two GC cycles, every slab but
+// the held chunk's is unmapped, and the holder writes on.
+func TestQuietClientReleasesChunkSlabs(t *testing.T) {
+	w, s, cl := newWorld(t, "wbquiet")
+	user, dir := setupWriter(t, w, s, cl, "wbquiet", 3800)
+	log, err := cl.Create(user, dir+"/log.txt", 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := log.WriteAt([]byte("first line\n"), 0); err != nil {
+		t.Fatal(err)
+	}
+	big, err := cl.Create(user, dir+"/big.bin", 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const batch = 4 << 20
+	if _, err := big.WriteAt(make([]byte, batch), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := big.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if m := mappedChunks(cl); m <= batch {
+		t.Fatalf("writebehind_mapped_bytes = %d after a %d-byte batch beside a held chunk", m, batch)
+	}
+	for deadline := time.Now().Add(5 * time.Second); mappedChunks(cl) != 1<<20; {
+		if time.Now().After(deadline) {
+			t.Fatalf("writebehind_mapped_bytes = %d long after the client went quiet, want the held chunk's one slab", mappedChunks(cl))
+		}
+		runtime.GC()
+		time.Sleep(5 * time.Millisecond)
+	}
+	if _, err := log.WriteAt([]byte("second line\n"), 11); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := cl.ReadFile(user, dir+"/log.txt")
+	if err != nil || string(got) != "first line\nsecond line\n" {
+		t.Fatalf("log reads %q, %v", got, err)
+	}
 }

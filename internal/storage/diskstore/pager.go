@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/slab"
 	"repro/internal/storage"
 )
 
@@ -30,13 +31,6 @@ const pagerShards = 8
 // hold of a shard lock, so a writer to a file in that shard waits for
 // at most this many pwrites.
 const prepareBatch = 64
-
-// slabBlocks is how many block buffers one slab of block memory holds:
-// the pager maps that memory 1 MiB at a time, as it needs it.
-const (
-	slabBlocks = 128
-	slabBytes  = slabBlocks * storage.BlockSize
-)
 
 // errPagerClosed is what every entry point of a closed pager returns.
 var errPagerClosed = errors.New("diskstore: pager closed")
@@ -72,15 +66,11 @@ type pager struct {
 	free    []uint64
 	freed   [2][]uint64
 
-	// Block memory. Resident blocks' buffers are cut from slabs that
-	// mapSlab takes outside the Go heap (slab_mmap.go), and every
-	// buffer whose block stops being resident goes back on bufs.
-	// Slabs are unmapped only by close. bufMu is taken under a shard
+	// blocks is the block memory: every resident block's buffer comes
+	// from it, mapped outside the Go heap, and goes back to it when
+	// the block stops being resident. Its lock is taken under a shard
 	// lock, never the other way round.
-	bufMu  sync.Mutex
-	slabs  [][]byte
-	bufs   [][]byte // free BlockSize buffers, contents stale
-	mapped atomic.Uint64
+	blocks *slab.Pool
 
 	resident  atomic.Uint64 // resident blocks, all shards
 	faults    atomic.Uint64
@@ -119,7 +109,7 @@ func newPager(path string, hotBytes uint64) (*pager, error) {
 	if hotBytes == 0 {
 		hotBytes = DefaultHotBytes
 	}
-	p := &pager{f: f, hotBytes: hotBytes, budget: max(hotBytes/storage.BlockSize, 1)}
+	p := &pager{f: f, hotBytes: hotBytes, budget: max(hotBytes/storage.BlockSize, 1), blocks: slab.New(storage.BlockSize)}
 	for i := range p.shards {
 		p.shards[i].files = make(map[uint64]*pfile)
 	}
@@ -140,27 +130,34 @@ func (sh *pagerShard) lock() error {
 	return nil
 }
 
-// close marks every shard closed, one shard lock at a time, and only
-// then unmaps the slabs. An op that still holds the pager (CrashRestart
-// orphans it while ops may run) gets errPagerClosed from its next lock,
-// and none is inside a shard lock once every shard is marked, so no
-// block byte is touched after its slab is gone.
+// close marks every shard closed, one shard lock at a time, returning
+// each resident block's buffer as it goes, and then closes the block
+// memory, which unmaps every slab. An op that still holds the pager
+// (CrashRestart orphans it while ops may run) gets errPagerClosed from
+// its next lock, and none is inside a shard lock once every shard is
+// marked, so no block byte is touched after its slab is gone. Closing
+// again closes nothing.
 func (p *pager) close() error {
 	for i := range p.shards {
 		sh := &p.shards[i]
 		sh.mu.Lock()
-		sh.closed = true
+		if !sh.closed {
+			sh.closed = true
+			for _, b := range sh.ring {
+				if !b.dead {
+					p.blocks.Put(b.data)
+					b.data = nil
+				}
+			}
+		}
 		sh.mu.Unlock()
 	}
-	var errs []error
-	p.bufMu.Lock()
-	for _, slab := range p.slabs {
-		errs = append(errs, unmapSlab(slab))
-		p.mapped.Add(^uint64(slabBytes - 1))
+	err := p.blocks.Close()
+	if n := p.blocks.Live(); n != 0 {
+		// A buffer no resident block owns: its slab stays mapped.
+		err = errors.Join(err, fmt.Errorf("diskstore: %d block buffers leaked at close", n))
 	}
-	p.slabs, p.bufs = nil, nil
-	p.bufMu.Unlock()
-	return errors.Join(append(errs, p.f.Close())...)
+	return errors.Join(err, p.f.Close())
 }
 
 // install registers one file's extent index from a checkpoint image.
@@ -222,45 +219,15 @@ func (sh *pagerShard) getFile(id uint64, create bool) *pfile {
 	return pf
 }
 
-// blockBuf returns a BlockSize buffer with arbitrary contents, mapping
-// a new slab when the free list is empty: the caller overwrites or
-// clears every byte. Caller holds a shard lock.
-func (p *pager) blockBuf() ([]byte, error) {
-	p.bufMu.Lock()
-	defer p.bufMu.Unlock()
-	if len(p.bufs) == 0 {
-		slab, err := mapSlab(slabBytes)
-		if err != nil {
-			return nil, fmt.Errorf("diskstore: map block memory: %w", err)
-		}
-		p.slabs = append(p.slabs, slab)
-		p.mapped.Add(slabBytes)
-		for off := 0; off < slabBytes; off += storage.BlockSize {
-			p.bufs = append(p.bufs, slab[off:off+storage.BlockSize:off+storage.BlockSize])
-		}
-	}
-	n := len(p.bufs) - 1
-	buf := p.bufs[n]
-	p.bufs = p.bufs[:n]
-	return buf, nil
-}
-
-// freeBuf puts a buffer no block owns any more on the free list.
-func (p *pager) freeBuf(buf []byte) {
-	p.bufMu.Lock()
-	p.bufs = append(p.bufs, buf)
-	p.bufMu.Unlock()
-}
-
 // drop ends b's residency — eviction, truncation or removal — and
-// returns its buffer to the free list. b stays in the CLOCK ring,
+// returns its buffer to the block memory. b stays in the CLOCK ring,
 // marked dead, until CLOCK or insert reaps it. Caller holds sh.mu.
 func (p *pager) drop(sh *pagerShard, b *pblock) {
 	if pf := sh.files[b.id]; pf != nil {
 		delete(pf.blocks, b.bno)
 	}
 	b.dead = true
-	p.freeBuf(b.data)
+	p.blocks.Put(b.data)
 	b.data = nil
 	sh.live--
 	p.resident.Add(^uint64(0))
@@ -269,7 +236,7 @@ func (p *pager) drop(sh *pagerShard, b *pblock) {
 // fault brings one block into residency: from its slot when it has
 // one, as zeros when it does not (a hole). Caller holds sh.mu.
 func (p *pager) fault(sh *pagerShard, pf *pfile, id, bno uint64) (*pblock, error) {
-	buf, err := p.blockBuf()
+	buf, err := p.blocks.Get()
 	if err != nil {
 		return nil, err
 	}
@@ -279,7 +246,7 @@ func (p *pager) fault(sh *pagerShard, pf *pfile, id, bno uint64) (*pblock, error
 		// the slot was never written — those bytes read as zeros.
 		n, err = p.f.ReadAt(buf, int64(slot)*storage.BlockSize)
 		if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
-			p.freeBuf(buf)
+			p.blocks.Put(buf)
 			return nil, err
 		}
 	}
@@ -460,7 +427,7 @@ func (p *pager) writeAt(id, off uint64, data []byte) error {
 		if b == nil {
 			if bo == 0 && n == storage.BlockSize {
 				// Full overwrite: the old content is irrelevant.
-				buf, err := p.blockBuf()
+				buf, err := p.blocks.Get()
 				if err != nil {
 					return err
 				}
@@ -673,6 +640,6 @@ func (p *pager) stats() *storage.PagerStats {
 		Faults:            p.faults.Load(),
 		Evictions:         p.evictions.Load(),
 		WriteBackFailures: p.wbFails.Load(),
-		MappedBytes:       p.mapped.Load(),
+		MappedBytes:       p.blocks.Mapped(),
 	}
 }

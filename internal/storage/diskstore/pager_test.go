@@ -9,7 +9,14 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/slab"
 	"repro/internal/storage"
+)
+
+// slabBlocks is how many blocks one slab of block memory holds.
+const (
+	slabBlocks = slab.SlabBytes / storage.BlockSize
+	slabBytes  = slab.SlabBytes
 )
 
 // fileContent builds a deterministic per-file pattern so cross-file
@@ -307,22 +314,21 @@ func TestPagerRecycledBufferReadsClean(t *testing.T) {
 	}
 }
 
-// checkBufs fails unless every buffer the pager has mapped is either
-// resident or on the free list, which a dead block that kept its
-// buffer breaks, and returns the free list's length. The pager must be
-// idle.
+// checkBufs fails unless every buffer the pager holds from its block
+// memory belongs to a resident block, which a dead block that kept its
+// buffer breaks, and returns how many buffers of the mapped slabs are
+// free. The pager must be idle.
 func checkBufs(t *testing.T, p *pager) uint64 {
 	t.Helper()
-	p.bufMu.Lock()
-	free, slabs := uint64(len(p.bufs)), uint64(len(p.slabs))
-	p.bufMu.Unlock()
-	if res := p.resident.Load(); res+free != slabs*slabBlocks {
-		t.Fatalf("%d resident + %d free buffers, but %d slabs hold %d", res, free, slabs, slabs*slabBlocks)
+	live, res := uint64(p.blocks.Live()), p.resident.Load()
+	if live != res {
+		t.Fatalf("%d buffers live in the block memory, but %d blocks resident", live, res)
 	}
-	if m := p.mapped.Load(); m != slabs*slabBytes {
-		t.Fatalf("mapped_bytes = %d for %d slabs", m, slabs)
+	m := p.blocks.Mapped()
+	if m%slabBytes != 0 || m/storage.BlockSize < live {
+		t.Fatalf("mapped_bytes = %d for %d live buffers", m, live)
 	}
-	return free
+	return m/storage.BlockSize - live
 }
 
 // mappedBound is the most block memory a pager may hold after a

@@ -7,7 +7,7 @@ package repro
 // Tier-1 practice: the concurrent RPC pipeline makes the race
 // detector part of the bar. Alongside `go test ./...`, run
 //
-//	go test -race ./internal/sunrpc ./internal/secchan ./internal/xdr ./internal/nfs ./internal/client ./internal/stats ./internal/vfs ./internal/storage/... ./internal/server ./internal/crypto/... ./internal/lab ./internal/netsim
+//	go test -race ./internal/sunrpc ./internal/secchan ./internal/xdr ./internal/nfs ./internal/client ./internal/stats ./internal/vfs ./internal/storage/... ./internal/server ./internal/crypto/... ./internal/lab ./internal/netsim ./internal/slab
 //
 // before merging — those packages share connections between the
 // reader loop, the dispatch worker pool, and readahead/write-behind
@@ -720,8 +720,8 @@ func TestToolsEndToEnd(t *testing.T) {
 	if !strings.Contains(string(out), " RPCs)") {
 		t.Fatalf("sfscd -v did not report per-command RPC counts:\n%s", out)
 	}
-	if !strings.Contains(string(out), "readahead_hits") {
-		t.Fatalf("sfscd stats command printed no pipeline counters:\n%s", out)
+	if !strings.Contains(string(out), "readahead_hits") || !strings.Contains(string(out), "writebehind_mapped_bytes") {
+		t.Fatalf("sfscd stats command printed no pipeline counters or no chunk slab gauge:\n%s", out)
 	}
 	if !strings.Contains(string(out), "data_hits") {
 		t.Fatalf("sfscd stats command printed no data cache counters:\n%s", out)

@@ -457,4 +457,10 @@ func TestSfsbenchStatsJSONShape(t *testing.T) {
 	if fmt.Sprintf("%d", st.Pager.ResidentBytes%storage.BlockSize) != "0" {
 		t.Fatalf("resident bytes %d not block-aligned", st.Pager.ResidentBytes)
 	}
+	// The admission classes: the one block written is on probation.
+	for _, key := range []string{`"probation_bytes":8192`, `"protected_bytes":0`, `"ghost_promotions":0`} {
+		if !bytes.Contains(doc, []byte(key)) {
+			t.Fatalf("stats document %s lacks %s", doc, key)
+		}
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -27,6 +28,9 @@ const DefaultHotBytes = 64 << 20
 // at or under the budget whenever the budget covers that floor.
 const pagerShards = 8
 
+// probationShare bounds probation to budget/probationShare blocks.
+const probationShare = 8
+
 // prepareBatch bounds how many blocks flushDirty writes back under one
 // hold of a shard lock, so a writer to a file in that shard waits for
 // at most this many pwrites.
@@ -37,8 +41,8 @@ var errPagerClosed = errors.New("diskstore: pager closed")
 
 // pager is the paged serving copy of file content: a bounded set of
 // resident blocks over an extent file. Hot blocks live in memory;
-// cold ones are paged in on demand and evicted CLOCK-wise, with dirty
-// blocks written back to their slot on the way out. Durability never
+// cold ones are paged in on demand and evicted (2Q, see evictOver), with
+// dirty blocks written back to their slot on the way out. Durability never
 // depends on the extent file between checkpoints — every write is
 // journaled — so evictions write without fsync; checkpoints fsync the
 // extent file before publishing an image that references its slots.
@@ -52,7 +56,10 @@ type pager struct {
 	f        *os.File
 	hotBytes uint64
 	budget   uint64 // hotBytes in whole blocks
+	probCap  uint64 // the most blocks on probation: budget/probationShare
 	shards   [pagerShards]pagerShard
+	ghosts   ghostList
+	gens     atomic.Uint64 // the last pfile generation handed out
 
 	// Slot allocator. freed[0] collects slots released since the last
 	// completed checkpoint, freed[1] the generation before; a
@@ -72,33 +79,77 @@ type pager struct {
 	// lock, never the other way round.
 	blocks *slab.Pool
 
-	resident  atomic.Uint64 // resident blocks, all shards
-	faults    atomic.Uint64
-	evictions atomic.Uint64
-	wbFails   atomic.Uint64 // abandoned evictions (write-back errors)
+	resident   atomic.Uint64 // resident blocks, all shards
+	probation  atomic.Uint64 // resident blocks on probation, all shards
+	faults     atomic.Uint64
+	evictions  atomic.Uint64
+	promotions atomic.Uint64 // blocks admitted protected off a ghost key
+	wbFails    atomic.Uint64 // abandoned evictions (write-back errors)
 }
 
 type pagerShard struct {
-	mu     sync.Mutex
-	closed bool // set by close; block buffers may be unmapped
-	files  map[uint64]*pfile
-	ring   []*pblock // CLOCK ring: resident + not-yet-reaped dead
-	hand   int
-	live   int // resident blocks in this shard
+	mu        sync.Mutex
+	closed    bool // set by close; block buffers may be unmapped
+	files     map[uint64]*pfile
+	ring      []*pblock // CLOCK ring of protected blocks + not-yet-reaped dead
+	hand      int
+	probation []*pblock // probation blocks, oldest first, + not-yet-reaped dead
+	prot      int       // resident protected blocks in this shard
+	prob      int       // and resident probation blocks
 }
 
 type pfile struct {
 	size   uint64
+	gen    uint64             // names this incarnation in ghost keys
 	blocks map[uint64]*pblock // resident, by block number
 	slots  map[uint64]uint64  // block number -> extent slot
 }
 
 type pblock struct {
-	id, bno uint64
-	data    []byte
-	dirty   bool
-	ref     bool
-	dead    bool
+	id, bno                     uint64
+	data                        []byte
+	dirty, ref, dead, protected bool
+}
+
+// ghostList holds the keys of the last size blocks evicted from
+// probation: one list, since a whole file lives in one shard. Its lock
+// is taken under a shard lock, never the other way round.
+type ghostList struct {
+	mu   sync.Mutex
+	at   map[ghostKey]uint64 // key -> the add that made it a ghost
+	keys []ghostKey          // ring, grown to size: keys[n%size] is the oldest once full
+	size uint64
+	n    uint64 // adds so far
+}
+
+// ghostKey names a block of one incarnation of a file, so a removed
+// or shrunk file's ghosts never match it again and age out unread.
+type ghostKey struct{ id, bno, gen uint64 }
+
+func (g *ghostList) add(k ghostKey) {
+	g.mu.Lock()
+	if g.n < g.size {
+		g.keys = append(g.keys, k)
+	} else {
+		// Overwrite the oldest; forget it unless taken and added since.
+		slot := &g.keys[g.n%g.size]
+		if g.at[*slot] == g.n-g.size {
+			delete(g.at, *slot)
+		}
+		*slot = k
+	}
+	g.at[k] = g.n
+	g.n++
+	g.mu.Unlock()
+}
+
+// take reports whether k is a ghost, and forgets it if so.
+func (g *ghostList) take(k ghostKey) bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	_, ok := g.at[k]
+	delete(g.at, k)
+	return ok
 }
 
 func newPager(path string, hotBytes uint64) (*pager, error) {
@@ -109,7 +160,11 @@ func newPager(path string, hotBytes uint64) (*pager, error) {
 	if hotBytes == 0 {
 		hotBytes = DefaultHotBytes
 	}
-	p := &pager{f: f, hotBytes: hotBytes, budget: max(hotBytes/storage.BlockSize, 1), blocks: slab.New(storage.BlockSize)}
+	budget := max(hotBytes/storage.BlockSize, 1)
+	p := &pager{f: f, hotBytes: hotBytes, budget: budget, probCap: max(budget/probationShare, 1), blocks: slab.New(storage.BlockSize)}
+	// Probation and the ghosts together span the budget, so a block
+	// touched again within a budget's worth of admissions is promoted.
+	p.ghosts = ghostList{size: max(budget-p.probCap, 1), at: make(map[ghostKey]uint64)}
 	for i := range p.shards {
 		p.shards[i].files = make(map[uint64]*pfile)
 	}
@@ -143,7 +198,7 @@ func (p *pager) close() error {
 		sh.mu.Lock()
 		if !sh.closed {
 			sh.closed = true
-			for _, b := range sh.ring {
+			for _, b := range slices.Concat(sh.ring, sh.probation) {
 				if !b.dead {
 					p.blocks.Put(b.data)
 					b.data = nil
@@ -164,7 +219,7 @@ func (p *pager) close() error {
 // Boot-time only, before the pager is shared.
 func (p *pager) install(id, size uint64, bnos, slots []uint64) {
 	sh := p.shard(id)
-	pf := &pfile{size: size, blocks: make(map[uint64]*pblock), slots: make(map[uint64]uint64, len(bnos))}
+	pf := &pfile{size: size, gen: p.gens.Add(1), blocks: make(map[uint64]*pblock), slots: make(map[uint64]uint64, len(bnos))}
 	for i, bno := range bnos {
 		pf.slots[bno] = slots[i]
 	}
@@ -210,18 +265,18 @@ func (p *pager) promoteFreed() {
 
 // getFile returns the file, creating it when create is set. Caller
 // holds sh.mu.
-func (sh *pagerShard) getFile(id uint64, create bool) *pfile {
+func (p *pager) getFile(sh *pagerShard, id uint64, create bool) *pfile {
 	pf := sh.files[id]
 	if pf == nil && create {
-		pf = &pfile{blocks: make(map[uint64]*pblock), slots: make(map[uint64]uint64)}
+		pf = &pfile{gen: p.gens.Add(1), blocks: make(map[uint64]*pblock), slots: make(map[uint64]uint64)}
 		sh.files[id] = pf
 	}
 	return pf
 }
 
 // drop ends b's residency — eviction, truncation or removal — and
-// returns its buffer to the block memory. b stays in the CLOCK ring,
-// marked dead, until CLOCK or insert reaps it. Caller holds sh.mu.
+// returns its buffer to the block memory. b stays in its queue, marked
+// dead, until an eviction or admit reaps it. Caller holds sh.mu.
 func (p *pager) drop(sh *pagerShard, b *pblock) {
 	if pf := sh.files[b.id]; pf != nil {
 		delete(pf.blocks, b.bno)
@@ -229,7 +284,12 @@ func (p *pager) drop(sh *pagerShard, b *pblock) {
 	b.dead = true
 	p.blocks.Put(b.data)
 	b.data = nil
-	sh.live--
+	if b.protected {
+		sh.prot--
+	} else {
+		sh.prob--
+		p.probation.Add(^uint64(0))
+	}
 	p.resident.Add(^uint64(0))
 }
 
@@ -257,58 +317,65 @@ func (p *pager) fault(sh *pagerShard, pf *pfile, id, bno uint64) (*pblock, error
 	return b, nil
 }
 
-// admit makes b resident and evicts to make room for it. Caller holds
+// admit makes b resident, protected if its key is a ghost and on
+// probation otherwise, and evicts to make room for it. Caller holds
 // sh.mu.
 func (p *pager) admit(sh *pagerShard, pf *pfile, b *pblock) {
+	b.protected = p.ghosts.take(ghostKey{b.id, b.bno, pf.gen})
 	pf.blocks[b.bno] = b
-	sh.insert(b)
+	q, live := &sh.probation, &sh.prob
+	if b.protected {
+		q, live = &sh.ring, &sh.prot
+	}
+	// Reap dead entries, so a queue whose blocks truncation or removal
+	// dropped stays proportional to residency.
+	if n := *live; len(*q) > 2*n+8 {
+		*q, sh.hand = reap(*q), 0
+	}
+	*q = append(*q, b)
+	*live++
 	p.resident.Add(1)
-	sh.live++
+	if b.protected {
+		p.promotions.Add(1)
+	} else {
+		p.probation.Add(1)
+	}
 	p.evictOver(sh, b)
 }
 
-// insert adds b to the CLOCK ring, compacting reaped entries when the
-// ring has grown well past the live population.
-func (sh *pagerShard) insert(b *pblock) {
-	if len(sh.ring) > 2*sh.live+8 {
-		kept := sh.ring[:0]
-		for _, e := range sh.ring {
-			if !e.dead {
-				kept = append(kept, e)
-			}
+// reap returns q without its dead entries, in order.
+func reap(q []*pblock) []*pblock {
+	kept := q[:0]
+	for _, e := range q {
+		if !e.dead {
+			kept = append(kept, e)
 		}
-		sh.ring = kept
-		sh.hand = 0
 	}
-	sh.ring = append(sh.ring, b)
+	clear(q[len(kept):])
+	return kept
 }
 
-// evictOver runs CLOCK within sh until the global residency is back
-// under budget or this shard is down to one block. Dirty victims
-// write back to their slot (allocating one on first eviction); clean
-// victims just drop. pin is the block the caller is in the middle of
-// installing — its data is copied in only after evictOver returns, so
-// evicting it would silently drop the write; CLOCK skips it outright.
-// Caller holds sh.mu.
+// evictOver evicts within sh, down to one block, the shard's oldest
+// probation block while probation is over its bound, and a CLOCK victim
+// among its protected blocks (or, with none, the oldest probation
+// block) while residency is over budget. An evicted probation block
+// leaves its key in the ghost list. Dirty victims write back to their
+// slot (allocating one on first eviction). pin is the block the caller
+// is installing: its data is copied in only after evictOver returns,
+// so it is never chosen. Caller holds sh.mu.
 func (p *pager) evictOver(sh *pagerShard, pin *pblock) {
-	for p.resident.Load() > p.budget && sh.live > 1 && len(sh.ring) > 0 {
-		if sh.hand >= len(sh.ring) {
-			sh.hand = 0
+	for sh.prot+sh.prob > 1 {
+		var b *pblock
+		if p.probation.Load() > p.probCap {
+			b = sh.oldest(pin)
 		}
-		b := sh.ring[sh.hand]
-		if b.dead {
-			sh.ring[sh.hand] = sh.ring[len(sh.ring)-1]
-			sh.ring = sh.ring[:len(sh.ring)-1]
-			continue
+		if b == nil && p.resident.Load() > p.budget {
+			if b = sh.clock(pin); b == nil {
+				b = sh.oldest(pin)
+			}
 		}
-		if b == pin {
-			sh.hand++
-			continue
-		}
-		if b.ref {
-			b.ref = false
-			sh.hand++
-			continue
+		if b == nil {
+			return
 		}
 		if err := p.writeBack(sh, b); err != nil {
 			// Leave the block resident; the next eviction retries.
@@ -317,14 +384,58 @@ func (p *pager) evictOver(sh *pagerShard, pin *pblock) {
 			// so count the failure where StorageStats can surface it.
 			p.wbFails.Add(1)
 			b.ref = true
+			if !b.protected { // retry it last, so the blocks behind it still go
+				sh.probation = append(sh.probation[1:], b)
+			}
 			return
+		}
+		if !b.protected {
+			p.ghosts.add(ghostKey{b.id, b.bno, sh.files[b.id].gen})
 		}
 		// Readers copy out under sh.mu and nothing else keeps a dead
 		// block's bytes, so the buffer can serve the next install.
 		p.drop(sh, b)
-		sh.ring[sh.hand] = sh.ring[len(sh.ring)-1]
-		sh.ring = sh.ring[:len(sh.ring)-1]
 		p.evictions.Add(1)
+	}
+}
+
+// oldest reaps dead entries off the front of probation and returns the
+// oldest block there, or nil if that is pin (the newest) or none.
+func (sh *pagerShard) oldest(pin *pblock) *pblock {
+	for len(sh.probation) > 0 && sh.probation[0].dead {
+		sh.probation[0] = nil
+		sh.probation = sh.probation[1:]
+	}
+	if len(sh.probation) == 0 || sh.probation[0] == pin {
+		return nil
+	}
+	return sh.probation[0]
+}
+
+// clock advances the hand, reaping dead entries and clearing reference
+// bits, to the next protected victim; nil if none but pin is protected.
+func (sh *pagerShard) clock(pin *pblock) *pblock {
+	if sh.prot == 0 || sh.prot == 1 && pin != nil && pin.protected {
+		return nil
+	}
+	for {
+		if sh.hand >= len(sh.ring) {
+			sh.hand = 0
+		}
+		b := sh.ring[sh.hand]
+		switch {
+		case b.dead:
+			last := len(sh.ring) - 1
+			sh.ring[sh.hand], sh.ring[last] = sh.ring[last], nil
+			sh.ring = sh.ring[:last]
+		case b == pin:
+			sh.hand++
+		case b.ref:
+			b.ref = false
+			sh.hand++
+		default:
+			return b
+		}
 	}
 }
 
@@ -349,14 +460,14 @@ func (p *pager) writeBack(sh *pagerShard, b *pblock) error {
 	return nil
 }
 
-// rebalance evicts across shards until global residency is back under
-// budget. Called with no shard lock held and takes one shard lock at a
-// time, so it can never deadlock with in-shard eviction. It exists for
-// the insert-into-a-near-empty-shard case: in-shard CLOCK can only
-// strip the inserting shard down to one block, so the overflow must
-// come out of whichever shards still hold the excess.
+// rebalance evicts across shards until residency and probation are
+// back under their bounds. Called with no shard lock held and takes one
+// shard lock at a time, so it can never deadlock with in-shard eviction.
+// It exists for the insert-into-a-near-empty-shard case: in-shard
+// eviction can only strip the inserting shard down to one block, so the
+// overflow must come out of whichever shards still hold the excess.
 func (p *pager) rebalance() {
-	for i := 0; i < pagerShards && p.resident.Load() > p.budget; i++ {
+	for i := 0; i < pagerShards && (p.resident.Load() > p.budget || p.probation.Load() > p.probCap); i++ {
 		sh := &p.shards[i]
 		if sh.lock() != nil {
 			continue
@@ -380,7 +491,7 @@ func (p *pager) readAt(id, off uint64, dst []byte) error {
 		return err
 	}
 	defer sh.mu.Unlock()
-	pf := sh.getFile(id, false)
+	pf := p.getFile(sh, id, false)
 	if pf == nil || off+uint64(len(dst)) > pf.size {
 		return fmt.Errorf("diskstore: read of id %d [%d,+%d) beyond stored extent", id, off, len(dst))
 	}
@@ -418,7 +529,7 @@ func (p *pager) writeAt(id, off uint64, data []byte) error {
 		return err
 	}
 	defer sh.mu.Unlock()
-	pf := sh.getFile(id, true)
+	pf := p.getFile(sh, id, true)
 	for len(data) > 0 {
 		bno := off / storage.BlockSize
 		bo := off % storage.BlockSize
@@ -467,8 +578,10 @@ func (p *pager) truncate(id, size uint64) error {
 		return err
 	}
 	defer sh.mu.Unlock()
-	pf := sh.getFile(id, true)
+	pf := p.getFile(sh, id, true)
 	if size < pf.size {
+		// A new generation forgets the file's ghosts.
+		pf.gen = p.gens.Add(1)
 		keep := (size + storage.BlockSize - 1) / storage.BlockSize
 		var freed []uint64
 		for bno, b := range pf.blocks {
@@ -546,7 +659,7 @@ func (p *pager) flushDirty() error {
 		if err := sh.lock(); err != nil {
 			return err
 		}
-		blocks := append([]*pblock(nil), sh.ring...)
+		blocks := slices.Concat(sh.ring, sh.probation)
 		sh.mu.Unlock()
 		for len(blocks) > 0 {
 			if err := sh.lock(); err != nil {
@@ -634,9 +747,14 @@ func (p *pager) nextSlot() uint64 {
 
 // stats returns the pager's observability block.
 func (p *pager) stats() *storage.PagerStats {
+	res := p.resident.Load()
+	prob := min(p.probation.Load(), res)
 	return &storage.PagerStats{
 		HotBytes:          p.hotBytes,
-		ResidentBytes:     p.resident.Load() * storage.BlockSize,
+		ResidentBytes:     res * storage.BlockSize,
+		ProbationBytes:    prob * storage.BlockSize,
+		ProtectedBytes:    (res - prob) * storage.BlockSize,
+		GhostPromotions:   p.promotions.Load(),
 		Faults:            p.faults.Load(),
 		Evictions:         p.evictions.Load(),
 		WriteBackFailures: p.wbFails.Load(),

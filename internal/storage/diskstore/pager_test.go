@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -499,5 +501,248 @@ func TestPagerCloseRace(t *testing.T) {
 	}
 	if m := s.StorageStats().Pager.MappedBytes; m != 0 {
 		t.Fatalf("mapped_bytes = %d after Close, want 0", m)
+	}
+}
+
+// The scan-resistance tests run a 64-block budget: probation holds 8
+// blocks and the ghost list the keys of the last 56 probation
+// evictions. Ids 2, 10 and 18 share a shard, the hardest case, since
+// in-shard eviction then chooses among all three files.
+const (
+	scanHot    = 64 * storage.BlockSize
+	scanProb   = scanHot / storage.BlockSize / probationShare
+	scanBlocks = 4 * scanHot / storage.BlockSize
+)
+
+// writeBlocks writes blocks [0, n) of id one whole block at a time.
+func writeBlocks(t *testing.T, s *Store, id uint64, n int) {
+	t.Helper()
+	content := fileContent(id, n*storage.BlockSize)
+	for b := 0; b < n; b++ {
+		if err := s.Write(id, uint64(b)*storage.BlockSize, content[b*storage.BlockSize:(b+1)*storage.BlockSize], false, 1, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// readPass reads blocks [0, n) of id in order, checks their bytes, and
+// returns how many faults the pass took.
+func readPass(t *testing.T, s *Store, id uint64, n int) uint64 {
+	t.Helper()
+	before := s.StorageStats().Pager.Faults
+	want := fileContent(id, n*storage.BlockSize)
+	got := make([]byte, storage.BlockSize)
+	for b := 0; b < n; b++ {
+		if err := s.ReadAt(id, uint64(b)*storage.BlockSize, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want[b*storage.BlockSize:(b+1)*storage.BlockSize]) {
+			t.Fatalf("id %d block %d reads wrong bytes", id, b)
+		}
+	}
+	return s.StorageStats().Pager.Faults - before
+}
+
+// checkClasses fails unless the pager holds prob blocks on probation
+// and prot protected ones, and both together are what is resident.
+func checkClasses(t *testing.T, s *Store, label string, prob, prot uint64) {
+	t.Helper()
+	ps := s.StorageStats().Pager
+	if ps.ProbationBytes != prob*storage.BlockSize || ps.ProtectedBytes != prot*storage.BlockSize || ps.ResidentBytes != ps.ProbationBytes+ps.ProtectedBytes {
+		t.Fatalf("%s: probation %d B, protected %d B, resident %d B; want %d and %d blocks",
+			label, ps.ProbationBytes, ps.ProtectedBytes, ps.ResidentBytes, prob, prot)
+	}
+	checkBufs(t, s.pg)
+}
+
+// TestPagerScanStaysOnProbation: a one-pass scan of four times the
+// budget, written and then read, keeps residency within the
+// probation bound plus the one block per shard that in-shard eviction
+// keeps, and promotes nothing.
+func TestPagerScanStaysOnProbation(t *testing.T) {
+	s, err := Open(t.TempDir(), Options{HotBytes: scanHot})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	drainReplay(t, s)
+	const bound = (scanProb + pagerShards) * storage.BlockSize
+	writeBlocks(t, s, 2, scanBlocks)
+	if ps := s.StorageStats().Pager; ps.ResidentBytes > bound {
+		t.Fatalf("after the write pass: resident %d B, bound %d B", ps.ResidentBytes, bound)
+	}
+	if f := readPass(t, s, 2, scanBlocks); f != scanBlocks {
+		t.Fatalf("read pass took %d faults, want %d", f, scanBlocks)
+	}
+	ps := s.StorageStats().Pager
+	if ps.ResidentBytes > bound || ps.GhostPromotions != 0 {
+		t.Fatalf("after the read pass: resident %d B (bound %d B), %d promotions (want 0)", ps.ResidentBytes, bound, ps.GhostPromotions)
+	}
+	checkClasses(t, s, "after the scan", scanProb, 0)
+	if ps.MappedBytes > mappedBound(bound) {
+		t.Fatalf("mapped_bytes = %d, want <= %d", ps.MappedBytes, mappedBound(bound))
+	}
+}
+
+// TestPagerHotFileSurvivesScan: a file whose blocks came back while
+// their keys were ghosts is protected, and a scan of four times the
+// budget through the same shard leaves it resident: re-reading it
+// takes no fault.
+func TestPagerHotFileSurvivesScan(t *testing.T) {
+	s, err := Open(t.TempDir(), Options{HotBytes: scanHot})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	drainReplay(t, s)
+	const hot, filler, scan = 2, 10, 18
+	const hotBlocks = 16
+	writeBlocks(t, s, hot, hotBlocks)   // blocks 0-7 become ghosts, 8-15 stay on probation
+	writeBlocks(t, s, filler, scanProb) // and push 8-15 out after them
+	if f := readPass(t, s, hot, hotBlocks); f != hotBlocks {
+		t.Fatalf("promoting pass took %d faults, want %d", f, hotBlocks)
+	}
+	checkClasses(t, s, "after promotion", scanProb, hotBlocks)
+	if got := s.StorageStats().Pager.GhostPromotions; got != hotBlocks {
+		t.Fatalf("ghost promotions = %d, want %d", got, hotBlocks)
+	}
+	writeBlocks(t, s, scan, scanBlocks)
+	if f := readPass(t, s, scan, scanBlocks); f == 0 {
+		t.Fatal("the scan's read pass took no fault")
+	}
+	if f := readPass(t, s, hot, hotBlocks); f != 0 {
+		t.Fatalf("re-reading the hot file after the scan took %d faults, want 0", f)
+	}
+	checkClasses(t, s, "after the scan", scanProb, hotBlocks)
+}
+
+// TestPagerHalfBudgetFileResidentOnThirdPass: a file of half the
+// budget, read from cold, is resident from its third pass on. Its
+// second pass is the one extra miss that probation costs: it faults
+// every block but the probation tail, and promotes them.
+func TestPagerHalfBudgetFileResidentOnThirdPass(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{HotBytes: scanHot})
+	if err != nil {
+		t.Fatal(err)
+	}
+	drainReplay(t, s)
+	const n = scanHot / storage.BlockSize / 2
+	writeBlocks(t, s, 2, n)
+	checkpointT(t, s, 3, 1, regNode(2, n*storage.BlockSize))
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err = Open(dir, Options{HotBytes: scanHot})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	drainReplay(t, s)
+	for pass, want := range []uint64{n, n - scanProb, 0} {
+		if f := readPass(t, s, 2, n); f != want {
+			t.Fatalf("pass %d took %d faults, want %d", pass+1, f, want)
+		}
+	}
+	checkClasses(t, s, "after three passes", scanProb, n-scanProb)
+}
+
+// TestPagerGhostOverwritePromoted: a whole-block overwrite admits
+// without a fault, and of a block whose key is a ghost it admits the
+// block protected, as a fault would.
+func TestPagerGhostOverwritePromoted(t *testing.T) {
+	s, err := Open(t.TempDir(), Options{HotBytes: scanHot})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	drainReplay(t, s)
+	writeBlocks(t, s, 2, 2*scanProb) // blocks 0 to scanProb-1 become ghosts
+	faults := s.StorageStats().Pager.Faults
+	block := bytes.Repeat([]byte{0x5A}, storage.BlockSize)
+	if err := s.Write(2, 0, block, false, 2, nil); err != nil {
+		t.Fatal(err)
+	}
+	ps := s.StorageStats().Pager
+	if ps.GhostPromotions != 1 || ps.Faults != faults {
+		t.Fatalf("overwrite of a ghost: %d promotions, %d faults; want 1 and %d", ps.GhostPromotions, ps.Faults, faults)
+	}
+	checkClasses(t, s, "after the overwrite", scanProb, 1)
+	got := make([]byte, storage.BlockSize)
+	if err := s.ReadAt(2, 0, got); err != nil || !bytes.Equal(got, block) {
+		t.Fatalf("promoted block reads back wrong (%v)", err)
+	}
+}
+
+// TestPagerRemoveTruncateForgetClasses: Remove and a Truncate to zero
+// drop every resident block of the file, protected and on probation,
+// and forget its ghosts, so writing the same blocks again promotes
+// none of them.
+func TestPagerRemoveTruncateForgetClasses(t *testing.T) {
+	for _, how := range []string{"remove", "truncate"} {
+		t.Run(how, func(t *testing.T) {
+			s, err := Open(t.TempDir(), Options{HotBytes: scanHot})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			drainReplay(t, s)
+			const n = 3 * scanProb
+			writeBlocks(t, s, 2, n) // blocks 0 to n-scanProb-1 become ghosts
+			if f := readPass(t, s, 2, 4); f != 4 {
+				t.Fatalf("reading four ghosts took %d faults, want 4", f)
+			}
+			checkClasses(t, s, "before "+how, scanProb, 4)
+			if how == "remove" {
+				err = s.Remove(2)
+			} else {
+				err = s.Truncate(2, 0)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkClasses(t, s, "after "+how, 0, 0)
+			writeBlocks(t, s, 2, n)
+			if got := s.StorageStats().Pager.GhostPromotions; got != 4 {
+				t.Fatalf("rewriting the file after %s promoted %d blocks off old ghosts", how, got-4)
+			}
+			checkClasses(t, s, "after the rewrite", scanProb, 0)
+		})
+	}
+}
+
+// TestPagerStuckWriteBackSkipped: a dirty probation block whose
+// write-back fails is retried after the rest of probation, so the clean
+// blocks behind it are still evicted and probation stays within its
+// bound plus that one block.
+func TestPagerStuckWriteBackSkipped(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{HotBytes: scanHot})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	drainReplay(t, s)
+	writeBlocks(t, s, 2, scanBlocks)
+	checkpointT(t, s, 3, 1, regNode(2, scanBlocks*storage.BlockSize)) // every block clean
+	// Dirty the oldest probation block, then make write-backs fail.
+	oldest := uint64(scanBlocks - scanProb)
+	if err := s.Write(2, oldest*storage.BlockSize, fileContent(2, scanBlocks*storage.BlockSize)[oldest*storage.BlockSize:][:10], false, 2, nil); err != nil {
+		t.Fatal(err)
+	}
+	ro, err := os.Open(filepath.Join(dir, ExtentsName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ro.Close()
+	rw := s.pg.f
+	s.pg.f = ro
+	defer func() { s.pg.f = rw }()
+	if f := readPass(t, s, 2, 64); f != 64 {
+		t.Fatalf("read pass took %d faults, want 64", f)
+	}
+	ps := s.StorageStats().Pager
+	if ps.WriteBackFailures == 0 || ps.ProbationBytes > (scanProb+1)*storage.BlockSize {
+		t.Fatalf("%d write-back failures, probation %d B; want > 0 and <= %d B", ps.WriteBackFailures, ps.ProbationBytes, (scanProb+1)*storage.BlockSize)
 	}
 }

@@ -245,7 +245,15 @@ type PagerStats struct {
 	HotBytes      uint64 `json:"hot_bytes"`      // residency budget
 	ResidentBytes uint64 `json:"resident_bytes"` // hot blocks in memory now
 	Faults        uint64 `json:"faults"`         // read-through misses
-	Evictions     uint64 `json:"evictions"`      // blocks evicted by CLOCK
+	Evictions     uint64 `json:"evictions"`      // blocks evicted, both classes
+	// ProbationBytes and ProtectedBytes split ResidentBytes by class:
+	// a block enters on probation, bounded to an eighth of HotBytes,
+	// and is protected only if it returns while its key is still in
+	// the ghost list of recent probation evictions. GhostPromotions
+	// counts the blocks admitted protected that way.
+	ProbationBytes  uint64 `json:"probation_bytes"`
+	ProtectedBytes  uint64 `json:"protected_bytes"`
+	GhostPromotions uint64 `json:"ghost_promotions"`
 	// WriteBackFailures counts evictions abandoned because the dirty
 	// victim could not be written to the extent file. Durability is
 	// unaffected (the journal holds the data), but a growing value

@@ -90,6 +90,7 @@
 package wal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -112,6 +113,11 @@ const (
 	// maxRecord bounds a single record so a corrupt length field
 	// cannot drive a huge allocation during recovery.
 	maxRecord = 64 << 20
+
+	// scanBuffer is the read-ahead of a recovery scan: frames are
+	// parsed out of it, so a scan reads the segment in pieces of this
+	// size rather than whole or one frame at a time.
+	scanBuffer = 64 << 10
 )
 
 // DefaultAutoFlush is the buffered-byte threshold past which Append
@@ -194,9 +200,10 @@ type WAL struct {
 
 // Open opens or creates the log chain at path (the current segment;
 // path+".prev" is the sealed one), replays intact records oldest
-// first through replay (payload slices are only valid during the
-// call), truncates any torn tail, and bumps the epoch. A replay error
-// aborts the open: the log is corrupt in a way recovery cannot
+// first through replay, truncates any torn tail, and bumps the epoch.
+// replay must not keep payload past its return: the scan reads every
+// record into one buffer, so the next record overwrites it. A replay
+// error aborts the open: the log is corrupt in a way recovery cannot
 // repair.
 func Open(path string, opts Options, replay func(seq uint64, payload []byte) error) (*WAL, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o600)
@@ -238,7 +245,10 @@ func parseHeader(hdr []byte) (epoch, base uint64, ok bool) {
 
 // scanSegment parses one segment: header, then records until EOF or
 // the first torn/corrupt frame. Corruption is reported in the result,
-// not as an error; only I/O failures and replay errors abort.
+// not as an error; only I/O failures and replay errors abort. It holds
+// the read-ahead buffer and one payload buffer, reused for every
+// record and grown to the largest frame, so its memory is bounded by
+// maxRecord whatever the segment's length.
 func scanSegment(f *os.File, replay func(uint64, []byte) error) (segInfo, error) {
 	var seg segInfo
 	st, err := f.Stat()
@@ -255,23 +265,32 @@ func scanSegment(f *os.File, replay func(uint64, []byte) error) (segInfo, error)
 	if seg.epoch, seg.base, seg.hdrOK = parseHeader(hdr[:]); !seg.hdrOK {
 		return seg, nil
 	}
-	rest := make([]byte, st.Size()-headerSize)
-	if _, err := f.ReadAt(rest, headerSize); err != nil {
-		return seg, err
-	}
-	off := 0
-	for off < len(rest) {
-		if off+frameSize > len(rest) {
+	size := st.Size() - headerSize
+	r := bufio.NewReaderSize(io.NewSectionReader(f, headerSize, size), int(min(size, scanBuffer)))
+	var frame [frameSize]byte
+	var buf []byte
+	off := int64(0)
+	for off < size {
+		if off+frameSize > size {
 			seg.torn = true
 			break
 		}
-		n := int(binary.LittleEndian.Uint32(rest[off:]))
-		crc := binary.LittleEndian.Uint32(rest[off+4:])
-		if n <= 0 || n > maxRecord || off+frameSize+n > len(rest) {
+		if _, err := io.ReadFull(r, frame[:]); err != nil {
+			return seg, err
+		}
+		n := int64(binary.LittleEndian.Uint32(frame[:]))
+		crc := binary.LittleEndian.Uint32(frame[4:])
+		if n == 0 || n > maxRecord || off+frameSize+n > size {
 			seg.torn = true
 			break
 		}
-		payload := rest[off+frameSize : off+frameSize+n]
+		if int64(cap(buf)) < n {
+			buf = make([]byte, n)
+		}
+		payload := buf[:n]
+		if _, err := io.ReadFull(r, payload); err != nil {
+			return seg, err
+		}
 		if crc32.ChecksumIEEE(payload) != crc {
 			seg.torn = true
 			break

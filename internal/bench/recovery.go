@@ -195,7 +195,7 @@ func recoveryAtScale(fig *Figure, opts Options) error {
 	if err != nil {
 		return err
 	}
-	journalN, _, err := replayAfterHistory(rounds, roundBytes, false)
+	journalN, journalStats, err := replayAfterHistory(rounds, roundBytes, false)
 	if err != nil {
 		return err
 	}
@@ -206,12 +206,15 @@ func recoveryAtScale(fig *Figure, opts Options) error {
 	if ckptStats.TailRecords > uint64(roundBytes/(64<<10))+8 {
 		return fmt.Errorf("recovery: checkpointed tail has %d records — compaction is not bounding the journal", ckptStats.TailRecords)
 	}
-	speedup := journalN.Seconds() / ckptN.Seconds()
+	// What a checkpoint buys is counted, not timed: the journal records
+	// a reboot replays with and without one. The checkpointed boot takes
+	// well under a millisecond, so a ratio of the two times is noise.
 	fig.Rows = append(fig.Rows,
 		FigureRow{Stack: label, Phase: "replay 1x history (journal only)", Value: journal1.Seconds() * 1000, Unit: "ms"},
 		FigureRow{Stack: label, Phase: fmt.Sprintf("replay %dx history (journal only)", rounds), Value: journalN.Seconds() * 1000, Unit: "ms"},
 		FigureRow{Stack: label, Phase: fmt.Sprintf("replay %dx history (checkpointed)", rounds), Value: ckptN.Seconds() * 1000, Unit: "ms"},
-		FigureRow{Stack: label, Phase: "checkpoint replay speedup", Value: speedup, Unit: "x"},
+		FigureRow{Stack: label, Phase: fmt.Sprintf("records replayed, %dx history (journal only)", rounds), Value: float64(journalStats.Records), Unit: "records"},
+		FigureRow{Stack: label, Phase: fmt.Sprintf("records replayed, %dx history (checkpointed tail)", rounds), Value: float64(ckptStats.TailRecords), Unit: "records"},
 		FigureRow{Stack: label, Phase: "checkpoint image load", Value: ckptStats.CheckpointMBps(), Unit: "MB/s"},
 	)
 

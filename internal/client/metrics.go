@@ -93,11 +93,14 @@ type MountStats struct {
 	Swept        uint64 `json:"swept"`
 	Records      uint64 `json:"records"`
 	// Data block cache (PR 5): hits avoided a READ RPC entirely;
-	// bytes_cached is the current occupancy; singleflight_shared
-	// counts cold reads that rode another reader's RPC.
+	// bytes_cached is the current occupancy; bypassed counts pipeline
+	// blocks of files larger than the budget, which are not cached;
+	// singleflight_shared counts cold reads that rode another reader's
+	// RPC.
 	DataHits           uint64 `json:"data_hits"`
 	DataMisses         uint64 `json:"data_misses"`
 	DataBytesCached    uint64 `json:"data_bytes_cached"`
+	DataBypassed       uint64 `json:"data_bypassed"`
 	DataEvictions      uint64 `json:"data_evictions"`
 	SingleFlightShared uint64 `json:"singleflight_shared"`
 	CacheLocks         uint64 `json:"cache_locks"`
@@ -129,7 +132,7 @@ func (c *Client) mountStats() []MountStats {
 		s := ns.Stats()
 		st.Calls, st.AttrHits, st.AccHits, st.Invals = s.Calls, s.AttrHits, s.AccessHits, s.Invals
 		st.NameHits, st.NameInstalls, st.Forgets, st.Swept, st.Records = s.NameHits, s.NameInstalls, s.Forgets, s.Swept, s.Records
-		st.DataHits, st.DataMisses, st.DataBytesCached = s.DataHits, s.DataMisses, s.DataBytesCached
+		st.DataHits, st.DataMisses, st.DataBytesCached, st.DataBypassed = s.DataHits, s.DataMisses, s.DataBytesCached, s.DataBypassed
 		st.DataEvictions, st.SingleFlightShared = s.Evictions, s.SingleFlightShared
 		st.CacheLocks, st.CacheContended = s.CacheLocks, s.CacheContended
 		if m.trace != nil {

@@ -476,3 +476,81 @@ func TestQuietClientReleasesChunkSlabs(t *testing.T) {
 		t.Fatalf("log reads %q, %v", got, err)
 	}
 }
+
+// TestWriteBehindBypassesCacheForLargeFile: a write-behind stream over
+// a file four times the client's data cache keeps no copy of its
+// chunks, yet drops what the cache held of the range it overwrote — a
+// block cached by an earlier random read reads back the new bytes.
+// Race builds poison every chunk write-behind returns to its pool, so
+// a cache entry still pointing into one would read back poison.
+func TestWriteBehindBypassesCacheForLargeFile(t *testing.T) {
+	const budget = 4 * 8192
+	w, s, cl := readAheadWorld(t, client.Config{EnhancedCaching: true, DataCacheBytes: budget})
+	user, dir := setupWriter(t, w, s, cl, "streamer", 3900)
+	path := dir + "/large.bin"
+	old := pattern(4 * budget)
+	if err := s.FS.WriteFile(rootCred(), strings.TrimPrefix(path, s.Path.String()+"/"), old, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	f, err := cl.Open(user, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close() //nolint:errcheck
+	const cachedBlock = 5
+	buf := make([]byte, 8192)
+	if _, err := f.ReadAt(buf, cachedBlock*8192); err != nil || !bytes.Equal(buf, old[cachedBlock*8192:][:8192]) {
+		t.Fatalf("priming read: err %v or wrong bytes", err)
+	}
+	if st, _ := cl.Stats(user, path); st.DataBytesCached != 8192 {
+		t.Fatalf("a random read cached %d bytes, want one block", st.DataBytesCached)
+	}
+
+	fresh := bytes.Repeat([]byte("fresh bytes "), len(old)/12+1)[:len(old)]
+	for off := 0; off < len(fresh); off += 8192 {
+		if _, err := f.WriteAt(fresh[off:off+8192], uint64(off)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	st, _ := cl.Stats(user, path)
+	if st.DataBytesCached != 0 {
+		t.Fatalf("after the stream the cache holds %d bytes, want 0", st.DataBytesCached)
+	}
+	if blocks := uint64(len(fresh) / 8192); st.DataBypassed != blocks {
+		t.Fatalf("data_bypassed = %d, want the stream's %d blocks", st.DataBypassed, blocks)
+	}
+	if _, err := f.ReadAt(buf, cachedBlock*8192); err != nil || !bytes.Equal(buf, fresh[cachedBlock*8192:][:8192]) {
+		t.Fatalf("overwritten block read back: err %v, %q...", err, buf[:16])
+	}
+	if got, err := cl.ReadFile(user, path); err != nil || !bytes.Equal(got, fresh) {
+		t.Fatalf("whole file read back: err %v or wrong bytes", err)
+	}
+}
+
+// TestSmallWrittenFilesRereadWarm guards the meta_small shape: 1 KiB
+// files written through the pipeline (one FILE_SYNC WRITE each) are
+// re-read from the client's cache, with zero READs.
+func TestSmallWrittenFilesRereadWarm(t *testing.T) {
+	w, s, cl := newWorld(t, "smallwarm")
+	user, dir := setupWriter(t, w, s, cl, "smallwarm", 4000)
+	files := make(map[string][]byte)
+	for i := range 20 {
+		path := fmt.Sprintf("%s/f%02d", dir, i)
+		files[path] = bytes.Repeat([]byte{byte('a' + i)}, 1024)
+		if err := cl.WriteFile(user, path, files[path]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := serverReads(t, w, s)
+	for path, want := range files {
+		if got, err := cl.ReadFile(user, path); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s: err %v or wrong bytes", path, err)
+		}
+	}
+	if reads := serverReads(t, w, s) - before; reads != 0 {
+		t.Fatalf("re-reading %d freshly written 1 KiB files cost %d READs, want 0", len(files), reads)
+	}
+}

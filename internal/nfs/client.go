@@ -57,6 +57,7 @@ type Stats struct {
 	DataMisses         uint64 // cacheable READs that went to the wire
 	DataBytesCached    uint64 // bytes currently held by the data cache
 	Evictions          uint64 // blocks evicted past the byte budget
+	DataBypassed       uint64 // pipeline blocks of files larger than the budget left uncached
 	SingleFlightShared uint64 // cold-block READs joined to another reader's flight
 	CacheLocks         uint64 // cache lock acquisitions (read + write)
 	CacheContended     uint64 // acquisitions that found the lock held
@@ -138,6 +139,7 @@ type clientCore struct {
 	dataHits     atomic.Uint64
 	dataMisses   atomic.Uint64
 	evictions    atomic.Uint64
+	bypassed     atomic.Uint64
 	sfShared     atomic.Uint64
 	cacheLocks   atomic.Uint64
 	contended    atomic.Uint64
@@ -285,6 +287,7 @@ func (c *Client) Stats() Stats {
 		DataHits:           c.core.dataHits.Load(),
 		DataMisses:         c.core.dataMisses.Load(),
 		Evictions:          c.core.evictions.Load(),
+		DataBypassed:       c.core.bypassed.Load(),
 		SingleFlightShared: c.core.sfShared.Load(),
 		CacheLocks:         c.core.cacheLocks.Load(),
 		CacheContended:     c.core.contended.Load(),
@@ -605,7 +608,7 @@ func (c *Client) Readlink(fh FH) (string, error) {
 // single-flight table so concurrent readers cost one READ. The
 // returned slice may alias the cache — callers must not modify it.
 func (c *Client) Read(fh FH, offset uint64, count uint32) ([]byte, bool, error) {
-	if data, eof, ok := c.dataLookup(fh, offset, count); ok {
+	if data, eof, ok, _ := c.dataLookup(fh, offset, count); ok {
 		return data, eof, nil
 	}
 	fin, err := c.readStartCold(fh, offset, count)
@@ -622,13 +625,29 @@ func (c *Client) Read(fh FH, offset uint64, count uint32) ([]byte, bool, error) 
 // must be called exactly once, or the reply slot leaks. Cache-warm
 // requests return an immediate future with no RPC; completions of
 // cold full-block reads populate the cache, so the read-ahead
-// pipeline doubles as the cache filler. Futures must be finished in
-// the order they were started when several cover the same blocks.
+// pipeline doubles as the cache filler — for files within the cache
+// budget: a larger file's replies go to their caller alone. Futures
+// must be finished in the order they were started when several cover
+// the same blocks.
 func (c *Client) ReadStart(fh FH, offset uint64, count uint32) (func() ([]byte, bool, error), error) {
-	if data, eof, ok := c.dataLookup(fh, offset, count); ok {
+	data, eof, ok, streamed := c.dataLookup(fh, offset, count)
+	if ok {
 		return func() ([]byte, bool, error) { return data, eof, nil }, nil
 	}
-	return c.readStartCold(fh, offset, count)
+	if !streamed {
+		return c.readStartCold(fh, offset, count)
+	}
+	fin, err := c.readStartWire(fh, offset, count)
+	if err != nil {
+		return nil, err
+	}
+	return func() ([]byte, bool, error) {
+		data, eof, err := fin()
+		if err == nil {
+			c.core.bypassed.Add(1)
+		}
+		return data, eof, err
+	}, nil
 }
 
 // readStartCold issues the READ a cache miss costs.
@@ -725,7 +744,7 @@ func (c *Client) Write(fh FH, offset uint64, data []byte, stable uint32) (uint32
 		return 0, err
 	}
 	c.remember(fh, res.Attr)
-	c.noteWrite(fh, offset, data, epoch, false)
+	c.noteWrite(fh, offset, len(data), data, epoch, false)
 	return res.Count, nil
 }
 
@@ -734,11 +753,14 @@ func (c *Client) Write(fh FH, offset uint64, data []byte, stable uint32) (uint32
 // The data is fully serialized onto the wire buffer before WriteStart
 // returns, so the caller may reuse its slice immediately. As with
 // ReadStart, every future returned must eventually be called, or the
-// reply slot leaks.
+// reply slot leaks. Like ReadStart's, its completions fill the cache
+// only for files within the budget; over a larger file they drop the
+// blocks they overlap.
 func (c *Client) WriteStart(fh FH, offset uint64, data []byte, stable uint32) (func() (uint32, uint64, error), error) {
-	epoch := c.core.invalEpoch.Load()
-	c.core.calls.Add(1)
-	ch, err := c.core.peer.Start(Program, Version, ProcWrite, c.auth(), WriteArgs{FH: fh, Offset: offset, Stable: stable, Data: data})
+	core := c.core
+	epoch := core.invalEpoch.Load()
+	core.calls.Add(1)
+	ch, err := core.peer.Start(Program, Version, ProcWrite, c.auth(), WriteArgs{FH: fh, Offset: offset, Stable: stable, Data: data})
 	if err != nil {
 		return nil, err
 	}
@@ -746,8 +768,15 @@ func (c *Client) WriteStart(fh FH, offset uint64, data []byte, stable uint32) (f
 	// recycles its pooled chunks as soon as it regains control, so
 	// the future must not look at data.
 	var cached []byte
-	if c.core.dc != nil && len(data) > 0 {
-		cached = append([]byte(nil), data...)
+	n := len(data)
+	streamed := false
+	if core.dc != nil && n > 0 {
+		core.rlock()
+		streamed = core.dc.exceeds(core.live(fh, time.Now()))
+		core.mu.RUnlock()
+		if !streamed {
+			cached = append([]byte(nil), data...)
+		}
 	}
 	return func() (uint32, uint64, error) {
 		var res WriteRes
@@ -759,8 +788,9 @@ func (c *Client) WriteStart(fh FH, offset uint64, data []byte, stable uint32) (f
 			return 0, 0, err
 		}
 		c.remember(fh, res.Attr)
-		if cached != nil {
-			c.noteWrite(fh, offset, cached, epoch, true)
+		c.noteWrite(fh, offset, n, cached, epoch, true)
+		if streamed {
+			core.bypassed.Add(1)
 		}
 		return res.Count, res.Verf, nil
 	}, nil

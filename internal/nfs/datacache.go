@@ -185,31 +185,39 @@ func (dc *dataCache) dropRangeLocked(fhKey string, from, to uint64) {
 // attribute entry is live, and the block covers the requested range
 // up to the file's current size. The returned slice aliases the cache
 // and must not be modified. This is the warm hit path: one read lock,
-// no allocation. It also keeps the hit and miss counts.
-func (c *Client) dataLookup(fh FH, offset uint64, count uint32) ([]byte, bool, bool) {
+// no allocation. It also keeps the hit and miss counts, and reports
+// whether the file is live and larger than the budget (streamed), which
+// decides whether a pipeline miss may populate the cache.
+func (c *Client) dataLookup(fh FH, offset uint64, count uint32) (data []byte, eof, hit, streamed bool) {
 	core := c.core
 	if core.dc == nil || !blockSpan(offset, count) {
-		return nil, false, false
+		return nil, false, false, false
 	}
 	core.rlock()
-	data, eof, ok := c.serveLocked(fh, offset, count)
+	r := core.live(fh, time.Now())
+	data, eof, hit = c.serveLocked(fh, r, offset, count)
+	streamed = core.dc.exceeds(r)
 	core.mu.RUnlock()
-	if ok {
+	if hit {
 		core.dataHits.Add(1)
 	} else {
 		core.dataMisses.Add(1)
 	}
-	return data, eof, ok
+	return data, eof, hit, streamed
 }
 
-func (c *Client) serveLocked(fh FH, offset uint64, count uint32) ([]byte, bool, bool) {
-	core, dc := c.core, c.core.dc
+// exceeds reports whether r is a live record of a file larger than the
+// budget. Blocks of such a file that arrive through a pipeline
+// (ReadStart, WriteStart) are not cached: a sequential pass over it
+// would evict each block before the pass came back to it.
+func (dc *dataCache) exceeds(r *record) bool {
+	return r != nil && r.attr.Size > uint64(dc.max)
+}
+
+func (c *Client) serveLocked(fh FH, r *record, offset uint64, count uint32) ([]byte, bool, bool) {
+	dc := c.core.dc
 	blk := offset / DataBlockSize
-	if _, ok := dc.auth[string(fh)][c.principal]; !ok {
-		return nil, false, false
-	}
-	r := core.live(fh, time.Now())
-	if r == nil {
+	if _, ok := dc.auth[string(fh)][c.principal]; !ok || r == nil {
 		return nil, false, false
 	}
 	size := r.attr.Size
@@ -276,21 +284,24 @@ func (c *Client) populate(fh FH, offset uint64, data []byte, eof bool, epoch uin
 	}
 }
 
-// noteWrite folds an acknowledged WRITE into the cache so re-reads of
-// freshly written data never touch the wire. Single-block-aligned
-// writes merge copy-on-write into the block; anything else, or any
-// write racing an invalidation, just drops the overlapping blocks.
-// owned says data belongs to the cache (already a private copy);
-// otherwise the caller may reuse its buffer and the bytes are copied.
-// The grant a write earns only exposes bytes the writer itself sent.
-func (c *Client) noteWrite(fh FH, offset uint64, data []byte, epoch uint64, owned bool) {
+// noteWrite folds an acknowledged WRITE of n bytes into the cache so
+// re-reads of freshly written data never touch the wire.
+// Single-block-aligned writes merge copy-on-write into the block;
+// anything else, any write racing an invalidation, or a write that
+// brings no data (nil: its file bypasses the cache) just drops the
+// overlapping blocks. owned says data belongs to the cache (already a
+// private copy); otherwise the caller may reuse its buffer and the
+// bytes are copied. The grant a write earns only exposes bytes the
+// writer itself sent.
+func (c *Client) noteWrite(fh FH, offset uint64, n int, data []byte, epoch uint64, owned bool) {
 	core := c.core
 	dc := core.dc
-	if dc == nil || len(data) == 0 {
+	if dc == nil || n == 0 {
 		return
 	}
+	end := offset + uint64(n)
 	blk := offset / DataBlockSize
-	endBlk := (offset + uint64(len(data)) - 1) / DataBlockSize
+	endBlk := (end - 1) / DataBlockSize
 	core.lock()
 	defer core.mu.Unlock()
 	core.writeEpoch.Add(1) // in-flight READs may predate this write
@@ -299,9 +310,9 @@ func (c *Client) noteWrite(fh FH, offset uint64, data []byte, epoch uint64, owne
 		// starts a flight of its own, behind the write.
 		delete(core.flights, flightKey(c.principal, fh, b))
 	}
-	if offset%DataBlockSize != 0 || blk != endBlk ||
+	if data == nil || offset%DataBlockSize != 0 || blk != endBlk ||
 		core.invalEpoch.Load() != epoch || core.live(fh, time.Now()) == nil {
-		dc.dropRangeLocked(string(fh), offset, offset+uint64(len(data)))
+		dc.dropRangeLocked(string(fh), offset, end)
 		return
 	}
 	var nb []byte

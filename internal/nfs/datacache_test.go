@@ -642,3 +642,120 @@ func TestWarmReadHitPathZeroAlloc(t *testing.T) {
 		t.Fatalf("warm hit path allocates %.1f allocs/op, want 0", avg)
 	}
 }
+
+// pipelineRead reads fh from offset 0 to EOF the way client.File's
+// read-ahead does: a window of four ReadStart futures, finished in
+// start order.
+func pipelineRead(t *testing.T, cl *Client, fh FH, size int) []byte {
+	t.Helper()
+	var window []func() ([]byte, bool, error)
+	var out []byte
+	for issued := 0; issued < size || len(window) > 0; {
+		for len(window) < 4 && issued < size {
+			fin, err := cl.ReadStart(fh, uint64(issued), DataBlockSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			window = append(window, fin)
+			issued += DataBlockSize
+		}
+		data, _, err := window[0]()
+		if err != nil {
+			t.Fatal(err)
+		}
+		window = window[1:]
+		out = append(out, data...)
+	}
+	return out
+}
+
+// streamFile has a cacheless writer fill a file of the given size and
+// returns the reader's handle for it with the written bytes.
+func streamFile(t *testing.T, srv *Server, reader *Client, name string, size int) (FH, []byte) {
+	t.Helper()
+	writer := dataCacheClient(t, srv, -1)
+	rootW, _, _ := writer.MountRoot()
+	fhW, _, err := writer.Create(rootW, name, 0o644, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fillPattern(t, writer, fhW, size)
+	root, _, _ := reader.MountRoot()
+	fh, _, err := reader.Lookup(root, name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fh, want
+}
+
+// TestReadAheadBypassesCacheForLargeFile: a read-ahead pass over a
+// file four times the budget caches none of it — under CLOCK each
+// block would be evicted before the pass came back — and counts every
+// block it left uncached.
+func TestReadAheadBypassesCacheForLargeFile(t *testing.T) {
+	const budget = 4 * DataBlockSize
+	srv, cl := dataCachePair(t, budget)
+	fh, want := streamFile(t, srv, cl, "large.bin", 4*budget)
+	for pass := 1; pass <= 2; pass++ {
+		if got := pipelineRead(t, cl, fh, len(want)); !bytes.Equal(got, want) {
+			t.Fatalf("pass %d read %d bytes, not the file's %d", pass, len(got), len(want))
+		}
+		st := cl.Stats()
+		if st.DataBytesCached != 0 || st.Evictions != 0 || st.DataHits != 0 {
+			t.Fatalf("pass %d: %d bytes cached, %d evictions, %d hits; want none", pass, st.DataBytesCached, st.Evictions, st.DataHits)
+		}
+		if blocks := uint64(pass * len(want) / DataBlockSize); st.DataBypassed != blocks {
+			t.Fatalf("pass %d: data_bypassed = %d, want %d", pass, st.DataBypassed, blocks)
+		}
+	}
+}
+
+// TestReadAheadWithinBudgetStaysWarm guards the warm_read shape: a file
+// of half the budget, read once through read-ahead, is re-read with
+// zero RPCs.
+func TestReadAheadWithinBudgetStaysWarm(t *testing.T) {
+	const budget = 16 * DataBlockSize
+	srv, cl := dataCachePair(t, budget)
+	fh, want := streamFile(t, srv, cl, "half.bin", budget/2)
+	pipelineRead(t, cl, fh, len(want))
+	before := cl.Stats()
+	if got := pipelineRead(t, cl, fh, len(want)); !bytes.Equal(got, want) {
+		t.Fatal("warm pass read wrong bytes")
+	}
+	st := cl.Stats()
+	if d := st.Calls - before.Calls; d != 0 {
+		t.Fatalf("warm pass cost %d RPCs, want 0", d)
+	}
+	if st.DataBypassed != 0 || st.DataBytesCached != budget/2 {
+		t.Fatalf("data_bypassed = %d, %d bytes cached; want 0 and %d", st.DataBypassed, st.DataBytesCached, budget/2)
+	}
+}
+
+// TestRandomReadsOfLargeFileStillCached: the bypass is for pipelines
+// only — direct Reads of a file larger than the budget still populate
+// the cache, and re-reading them hits.
+func TestRandomReadsOfLargeFileStillCached(t *testing.T) {
+	const budget = 4 * DataBlockSize
+	srv, cl := dataCachePair(t, budget)
+	fh, want := streamFile(t, srv, cl, "random.bin", 4*budget)
+	blocks := []uint64{11, 2, 7}
+	for _, b := range blocks {
+		if _, _, err := cl.Read(fh, b*DataBlockSize, DataBlockSize); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := cl.Stats()
+	for _, b := range blocks {
+		got, _, err := cl.Read(fh, b*DataBlockSize, DataBlockSize)
+		if err != nil || !bytes.Equal(got, want[b*DataBlockSize:(b+1)*DataBlockSize]) {
+			t.Fatalf("block %d: err %v or wrong bytes", b, err)
+		}
+	}
+	st := cl.Stats()
+	if d := st.Calls - before.Calls; d != 0 {
+		t.Fatalf("re-reading %d cached blocks cost %d RPCs, want 0", len(blocks), d)
+	}
+	if st.DataHits-before.DataHits != uint64(len(blocks)) || st.DataBypassed != 0 {
+		t.Fatalf("%d hits, data_bypassed = %d; want %d and 0", st.DataHits-before.DataHits, st.DataBypassed, len(blocks))
+	}
+}

@@ -243,19 +243,16 @@ func parseHeader(hdr []byte) (epoch, base uint64, ok bool) {
 	return le.Uint64(hdr[8:]), le.Uint64(hdr[16:]), true
 }
 
-// scanSegment parses one segment: header, then records until EOF or
-// the first torn/corrupt frame. Corruption is reported in the result,
-// not as an error; only I/O failures and replay errors abort. It holds
-// the read-ahead buffer and one payload buffer, reused for every
-// record and grown to the largest frame, so its memory is bounded by
-// maxRecord whatever the segment's length.
-func scanSegment(f *os.File, replay func(uint64, []byte) error) (segInfo, error) {
+// scanSegment parses the segment held in the first size bytes of f:
+// header, then records until EOF or the first torn/corrupt frame.
+// Corruption is reported in the result, not as an error; only I/O
+// failures and replay errors abort. It holds the read-ahead buffer and
+// one payload buffer, reused for every record and grown to the largest
+// frame, so its memory is bounded by maxRecord whatever the segment's
+// length.
+func scanSegment(f io.ReaderAt, size int64, replay func(uint64, []byte) error) (segInfo, error) {
 	var seg segInfo
-	st, err := f.Stat()
-	if err != nil {
-		return seg, err
-	}
-	if st.Size() < headerSize {
+	if size < headerSize {
 		return seg, nil
 	}
 	var hdr [headerSize]byte
@@ -265,7 +262,7 @@ func scanSegment(f *os.File, replay func(uint64, []byte) error) (segInfo, error)
 	if seg.epoch, seg.base, seg.hdrOK = parseHeader(hdr[:]); !seg.hdrOK {
 		return seg, nil
 	}
-	size := st.Size() - headerSize
+	size -= headerSize
 	r := bufio.NewReaderSize(io.NewSectionReader(f, headerSize, size), int(min(size, scanBuffer)))
 	var frame [frameSize]byte
 	var buf []byte
@@ -337,8 +334,14 @@ func (w *WAL) recover(replay func(uint64, []byte) error) error {
 		return prevErr
 	}
 	prevExists := prevErr == nil
+	var prevSize int64
 	if prevExists {
 		defer prevF.Close()
+		pst, err := prevF.Stat()
+		if err != nil {
+			return err
+		}
+		prevSize = pst.Size()
 	}
 
 	// Fresh log (or one whose files vanished under a live image):
@@ -355,7 +358,7 @@ func (w *WAL) recover(replay func(uint64, []byte) error) error {
 	// complete the rotation by scanning .prev and re-heading the
 	// current segment where it ends.
 	if st.Size() == 0 {
-		seg, err := scanSegment(prevF, replay)
+		seg, err := scanSegment(prevF, prevSize, replay)
 		if err != nil {
 			return err
 		}
@@ -397,7 +400,7 @@ func (w *WAL) recover(replay func(uint64, []byte) error) error {
 	if !curHdrOK {
 		w.replay.Truncated = true
 		if prevExists {
-			seg, err := scanSegment(prevF, replay)
+			seg, err := scanSegment(prevF, prevSize, replay)
 			if err != nil {
 				return err
 			}
@@ -442,7 +445,7 @@ func (w *WAL) recover(replay func(uint64, []byte) error) error {
 				w.chainBase = curBase
 			}
 		} else {
-			seg, err := scanSegment(prevF, replay)
+			seg, err := scanSegment(prevF, prevSize, replay)
 			if err != nil {
 				return err
 			}
@@ -484,7 +487,7 @@ func (w *WAL) recover(replay func(uint64, []byte) error) error {
 	}
 
 	w.base = curBase
-	seg, err := scanSegment(w.f, replay)
+	seg, err := scanSegment(w.f, st.Size(), replay)
 	if err != nil {
 		return err
 	}

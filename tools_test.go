@@ -723,7 +723,7 @@ func TestToolsEndToEnd(t *testing.T) {
 	if !strings.Contains(string(out), "readahead_hits") || !strings.Contains(string(out), "writebehind_mapped_bytes") {
 		t.Fatalf("sfscd stats command printed no pipeline counters or no chunk slab gauge:\n%s", out)
 	}
-	if !strings.Contains(string(out), "data_hits") {
+	if !strings.Contains(string(out), "data_hits") || !strings.Contains(string(out), "data_bypassed") {
 		t.Fatalf("sfscd stats command printed no data cache counters:\n%s", out)
 	}
 	if !regexp.MustCompile(`(?m)^total +[1-9]`).Match(out) || strings.Contains(string(out), "no stage data") {

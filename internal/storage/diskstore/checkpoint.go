@@ -3,8 +3,10 @@ package diskstore
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"time"
@@ -68,50 +70,57 @@ type image struct {
 
 // loadImage parses and fully validates one image file.
 func loadImage(path string) (*image, error) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	bad := func(format string, args ...any) (*image, error) {
-		return nil, fmt.Errorf("diskstore: checkpoint image %s: %s", path, fmt.Sprintf(format, args...))
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	img, err := readImage(f, st.Size())
+	if err != nil {
+		return nil, fmt.Errorf("diskstore: checkpoint image %s: %w", path, err)
+	}
+	return img, nil
+}
+
+// readImage parses and fully validates the image held in the first
+// size bytes of r. Its records are read through the journal's frame
+// scanner, so memory beyond the decoded image is bounded by the
+// largest record.
+func readImage(r io.ReaderAt, size int64) (*image, error) {
+	if size < ckptHeaderSize {
+		return nil, errors.New("bad header")
 	}
 	le := binary.LittleEndian
-	if len(data) < ckptHeaderSize || string(data[:9]) != ckptMagic {
-		return bad("bad header")
+	var hdr [ckptHeaderSize]byte
+	if _, err := r.ReadAt(hdr[:], 0); err != nil {
+		return nil, err
 	}
-	if crc32.ChecksumIEEE(data[:25]) != le.Uint32(data[25:]) {
-		return bad("header crc mismatch")
+	if string(hdr[:9]) != ckptMagic {
+		return nil, errors.New("bad header")
 	}
-	img := &image{walSeq: le.Uint64(data[17:]), bytes: uint64(len(data))}
-	off := ckptHeaderSize
+	if crc32.ChecksumIEEE(hdr[:25]) != le.Uint32(hdr[25:]) {
+		return nil, errors.New("header crc mismatch")
+	}
+	img := &image{walSeq: le.Uint64(hdr[17:]), bytes: uint64(size)}
 	sawTrailer := false
 	var trNodes, trExtents uint64
-	for off < len(data) {
+	valid, torn, err := wal.ScanFrames(r, ckptHeaderSize, size-ckptHeaderSize, maxImgRecord, func(p []byte) error {
 		if sawTrailer {
-			return bad("bytes after trailer")
+			return errors.New("bytes after trailer")
 		}
-		if off+imgFrameSize > len(data) {
-			return bad("torn frame at %d", off)
-		}
-		n := int(le.Uint32(data[off:]))
-		crc := le.Uint32(data[off+4:])
-		if n <= 0 || n > maxImgRecord || off+imgFrameSize+n > len(data) {
-			return bad("torn record at %d", off)
-		}
-		p := data[off+imgFrameSize : off+imgFrameSize+n]
-		if crc32.ChecksumIEEE(p) != crc {
-			return bad("record crc mismatch at %d", off)
-		}
-		off += imgFrameSize + n
 		switch p[0] {
 		case imgKindExtent:
 			if len(p) < 21 {
-				return bad("short extent record")
+				return errors.New("short extent record")
 			}
 			e := imgExtent{id: le.Uint64(p[1:]), size: le.Uint64(p[9:])}
 			count := int(le.Uint32(p[17:]))
 			if count != (len(p)-21)/16 || len(p) != 21+count*16 {
-				return bad("extent record length mismatch")
+				return errors.New("extent record length mismatch")
 			}
 			e.bnos = make([]uint64, count)
 			e.slots = make([]uint64, count)
@@ -122,7 +131,7 @@ func loadImage(path string) (*image, error) {
 			img.extents = append(img.extents, e)
 		case imgKindTrailer:
 			if len(p) != 41 {
-				return bad("bad trailer length %d", len(p))
+				return fmt.Errorf("bad trailer length %d", len(p))
 			}
 			trNodes = le.Uint64(p[1:])
 			trExtents = le.Uint64(p[9:])
@@ -133,16 +142,21 @@ func loadImage(path string) (*image, error) {
 		default:
 			rec, _, err := storage.DecodeRecord(p)
 			if err != nil || rec.Node == nil {
-				return bad("unexpected record kind %d", p[0])
+				return fmt.Errorf("unexpected record kind %d", p[0])
 			}
 			img.nodes = append(img.nodes, *rec.Node)
 		}
-	}
-	if !sawTrailer {
-		return bad("no trailer (torn image)")
-	}
-	if trNodes != uint64(len(img.nodes)) || trExtents != uint64(len(img.extents)) {
-		return bad("trailer counts %d/%d != %d/%d", trNodes, trExtents, len(img.nodes), len(img.extents))
+		return nil
+	})
+	switch {
+	case err != nil:
+		return nil, err
+	case torn:
+		return nil, fmt.Errorf("torn record at %d", ckptHeaderSize+valid)
+	case !sawTrailer:
+		return nil, errors.New("no trailer (torn image)")
+	case trNodes != uint64(len(img.nodes)) || trExtents != uint64(len(img.extents)):
+		return nil, fmt.Errorf("trailer counts %d/%d != %d/%d", trNodes, trExtents, len(img.nodes), len(img.extents))
 	}
 	return img, nil
 }

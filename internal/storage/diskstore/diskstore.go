@@ -67,10 +67,8 @@ type Store struct {
 	mu      sync.Mutex
 	w       *wal.WAL
 	pg      *pager
-	pending []pendingRec
-	scan    time.Duration // recovery scan + serving-copy rebuild time
+	pending []storage.Record // image nodes, then tail records, awaiting Replay
 	replay  storage.ReplayStats
-	imgSeq  uint64 // journal seq covered by the image loaded at open
 
 	nextID     uint64 // id/cookie watermarks from the image trailer
 	nextCookie uint64
@@ -83,13 +81,6 @@ type Store struct {
 	// checkpoint mid-protocol when it returns an error — the unit-test
 	// analogue of kill -9 at that instant.
 	testAbort func(stage string) error
-}
-
-// pendingRec is one decoded image or journal record awaiting the
-// vfs's Replay pass (tree rebuild). Data payloads were already
-// applied to the serving copy during open.
-type pendingRec struct {
-	rec storage.Record
 }
 
 // Open opens (or creates) the store rooted at dir, loading the newest
@@ -120,7 +111,7 @@ func (s *Store) open() error {
 	if err != nil {
 		return err
 	}
-	var pending []pendingRec
+	var pending []storage.Record
 	var imgSeq, imgRecords, imgBytes uint64
 	if img != nil {
 		imgSeq = img.walSeq
@@ -131,9 +122,9 @@ func (s *Store) open() error {
 			e := &img.extents[i]
 			pg.install(e.id, e.size, e.bnos, e.slots)
 		}
-		pending = make([]pendingRec, len(img.nodes))
+		pending = make([]storage.Record, len(img.nodes))
 		for i := range img.nodes {
-			pending[i] = pendingRec{rec: storage.Record{Node: &img.nodes[i]}}
+			pending[i] = storage.Record{Node: &img.nodes[i]}
 		}
 		s.nextID, s.nextCookie = img.nextID, img.nextCookie
 		// Seed the running checkpoint counters so a reopened store's
@@ -182,7 +173,7 @@ func (s *Store) open() error {
 				}
 			}
 			tailRecords++
-			pending = append(pending, pendingRec{rec: rec})
+			pending = append(pending, rec)
 			return nil
 		})
 	if err != nil {
@@ -212,8 +203,6 @@ func (s *Store) open() error {
 	rs.NanoSec = uint64(time.Since(start).Nanoseconds())
 	s.w, s.pg, s.pending = w, pg, pending
 	s.replay = rs
-	s.imgSeq = imgSeq
-	s.scan = time.Since(start)
 	return nil
 }
 
@@ -234,8 +223,8 @@ func (s *Store) Replay(apply func(storage.Record) error) (storage.ReplayStats, e
 	pending, rs := s.pending, s.replay
 	s.pending = nil
 	s.mu.Unlock()
-	for _, p := range pending {
-		if err := apply(p.rec); err != nil {
+	for _, rec := range pending {
+		if err := apply(rec); err != nil {
 			return storage.ReplayStats{}, err
 		}
 	}

@@ -22,41 +22,52 @@
 //
 // # Rotation
 //
-// Rotate seals the current segment (flush + fsync), renames it over
-// path+".prev" (displacing the previous .prev), and starts a fresh
-// segment whose baseSeq continues the chain. The fresh segment is
-// created and headered under path+".next" before the live path is
-// renamed away, so a failure at any step either completes the
-// rotation or leaves the current segment untouched — there is no
-// window where acknowledged records live in a file the next boot
-// cannot find. The checkpointer calls Rotate right after an image
-// lands: the new image covers everything in .prev, and .prev is
-// retained one generation so a torn image can fall back to the
-// previous image plus a longer replay. The chain therefore never
-// holds more than two segments. Rotate keeps a descriptor open on the
-// segment it displaced, so the rename only drops its name; the file
-// system frees its blocks when Reclaim closes the descriptor, which
-// the checkpointer does after writers are running again.
+// Rotate seals the current segment (flush + fsync) and makes a fresh
+// one live, based where the sealed one's records end. The fresh
+// segment is created and headered under path+".next"; then the sealed
+// segment is renamed over path+".prev" (displacing the previous .prev)
+// and the fresh one into the live path. A failure at any step either
+// completes the rotation or leaves the current segment untouched — no
+// window leaves acknowledged records in a file the next boot cannot
+// find. The checkpointer calls Rotate right after an image lands: the
+// new image covers everything in .prev, and .prev is retained one
+// generation so a torn image can fall back to the previous image plus
+// a longer replay. The chain therefore never holds more than two
+// segments. Rotate keeps a descriptor open on the segment it
+// displaced, so the rename only drops its name; the file system frees
+// its blocks when Reclaim closes the descriptor, which the
+// checkpointer does after writers are running again. Rotate bases the
+// fresh segment at its flushed watermark; Open runs the same sequence,
+// based at the caller's image seq, to finish a rotation a crash cut
+// short (see Recovery).
 //
 // # Recovery
 //
-// Open scans .prev (oldest first) then the current segment, calling
-// replay with each intact record's seq, and truncates the first torn
-// or corrupt tail it finds. Options.SkipBelow — the seq already
-// covered by the caller's checkpoint image — lets Open skip reading
-// .prev entirely when the current segment's baseSeq shows .prev is
-// fully covered. Corruption never panics: a segment with a bad header
-// is dropped (and any later segment with it, since replaying across a
-// sequence gap would corrupt state), leaving a shorter but valid
-// prefix for the caller to layer over its image.
+// Open reads both segment headers, then walks the chain [.prev,
+// current] oldest first, calling replay with each intact record's seq.
+// A segment replays only if its header is good and its base continues
+// where the segment before it ended; the walk stops at the first bad
+// header, gap or torn tail, and cuts a torn tail off its file, leaving
+// a shorter but valid prefix for the caller to layer over its image.
+// Corruption never panics. Options.SkipBelow — the seq already covered
+// by the caller's checkpoint image — lets the walk skip .prev unread
+// when the current segment's base shows the image covers all of it;
+// .prev then stays on disk for image fallback. A .prev whose header is
+// bad is deleted.
 //
-// If SkipBelow ends up above the chain's surviving tail — a crash
-// published a checkpoint image but lost the buffered or torn records
-// it covered before the rotation ran — Open completes that rotation:
-// it seals the scanned segment into the .prev slot and starts a fresh
-// segment based at SkipBelow, so fresh appends never reuse seqs the
-// image already covers (the caller's replay filter would silently
-// drop such records at the next boot, losing acknowledged writes).
+// The walk then places the current segment one of three ways. If it
+// replayed and the image does not reach past its end, appends continue
+// after its last record. If it did not replay (empty, bad header, or
+// past a gap or torn tail), it is emptied and rebased at the end of
+// what replayed, or at SkipBelow if that is higher. If it replayed but
+// SkipBelow is past its end — a crash published a checkpoint image but
+// lost the buffered or torn records it covered before the rotation ran
+// — Open completes that rotation: it seals the segment into .prev
+// through the same failure-atomic sequence as Rotate (via .next), and
+// bases the fresh segment at SkipBelow, so fresh appends never reuse
+// seqs the image already covers (the caller's replay filter would
+// silently drop such records at the next boot, losing acknowledged
+// writes). The epoch is one past the newest good header's.
 //
 // # Group commit
 //
@@ -100,7 +111,6 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/stats"
 )
@@ -141,10 +151,9 @@ type Options struct {
 
 // ReplayInfo summarizes the recovery scan done by Open.
 type ReplayInfo struct {
-	Records   uint64        // intact records scanned (pre-filter)
-	Bytes     uint64        // record bytes scanned (frames + payloads)
-	Truncated bool          // a torn tail or corrupt segment was cut
-	Elapsed   time.Duration // scan wall time
+	Records   uint64 // intact records scanned (pre-filter)
+	Bytes     uint64 // record bytes scanned (frames + payloads)
+	Truncated bool   // a torn tail or corrupt segment was cut
 }
 
 // WAL is an append-only record log with group commit. All methods are
@@ -220,6 +229,8 @@ func Open(path string, opts Options, replay func(seq uint64, payload []byte) err
 		w.f.Close() // recover may have swapped in a fresh segment file
 		return nil, err
 	}
+	w.written = w.seq
+	w.synced.Store(w.seq)
 	return w, nil
 }
 
@@ -243,13 +254,53 @@ func parseHeader(hdr []byte) (epoch, base uint64, ok bool) {
 	return le.Uint64(hdr[8:]), le.Uint64(hdr[16:]), true
 }
 
+// ScanFrames reads the frames — len u32 | crc32(payload) u32 |
+// payload, the framing of journal segments and checkpoint images alike
+// — held in bytes [off, off+size) of r, calling fn with each intact
+// payload in order. It stops at the end or at the first torn or
+// corrupt frame (cut short, of length 0 or above limit, or failing its
+// CRC) and returns the length of the intact prefix and whether a torn
+// frame ended it; only read errors and fn's errors abort. It holds the
+// read-ahead buffer and one payload buffer, reused for every frame and
+// grown to the largest, so its memory is bounded by limit whatever
+// size is, and fn must not keep payload past its return.
+func ScanFrames(r io.ReaderAt, off, size, limit int64, fn func(payload []byte) error) (valid int64, torn bool, err error) {
+	br := bufio.NewReaderSize(io.NewSectionReader(r, off, size), int(min(size, scanBuffer)))
+	var frame [frameSize]byte
+	var buf []byte
+	for valid < size {
+		if valid+frameSize > size {
+			return valid, true, nil
+		}
+		if _, err := io.ReadFull(br, frame[:]); err != nil {
+			return valid, false, err
+		}
+		n := int64(binary.LittleEndian.Uint32(frame[:]))
+		if n == 0 || n > limit || valid+frameSize+n > size {
+			return valid, true, nil
+		}
+		if int64(cap(buf)) < n {
+			buf = make([]byte, n)
+		}
+		payload := buf[:n]
+		if _, err := io.ReadFull(br, payload); err != nil {
+			return valid, false, err
+		}
+		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(frame[4:]) {
+			return valid, true, nil
+		}
+		if err := fn(payload); err != nil {
+			return valid, false, err
+		}
+		valid += frameSize + n
+	}
+	return valid, false, nil
+}
+
 // scanSegment parses the segment held in the first size bytes of f:
 // header, then records until EOF or the first torn/corrupt frame.
 // Corruption is reported in the result, not as an error; only I/O
-// failures and replay errors abort. It holds the read-ahead buffer and
-// one payload buffer, reused for every record and grown to the largest
-// frame, so its memory is bounded by maxRecord whatever the segment's
-// length.
+// failures and replay errors abort.
 func scanSegment(f io.ReaderAt, size int64, replay func(uint64, []byte) error) (segInfo, error) {
 	var seg segInfo
 	if size < headerSize {
@@ -262,294 +313,137 @@ func scanSegment(f io.ReaderAt, size int64, replay func(uint64, []byte) error) (
 	if seg.epoch, seg.base, seg.hdrOK = parseHeader(hdr[:]); !seg.hdrOK {
 		return seg, nil
 	}
-	size -= headerSize
-	r := bufio.NewReaderSize(io.NewSectionReader(f, headerSize, size), int(min(size, scanBuffer)))
-	var frame [frameSize]byte
-	var buf []byte
-	off := int64(0)
-	for off < size {
-		if off+frameSize > size {
-			seg.torn = true
-			break
-		}
-		if _, err := io.ReadFull(r, frame[:]); err != nil {
-			return seg, err
-		}
-		n := int64(binary.LittleEndian.Uint32(frame[:]))
-		crc := binary.LittleEndian.Uint32(frame[4:])
-		if n == 0 || n > maxRecord || off+frameSize+n > size {
-			seg.torn = true
-			break
-		}
-		if int64(cap(buf)) < n {
-			buf = make([]byte, n)
-		}
-		payload := buf[:n]
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return seg, err
-		}
-		if crc32.ChecksumIEEE(payload) != crc {
-			seg.torn = true
-			break
-		}
+	valid, torn, err := ScanFrames(f, headerSize, size-headerSize, maxRecord, func(payload []byte) error {
+		seq := seg.base + seg.records + 1
 		if replay != nil {
-			if err := replay(seg.base+seg.records+1, payload); err != nil {
-				return seg, fmt.Errorf("wal: replay record %d: %w", seg.base+seg.records+1, err)
+			if err := replay(seq, payload); err != nil {
+				return fmt.Errorf("wal: replay record %d: %w", seq, err)
 			}
 		}
 		seg.records++
-		off += frameSize + n
+		return nil
+	})
+	seg.bytes, seg.torn = uint64(valid), torn
+	return seg, err
+}
+
+// chainSeg is one segment file of the chain as recovery finds it.
+type chainSeg struct {
+	f    *os.File // nil: no such segment
+	size int64
+	segInfo
+}
+
+// openSeg reads the header of segment f: a scan of its first
+// headerSize bytes, which hold no records.
+func openSeg(f *os.File) (chainSeg, error) {
+	st, err := f.Stat()
+	if err != nil {
+		return chainSeg{}, err
 	}
-	seg.bytes = uint64(off)
-	return seg, nil
+	s := chainSeg{f: f, size: st.Size()}
+	s.segInfo, err = scanSegment(f, min(s.size, headerSize), nil)
+	return s, err
 }
 
-// truncSeg cuts a segment file at the end of its valid prefix.
-func truncSeg(f *os.File, seg segInfo) error {
-	if err := f.Truncate(headerSize + int64(seg.bytes)); err != nil {
-		return err
-	}
-	return f.Sync()
-}
-
-// finish seals the recovery bookkeeping once epoch/base/chainBase are
-// decided: seq watermarks, live-byte gauge, and scan counters.
-func (w *WAL) finish(start time.Time, liveBytes uint64) {
-	w.seq = max(w.base, w.seq)
-	w.written = w.seq
-	w.synced.Store(w.seq)
-	w.live.Store(liveBytes)
-	w.replay.Elapsed = time.Since(start)
-}
-
-func (w *WAL) recover(replay func(uint64, []byte) error) error {
-	start := time.Now()
-	os.Remove(w.path + ".next") // stale temp from an interrupted Rotate
-	st, err := w.f.Stat()
+// take replays segment s, cuts a torn tail off its file, and adds it
+// to the replay summary.
+func (w *WAL) take(s *chainSeg, replay func(uint64, []byte) error) error {
+	seg, err := scanSegment(s.f, s.size, replay)
 	if err != nil {
 		return err
 	}
-	prevF, prevErr := os.OpenFile(w.prevPath, os.O_RDWR, 0)
-	if prevErr != nil && !os.IsNotExist(prevErr) {
-		return prevErr
-	}
-	prevExists := prevErr == nil
-	var prevSize int64
-	if prevExists {
-		defer prevF.Close()
-		pst, err := prevF.Stat()
-		if err != nil {
-			return err
-		}
-		prevSize = pst.Size()
-	}
-
-	// Fresh log (or one whose files vanished under a live image):
-	// start the chain at the image's seq so new records stay above it.
-	if st.Size() == 0 && !prevExists {
-		w.epoch = 1
-		w.base, w.chainBase = w.skipBelow, w.skipBelow
-		w.finish(start, 0)
-		return w.writeHeader()
-	}
-
-	// An empty current segment next to a surviving .prev is a crash
-	// between the rotation renames and the first header write:
-	// complete the rotation by scanning .prev and re-heading the
-	// current segment where it ends.
-	if st.Size() == 0 {
-		seg, err := scanSegment(prevF, prevSize, replay)
-		if err != nil {
-			return err
-		}
-		if !seg.hdrOK {
-			os.Remove(w.prevPath)
-			w.epoch = 1
-			w.base, w.chainBase = w.skipBelow, w.skipBelow
-			w.replay.Truncated = true
-		} else {
-			if seg.torn {
-				if err := truncSeg(prevF, seg); err != nil {
-					return err
-				}
-				w.replay.Truncated = true
-			}
-			w.epoch = seg.epoch + 1
-			w.base = max(seg.end(), w.skipBelow)
-			w.chainBase = seg.base
-			w.replay.Records = seg.records
-			w.replay.Bytes = seg.bytes
-		}
-		w.finish(start, 0)
-		return w.writeHeader()
-	}
-
-	var hdr [headerSize]byte
-	var curEpoch, curBase uint64
-	curHdrOK := false
-	if st.Size() >= headerSize {
-		if _, err := w.f.ReadAt(hdr[:], 0); err != nil {
-			return err
-		}
-		curEpoch, curBase, curHdrOK = parseHeader(hdr[:])
-	}
-
-	// Unreadable current header: fall back to .prev alone, or — with
-	// no usable segment at all — restart the chain at the image seq.
-	// Either way the surviving records form a valid prefix.
-	if !curHdrOK {
-		w.replay.Truncated = true
-		if prevExists {
-			seg, err := scanSegment(prevF, prevSize, replay)
-			if err != nil {
-				return err
-			}
-			if seg.hdrOK {
-				if seg.torn {
-					if err := truncSeg(prevF, seg); err != nil {
-						return err
-					}
-				}
-				w.epoch = seg.epoch + 1
-				w.base = max(seg.end(), w.skipBelow)
-				w.chainBase = seg.base
-				w.replay.Records = seg.records
-				w.replay.Bytes = seg.bytes
-				w.finish(start, 0)
-				return w.resetCur()
-			}
-			os.Remove(w.prevPath)
-		}
-		w.epoch = 1
-		w.base, w.chainBase = w.skipBelow, w.skipBelow
-		w.finish(start, 0)
-		return w.resetCur()
-	}
-
-	w.epoch = curEpoch + 1
-	dropCur := false
-	if prevExists {
-		if w.skipBelow >= curBase {
-			// The image covers every record in .prev: keep it for
-			// image fallback but skip reading it.
-			var phdr [headerSize]byte
-			if _, err := prevF.ReadAt(phdr[:], 0); err == nil {
-				if _, pbase, ok := parseHeader(phdr[:]); ok {
-					w.chainBase = pbase
-				} else {
-					os.Remove(w.prevPath)
-					w.chainBase = curBase
-				}
-			} else {
-				os.Remove(w.prevPath)
-				w.chainBase = curBase
-			}
-		} else {
-			seg, err := scanSegment(prevF, prevSize, replay)
-			if err != nil {
-				return err
-			}
-			switch {
-			case !seg.hdrOK:
-				// .prev is gone as a record source; the current
-				// segment starts past a seq gap and cannot be
-				// applied either.
-				os.Remove(w.prevPath)
-				dropCur = true
-				w.base, w.chainBase = w.skipBelow, w.skipBelow
-			case seg.torn || seg.end() != curBase:
-				// .prev lost its tail (or never met the current
-				// segment's base): keep its valid prefix, drop the
-				// current records past the gap.
-				if seg.torn {
-					if err := truncSeg(prevF, seg); err != nil {
-						return err
-					}
-				}
-				dropCur = true
-				w.base = max(seg.end(), w.skipBelow)
-				w.chainBase = seg.base
-				w.replay.Records += seg.records
-				w.replay.Bytes += seg.bytes
-			default:
-				w.chainBase = seg.base
-				w.replay.Records += seg.records
-				w.replay.Bytes += seg.bytes
-			}
-		}
-	} else {
-		w.chainBase = curBase
-	}
-	if dropCur {
-		w.replay.Truncated = true
-		w.finish(start, 0)
-		return w.resetCur()
-	}
-
-	w.base = curBase
-	seg, err := scanSegment(w.f, st.Size(), replay)
-	if err != nil {
-		return err
-	}
-	if seg.torn {
-		if err := w.f.Truncate(headerSize + int64(seg.bytes)); err != nil {
-			return err
-		}
-		w.replay.Truncated = true
-	}
+	s.segInfo = seg
 	w.replay.Records += seg.records
 	w.replay.Bytes += seg.bytes
-	w.seq = seg.end()
+	if !seg.torn {
+		return nil
+	}
+	w.replay.Truncated = true
+	if err := s.f.Truncate(headerSize + int64(seg.bytes)); err != nil {
+		return err
+	}
+	return s.f.Sync()
+}
 
-	// The image covers seqs past this segment's durable end: a crash
-	// lost the buffered (or torn-off) tail records after the checkpoint
-	// image landed but before the WAL rotated. Complete that rotation —
-	// seal the scanned segment into the .prev slot and start a fresh
-	// segment based at the image's seq — so fresh appends land above
-	// the image's coverage instead of reusing seqs the next boot's
-	// replay filter would silently discard. The sealed segment keeps
-	// the chain's fallback discipline: previous image + .prev replay
-	// still reconstructs the pre-crash durable prefix.
-	if w.skipBelow > seg.end() {
+// recover walks the chain as the package doc's "Recovery" describes
+// and leaves w ready to append to the current segment.
+func (w *WAL) recover(replay func(uint64, []byte) error) error {
+	os.Remove(w.path + ".next") // stale temp from an interrupted Rotate
+	cur, err := openSeg(w.f)
+	if err != nil {
+		return err
+	}
+	var prev chainSeg
+	if f, err := os.OpenFile(w.prevPath, os.O_RDWR, 0); err == nil {
+		defer f.Close()
+		if prev, err = openSeg(f); err != nil {
+			return err
+		}
+	} else if !os.IsNotExist(err) {
+		return err
+	}
+	w.epoch = 1 // one past the newest good header's
+	if cur.hdrOK {
+		w.epoch = cur.epoch + 1
+	} else if prev.hdrOK {
+		w.epoch = prev.epoch + 1
+	}
+
+	// Walk .prev, then the current segment unless a bad header, gap or
+	// torn tail stopped the walk before it. .prev is skipped when the
+	// caller's image covers every record in it.
+	var end uint64 // seq of the last record replayed
+	skipPrev := cur.hdrOK && w.skipBelow >= cur.base
+	replayCur := cur.hdrOK
+	switch {
+	case prev.f == nil, prev.hdrOK && skipPrev: // none, or kept unread for image fallback
+	case !prev.hdrOK:
+		os.Remove(w.prevPath)
+		w.replay.Truncated = !skipPrev
+		replayCur = skipPrev
+	default:
+		if err := w.take(&prev, replay); err != nil {
+			return err
+		}
+		end = prev.end()
+		replayCur = replayCur && !prev.torn && cur.base == end
+	}
+	if replayCur {
+		if err := w.take(&cur, replay); err != nil {
+			return err
+		}
+		w.base, w.seq = cur.base, cur.end()
+	} else {
+		// Empty it and rebase: its records, if any, lie past a bad
+		// header, gap or torn tail.
+		w.replay.Truncated = w.replay.Truncated || cur.size > 0
+		w.base = max(end, w.skipBelow)
+		w.seq = w.base
+		if err := w.f.Truncate(0); err != nil {
+			return err
+		}
+	}
+	w.chainBase = w.base
+	if prev.hdrOK {
+		w.chainBase = prev.base
+	}
+	if w.skipBelow > w.seq {
+		// The image covers seqs this segment lost: seal it and rebase.
 		if err := w.f.Sync(); err != nil {
 			return err
 		}
-		if err := os.Remove(w.prevPath); err != nil && !os.IsNotExist(err) {
-			return err
-		}
-		if err := os.Rename(w.path, w.prevPath); err != nil {
-			return err
-		}
-		nf, err := os.OpenFile(w.path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o600)
-		if err != nil {
-			return err
-		}
-		w.f.Close()
-		w.f = nf
-		w.chainBase = curBase
-		w.base = w.skipBelow
-		w.finish(start, 0)
-		if err := w.writeHeader(); err != nil {
-			return err
-		}
-		return SyncDir(filepath.Dir(w.path))
+		w.seq = w.skipBelow
+		_, err := w.rotateTo(w.skipBelow)
+		w.Reclaim() //nolint:errcheck // read-only descriptor of a nameless file
+		return err
 	}
-
-	w.finish(start, seg.bytes)
+	w.live.Store(cur.bytes)
 	if err := w.writeHeader(); err != nil {
 		return err
 	}
-	_, err = w.f.Seek(headerSize+int64(seg.bytes), io.SeekStart)
+	_, err = w.f.Seek(headerSize+int64(cur.bytes), io.SeekStart)
 	return err
-}
-
-// resetCur empties the current segment and rewrites its header with
-// the (possibly rebased) epoch and base.
-func (w *WAL) resetCur() error {
-	if err := w.f.Truncate(0); err != nil {
-		return err
-	}
-	return w.writeHeader()
 }
 
 // writeHeaderTo persists a segment header (epoch, base) to f and
@@ -635,7 +529,18 @@ func (w *WAL) Rotate() (freed uint64, err error) {
 	}
 	w.fsyncs.Inc()
 	w.synced.Store(upto)
+	// Base the fresh segment at the flushed watermark, not w.seq:
+	// records appended (buffered) since the flush have seqs above upto
+	// and will spill into the fresh segment, where recovery numbers
+	// them from its base.
+	return w.rotateTo(upto)
+}
 
+// rotateTo is the second half of a rotation, run once the current
+// segment is durable: it seals that segment into .prev and makes a
+// fresh segment based at base live. Rotate and recovery both rotate
+// through it, so the recovery's rotation counts in Stats.Rotations.
+func (w *WAL) rotateTo(base uint64) (freed uint64, err error) {
 	nextPath := w.path + ".next"
 	os.Remove(nextPath)
 	nf, err := os.OpenFile(nextPath, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o600)
@@ -656,11 +561,7 @@ func (w *WAL) Rotate() (freed uint64, err error) {
 	if displaced, err = os.Open(w.prevPath); err != nil && !os.IsNotExist(err) {
 		return abort(err)
 	}
-	// Base the fresh segment at the flushed watermark, not w.seq:
-	// records appended (buffered) since the flush have seqs above upto
-	// and will spill into the fresh segment, where recovery numbers
-	// them from its base.
-	if err := writeHeaderTo(nf, w.epoch, upto); err != nil {
+	if err := writeHeaderTo(nf, w.epoch, base); err != nil {
 		return abort(err)
 	}
 	w.fsyncs.Inc()
@@ -682,17 +583,17 @@ func (w *WAL) Rotate() (freed uint64, err error) {
 	old := w.f
 	w.f = nf
 	w.chainBase = w.base
-	w.base = upto
+	w.base = base
 	w.mu.Unlock()
 	old.Close()
 	if unclaimed := w.displaced.Swap(displaced); unclaimed != nil {
 		unclaimed.Close()
 	}
+	w.rotations.Inc()
 	if _, err := nf.Seek(headerSize, io.SeekStart); err != nil {
 		return 0, err
 	}
 	w.live.Store(0)
-	w.rotations.Inc()
 	return freed, SyncDir(filepath.Dir(w.path))
 }
 

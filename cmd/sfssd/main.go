@@ -21,9 +21,9 @@
 // whenever the journal's live bytes reach the threshold, and
 // -checkpoint-interval adds a timer trigger; boot then loads the
 // newest valid image and replays only the journal tail, logging the
-// two phases' MB/s separately. -hot-bytes (default 64 MiB) bounds
-// resident file content — colder extents page out to an extent file
-// and fault back in on demand, so the served data set can exceed RAM.
+// two phases' MB/s separately. File content lives in an extent file
+// read and written in place; the kernel's page cache is its only
+// cache, so the served data set can exceed RAM.
 //
 // -seed copies a host directory tree into the served substrate file
 // system (on every boot — pair it with -store disk only for first
@@ -103,7 +103,6 @@ func main() {
 	resumeTTL := flag.Duration("resume-ttl", time.Hour, "lifetime of cached resumption sessions")
 	ckptBytes := flag.Uint64("checkpoint-bytes", 64<<20, "checkpoint when WAL live bytes reach this (0 disables; -store disk)")
 	ckptEvery := flag.Duration("checkpoint-interval", 0, "also checkpoint on this interval (0 disables; -store disk)")
-	hotBytes := flag.Uint64("hot-bytes", diskstore.DefaultHotBytes, "resident content budget; colder extents page from disk (-store disk)")
 	var users userFlag
 	flag.Var(&users, "user", "register user name:uid:password:keyfile (repeatable)")
 	flag.Parse()
@@ -128,7 +127,7 @@ func main() {
 		if err := os.MkdirAll(*dir, 0o700); err != nil {
 			die(err)
 		}
-		ds, err := diskstore.Open(*dir, diskstore.Options{HotBytes: *hotBytes})
+		ds, err := diskstore.Open(*dir, diskstore.Options{})
 		if err != nil {
 			die(err)
 		}

@@ -175,19 +175,17 @@ func FigRecovery(opts Options) (*Figure, error) {
 	return fig, nil
 }
 
-// recoveryAtScale appends the checkpointing and paging rows: replay
-// time vs history depth with and without checkpoints, and a
-// larger-than-RAM store whose reads must verify byte-identical while
-// residency stays under the hot budget.
+// recoveryAtScale appends the checkpointing and extent-file rows:
+// replay time vs history depth with and without checkpoints, and a
+// checkpointed store whose reads, all from the extent file, must
+// verify byte-identical.
 func recoveryAtScale(fig *Figure, opts Options) error {
 	rounds := 10
 	roundBytes := 4 << 20
-	hot := uint64(2 << 20)
-	coldFiles, coldFileBytes := 32, 1<<20 // 16x the hot budget
+	coldFiles, coldFileBytes := 32, 1<<20
 	if opts.Quick {
 		roundBytes = 256 << 10
-		hot = 128 << 10
-		coldFiles, coldFileBytes = 16, 64<<10 // 8x the hot budget
+		coldFiles, coldFileBytes = 16, 64<<10
 	}
 	const label = "SFS (disk store)"
 
@@ -218,17 +216,15 @@ func recoveryAtScale(fig *Figure, opts Options) error {
 		FigureRow{Stack: label, Phase: "checkpoint image load", Value: ckptStats.CheckpointMBps(), Unit: "MB/s"},
 	)
 
-	// Larger-than-RAM: a dataset several times the hot budget, served
-	// through the cold-extent pager after a checkpointed reboot.
-	resident, faults, err := largerThanRAM(hot, coldFiles, coldFileBytes)
+	// A dataset served from the extent file after a checkpointed
+	// reboot, every block read once.
+	reads, err := coldRead(coldFiles, coldFileBytes)
 	if err != nil {
 		return err
 	}
 	fig.Rows = append(fig.Rows,
-		FigureRow{Stack: label, Phase: "larger-than-RAM dataset", Value: float64(coldFiles * coldFileBytes), Unit: "bytes"},
-		FigureRow{Stack: label, Phase: "larger-than-RAM hot budget", Value: float64(hot), Unit: "bytes"},
-		FigureRow{Stack: label, Phase: "larger-than-RAM resident", Value: float64(resident), Unit: "bytes"},
-		FigureRow{Stack: label, Phase: "larger-than-RAM faults", Value: float64(faults), Unit: "faults"},
+		FigureRow{Stack: label, Phase: "cold-read dataset", Value: float64(coldFiles * coldFileBytes), Unit: "bytes"},
+		FigureRow{Stack: label, Phase: "cold-read extent reads", Value: float64(reads), Unit: "blocks"},
 	)
 	return nil
 }
@@ -294,18 +290,17 @@ func replayAfterHistory(rounds, roundBytes int, checkpoint bool) (time.Duration,
 	return elapsed, rs, ds2.Close()
 }
 
-// largerThanRAM builds a dataset of files×fileBytes over a pager
-// budgeted to hot bytes, checkpoints, reopens, and reads every byte
-// back through the cold-extent path, verifying content and that
-// residency stayed under budget.
-func largerThanRAM(hot uint64, files, fileBytes int) (resident, faults uint64, err error) {
+// coldRead builds a dataset of files×fileBytes, checkpoints, reopens,
+// and reads every byte back from the extent file, verifying content.
+// It returns the extent block reads the pass took.
+func coldRead(files, fileBytes int) (reads uint64, err error) {
 	dir, err := os.MkdirTemp("", "sfs-recovery-ram-")
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	defer os.RemoveAll(dir)
 	open := func() (*vfs.FS, *diskstore.Store, error) {
-		ds, err := diskstore.Open(dir, diskstore.Options{HotBytes: hot})
+		ds, err := diskstore.Open(dir, diskstore.Options{})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -318,7 +313,7 @@ func largerThanRAM(hot uint64, files, fileBytes int) (resident, faults uint64, e
 	}
 	fs, ds, err := open()
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	cred := vfs.Cred{UID: 0}
 	pattern := func(i int) []byte {
@@ -329,26 +324,26 @@ func largerThanRAM(hot uint64, files, fileBytes int) (resident, faults uint64, e
 	for i := 0; i < files; i++ {
 		id, _, err := fs.Create(cred, fs.Root(), fmt.Sprintf("cold-%03d", i), 0o644, true)
 		if err != nil {
-			return 0, 0, err
+			return 0, err
 		}
 		if _, err := fs.Write(cred, id, 0, pattern(i), false); err != nil {
-			return 0, 0, err
+			return 0, err
 		}
 		ids[i] = id
 	}
 	if err := fs.Commit(ids[0]); err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	if _, err := fs.Checkpoint(); err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	if err := ds.Close(); err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 
 	fs, ds, err = open()
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	defer ds.Close()
 	for i := 0; i < files; i++ {
@@ -360,22 +355,18 @@ func largerThanRAM(hot uint64, files, fileBytes int) (resident, faults uint64, e
 			}
 			got, _, err := fs.Read(cred, ids[i], uint64(off), n)
 			if err != nil {
-				return 0, 0, fmt.Errorf("recovery: cold read %d@%d: %w", ids[i], off, err)
+				return 0, fmt.Errorf("recovery: cold read %d@%d: %w", ids[i], off, err)
 			}
 			if !bytes.Equal(got, want[off:off+int(n)]) {
-				return 0, 0, fmt.Errorf("recovery: cold extent %d@%d not byte-identical after paging", ids[i], off)
+				return 0, fmt.Errorf("recovery: cold extent %d@%d not byte-identical after a reboot", ids[i], off)
 			}
-		}
-		st := fs.StorageStats()
-		if st == nil || st.Pager == nil {
-			return 0, 0, fmt.Errorf("recovery: disk store reports no pager stats")
-		}
-		if st.Pager.ResidentBytes > hot {
-			return 0, 0, fmt.Errorf("recovery: resident %d bytes exceeds -hot-bytes %d", st.Pager.ResidentBytes, hot)
 		}
 	}
 	st := fs.StorageStats()
-	return st.Pager.ResidentBytes, st.Pager.Faults, nil
+	if st == nil || st.Pager == nil {
+		return 0, fmt.Errorf("recovery: disk store reports no extent stats")
+	}
+	return st.Pager.Faults, nil
 }
 
 // writeChunks streams data through the write-behind pipeline in 64 KB

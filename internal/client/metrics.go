@@ -45,9 +45,9 @@ type IOStats struct {
 	RetransmittedBytes uint64             `json:"retransmitted_bytes"`
 	SyncSmallWrites    uint64             `json:"sync_small_writes"`
 	// WriteBehindMappedBytes is the slab memory the client's chunk
-	// pool holds outside the Go heap, beside the pager's mapped_bytes:
-	// the chunks awaiting COMMIT plus free ones, which stay mapped
-	// until the pool has handed out nothing for two GC cycles.
+	// pool holds outside the Go heap: the chunks awaiting COMMIT plus
+	// free ones, which stay mapped until the pool has handed out
+	// nothing for two GC cycles.
 	WriteBehindMappedBytes uint64 `json:"writebehind_mapped_bytes"`
 }
 

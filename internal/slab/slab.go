@@ -1,8 +1,8 @@
-// Package slab is the buffer memory of the disk store's pager and of
-// the client's write-behind: a pool of fixed-size buffers cut from
-// 1 MiB slabs. On unix the slabs are anonymous memory mapped outside
-// the Go heap (slab_mmap.go), so the bytes count once toward RSS and
-// not at all toward the GC's goal, which is twice the live heap. Race
+// Package slab is the buffer memory of the client's write-behind: a
+// pool of fixed-size buffers cut from 1 MiB slabs. On unix the slabs
+// are anonymous memory mapped outside the Go heap (slab_mmap.go), so
+// the bytes count once toward RSS and not at all toward the GC's
+// goal, which is twice the live heap. Race
 // builds and platforms without mmap take the slabs from the heap
 // (slab_heap.go), and race builds poison every returned buffer.
 //
@@ -230,10 +230,3 @@ func (p *Pool) Close() error {
 // Mapped returns the bytes of slab memory the pool holds. It changes
 // only after the mmap or munmap it reports.
 func (p *Pool) Mapped() uint64 { return p.mapped.Load() }
-
-// Live returns how many buffers are handed out and not yet returned.
-func (p *Pool) Live() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.live
-}

@@ -10,6 +10,13 @@ import (
 	"time"
 )
 
+// live returns how many buffers are handed out and not yet returned.
+func live(p *Pool) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.live
+}
+
 const bufSize = 8192
 
 const perSlab = SlabBytes / bufSize
@@ -52,7 +59,7 @@ func TestMapsOnDemand(t *testing.T) {
 	if m := p.Mapped(); m != 2*SlabBytes {
 		t.Fatalf("mapped %d after one buffer more, want %d", m, 2*SlabBytes)
 	}
-	if n := p.Live(); n != perSlab+1 {
+	if n := live(p); n != perSlab+1 {
 		t.Fatalf("live %d, want %d", n, perSlab+1)
 	}
 	// Distinct, non-overlapping buffers: a write to one shows in no other.
@@ -67,7 +74,7 @@ func TestMapsOnDemand(t *testing.T) {
 		}
 	}
 	putAll(p, bufs)
-	if n := p.Live(); n != 0 {
+	if n := live(p); n != 0 {
 		t.Fatalf("live %d after every Put", n)
 	}
 }
@@ -335,7 +342,7 @@ func TestConcurrentGetPutClose(t *testing.T) {
 	}
 	close(closed)
 	wg.Wait()
-	if m, n := p.Mapped(), p.Live(); m != 0 || n != 0 {
+	if m, n := p.Mapped(), live(p); m != 0 || n != 0 {
 		t.Fatalf("after Close and every Put: mapped %d, live %d", m, n)
 	}
 }

@@ -79,6 +79,9 @@ func loadImage(path string) (*image, error) {
 	if err != nil {
 		return nil, err
 	}
+	if !st.Mode().IsRegular() {
+		return nil, fmt.Errorf("diskstore: checkpoint image %s is not a regular file", path)
+	}
 	img, err := readImage(f, st.Size())
 	if err != nil {
 		return nil, fmt.Errorf("diskstore: checkpoint image %s: %w", path, err)
@@ -86,13 +89,17 @@ func loadImage(path string) (*image, error) {
 	return img, nil
 }
 
+// invalidImage is a validation failure: the image is torn or corrupt,
+// as opposed to one that could not be read.
+type invalidImage struct{ error }
+
 // readImage parses and fully validates the image held in the first
-// size bytes of r. Its records are read through the journal's frame
-// scanner, so memory beyond the decoded image is bounded by the
-// largest record.
+// size bytes of r; a validation failure is an invalidImage. Its
+// records are read through the journal's frame scanner, so memory
+// beyond the decoded image is bounded by the largest record.
 func readImage(r io.ReaderAt, size int64) (*image, error) {
 	if size < ckptHeaderSize {
-		return nil, errors.New("bad header")
+		return nil, invalidImage{errors.New("bad header")}
 	}
 	le := binary.LittleEndian
 	var hdr [ckptHeaderSize]byte
@@ -100,27 +107,27 @@ func readImage(r io.ReaderAt, size int64) (*image, error) {
 		return nil, err
 	}
 	if string(hdr[:9]) != ckptMagic {
-		return nil, errors.New("bad header")
+		return nil, invalidImage{errors.New("bad header")}
 	}
 	if crc32.ChecksumIEEE(hdr[:25]) != le.Uint32(hdr[25:]) {
-		return nil, errors.New("header crc mismatch")
+		return nil, invalidImage{errors.New("header crc mismatch")}
 	}
 	img := &image{walSeq: le.Uint64(hdr[17:]), bytes: uint64(size)}
 	sawTrailer := false
 	var trNodes, trExtents uint64
 	valid, torn, err := wal.ScanFrames(r, ckptHeaderSize, size-ckptHeaderSize, maxImgRecord, func(p []byte) error {
 		if sawTrailer {
-			return errors.New("bytes after trailer")
+			return invalidImage{errors.New("bytes after trailer")}
 		}
 		switch p[0] {
 		case imgKindExtent:
 			if len(p) < 21 {
-				return errors.New("short extent record")
+				return invalidImage{errors.New("short extent record")}
 			}
 			e := imgExtent{id: le.Uint64(p[1:]), size: le.Uint64(p[9:])}
 			count := int(le.Uint32(p[17:]))
 			if count != (len(p)-21)/16 || len(p) != 21+count*16 {
-				return errors.New("extent record length mismatch")
+				return invalidImage{errors.New("extent record length mismatch")}
 			}
 			e.bnos = make([]uint64, count)
 			e.slots = make([]uint64, count)
@@ -131,7 +138,7 @@ func readImage(r io.ReaderAt, size int64) (*image, error) {
 			img.extents = append(img.extents, e)
 		case imgKindTrailer:
 			if len(p) != 41 {
-				return fmt.Errorf("bad trailer length %d", len(p))
+				return invalidImage{fmt.Errorf("bad trailer length %d", len(p))}
 			}
 			trNodes = le.Uint64(p[1:])
 			trExtents = le.Uint64(p[9:])
@@ -142,7 +149,7 @@ func readImage(r io.ReaderAt, size int64) (*image, error) {
 		default:
 			rec, _, err := storage.DecodeRecord(p)
 			if err != nil || rec.Node == nil {
-				return fmt.Errorf("unexpected record kind %d", p[0])
+				return invalidImage{fmt.Errorf("unexpected record kind %d", p[0])}
 			}
 			img.nodes = append(img.nodes, *rec.Node)
 		}
@@ -152,51 +159,47 @@ func readImage(r io.ReaderAt, size int64) (*image, error) {
 	case err != nil:
 		return nil, err
 	case torn:
-		return nil, fmt.Errorf("torn record at %d", ckptHeaderSize+valid)
+		return nil, invalidImage{fmt.Errorf("torn record at %d", ckptHeaderSize+valid)}
 	case !sawTrailer:
-		return nil, errors.New("no trailer (torn image)")
+		return nil, invalidImage{errors.New("no trailer (torn image)")}
 	case trNodes != uint64(len(img.nodes)) || trExtents != uint64(len(img.extents)):
-		return nil, fmt.Errorf("trailer counts %d/%d != %d/%d", trNodes, trExtents, len(img.nodes), len(img.extents))
+		return nil, invalidImage{fmt.Errorf("trailer counts %d/%d != %d/%d", trNodes, trExtents, len(img.nodes), len(img.extents))}
 	}
 	return img, nil
 }
 
 // loadImageChain picks the newest valid image, falling back to the
-// previous generation when the newest is torn or corrupt. A corrupt
+// previous generation when the newest fails validation. An invalid
 // image file is deleted so a later checkpoint's rename dance cannot
-// demote it over the good one. Returns nil when no valid image exists
-// (which is only fatal if the journal has been compacted — the caller
-// checks coverage against the WAL chain base).
-func loadImageChain(dir string) *image {
-	ckpt := filepath.Join(dir, CkptName)
-	prev := filepath.Join(dir, CkptPrevName)
-	img, err := loadImage(ckpt)
-	if err == nil {
-		return img
+// demote it over the good one. Any other error — an image that exists
+// but cannot be read — fails the open and leaves the file in place.
+// Returns nil when no valid image exists (which is only fatal if the
+// journal has been compacted — the caller checks coverage against the
+// WAL chain base).
+func loadImageChain(dir string) (*image, error) {
+	for _, name := range []string{CkptName, CkptPrevName} {
+		path := filepath.Join(dir, name)
+		img, err := loadImage(path)
+		switch {
+		case err == nil:
+			return img, nil
+		case errors.As(err, new(invalidImage)):
+			os.Remove(path)
+		case !os.IsNotExist(err):
+			return nil, err
+		}
 	}
-	ckptCorrupt := !os.IsNotExist(err)
-	pimg, perr := loadImage(prev)
-	if ckptCorrupt {
-		os.Remove(ckpt)
-	}
-	if perr == nil {
-		return pimg
-	}
-	if !os.IsNotExist(perr) {
-		os.Remove(prev)
-	}
-	return nil
+	return nil, nil
 }
 
-// PrepareCheckpoint is the first checkpoint call: it writes the
-// pager's dirty blocks back to their slots, fsyncs the extent file and
-// syncs the journal, all of which evictions and COMMITs already do at
-// moments of their own choosing, so the durable state it leaves is one
-// the store could have been in anyway and a crash anywhere in it
-// recovers as a crash between checkpoints. What Checkpoint then finds
-// left to do is what writers produced during the last pass, and the
-// second pass is as short as the first one let writers run; a third
-// would gain little, and none runs "until clean".
+// PrepareCheckpoint is the first checkpoint call: it fsyncs the
+// extent file and syncs the journal, which the kernel's write-back and
+// COMMITs already do at moments of their own choosing, so the durable
+// state it leaves is one the store could have been in anyway and a
+// crash anywhere in it recovers as a crash between checkpoints. What
+// Checkpoint then finds left to do is what writers produced during the
+// last pass, and the second pass is as short as the first one let
+// writers run; a third would gain little, and none runs "until clean".
 func (s *Store) PrepareCheckpoint() error {
 	s.mu.Lock()
 	w, pg := s.w, s.pg
@@ -204,7 +207,7 @@ func (s *Store) PrepareCheckpoint() error {
 	s.mu.Unlock()
 	var err error
 	for pass := 0; pass < 2 && err == nil; pass++ {
-		if err = pg.flushDirty(); err == nil {
+		if err = pg.sync(); err == nil {
 			err = w.Sync()
 		}
 	}

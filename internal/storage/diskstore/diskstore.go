@@ -1,18 +1,17 @@
 // Package diskstore implements storage.Store on disk: every mutation
-// appends a record to a group-commit write-ahead log (storage/wal), a
-// paged serving copy (pager.go) keeps hot content blocks in memory
-// under a byte budget and cold extents in an on-disk extent file, and
-// periodic checkpoint images (checkpoint.go) bound recovery to the
-// journal tail.
+// appends a record to a group-commit write-ahead log (storage/wal),
+// file content lives in an extent file read and written in place
+// (pager.go), and periodic checkpoint images (checkpoint.go) bound
+// recovery to the journal tail.
 //
 // Durability follows the NFS 3 stability model the vfs exposes:
 // unstable Write appends asynchronously (user-space buffer, spilled
 // to the OS past a threshold), Commit and stable writes wait for one
 // group-committed fsync, and LogMeta — namespace mutations — is
 // synchronous like FFS metadata updates. The journal is the
-// durability authority; the extent file is just the cold tier of the
-// serving copy, made authoritative only at checkpoint time (flushed,
-// fsynced, and indexed by the image before the journal is compacted).
+// durability authority; the extent file is written without fsync and
+// made authoritative only at checkpoint time (fsynced, and indexed by
+// the image before the journal is compacted).
 //
 // Boot = load the newest valid checkpoint image + replay only journal
 // records past its LSN. A torn or corrupt image falls back to the
@@ -22,7 +21,7 @@
 //
 // CrashRestart is the kill -9 model: buffered records are torn off,
 // the log reopens with a bumped epoch, and the store rebuilds its
-// serving copy from image + surviving tail. The vfs then calls Replay
+// extent index from image + surviving tail. The vfs then calls Replay
 // to rebuild the node tree and derives a fresh write verifier from
 // the epoch, which is exactly what lets acknowledged COMMITs survive
 // the crash while clients retransmit the unstable tail.
@@ -43,11 +42,11 @@ import (
 // LogName is the journal file created inside the store directory.
 const LogName = "wal.log"
 
-// Options tunes a disk store.
+// Options is what callers of Open pass; no field has an effect.
 type Options struct {
-	// HotBytes is the pager's residency budget for content blocks
-	// (0 selects DefaultHotBytes). The dataset may exceed it; cold
-	// extents page in from the extent file on demand.
+	// HotBytes has no effect: the store keeps no content in memory,
+	// and the kernel's page cache is the only cache of the extent
+	// file.
 	HotBytes uint64
 }
 
@@ -55,13 +54,12 @@ type Options struct {
 // and an extent file. All methods are safe for concurrent use under
 // the vfs contract (per-id mutations serialized by the caller).
 type Store struct {
-	dir  string
-	opts Options
+	dir string
 
 	// mu guards the swappable state below across CrashRestart. Ops
 	// snapshot the pointers under mu and then run lock-free against
 	// them; an op that loses the race to a crash writes to the old
-	// (closed) WAL or the old (closed) pager and reports an error —
+	// (closed) WAL or the old (closed) pager and gets an error —
 	// the same "lost at the crash" outcome a real kill -9 gives, and
 	// the verifier change makes clients retransmit.
 	mu      sync.Mutex
@@ -86,9 +84,9 @@ type Store struct {
 // Open opens (or creates) the store rooted at dir, loading the newest
 // valid checkpoint image and scanning the journal tail past it. The
 // caller must follow with a Replay pass (vfs.NewWithStore does) to
-// rebuild the namespace.
-func Open(dir string, opts Options) (*Store, error) {
-	s := &Store{dir: dir, opts: opts}
+// rebuild the namespace. opts has no effect.
+func Open(dir string, _ Options) (*Store, error) {
+	s := &Store{dir: dir}
 	if err := s.open(); err != nil {
 		return nil, err
 	}
@@ -96,7 +94,7 @@ func Open(dir string, opts Options) (*Store, error) {
 }
 
 // open loads the image chain and scans the WAL tail into a fresh
-// serving copy and pending record list. Callers hold s.mu or are the
+// extent index and pending record list. Callers hold s.mu or are the
 // constructor.
 func (s *Store) open() error {
 	start := time.Now()
@@ -106,8 +104,11 @@ func (s *Store) open() error {
 	}
 	os.Remove(filepath.Join(s.dir, CkptTmpName)) // stale mid-checkpoint temp
 
-	img := loadImageChain(s.dir)
-	pg, err := newPager(filepath.Join(s.dir, ExtentsName), s.opts.HotBytes)
+	img, err := loadImageChain(s.dir)
+	if err != nil {
+		return err
+	}
+	pg, err := newPager(filepath.Join(s.dir, ExtentsName))
 	if err != nil {
 		return err
 	}
@@ -156,7 +157,7 @@ func (s *Store) open() error {
 			if err != nil {
 				return err
 			}
-			// Rebuild the serving copy here, in journal order. The
+			// Rebuild the content here, in journal order. The
 			// namespace (applied later by the vfs) never reorders
 			// against content for one id, because the vfs emits both
 			// under the same node lock. Records for since-removed ids
@@ -259,8 +260,7 @@ func (s *Store) LogMeta(rec *storage.MetaRecord) error {
 	return w.Sync()
 }
 
-// ReadAt serves reads from the paged serving copy, faulting cold
-// extents in from the extent file as needed.
+// ReadAt reads file content from the extent file.
 func (s *Store) ReadAt(id, off uint64, p []byte) error {
 	_, pg := s.state()
 	return pg.ReadAt(id, off, p)
@@ -273,13 +273,13 @@ func (s *Store) WriteAt(id, off uint64, data []byte, stable bool, t int64) error
 	return s.Write(id, off, data, stable, t, nil)
 }
 
-// Write applies the write to the serving copy and appends a journal
+// Write applies the write to the extent file and appends a journal
 // record. Unstable writes return once buffered (the WRITE(unstable)
 // fast path); stable writes additionally wait for the group commit,
 // charging that wait to clk's fsync stage.
 func (s *Store) Write(id, off uint64, data []byte, stable bool, t int64, clk *stats.StageClock) error {
 	w, pg := s.state()
-	// The serving copy keeps no last-stable image: recovery rebuilds it
+	// The extent file keeps no last-stable image: recovery rebuilds it
 	// from image + journal, so that image is whatever the surviving
 	// prefix says.
 	if err := pg.WriteAt(id, off, data); err != nil {
@@ -297,7 +297,7 @@ func (s *Store) Write(id, off uint64, data []byte, stable bool, t int64, clk *st
 	return nil
 }
 
-// Truncate resizes the serving copy only: the durable record is the
+// Truncate resizes the stored content only: the durable record is the
 // OpSetAttr MetaRecord the vfs journals for the same operation, so
 // logging here would double-record it.
 func (s *Store) Truncate(id, size uint64) error {
@@ -313,7 +313,7 @@ func (s *Store) Commit(_ uint64, clk *stats.StageClock) error {
 	return w.SyncClocked(clk)
 }
 
-// Remove drops serving-copy content; durability rides on the vfs's
+// Remove drops the stored content; durability rides on the vfs's
 // OpRemove/OpRename MetaRecord. The extent slots go on the deferred
 // free list so retained images stay valid.
 func (s *Store) Remove(id uint64) error {
@@ -329,7 +329,7 @@ func (s *Store) Epoch() uint64 {
 
 // CrashRestart is the kill -9 model: it crashes the log (dropping
 // user-space buffered records, keeping what reached the OS), then
-// reopens it and rebuilds the serving copy from image + tail.
+// reopens it and rebuilds the extent index from image + tail.
 // The caller follows with Replay to rebuild the namespace.
 func (s *Store) CrashRestart() error {
 	s.mu.Lock()
@@ -340,9 +340,9 @@ func (s *Store) CrashRestart() error {
 	return s.open()
 }
 
-// Close flushes and syncs the journal and closes the store. Resident
-// dirty blocks need no writeback: the journal already holds them and
-// the next open replays the tail.
+// Close flushes and syncs the journal and closes the store. The
+// extent file needs no fsync: the journal already holds every write
+// since the last checkpoint and the next open replays the tail.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	w, pg := s.w, s.pg
@@ -354,7 +354,7 @@ func (s *Store) Close() error {
 	return err
 }
 
-// StorageStats reports the journal, replay, checkpoint and pager
+// StorageStats reports the journal, replay, checkpoint and extent
 // counters.
 func (s *Store) StorageStats() *storage.Stats {
 	s.mu.Lock()

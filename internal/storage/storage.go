@@ -110,7 +110,7 @@ type Store interface {
 	//
 	// PrepareCheckpoint does ahead of time whatever of Checkpoint's
 	// work stays valid while mutations continue (syncing the journal,
-	// writing dirty content back). It changes nothing recovery reads
+	// syncing stored content). It changes nothing recovery reads
 	// differently: a crash during or after it recovers as if no
 	// checkpoint had begun. An error means no checkpoint was started.
 	PrepareCheckpoint() error
@@ -207,7 +207,7 @@ type Stats struct {
 	// reopened.
 	WALFailures uint64 `json:"wal_failures,omitempty"`
 	// Checkpoint and Pager appear only on stores that checkpoint and
-	// page (diskstore); omitted elsewhere so memstore deployments keep
+	// keep an extent file (diskstore); omitted elsewhere so memstore deployments keep
 	// their exact pre-checkpoint stats documents.
 	Checkpoint *CheckpointStats `json:"checkpoint,omitempty"`
 	Pager      *PagerStats      `json:"pager,omitempty"`
@@ -239,31 +239,16 @@ type CheckpointStats struct {
 	TailMBps float64 `json:"tail_mbps,omitempty"`
 }
 
-// PagerStats describes the cold-extent pager: how much of the content
-// working set is resident in memory versus paged from the extent file.
+// PagerStats describes a store's extent file: the block reads that
+// went to it and the block writes it refused.
 type PagerStats struct {
-	HotBytes      uint64 `json:"hot_bytes"`      // residency budget
-	ResidentBytes uint64 `json:"resident_bytes"` // hot blocks in memory now
-	Faults        uint64 `json:"faults"`         // read-through misses
-	Evictions     uint64 `json:"evictions"`      // blocks evicted, both classes
-	// ProbationBytes and ProtectedBytes split ResidentBytes by class:
-	// a block enters on probation, bounded to an eighth of HotBytes,
-	// and is protected only if it returns while its key is still in
-	// the ghost list of recent probation evictions. GhostPromotions
-	// counts the blocks admitted protected that way.
-	ProbationBytes  uint64 `json:"probation_bytes"`
-	ProtectedBytes  uint64 `json:"protected_bytes"`
-	GhostPromotions uint64 `json:"ghost_promotions"`
-	// WriteBackFailures counts evictions abandoned because the dirty
-	// victim could not be written to the extent file. Durability is
-	// unaffected (the journal holds the data), but a growing value
-	// means residency may sit above HotBytes until write-backs succeed.
+	Faults uint64 `json:"faults"` // extent block reads
+	// Evictions is always 0: no store keeps content blocks in memory.
+	// It stays for readers of earlier stats documents.
+	Evictions uint64 `json:"evictions"`
+	// WriteBackFailures counts extent block writes that failed; the
+	// Write or Truncate that made each one returned its error.
 	WriteBackFailures uint64 `json:"write_back_failures,omitempty"`
-	// MappedBytes is the block memory the pager holds: whole slabs
-	// mapped outside the Go heap, so runtime.MemStats does not count
-	// them. Resident blocks and the pager's free list share it; it
-	// grows a slab at a time and drops to 0 when the store closes.
-	MappedBytes uint64 `json:"mapped_bytes"`
 }
 
 // MetaOp enumerates journaled namespace/attribute mutations.

@@ -67,7 +67,9 @@
 // bases the fresh segment at SkipBelow, so fresh appends never reuse
 // seqs the image already covers (the caller's replay filter would
 // silently drop such records at the next boot, losing acknowledged
-// writes). The epoch is one past the newest good header's.
+// writes). The epoch is one past the newest good header's; a log with
+// no good header starts at 1 if it is new and draws its epoch at
+// random otherwise, so no earlier boot's epoch is issued again.
 //
 // # Group commit
 //
@@ -107,6 +109,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"sync"
@@ -383,11 +386,19 @@ func (w *WAL) recover(replay func(uint64, []byte) error) error {
 	} else if !os.IsNotExist(err) {
 		return err
 	}
-	w.epoch = 1 // one past the newest good header's
-	if cur.hdrOK {
+	switch {
+	case cur.hdrOK:
 		w.epoch = cur.epoch + 1
-	} else if prev.hdrOK {
+	case prev.hdrOK:
 		w.epoch = prev.epoch + 1
+	case cur.size == 0 && prev.f == nil && w.skipBelow == 0:
+		w.epoch = 1 // a new log
+	default:
+		// Earlier boots, but no header counts them: draw the epoch, as
+		// the memory store does, from the upper half of the space, which
+		// no counted epoch reaches, so no earlier boot's epoch (and
+		// write verifier) is issued again.
+		w.epoch = rand.Uint64() | 1<<63
 	}
 
 	// Walk .prev, then the current segment unless a bad header, gap or
